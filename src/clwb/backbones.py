@@ -9,6 +9,10 @@ Two isolation mechanisms produce per-task heads on a shared trunk:
   task selects the top p% of weights per layer by trainable scores
   (straight-through gradients); the winning mask is frozen at task end.
 
+Both states answer the same calls (start_task, trunk_for, scale,
+after_backward, finish_task, checkpoint_arrays, from_checkpoint), so no
+caller branches on the kind; task_features is the one trunk forward.
+
 Training a task is single-threaded and deterministic given the seed.
 Evaluation of a finished net is read-only.
 """
@@ -55,6 +59,8 @@ class HatState:
     regularizer of task k.
     """
 
+    kind = "hat"
+
     s_max: float
     lambdas: list[float]
     embeddings: dict[int, list[np.ndarray]] = field(default_factory=dict)
@@ -63,15 +69,121 @@ class HatState:
     def lambda_for(self, task: int) -> float:
         return self.lambdas[min(task, len(self.lambdas) - 1)]
 
+    def attentions(self, task: int, s: float | None = None) -> list[np.ndarray]:
+        if task not in self.embeddings:
+            raise ValueError(f"task {task} has no attention embeddings")
+        scale = self.s_max if s is None else s
+        return [hat_attention(e, scale) for e in self.embeddings[task]]
+
+    def start_task(self, net: MaskedNet, task: int,
+                   rng: np.random.Generator) -> None:
+        self.embeddings[task] = [rng.normal(size=acc.shape)
+                                 for acc in self.accumulated]
+
+    def trunk_for(self, net: MaskedNet, task: int, s: float | None = None
+                  ) -> tuple[nk.DenseNet, list[np.ndarray]]:
+        return net.trunk, self.attentions(task, s)
+
+    def scale(self, batch: int, n_batches: int) -> float:
+        """Gate scale annealed from 1/s_max to s_max across an epoch."""
+        if n_batches <= 1:
+            return self.s_max
+        lo = 1.0 / self.s_max
+        return lo + (self.s_max - lo) * batch / (n_batches - 1)
+
+    def after_backward(self, net: MaskedNet, task: int, tape: nk.GradTape,
+                       cache: nk.ForwardCache, s: float, lr: float) -> float:
+        """Regularize, mask and apply the trunk step, then move the task's
+        embeddings; returns the regularizer value."""
+        attn = cache.hooks
+        reg_val, e_grads, _ = hat_regularizer(self, task, attn, s)
+        hat_masked_gradients(tape, self)
+        nk.sgd_step(net.trunk, tape, lr)
+        for l, eg in enumerate(e_grads):
+            total = eg + tape.d_hooks[l] * attn[l] * (1.0 - attn[l]) * s
+            self.embeddings[task][l] -= lr * total
+        return reg_val
+
+    def finish_task(self, net: MaskedNet, task: int) -> None:
+        hat_accumulate(net, task)
+
+    def checkpoint_arrays(self) -> tuple[list[tuple[str, np.ndarray]], dict]:
+        arrays = [("lambdas", np.asarray(self.lambdas, dtype=np.float64))]
+        arrays += [(f"hat_acc{l}", acc) for l, acc in enumerate(self.accumulated)]
+        arrays += [(f"hat_emb{k}_{l}", e) for k in sorted(self.embeddings)
+                   for l, e in enumerate(self.embeddings[k])]
+        return arrays, {"s_max": self.s_max, "hat_tasks": sorted(self.embeddings)}
+
+    @classmethod
+    def from_checkpoint(cls, meta: dict, arrays: dict[str, np.ndarray],
+                        n_layers: int) -> HatState:
+        state = cls(s_max=float(meta["s_max"]),
+                    lambdas=[float(v) for v in arrays["lambdas"]],
+                    accumulated=[arrays[f"hat_acc{l}"].copy()
+                                 for l in range(n_layers)])
+        for k in meta["hat_tasks"]:
+            state.embeddings[k] = [arrays[f"hat_emb{k}_{l}"].copy()
+                                   for l in range(n_layers)]
+        return state
+
 
 @dataclass
 class SupState:
     """Supermask bookkeeping: live scores for the task in training plus the
     frozen per-task masks (0/1 arrays mirroring trunk weight shapes)."""
 
+    kind = "sup"
+
     p: float
     masks: dict[int, list[np.ndarray]] = field(default_factory=dict)
     scores: list[np.ndarray] | None = None
+
+    def start_task(self, net: MaskedNet, task: int,
+                   rng: np.random.Generator) -> None:
+        self.scores = [rng.normal(scale=0.1, size=w.shape)
+                       for w in net.trunk.weights]
+
+    def trunk_for(self, net: MaskedNet, task: int, s: float | None = None
+                  ) -> tuple[nk.DenseNet, None]:
+        """The trunk with weights W * M_k: the frozen mask of a finished
+        task, or the live scores' mask for the task in training."""
+        if task in self.masks:
+            masks = self.masks[task]
+        elif self.scores is not None:
+            masks = mask_from_scores(self.scores, self.p)
+        else:
+            raise ValueError(f"unknown task {task}")
+        trunk = nk.DenseNet([w * m for w, m in zip(net.trunk.weights, masks)],
+                            net.trunk.biases, net.trunk.activations)
+        return trunk, None
+
+    def scale(self, batch: int, n_batches: int) -> None:
+        return None
+
+    def after_backward(self, net: MaskedNet, task: int, tape: nk.GradTape,
+                       cache: nk.ForwardCache, s: None, lr: float) -> float:
+        """Score step only; the trunk stays at its initialization."""
+        for v, g in zip(self.scores, sup_score_update(tape, net.trunk)):
+            v -= lr * g
+        return 0.0
+
+    def finish_task(self, net: MaskedNet, task: int) -> None:
+        self.masks[task] = mask_from_scores(self.scores, self.p)
+        self.scores = None
+
+    def checkpoint_arrays(self) -> tuple[list[tuple[str, np.ndarray]], dict]:
+        arrays = [(f"sup_mask{k}_{l}", m) for k in sorted(self.masks)
+                  for l, m in enumerate(self.masks[k])]
+        return arrays, {"sparsity": self.p, "sup_tasks": sorted(self.masks)}
+
+    @classmethod
+    def from_checkpoint(cls, meta: dict, arrays: dict[str, np.ndarray],
+                        n_layers: int) -> SupState:
+        state = cls(p=float(meta["sparsity"]))
+        for k in meta["sup_tasks"]:
+            state.masks[k] = [arrays[f"sup_mask{k}_{l}"].copy()
+                              for l in range(n_layers)]
+        return state
 
 
 @dataclass
@@ -82,6 +194,10 @@ class Head:
     weight: np.ndarray
     bias: np.ndarray
     kind: str = "plain"
+
+    def __post_init__(self):
+        if self.kind not in ("plain", "rotation"):
+            raise ValueError(f"unknown head kind {self.kind!r}")
 
     @property
     def width(self) -> int:
@@ -99,7 +215,7 @@ class MaskedNet:
 
     @property
     def kind(self) -> str:
-        return "hat" if isinstance(self.isolation, HatState) else "sup"
+        return self.isolation.kind
 
     @property
     def feature_dim(self) -> int:
@@ -146,30 +262,6 @@ def hat_attention(e: np.ndarray, s: float) -> np.ndarray:
     return out
 
 
-def _hat_hooks(net: MaskedNet, task: int, s: float | None) -> list[np.ndarray]:
-    state = net.isolation
-    if task not in state.embeddings:
-        raise ValueError(f"task {task} has no attention embeddings")
-    scale = state.s_max if s is None else s
-    return [hat_attention(e, scale) for e in state.embeddings[task]]
-
-
-def _head_logits(head: Head, features: np.ndarray) -> np.ndarray:
-    return features @ head.weight.T + head.bias
-
-
-def hat_forward(net: MaskedNet, x, task: int, s: float | None = None
-                ) -> np.ndarray:
-    """Head-k logits with task-k attention gates (full scale by default).
-
-    Attention applies to hidden layers only, never the head.
-    """
-    if task not in net.heads:
-        raise ValueError(f"unknown task {task}")
-    feats, _ = nk.forward(net.trunk, _flatten(net, x), _hat_hooks(net, task, s))
-    return _head_logits(net.heads[task], feats)
-
-
 def hat_masked_gradients(tape: nk.GradTape, state: HatState) -> None:
     """Scale trunk gradients by 1 - min(acc_out, acc_in) in place.
 
@@ -213,7 +305,7 @@ def hat_accumulate(net: MaskedNet, task: int) -> None:
     units block gradients exactly, not merely to ~1e-9.
     """
     state = net.isolation
-    for l, a in enumerate(_hat_hooks(net, task, None)):
+    for l, a in enumerate(state.attentions(task)):
         acc = np.maximum(state.accumulated[l], a)
         acc[acc < SATURATION_EPS] = 0.0
         acc[acc > 1.0 - SATURATION_EPS] = 1.0
@@ -238,29 +330,6 @@ def mask_from_scores(scores: list[np.ndarray], p: float) -> list[np.ndarray]:
     return masks
 
 
-def _sup_masks(net: MaskedNet, task: int) -> list[np.ndarray]:
-    state = net.isolation
-    if task in state.masks:
-        return state.masks[task]
-    if task not in net.finished and state.scores is not None:
-        return mask_from_scores(state.scores, state.p)
-    raise ValueError(f"unknown task {task}")
-
-
-def _sup_effective_trunk(net: MaskedNet, masks: list[np.ndarray]) -> nk.DenseNet:
-    return nk.DenseNet([w * m for w, m in zip(net.trunk.weights, masks)],
-                       net.trunk.biases, net.trunk.activations)
-
-
-def sup_masked_forward(net: MaskedNet, x, task: int) -> np.ndarray:
-    """Head-k logits through the trunk with weights W * M_k."""
-    if task not in net.heads:
-        raise ValueError(f"unknown task {task}")
-    eff = _sup_effective_trunk(net, _sup_masks(net, task))
-    feats, _ = nk.forward(eff, _flatten(net, x))
-    return _head_logits(net.heads[task], feats)
-
-
 def sup_score_update(tape: nk.GradTape, trunk: nk.DenseNet) -> list[np.ndarray]:
     """Straight-through score gradients: dL/dV = dL/d(W*M) * W.
 
@@ -274,42 +343,60 @@ def sup_score_update(tape: nk.GradTape, trunk: nk.DenseNet) -> list[np.ndarray]:
 # Shared forward helpers
 # ---------------------------------------------------------------------------
 
-def _flatten(net: MaskedNet, x) -> np.ndarray:
-    """Coerce inputs to the trunk's flat width: 3-D means an image batch,
-    2-D is a flat batch when widths match and a single image otherwise."""
+def _flatten(x) -> np.ndarray:
+    """Image batches (n, h, w) become rows. Anything else must already be a
+    flat vector or batch: nk.forward rejects a width other than the trunk's."""
     x = np.asarray(x, dtype=np.float64)
-    d = net.trunk.weights[0].shape[1]
-    if x.ndim == 3:
-        if x.shape[1] * x.shape[2] != d:
-            raise nk.ShapeError(f"images {x.shape[1:]} != input width {d}")
-        return x.reshape(x.shape[0], -1)
-    if x.ndim == 2 and x.shape[1] != d:
-        if x.size != d:
-            raise nk.ShapeError(f"input {x.shape} != input width {d}")
-        return x.reshape(d)
-    return x
+    return x.reshape(x.shape[0], -1) if x.ndim == 3 else x
 
 
 def task_features(net: MaskedNet, x, task: int,
                   s: float | None = None) -> tuple[np.ndarray, nk.ForwardCache,
                                                    nk.DenseNet]:
     """Trunk output under task's isolation; returns (features, cache, trunk
-    actually run) so callers can backpropagate through the right weights."""
-    x = _flatten(net, x)
-    if net.kind == "hat":
-        hooks = _hat_hooks(net, task, s)
-        feats, cache = nk.forward(net.trunk, x, hooks)
-        return feats, cache, net.trunk
-    eff = _sup_effective_trunk(net, _sup_masks(net, task))
-    feats, cache = nk.forward(eff, x)
-    return feats, cache, eff
+    actually run) so callers can backpropagate through the right weights.
+    s is the attention scale of a hard-attention net (s_max by default)."""
+    x = _flatten(x)
+    trunk, hooks = net.isolation.trunk_for(net, task, s)
+    feats, cache = nk.forward(trunk, x, hooks)
+    return feats, cache, trunk
+
+
+def _head_logits(head: Head, features: np.ndarray) -> np.ndarray:
+    return features @ head.weight.T + head.bias
+
+
+def _head_step(head: Head, features: np.ndarray, d_logits: np.ndarray,
+               lr: float) -> None:
+    head.weight -= lr * (d_logits.T @ features)
+    head.bias -= lr * d_logits.sum(axis=0)
 
 
 def task_raw_logits(net: MaskedNet, x, task: int) -> np.ndarray:
     """Head-k logits (raw head width; rotation heads give 4|C| slots)."""
-    if net.kind == "hat":
-        return hat_forward(net, x, task)
-    return sup_masked_forward(net, x, task)
+    if task not in net.heads:
+        raise ValueError(f"unknown task {task}")
+    # Keep the cache referenced until the head is applied: freeing its large
+    # activations first lets malloc hand them back to the OS, and a 2000-row
+    # eval then takes 3x the minor page faults.
+    feats, cache, _ = task_features(net, x, task)
+    return _head_logits(net.heads[task], feats)
+
+
+def _of_kind(net: MaskedNet, kind: str) -> MaskedNet:
+    if net.kind != kind:
+        raise ValueError(f"{kind} forward called on a {net.kind} net")
+    return net
+
+
+def hat_forward(net: MaskedNet, x, task: int) -> np.ndarray:
+    """task_raw_logits of a hard-attention net (gates at full scale)."""
+    return task_raw_logits(_of_kind(net, "hat"), x, task)
+
+
+def sup_masked_forward(net: MaskedNet, x, task: int) -> np.ndarray:
+    """task_raw_logits of a supermask net (trunk weights W * M_k)."""
+    return task_raw_logits(_of_kind(net, "sup"), x, task)
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +412,6 @@ class EpochStats:
     ce: float = 0.0
     reg: float = 0.0
     phase: str = "main"
-
-
-def _anneal(batch: int, n_batches: int, s_max: float) -> float:
-    if n_batches <= 1:
-        return s_max
-    lo = 1.0 / s_max
-    return lo + (s_max - lo) * batch / (n_batches - 1)
 
 
 def _init_head(net: MaskedNet, task: int, width: int, kind: str,
@@ -363,23 +443,23 @@ def train_task(net: MaskedNet, task: int, data: LabeledImageSet, *,
     if loss not in ("ce", "rotation-ce", "contrastive"):
         raise ValueError(f"unknown loss {loss!r}")
     rng = np.random.default_rng([seed, task, 1])
-    state = net.isolation
-
-    if net.kind == "hat":
-        state.embeddings[task] = [rng.normal(size=acc.shape)
-                                  for acc in state.accumulated]
-    else:
-        state.scores = [rng.normal(scale=0.1, size=w.shape)
-                        for w in net.trunk.weights]
+    net.isolation.start_task(net, task, rng)
 
     augment = {"flip_prob": flip_prob, "noise_sigma": noise_sigma}
     if loss == "contrastive":
+        head = None
+        main_epochs = contrastive_epochs if contrastive_epochs is not None \
+            else epochs
+    else:
+        head = _init_head(net, task, data.n_classes * (1 if loss == "ce" else 4),
+                          "plain" if loss == "ce" else "rotation", rng)
+        main_epochs = epochs
+    trace = _train_epochs(net, task, data, rng, loss=loss, epochs=main_epochs,
+                          lr=lr, batch_size=batch_size, tau=contrastive_tau,
+                          head=head, augment=augment)
+    net.isolation.finish_task(net, task)
+    if head is None:
         from . import oodlab  # deferred: oodlab imports this module
-        n_feat = contrastive_epochs if contrastive_epochs is not None else epochs
-        trace = _train_epochs(net, task, data, rng, loss="contrastive",
-                              epochs=n_feat, lr=lr, batch_size=batch_size,
-                              tau=contrastive_tau, head=None, augment=augment)
-        _finish_isolation(net, task)
         head_losses = oodlab.finetune_rotation_head(
             net, task, data,
             epochs=head_epochs if head_epochs is not None else epochs,
@@ -387,38 +467,20 @@ def train_task(net: MaskedNet, task: int, data: LabeledImageSet, *,
             batch_size=batch_size, rng=rng, **augment)
         trace += [EpochStats(i, h, ce=h, phase="head")
                   for i, h in enumerate(head_losses)]
-    else:
-        width = data.n_classes if loss == "ce" else 4 * data.n_classes
-        head = _init_head(net, task, width,
-                          "plain" if loss == "ce" else "rotation", rng)
-        trace = _train_epochs(net, task, data, rng, loss=loss, epochs=epochs,
-                              lr=lr, batch_size=batch_size,
-                              tau=contrastive_tau, head=head, augment=augment)
-        _finish_isolation(net, task)
 
     net.finished.append(task)
     return trace
 
 
-def _finish_isolation(net: MaskedNet, task: int) -> None:
-    if net.kind == "hat":
-        hat_accumulate(net, task)
-    else:
-        state = net.isolation
-        state.masks[task] = mask_from_scores(state.scores, state.p)
-        state.scores = None
-
-
 def _train_epochs(net: MaskedNet, task: int, data: LabeledImageSet,
                   rng: np.random.Generator, *, loss: str, epochs: int,
                   lr: float, batch_size: int, tau: float, head: Head | None,
-                  augment: dict | None = None) -> list[EpochStats]:
+                  augment: dict) -> list[EpochStats]:
+    """Minibatch epochs over the task; head None means the contrastive
+    feature phase."""
     from . import oodlab  # deferred: oodlab imports this module
 
-    augment = augment or {}
-
     state = net.isolation
-    xs = data.flat
     n = len(data)
     trace = []
     for epoch in range(epochs):
@@ -426,56 +488,35 @@ def _train_epochs(net: MaskedNet, task: int, data: LabeledImageSet,
         batches = [order[i:i + batch_size] for i in range(0, n, batch_size)]
         sums = {"loss": 0.0, "ce": 0.0, "reg": 0.0}
         for b, idx in enumerate(batches):
-            s = _anneal(b, len(batches), state.s_max) if net.kind == "hat" else None
+            s = state.scale(b, len(batches))
             if loss == "ce":
-                bx, by = xs[idx], data.labels[idx]
+                bx, by = data.images[idx], data.labels[idx]
             else:
-                imgs, by = oodlab.build_rotation_batch(
+                bx, by = oodlab.build_rotation_batch(
                     data.images[idx], data.labels[idx], rng=rng, **augment)
-                bx = imgs.reshape(imgs.shape[0], -1)
 
             feats, cache, run_trunk = task_features(net, bx, task, s=s)
-            if loss == "contrastive":
+            if head is None:
                 z, d_feats_fn = _normalize_rows(feats)
-                value, dz = oodlab.sup_con_loss(z, by, tau=tau)
+                ce_val, dz = oodlab.sup_con_loss(z, by, tau=tau)
                 d_feats = d_feats_fn(dz)
-                ce_val, d_head = value, None
             else:
-                logits = _head_logits(head, feats)
-                ce_val, dlogits = nk.softmax_ce(logits, by)
-                value = ce_val
-                d_head = dlogits
-                d_feats = dlogits @ head.weight
+                ce_val, d_logits = nk.softmax_ce(_head_logits(head, feats), by)
+                d_feats = d_logits @ head.weight
 
             tape = nk.GradTape.for_net(run_trunk)
             nk.backward(run_trunk, tape, cache, d_feats)
+            reg_val = state.after_backward(net, task, tape, cache, s, lr)
+            if head is not None:
+                _head_step(head, feats, d_logits, lr)
 
-            reg_val = 0.0
-            if net.kind == "hat":
-                attn = cache.hooks
-                reg_val, e_grads, _ = hat_regularizer(state, task, attn, s)
-                value += reg_val
-                hat_masked_gradients(tape, state)
-                nk.sgd_step(net.trunk, tape, lr)
-                for l, eg in enumerate(e_grads):
-                    hook_g = tape.d_hooks[l]
-                    total = eg + hook_g * attn[l] * (1.0 - attn[l]) * s
-                    state.embeddings[task][l] -= lr * total
-            else:
-                for v, g in zip(state.scores, sup_score_update(tape, net.trunk)):
-                    v -= lr * g
-
-            if d_head is not None:
-                head.weight -= lr * (d_head.T @ feats)
-                head.bias -= lr * d_head.sum(axis=0)
-
-            sums["loss"] += value
+            sums["loss"] += ce_val + reg_val
             sums["ce"] += ce_val
             sums["reg"] += reg_val
         k = len(batches)
         trace.append(EpochStats(epoch, sums["loss"] / k, ce=sums["ce"] / k,
                                 reg=sums["reg"] / k,
-                                phase="contrastive" if loss == "contrastive"
+                                phase="contrastive" if head is None
                                 else "main"))
     return trace
 

@@ -25,6 +25,7 @@ from . import backbones as bb
 from . import numkit as nk
 
 MAGIC = b"CLWB"
+_ISOLATION = {cls.kind: cls for cls in (bb.HatState, bb.SupState)}
 
 __all__ = [
     "CheckpointError",
@@ -115,39 +116,17 @@ def save_checkpoint(path, net: bb.MaskedNet, extra: dict | None = None) -> None:
     for l, (w, b) in enumerate(zip(net.trunk.weights, net.trunk.biases)):
         arrays.append((f"trunk_w{l}", w))
         arrays.append((f"trunk_b{l}", b))
-    head_kinds = {}
     for k in sorted(net.heads):
-        head = net.heads[k]
-        arrays.append((f"head_w{k}", head.weight))
-        arrays.append((f"head_b{k}", head.bias))
-        head_kinds[str(k)] = head.kind
-
-    state = net.isolation
-    meta: dict = {
-        "kind": net.kind,
-        "finished": list(net.finished),
-        "head_kinds": head_kinds,
-        "topology": {str(k): net.heads[k].width // (4 if net.heads[k].kind
-                                                    == "rotation" else 1)
-                     for k in sorted(net.heads)},
-        "trunk_activations": list(net.trunk.activations),
-        "extra": extra or {},
-    }
-    if net.kind == "hat":
-        meta["s_max"] = state.s_max
-        arrays.append(("lambdas", np.asarray(state.lambdas, dtype=np.float64)))
-        for l, acc in enumerate(state.accumulated):
-            arrays.append((f"hat_acc{l}", acc))
-        for k in sorted(state.embeddings):
-            for l, e in enumerate(state.embeddings[k]):
-                arrays.append((f"hat_emb{k}_{l}", e))
-        meta["hat_tasks"] = sorted(state.embeddings)
-    else:
-        meta["sparsity"] = state.p
-        for k in sorted(state.masks):
-            for l, m in enumerate(state.masks[k]):
-                arrays.append((f"sup_mask{k}_{l}", m))
-        meta["sup_tasks"] = sorted(state.masks)
+        arrays.append((f"head_w{k}", net.heads[k].weight))
+        arrays.append((f"head_b{k}", net.heads[k].bias))
+    state_arrays, state_meta = net.isolation.checkpoint_arrays()
+    arrays += state_arrays
+    meta = dict(state_meta, kind=net.kind, finished=list(net.finished),
+                head_kinds={str(k): h.kind for k, h in sorted(net.heads.items())},
+                topology={str(k): h.width // (4 if h.kind == "rotation" else 1)
+                          for k, h in sorted(net.heads.items())},
+                trunk_activations=list(net.trunk.activations),
+                extra=extra or {})
     write_atomic(path, _pack(meta, arrays))
 
 
@@ -157,34 +136,25 @@ def load_checkpoint(path) -> tuple[bb.MaskedNet, dict]:
         blob = f.read()
     meta, arrays = _unpack(blob)
 
-    weights, biases, l = [], [], 0
-    while f"trunk_w{l}" in arrays:
-        weights.append(arrays[f"trunk_w{l}"].copy())
-        biases.append(arrays[f"trunk_b{l}"].copy())
-        l += 1
-    trunk = nk.DenseNet(weights, biases, list(meta["trunk_activations"]))
-    n_layers = len(weights)
-
-    heads = {}
-    for key, kind in meta["head_kinds"].items():
-        k = int(key)
-        heads[k] = bb.Head(arrays[f"head_w{k}"].copy(),
-                           arrays[f"head_b{k}"].copy(), kind)
-
-    if meta["kind"] == "hat":
-        state: bb.HatState | bb.SupState = bb.HatState(
-            s_max=float(meta["s_max"]),
-            lambdas=[float(v) for v in arrays["lambdas"]],
-            accumulated=[arrays[f"hat_acc{l}"].copy() for l in range(n_layers)],
-        )
-        for k in meta["hat_tasks"]:
-            state.embeddings[k] = [arrays[f"hat_emb{k}_{l}"].copy()
-                                   for l in range(n_layers)]
-    else:
-        state = bb.SupState(p=float(meta["sparsity"]))
-        for k in meta["sup_tasks"]:
-            state.masks[k] = [arrays[f"sup_mask{k}_{l}"].copy()
-                              for l in range(n_layers)]
-
-    net = bb.MaskedNet(trunk, heads, state, [int(k) for k in meta["finished"]])
+    try:
+        state_cls = _ISOLATION.get(meta["kind"])
+        if state_cls is None:
+            raise CheckpointFormatError(
+                f"unknown isolation kind {meta['kind']!r}")
+        weights, biases, l = [], [], 0
+        while f"trunk_w{l}" in arrays:
+            weights.append(arrays[f"trunk_w{l}"].copy())
+            biases.append(arrays[f"trunk_b{l}"].copy())
+            l += 1
+        trunk = nk.DenseNet(weights, biases, list(meta["trunk_activations"]))
+        heads = {}
+        for key, kind in meta["head_kinds"].items():
+            k = int(key)
+            heads[k] = bb.Head(arrays[f"head_w{k}"].copy(),
+                               arrays[f"head_b{k}"].copy(), kind)
+        state = state_cls.from_checkpoint(meta, arrays, len(weights))
+        net = bb.MaskedNet(trunk, heads, state,
+                           [int(k) for k in meta["finished"]])
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointFormatError(f"malformed checkpoint: {e!r}") from e
     return net, meta

@@ -24,7 +24,7 @@ from . import metrics as mt
 from . import oodlab as ol
 from . import theory as th
 from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 
 __all__ = [
     "ExperimentReport",
@@ -40,10 +40,10 @@ ROUTES = ("concat-argmax", "compose", "calibrated")
 
 
 def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("CLWB_THREADS", "1")))
-    except ValueError:
-        return 1
+    raw = os.environ.get("CLWB_THREADS", "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ConfigError(f"CLWB_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def build_tasks(cfg: ExperimentConfig) -> dt.TaskSequence:
@@ -242,6 +242,7 @@ def eval_run(cfg: ExperimentConfig, checkpoint_path, *, scorer: str | None = Non
     scorer/route override the config; ODIN is evaluation-time post-processing
     on the stored heads. The checkpoint file is never written.
     """
+    n_threads = _threads()
     net, meta = load_checkpoint(checkpoint_path)
     seq = build_tasks(cfg)
     scorer = scorer or cfg.ood.scorer
@@ -271,7 +272,6 @@ def eval_run(cfg: ExperimentConfig, checkpoint_path, *, scorer: str | None = Non
     def scores_for(task: int) -> np.ndarray:
         return _score_task(net, test_images, task, scorer, odin)
 
-    n_threads = _threads()
     tasks = list(range(seq.n_tasks))
     if n_threads > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
@@ -296,12 +296,9 @@ def eval_run(cfg: ExperimentConfig, checkpoint_path, *, scorer: str | None = Non
         test_task_of, truth_local, calibration)
     cil = mt.cil_accuracy(predictions, truth_global)
 
-    til_per_task = []
-    for k in tasks:
-        mask = test_task_of == k
-        til_per_task.append(mt.cil_accuracy(
-            per_task_logits[k][mask].argmax(axis=1), truth_local[mask]))
-    til_avg = float(np.mean(til_per_task))
+    til_per_task, til_avg = mt.til_accuracy(
+        [per_task_logits[k][test_task_of == k].argmax(axis=1) for k in tasks],
+        [truth_local[test_task_of == k] for k in tasks])
 
     forgetting = []
     if "accuracy_matrix" in meta.get("extra", {}):

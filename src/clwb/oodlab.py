@@ -70,7 +70,7 @@ def _log_msp_input_gradient(net: bb.MaskedNet, x: np.ndarray, task: int,
     """d/dx of log softmax(f(x)/tau)[argmax f(x)] through task's path."""
     head = net.heads[task]
     feats, cache, trunk = bb.task_features(net, x, task)
-    logits = feats @ head.weight.T + head.bias
+    logits = bb._head_logits(head, feats)
     batched = logits.ndim == 2
     z = logits if batched else logits[None, :]
     yhat = z.argmax(axis=1)
@@ -200,13 +200,7 @@ def finetune_rotation_head(net: bb.MaskedNet, task: int,
                            ) -> list[float]:
     """Train a fresh linear head over 4|C| rotation classes on frozen
     features; trunk parameters are never touched. Returns per-epoch losses."""
-    width = 4 * data.n_classes
-    fan_in = net.feature_dim
-    bound = np.sqrt(6.0 / (fan_in + width))
-    head = bb.Head(rng.uniform(-bound, bound, size=(width, fan_in)),
-                   np.zeros(width), kind="rotation")
-    net.heads[task] = head
-
+    head = bb._init_head(net, task, 4 * data.n_classes, "rotation", rng)
     losses = []
     n = len(data)
     for _ in range(epochs):
@@ -218,12 +212,9 @@ def finetune_rotation_head(net: bb.MaskedNet, task: int,
                                             data.labels[idx], rng=rng,
                                             flip_prob=flip_prob,
                                             noise_sigma=noise_sigma)
-            feats, _, _ = bb.task_features(net, imgs.reshape(len(imgs), -1),
-                                           task)
-            logits = feats @ head.weight.T + head.bias
-            value, dlogits = nk.softmax_ce(logits, ys)
-            head.weight -= lr * (dlogits.T @ feats)
-            head.bias -= lr * dlogits.sum(axis=0)
+            feats, _, _ = bb.task_features(net, imgs, task)
+            value, dlogits = nk.softmax_ce(bb._head_logits(head, feats), ys)
+            bb._head_step(head, feats, dlogits, lr)
             total += value
         losses.append(total / len(batches))
     return losses
@@ -246,8 +237,7 @@ def ensemble_logits(net: bb.MaskedNet, x, task: int) -> np.ndarray:
         img = img[None]
     per_deg = []
     for deg in range(4):
-        flat = rotate90(img, deg).reshape(img.shape[0], -1)
-        raw = bb.task_raw_logits(net, flat, task)
+        raw = bb.task_raw_logits(net, rotate90(img, deg), task)
         per_deg.append(raw[:, deg::4])  # slots (0,deg), (1,deg), ...
     out = np.mean(per_deg, axis=0)
     return out[0] if single else out

@@ -78,6 +78,46 @@ class TestHatForward:
             bb.hat_forward(net, np.zeros(4), 7)
 
 
+class TestInputShapes:
+    @pytest.fixture(params=["hat", "sup"])
+    def net(self, request):
+        seq = gaussian_task(n=10)
+        net = (make_hat if request.param == "hat" else make_sup)(dim=4)
+        bb.train_task(net, 0, seq.tasks[0][0], epochs=1, seed=0)
+        return net
+
+    def test_flat_width_mismatch_raises(self, net):
+        # a (2, 2) array holds four values but is no batch of width 4
+        for shape in [(2, 2), (3, 5), (5,)]:
+            with pytest.raises(nk.ShapeError):
+                bb.task_raw_logits(net, np.zeros(shape), 0)
+
+    def test_image_batch_equals_its_flat_rows(self, net):
+        images = np.random.default_rng(1).normal(size=(5, 2, 2))
+        np.testing.assert_array_equal(
+            bb.task_raw_logits(net, images, 0),
+            bb.task_raw_logits(net, images.reshape(5, 4), 0))
+        with pytest.raises(nk.ShapeError):
+            bb.task_raw_logits(net, np.zeros((5, 3, 3)), 0)
+
+    def test_vector_gives_one_row(self, net):
+        x = np.random.default_rng(2).normal(size=(3, 4))
+        rows = bb.task_raw_logits(net, x, 0)
+        for i in range(3):
+            np.testing.assert_allclose(bb.task_raw_logits(net, x[i], 0),
+                                       rows[i], rtol=1e-12, atol=1e-12)
+
+    def test_kind_forward_rejects_other_kind(self, net):
+        x = np.zeros(4)
+        forwards = {"hat": bb.hat_forward, "sup": bb.sup_masked_forward}
+        own = forwards.pop(net.kind)
+        (other,) = forwards.values()
+        np.testing.assert_array_equal(own(net, x, 0),
+                                      bb.task_raw_logits(net, x, 0))
+        with pytest.raises(ValueError, match=net.kind):
+            other(net, x, 0)
+
+
 class TestHatMaskedGradients:
     def run_case(self, acc_out, acc_in, g):
         state = bb.HatState(s_max=400.0, lambdas=[1.0],

@@ -1,4 +1,6 @@
+import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -69,7 +71,6 @@ def test_bad_magic_and_version(tmp_path):
     bumped = bytearray(blob)
     bumped[4:6] = struct.pack("<H", 99)
     # keep the checksum honest so the version check is what fires
-    import zlib
     bumped[-4:] = struct.pack("<I", zlib.crc32(bytes(bumped[:-4])))
     (tmp_path / "v.clwb").write_bytes(bytes(bumped))
     with pytest.raises(ck.CheckpointFormatError, match="version"):
@@ -91,3 +92,35 @@ def test_truncated_file(tmp_path):
     (tmp_path / "t.clwb").write_bytes(path.read_bytes()[:20])
     with pytest.raises(ck.CheckpointError):
         ck.load_checkpoint(tmp_path / "t.clwb")
+
+
+def _with_meta(blob: bytes, mutate) -> bytes:
+    """The checkpoint with its meta JSON edited and the CRC re-signed, so
+    the meta checks are what fires."""
+    (meta_len,) = struct.unpack("<I", blob[6:10])
+    meta = json.loads(blob[10:10 + meta_len])
+    mutate(meta)
+    meta_blob = json.dumps(meta, sort_keys=True).encode()
+    body = (blob[:6] + struct.pack("<I", len(meta_blob)) + meta_blob
+            + blob[10 + meta_len:-4])
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda m: m.update(kind="xyz"),
+    lambda m: m.update(kind="sup"),
+    lambda m: m.pop("s_max"),
+    lambda m: m.update(hat_tasks=[0, 3]),
+    lambda m: m["head_kinds"].update({"0": "weird"}),
+], ids=["unknown-kind", "wrong-kind", "missing-s_max", "task-without-arrays",
+        "unknown-head-kind"])
+def test_malformed_meta_is_a_format_error(tmp_path, mutate):
+    net = trained_net(kind="hat", tasks=1)
+    path = tmp_path / "model.clwb"
+    ck.save_checkpoint(path, net)
+    blob = path.read_bytes()
+    assert _with_meta(blob, lambda m: None) == blob
+    bad = tmp_path / "bad.clwb"
+    bad.write_bytes(_with_meta(blob, mutate))
+    with pytest.raises(ck.CheckpointFormatError):
+        ck.load_checkpoint(bad)

@@ -102,6 +102,17 @@ class TestTrainEvalPipeline:
         assert a["til_per_task"] == b["til_per_task"]
         assert a["scorer"] == "msp" and b["scorer"] == "odin"
 
+    def test_bad_thread_count_is_usage_error(self, synth_config_text,
+                                             tmp_path, capsys, monkeypatch):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(synth_config_text(tasks=2, epochs=2))
+        run_cli("train", "--config", str(cfg_path))
+        for raw in ("two", "0", "-1"):
+            monkeypatch.setenv("CLWB_THREADS", raw)
+            assert run_cli("eval", "--config", str(cfg_path), "--checkpoint",
+                           str(tmp_path / "run" / "final.clwb")) == 2
+            assert "CLWB_THREADS" in capsys.readouterr().err
+
     def test_bad_config_is_usage_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.ini"
         cfg_path.write_text("[experiment]\nseed = 1\n[backbone]\ntypo = 1\n")
