@@ -101,10 +101,15 @@ def predict_concat_argmax(per_task_logits: list) -> int:
 
 
 def tp_sigmoid_maxlogit(per_task_logits: list) -> np.ndarray:
-    """Task distribution from detectors sigmoid(max f_k), normalized."""
+    """Task distribution from detectors sigmoid(max f_k), normalized.
+
+    Vectors give one distribution (K,); (n, c_k) arrays give one per row
+    (n, K), as do the other TP constructions here.
+    """
     if not per_task_logits:
         raise ValueError("no task logits")
-    top = np.array([float(np.max(v)) for v in per_task_logits])
+    top = np.stack([np.max(np.asarray(v, dtype=np.float64), axis=-1)
+                    for v in per_task_logits], axis=-1)
     profile = 1.0 / (1.0 + np.exp(-top))
     return th.tp_from_ood(profile)
 
@@ -126,9 +131,8 @@ def tp_maxsoftmax_temperature(per_task_logits: list,
         t = np.full(len(per_task_logits), float(t))
     if (t <= 0).any():
         raise ValueError("temperatures must be positive")
-    profile = np.array([msp for msp in
-                        (float(np.max(nk.softmax(np.asarray(v) / tk)))
-                         for v, tk in zip(per_task_logits, t))])
+    profile = np.stack([nk.softmax(np.asarray(v) / tk).max(axis=-1)
+                        for v, tk in zip(per_task_logits, t)], axis=-1)
     return th.tp_from_ood(profile)
 
 
@@ -141,13 +145,14 @@ def compose_full(wp: list, tp, topo: th.TaskTopology
 
 def calibrated_logits(per_task_logits: list,
                       params: CalibrationParams) -> np.ndarray:
-    """Concatenation of alpha_k * f_k + beta_k."""
+    """Concatenation of alpha_k * f_k + beta_k (along the last axis, so
+    (n, c_k) arrays give one calibrated row per instance)."""
     if len(per_task_logits) != params.alpha.size:
         raise ValueError(f"{len(per_task_logits)} tasks vs "
                          f"{params.alpha.size} calibration entries")
     return np.concatenate([params.alpha[k] * np.asarray(v, dtype=np.float64)
                            + params.beta[k]
-                           for k, v in enumerate(per_task_logits)])
+                           for k, v in enumerate(per_task_logits)], axis=-1)
 
 
 def calibration_loss(stacked: np.ndarray, labels: np.ndarray,

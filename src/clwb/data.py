@@ -72,7 +72,8 @@ class TaskSequence:
     """Ordered (train, test) pairs per task plus the class topology.
 
     Per-task labels are remapped to 0..sizes[k]-1; class_map[k][j] recovers
-    the global class id, so disjointness across tasks is structural.
+    the dataset's class id, so disjointness across tasks is structural.
+    Predictions index classes by topology.flat(k, j), not by class_map.
     """
 
     tasks: list[tuple[LabeledImageSet, LabeledImageSet]]
@@ -82,9 +83,6 @@ class TaskSequence:
     @property
     def n_tasks(self) -> int:
         return len(self.tasks)
-
-    def global_label(self, task: int, local: int) -> int:
-        return self.class_map[task][local]
 
 
 # ---------------------------------------------------------------------------

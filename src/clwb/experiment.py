@@ -21,6 +21,7 @@ from . import backbones as bb
 from . import composer as cp
 from . import data as dt
 from . import metrics as mt
+from . import numkit as nk
 from . import oodlab as ol
 from . import theory as th
 from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
@@ -174,20 +175,30 @@ def _scorer_params(cfg: ExperimentConfig, net: bb.MaskedNet,
 
 
 def _score_task(net: bb.MaskedNet, images: np.ndarray, task: int, scorer: str,
-                odin: dict[int, ol.OdinParams]) -> np.ndarray:
+                odin: dict[int, ol.OdinParams],
+                class_logits: np.ndarray) -> np.ndarray:
     """msp/maxlogit/odin post-process the raw head output (rotation slots
     included, for rotation heads); rotation-ensemble scores the orbit-averaged
-    class logits."""
-    if scorer == "msp":
-        return np.atleast_1d(ol.msp_score(
-            np.atleast_2d(bb.task_raw_logits(net, images, task))))
-    if scorer == "maxlogit":
-        z = np.atleast_2d(bb.task_raw_logits(net, images, task))
+    class logits.
+
+    class_logits is the task's ``ol.class_logits`` output on images: the raw
+    head output of a plain head, the orbit average of a rotation head. The
+    scorers reuse it where it is their input, so only a rotation head's
+    msp/maxlogit and ODIN run a forward of their own.
+    """
+    rotation = net.heads[task].kind == "rotation"
+    if scorer in ("msp", "maxlogit"):
+        z = np.atleast_2d(bb.task_raw_logits(net, images, task)) \
+            if rotation else class_logits
+        if scorer == "msp":
+            return np.atleast_1d(ol.msp_score(z))
         return 1.0 / (1.0 + np.exp(-z.max(axis=1)))
     if scorer == "odin":
         return np.atleast_1d(ol.odin_score(net, images, task, odin[task]))
     if scorer == "rotation-ensemble":
-        return np.atleast_1d(ol.msp_score(ol.ensemble_logits(net, images, task)))
+        if not rotation:
+            raise ValueError(f"task {task} head has no rotation slots")
+        return np.atleast_1d(ol.msp_score(class_logits))
     raise ValueError(f"unknown scorer {scorer!r}")
 
 
@@ -261,8 +272,8 @@ def eval_run(cfg: ExperimentConfig, checkpoint_path, *, scorer: str | None = Non
     truth_local = np.concatenate([seq.tasks[k][1].labels
                                   for k in range(seq.n_tasks)])
     topo = seq.topology
-    truth_global = np.array([seq.global_label(k, j)
-                             for k, j in zip(test_task_of, truth_local)])
+    # flat class ids, the index space of the concatenated head outputs
+    truth_global = np.asarray(topo.offsets)[test_task_of] + truth_local
 
     odin = _scorer_params(cfg, net, seq, scorer)
 
@@ -270,7 +281,8 @@ def eval_run(cfg: ExperimentConfig, checkpoint_path, *, scorer: str | None = Non
         return np.atleast_2d(ol.class_logits(net, test_images, task))
 
     def scores_for(task: int) -> np.ndarray:
-        return _score_task(net, test_images, task, scorer, odin)
+        return _score_task(net, test_images, task, scorer, odin,
+                           per_task_logits[task])
 
     tasks = list(range(seq.n_tasks))
     if n_threads > 1:
@@ -291,10 +303,10 @@ def eval_run(cfg: ExperimentConfig, checkpoint_path, *, scorer: str | None = Non
         else:
             auc_per_task.append(mt.auc(mt.ScoredPopulation(ind, ood)))
 
-    predictions, reports = _predict_all(
+    rows, tp_fallbacks = _predict_all(
         cfg, route, per_task_logits, per_task_scores, topo,
         test_task_of, truth_local, calibration)
-    cil = mt.cil_accuracy(predictions, truth_global)
+    cil = mt.cil_accuracy(rows.predictions, truth_global)
 
     til_per_task, til_avg = mt.til_accuracy(
         [per_task_logits[k][test_task_of == k].argmax(axis=1) for k in tasks],
@@ -313,57 +325,63 @@ def eval_run(cfg: ExperimentConfig, checkpoint_path, *, scorer: str | None = Non
         til_per_task=til_per_task, til_avg=til_avg, cil=cil,
         auc_per_task=auc_per_task,
         auc_avg=mt.avg_auc(auc_per_task), forgetting=forgetting,
-        h_wp_mean=float(np.mean([r.h_wp for r in reports])),
-        h_tp_mean=float(np.mean([r.h_tp for r in reports])),
-        h_cil_mean=float(np.mean([r.h_cil for r in reports])),
+        h_wp_mean=float(np.mean(rows.h_wp)),
+        h_tp_mean=float(np.mean(rows.h_tp)),
+        h_cil_mean=float(np.mean(rows.h_cil)),
         odin_params={str(k): {"tau": p.tau, "eps": p.eps}
                      for k, p in odin.items()},
         config_text=cfg.text,
+        notes={"tp_uniform_fallbacks": tp_fallbacks} if tp_fallbacks else {},
     )
 
 
 def _predict_all(cfg, route, per_task_logits, per_task_scores, topo,
-                 test_task_of, truth_local, calibration):
-    """Per-sample class prediction plus the entropy report of the route's
-    (implied) decomposition; the additive identity holds for every route."""
-    n = per_task_logits[0].shape[0]
-    predictions = np.empty(n, dtype=np.intp)
-    reports = []
-    for i in range(n):
-        row_logits = [per_task_logits[k][i] for k in range(topo.n_tasks)]
-        truth = th.GroundTruth(int(test_task_of[i]), int(truth_local[i]))
-        if route == "compose":
-            wp = [cp.wp_temperature(v, cfg.predict.nu) for v in row_logits]
-            tp = _tp_for(cfg, row_logits,
-                         np.array([s[i] for s in per_task_scores]))
-            cil = th.compose_cil(wp, tp, topo, validate=False)
-            predictions[i] = int(np.argmax(cil))
-            reports.append(th.entropy_report(truth, topo, wp=wp, tp=tp,
-                                             validate=False))
-        else:
-            if route == "calibrated":
-                concat = cp.calibrated_logits(row_logits, calibration)
-            else:
-                concat = np.concatenate(row_logits)
-            predictions[i] = int(np.argmax(concat))
-            cil = np.exp(concat - concat.max())
-            cil /= cil.sum()
-            construction = th.theorem4_construct(cil, topo, truth)
-            reports.append(th.entropy_report(
-                truth, topo, wp=construction.wp_normalized,
-                tp=construction.tp / construction.tp.sum(), cil=cil,
-                validate=False))
-    return predictions, reports
+                 test_task_of, truth_local, calibration
+                 ) -> tuple[th.RowDecomposition, int]:
+    """Class predictions for all test rows plus the per-row entropies of the
+    route's (implied) decomposition, in one batched pass; the additive
+    identity holds for every route.
+
+    concat-argmax and calibrated decompose the softmax over the concatenated
+    (calibrated) logits by the theorem-4 construction; compose multiplies
+    the per-task softmax at temperature nu (WP) by the configured TP.
+    Entropies clamp logs at LOG_CLAMP, except on rows where a truth
+    probability of WP, TP or CIL falls under it: there each part comes from
+    log-probabilities (log-softmax, log-sum-exp slices, log TP) and
+    h_cil = h_wp + h_tp; an exactly-zero probability keeps H_MAX. Also
+    returns how many rows' TP fell back to uniform.
+    """
+    if route == "compose":
+        nu = cfg.predict.nu
+        wp = np.concatenate([cp.wp_temperature(z, nu) for z in per_task_logits],
+                            axis=1)
+        log_wp = np.concatenate([nk.log_softmax(z / nu) for z in per_task_logits],
+                                axis=1)
+        tp, fallbacks = _tp_for(cfg, per_task_logits, per_task_scores)
+        return th.decompose_rows(wp, topo, test_task_of, truth_local, tp=tp,
+                                 log_probs=log_wp), fallbacks
+    if route == "calibrated":
+        concat = cp.calibrated_logits(per_task_logits, calibration)
+    else:
+        concat = np.concatenate(per_task_logits, axis=1)
+    return th.decompose_rows(nk.softmax(concat), topo, test_task_of,
+                             truth_local, log_probs=nk.log_softmax(concat)), 0
 
 
-def _tp_for(cfg, row_logits, row_scores) -> np.ndarray:
+def _tp_for(cfg, per_task_logits, per_task_scores) -> tuple[np.ndarray, int]:
+    """(n, K) task distribution of the configured construction, plus the
+    number of rows whose clipped scores were all zero: those rows get a
+    uniform TP instead of an undefined normalization."""
     kind = cfg.predict.tp
     if kind == "sigmoid-maxlogit":
-        return cp.tp_sigmoid_maxlogit(row_logits)
+        return cp.tp_sigmoid_maxlogit(per_task_logits), 0
     if kind == "maxsoftmax-temp":
-        return cp.tp_maxsoftmax_temperature(row_logits, cfg.predict.tau)
+        return cp.tp_maxsoftmax_temperature(per_task_logits, cfg.predict.tau), 0
     if kind == "scorer":
-        return th.tp_from_ood(np.clip(row_scores, 0.0, 1.0))
+        profile = np.clip(np.stack(per_task_scores, axis=1), 0.0, 1.0)
+        zero = ~profile.any(axis=1)
+        profile[zero] = 1.0
+        return th.tp_from_ood(profile), int(zero.sum())
     raise ValueError(f"unknown tp construction {kind!r}")
 
 
@@ -383,7 +401,7 @@ def calibrate_run(cfg: ExperimentConfig, checkpoint_path
     for k in range(seq.n_tasks):
         train, _ = seq.tasks[k]
         for j in range(train.n_classes):
-            g = seq.global_label(k, j)
+            g = seq.topology.flat(k, j)
             pools[g] = (train.images[train.labels == j], k)
     buffer = cp.MemoryBuffer.build(cfg.calibrate.buffer, pools, rng)
 

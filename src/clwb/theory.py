@@ -35,6 +35,7 @@ __all__ = [
     "GroundTruth",
     "EntropyReport",
     "Theorem4Construction",
+    "RowDecomposition",
     "neg_log",
     "check_distribution",
     "cross_entropy",
@@ -48,6 +49,7 @@ __all__ = [
     "theorem2_bound",
     "check_theorem3",
     "theorem4_construct",
+    "decompose_rows",
     "theorem5_ood_from_tp",
     "theorem5_tp_from_ood",
     "theorem5_bound",
@@ -90,10 +92,11 @@ def check_distribution(p, *, name: str = "distribution") -> np.ndarray:
     return p
 
 
-def _check_profile(profile) -> np.ndarray:
+def _check_profile(profile, *, rows: bool = False) -> np.ndarray:
     q = np.asarray(profile, dtype=np.float64)
-    if q.ndim != 1 or q.size == 0:
-        raise ValueError("profile must be a nonempty vector")
+    if q.ndim != (2 if rows else 1) or q.size == 0:
+        raise ValueError("profile must be a nonempty "
+                         + ("matrix" if rows else "vector"))
     if (q < 0).any() or (q > 1).any() or not np.isfinite(q).all():
         raise ValueError("profile entries must lie in [0, 1]")
     return q
@@ -280,10 +283,14 @@ def ood_from_tp(tp) -> np.ndarray:
 
 
 def tp_from_ood(profile) -> np.ndarray:
-    """Task distribution tp[k] = P'_k / sum_j P'_j."""
-    q = _check_profile(profile)
-    total = q.sum()
-    if total <= 0.0:
+    """Task distribution tp[k] = P'_k / sum_j P'_j.
+
+    A 2-D profile holds one instance per row and gives one distribution per
+    row, each with the bits of the 1-D call on that row.
+    """
+    q = _check_profile(profile, rows=np.ndim(profile) == 2)
+    total = q.sum(axis=-1, keepdims=True)
+    if (total <= 0.0).any():
         raise DegenerateInputError("all-zero detector profile")
     return q / total
 
@@ -369,6 +376,119 @@ def theorem4_construct(cil, topo: TaskTopology,
         tp_ok=_leq(h_tp, eta),
         ood_ok=all(_leq(h, eta) for h in h_ood),
     )
+
+
+# ---------------------------------------------------------------------------
+# Batched decomposition of many instances
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RowDecomposition:
+    """Per-instance CIL predictions and decomposed cross-entropies."""
+
+    predictions: np.ndarray
+    h_wp: np.ndarray
+    h_tp: np.ndarray
+    h_cil: np.ndarray
+
+
+def _check_rows(p: np.ndarray, name: str, sums: list[np.ndarray]) -> None:
+    if (p < 0).any() or not np.isfinite(p).all():
+        raise ValueError(f"{name} has negative or non-finite entries")
+    for s in sums:
+        bad = np.flatnonzero(np.abs(s - 1.0) > 1e-9)
+        if bad.size:
+            raise ValueError(f"{name} row {bad[0]} sums to {s[bad[0]]!r}, not 1")
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log sum exp over the last axis; -inf for an all -inf row."""
+    m = a.max(axis=-1, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        return (m + np.log(np.exp(a - m).sum(axis=-1, keepdims=True)))[..., 0]
+
+
+def decompose_rows(probs, topo: TaskTopology, k0, j0, *, tp=None,
+                   log_probs=None) -> RowDecomposition:
+    """Decompose n instances at once, one row of ``probs`` (n, C) each.
+
+    Without tp each row is a flat CIL distribution, decomposed by the
+    theorem-4 construction: TP is the slice masses renormalized, WP the
+    truth slice renormalized (uniform for a zero-mass slice). With tp (n, K)
+    each task slice of a row is that task's WP distribution and CIL is the
+    composition WP * TP. predictions is each CIL row's argmax, lowest index
+    on ties; k0 and j0 are the (n,) truth arrays.
+
+    Every entry has the bits entropy_report gives on that row's
+    theorem4_construct or compose_cil parts, with logs clamped at LOG_CLAMP.
+    Given log_probs, the logs of probs (log-softmax output), the rows where
+    a truth probability of WP, TP or CIL falls under the clamp are computed
+    in log space instead: WP from log_probs, TP from the slice
+    log-sum-exps or log tp, and h_cil = h_wp + h_tp, so the identity holds
+    there too. A part whose probability is exactly zero keeps H_MAX.
+    """
+    p = np.asarray(probs, dtype=np.float64)
+    k0 = np.asarray(k0, dtype=np.intp)
+    j0 = np.asarray(j0, dtype=np.intp)
+    if p.ndim != 2 or p.shape[1] != topo.n_classes:
+        raise ValueError(f"probs shape {p.shape} does not hold "
+                         f"{topo.n_classes} classes per row")
+    n = p.shape[0]
+    if k0.shape != (n,) or j0.shape != (n,):
+        raise ValueError(f"truth shapes {k0.shape}, {j0.shape} for {n} rows")
+    sizes = np.asarray(topo.sizes)
+    if ((k0 < 0) | (k0 >= topo.n_tasks)).any() \
+            or ((j0 < 0) | (j0 >= sizes[k0])).any():
+        raise ValueError(f"truth outside topology {topo.sizes}")
+    slices = [topo.task_slice(k) for k in range(topo.n_tasks)]
+    rows = np.arange(n)
+    flat = np.asarray(topo.offsets)[k0] + j0
+
+    if tp is None:
+        _check_rows(p, "cil", [p.sum(axis=1)])
+        mass = np.stack([p[:, s].sum(axis=1) for s in slices], axis=1)
+        m0 = mass[rows, k0]
+        p_cil = p[rows, flat]
+        p_wp = np.divide(p_cil, m0, out=1.0 / sizes[k0], where=m0 > 0)
+        p_tp = m0 / mass.sum(axis=1)
+        predictions = p.argmax(axis=1)
+    else:
+        t = np.asarray(tp, dtype=np.float64)
+        if t.shape != (n, topo.n_tasks):
+            raise ValueError(f"tp shape {t.shape} for {n} rows of "
+                             f"{topo.n_tasks} tasks")
+        _check_rows(t, "tp", [t.sum(axis=1)])
+        _check_rows(p, "wp", [p[:, s].sum(axis=1) for s in slices])
+        p_wp = p[rows, flat]
+        p_tp = t[rows, k0]
+        p_cil = p_wp * p_tp
+        task_of_col = np.repeat(np.arange(topo.n_tasks), sizes)
+        predictions = (p * t[:, task_of_col]).argmax(axis=1)
+    h_wp, h_tp, h_cil = (-np.log(np.maximum(x, LOG_CLAMP))
+                         for x in (p_wp, p_tp, p_cil))
+
+    low = np.flatnonzero((p_wp < LOG_CLAMP) | (p_tp < LOG_CLAMP)
+                         | (p_cil < LOG_CLAMP))
+    if log_probs is not None and low.size:
+        lp = np.asarray(log_probs, dtype=np.float64)
+        if lp.shape != p.shape or np.isnan(lp).any() or (lp == np.inf).any():
+            raise ValueError("log_probs must match probs and be NaN/+inf free")
+        lp, k, r = lp[low], k0[low], np.arange(low.size)
+        log_wp = lp[r, flat[low]]
+        if tp is None:
+            lse = np.stack([_logsumexp(lp[:, s]) for s in slices], axis=1)
+            log_tp = lse[r, k] - _logsumexp(lse)
+            with np.errstate(invalid="ignore"):  # -inf - -inf, masked below
+                # a zero truth entry stays -inf, even in an all-zero slice
+                log_wp = np.where(log_wp == -np.inf, log_wp, log_wp - lse[r, k])
+        else:
+            with np.errstate(divide="ignore"):
+                log_tp = np.log(t[low, k])
+        h_wp[low] = np.where(log_wp == -np.inf, H_MAX, -log_wp)
+        h_tp[low] = np.where(log_tp == -np.inf, H_MAX, -log_tp)
+        h_cil[low] = h_wp[low] + h_tp[low]
+    return RowDecomposition(predictions, h_wp, h_tp, h_cil)
 
 
 # ---------------------------------------------------------------------------

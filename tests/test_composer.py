@@ -223,3 +223,34 @@ class TestSingleTaskAgreement:
             c = int(np.argmax(cp.calibrated_logits(
                 logits, cp.CalibrationParams.identity(1))))
             assert a == b == c
+
+
+class TestRowBatches:
+    """(n, c_k) inputs give, row by row, the bits of the vector call."""
+
+    @staticmethod
+    def per_task(seed=4, n=40, widths=(2, 3, 1)):
+        rng = np.random.default_rng(seed)
+        return [rng.normal(scale=4.0, size=(n, w)) for w in widths]
+
+    def rows(self, logits, i):
+        return [z[i] for z in logits]
+
+    def test_tp_constructions(self):
+        logits = self.per_task()
+        for build in (cp.tp_sigmoid_maxlogit,
+                      lambda v: cp.tp_maxsoftmax_temperature(v, [2.0, 5.0, 0.5])):
+            batched = build(logits)
+            assert batched.shape == (40, 3)
+            for i in range(40):
+                assert batched[i].tobytes() == build(self.rows(logits, i)).tobytes()
+
+    def test_wp_temperature_and_calibrated_logits(self):
+        logits = self.per_task()
+        params = cp.CalibrationParams([1.5, 0.5, 2.0], [0.1, -0.3, 0.0])
+        concat = cp.calibrated_logits(logits, params)
+        wp = cp.wp_temperature(logits[1], 0.1)
+        for i in range(40):
+            assert concat[i].tobytes() == cp.calibrated_logits(
+                self.rows(logits, i), params).tobytes()
+            assert wp[i].tobytes() == cp.wp_temperature(logits[1][i], 0.1).tobytes()

@@ -1,0 +1,249 @@
+"""Evaluation's batched CIL decomposition, checked end to end through
+``experiment.eval_run``."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from clwb import backbones as bb
+from clwb import composer as cp
+from clwb import experiment as ex
+from clwb import theory as th
+from clwb import verify
+from clwb.config import parse_config
+
+TP_KINDS = ("sigmoid-maxlogit", "maxsoftmax-temp", "scorer")
+
+
+def _with_predict(text, tp):
+    return text + f"\n[predict]\ntp = {tp}\n"
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A small synthetic HAT run shared by the tests below."""
+    out = tmp_path_factory.mktemp("run")
+    text = f"""
+[experiment]
+seed = 11
+out = {out}
+
+[data]
+source = synthetic
+dim = 4
+separation = 8.0
+per_class = 40
+
+[tasks]
+count = 3
+classes_per_task = 2
+
+[backbone]
+kind = hat
+hidden = 16
+epochs = 15
+lr = 0.1
+batch = 8
+"""
+    art = ex.train_run(parse_config(text), out)
+    return text, art["final"]
+
+
+def _spy_predict_all(monkeypatch):
+    calls = []
+    real = ex._predict_all
+
+    def spy(*args):
+        result = real(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(ex, "_predict_all", spy)
+    return calls
+
+
+# The per-row loop that evaluation ran before the batched decomposition,
+# kept here verbatim as the oracle.
+def _old_tp_for(cfg, row_logits, row_scores):
+    kind = cfg.predict.tp
+    if kind == "sigmoid-maxlogit":
+        return cp.tp_sigmoid_maxlogit(row_logits)
+    if kind == "maxsoftmax-temp":
+        return cp.tp_maxsoftmax_temperature(row_logits, cfg.predict.tau)
+    return th.tp_from_ood(np.clip(row_scores, 0.0, 1.0))
+
+
+def _old_predict_all(cfg, route, per_task_logits, per_task_scores, topo,
+                     test_task_of, truth_local, calibration):
+    n = per_task_logits[0].shape[0]
+    predictions = np.empty(n, dtype=np.intp)
+    reports = []
+    for i in range(n):
+        row_logits = [per_task_logits[k][i] for k in range(topo.n_tasks)]
+        truth = th.GroundTruth(int(test_task_of[i]), int(truth_local[i]))
+        if route == "compose":
+            wp = [cp.wp_temperature(v, cfg.predict.nu) for v in row_logits]
+            tp = _old_tp_for(cfg, row_logits,
+                             np.array([s[i] for s in per_task_scores]))
+            cil = th.compose_cil(wp, tp, topo, validate=False)
+            predictions[i] = int(np.argmax(cil))
+            reports.append(th.entropy_report(truth, topo, wp=wp, tp=tp,
+                                             validate=False))
+        else:
+            if route == "calibrated":
+                concat = cp.calibrated_logits(row_logits, calibration)
+            else:
+                concat = np.concatenate(row_logits)
+            predictions[i] = int(np.argmax(concat))
+            cil = np.exp(concat - concat.max())
+            cil /= cil.sum()
+            construction = th.theorem4_construct(cil, topo, truth)
+            reports.append(th.entropy_report(
+                truth, topo, wp=construction.wp_normalized,
+                tp=construction.tp / construction.tp.sum(), cil=cil,
+                validate=False))
+    return predictions, reports
+
+
+@pytest.mark.parametrize("tp", TP_KINDS)
+@pytest.mark.parametrize("route", ex.ROUTES)
+def test_batched_eval_matches_the_per_row_loop(trained, monkeypatch, route, tp):
+    text, final = trained
+    cfg = parse_config(_with_predict(text, tp))
+    calls = _spy_predict_all(monkeypatch)
+    calibration = cp.CalibrationParams([1.3, 0.8, 1.1], [0.2, -0.1, 0.0]) \
+        if route == "calibrated" else None
+    report = ex.eval_run(cfg, final, route=route, calibration=calibration)
+    (args, (rows, fallbacks)), = calls
+    old_predictions, old_reports = _old_predict_all(*args)
+
+    np.testing.assert_array_equal(rows.predictions, old_predictions)
+    assert fallbacks == 0
+    old = {name: np.array([getattr(r, name) for r in old_reports])
+           for name in ("h_wp", "h_tp", "h_cil")}
+    # a row whose old h_cil hit the clamp is where the log-space rule applies
+    kept = old["h_cil"] < th.H_MAX
+    for name in old:
+        new = getattr(rows, name)
+        np.testing.assert_array_equal(new[kept], old[name][kept])
+        assert getattr(report, f"{name}_mean") == float(np.mean(new))
+    np.testing.assert_allclose(rows.h_cil, rows.h_wp + rows.h_tp,
+                               rtol=1e-12, atol=1e-12)
+    if kept.all():
+        assert report.h_cil_mean == float(np.mean(old["h_cil"]))
+    assert report.notes == {}
+
+
+TABULAR = """
+[experiment]
+seed = {seed}
+out = {out}
+
+[data]
+source = synthetic
+dim = 8
+separation = 6.0
+per_class = 100
+test_per_class = 200
+
+[tasks]
+count = 5
+classes_per_task = 2
+
+[backbone]
+kind = hat
+hidden = 64, 64
+epochs = 5
+lr = 0.05
+batch = 16
+"""
+
+
+@pytest.mark.parametrize("seed", [1, 6])
+def test_compose_identity_holds_under_the_log_clamp(tmp_path, seed):
+    # with nu = 0.1 these runs put some rows' WP x TP under LOG_CLAMP; the
+    # clamped report missed the identity by 0.0185 (seed 1), 0.0513 (seed 6)
+    cfg = parse_config(TABULAR.format(seed=seed, out=tmp_path))
+    art = ex.train_run(cfg, tmp_path)
+    rep = ex.eval_run(cfg, art["final"], scorer="msp", route="compose")
+    gap = rep.h_cil_mean - rep.h_wp_mean - rep.h_tp_mean
+    assert abs(gap) <= verify.IDENTITY_TOL
+    assert rep.h_cil_mean > 0.0
+
+
+def test_concat_identity_holds_under_the_log_clamp(trained):
+    # task 0 logits [0, -50], task 1 logits [0, 0], truth (0, 1): the
+    # clamped report missed the identity by log 3
+    cfg = parse_config(trained[0])
+    topo = th.TaskTopology((2, 2))
+    rows, _ = ex._predict_all(
+        cfg, "concat-argmax", [np.array([[0.0, -50.0]]), np.array([[0.0, 0.0]])],
+        None, topo, np.array([0]), np.array([1]), None)
+    assert rows.h_cil[0] == rows.h_wp[0] + rows.h_tp[0]
+    assert rows.h_cil[0] == pytest.approx(50.0 + np.log(3.0))
+
+
+def test_all_zero_detector_rows_fall_back_to_uniform_tp(trained, monkeypatch):
+    text, final = trained
+    cfg = parse_config(_with_predict(text, "scorer"))
+    real = ex._score_task
+
+    def zero_first_rows(*args):
+        scores = real(*args).copy()
+        scores[:4] = 0.0
+        return scores
+
+    monkeypatch.setattr(ex, "_score_task", zero_first_rows)
+    calls = _spy_predict_all(monkeypatch)
+    report = ex.eval_run(cfg, final, route="compose")
+    assert report.notes == {"tp_uniform_fallbacks": 4}
+    assert '"tp_uniform_fallbacks": 4' in report.to_json()
+    (args, (rows, _)), = calls
+    np.testing.assert_array_equal(rows.h_tp[:4], np.log(3.0))
+    # the theorem-4 routes never read detector scores
+    assert ex.eval_run(cfg, final, route="concat-argmax").notes == {}
+
+
+def test_cil_is_scored_in_flat_class_ids(trained, monkeypatch):
+    # class_map holds dataset class ids; predictions index the concatenated
+    # heads, so truth must come from the topology, whatever the class ids
+    text, final = trained
+    cfg = parse_config(text)
+    plain = ex.eval_run(cfg, final)
+    plain_params = ex.calibrate_run(cfg, final)[0]
+    real = ex.build_tasks
+
+    def relabelled(c):
+        seq = real(c)
+        return dataclasses.replace(
+            seq, class_map=[list(reversed(m)) for m in reversed(seq.class_map)])
+
+    monkeypatch.setattr(ex, "build_tasks", relabelled)
+    assert ex.eval_run(cfg, final).cil == plain.cil
+    # calibration's buffer labels index the same concatenation
+    params = ex.calibrate_run(cfg, final)[0]
+    np.testing.assert_array_equal(params.alpha, plain_params.alpha)
+    np.testing.assert_array_equal(params.beta, plain_params.beta)
+
+
+@pytest.mark.parametrize("scorer, forwards", [("msp", 3), ("maxlogit", 3)])
+def test_plain_head_scorers_reuse_the_class_logits(trained, monkeypatch,
+                                                   scorer, forwards):
+    text, final = trained
+    count = [0]
+    real = bb.task_features
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bb, "task_features", counted)
+    ex.eval_run(parse_config(text), final, scorer=scorer)
+    assert count[0] == forwards  # one per task, shared with the scorer
+
+
+def test_rotation_ensemble_needs_rotation_heads(trained):
+    text, final = trained
+    with pytest.raises(ValueError, match="no rotation slots"):
+        ex.eval_run(parse_config(text), final, scorer="rotation-ensemble")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clwb import theory as th
 
@@ -331,3 +333,162 @@ class TestFuzzedInvariants:
             tp5 = th.theorem5_tp_from_ood(q, taus)
             h_tp = th.cross_entropy(k0, tp5)
             assert h_tp <= th.theorem5_bound(deltas, taus, k0) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Batched decomposition against the scalar oracles
+# ---------------------------------------------------------------------------
+
+def _softmax_rows(z):
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _log_softmax_rows(z):
+    s = z - z.max(axis=1, keepdims=True)
+    return s - np.log(np.exp(s).sum(axis=1, keepdims=True))
+
+
+@st.composite
+def decomposition_cases(draw):
+    """Random non-uniform topology, truth and logits; some slices pushed
+    ~1e4 below the rest so their probabilities underflow to exact zero."""
+    sizes = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=5)))
+    topo = th.TaskTopology(sizes)
+    n = draw(st.integers(1, 8))
+    scale = draw(st.sampled_from([0.1, 1.0, 30.0, 800.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.normal(size=(n, topo.n_classes)) * scale
+    for k in draw(st.sets(st.integers(0, len(sizes) - 1), max_size=2)):
+        if len(sizes) > 1:
+            z[:, topo.task_slice(k)] -= 1e4
+    k0 = rng.integers(len(sizes), size=n)
+    j0 = np.array([rng.integers(sizes[k]) for k in k0])
+    return topo, z, k0, j0, rng
+
+
+class TestDecomposeRows:
+    @given(decomposition_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_theorem4_rows_match_scalar_oracle(self, case):
+        topo, z, k0, j0, _ = case
+        cil = _softmax_rows(z)
+        out = th.decompose_rows(cil, topo, k0, j0)
+        for i in range(len(k0)):
+            truth = th.GroundTruth(int(k0[i]), int(j0[i]))
+            c = th.theorem4_construct(cil[i], topo, truth)
+            rep = th.entropy_report(truth, topo, wp=c.wp_normalized,
+                                    tp=c.tp / c.tp.sum(), cil=cil[i],
+                                    validate=False)
+            assert (out.h_wp[i], out.h_tp[i], out.h_cil[i]) \
+                == (rep.h_wp, rep.h_tp, rep.h_cil)
+            assert out.predictions[i] == np.argmax(cil[i])
+
+    @given(decomposition_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_compose_rows_match_scalar_oracle(self, case):
+        topo, z, k0, j0, rng = case
+        wp = np.concatenate([_softmax_rows(z[:, topo.task_slice(k)])
+                             for k in range(topo.n_tasks)], axis=1)
+        profile = rng.uniform(size=(len(k0), topo.n_tasks))
+        profile[rng.uniform(size=profile.shape) < 0.3] = 0.0
+        profile[:, 0] += 1e-3  # no all-zero row
+        tp = th.tp_from_ood(np.minimum(profile, 1.0))
+        out = th.decompose_rows(wp, topo, k0, j0, tp=tp)
+        for i in range(len(k0)):
+            truth = th.GroundTruth(int(k0[i]), int(j0[i]))
+            parts = [wp[i, topo.task_slice(k)] for k in range(topo.n_tasks)]
+            rep = th.entropy_report(truth, topo, wp=parts, tp=tp[i],
+                                    validate=False)
+            assert (out.h_wp[i], out.h_tp[i], out.h_cil[i]) \
+                == (rep.h_wp, rep.h_tp, rep.h_cil)
+            assert out.predictions[i] == np.argmax(
+                th.compose_cil(parts, tp[i], topo, validate=False))
+
+    @given(decomposition_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_log_space_rows_keep_the_identity(self, case):
+        topo, z, k0, j0, _ = case
+        cil = _softmax_rows(z)
+        clamped = th.decompose_rows(cil, topo, k0, j0)
+        out = th.decompose_rows(cil, topo, k0, j0,
+                                log_probs=_log_softmax_rows(z))
+        flat = np.asarray(topo.offsets)[k0] + j0
+        for i in range(len(k0)):
+            if cil[i, flat[i]] >= th.LOG_CLAMP:
+                # neither part can fall under the clamp: bits unchanged
+                assert (out.h_wp[i], out.h_tp[i], out.h_cil[i]) == (
+                    clamped.h_wp[i], clamped.h_tp[i], clamped.h_cil[i])
+            else:
+                assert out.h_cil[i] == out.h_wp[i] + out.h_tp[i]
+                # the exact -log of the truth entry, not the clamp
+                exact = -_log_softmax_rows(z)[i, flat[i]]
+                assert out.h_cil[i] == pytest.approx(exact, rel=1e-9)
+        np.testing.assert_array_equal(out.predictions, clamped.predictions)
+
+    def test_concat_case_missing_the_identity_by_log3(self):
+        # task 0 logits [0, -50], task 1 logits [0, 0], truth (0, 1): the
+        # clamped report gives h_wp = h_cil = H_MAX and h_tp = log 3
+        topo = th.TaskTopology((2, 2))
+        z = np.array([[0.0, -50.0, 0.0, 0.0]])
+        k0, j0 = np.array([0]), np.array([1])
+        clamped = th.decompose_rows(_softmax_rows(z), topo, k0, j0)
+        assert clamped.h_cil[0] - clamped.h_wp[0] - clamped.h_tp[0] \
+            == pytest.approx(-np.log(3.0))
+        out = th.decompose_rows(_softmax_rows(z), topo, k0, j0,
+                                log_probs=_log_softmax_rows(z))
+        assert out.h_wp[0] == pytest.approx(50.0 + np.log1p(np.exp(-50.0)))
+        assert out.h_tp[0] == pytest.approx(np.log(3.0))
+        assert out.h_cil[0] == out.h_wp[0] + out.h_tp[0]
+        assert out.h_cil[0] == pytest.approx(50.0 + np.log(3.0))
+
+    def test_exact_zero_tp_keeps_h_max(self):
+        topo = th.TaskTopology((2, 1))
+        wp = np.array([[1e-20, 1.0 - 1e-20, 1.0]])
+        tp = np.array([[0.0, 1.0]])
+        out = th.decompose_rows(wp, topo, [0], [0], tp=tp,
+                                log_probs=np.log(wp))
+        assert out.h_tp[0] == th.H_MAX
+        assert out.h_wp[0] == pytest.approx(-np.log(1e-20))
+        assert out.h_cil[0] == out.h_wp[0] + th.H_MAX
+
+    def test_zero_mass_truth_slice_is_uniform(self):
+        topo = th.TaskTopology((2, 2))
+        cil = np.array([[0.0, 0.0, 0.5, 0.5]])
+        out = th.decompose_rows(cil, topo, [0], [1])
+        assert out.h_wp[0] == pytest.approx(np.log(2.0))
+        assert out.h_tp[0] == out.h_cil[0] == th.H_MAX
+        # in log space both parts are exact zeros
+        with np.errstate(divide="ignore"):
+            logs = np.log(cil)
+        out = th.decompose_rows(cil, topo, [0], [1], log_probs=logs)
+        assert out.h_wp[0] == out.h_tp[0] == th.H_MAX
+        assert out.h_cil[0] == 2 * th.H_MAX
+
+    @pytest.mark.parametrize("cil, tp, match", [
+        ([[0.5, 0.6, 0.0, 0.0]], None, "sums to"),
+        ([[-0.1, 0.6, 0.5, 0.0]], None, "negative"),
+        ([[np.nan, 0.5, 0.5, 0.0]], None, "non-finite"),
+        ([[0.5, 0.5, 0.5, 0.5]], [[0.6, 0.6]], "tp row 0 sums"),
+        ([[0.5, 0.6, 0.5, 0.5]], [[0.5, 0.5]], "wp row 0 sums"),
+    ])
+    def test_input_checks(self, cil, tp, match):
+        with pytest.raises(ValueError, match=match):
+            th.decompose_rows(cil, TOPO22, [0], [0], tp=tp)
+
+    @pytest.mark.parametrize("k0, j0", [([2], [0]), ([0], [2]), ([-1], [0]),
+                                        ([0, 1], [0, 0])])
+    def test_truth_outside_topology(self, k0, j0):
+        with pytest.raises(ValueError):
+            th.decompose_rows([[0.25] * 4], TOPO22, k0, j0)
+
+    def test_batched_tp_from_ood_matches_rows(self):
+        rng = np.random.default_rng(3)
+        q = rng.uniform(size=(50, 4))
+        batched = th.tp_from_ood(q)
+        for i in range(len(q)):
+            assert batched[i].tobytes() == th.tp_from_ood(q[i]).tobytes()
+        with pytest.raises(th.DegenerateInputError):
+            th.tp_from_ood(np.vstack([q, np.zeros(4)]))
+        with pytest.raises(ValueError, match="lie in"):
+            th.tp_from_ood(np.vstack([q, np.full(4, 1.5)]))
