@@ -358,14 +358,14 @@ def _predict_all(cfg, route, per_task_logits, per_task_scores, topo,
         log_wp = np.concatenate([nk.log_softmax(z / nu) for z in per_task_logits],
                                 axis=1)
         tp, fallbacks = _tp_for(cfg, per_task_logits, per_task_scores)
-        return th.decompose_rows(wp, topo, test_task_of, truth_local, tp=tp,
-                                 log_probs=log_wp), fallbacks
+        return th.decompose_rows(wp, log_wp, topo, test_task_of, truth_local,
+                                 tp=tp), fallbacks
     if route == "calibrated":
         concat = cp.calibrated_logits(per_task_logits, calibration)
     else:
         concat = np.concatenate(per_task_logits, axis=1)
-    return th.decompose_rows(nk.softmax(concat), topo, test_task_of,
-                             truth_local, log_probs=nk.log_softmax(concat)), 0
+    return th.decompose_rows(nk.softmax(concat), nk.log_softmax(concat), topo,
+                             test_task_of, truth_local), 0
 
 
 def _tp_for(cfg, per_task_logits, per_task_scores) -> tuple[np.ndarray, int]:

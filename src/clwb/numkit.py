@@ -29,6 +29,7 @@ __all__ = [
     "backward",
     "sgd_step",
     "softmax",
+    "logsumexp",
     "log_softmax",
     "softmax_ce",
     "grad_check",
@@ -263,10 +264,19 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def logsumexp(a: np.ndarray) -> np.ndarray:
+    """log sum exp over the last axis; -inf for an all -inf row."""
+    z = _as_f64(a)
+    m = z.max(axis=-1, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        return (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))[..., 0]
+
+
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     z = _as_f64(logits)
     z = z - z.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return z - logsumexp(z)[..., None]
 
 
 def softmax_ce(logits, targets) -> tuple[float, np.ndarray]:

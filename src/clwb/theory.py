@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numkit import LOG_CLAMP
+from .numkit import LOG_CLAMP, logsumexp
 
 H_MAX = -float(np.log(LOG_CLAMP))
 VERDICT_SLACK = 1e-9  # absolute fp guard on inequality verdicts
@@ -92,11 +92,10 @@ def check_distribution(p, *, name: str = "distribution") -> np.ndarray:
     return p
 
 
-def _check_profile(profile, *, rows: bool = False) -> np.ndarray:
+def _check_profile(profile, ndims: tuple[int, ...] = (1,)) -> np.ndarray:
     q = np.asarray(profile, dtype=np.float64)
-    if q.ndim != (2 if rows else 1) or q.size == 0:
-        raise ValueError("profile must be a nonempty "
-                         + ("matrix" if rows else "vector"))
+    if q.ndim not in ndims or q.size == 0:
+        raise ValueError(f"profile must be a nonempty array of ndim {ndims}")
     if (q < 0).any() or (q > 1).any() or not np.isfinite(q).all():
         raise ValueError("profile entries must lie in [0, 1]")
     return q
@@ -288,7 +287,7 @@ def tp_from_ood(profile) -> np.ndarray:
     A 2-D profile holds one instance per row and gives one distribution per
     row, each with the bits of the 1-D call on that row.
     """
-    q = _check_profile(profile, rows=np.ndim(profile) == 2)
+    q = _check_profile(profile, ndims=(1, 2))
     total = q.sum(axis=-1, keepdims=True)
     if (total <= 0.0).any():
         raise DegenerateInputError("all-zero detector profile")
@@ -401,32 +400,24 @@ def _check_rows(p: np.ndarray, name: str, sums: list[np.ndarray]) -> None:
             raise ValueError(f"{name} row {bad[0]} sums to {s[bad[0]]!r}, not 1")
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """log sum exp over the last axis; -inf for an all -inf row."""
-    m = a.max(axis=-1, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        return (m + np.log(np.exp(a - m).sum(axis=-1, keepdims=True)))[..., 0]
-
-
-def decompose_rows(probs, topo: TaskTopology, k0, j0, *, tp=None,
-                   log_probs=None) -> RowDecomposition:
+def decompose_rows(probs, log_probs, topo: TaskTopology, k0, j0, *,
+                   tp=None) -> RowDecomposition:
     """Decompose n instances at once, one row of ``probs`` (n, C) each.
 
     Without tp each row is a flat CIL distribution, decomposed by the
     theorem-4 construction: TP is the slice masses renormalized, WP the
     truth slice renormalized (uniform for a zero-mass slice). With tp (n, K)
     each task slice of a row is that task's WP distribution and CIL is the
-    composition WP * TP. predictions is each CIL row's argmax, lowest index
-    on ties; k0 and j0 are the (n,) truth arrays.
+    composition WP * TP. log_probs are the logs of probs (log-softmax
+    output). predictions is each CIL row's argmax, lowest index on ties;
+    k0 and j0 are the (n,) truth arrays.
 
-    Every entry has the bits entropy_report gives on that row's
-    theorem4_construct or compose_cil parts, with logs clamped at LOG_CLAMP.
-    Given log_probs, the logs of probs (log-softmax output), the rows where
-    a truth probability of WP, TP or CIL falls under the clamp are computed
-    in log space instead: WP from log_probs, TP from the slice
-    log-sum-exps or log tp, and h_cil = h_wp + h_tp, so the identity holds
-    there too. A part whose probability is exactly zero keeps H_MAX.
+    A row whose truth probabilities of WP, TP and CIL all reach LOG_CLAMP
+    has the bits entropy_report gives on its theorem4_construct or
+    compose_cil parts. A row where one falls under the clamp is computed in
+    log space instead: WP from log_probs, TP from the slice log-sum-exps or
+    log tp, and h_cil = h_wp + h_tp, so the identity holds there too. A part
+    whose probability is exactly zero keeps H_MAX.
     """
     p = np.asarray(probs, dtype=np.float64)
     k0 = np.asarray(k0, dtype=np.intp)
@@ -465,23 +456,26 @@ def decompose_rows(probs, topo: TaskTopology, k0, j0, *, tp=None,
         p_cil = p_wp * p_tp
         task_of_col = np.repeat(np.arange(topo.n_tasks), sizes)
         predictions = (p * t[:, task_of_col]).argmax(axis=1)
+    lp = np.asarray(log_probs, dtype=np.float64)
+    if lp.shape != p.shape or not (lp < np.inf).all() \
+            or (lp.max(axis=1) == -np.inf).any():
+        raise ValueError("log_probs must match probs, with no NaN, no +inf "
+                         "and no all -inf row")
     h_wp, h_tp, h_cil = (-np.log(np.maximum(x, LOG_CLAMP))
                          for x in (p_wp, p_tp, p_cil))
 
     low = np.flatnonzero((p_wp < LOG_CLAMP) | (p_tp < LOG_CLAMP)
                          | (p_cil < LOG_CLAMP))
-    if log_probs is not None and low.size:
-        lp = np.asarray(log_probs, dtype=np.float64)
-        if lp.shape != p.shape or np.isnan(lp).any() or (lp == np.inf).any():
-            raise ValueError("log_probs must match probs and be NaN/+inf free")
+    if low.size:
         lp, k, r = lp[low], k0[low], np.arange(low.size)
         log_wp = lp[r, flat[low]]
         if tp is None:
-            lse = np.stack([_logsumexp(lp[:, s]) for s in slices], axis=1)
-            log_tp = lse[r, k] - _logsumexp(lse)
-            with np.errstate(invalid="ignore"):  # -inf - -inf, masked below
-                # a zero truth entry stays -inf, even in an all-zero slice
-                log_wp = np.where(log_wp == -np.inf, log_wp, log_wp - lse[r, k])
+            lse = np.stack([logsumexp(lp[:, s]) for s in slices], axis=1)
+            l0 = lse[r, k]
+            log_tp = l0 - logsumexp(lse)
+            # a zero-mass truth slice gives a uniform WP, as in theorem 4
+            log_wp = np.subtract(log_wp, l0, out=-np.log(sizes[k]),
+                                 where=l0 > -np.inf)
         else:
             with np.errstate(divide="ignore"):
                 log_tp = np.log(t[low, k])

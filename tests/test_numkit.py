@@ -194,3 +194,20 @@ def test_grad_check_through_full_net():
 def test_softmax_ce_rejects_bad_target():
     with pytest.raises(IndexError):
         nk.softmax_ce(np.zeros(3), 3)
+
+
+def test_logsumexp_rows_and_all_neg_inf_row():
+    a = np.array([[0.0, np.log(3.0)], [1e4, 1e4], [-np.inf, -np.inf]])
+    out = nk.logsumexp(a)
+    assert out.shape == (3,)
+    assert out[0] == pytest.approx(np.log(4.0))
+    assert out[1] == pytest.approx(1e4 + np.log(2.0))
+    assert out[2] == -np.inf
+
+
+def test_log_softmax_keeps_the_shift_then_log_sum_bits():
+    z = np.random.default_rng(0).normal(size=(20, 7)) * 30.0
+    s = z - z.max(axis=-1, keepdims=True)
+    old = s - np.log(np.exp(s).sum(axis=-1, keepdims=True))
+    assert nk.log_softmax(z).tobytes() == old.tobytes()
+    assert nk.log_softmax(z[0]).tobytes() == old[0].tobytes()

@@ -367,21 +367,35 @@ def decomposition_cases(draw):
     return topo, z, k0, j0, rng
 
 
+def _log_wp_rows(z, topo):
+    return np.concatenate([_log_softmax_rows(z[:, topo.task_slice(k)])
+                           for k in range(topo.n_tasks)], axis=1)
+
+
+def _theorem4_oracle(cil, topo, truth):
+    """Scalar report of one CIL row, and whether its WP, TP and CIL truth
+    probabilities all reach the log clamp."""
+    c = th.theorem4_construct(cil, topo, truth)
+    wp, tp = c.wp_normalized, c.tp / c.tp.sum()
+    rep = th.entropy_report(truth, topo, wp=wp, tp=tp, cil=cil, validate=False)
+    probs = (wp[truth.k0][truth.j0], tp[truth.k0],
+             cil[topo.flat(truth.k0, truth.j0)])
+    return rep, min(probs) >= th.LOG_CLAMP
+
+
 class TestDecomposeRows:
     @given(decomposition_cases())
     @settings(max_examples=150, deadline=None)
     def test_theorem4_rows_match_scalar_oracle(self, case):
         topo, z, k0, j0, _ = case
         cil = _softmax_rows(z)
-        out = th.decompose_rows(cil, topo, k0, j0)
+        out = th.decompose_rows(cil, _log_softmax_rows(z), topo, k0, j0)
         for i in range(len(k0)):
             truth = th.GroundTruth(int(k0[i]), int(j0[i]))
-            c = th.theorem4_construct(cil[i], topo, truth)
-            rep = th.entropy_report(truth, topo, wp=c.wp_normalized,
-                                    tp=c.tp / c.tp.sum(), cil=cil[i],
-                                    validate=False)
-            assert (out.h_wp[i], out.h_tp[i], out.h_cil[i]) \
-                == (rep.h_wp, rep.h_tp, rep.h_cil)
+            rep, above = _theorem4_oracle(cil[i], topo, truth)
+            if above:  # rows under the clamp: test_log_space_rows_...
+                assert (out.h_wp[i], out.h_tp[i], out.h_cil[i]) \
+                    == (rep.h_wp, rep.h_tp, rep.h_cil)
             assert out.predictions[i] == np.argmax(cil[i])
 
     @given(decomposition_cases())
@@ -390,18 +404,26 @@ class TestDecomposeRows:
         topo, z, k0, j0, rng = case
         wp = np.concatenate([_softmax_rows(z[:, topo.task_slice(k)])
                              for k in range(topo.n_tasks)], axis=1)
+        log_wp = _log_wp_rows(z, topo)
         profile = rng.uniform(size=(len(k0), topo.n_tasks))
         profile[rng.uniform(size=profile.shape) < 0.3] = 0.0
         profile[:, 0] += 1e-3  # no all-zero row
         tp = th.tp_from_ood(np.minimum(profile, 1.0))
-        out = th.decompose_rows(wp, topo, k0, j0, tp=tp)
+        out = th.decompose_rows(wp, log_wp, topo, k0, j0, tp=tp)
+        flat = np.asarray(topo.offsets)[k0] + j0
         for i in range(len(k0)):
             truth = th.GroundTruth(int(k0[i]), int(j0[i]))
             parts = [wp[i, topo.task_slice(k)] for k in range(topo.n_tasks)]
-            rep = th.entropy_report(truth, topo, wp=parts, tp=tp[i],
-                                    validate=False)
-            assert (out.h_wp[i], out.h_tp[i], out.h_cil[i]) \
-                == (rep.h_wp, rep.h_tp, rep.h_cil)
+            p_wp, p_tp = wp[i, flat[i]], tp[i, k0[i]]
+            if min(p_wp, p_tp, p_wp * p_tp) >= th.LOG_CLAMP:
+                rep = th.entropy_report(truth, topo, wp=parts, tp=tp[i],
+                                        validate=False)
+                assert (out.h_wp[i], out.h_tp[i], out.h_cil[i]) \
+                    == (rep.h_wp, rep.h_tp, rep.h_cil)
+            else:
+                assert out.h_wp[i] == -log_wp[i, flat[i]]
+                assert out.h_tp[i] == (-np.log(p_tp) if p_tp > 0 else th.H_MAX)
+                assert out.h_cil[i] == out.h_wp[i] + out.h_tp[i]
             assert out.predictions[i] == np.argmax(
                 th.compose_cil(parts, tp[i], topo, validate=False))
 
@@ -410,33 +432,26 @@ class TestDecomposeRows:
     def test_log_space_rows_keep_the_identity(self, case):
         topo, z, k0, j0, _ = case
         cil = _softmax_rows(z)
-        clamped = th.decompose_rows(cil, topo, k0, j0)
-        out = th.decompose_rows(cil, topo, k0, j0,
-                                log_probs=_log_softmax_rows(z))
+        out = th.decompose_rows(cil, _log_softmax_rows(z), topo, k0, j0)
         flat = np.asarray(topo.offsets)[k0] + j0
         for i in range(len(k0)):
-            if cil[i, flat[i]] >= th.LOG_CLAMP:
-                # neither part can fall under the clamp: bits unchanged
-                assert (out.h_wp[i], out.h_tp[i], out.h_cil[i]) == (
-                    clamped.h_wp[i], clamped.h_tp[i], clamped.h_cil[i])
-            else:
+            if cil[i, flat[i]] < th.LOG_CLAMP:
                 assert out.h_cil[i] == out.h_wp[i] + out.h_tp[i]
                 # the exact -log of the truth entry, not the clamp
                 exact = -_log_softmax_rows(z)[i, flat[i]]
                 assert out.h_cil[i] == pytest.approx(exact, rel=1e-9)
-        np.testing.assert_array_equal(out.predictions, clamped.predictions)
+        np.testing.assert_array_equal(out.predictions, cil.argmax(axis=1))
 
     def test_concat_case_missing_the_identity_by_log3(self):
         # task 0 logits [0, -50], task 1 logits [0, 0], truth (0, 1): the
-        # clamped report gives h_wp = h_cil = H_MAX and h_tp = log 3
+        # clamped scalar report gives h_wp = h_cil = H_MAX and h_tp = log 3
         topo = th.TaskTopology((2, 2))
         z = np.array([[0.0, -50.0, 0.0, 0.0]])
-        k0, j0 = np.array([0]), np.array([1])
-        clamped = th.decompose_rows(_softmax_rows(z), topo, k0, j0)
-        assert clamped.h_cil[0] - clamped.h_wp[0] - clamped.h_tp[0] \
-            == pytest.approx(-np.log(3.0))
-        out = th.decompose_rows(_softmax_rows(z), topo, k0, j0,
-                                log_probs=_log_softmax_rows(z))
+        cil = _softmax_rows(z)
+        rep, above = _theorem4_oracle(cil[0], topo, th.GroundTruth(0, 1))
+        assert not above
+        assert rep.h_cil - rep.h_wp - rep.h_tp == pytest.approx(-np.log(3.0))
+        out = th.decompose_rows(cil, _log_softmax_rows(z), topo, [0], [1])
         assert out.h_wp[0] == pytest.approx(50.0 + np.log1p(np.exp(-50.0)))
         assert out.h_tp[0] == pytest.approx(np.log(3.0))
         assert out.h_cil[0] == out.h_wp[0] + out.h_tp[0]
@@ -446,24 +461,23 @@ class TestDecomposeRows:
         topo = th.TaskTopology((2, 1))
         wp = np.array([[1e-20, 1.0 - 1e-20, 1.0]])
         tp = np.array([[0.0, 1.0]])
-        out = th.decompose_rows(wp, topo, [0], [0], tp=tp,
-                                log_probs=np.log(wp))
+        out = th.decompose_rows(wp, np.log(wp), topo, [0], [0], tp=tp)
         assert out.h_tp[0] == th.H_MAX
         assert out.h_wp[0] == pytest.approx(-np.log(1e-20))
         assert out.h_cil[0] == out.h_wp[0] + th.H_MAX
 
     def test_zero_mass_truth_slice_is_uniform(self):
+        # an exactly-zero truth slice gives a uniform WP, as in the scalar
+        # construction; its zero TP keeps H_MAX
         topo = th.TaskTopology((2, 2))
         cil = np.array([[0.0, 0.0, 0.5, 0.5]])
-        out = th.decompose_rows(cil, topo, [0], [1])
-        assert out.h_wp[0] == pytest.approx(np.log(2.0))
-        assert out.h_tp[0] == out.h_cil[0] == th.H_MAX
-        # in log space both parts are exact zeros
         with np.errstate(divide="ignore"):
             logs = np.log(cil)
-        out = th.decompose_rows(cil, topo, [0], [1], log_probs=logs)
-        assert out.h_wp[0] == out.h_tp[0] == th.H_MAX
-        assert out.h_cil[0] == 2 * th.H_MAX
+        rep, _ = _theorem4_oracle(cil[0], topo, th.GroundTruth(0, 1))
+        out = th.decompose_rows(cil, logs, topo, [0], [1])
+        assert out.h_wp[0] == rep.h_wp == pytest.approx(np.log(2.0))
+        assert out.h_tp[0] == rep.h_tp == th.H_MAX
+        assert out.h_cil[0] == out.h_wp[0] + th.H_MAX
 
     @pytest.mark.parametrize("cil, tp, match", [
         ([[0.5, 0.6, 0.0, 0.0]], None, "sums to"),
@@ -474,13 +488,22 @@ class TestDecomposeRows:
     ])
     def test_input_checks(self, cil, tp, match):
         with pytest.raises(ValueError, match=match):
-            th.decompose_rows(cil, TOPO22, [0], [0], tp=tp)
+            th.decompose_rows(cil, np.zeros((1, 4)), TOPO22, [0], [0], tp=tp)
+
+    @pytest.mark.parametrize("logs", [
+        np.zeros((1, 3)), [[np.nan, 0.0, 0.0, 0.0]], [[np.inf, 0.0, 0.0, 0.0]],
+        np.full((1, 4), -np.inf),
+    ])
+    def test_log_probs_checks(self, logs):
+        with pytest.raises(ValueError, match="log_probs"):
+            th.decompose_rows([[0.25] * 4], logs, TOPO22, [0], [0])
 
     @pytest.mark.parametrize("k0, j0", [([2], [0]), ([0], [2]), ([-1], [0]),
                                         ([0, 1], [0, 0])])
     def test_truth_outside_topology(self, k0, j0):
         with pytest.raises(ValueError):
-            th.decompose_rows([[0.25] * 4], TOPO22, k0, j0)
+            th.decompose_rows([[0.25] * 4], np.log([[0.25] * 4]), TOPO22,
+                              k0, j0)
 
     def test_batched_tp_from_ood_matches_rows(self):
         rng = np.random.default_rng(3)
