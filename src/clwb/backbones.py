@@ -318,14 +318,23 @@ def hat_accumulate(net: MaskedNet, task: int) -> None:
 
 def mask_from_scores(scores: list[np.ndarray], p: float) -> list[np.ndarray]:
     """Per layer, 1.0 on the ceil(p% * size) largest scores, ties to the
-    lowest flat index; a deterministic function of (scores, p)."""
+    lowest flat index; a deterministic function of (scores, p).
+
+    A NaN or infinite score raises NumericError naming its layer: a
+    diverged score vector has no meaningful top-k.
+    """
     masks = []
-    for v in scores:
+    for l, v in enumerate(scores):
         flat = v.reshape(-1)
+        if not np.isfinite(flat).all():
+            raise nk.NumericError("non-finite supermask score", l)
         keep = int(np.ceil(p / 100.0 * flat.size))
-        order = np.argsort(-flat, kind="stable")  # stable: lowest index wins ties
-        m = np.zeros(flat.size)
-        m[order[:keep]] = 1.0
+        # t is the keep-th largest score: take every score above it, then
+        # the lowest flat indices among those equal to it
+        t = np.partition(flat, flat.size - keep)[flat.size - keep]
+        above = flat > t
+        m = above.astype(np.float64)
+        m[np.flatnonzero(flat == t)[:keep - np.count_nonzero(above)]] = 1.0
         masks.append(m.reshape(v.shape))
     return masks
 

@@ -255,7 +255,16 @@ def eval_run(cfg: ExperimentConfig, checkpoint_path, *, scorer: str | None = Non
     """
     n_threads = _threads()
     net, meta = load_checkpoint(checkpoint_path)
-    seq = build_tasks(cfg)
+    return _eval_loaded(cfg, net, meta, build_tasks(cfg), n_threads,
+                        scorer=scorer, route=route, calibration=calibration)
+
+
+def _eval_loaded(cfg: ExperimentConfig, net: bb.MaskedNet, meta: dict,
+                 seq: dt.TaskSequence, n_threads: int, *,
+                 scorer: str | None = None, route: str | None = None,
+                 calibration: cp.CalibrationParams | None = None
+                 ) -> ExperimentReport:
+    """eval_run on a loaded checkpoint and a built task sequence."""
     scorer = scorer or cfg.ood.scorer
     route = route or cfg.predict.route
     if scorer not in SCORERS:
@@ -394,7 +403,8 @@ def calibrate_run(cfg: ExperimentConfig, checkpoint_path
                              ExperimentReport, list[float]]:
     """Fit per-task (alpha, beta) on a memory buffer and report the CIL
     before (plain concat) and after (calibrated concat)."""
-    net, _ = load_checkpoint(checkpoint_path)
+    n_threads = _threads()
+    net, meta = load_checkpoint(checkpoint_path)
     seq = build_tasks(cfg)
     rng = np.random.default_rng([cfg.seed, 99])
     pools = {}
@@ -416,9 +426,10 @@ def calibrate_run(cfg: ExperimentConfig, checkpoint_path
     params, history = cp.fit_calibration(
         logit_fn, buffer, iters=cfg.calibrate.iters, lr=cfg.calibrate.lr,
         batch_size=cfg.calibrate.batch, seed=cfg.seed)
-    before = eval_run(cfg, checkpoint_path, route="concat-argmax")
-    after = eval_run(cfg, checkpoint_path, route="calibrated",
-                     calibration=params)
+    before = _eval_loaded(cfg, net, meta, seq, n_threads,
+                          route="concat-argmax")
+    after = _eval_loaded(cfg, net, meta, seq, n_threads, route="calibrated",
+                         calibration=params)
     return params, before, after, history
 
 

@@ -137,23 +137,29 @@ def build_rotation_batch(images, labels, *, rng: np.random.Generator,
     Each sample yields two views (random horizontal flip + clipped Gaussian
     pixel noise), each view all four quarter-turns; rotation r of class y is
     labeled y*4 + r, a bijection onto 0..4C-1 when all classes appear. Output
-    order: sample-major, then view, then rotation.
+    order: sample-major, then view, then rotation. Per sample and view, rng
+    draws the flip (rng.random()) and then the noise (rng.normal, only when
+    noise_sigma > 0), so a seed fixes the batch.
     """
     imgs = np.asarray(images, dtype=np.float64)
-    ys = np.asarray(labels)
+    ys = np.asarray(labels).astype(np.intp)
     if imgs.ndim != 3:
         raise ValueError("expected a batch of 2-D images")
-    out_x, out_y = [], []
-    for x, y in zip(imgs, ys):
-        for _ in range(2):
-            view = x[:, ::-1] if rng.random() < flip_prob else x
-            if noise_sigma > 0:
-                view = np.clip(view + rng.normal(0.0, noise_sigma, x.shape),
-                               0.0, 1.0)
-            for r in range(4):
-                out_x.append(rotate90(view, r))
-                out_y.append(int(y) * 4 + r)
-    return np.stack(out_x), np.array(out_y, dtype=np.intp)
+    if len(imgs) == 0:
+        raise ValueError("empty image batch")
+    if ys.shape != (len(imgs),):
+        raise ValueError(f"labels of shape {ys.shape} for {len(imgs)} images")
+    flipped = imgs[:, :, ::-1]
+    views = np.empty((2 * len(imgs),) + imgs.shape[1:])
+    for v in range(len(views)):
+        views[v] = flipped[v // 2] if rng.random() < flip_prob else imgs[v // 2]
+        if noise_sigma > 0:
+            views[v] += rng.normal(0.0, noise_sigma, imgs.shape[1:])
+    if noise_sigma > 0:
+        np.clip(views, 0.0, 1.0, out=views)
+    out = np.stack([rotate90(views, r) for r in range(4)], axis=1)
+    out_y = np.repeat(ys * 4, 8) + np.tile(np.arange(4), 2 * len(imgs))
+    return out.reshape((-1,) + imgs.shape[1:]), out_y
 
 
 def sup_con_loss(z: np.ndarray, labels, tau: float = 0.5

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clwb import backbones as bb
 from clwb import data as dt
@@ -227,6 +229,19 @@ class TestHatAccumulate:
         np.testing.assert_array_equal(net.isolation.accumulated[0], [1.0, 0.0])
 
 
+def _argsort_masks(scores, p):
+    """mask_from_scores as it was before the partition, the oracle."""
+    masks = []
+    for v in scores:
+        flat = v.reshape(-1)
+        keep = int(np.ceil(p / 100.0 * flat.size))
+        order = np.argsort(-flat, kind="stable")
+        m = np.zeros(flat.size)
+        m[order[:keep]] = 1.0
+        masks.append(m.reshape(v.shape))
+    return masks
+
+
 class TestSupermasks:
     def test_full_density_equals_dense(self):
         net = make_sup(p=100.0)
@@ -254,6 +269,43 @@ class TestSupermasks:
     def test_tie_break_lowest_flat_index(self):
         (mask,) = bb.mask_from_scores([np.array([[1.0, 1.0], [1.0, 1.0]])], 50.0)
         np.testing.assert_array_equal(mask, [[1.0, 1.0], [0.0, 0.0]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.integers(1, 12), cols=st.integers(1, 12),
+           p=st.one_of(st.just(100.0), st.just(1e-9),
+                       st.floats(1e-6, 100.0)),
+           palette=st.one_of(
+               st.none(),
+               st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 2.0]),
+                        min_size=1, max_size=3)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_argsort_version(self, rows, cols, p, palette, seed):
+        rng = np.random.default_rng(seed)
+        if palette is None:
+            v = rng.normal(size=(rows, cols))
+        else:  # few distinct values: heavy ties, -0.0 next to 0.0
+            v = rng.choice(np.array(palette), size=(rows, cols))
+        scores = [v, rng.normal(size=(cols, rows))]
+        for got, want in zip(bb.mask_from_scores(scores, p),
+                             _argsort_masks(scores, p)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_single_keep_takes_the_first_maximum(self):
+        v = np.array([[0.0, 3.0, -0.0], [3.0, 1.0, 3.0]])
+        (mask,) = bb.mask_from_scores([v], 1e-9)
+        np.testing.assert_array_equal(mask, [[0, 1, 0], [0, 0, 0]])
+        # -0.0 == 0.0, so signed zeros tie and the lowest index wins
+        (mask,) = bb.mask_from_scores([np.array([-0.0, 0.0, -0.0, 0.0])], 50.0)
+        np.testing.assert_array_equal(mask, [1, 1, 0, 0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_names_its_layer(self, bad):
+        scores = [np.ones((2, 3)), np.ones((3, 2))]
+        scores[1][2, 0] = bad
+        with pytest.raises(nk.NumericError, match="layer 1") as err:
+            bb.mask_from_scores(scores, 50.0)
+        assert err.value.layer == 1
 
     def test_score_update_linear_case(self):
         net = make_sup(dim=3, hidden=(2,))

@@ -107,11 +107,12 @@ class TestTrainEvalPipeline:
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(synth_config_text(tasks=2, epochs=2))
         run_cli("train", "--config", str(cfg_path))
-        for raw in ("two", "0", "-1"):
-            monkeypatch.setenv("CLWB_THREADS", raw)
-            assert run_cli("eval", "--config", str(cfg_path), "--checkpoint",
-                           str(tmp_path / "run" / "final.clwb")) == 2
-            assert "CLWB_THREADS" in capsys.readouterr().err
+        for cmd in ("eval", "calibrate"):
+            for raw in ("two", "0", "-1"):
+                monkeypatch.setenv("CLWB_THREADS", raw)
+                assert run_cli(cmd, "--config", str(cfg_path), "--checkpoint",
+                               str(tmp_path / "run" / "final.clwb")) == 2
+                assert "CLWB_THREADS" in capsys.readouterr().err
 
     def test_bad_config_is_usage_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.ini"

@@ -227,6 +227,24 @@ def test_cil_is_scored_in_flat_class_ids(trained, monkeypatch):
     np.testing.assert_array_equal(params.beta, plain_params.beta)
 
 
+def test_calibrate_loads_once_and_reports_as_eval_run(trained, monkeypatch):
+    text, final = trained
+    cfg = parse_config(text)
+    before = ex.eval_run(cfg, final, route="concat-argmax")
+    calls = {"load_checkpoint": 0, "build_tasks": 0}
+    for name in calls:
+        def counted(*args, real=getattr(ex, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(ex, name, counted)
+    params, got_before, got_after, _ = ex.calibrate_run(cfg, final)
+    assert calls == {"load_checkpoint": 1, "build_tasks": 1}
+    monkeypatch.undo()
+    assert got_before.to_json() == before.to_json()
+    after = ex.eval_run(cfg, final, route="calibrated", calibration=params)
+    assert got_after.to_json() == after.to_json()
+
+
 @pytest.mark.parametrize("scorer, forwards", [("msp", 3), ("maxlogit", 3)])
 def test_plain_head_scorers_reuse_the_class_logits(trained, monkeypatch,
                                                    scorer, forwards):

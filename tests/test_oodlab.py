@@ -150,6 +150,23 @@ class TestRotate90:
             ol.rotate90(np.zeros((2, 3)), 1)
 
 
+def _loop_rotation_batch(images, labels, *, rng, flip_prob=0.5,
+                         noise_sigma=0.05):
+    """build_rotation_batch as it was before batching, the oracle."""
+    imgs = np.asarray(images, dtype=np.float64)
+    out_x, out_y = [], []
+    for x, y in zip(imgs, np.asarray(labels)):
+        for _ in range(2):
+            view = x[:, ::-1] if rng.random() < flip_prob else x
+            if noise_sigma > 0:
+                view = np.clip(view + rng.normal(0.0, noise_sigma, x.shape),
+                               0.0, 1.0)
+            for r in range(4):
+                out_x.append(ol.rotate90(view, r))
+                out_y.append(int(y) * 4 + r)
+    return np.stack(out_x), np.array(out_y, dtype=np.intp)
+
+
 class TestRotationBatch:
     def test_counts_and_labels(self):
         rng = np.random.default_rng(8)
@@ -173,6 +190,41 @@ class TestRotationBatch:
                                               flip_prob=0.0, noise_sigma=0.0)
         np.testing.assert_array_equal(out[0], out[1])
         assert labels[0] != labels[1]
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("flip_prob,noise_sigma",
+                             [(0.5, 0.05), (0.0, 0.3), (1.0, 0.05),
+                              (0.5, 0.0)])
+    def test_matches_the_per_view_loop(self, n, flip_prob, noise_sigma):
+        data = np.random.default_rng(n)
+        # pixels outside [0, 1] show whether clipping follows the noise
+        imgs = data.uniform(-0.2, 1.2, size=(n, 5, 5))
+        labels = data.integers(0, 3, size=n)
+        rng, ref = np.random.default_rng(12), np.random.default_rng(12)
+        out, ys = ol.build_rotation_batch(imgs, labels, rng=rng,
+                                          flip_prob=flip_prob,
+                                          noise_sigma=noise_sigma)
+        want, want_ys = _loop_rotation_batch(imgs, labels, rng=ref,
+                                             flip_prob=flip_prob,
+                                             noise_sigma=noise_sigma)
+        assert out.dtype == want.dtype and out.shape == want.shape
+        assert out.tobytes() == want.tobytes()
+        assert ys.dtype == want_ys.dtype
+        np.testing.assert_array_equal(ys, want_ys)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.random() == ref.random()
+
+    def test_label_count_must_match(self):
+        imgs = np.zeros((3, 4, 4))
+        for labels in (np.arange(2), np.arange(4)):
+            with pytest.raises(ValueError, match="for 3 images"):
+                ol.build_rotation_batch(imgs, labels,
+                                        rng=np.random.default_rng(0))
+
+    def test_empty_batch_raises(self):
+        with pytest.raises(ValueError):
+            ol.build_rotation_batch(np.zeros((0, 4, 4)), np.zeros(0),
+                                    rng=np.random.default_rng(0))
 
     def test_batch_divisible_by_eight(self):
         rng = np.random.default_rng(11)
