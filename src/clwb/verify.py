@@ -27,6 +27,7 @@ __all__ = ["SuiteResult", "SUITE_NAMES", "run_suite", "run_suites"]
 IDENTITY_TOL = 1e-9
 FLOOR = 1e-5
 MAX_FAILURES_KEPT = 5
+BATCH = 4096  # identity instances drawn and decomposed per batch
 
 
 @dataclass
@@ -86,6 +87,45 @@ def _instance(rng: np.random.Generator):
     return topo, wp, tp, truth
 
 
+_PAD = th.TaskTopology.uniform(6, 5)  # widest topology _instance can draw
+
+
+def _instance_batch(rng: np.random.Generator, n: int):
+    """n instances drawn like ``_instance`` but in whole-batch calls, each
+    embedded in the 6-task x 5-class topology ``_PAD``.
+
+    Returns (n_tasks (n,), sizes (n, 6), wp (n, 6, 5), tp (n, 6), k0, j0).
+    Instance i is topology sizes[i, :n_tasks[i]] with wp[i, k, :sizes[i, k]]
+    and tp[i, :n_tasks[i]]. The padding holds zero probability: classes past
+    a task's width in wp, tasks past n_tasks in tp. Padded tasks keep a
+    distribution in wp so every row is a valid ``decompose_rows`` input, and
+    the truth entries, hence every cross-entropy, are the unpadded ones.
+    """
+    tasks, width = len(_PAD.sizes), _PAD.sizes[0]
+    n_tasks = rng.integers(1, tasks + 1, size=n)
+    sizes = rng.integers(1, width + 1, size=(n, tasks))
+    alpha = np.asarray(_ALPHAS)[rng.integers(3, size=n)]
+    g = rng.standard_gamma(alpha[:, None], size=(n, tasks * (width + 1)))
+    wp = _normalize_rows(g[:, :tasks * width].reshape(n, tasks, width),
+                         np.arange(width) < sizes[:, :, None])
+    tp = _normalize_rows(g[:, tasks * width:],
+                         np.arange(tasks) < n_tasks[:, None])
+    k0 = rng.integers(n_tasks)
+    j0 = rng.integers(sizes[np.arange(n), k0])
+    return n_tasks, sizes, wp, tp, k0, j0
+
+
+def _normalize_rows(g: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """``_normalize`` along the last axis over the ``valid`` entries; the
+    others come out zero."""
+    g = np.where(valid, g, 0.0)
+    total = g.sum(axis=-1, keepdims=True)
+    uniform = np.broadcast_to(1.0 / valid.sum(axis=-1, keepdims=True), g.shape)
+    p = np.divide(g, total, out=uniform.copy(), where=total > 0)
+    p = np.where(valid, np.maximum(p, FLOOR), 0.0)
+    return p / p.sum(axis=-1, keepdims=True)
+
+
 def _dump(**parts) -> str:
     def fmt(v):
         if isinstance(v, np.ndarray):
@@ -99,12 +139,21 @@ def _dump(**parts) -> str:
 
 
 def _suite_identity(rng, trials):
-    for _ in range(trials):
-        topo, wp, tp, truth = _instance(rng)
-        r = th.entropy_report(truth, topo, wp=wp, tp=tp, validate=False)
-        gap = abs(r.h_cil - (r.h_wp + r.h_tp))
-        yield gap < IDENTITY_TOL, lambda: _dump(
-            sizes=topo.sizes, wp=wp, tp=tp, truth=(truth.k0, truth.j0), gap=gap)
+    """Batches of padded instances through ``th.decompose_rows``, the kernel
+    eval decomposes with; a failure dumps the unpadded instance."""
+    for start in range(0, trials, BATCH):
+        n_tasks, sizes, wp, tp, k0, j0 = _instance_batch(
+            rng, min(BATCH, trials - start))
+        flat = wp.reshape(len(wp), -1)
+        with np.errstate(divide="ignore"):
+            d = th.decompose_rows(flat, np.log(flat), _PAD, k0, j0, tp=tp)
+        gap = np.abs(d.h_cil - (d.h_wp + d.h_tp))
+        for i, ok in enumerate(gap < IDENTITY_TOL):
+            yield bool(ok), lambda i=i: _dump(
+                sizes=tuple(int(s) for s in sizes[i, :n_tasks[i]]),
+                wp=[wp[i, k, :sizes[i, k]] for k in range(n_tasks[i])],
+                tp=tp[i, :n_tasks[i]], truth=(int(k0[i]), int(j0[i])),
+                gap=float(gap[i]))
 
 
 def _suite_theorem1(rng, trials):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from clwb import theory as th
 from clwb import verify
 
 
@@ -55,3 +56,38 @@ def test_instances_span_sharpness_and_stay_above_floor():
             smallest = min(smallest, p.min())
     assert smallest >= verify.FLOOR / 2  # floor keeps the clamp from binding
     assert smallest < 1e-4  # while still exercising sharp distributions
+
+
+def test_batched_instances_decompose_as_entropy_report():
+    # the padded rows give the bits entropy_report gives on the unpadded
+    # instance, so an identity failure dump replays exactly
+    rng = np.random.default_rng(5)
+    n_tasks, sizes, wp, tp, k0, j0 = verify._instance_batch(rng, 400)
+    flat = wp.reshape(len(wp), -1)
+    with np.errstate(divide="ignore"):
+        d = th.decompose_rows(flat, np.log(flat), verify._PAD, k0, j0, tp=tp)
+    smallest = 1.0
+    for i in range(len(wp)):
+        topo = th.TaskTopology(tuple(int(s) for s in sizes[i, :n_tasks[i]]))
+        parts = [wp[i, k, :topo.sizes[k]] for k in range(topo.n_tasks)]
+        parts.append(tp[i, :topo.n_tasks])
+        for p in parts:
+            assert abs(p.sum() - 1.0) < 1e-9
+            smallest = min(smallest, p.min())
+        assert not tp[i, topo.n_tasks:].any()
+        assert not any(wp[i, k, s:].any() for k, s in enumerate(sizes[i]))
+        r = th.entropy_report(th.GroundTruth(int(k0[i]), int(j0[i])), topo,
+                              wp=parts[:-1], tp=parts[-1])
+        assert (r.h_wp, r.h_tp, r.h_cil) == (d.h_wp[i], d.h_tp[i], d.h_cil[i])
+    assert smallest >= verify.FLOOR / 2
+    assert smallest < 1e-4
+    assert set(n_tasks) == set(range(1, 7))
+    assert set(sizes.ravel()) == set(range(1, 6))
+
+
+def test_identity_batches_cover_every_trial(monkeypatch):
+    monkeypatch.setattr(verify, "BATCH", 7)
+    monkeypatch.setenv("CLWB_FAULT_NEGATE", "identity")
+    result = verify.run_suite("identity", seed=3, trials=20)
+    assert result.n_failed == 20
+    assert len(result.failures) == verify.MAX_FAILURES_KEPT
