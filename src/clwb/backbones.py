@@ -127,6 +127,11 @@ class HatState:
         return state
 
 
+def _masked_trunk(net: MaskedNet, masks: list[np.ndarray]) -> nk.DenseNet:
+    return nk.DenseNet([w * m for w, m in zip(net.trunk.weights, masks)],
+                       net.trunk.biases, net.trunk.activations)
+
+
 @dataclass
 class SupState:
     """Supermask bookkeeping: live scores for the task in training plus the
@@ -137,6 +142,9 @@ class SupState:
     p: float
     masks: dict[int, list[np.ndarray]] = field(default_factory=dict)
     scores: list[np.ndarray] | None = None
+    # task -> (trunk, masks, masked trunk) of a finished task's last build
+    built: dict[int, tuple] = field(default_factory=dict, repr=False,
+                                    compare=False)
 
     def start_task(self, net: MaskedNet, task: int,
                    rng: np.random.Generator) -> None:
@@ -146,16 +154,21 @@ class SupState:
     def trunk_for(self, net: MaskedNet, task: int, s: float | None = None
                   ) -> tuple[nk.DenseNet, None]:
         """The trunk with weights W * M_k: the frozen mask of a finished
-        task, or the live scores' mask for the task in training."""
-        if task in self.masks:
-            masks = self.masks[task]
-        elif self.scores is not None:
+        task, or the live scores' mask for the task in training. Supermask
+        training never changes W, so a finished task's trunk is built once
+        and reused while net.trunk and its masks are the same objects; the
+        task in training gets a new one per call."""
+        if task not in self.masks:
+            if self.scores is None:
+                raise ValueError(f"unknown task {task}")
             masks = mask_from_scores(self.scores, self.p)
-        else:
-            raise ValueError(f"unknown task {task}")
-        trunk = nk.DenseNet([w * m for w, m in zip(net.trunk.weights, masks)],
-                            net.trunk.biases, net.trunk.activations)
-        return trunk, None
+            return _masked_trunk(net, masks), None
+        masks = self.masks[task]
+        last = self.built.get(task)
+        if last is None or last[0] is not net.trunk or last[1] is not masks:
+            last = self.built[task] = (net.trunk, masks,
+                                       _masked_trunk(net, masks))
+        return last[2], None
 
     def scale(self, batch: int, n_batches: int) -> None:
         return None

@@ -77,8 +77,25 @@ def neg_log(p: float) -> float:
     return -float(np.log(max(float(p), LOG_CLAMP)))
 
 
-def _leq(a: float, b: float) -> bool:
+def _leq(a, b):
+    """a <= b up to the verdict slack; elementwise on arrays."""
     return a <= b + VERDICT_SLACK + 1e-12 * abs(b)
+
+
+def _task_index(k0, q: np.ndarray, name: str = "k0") -> np.ndarray:
+    """k0 as an integer index array with one entry per row of q (0-d for a
+    1-D q), each inside q's last axis."""
+    k = np.asarray(k0)
+    if q.ndim == 0 or k.shape != q.shape[:-1] or k.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be an integer of shape {q.shape[:-1]}")
+    if ((k < 0) | (k >= q.shape[-1])).any():
+        raise ValueError(f"{name}={k0} out of range for {q.shape[-1]} entries")
+    return k
+
+
+def _at(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """x[..., k] taken row by row: entry k[i] of row i."""
+    return np.take_along_axis(x, k[..., None], axis=-1)[..., 0]
 
 
 def check_distribution(p, *, name: str = "distribution") -> np.ndarray:
@@ -92,10 +109,11 @@ def check_distribution(p, *, name: str = "distribution") -> np.ndarray:
     return p
 
 
-def _check_profile(profile, ndims: tuple[int, ...] = (1,)) -> np.ndarray:
+def _check_profile(profile) -> np.ndarray:
+    """A detector profile, or a batch of them one per row."""
     q = np.asarray(profile, dtype=np.float64)
-    if q.ndim not in ndims or q.size == 0:
-        raise ValueError(f"profile must be a nonempty array of ndim {ndims}")
+    if q.ndim not in (1, 2) or q.size == 0:
+        raise ValueError("profile must be a nonempty vector or row batch")
     if (q < 0).any() or (q > 1).any() or not np.isfinite(q).all():
         raise ValueError("profile entries must lie in [0, 1]")
     return q
@@ -172,12 +190,17 @@ class EntropyReport:
     h_ood: np.ndarray
 
 
-def cross_entropy(target_index: int, pred) -> float:
-    """-log pred[target_index] with the clamp; the one-hot-target H(p, q)."""
+def cross_entropy(target_index, pred):
+    """-log pred[target_index] with the clamp; the one-hot-target H(p, q).
+
+    A 2-D pred holds one prediction per row and target_index one target per
+    row; each entry of the (n,) result has the bits of the 1-D call.
+    """
     p = np.asarray(pred, dtype=np.float64)
-    if not 0 <= target_index < p.size:
-        raise ValueError(f"target {target_index} out of range for {p.size} classes")
-    return neg_log(p[target_index])
+    t = _task_index(target_index, p, "target")
+    if p.ndim == 1:
+        return neg_log(p[t])
+    return -np.log(np.maximum(_at(p, t), LOG_CLAMP))
 
 
 def compose_cil(wp: list, tp, topo: TaskTopology, *,
@@ -203,17 +226,17 @@ def compose_cil(wp: list, tp, topo: TaskTopology, *,
     return out
 
 
-def ood_entropies(profile, k0: int, *, validate: bool = True) -> np.ndarray:
+def ood_entropies(profile, k0, *, validate: bool = True) -> np.ndarray:
     """Per-task detector cross-entropies for an instance of task k0.
 
     Task k0's detector is scored on "in" (-log P'_k0); every other detector
-    on "out" (-log(1 - P'_k)).
+    on "out" (-log(1 - P'_k)). A 2-D profile holds one instance per row and
+    k0 its (n,) true tasks; each row has the bits of the 1-D call.
     """
     q = _check_profile(profile) if validate \
         else np.asarray(profile, dtype=np.float64)
-    if not 0 <= k0 < q.size:
-        raise ValueError(f"k0={k0} out of range for {q.size} tasks")
-    hit = np.arange(q.size) == k0
+    k = _task_index(k0, q)
+    hit = np.arange(q.shape[-1]) == k[..., None]
     return -np.log(np.maximum(np.where(hit, q, 1.0 - q), LOG_CLAMP))
 
 
@@ -287,25 +310,34 @@ def tp_from_ood(profile) -> np.ndarray:
     A 2-D profile holds one instance per row and gives one distribution per
     row, each with the bits of the 1-D call on that row.
     """
-    q = _check_profile(profile, ndims=(1, 2))
+    q = _check_profile(profile)
     total = q.sum(axis=-1, keepdims=True)
     if (total <= 0.0).any():
         raise DegenerateInputError("all-zero detector profile")
     return q / total
 
 
-def theorem2_bound(deltas, k0: int) -> float:
+def _check_deltas(deltas) -> np.ndarray:
+    d = np.asarray(deltas, dtype=np.float64)
+    if d.ndim not in (1, 2) or d.size == 0:
+        raise ValueError("deltas must be a nonempty vector or row batch")
+    if (d < 0).any():
+        raise ValueError("deltas must be nonnegative")
+    return d
+
+
+def theorem2_bound(deltas, k0):
     """exp(deltas[k0]) * sum_k (1 - exp(-deltas[k])).
 
     Upper bound on h_tp of tp_from_ood for any profile whose per-task OOD
-    entropies are within deltas.
+    entropies are within deltas. 2-D deltas hold one instance per row and
+    k0 its (n,) true tasks; each entry of the (n,) result has the bits of
+    the 1-D call.
     """
-    d = np.asarray(deltas, dtype=np.float64)
-    if (d < 0).any():
-        raise ValueError("deltas must be nonnegative")
-    if not 0 <= k0 < d.size:
-        raise ValueError(f"k0={k0} out of range")
-    return float(np.exp(d[k0]) * (1.0 - np.exp(-d)).sum())
+    d = _check_deltas(deltas)
+    k = _task_index(k0, d)
+    bound = np.exp(_at(d, k)) * (1.0 - np.exp(-d)).sum(axis=-1)
+    return float(bound) if d.ndim == 1 else bound
 
 
 def check_theorem3(report: EntropyReport, eps: float, deltas,
@@ -489,65 +521,72 @@ def decompose_rows(probs, log_probs, topo: TaskTopology, k0, j0, *,
 # Temperature-scaled detector coupling
 # ---------------------------------------------------------------------------
 
-def _check_taus(taus, n: int) -> np.ndarray:
+def _check_taus(taus, shape: tuple[int, ...]) -> np.ndarray:
     t = np.asarray(taus, dtype=np.float64)
     if t.ndim == 0:
-        t = np.full(n, float(t))
-    if t.size != n:
-        raise ValueError(f"{t.size} temperatures for {n} tasks")
+        t = np.full(shape, float(t))
+    if t.shape != shape:
+        raise ValueError(f"temperatures of shape {t.shape} for tasks of "
+                         f"shape {shape}")
     if (t <= 0).any() or not np.isfinite(t).all():
         raise ValueError("temperatures must be positive and finite")
     return t
 
 
-def theorem5_ood_from_tp(tp, taus, truth: GroundTruth
-                         ) -> tuple[np.ndarray, np.ndarray]:
+def theorem5_ood_from_tp(tp, taus, truth) -> tuple[np.ndarray, np.ndarray]:
     """Detectors P'_k = tp[k]^(1/tau_k) and their per-task entropy bounds.
 
     With delta = h_tp, bound_k = max(delta / tau_k,
     -log(1 - (1 - exp(-delta))^(1/tau_k))); each h_ood entry of the returned
     profile is within its bound. All tau = 1 reduces to ood_from_tp with
-    bound delta.
+    bound delta. A 2-D tp holds one task distribution per row, taus one
+    temperature per entry and truth the (n,) true tasks in place of a
+    GroundTruth; each row has the bits of the 1-D call.
     """
-    tp = check_distribution(tp, name="tp")
-    t = _check_taus(taus, tp.size)
-    if not 0 <= truth.k0 < tp.size:
-        raise ValueError(f"truth task {truth.k0} out of range")
+    tp = np.asarray(tp, dtype=np.float64)
+    if tp.ndim == 2 and tp.size:
+        _check_rows(tp, "tp", [tp.sum(axis=1)])
+    else:
+        tp = check_distribution(tp, name="tp")
+    t = _check_taus(taus, tp.shape)
+    k0 = truth.k0 if isinstance(truth, GroundTruth) else truth
+    delta = np.asarray(cross_entropy(k0, tp))[..., None]
     profile = tp ** (1.0 / t)
-    delta = cross_entropy(truth.k0, tp)
-    grow = np.empty(tp.size)
-    for k in range(tp.size):
-        grow[k] = neg_log(1.0 - (1.0 - np.exp(-delta)) ** (1.0 / t[k]))
-    bounds = np.maximum(delta / t, grow)
-    return profile, bounds
+    grow = -np.log(np.maximum(1.0 - (1.0 - np.exp(-delta)) ** (1.0 / t),
+                              LOG_CLAMP))
+    return profile, np.maximum(delta / t, grow)
 
 
 def theorem5_tp_from_ood(profile, taus) -> np.ndarray:
-    """Task distribution tp[k] proportional to P'_k^(1/tau_k)."""
+    """Task distribution tp[k] proportional to P'_k^(1/tau_k).
+
+    A 2-D profile and taus hold one instance per row; each row has the bits
+    of the 1-D call.
+    """
     q = _check_profile(profile)
-    t = _check_taus(taus, q.size)
-    powered = q ** (1.0 / t)
-    total = powered.sum()
-    if total <= 0.0:
+    powered = q ** (1.0 / _check_taus(taus, q.shape))
+    total = powered.sum(axis=-1, keepdims=True)
+    if (total <= 0.0).any():
         raise DegenerateInputError("all-zero detector profile")
     return powered / total
 
 
-def theorem5_bound(deltas, taus, k0: int) -> float:
+def theorem5_bound(deltas, taus, k0):
     """Bound on h_tp of theorem5_tp_from_ood under per-task entropy budgets.
 
     delta_k0/tau_k0 + sum_k (1-exp(-delta_k))^(1/tau_k)
                       / (1 - (1-exp(-delta_k0))^(1/tau_k0)).
     A zero denominator (the k0 term hitting 1) raises DegenerateBoundError.
+    2-D deltas and taus hold one instance per row and k0 its (n,) true
+    tasks; each entry of the (n,) result has the bits of the 1-D call, and
+    one zero denominator raises for the whole batch.
     """
-    d = np.asarray(deltas, dtype=np.float64)
-    if (d < 0).any():
-        raise ValueError("deltas must be nonnegative")
-    t = _check_taus(taus, d.size)
-    if not 0 <= k0 < d.size:
-        raise ValueError(f"k0={k0} out of range")
+    d = _check_deltas(deltas)
+    t = _check_taus(taus, d.shape)
+    k = _task_index(k0, d)
     terms = (1.0 - np.exp(-d)) ** (1.0 / t)
-    denom = 1.0 - terms[k0]
-    if denom <= 0.0:
+    denom = 1.0 - _at(terms, k)
+    if (denom <= 0.0).any():
         raise DegenerateBoundError("k0 term reaches 1; bound is unbounded here")
-    return float(d[k0] / t[k0] + terms.sum() / denom)
+    bound = _at(d, k) / _at(t, k) + terms.sum(axis=-1) / denom
+    return float(bound) if d.ndim == 1 else bound

@@ -307,6 +307,34 @@ class TestSupermasks:
             bb.mask_from_scores(scores, 50.0)
         assert err.value.layer == 1
 
+    def test_finished_trunk_is_built_once(self, monkeypatch):
+        net = make_sup(dim=4, hidden=(16, 8))
+        bb.train_task(net, 0, gaussian_task(n=20).tasks[0][0], epochs=2,
+                      lr=0.1, seed=4)
+        state = net.isolation
+        validated = []
+        check = nk.DenseNet.validate
+        monkeypatch.setattr(nk.DenseNet, "validate",
+                            lambda self: validated.append(self) or check(self))
+        first, _ = state.trunk_for(net, 0)
+        assert all(state.trunk_for(net, 0)[0] is first for _ in range(3))
+        assert len(validated) == 1  # built and validated on first use
+        fresh = nk.DenseNet([w * m for w, m in zip(net.trunk.weights,
+                                                    state.masks[0])],
+                            net.trunk.biases, net.trunk.activations)
+        for a, b in zip(first.weights + first.biases,
+                        fresh.weights + fresh.biases):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        # new masks or a new trunk object are not served the old build
+        state.masks[0] = [m.copy() for m in state.masks[0]]
+        assert state.trunk_for(net, 0)[0] is not first
+        second = state.trunk_for(net, 0)[0]
+        net.trunk = net.trunk.copy()
+        assert state.trunk_for(net, 0)[0] is not second
+        # the task in training follows its live scores on every call
+        state.start_task(net, 1, np.random.default_rng(0))
+        assert state.trunk_for(net, 1)[0] is not state.trunk_for(net, 1)[0]
+
     def test_score_update_linear_case(self):
         net = make_sup(dim=3, hidden=(2,))
         x = np.array([1.0, -2.0, 0.5])

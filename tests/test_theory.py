@@ -515,3 +515,74 @@ class TestDecomposeRows:
             th.tp_from_ood(np.vstack([q, np.zeros(4)]))
         with pytest.raises(ValueError, match="lie in"):
             th.tp_from_ood(np.vstack([q, np.full(4, 1.5)]))
+
+
+# ---------------------------------------------------------------------------
+# Row batches of the bound predicates against their 1-D calls
+# ---------------------------------------------------------------------------
+
+@st.composite
+def row_batches(draw):
+    """Detector profiles (n, K) with exact 0 and 1 entries among uniform
+    ones, positive temperatures, true tasks, and task distributions."""
+    n, k = draw(st.integers(1, 7)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = rng.uniform(size=(n, k))
+    q[rng.uniform(size=(n, k)) < 0.15] = 0.0
+    q[rng.uniform(size=(n, k)) < 0.15] = 1.0
+    q[q.sum(axis=1) == 0.0, 0] = 0.5
+    taus = np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=(n, k)))
+    k0 = rng.integers(k, size=n)
+    tp = rng.dirichlet(np.full(k, draw(st.sampled_from([0.1, 1.0, 5.0]))),
+                       size=n)
+    return q, taus, k0, tp
+
+
+def _same_bits(rows, one_d_calls):
+    for i, want in enumerate(one_d_calls):
+        assert np.asarray(rows[i]).tobytes() == np.asarray(want).tobytes()
+
+
+class TestRowBatches:
+    @given(row_batches())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_have_the_bits_of_the_1d_call(self, case):
+        q, taus, k0, tp = case
+        rows = range(len(q))
+        deltas = th.ood_entropies(q, k0)
+        _same_bits(deltas, [th.ood_entropies(q[i], k0[i]) for i in rows])
+        _same_bits(th.cross_entropy(k0, tp),
+                   [th.cross_entropy(k0[i], tp[i]) for i in rows])
+        _same_bits(th.theorem2_bound(deltas, k0),
+                   [th.theorem2_bound(deltas[i], k0[i]) for i in rows])
+        profile, bounds = th.theorem5_ood_from_tp(tp, taus, k0)
+        for i in rows:
+            p_i, b_i = th.theorem5_ood_from_tp(tp[i], taus[i],
+                                               th.GroundTruth(int(k0[i]), 0))
+            _same_bits([profile[i], bounds[i]], [p_i, b_i])
+        _same_bits(th.theorem5_tp_from_ood(q, taus),
+                   [th.theorem5_tp_from_ood(q[i], taus[i]) for i in rows])
+        _same_bits(th.theorem5_bound(deltas, taus, k0),
+                   [th.theorem5_bound(deltas[i], taus[i], k0[i]) for i in rows])
+        bound = th.theorem2_bound(deltas, k0)
+        _same_bits(th._leq(deltas[:, 0], bound),
+                   [th._leq(deltas[i, 0], bound[i]) for i in rows])
+
+    def test_zero_denominator_row_raises(self):
+        deltas = np.array([[0.1, 0.2], [np.inf, 0.1]])
+        assert th.theorem5_bound(deltas[:1], np.ones((1, 2)), [0]) > 0.0
+        with pytest.raises(th.DegenerateBoundError):
+            th.theorem5_bound(deltas, np.ones((2, 2)), [0, 0])
+
+    @pytest.mark.parametrize("k0", [[0], [0, 2], [[0, 1]], [0.0, 1.0]])
+    def test_truth_must_index_every_row(self, k0):
+        with pytest.raises(ValueError, match="k0"):
+            th.ood_entropies(np.full((2, 2), 0.5), k0)
+        with pytest.raises(ValueError, match="k0"):
+            th.theorem2_bound(np.ones((2, 2)), k0)
+
+    def test_temperatures_must_match_rows(self):
+        with pytest.raises(ValueError, match="temperatures"):
+            th.theorem5_tp_from_ood(np.full((2, 2), 0.5), np.ones(2))
+        with pytest.raises(ValueError, match="sums to"):
+            th.theorem5_ood_from_tp([[0.5, 0.6]], np.ones((1, 2)), [0])
