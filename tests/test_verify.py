@@ -82,12 +82,23 @@ def test_batched_instances_decompose_as_entropy_report():
     _draws_above_floor(drawn)
     assert set(n_tasks) == set(range(1, 7))
     assert set(sizes.ravel()) == set(range(1, 6))
-    # the theorem-2/5 task distributions and the theorem-4 CIL rows too
-    n_tasks, _, tp, q = verify._task_batch(rng, 400)
+
+
+def test_instances_span_sharpness_and_stay_above_floor():
+    # every batch draw: the identity/theorem-1/3 instances, the theorem-2/5
+    # task distributions and the theorem-4 CIL rows
+    rng = np.random.default_rng(0)
+    n_tasks, sizes, wp, tp, _, _ = verify._instance_batch(rng, 500)
+    drawn = []
+    for i in range(len(wp)):
+        drawn += [wp[i, k, :sizes[i, k]] for k in range(n_tasks[i])]
+        drawn.append(tp[i, :n_tasks[i]])
+    _draws_above_floor(drawn)
+    n_tasks, _, tp, q = verify._task_batch(rng, 500)
     _draws_above_floor([tp[i, :m] for i, m in enumerate(n_tasks)])
     assert not (tp * (np.arange(6) >= n_tasks[:, None])).any()
     assert not (q * (np.arange(6) >= n_tasks[:, None])).any()
-    n_tasks, sizes, cil, _, _ = verify._cil_batch(rng, 400)
+    n_tasks, sizes, cil, _, _ = verify._cil_batch(rng, 500)
     valid = ((np.arange(5) < sizes[:, :, None])
              & (np.arange(6)[:, None] < n_tasks[:, None, None]))
     assert not cil[~valid].any()
