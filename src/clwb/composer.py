@@ -185,19 +185,20 @@ def fit_calibration(logit_fn, buffer: MemoryBuffer, *,
                     seed: int = 0) -> tuple[CalibrationParams, list[float]]:
     """SGD on the buffer cross-entropy of the calibrated concatenation.
 
-    logit_fn(x) -> list of per-task class logits (whatever the configured
-    prediction path emits). Head outputs are precomputed once: calibration
-    never touches model weights. Returns the best parameters seen by
-    full-buffer loss, so the final loss never exceeds the initial, plus the
-    per-iteration loss history.
+    logit_fn(inputs) takes the whole buffer stacked into one ``(n, ...)``
+    array and returns one ``(n, c_k)`` class-logit array per task (whatever
+    the configured prediction path emits). It is called exactly once: head
+    outputs are precomputed and calibration never touches model weights.
+    Returns the best parameters seen by full-buffer loss, so the final loss
+    never exceeds the initial, plus the per-iteration loss history.
     """
     if len(buffer) == 0:
         raise ValueError("empty memory buffer")
-    per_sample = [logit_fn(x) for x in buffer.inputs]
-    n_tasks = len(per_sample[0])
-    widths = [np.asarray(v).size for v in per_sample[0]]
-    stacked = np.stack([np.concatenate([np.asarray(v, dtype=np.float64)
-                                        for v in row]) for row in per_sample])
+    per_task = [np.asarray(v, dtype=np.float64)
+                for v in logit_fn(np.stack(buffer.inputs))]
+    n_tasks = len(per_task)
+    widths = [v.shape[1] for v in per_task]
+    stacked = np.concatenate(per_task, axis=1)
     labels = np.asarray(buffer.labels, dtype=np.intp)
 
     rng = np.random.default_rng(seed)

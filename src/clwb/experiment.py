@@ -147,27 +147,31 @@ def _extra(cfg: ExperimentConfig, matrix: mt.AccuracyMatrix) -> dict:
 def _scorer_params(cfg: ExperimentConfig, net: bb.MaskedNet,
                    seq: dt.TaskSequence, scorer: str) -> dict[int, ol.OdinParams]:
     """Per-task ODIN settings: fixed from config, or grid-searched by
-    validation AUC on a held-out slice of the training data."""
+    validation AUC, each candidate scored once over the pooled held-out
+    slices of all tasks' training data (own rows in-distribution, rest OOD)."""
     if scorer != "odin":
         return {}
     if not cfg.ood.odin_grid:
         p = ol.OdinParams(cfg.ood.odin_tau, cfg.ood.odin_eps)
         return {k: p for k in range(seq.n_tasks)}
+    if seq.n_tasks == 1:
+        # no other task's rows to tell apart: every candidate would score a
+        # validation AUC of 0.5, and the first one keeps the tie
+        return {0: ol.OdinParams(ol.ODIN_TAU_GRID[0], ol.ODIN_EPS_GRID[0])}
     splits = [dt.validation_split(seq.tasks[k][0], cfg.ood.validation_fraction,
-                                  seed=cfg.seed)[1] for k in range(seq.n_tasks)]
+                                  seed=cfg.seed)[1].images
+              for k in range(seq.n_tasks)]
+    pooled = np.concatenate(splits)
+    owner = np.repeat(np.arange(seq.n_tasks), [len(s) for s in splits])
     params = {}
     for k in range(seq.n_tasks):
+        ind = owner == k
         best = None
         for tau in ol.ODIN_TAU_GRID:
             for eps in ol.ODIN_EPS_GRID:
                 cand = ol.OdinParams(tau, eps)
-                ind = np.atleast_1d(ol.odin_score(net, splits[k].images, k, cand))
-                ood = np.concatenate(
-                    [np.atleast_1d(ol.odin_score(net, splits[j].images, k, cand))
-                     for j in range(seq.n_tasks) if j != k]) \
-                    if seq.n_tasks > 1 else np.array([0.0])
-                val_auc = mt.auc(mt.ScoredPopulation(ind, ood)) \
-                    if seq.n_tasks > 1 else 0.5
+                score = ol.odin_score(net, pooled, k, cand)
+                val_auc = mt.auc(mt.ScoredPopulation(score[ind], score[~ind]))
                 if best is None or val_auc > best[0]:
                     best = (val_auc, cand)
         params[k] = best[1]
@@ -416,12 +420,9 @@ def calibrate_run(cfg: ExperimentConfig, checkpoint_path
     buffer = cp.MemoryBuffer.build(cfg.calibrate.buffer, pools, rng)
 
     def logit_fn(x):
-        out = []
-        for k in range(seq.n_tasks):
-            kind = net.heads[k].kind
-            arg = x if kind == "rotation" else np.asarray(x).reshape(-1)
-            out.append(np.asarray(ol.class_logits(net, arg, k)))
-        return out
+        flat = x.reshape(len(x), -1)
+        return [ol.class_logits(net, x if net.heads[k].kind == "rotation"
+                                else flat, k) for k in range(seq.n_tasks)]
 
     params, history = cp.fit_calibration(
         logit_fn, buffer, iters=cfg.calibrate.iters, lr=cfg.calibrate.lr,

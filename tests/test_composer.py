@@ -156,11 +156,11 @@ def skewed_buffer(scale=10.0, n_per_class=20, seed=5):
             buf.labels.append(c)
             buf.tasks.append(c // 2)
 
+    mus = np.array(list(centers.values()), dtype=float)
+
     def logit_fn(x):
-        d = [np.linalg.norm(x - np.array(mu, dtype=float))
-             for mu in centers.values()]
-        z = -np.array(d)
-        return [z[:2], scale * z[2:]]
+        z = -np.linalg.norm(x[:, None, :] - mus, axis=2)
+        return [z[:, :2], scale * z[:, 2:]]
 
     return buf, logit_fn
 
@@ -183,6 +183,29 @@ class TestFitCalibration:
             params, history = cp.fit_calibration(logit_fn, buf, seed=seed)
             stacked_loss = min(history)
             assert stacked_loss <= history[0] + 1e-12
+
+    def test_logit_fn_runs_once_on_the_stacked_buffer(self):
+        buf, logit_fn = skewed_buffer()
+        seen = []
+
+        def counted(x):
+            seen.append(x.shape)
+            return logit_fn(x)
+        cp.fit_calibration(counted, buf, seed=0)
+        assert seen == [(len(buf), 2)]
+
+    @pytest.mark.parametrize("keep", [[0], list(range(20))],
+                             ids=["one-sample", "one-class"])
+    def test_degenerate_buffers_give_finite_params(self, keep):
+        full, logit_fn = skewed_buffer(scale=10.0)
+        buf = cp.MemoryBuffer(capacity=len(keep))
+        for i in keep:  # the first 20 samples are all class 0
+            buf.inputs.append(full.inputs[i])
+            buf.labels.append(full.labels[i])
+            buf.tasks.append(full.tasks[i])
+        params, history = cp.fit_calibration(logit_fn, buf, seed=0)
+        assert np.isfinite(params.alpha).all() and np.isfinite(params.beta).all()
+        assert np.isfinite(history).all() and min(history) <= history[0]
 
     def test_empty_buffer(self):
         with pytest.raises(ValueError):

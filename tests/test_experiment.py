@@ -8,9 +8,13 @@ import pytest
 
 from clwb import backbones as bb
 from clwb import composer as cp
+from clwb import data as dt
 from clwb import experiment as ex
+from clwb import metrics as mt
+from clwb import oodlab as ol
 from clwb import theory as th
 from clwb import verify
+from clwb.checkpoint import load_checkpoint
 from clwb.config import parse_config
 
 TP_KINDS = ("sigmoid-maxlogit", "maxsoftmax-temp", "scorer")
@@ -265,3 +269,184 @@ def test_rotation_ensemble_needs_rotation_heads(trained):
     text, final = trained
     with pytest.raises(ValueError, match="no rotation slots"):
         ex.eval_run(parse_config(text), final, scorer="rotation-ensemble")
+
+
+@pytest.fixture(scope="module")
+def rotation_run(tmp_path_factory):
+    """Three 2-class tasks of 4x4 hot-pixel images on a supermask net trained
+    with the contrastive loss, so every task has a rotation head."""
+    root = tmp_path_factory.mktemp("rotation")
+    rng = np.random.default_rng(3)
+    files = {}
+    for name, per_class in (("train", 20), ("test", 8)):
+        labels = np.repeat(np.arange(6), per_class)
+        images = rng.uniform(0.0, 0.2, size=(labels.size, 16))
+        images[np.arange(labels.size), 2 * labels] = 1.0
+        for part, blob in (("images", images.reshape(-1, 4, 4)),
+                           ("labels", labels)):
+            path = root / f"{name}-{part}.idx"
+            path.write_bytes(dt.serialize_idx(blob))
+            files[f"{name}_{part}"] = path
+    text = f"""
+[experiment]
+seed = 5
+out = {root / 'run'}
+
+[data]
+source = idx
+train_images = {files['train_images']}
+train_labels = {files['train_labels']}
+test_images = {files['test_images']}
+test_labels = {files['test_labels']}
+
+[tasks]
+count = 3
+classes_per_task = 2
+
+[backbone]
+kind = sup
+hidden = 16
+epochs = 2
+lr = 0.1
+batch = 8
+
+[loss]
+kind = contrastive
+
+[calibrate]
+buffer = 12
+"""
+    art = ex.train_run(parse_config(text), root / "run")
+    return text, art["final"]
+
+
+@pytest.fixture(scope="module")
+def hat_odin_run(tmp_path_factory):
+    """Three 3-class tasks of overlapping Gaussians on a HAT net: plain heads
+    whose ODIN candidates score apart, so the grid picks different ones."""
+    out = tmp_path_factory.mktemp("hat-odin")
+    text = f"""
+[experiment]
+seed = 11
+out = {out}
+
+[data]
+source = synthetic
+dim = 4
+separation = 2.0
+per_class = 40
+
+[tasks]
+count = 3
+classes_per_task = 3
+
+[backbone]
+kind = hat
+hidden = 16
+epochs = 5
+lr = 0.1
+batch = 8
+"""
+    return text, ex.train_run(parse_config(text), out)["final"]
+
+
+@pytest.fixture(params=["hat_odin_run", "rotation_run"])
+def odin_net(request):
+    """(config with the ODIN grid on, net, task sequence) for a plain-head
+    HAT run and a rotation-head supermask run."""
+    text, final = request.getfixturevalue(request.param)
+    cfg = parse_config(text + "\n[ood]\nodin_grid = true\n"
+                       "validation_fraction = 0.2\n")
+    net, _ = load_checkpoint(final)
+    return cfg, net, ex.build_tasks(cfg)
+
+
+def _per_split_grid(cfg, net, seq):
+    """The ODIN grid as it was before pooling, the oracle: every candidate
+    scored once per validation split."""
+    splits = [dt.validation_split(seq.tasks[k][0], cfg.ood.validation_fraction,
+                                  seed=cfg.seed)[1] for k in range(seq.n_tasks)]
+    params = {}
+    for k in range(seq.n_tasks):
+        best = None
+        for tau in ol.ODIN_TAU_GRID:
+            for eps in ol.ODIN_EPS_GRID:
+                cand = ol.OdinParams(tau, eps)
+                ind = np.atleast_1d(ol.odin_score(net, splits[k].images, k, cand))
+                ood = np.concatenate(
+                    [np.atleast_1d(ol.odin_score(net, splits[j].images, k, cand))
+                     for j in range(seq.n_tasks) if j != k])
+                val_auc = mt.auc(mt.ScoredPopulation(ind, ood))
+                if best is None or val_auc > best[0]:
+                    best = (val_auc, cand)
+        params[k] = best[1]
+    return params
+
+
+def _recording(monkeypatch, module, name, log):
+    real = getattr(module, name)
+
+    def spy(*args):
+        result = real(*args)
+        log.append(result)
+        return result
+    monkeypatch.setattr(module, name, spy)
+
+
+def test_pooled_odin_grid_matches_the_per_split_loop(odin_net, monkeypatch):
+    cfg, net, seq = odin_net
+    old_aucs, new_aucs, scores = [], [], []
+    _recording(monkeypatch, mt, "auc", old_aucs)
+    want = _per_split_grid(cfg, net, seq)
+    monkeypatch.undo()
+    _recording(monkeypatch, mt, "auc", new_aucs)
+    _recording(monkeypatch, ol, "odin_score", scores)
+    got = ex._scorer_params(cfg, net, seq, "odin")
+    assert got == want
+    n_grid = len(ol.ODIN_TAU_GRID) * len(ol.ODIN_EPS_GRID)
+    assert len(scores) == seq.n_tasks * n_grid
+    assert len(new_aucs) == len(old_aucs) == seq.n_tasks * n_grid
+    np.testing.assert_allclose(new_aucs, old_aucs, rtol=0, atol=1e-12)
+
+
+def test_single_task_odin_grid_keeps_the_first_candidate_unscored(
+        synth_config_text, tmp_path, monkeypatch):
+    text = synth_config_text(tasks=1, extra="[ood]\nodin_grid = true\n")
+    cfg = parse_config(text)
+    final = ex.train_run(cfg, tmp_path / "run")["final"]
+    scores = []
+    _recording(monkeypatch, ol, "odin_score", scores)
+    net, _ = load_checkpoint(final)
+    assert ex._scorer_params(cfg, net, ex.build_tasks(cfg), "odin") == {
+        0: ol.OdinParams(1.0, 0.0)}
+    assert scores == []
+    report = ex.eval_run(cfg, final, scorer="odin")
+    assert report.odin_params == {"0": {"tau": 1.0, "eps": 0.0}}
+
+
+@pytest.mark.parametrize("run", ["trained", "rotation_run"])
+def test_calibration_buffer_logits_match_single_rows(run, request,
+                                                     monkeypatch):
+    text, final = request.getfixturevalue(run)
+    calls = []
+    real = cp.fit_calibration
+
+    def spy(logit_fn, buffer, **kwargs):
+        calls.append((logit_fn, buffer))
+        return real(logit_fn, buffer, **kwargs)
+    monkeypatch.setattr(cp, "fit_calibration", spy)
+    ex.calibrate_run(parse_config(text), final)
+    (logit_fn, buffer), = calls
+    net, _ = load_checkpoint(final)
+    batched = logit_fn(np.stack(buffer.inputs))
+    assert len(batched) == len(net.heads)
+    for k, rows in enumerate(batched):
+        rotation = net.heads[k].kind == "rotation"
+        assert rotation == (run == "rotation_run")
+        single = np.stack([ol.class_logits(net, x if rotation
+                                           else x.reshape(-1), k)
+                           for x in buffer.inputs])
+        assert rows.shape == single.shape == (len(buffer),
+                                              net.heads[k].width
+                                              // (4 if rotation else 1))
+        np.testing.assert_allclose(rows, single, rtol=0, atol=1e-12)
