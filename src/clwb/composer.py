@@ -139,7 +139,7 @@ def tp_maxsoftmax_temperature(per_task_logits: list,
 def compose_full(wp: list, tp, topo: th.TaskTopology
                  ) -> tuple[np.ndarray, int]:
     """Composed global distribution wp[k][j] * tp[k] and its argmax class."""
-    cil = th.compose_cil(wp, tp, topo)
+    cil = th.compose_cil(np.concatenate(wp), tp, topo)
     return cil, int(np.argmax(cil))
 
 

@@ -61,19 +61,10 @@ def build_tasks(cfg: ExperimentConfig) -> dt.TaskSequence:
     test = dt.LabeledImageSet(dt.load_idx(cfg.data.test_images),
                               dt.load_idx(cfg.data.test_labels), n_classes)
     if t.drop_classes:
-        train, test = (_drop_classes(s, t.drop_classes) for s in (train, test))
+        keep = [c for c in range(n_classes) if c not in t.drop_classes]
+        train, test = (dt._remap(s, keep) for s in (train, test))
     return dt.split_tasks(train, test, t.classes_per_task,
                           shuffle_seed=cfg.seed if t.shuffle_classes else None)
-
-
-def _drop_classes(dataset: dt.LabeledImageSet,
-                  drop: list[int]) -> dt.LabeledImageSet:
-    keep = [c for c in range(dataset.n_classes) if c not in set(drop)]
-    renumber = {c: i for i, c in enumerate(keep)}
-    mask = np.isin(dataset.labels, keep)
-    labels = np.array([renumber[int(y)] for y in dataset.labels[mask]],
-                      dtype=np.intp)
-    return dt.LabeledImageSet(dataset.images[mask], labels, len(keep))
 
 
 def _build_net(cfg: ExperimentConfig, input_dim: int) -> bb.MaskedNet:
@@ -192,17 +183,16 @@ def _score_task(net: bb.MaskedNet, images: np.ndarray, task: int, scorer: str,
     """
     rotation = net.heads[task].kind == "rotation"
     if scorer in ("msp", "maxlogit"):
-        z = np.atleast_2d(bb.task_raw_logits(net, images, task)) \
-            if rotation else class_logits
+        z = bb.task_raw_logits(net, images, task) if rotation else class_logits
         if scorer == "msp":
-            return np.atleast_1d(ol.msp_score(z))
+            return ol.msp_score(z)
         return 1.0 / (1.0 + np.exp(-z.max(axis=1)))
     if scorer == "odin":
-        return np.atleast_1d(ol.odin_score(net, images, task, odin[task]))
+        return ol.odin_score(net, images, task, odin[task])
     if scorer == "rotation-ensemble":
         if not rotation:
             raise ValueError(f"task {task} head has no rotation slots")
-        return np.atleast_1d(ol.msp_score(class_logits))
+        return ol.msp_score(class_logits)
     raise ValueError(f"unknown scorer {scorer!r}")
 
 
@@ -291,7 +281,7 @@ def _eval_loaded(cfg: ExperimentConfig, net: bb.MaskedNet, meta: dict,
     odin = _scorer_params(cfg, net, seq, scorer)
 
     def logits_for(task: int) -> np.ndarray:
-        return np.atleast_2d(ol.class_logits(net, test_images, task))
+        return ol.class_logits(net, test_images, task)
 
     def scores_for(task: int) -> np.ndarray:
         return _score_task(net, test_images, task, scorer, odin,
@@ -350,7 +340,7 @@ def _eval_loaded(cfg: ExperimentConfig, net: bb.MaskedNet, meta: dict,
 
 def _predict_all(cfg, route, per_task_logits, per_task_scores, topo,
                  test_task_of, truth_local, calibration
-                 ) -> tuple[th.RowDecomposition, int]:
+                 ) -> tuple[th.EntropyReport, int]:
     """Class predictions for all test rows plus the per-row entropies of the
     route's (implied) decomposition, in one batched pass; the additive
     identity holds for every route.
@@ -371,13 +361,13 @@ def _predict_all(cfg, route, per_task_logits, per_task_scores, topo,
         log_wp = np.concatenate([nk.log_softmax(z / nu) for z in per_task_logits],
                                 axis=1)
         tp, fallbacks = _tp_for(cfg, per_task_logits, per_task_scores)
-        return th.decompose_rows(wp, log_wp, topo, test_task_of, truth_local,
+        return th.entropy_report(wp, log_wp, topo, test_task_of, truth_local,
                                  tp=tp), fallbacks
     if route == "calibrated":
         concat = cp.calibrated_logits(per_task_logits, calibration)
     else:
         concat = np.concatenate(per_task_logits, axis=1)
-    return th.decompose_rows(nk.softmax(concat), nk.log_softmax(concat), topo,
+    return th.entropy_report(nk.softmax(concat), nk.log_softmax(concat), topo,
                              test_task_of, truth_local), 0
 
 
@@ -420,9 +410,7 @@ def calibrate_run(cfg: ExperimentConfig, checkpoint_path
     buffer = cp.MemoryBuffer.build(cfg.calibrate.buffer, pools, rng)
 
     def logit_fn(x):
-        flat = x.reshape(len(x), -1)
-        return [ol.class_logits(net, x if net.heads[k].kind == "rotation"
-                                else flat, k) for k in range(seq.n_tasks)]
+        return [ol.class_logits(net, x, k) for k in range(seq.n_tasks)]
 
     params, history = cp.fit_calibration(
         logit_fn, buffer, iters=cfg.calibrate.iters, lr=cfg.calibrate.lr,

@@ -18,9 +18,6 @@ __all__ = [
     "forgetting_rate",
 ]
 
-PAIRWISE_LIMIT = 10_000  # per side; beyond this the rank-sum path takes over
-
-
 @dataclass(frozen=True)
 class ScoredPopulation:
     """Scores of a task's own test data (ind) vs other tasks' data (ood)."""
@@ -66,9 +63,7 @@ def auc_ranksum(pop: ScoredPopulation) -> float:
 
 def auc(pop: ScoredPopulation) -> float:
     """AUC of ind-vs-ood separation; ties count one half."""
-    if max(pop.ind.size, pop.ood.size) <= PAIRWISE_LIMIT:
-        return auc_pairwise(pop)
-    return auc_ranksum(pop)
+    return auc_pairwise(pop)
 
 
 def avg_auc(per_task: list[float]) -> float:

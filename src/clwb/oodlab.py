@@ -253,7 +253,7 @@ def class_logits(net: bb.MaskedNet, x, task: int) -> np.ndarray:
     """Per-original-class logits for any head kind.
 
     Plain heads emit them directly; rotation heads go through the ensemble.
-    x is flat features for plain heads or images for rotation heads.
+    x is any batch ``task_features`` takes; a rotation head needs images.
     """
     head = net.heads.get(task)
     if head is None:

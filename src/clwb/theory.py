@@ -5,9 +5,11 @@ within-task part (WP: class given task) and a task-id part (TP: distribution
 over tasks); the instance cross-entropies then satisfy the exact identity
 h_cil = h_wp + h_tp, plus a family of two-sided bounds linking the task-id
 entropy to per-task out-of-distribution (OOD) Bernoulli detectors, with and
-without per-task temperatures. Every bound is implemented as an executable
-predicate so the randomized suites in ``clwb.verify`` can hunt for
-counterexamples.
+without per-task temperatures. Every theorem is one executable predicate
+over a batch of instances, one per row (most also take one instance as a
+1-D input), so eval decomposes with the code in which the randomized suites
+of ``clwb.verify`` hunt for counterexamples. A predicate whose hypotheses
+fail on some row raises ``HypothesisError`` naming the first such row.
 
 All logs are clamped at 1e-12 (max entropy ~27.63); verdicts compare both
 sides in this clamped space so clamping cannot create false passes. A small
@@ -32,12 +34,7 @@ __all__ = [
     "DegenerateInputError",
     "DegenerateBoundError",
     "TaskTopology",
-    "GroundTruth",
     "EntropyReport",
-    "Theorem4Construction",
-    "RowDecomposition",
-    "neg_log",
-    "check_distribution",
     "cross_entropy",
     "compose_cil",
     "entropy_report",
@@ -49,7 +46,6 @@ __all__ = [
     "theorem2_bound",
     "check_theorem3",
     "theorem4_construct",
-    "decompose_rows",
     "theorem5_ood_from_tp",
     "theorem5_tp_from_ood",
     "theorem5_bound",
@@ -72,14 +68,16 @@ class DegenerateBoundError(ArithmeticError):
     """Bound expression hits a zero denominator for these inputs."""
 
 
-def neg_log(p: float) -> float:
-    """Entropy contribution -log p, clamped at LOG_CLAMP."""
-    return -float(np.log(max(float(p), LOG_CLAMP)))
-
-
 def _leq(a, b):
     """a <= b up to the verdict slack; elementwise on arrays."""
     return a <= b + VERDICT_SLACK + 1e-12 * abs(b)
+
+
+def _require(held, hypothesis: str) -> None:
+    """HypothesisError naming the first row where ``held`` is false."""
+    bad = np.flatnonzero(~np.asarray(held))
+    if bad.size:
+        raise HypothesisError(f"{hypothesis} fails on row {bad[0]}")
 
 
 def _task_index(k0, q: np.ndarray, name: str = "k0") -> np.ndarray:
@@ -98,14 +96,23 @@ def _at(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.take_along_axis(x, k[..., None], axis=-1)[..., 0]
 
 
-def check_distribution(p, *, name: str = "distribution") -> np.ndarray:
+def _distribution_rows(p, name: str, topo: TaskTopology | None = None
+                       ) -> np.ndarray:
+    """p as float64 rows along its last axis, each a distribution (with
+    topo, each task slice of a row); errors name the first bad row."""
     p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError(f"{name} must be a nonempty vector")
+    if p.ndim == 0 or p.shape[-1] == 0:
+        raise ValueError(f"{name} must be a nonempty vector or row batch")
     if (p < 0).any() or not np.isfinite(p).all():
         raise ValueError(f"{name} has negative or non-finite entries")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError(f"{name} sums to {p.sum()!r}, not 1")
+    slices = [slice(None)] if topo is None else \
+        [topo.task_slice(k) for k in range(topo.n_tasks)]
+    for s in slices:
+        total = p[..., s].sum(axis=-1)
+        bad = np.flatnonzero(np.abs(total - 1.0) > 1e-9)
+        if bad.size:
+            raise ValueError(f"{name} row {bad[0]} sums to "
+                             f"{total.flat[bad[0]]!r}, not 1")
     return p
 
 
@@ -168,140 +175,221 @@ class TaskTopology:
         return slice(self.offsets[k], self.offsets[k] + self.sizes[k])
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    """True task id and within-task class id of one instance."""
+def _truth(topo: TaskTopology, k0, j0, shape: tuple[int, ...]):
+    """k0 and the flat class ids of (k0, j0), index arrays of the given row
+    shape; each truth must lie inside the topology."""
+    k0 = np.asarray(k0, dtype=np.intp)
+    j0 = np.asarray(j0, dtype=np.intp)
+    if k0.shape != shape or j0.shape != shape:
+        raise ValueError(f"truth shapes {k0.shape}, {j0.shape} for rows of "
+                         f"shape {shape}")
+    sizes = np.asarray(topo.sizes)
+    if ((k0 < 0) | (k0 >= topo.n_tasks)).any() \
+            or ((j0 < 0) | (j0 >= sizes[k0])).any():
+        raise ValueError(f"truth outside topology {topo.sizes}")
+    return k0, np.asarray(topo.offsets)[k0] + j0
 
-    k0: int
-    j0: int
 
-    def check(self, topo: TaskTopology) -> None:
-        if not (0 <= self.k0 < topo.n_tasks and 0 <= self.j0 < topo.sizes[self.k0]):
-            raise ValueError(f"truth {self} outside topology {topo.sizes}")
+def _slice_masses(p: np.ndarray, topo: TaskTopology) -> np.ndarray:
+    """(..., K) probability mass of each task slice of p's rows."""
+    return np.stack([p[..., topo.task_slice(k)].sum(axis=-1)
+                     for k in range(topo.n_tasks)], axis=-1)
 
 
-@dataclass(frozen=True)
-class EntropyReport:
-    """Instance cross-entropies of the three predictions plus per-task OOD."""
+def _report_rows(report) -> list[np.ndarray]:
+    """h_wp, h_tp and h_cil of a report as float arrays of one shape."""
+    h = [np.asarray(getattr(report, f), dtype=np.float64)
+         for f in ("h_wp", "h_tp", "h_cil")]
+    if not h[0].shape == h[1].shape == h[2].shape:
+        raise ValueError(f"report h_wp, h_tp, h_cil have shapes "
+                         f"{[x.shape for x in h]}")
+    return h
 
-    h_wp: float
-    h_tp: float
-    h_cil: float
-    h_ood: np.ndarray
+
+def _budget(value, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """An entropy budget: one for all rows, or one per row."""
+    b = np.asarray(value, dtype=np.float64)
+    if b.shape not in ((), shape):
+        raise ValueError(f"{name} of shape {b.shape} for rows of shape {shape}")
+    return b
 
 
 def cross_entropy(target_index, pred):
     """-log pred[target_index] with the clamp; the one-hot-target H(p, q).
 
     A 2-D pred holds one prediction per row and target_index one target per
-    row; each entry of the (n,) result has the bits of the 1-D call.
+    row; each entry of the (n,) result has the bits of the 1-D call, which
+    returns a float.
     """
     p = np.asarray(pred, dtype=np.float64)
-    t = _task_index(target_index, p, "target")
-    if p.ndim == 1:
-        return neg_log(p[t])
-    return -np.log(np.maximum(_at(p, t), LOG_CLAMP))
+    h = -np.log(np.maximum(_at(p, _task_index(target_index, p, "target")),
+                           LOG_CLAMP))
+    return float(h) if p.ndim == 1 else h
 
 
-def compose_cil(wp: list, tp, topo: TaskTopology, *,
-                validate: bool = True) -> np.ndarray:
-    """Flat distribution out[(k, j)] = wp[k][j] * tp[k]; sums to 1.
+def compose_cil(wp, tp, topo: TaskTopology) -> np.ndarray:
+    """CIL rows out[..., (k, j)] = wp[..., (k, j)] * tp[..., k].
 
-    validate=False skips the normalization checks for callers that generate
-    inputs by construction (the fuzz suites run millions of compositions).
+    Each task slice of a wp row (..., C) is that task's WP distribution and
+    each tp row (..., K) a task distribution, so each output row sums to 1.
     """
-    if validate:
-        tp = check_distribution(tp, name="tp")
-    if len(tp) != topo.n_tasks:
-        raise ValueError(f"tp has {len(tp)} entries for {topo.n_tasks} tasks")
-    if len(wp) != topo.n_tasks:
-        raise ValueError(f"wp has {len(wp)} tasks, topology has {topo.n_tasks}")
-    out = np.empty(topo.n_classes)
-    for k, w in enumerate(wp):
-        if validate:
-            w = check_distribution(w, name=f"wp[{k}]")
-        if len(w) != topo.sizes[k]:
-            raise ValueError(f"wp[{k}] width {len(w)} != {topo.sizes[k]}")
-        out[topo.task_slice(k)] = np.asarray(w) * tp[k]
-    return out
+    w = np.asarray(wp, dtype=np.float64)
+    t = np.asarray(tp, dtype=np.float64)
+    if t.ndim == 0 or t.shape[-1] != topo.n_tasks \
+            or w.shape != t.shape[:-1] + (topo.n_classes,):
+        raise ValueError(f"wp shape {w.shape} and tp shape {t.shape} do not "
+                         f"fit topology {topo.sizes}")
+    _distribution_rows(t, "tp")
+    _distribution_rows(w, "wp", topo)
+    return w * t[..., np.repeat(np.arange(topo.n_tasks), topo.sizes)]
 
 
-def ood_entropies(profile, k0, *, validate: bool = True) -> np.ndarray:
+def ood_entropies(profile, k0) -> np.ndarray:
     """Per-task detector cross-entropies for an instance of task k0.
 
     Task k0's detector is scored on "in" (-log P'_k0); every other detector
     on "out" (-log(1 - P'_k)). A 2-D profile holds one instance per row and
     k0 its (n,) true tasks; each row has the bits of the 1-D call.
     """
-    q = _check_profile(profile) if validate \
-        else np.asarray(profile, dtype=np.float64)
+    q = _check_profile(profile)
     k = _task_index(k0, q)
     hit = np.arange(q.shape[-1]) == k[..., None]
     return -np.log(np.maximum(np.where(hit, q, 1.0 - q), LOG_CLAMP))
 
 
-def entropy_report(truth: GroundTruth, topo: TaskTopology, *, wp=None, tp=None,
-                   cil=None, validate: bool = True) -> EntropyReport:
-    """Build the instance report from decomposed (wp, tp) parts.
+@dataclass(frozen=True)
+class EntropyReport:
+    """Per-instance CIL predictions and decomposed cross-entropies."""
 
-    With parts given, cil defaults to their composition and the exact identity
-    h_cil = h_wp + h_tp holds (up to the clamp). A caller may pass an
-    explicit cil alongside the parts to report a non-composed prediction.
+    predictions: np.ndarray
+    h_wp: np.ndarray
+    h_tp: np.ndarray
+    h_cil: np.ndarray
+
+
+def entropy_report(probs, log_probs, topo: TaskTopology, k0, j0, *,
+                   tp=None) -> EntropyReport:
+    """Decompose n instances at once, one row of ``probs`` (n, C) each.
+
+    Without tp each row is a flat CIL distribution, decomposed by the
+    theorem-4 construction: TP is the slice masses renormalized, WP the
+    truth slice renormalized (uniform for a zero-mass slice). With tp (n, K)
+    each task slice of a row is that task's WP distribution and CIL is
+    their composition, ``compose_cil``. log_probs are the logs of probs
+    (log-softmax output). predictions is each CIL row's argmax, lowest index
+    on ties; k0 and j0 are the (n,) truth arrays.
+
+    A row whose truth probabilities of WP, TP and CIL all reach LOG_CLAMP
+    has the bits of the clamped cross-entropies of those parts. A row where
+    one falls under the clamp is computed in log space instead: WP from
+    log_probs, TP from the slice log-sum-exps or log tp, and
+    h_cil = h_wp + h_tp, so the identity holds there too. A part whose
+    probability is exactly zero keeps H_MAX.
     """
-    truth.check(topo)
-    if wp is None or tp is None:
-        raise ValueError("entropy_report requires wp and tp parts")
-    if cil is None:
-        cil = compose_cil(wp, tp, topo, validate=validate)
-    elif validate:
-        tp = check_distribution(tp, name="tp")
-        cil = check_distribution(cil, name="cil")
-    h_wp = cross_entropy(truth.j0, wp[truth.k0])
-    h_tp = cross_entropy(truth.k0, tp)
-    h_cil = cross_entropy(topo.flat(truth.k0, truth.j0), cil)
-    h_ood = ood_entropies(np.asarray(tp, dtype=np.float64), truth.k0,
-                          validate=False)
-    return EntropyReport(h_wp, h_tp, h_cil, h_ood)
+    p = np.asarray(probs, dtype=np.float64)
+    if p.ndim != 2 or p.shape[1] != topo.n_classes:
+        raise ValueError(f"probs shape {p.shape} does not hold "
+                         f"{topo.n_classes} classes per row")
+    n = p.shape[0]
+    k0, flat = _truth(topo, k0, j0, (n,))
+    sizes = np.asarray(topo.sizes)
+    rows = np.arange(n)
+
+    if tp is None:
+        _distribution_rows(p, "cil")
+        mass = _slice_masses(p, topo)
+        m0 = mass[rows, k0]
+        p_cil = p[rows, flat]
+        p_wp = np.divide(p_cil, m0, out=1.0 / sizes[k0], where=m0 > 0)
+        p_tp = m0 / mass.sum(axis=1)
+        predictions = p.argmax(axis=1)
+    else:
+        t = np.asarray(tp, dtype=np.float64)
+        cil = compose_cil(p, t, topo)
+        p_wp = p[rows, flat]
+        p_tp = t[rows, k0]
+        p_cil = cil[rows, flat]
+        predictions = cil.argmax(axis=1)
+    lp = np.asarray(log_probs, dtype=np.float64)
+    if lp.shape != p.shape or not (lp < np.inf).all() \
+            or (lp.max(axis=1) == -np.inf).any():
+        raise ValueError("log_probs must match probs, with no NaN, no +inf "
+                         "and no all -inf row")
+    h_wp, h_tp, h_cil = (-np.log(np.maximum(x, LOG_CLAMP))
+                         for x in (p_wp, p_tp, p_cil))
+
+    low = np.flatnonzero((p_wp < LOG_CLAMP) | (p_tp < LOG_CLAMP)
+                         | (p_cil < LOG_CLAMP))
+    if low.size:
+        lp, k, r = lp[low], k0[low], np.arange(low.size)
+        log_wp = lp[r, flat[low]]
+        if tp is None:
+            lse = np.stack([logsumexp(lp[:, topo.task_slice(j)])
+                            for j in range(topo.n_tasks)], axis=1)
+            l0 = lse[r, k]
+            log_tp = l0 - logsumexp(lse)
+            # a zero-mass truth slice gives a uniform WP, as in theorem 4
+            log_wp = np.subtract(log_wp, l0, out=-np.log(sizes[k]),
+                                 where=l0 > -np.inf)
+        else:
+            with np.errstate(divide="ignore"):
+                log_tp = np.log(t[low, k])
+        h_wp[low] = np.where(log_wp == -np.inf, H_MAX, -log_wp)
+        h_tp[low] = np.where(log_tp == -np.inf, H_MAX, -log_tp)
+        h_cil[low] = h_wp[low] + h_tp[low]
+    return EntropyReport(predictions, h_wp, h_tp, h_cil)
 
 
-def check_theorem1(report: EntropyReport, eps: float, delta: float) -> bool:
-    """h_wp <= eps and h_tp <= delta imply h_cil <= eps + delta."""
-    if not (_leq(report.h_wp, eps) and _leq(report.h_tp, delta)):
-        raise HypothesisError(
-            f"h_wp={report.h_wp} !<= eps={eps} or h_tp={report.h_tp} !<= delta={delta}")
-    return _leq(report.h_cil, eps + delta)
+def check_theorem1(report, eps, delta):
+    """h_wp <= eps and h_tp <= delta imply h_cil <= eps + delta.
 
-
-def check_corollary1(reports: list[EntropyReport], *, eps: float | None = None,
-                     delta: float | None = None) -> bool:
-    """Expectation form over a sample of reports.
-
-    With delta: mean h_tp <= delta must hold, verdict is
-    mean h_cil <= mean h_wp + delta. With eps: the symmetric statement.
-    Provide at least one of the two.
+    report holds h_wp, h_tp and h_cil of one instance or one per row; eps
+    and delta are one budget for all rows or one per row. Returns the
+    verdicts.
     """
-    if not reports:
-        raise ValueError("empty report list")
+    h_wp, h_tp, h_cil = _report_rows(report)
+    eps = _budget(eps, h_wp.shape, "eps")
+    delta = _budget(delta, h_wp.shape, "delta")
+    _require(_leq(h_wp, eps) & _leq(h_tp, delta), "h_wp <= eps, h_tp <= delta")
+    return _leq(h_cil, eps + delta)
+
+
+def check_corollary1(report, starts=(0,), *, eps=None, delta=None
+                     ) -> np.ndarray:
+    """Expectation form of theorem 1 over groups of consecutive rows.
+
+    report holds (n,) rows of h_wp, h_tp and h_cil, and group g is the rows
+    from starts[g] up to the next start. With delta: mean h_tp <= delta
+    must hold, verdict is mean h_cil <= mean h_wp + delta. With eps: the
+    symmetric statement. Provide at least one of the two, one for all
+    groups or one per group. Returns one verdict per group.
+    """
+    h = np.stack(_report_rows(report))
+    s = np.asarray(starts, dtype=np.intp)
+    if h.ndim != 2 or h.shape[1] == 0:
+        raise ValueError("report must hold a nonempty batch of rows")
+    if s.ndim != 1 or s.size == 0 or s[0] != 0 or (np.diff(s) <= 0).any() \
+            or s[-1] >= h.shape[1]:
+        raise ValueError(f"starts {s} do not split {h.shape[1]} rows")
     if eps is None and delta is None:
         raise ValueError("provide eps, delta, or both")
-    m_wp = float(np.mean([r.h_wp for r in reports]))
-    m_tp = float(np.mean([r.h_tp for r in reports]))
-    m_cil = float(np.mean([r.h_cil for r in reports]))
-    ok = True
+    m_wp, m_tp, m_cil = np.add.reduceat(h, s, axis=1) \
+        / np.diff(s, append=h.shape[1])
+    ok = np.ones(s.size, dtype=bool)
     if delta is not None:
-        if not _leq(m_tp, delta):
-            raise HypothesisError(f"mean h_tp={m_tp} !<= delta={delta}")
-        ok = ok and _leq(m_cil, m_wp + delta)
+        delta = _budget(delta, s.shape, "delta")
+        _require(_leq(m_tp, delta), "mean h_tp <= delta")
+        ok &= _leq(m_cil, m_wp + delta)
     if eps is not None:
-        if not _leq(m_wp, eps):
-            raise HypothesisError(f"mean h_wp={m_wp} !<= eps={eps}")
-        ok = ok and _leq(m_cil, eps + m_tp)
+        eps = _budget(eps, s.shape, "eps")
+        _require(_leq(m_wp, eps), "mean h_wp <= eps")
+        ok &= _leq(m_cil, eps + m_tp)
     return ok
 
 
 def ood_from_tp(tp) -> np.ndarray:
     """Detector profile P'_k := tp[k]; then every h_ood entry <= h_tp."""
-    return check_distribution(tp, name="tp").copy()
+    return _distribution_rows(tp, "tp").copy()
 
 
 def tp_from_ood(profile) -> np.ndarray:
@@ -340,181 +428,47 @@ def theorem2_bound(deltas, k0):
     return float(bound) if d.ndim == 1 else bound
 
 
-def check_theorem3(report: EntropyReport, eps: float, deltas,
-                   truth: GroundTruth) -> bool:
-    """h_wp <= eps and h_ood <= deltas imply h_cil <= eps + theorem2_bound."""
+def check_theorem3(report, h_ood, eps, deltas, k0):
+    """h_wp <= eps and h_ood <= deltas imply
+    h_cil <= eps + theorem2_bound(deltas, k0).
+
+    h_ood (..., K) holds the per-task detector entropies of the report's
+    rows, deltas their budgets of the same shape and k0 the true tasks; eps
+    is one budget for all rows or one per row. Returns the verdicts.
+    """
+    h_wp, _, h_cil = _report_rows(report)
+    h = np.asarray(h_ood, dtype=np.float64)
     d = np.asarray(deltas, dtype=np.float64)
-    if not _leq(report.h_wp, eps):
-        raise HypothesisError(f"h_wp={report.h_wp} !<= eps={eps}")
-    if d.size != report.h_ood.size or any(
-            not _leq(h, dk) for h, dk in zip(report.h_ood, d)):
-        raise HypothesisError(f"h_ood={report.h_ood} !<= deltas={d}")
-    return _leq(report.h_cil, eps + theorem2_bound(d, truth.k0))
+    if h.shape[:-1] != h_wp.shape or h.ndim != h_wp.ndim + 1 \
+            or d.shape != h.shape:
+        raise ValueError(f"h_ood shape {h.shape} and deltas shape {d.shape} "
+                         f"for rows of shape {h_wp.shape}")
+    eps = _budget(eps, h_wp.shape, "eps")
+    _require(_leq(h_wp, eps) & _leq(h, d).all(axis=-1),
+             "h_wp <= eps, h_ood <= deltas")
+    return _leq(h_cil, eps + theorem2_bound(d, k0))
 
 
-@dataclass(frozen=True)
-class Theorem4Construction:
-    """Constructive witnesses extracted from a flat CIL distribution.
+def theorem4_construct(cil, topo: TaskTopology, k0, j0):
+    """From CIL rows with h_cil = eta, build WP/TP/OOD witnesses within eta.
 
-    wp_subnormalized keeps each task slice exactly as found (it need not sum
-    to 1; that is how the construction is defined, and the entropy inequality
-    is stated for that object). wp_normalized is the proper per-task
-    distribution for callers that need one; zero-mass tasks fall back to
-    uniform.
+    The WP witness of task k is the row's slice k as it stands (it need not
+    sum to 1; that is how the construction is defined), so its entropy
+    h_wp is h_cil itself. TP is the slice masses, and the detectors copy TP
+    (capped at 1 against rounding). cil (..., C) holds one distribution per
+    row and k0, j0 the truth of each row. Returns (tp, h_wp, h_tp, h_ood,
+    ok), ok whether h_tp and every h_ood entry are within h_wp.
     """
-
-    wp_subnormalized: list[np.ndarray]
-    wp_normalized: list[np.ndarray]
-    tp: np.ndarray
-    ood_profile: np.ndarray
-    h_wp: float
-    h_tp: float
-    h_ood: np.ndarray
-    wp_ok: bool
-    tp_ok: bool
-    ood_ok: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return self.wp_ok and self.tp_ok and self.ood_ok
-
-
-def theorem4_construct(cil, topo: TaskTopology,
-                       truth: GroundTruth) -> Theorem4Construction:
-    """From a CIL distribution with h_cil <= eta, build WP/TP/OOD within eta.
-
-    wp slice := the cil slice itself, tp[k] := slice mass, detector := tp.
-    Each resulting entropy is <= h_cil; the three verdict flags report this.
-    """
-    cil = check_distribution(cil, name="cil")
-    if cil.size != topo.n_classes:
-        raise ValueError(f"cil width {cil.size} != {topo.n_classes} classes")
-    truth.check(topo)
-    eta = cross_entropy(topo.flat(truth.k0, truth.j0), cil)
-    wp_sub = [cil[topo.task_slice(k)].copy() for k in range(topo.n_tasks)]
-    wp_norm = []
-    for w in wp_sub:
-        mass = w.sum()
-        wp_norm.append(w / mass if mass > 0 else np.full(w.size, 1.0 / w.size))
-    tp = np.array([w.sum() for w in wp_sub])
-    profile = np.minimum(tp, 1.0)  # fp guard: task mass may exceed 1 by rounding
-    h_wp = neg_log(wp_sub[truth.k0][truth.j0])
-    h_tp = neg_log(tp[truth.k0])
-    h_ood = ood_entropies(profile, truth.k0)
-    return Theorem4Construction(
-        wp_sub, wp_norm, tp, profile, h_wp, h_tp, h_ood,
-        wp_ok=_leq(h_wp, eta),
-        tp_ok=_leq(h_tp, eta),
-        ood_ok=all(_leq(h, eta) for h in h_ood),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Batched decomposition of many instances
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RowDecomposition:
-    """Per-instance CIL predictions and decomposed cross-entropies."""
-
-    predictions: np.ndarray
-    h_wp: np.ndarray
-    h_tp: np.ndarray
-    h_cil: np.ndarray
-
-
-def _check_rows(p: np.ndarray, name: str, sums: list[np.ndarray]) -> None:
-    if (p < 0).any() or not np.isfinite(p).all():
-        raise ValueError(f"{name} has negative or non-finite entries")
-    for s in sums:
-        bad = np.flatnonzero(np.abs(s - 1.0) > 1e-9)
-        if bad.size:
-            raise ValueError(f"{name} row {bad[0]} sums to {s[bad[0]]!r}, not 1")
-
-
-def decompose_rows(probs, log_probs, topo: TaskTopology, k0, j0, *,
-                   tp=None) -> RowDecomposition:
-    """Decompose n instances at once, one row of ``probs`` (n, C) each.
-
-    Without tp each row is a flat CIL distribution, decomposed by the
-    theorem-4 construction: TP is the slice masses renormalized, WP the
-    truth slice renormalized (uniform for a zero-mass slice). With tp (n, K)
-    each task slice of a row is that task's WP distribution and CIL is the
-    composition WP * TP. log_probs are the logs of probs (log-softmax
-    output). predictions is each CIL row's argmax, lowest index on ties;
-    k0 and j0 are the (n,) truth arrays.
-
-    A row whose truth probabilities of WP, TP and CIL all reach LOG_CLAMP
-    has the bits entropy_report gives on its theorem4_construct or
-    compose_cil parts. A row where one falls under the clamp is computed in
-    log space instead: WP from log_probs, TP from the slice log-sum-exps or
-    log tp, and h_cil = h_wp + h_tp, so the identity holds there too. A part
-    whose probability is exactly zero keeps H_MAX.
-    """
-    p = np.asarray(probs, dtype=np.float64)
-    k0 = np.asarray(k0, dtype=np.intp)
-    j0 = np.asarray(j0, dtype=np.intp)
-    if p.ndim != 2 or p.shape[1] != topo.n_classes:
-        raise ValueError(f"probs shape {p.shape} does not hold "
-                         f"{topo.n_classes} classes per row")
-    n = p.shape[0]
-    if k0.shape != (n,) or j0.shape != (n,):
-        raise ValueError(f"truth shapes {k0.shape}, {j0.shape} for {n} rows")
-    sizes = np.asarray(topo.sizes)
-    if ((k0 < 0) | (k0 >= topo.n_tasks)).any() \
-            or ((j0 < 0) | (j0 >= sizes[k0])).any():
-        raise ValueError(f"truth outside topology {topo.sizes}")
-    slices = [topo.task_slice(k) for k in range(topo.n_tasks)]
-    rows = np.arange(n)
-    flat = np.asarray(topo.offsets)[k0] + j0
-
-    if tp is None:
-        _check_rows(p, "cil", [p.sum(axis=1)])
-        mass = np.stack([p[:, s].sum(axis=1) for s in slices], axis=1)
-        m0 = mass[rows, k0]
-        p_cil = p[rows, flat]
-        p_wp = np.divide(p_cil, m0, out=1.0 / sizes[k0], where=m0 > 0)
-        p_tp = m0 / mass.sum(axis=1)
-        predictions = p.argmax(axis=1)
-    else:
-        t = np.asarray(tp, dtype=np.float64)
-        if t.shape != (n, topo.n_tasks):
-            raise ValueError(f"tp shape {t.shape} for {n} rows of "
-                             f"{topo.n_tasks} tasks")
-        _check_rows(t, "tp", [t.sum(axis=1)])
-        _check_rows(p, "wp", [p[:, s].sum(axis=1) for s in slices])
-        p_wp = p[rows, flat]
-        p_tp = t[rows, k0]
-        p_cil = p_wp * p_tp
-        task_of_col = np.repeat(np.arange(topo.n_tasks), sizes)
-        predictions = (p * t[:, task_of_col]).argmax(axis=1)
-    lp = np.asarray(log_probs, dtype=np.float64)
-    if lp.shape != p.shape or not (lp < np.inf).all() \
-            or (lp.max(axis=1) == -np.inf).any():
-        raise ValueError("log_probs must match probs, with no NaN, no +inf "
-                         "and no all -inf row")
-    h_wp, h_tp, h_cil = (-np.log(np.maximum(x, LOG_CLAMP))
-                         for x in (p_wp, p_tp, p_cil))
-
-    low = np.flatnonzero((p_wp < LOG_CLAMP) | (p_tp < LOG_CLAMP)
-                         | (p_cil < LOG_CLAMP))
-    if low.size:
-        lp, k, r = lp[low], k0[low], np.arange(low.size)
-        log_wp = lp[r, flat[low]]
-        if tp is None:
-            lse = np.stack([logsumexp(lp[:, s]) for s in slices], axis=1)
-            l0 = lse[r, k]
-            log_tp = l0 - logsumexp(lse)
-            # a zero-mass truth slice gives a uniform WP, as in theorem 4
-            log_wp = np.subtract(log_wp, l0, out=-np.log(sizes[k]),
-                                 where=l0 > -np.inf)
-        else:
-            with np.errstate(divide="ignore"):
-                log_tp = np.log(t[low, k])
-        h_wp[low] = np.where(log_wp == -np.inf, H_MAX, -log_wp)
-        h_tp[low] = np.where(log_tp == -np.inf, H_MAX, -log_tp)
-        h_cil[low] = h_wp[low] + h_tp[low]
-    return RowDecomposition(predictions, h_wp, h_tp, h_cil)
+    c = _distribution_rows(cil, "cil")
+    if c.shape[-1] != topo.n_classes:
+        raise ValueError(f"cil width {c.shape[-1]} != {topo.n_classes} classes")
+    k0, flat = _truth(topo, k0, j0, c.shape[:-1])
+    eta = cross_entropy(flat, c)
+    tp = _slice_masses(c, topo)
+    h_tp = cross_entropy(k0, tp)
+    h_ood = ood_entropies(np.minimum(tp, 1.0), k0)
+    ok = _leq(h_tp, eta) & _leq(h_ood, np.asarray(eta)[..., None]).all(axis=-1)
+    return tp, eta, h_tp, h_ood, ok
 
 
 # ---------------------------------------------------------------------------
@@ -533,23 +487,18 @@ def _check_taus(taus, shape: tuple[int, ...]) -> np.ndarray:
     return t
 
 
-def theorem5_ood_from_tp(tp, taus, truth) -> tuple[np.ndarray, np.ndarray]:
+def theorem5_ood_from_tp(tp, taus, k0) -> tuple[np.ndarray, np.ndarray]:
     """Detectors P'_k = tp[k]^(1/tau_k) and their per-task entropy bounds.
 
     With delta = h_tp, bound_k = max(delta / tau_k,
     -log(1 - (1 - exp(-delta))^(1/tau_k))); each h_ood entry of the returned
     profile is within its bound. All tau = 1 reduces to ood_from_tp with
     bound delta. A 2-D tp holds one task distribution per row, taus one
-    temperature per entry and truth the (n,) true tasks in place of a
-    GroundTruth; each row has the bits of the 1-D call.
+    temperature per entry and k0 the (n,) true tasks; each row has the bits
+    of the 1-D call.
     """
-    tp = np.asarray(tp, dtype=np.float64)
-    if tp.ndim == 2 and tp.size:
-        _check_rows(tp, "tp", [tp.sum(axis=1)])
-    else:
-        tp = check_distribution(tp, name="tp")
+    tp = _distribution_rows(tp, "tp")
     t = _check_taus(taus, tp.shape)
-    k0 = truth.k0 if isinstance(truth, GroundTruth) else truth
     delta = np.asarray(cross_entropy(k0, tp))[..., None]
     profile = tp ** (1.0 / t)
     grow = -np.log(np.maximum(1.0 - (1.0 - np.exp(-delta)) ** (1.0 / t),

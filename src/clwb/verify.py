@@ -75,7 +75,7 @@ def _instance_batch(rng: np.random.Generator, n: int):
     distributions (gamma ratios are Dirichlet). The padding holds zero
     probability: classes past a task's width in wp, tasks past n_tasks in
     tp. Padded tasks keep a distribution in wp so every row is a valid
-    ``decompose_rows`` input, and the truth entries, hence every
+    ``th.entropy_report`` input, and the truth entries, hence every
     cross-entropy, are the unpadded ones.
     """
     n_tasks, sizes = _topologies(rng, n)
@@ -151,10 +151,6 @@ def _dump(**parts) -> str:
     return "; ".join(f"{k}={_plain(v)!r}" for k, v in parts.items())
 
 
-def _topology(sizes: np.ndarray) -> th.TaskTopology:
-    return th.TaskTopology(tuple(sizes.tolist()))
-
-
 def _chunks(trials: int):
     for start in range(0, trials, BATCH):
         yield min(BATCH, trials - start)
@@ -162,8 +158,8 @@ def _chunks(trials: int):
 
 @dataclass
 class _Decomposed:
-    """A batch from ``_instance_batch`` and its decomposition by
-    ``th.decompose_rows``, the kernel eval decomposes with."""
+    """A batch from ``_instance_batch`` and its ``th.entropy_report``, the
+    kernel eval decomposes with."""
 
     n_tasks: np.ndarray
     sizes: np.ndarray
@@ -171,14 +167,14 @@ class _Decomposed:
     tp: np.ndarray
     k0: np.ndarray
     j0: np.ndarray
-    d: th.RowDecomposition
+    d: th.EntropyReport
 
     @classmethod
     def draw(cls, rng: np.random.Generator, n: int) -> _Decomposed:
         n_tasks, sizes, wp, tp, k0, j0 = _instance_batch(rng, n)
         flat = wp.reshape(n, -1)
         with np.errstate(divide="ignore"):
-            d = th.decompose_rows(flat, np.log(flat), _PAD, k0, j0, tp=tp)
+            d = th.entropy_report(flat, np.log(flat), _PAD, k0, j0, tp=tp)
         return cls(n_tasks, sizes, wp, tp, k0, j0, d)
 
     def instance(self, i: int) -> dict:
@@ -194,23 +190,9 @@ class _Decomposed:
                     h_ood=th.ood_entropies(self.tp[i, :self.n_tasks[i]],
                                            self.k0[i]))
 
-    def scalar_report(self, i: int):
-        """``th.entropy_report`` on instance i, its truth, and whether the
-        report has the bits of row i."""
-        f = self.instance(i)
-        truth = th.GroundTruth(int(self.k0[i]), int(self.j0[i]))
-        r = th.entropy_report(truth, _topology(f["sizes"]), wp=f["wp"],
-                              tp=f["tp"], validate=False)
-        d = self.d
-        same = (r.h_wp, r.h_tp, r.h_cil) == (d.h_wp[i], d.h_tp[i], d.h_cil[i])
-        return r, truth, same
-
 
 # Each suite yields (verdicts (n,), dump) per batch of n consecutive trials;
-# dump(i) formats trial i of that batch until the suite moves on. A suite
-# that stands in for a scalar predicate of ``clwb.theory`` also runs that
-# predicate on the first trial of each batch, and the trial fails unless the
-# two agree on the verdict and, bit for bit, on the h values.
+# dump(i) formats trial i of that batch until the suite moves on.
 
 def _suite_identity(rng, trials):
     for n in _chunks(trials):
@@ -224,9 +206,7 @@ def _suite_theorem1(rng, trials):
     hold and the verdict is h_cil <= h_wp + h_tp."""
     for n in _chunks(trials):
         b = _Decomposed.draw(rng, n)
-        ok = th._leq(b.d.h_cil, b.d.h_wp + b.d.h_tp)
-        r, _, same = b.scalar_report(0)
-        ok[0] &= same and th.check_theorem1(r, r.h_wp, r.h_tp)
+        ok = th.check_theorem1(b.d, b.d.h_wp, b.d.h_tp)
         yield ok, lambda i: _dump(**b.instance(i), report=b.report(i))
 
 
@@ -243,14 +223,9 @@ def _suite_corollary1(rng, trials):
         m = counts[start:stop]
         firsts = ends[start:stop] - m - base
         b = _Decomposed.draw(rng, int(m.sum()))
-        m_wp, m_tp, m_cil = np.add.reduceat(
-            np.stack([b.d.h_wp, b.d.h_tp, b.d.h_cil]), firsts, axis=1) / m
-        ok = th._leq(m_cil, m_wp + m_tp)
-        first = [b.scalar_report(j) for j in range(m[0])]
-        reports = [r for r, _, _ in first]
-        ok[0] &= all(same for _, _, same in first) and th.check_corollary1(
-            reports, eps=float(np.mean([r.h_wp for r in reports])),
-            delta=float(np.mean([r.h_tp for r in reports])))
+        m_wp, m_tp = np.add.reduceat(np.stack([b.d.h_wp, b.d.h_tp]), firsts,
+                                     axis=1) / m
+        ok = th.check_corollary1(b.d, firsts, eps=m_wp, delta=m_tp)
 
         def dump(i):
             group = range(firsts[i], firsts[i] + m[i])
@@ -266,7 +241,7 @@ def _suite_theorem2(rng, trials):
     for n in _chunks(trials):
         n_tasks, k0, tp, q = _task_batch(rng, n)
         # (i) detectors copied from the task distribution
-        h_ood = th.ood_entropies(tp, k0)
+        h_ood = th.ood_entropies(th.ood_from_tp(tp), k0)
         h_tp = th.cross_entropy(k0, tp)
         ok_i = (h_ood <= h_tp[:, None] + IDENTITY_TOL).all(axis=1)
         # (ii) task distribution normalized from arbitrary detectors
@@ -283,34 +258,22 @@ def _suite_theorem3(rng, trials):
     hypotheses hold and the verdict is h_cil <= h_wp + theorem2_bound."""
     for n in _chunks(trials):
         b = _Decomposed.draw(rng, n)
-        bound = th.theorem2_bound(th.ood_entropies(b.tp, b.k0), b.k0)
-        ok = th._leq(b.d.h_cil, b.d.h_wp + bound)
-        r, truth, same = b.scalar_report(0)
-        ok[0] &= same and th.check_theorem3(r, r.h_wp, r.h_ood, truth)
+        h_ood = th.ood_entropies(b.tp, b.k0)
+        ok = th.check_theorem3(b.d, h_ood, b.d.h_wp, h_ood, b.k0)
         yield ok, lambda i: _dump(**b.instance(i), report=b.report(i))
 
 
 def _suite_theorem4(rng, trials):
-    """The theorem-4 witnesses: each WP slice is the CIL slice, so h_wp is
-    h_cil itself; TP is the slice masses and the detectors copy TP."""
     for n in _chunks(trials):
         n_tasks, sizes, cil, k0, j0 = _cil_batch(rng, n)
-        eta = th.cross_entropy(k0 * _WIDTH + j0, cil.reshape(n, -1))
-        mass = cil.sum(axis=2)
-        h_tp = th.cross_entropy(k0, mass)
-        h_ood = th.ood_entropies(np.minimum(mass, 1.0), k0)
-        ok = th._leq(h_tp, eta) & th._leq(h_ood, eta[:, None]).all(axis=1)
+        _, eta, h_tp, h_ood, ok = th.theorem4_construct(cil.reshape(n, -1),
+                                                         _PAD, k0, j0)
 
         def instance(i):
             s = sizes[i, :n_tasks[i]]
             classes = cil[i, :s.size][np.arange(_WIDTH) < s[:, None]]
             return dict(sizes=s, cil=classes, truth=(k0[i], j0[i]))
 
-        f = instance(0)
-        c = th.theorem4_construct(f["cil"], _topology(f["sizes"]),
-                                  th.GroundTruth(int(k0[0]), int(j0[0])))
-        ok[0] &= (c.all_ok and (c.h_wp, c.h_tp) == (eta[0], h_tp[0])
-                  and np.array_equal(c.h_ood, h_ood[0, :n_tasks[0]]))
         yield ok, lambda i: _dump(**instance(i), h=(
             eta[i], h_tp[i], h_ood[i, :n_tasks[i]]))
 

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import oracles
 from clwb import backbones as bb
 from clwb import composer as cp
 from clwb import data as dt
@@ -85,15 +86,15 @@ def _old_predict_all(cfg, route, per_task_logits, per_task_scores, topo,
     reports = []
     for i in range(n):
         row_logits = [per_task_logits[k][i] for k in range(topo.n_tasks)]
-        truth = th.GroundTruth(int(test_task_of[i]), int(truth_local[i]))
+        truth = oracles.GroundTruth(int(test_task_of[i]), int(truth_local[i]))
         if route == "compose":
             wp = [cp.wp_temperature(v, cfg.predict.nu) for v in row_logits]
             tp = _old_tp_for(cfg, row_logits,
                              np.array([s[i] for s in per_task_scores]))
-            cil = th.compose_cil(wp, tp, topo, validate=False)
+            cil = oracles.compose_cil(wp, tp, topo, validate=False)
             predictions[i] = int(np.argmax(cil))
-            reports.append(th.entropy_report(truth, topo, wp=wp, tp=tp,
-                                             validate=False))
+            reports.append(oracles.entropy_report(truth, topo, wp=wp, tp=tp,
+                                                  validate=False))
         else:
             if route == "calibrated":
                 concat = cp.calibrated_logits(row_logits, calibration)
@@ -102,8 +103,8 @@ def _old_predict_all(cfg, route, per_task_logits, per_task_scores, topo,
             predictions[i] = int(np.argmax(concat))
             cil = np.exp(concat - concat.max())
             cil /= cil.sum()
-            construction = th.theorem4_construct(cil, topo, truth)
-            reports.append(th.entropy_report(
+            construction = oracles.theorem4_construct(cil, topo, truth)
+            reports.append(oracles.entropy_report(
                 truth, topo, wp=construction.wp_normalized,
                 tp=construction.tp / construction.tp.sum(), cil=cil,
                 validate=False))
@@ -450,3 +451,42 @@ def test_calibration_buffer_logits_match_single_rows(run, request,
                                               net.heads[k].width
                                               // (4 if rotation else 1))
         np.testing.assert_allclose(rows, single, rtol=0, atol=1e-12)
+
+
+def test_drop_classes_removes_and_renumbers(tmp_path):
+    # eight classes of three 2x2 images; pixel (0, 0) encodes the class
+    labels = np.repeat(np.arange(8), 3)
+    images = np.zeros((labels.size, 2, 2))
+    images[:, 0, 0] = labels * 20 / 255
+    paths = {}
+    for part, blob in (("images", images), ("labels", labels)):
+        paths[part] = tmp_path / f"{part}.idx"
+        paths[part].write_bytes(dt.serialize_idx(blob))
+    cfg = parse_config(f"""
+[experiment]
+seed = 1
+out = {tmp_path / 'run'}
+
+[data]
+source = idx
+train_images = {paths['images']}
+train_labels = {paths['labels']}
+test_images = {paths['images']}
+test_labels = {paths['labels']}
+
+[tasks]
+count = 3
+classes_per_task = 2
+drop_classes = 1, 4
+""")
+    seq = ex.build_tasks(cfg)
+    assert seq.n_tasks == 3
+    assert [c for g in seq.class_map for c in g] == list(range(6))
+    survivors = np.array([0, 2, 3, 5, 6, 7])
+    for k, (train, test) in enumerate(seq.tasks):
+        for part in (train, test):
+            original = np.round(part.images[:, 0, 0] * 255 / 20).astype(int)
+            assert part.n_classes == 2 and part.labels.size == 6
+            assert not np.isin(original, [1, 4]).any()
+            np.testing.assert_array_equal(survivors[2 * k + part.labels],
+                                          original)

@@ -54,6 +54,16 @@ class TestAuc:
             np.exp(scale * np.asarray(ood, dtype=float) / 50.0))
         assert mt.auc(pop) == pytest.approx(mt.auc(stretched), abs=1e-12)
 
+    def test_large_tied_populations_use_the_pairwise_count(self, monkeypatch):
+        # > 10,000 rows per side with ties: pair counting is exact at any
+        # size and gives the rank-sum reference's bits
+        rng = np.random.default_rng(2)
+        pop = mt.ScoredPopulation(np.round(rng.normal(0.3, 1, 12_000), 2),
+                                  np.round(rng.normal(size=10_500), 2))
+        reference = mt.auc_ranksum(pop)
+        monkeypatch.setattr(mt, "auc_ranksum", None)
+        assert mt.auc(pop) == reference
+
 
 class TestAverages:
     def test_avg_auc(self):

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from clwb import theory as th
 
 TOPO22 = th.TaskTopology((2, 2))
-TRUTH00 = th.GroundTruth(0, 0)
 
-# worked two-task instance reused throughout
-WP = [np.array([0.6, 0.4]), np.array([0.9, 0.1])]
+# worked two-task instance reused throughout: WP of each task in its slice
+WP = np.array([0.6, 0.4, 0.9, 0.1])
 TP = np.array([0.7, 0.3])
 
 
@@ -21,15 +21,29 @@ def rand_distribution(rng, n, alpha=1.0):
 
 
 def rand_instance(rng, max_tasks=6, max_classes=5):
+    """(topo, wp, tp, k0, j0): wp the flat concatenation of the tasks' WP."""
     sizes = tuple(int(rng.integers(1, max_classes + 1))
                   for _ in range(int(rng.integers(1, max_tasks + 1))))
     topo = th.TaskTopology(sizes)
     alpha = float(rng.choice([0.2, 1.0, 5.0]))
-    wp = [rand_distribution(rng, s, alpha) for s in sizes]
+    wp = np.concatenate([rand_distribution(rng, s, alpha) for s in sizes])
     tp = rand_distribution(rng, len(sizes), alpha)
     k0 = int(rng.integers(len(sizes)))
-    truth = th.GroundTruth(k0, int(rng.integers(sizes[k0])))
-    return topo, wp, tp, truth
+    return topo, wp, tp, k0, int(rng.integers(sizes[k0]))
+
+
+def report1(wp, tp, topo=TOPO22, k0=0, j0=0):
+    """th.entropy_report of one composed instance, as a one-row batch."""
+    wp = np.atleast_2d(wp)
+    with np.errstate(divide="ignore"):
+        return th.entropy_report(wp, np.log(wp), topo, [k0], [j0],
+                                 tp=np.atleast_2d(tp))
+
+
+def rows(**h):
+    """A report of the given h_wp, h_tp and h_cil rows."""
+    return th.EntropyReport(None, *(np.asarray(h[f], dtype=float)
+                                    for f in ("h_wp", "h_tp", "h_cil")))
 
 
 class TestTopology:
@@ -50,10 +64,11 @@ class TestTopology:
             th.TaskTopology((2, 0))
 
     def test_truth_validation(self):
-        with pytest.raises(ValueError):
-            th.GroundTruth(2, 0).check(TOPO22)
-        with pytest.raises(ValueError):
-            th.GroundTruth(0, 2).check(TOPO22)
+        for k0, j0 in ((2, 0), (0, 2), (-1, 0)):
+            with pytest.raises(ValueError, match="outside topology"):
+                th.theorem4_construct([0.25] * 4, TOPO22, k0, j0)
+            with pytest.raises(ValueError, match="outside topology"):
+                report1(WP, TP, k0=k0, j0=j0)
 
 
 class TestCrossEntropy:
@@ -84,81 +99,127 @@ class TestComposeCil:
 
     def test_single_task_identity(self):
         topo = th.TaskTopology((3,))
-        wp = [np.array([0.2, 0.5, 0.3])]
-        np.testing.assert_array_equal(th.compose_cil(wp, [1.0], topo), wp[0])
+        wp = np.array([0.2, 0.5, 0.3])
+        np.testing.assert_array_equal(th.compose_cil(wp, [1.0], topo), wp)
 
     def test_one_hot_tp_annihilates_other_tasks(self):
         out = th.compose_cil(WP, [0.0, 1.0], TOPO22)
         assert not out[TOPO22.task_slice(0)].any()
-        np.testing.assert_array_equal(out[TOPO22.task_slice(1)], WP[1])
+        np.testing.assert_array_equal(out[TOPO22.task_slice(1)], WP[2:])
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            th.compose_cil(WP, [1.0], TOPO22)
-        with pytest.raises(ValueError):
-            th.compose_cil([WP[0]], TP, TOPO22)
+        for wp, tp in ((WP, [1.0]), (WP[:2], TP), ([WP, WP], TP),
+                       (WP, [TP, TP]), (WP, 1.0)):
+            with pytest.raises(ValueError, match="do not fit"):
+                th.compose_cil(wp, tp, TOPO22)
+
+    def test_rows_must_be_distributions(self):
+        with pytest.raises(ValueError, match="tp row 1 sums"):
+            th.compose_cil([WP, WP], [TP, [0.5, 0.6]], TOPO22)
+        with pytest.raises(ValueError, match="wp row 1 sums"):
+            th.compose_cil([WP, [0.6, 0.4, 0.9, 0.2]], [TP, TP], TOPO22)
+        with pytest.raises(ValueError, match="negative"):
+            th.compose_cil([1.2, -0.2, 0.9, 0.1], TP, TOPO22)
 
 
 class TestEntropyReport:
     def test_worked_example_and_identity(self):
-        r = th.entropy_report(TRUTH00, TOPO22, wp=WP, tp=TP)
-        assert r.h_wp == pytest.approx(0.5108256237659907, rel=1e-12)
-        assert r.h_tp == pytest.approx(0.3566749439387324, rel=1e-12)
-        assert r.h_cil == pytest.approx(0.8675005677047231, rel=1e-12)
-        assert abs(r.h_cil - (r.h_wp + r.h_tp)) < 1e-9
+        r = report1(WP, TP)
+        assert r.h_wp[0] == pytest.approx(0.5108256237659907, rel=1e-12)
+        assert r.h_tp[0] == pytest.approx(0.3566749439387324, rel=1e-12)
+        assert r.h_cil[0] == pytest.approx(0.8675005677047231, rel=1e-12)
+        assert abs(r.h_cil - (r.h_wp + r.h_tp))[0] < 1e-9
 
     def test_one_hot_all_zero(self):
-        r = th.entropy_report(TRUTH00, TOPO22,
-                              wp=[np.array([1.0, 0.0]), np.array([1.0, 0.0])],
-                              tp=np.array([1.0, 0.0]))
-        assert r.h_wp == r.h_tp == r.h_cil == 0.0
+        r = report1([1.0, 0.0, 1.0, 0.0], [1.0, 0.0])
+        assert r.h_wp[0] == r.h_tp[0] == r.h_cil[0] == 0.0
 
     def test_uniform_tp(self):
         topo = th.TaskTopology((1,) * 4)
-        r = th.entropy_report(th.GroundTruth(2, 0), topo,
-                              wp=[np.ones(1)] * 4, tp=np.full(4, 0.25))
-        assert r.h_tp == pytest.approx(np.log(4.0), rel=1e-12)
+        r = report1(np.ones(4), np.full(4, 0.25), topo, k0=2)
+        assert r.h_tp[0] == pytest.approx(np.log(4.0), rel=1e-12)
 
     def test_truth_outside_topology(self):
         with pytest.raises(ValueError):
-            th.entropy_report(th.GroundTruth(5, 0), TOPO22, wp=WP, tp=TP)
+            report1(WP, TP, k0=5)
 
 
 class TestTheorem1:
     def test_worked_example(self):
-        r = th.entropy_report(TRUTH00, TOPO22, wp=WP, tp=TP)
-        assert th.check_theorem1(r, eps=0.52, delta=0.36)
+        assert th.check_theorem1(report1(WP, TP), eps=0.52, delta=0.36)[0]
 
     def test_zero_budgets(self):
-        r = th.entropy_report(TRUTH00, TOPO22,
-                              wp=[np.array([1.0, 0.0]), np.array([0.5, 0.5])],
-                              tp=np.array([1.0, 0.0]))
-        assert th.check_theorem1(r, eps=0.0, delta=0.0)
+        r = report1([1.0, 0.0, 0.5, 0.5], [1.0, 0.0])
+        assert th.check_theorem1(r, eps=0.0, delta=0.0)[0]
 
     def test_hypothesis_violation_is_not_a_verdict(self):
-        r = th.entropy_report(TRUTH00, TOPO22, wp=WP, tp=TP)
-        with pytest.raises(th.HypothesisError):
-            th.check_theorem1(r, eps=0.1, delta=0.36)
+        with pytest.raises(th.HypothesisError, match="row 0"):
+            th.check_theorem1(report1(WP, TP), eps=0.1, delta=0.36)
+
+    def test_names_the_first_violating_row(self):
+        r = rows(h_wp=[0.1, 0.5, 0.2], h_tp=[0.2, 0.2, 0.9],
+                 h_cil=[0.3, 0.7, 1.1])
+        assert th.check_theorem1(r, 0.5, 0.9).tolist() == [True] * 3
+        # an unmet verdict is a False row, not an error
+        assert th.check_theorem1(rows(h_wp=0.1, h_tp=0.1, h_cil=0.3),
+                                 0.1, 0.1) == np.False_
+        with pytest.raises(th.HypothesisError, match="row 2"):
+            th.check_theorem1(r, 0.5, [0.9, 0.9, 0.5])
+
+    def test_shape_errors(self):
+        r = rows(h_wp=[0.1, 0.5], h_tp=[0.2, 0.2], h_cil=[0.3, 0.7])
+        with pytest.raises(ValueError, match="eps of shape"):
+            th.check_theorem1(r, [1.0, 1.0, 1.0], 1.0)
+        with pytest.raises(ValueError, match="report h_wp"):
+            th.check_theorem1(rows(h_wp=[0.1], h_tp=[0.2, 0.2],
+                                   h_cil=[0.3, 0.7]), 1.0, 1.0)
 
 
 class TestCorollary1:
     def test_two_reports(self):
-        rs = [th.EntropyReport(0.5, 0.3, 0.8, np.zeros(2)),
-              th.EntropyReport(0.1, 0.2, 0.3, np.zeros(2))]
-        assert th.check_corollary1(rs, eps=0.3, delta=0.25)
+        r = rows(h_wp=[0.5, 0.1], h_tp=[0.3, 0.2], h_cil=[0.8, 0.3])
+        assert th.check_corollary1(r, eps=0.3, delta=0.25).tolist() == [True]
 
     def test_single_report_reduces_to_theorem1(self):
-        r = th.entropy_report(TRUTH00, TOPO22, wp=WP, tp=TP)
-        assert th.check_corollary1([r], eps=r.h_wp, delta=r.h_tp) == \
+        r = report1(WP, TP)
+        assert th.check_corollary1(r, eps=r.h_wp, delta=r.h_tp) == \
             th.check_theorem1(r, r.h_wp, r.h_tp)
 
     def test_all_zero(self):
-        rs = [th.EntropyReport(0.0, 0.0, 0.0, np.zeros(2))] * 3
-        assert th.check_corollary1(rs, eps=0.0, delta=0.0)
+        r = rows(h_wp=np.zeros(3), h_tp=np.zeros(3), h_cil=np.zeros(3))
+        assert th.check_corollary1(r, eps=0.0, delta=0.0).all()
 
     def test_empty(self):
+        empty = rows(h_wp=[], h_tp=[], h_cil=[])
         with pytest.raises(ValueError):
-            th.check_corollary1([], delta=1.0)
+            th.check_corollary1(empty, delta=1.0)
+
+    def test_groups_and_their_hypotheses(self):
+        r = rows(h_wp=[0.5, 0.1, 0.4, 0.0], h_tp=[0.3, 0.2, 0.1, 0.5],
+                 h_cil=[0.8, 0.3, 0.5, 0.5])
+        # groups [0, 1], [2], [3]: means (0.3, 0.25), (0.4, 0.1), (0.0, 0.5)
+        assert th.check_corollary1(r, [0, 2, 3], eps=[0.3, 0.4, 0.0],
+                                   delta=0.5).tolist() == [True] * 3
+        # an unmet verdict: mean h_cil 0.3 against mean h_wp 0.1 + delta 0.1
+        off = rows(h_wp=[0.1, 0.1], h_tp=[0.1, 0.1], h_cil=[0.3, 0.1])
+        assert th.check_corollary1(off, [0, 1], delta=0.1).tolist() == \
+            [False, True]
+        with pytest.raises(th.HypothesisError, match="mean h_tp .* row 2"):
+            th.check_corollary1(r, [0, 2, 3], delta=0.3)
+        with pytest.raises(th.HypothesisError, match="mean h_wp .* row 1"):
+            th.check_corollary1(r, [0, 2, 3], eps=[0.3, 0.3, 0.3])
+
+    def test_shape_errors(self):
+        r = rows(h_wp=[0.5, 0.1], h_tp=[0.3, 0.2], h_cil=[0.8, 0.3])
+        with pytest.raises(ValueError, match="provide"):
+            th.check_corollary1(r)
+        for starts in ([1], [0, 0], [0, 2], [], [[0]]):
+            with pytest.raises(ValueError, match="starts"):
+                th.check_corollary1(r, starts, delta=1.0)
+        with pytest.raises(ValueError, match="delta of shape"):
+            th.check_corollary1(r, [0, 1], delta=[1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="nonempty batch"):
+            th.check_corollary1(rows(h_wp=0.1, h_tp=0.1, h_cil=0.2), delta=1.0)
 
 
 class TestTheorem2:
@@ -172,6 +233,14 @@ class TestTheorem2:
     def test_one_hot_tp(self):
         h = th.ood_entropies(th.ood_from_tp([0.0, 1.0]), 1)
         np.testing.assert_array_equal(h, [0.0, 0.0])
+
+    def test_profile_rows_from_tp_rows(self):
+        np.testing.assert_array_equal(th.ood_from_tp([TP, [0.0, 1.0]]),
+                                      [TP, [0.0, 1.0]])
+        with pytest.raises(ValueError, match="tp row 1 sums"):
+            th.ood_from_tp([TP, [0.5, 0.6]])
+        with pytest.raises(ValueError, match="nonempty"):
+            th.ood_from_tp(np.zeros((2, 0)))
 
     def test_tp_from_profile(self):
         np.testing.assert_allclose(th.tp_from_ood([0.5, 0.5]), [0.5, 0.5])
@@ -205,41 +274,89 @@ class TestTheorem2:
 
 class TestTheorem3:
     def test_one_hot(self):
-        r = th.entropy_report(TRUTH00, TOPO22,
-                              wp=[np.array([1.0, 0.0]), np.array([0.5, 0.5])],
-                              tp=np.array([1.0, 0.0]))
-        assert th.check_theorem3(r, 0.0, [0.0, 0.0], TRUTH00)
+        r = report1([1.0, 0.0, 0.5, 0.5], [1.0, 0.0])
+        assert th.check_theorem3(r, [[0.0, 0.0]], 0.0, [[0.0, 0.0]], [0])[0]
 
     def test_worked_chain(self):
-        r = th.entropy_report(TRUTH00, TOPO22, wp=WP, tp=TP)
-        assert th.check_theorem3(r, r.h_wp, r.h_ood, TRUTH00)
+        r = report1(WP, TP)
+        h_ood = th.ood_entropies([TP], [0])
+        assert th.check_theorem3(r, h_ood, r.h_wp, h_ood, [0])[0]
 
     def test_hypothesis_error(self):
-        r = th.entropy_report(TRUTH00, TOPO22, wp=WP, tp=TP)
-        with pytest.raises(th.HypothesisError):
-            th.check_theorem3(r, r.h_wp, np.zeros(2), TRUTH00)
+        r = report1(WP, TP)
+        h_ood = th.ood_entropies([TP], [0])
+        with pytest.raises(th.HypothesisError, match="row 0"):
+            th.check_theorem3(r, h_ood, r.h_wp, np.zeros((1, 2)), [0])
+
+    def test_verdict_is_h_cil_within_eps_plus_the_bound(self):
+        # deltas ln 2 on two tasks: theorem2_bound is 2, so the bar is 2.1
+        r = rows(h_wp=[0.1, 0.1], h_tp=[0.5, 0.5], h_cil=[2.05, 2.15])
+        h_ood = np.full((2, 2), np.log(2.0))
+        assert th.check_theorem3(r, h_ood, 0.1, h_ood, [0, 1]).tolist() == \
+            [True, False]
+
+    def test_names_the_first_violating_row(self):
+        r = rows(h_wp=[0.1, 0.1, 0.1], h_tp=[0.4] * 3, h_cil=[0.5] * 3)
+        h_ood = np.full((3, 2), 0.4)
+        deltas = h_ood.copy()
+        deltas[1, 1] = 0.3
+        with pytest.raises(th.HypothesisError, match="row 1"):
+            th.check_theorem3(r, h_ood, 0.1, deltas, [0, 0, 0])
+        with pytest.raises(th.HypothesisError, match="row 2"):
+            th.check_theorem3(r, h_ood, [0.1, 0.1, 0.0], h_ood, [0, 0, 0])
+
+    def test_shape_errors(self):
+        r = rows(h_wp=[0.1, 0.1], h_tp=[0.4] * 2, h_cil=[0.5] * 2)
+        h_ood = np.full((2, 2), 0.4)
+        for h, d in ((h_ood, h_ood[:, :1]), (h_ood[0], h_ood[0]),
+                     (h_ood[:1], h_ood[:1]), (h_ood[None], h_ood[None])):
+            with pytest.raises(ValueError, match="h_ood shape"):
+                th.check_theorem3(r, h, 0.1, d, [0, 0])
+        with pytest.raises(ValueError, match="eps of shape"):
+            th.check_theorem3(r, h_ood, [0.1] * 3, h_ood, [0, 0])
 
 
 class TestTheorem4:
     def test_worked_example(self):
-        c = th.theorem4_construct([0.42, 0.28, 0.27, 0.03], TOPO22, TRUTH00)
-        assert c.h_wp == pytest.approx(0.8675005677047231, rel=1e-12)
-        assert c.h_tp == pytest.approx(-np.log(0.7), rel=1e-12)
-        assert c.h_ood[0] == pytest.approx(-np.log(0.7), rel=1e-12)
-        assert c.all_ok
-        # sub-normalized slices are the raw cil slices
-        np.testing.assert_array_equal(c.wp_subnormalized[0], [0.42, 0.28])
-        np.testing.assert_allclose(c.wp_normalized[0], [0.6, 0.4], rtol=1e-12)
-        np.testing.assert_allclose(c.tp, [0.7, 0.3], rtol=1e-12)
+        tp, h_wp, h_tp, h_ood, ok = th.theorem4_construct(
+            [0.42, 0.28, 0.27, 0.03], TOPO22, 0, 0)
+        assert h_wp == pytest.approx(0.8675005677047231, rel=1e-12)
+        assert h_tp == pytest.approx(-np.log(0.7), rel=1e-12)
+        assert h_ood[0] == pytest.approx(-np.log(0.7), rel=1e-12)
+        assert ok
+        np.testing.assert_allclose(tp, [0.7, 0.3], rtol=1e-12)
 
     def test_one_hot(self):
-        c = th.theorem4_construct([1.0, 0.0, 0.0, 0.0], TOPO22, TRUTH00)
-        assert c.h_wp == c.h_tp == 0.0
-        assert c.all_ok
+        _, h_wp, h_tp, _, ok = th.theorem4_construct([1.0, 0.0, 0.0, 0.0],
+                                                     TOPO22, 0, 0)
+        assert h_wp == h_tp == 0.0
+        assert ok
 
     def test_zero_mass_task_normalizes_uniform(self):
-        c = th.theorem4_construct([0.6, 0.4, 0.0, 0.0], TOPO22, TRUTH00)
-        np.testing.assert_array_equal(c.wp_normalized[1], [0.5, 0.5])
+        cil = np.array([[0.6, 0.4, 0.0, 0.0]])
+        tp, _, _, h_ood, ok = th.theorem4_construct(cil, TOPO22, [0], [0])
+        np.testing.assert_array_equal(tp, [[1.0, 0.0]])
+        assert ok[0] and not h_ood.any()
+        # the decomposition of that row normalizes the empty slice uniform
+        with np.errstate(divide="ignore"):
+            r = th.entropy_report(cil, np.log(cil), TOPO22, [1], [0])
+        assert r.h_wp[0] == pytest.approx(np.log(2.0))
+
+    def test_rows_and_shape_errors(self):
+        cil = np.array([[0.42, 0.28, 0.27, 0.03], [0.1, 0.2, 0.3, 0.4]])
+        tp, h_wp, _, h_ood, ok = th.theorem4_construct(cil, TOPO22, [0, 1],
+                                                       [0, 1])
+        assert tp.shape == h_ood.shape == (2, 2) and ok.tolist() == [True] * 2
+        assert h_wp[1] == th.cross_entropy(3, cil[1])
+        with pytest.raises(ValueError, match="cil width"):
+            th.theorem4_construct(cil[:, :3] / cil[:, :3].sum(axis=1,
+                                                            keepdims=True),
+                                  TOPO22, [0, 1], [0, 1])
+        with pytest.raises(ValueError, match="truth shapes"):
+            th.theorem4_construct(cil, TOPO22, [0], [0])
+        with pytest.raises(ValueError, match="cil row 1 sums"):
+            th.theorem4_construct([cil[0], cil[1] * 2], TOPO22, [0, 1],
+                                  [0, 1])
 
 
 class TestTheorem5:
@@ -248,16 +365,15 @@ class TestTheorem5:
         for _ in range(100):
             n = int(rng.integers(1, 6))
             tp = rand_distribution(rng, n)
-            truth = th.GroundTruth(int(rng.integers(n)), 0)
-            profile5, _ = th.theorem5_ood_from_tp(tp, np.ones(n), truth)
+            profile5, _ = th.theorem5_ood_from_tp(tp, np.ones(n),
+                                                  int(rng.integers(n)))
             np.testing.assert_array_equal(profile5, th.ood_from_tp(tp))
             q = rng.uniform(size=n)
             np.testing.assert_array_equal(
                 th.theorem5_tp_from_ood(q, np.ones(n)), th.tp_from_ood(q))
 
     def test_worked_example(self):
-        truth = th.GroundTruth(0, 0)
-        profile, bounds = th.theorem5_ood_from_tp([0.7, 0.3], [2.0, 2.0], truth)
+        profile, bounds = th.theorem5_ood_from_tp([0.7, 0.3], [2.0, 2.0], 0)
         assert profile[0] == pytest.approx(0.8366600265340755, rel=1e-12)
         h0 = th.ood_entropies(profile, 0)[0]
         assert h0 == pytest.approx(0.1783374719693662, rel=1e-12)
@@ -291,12 +407,13 @@ class TestFuzzedInvariants:
     def test_identity_and_theorems_hold(self):
         rng = np.random.default_rng(13)
         for _ in range(500):
-            topo, wp, tp, truth = rand_instance(rng)
-            r = th.entropy_report(truth, topo, wp=wp, tp=tp)
-            assert abs(r.h_cil - (r.h_wp + r.h_tp)) < 1e-9
-            assert th.check_theorem1(r, r.h_wp, r.h_tp)
-            assert (r.h_ood <= r.h_tp + 1e-9).all()
-            assert th.check_theorem3(r, r.h_wp, r.h_ood, truth)
+            topo, wp, tp, k0, j0 = rand_instance(rng)
+            r = report1(wp, tp, topo, k0, j0)
+            h_ood = th.ood_entropies([tp], [k0])
+            assert abs(r.h_cil - (r.h_wp + r.h_tp))[0] < 1e-9
+            assert th.check_theorem1(r, r.h_wp, r.h_tp)[0]
+            assert (h_ood <= r.h_tp + 1e-9).all()
+            assert th.check_theorem3(r, h_ood, r.h_wp, h_ood, [k0])[0]
 
     def test_theorem2_profile_direction(self):
         rng = np.random.default_rng(14)
@@ -312,9 +429,9 @@ class TestFuzzedInvariants:
     def test_theorem4_fuzz(self):
         rng = np.random.default_rng(15)
         for _ in range(500):
-            topo, _, _, truth = rand_instance(rng)
+            topo, _, _, k0, j0 = rand_instance(rng)
             cil = rand_distribution(rng, topo.n_classes)
-            assert th.theorem4_construct(cil, topo, truth).all_ok
+            assert th.theorem4_construct(cil, topo, k0, j0)[-1]
 
     def test_theorem5_fuzz(self):
         rng = np.random.default_rng(16)
@@ -323,8 +440,7 @@ class TestFuzzedInvariants:
             taus = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=n))
             k0 = int(rng.integers(n))
             tp = rand_distribution(rng, n)
-            truth = th.GroundTruth(k0, 0)
-            profile, bounds = th.theorem5_ood_from_tp(tp, taus, truth)
+            profile, bounds = th.theorem5_ood_from_tp(tp, taus, k0)
             h = th.ood_entropies(profile, k0)
             assert (h <= bounds + 1e-9).all()
             q = rng.uniform(size=n)
@@ -375,9 +491,10 @@ def _log_wp_rows(z, topo):
 def _theorem4_oracle(cil, topo, truth):
     """Scalar report of one CIL row, and whether its WP, TP and CIL truth
     probabilities all reach the log clamp."""
-    c = th.theorem4_construct(cil, topo, truth)
+    c = oracles.theorem4_construct(cil, topo, truth)
     wp, tp = c.wp_normalized, c.tp / c.tp.sum()
-    rep = th.entropy_report(truth, topo, wp=wp, tp=tp, cil=cil, validate=False)
+    rep = oracles.entropy_report(truth, topo, wp=wp, tp=tp, cil=cil,
+                                 validate=False)
     probs = (wp[truth.k0][truth.j0], tp[truth.k0],
              cil[topo.flat(truth.k0, truth.j0)])
     return rep, min(probs) >= th.LOG_CLAMP
@@ -389,13 +506,24 @@ class TestDecomposeRows:
     def test_theorem4_rows_match_scalar_oracle(self, case):
         topo, z, k0, j0, _ = case
         cil = _softmax_rows(z)
-        out = th.decompose_rows(cil, _log_softmax_rows(z), topo, k0, j0)
+        out = th.entropy_report(cil, _log_softmax_rows(z), topo, k0, j0)
         for i in range(len(k0)):
-            truth = th.GroundTruth(int(k0[i]), int(j0[i]))
+            truth = oracles.GroundTruth(int(k0[i]), int(j0[i]))
             rep, above = _theorem4_oracle(cil[i], topo, truth)
-            if above:  # rows under the clamp: test_log_space_rows_...
+            if above:
                 assert (out.h_wp[i], out.h_tp[i], out.h_cil[i]) \
                     == (rep.h_wp, rep.h_tp, rep.h_cil)
+            else:  # under the clamp: the parts in log space
+                lz = _log_softmax_rows(z)[i]
+                lse = np.array([np.logaddexp.reduce(lz[topo.task_slice(k)])
+                                for k in range(topo.n_tasks)])
+                flat = topo.flat(truth.k0, truth.j0)
+                assert out.h_wp[i] == pytest.approx(
+                    lse[truth.k0] - lz[flat], rel=1e-9, abs=1e-12)
+                assert out.h_tp[i] == pytest.approx(
+                    np.logaddexp.reduce(lse) - lse[truth.k0], rel=1e-9,
+                    abs=1e-12)
+                assert out.h_cil[i] == out.h_wp[i] + out.h_tp[i]
             assert out.predictions[i] == np.argmax(cil[i])
 
     @given(decomposition_cases())
@@ -409,15 +537,15 @@ class TestDecomposeRows:
         profile[rng.uniform(size=profile.shape) < 0.3] = 0.0
         profile[:, 0] += 1e-3  # no all-zero row
         tp = th.tp_from_ood(np.minimum(profile, 1.0))
-        out = th.decompose_rows(wp, log_wp, topo, k0, j0, tp=tp)
+        out = th.entropy_report(wp, log_wp, topo, k0, j0, tp=tp)
         flat = np.asarray(topo.offsets)[k0] + j0
         for i in range(len(k0)):
-            truth = th.GroundTruth(int(k0[i]), int(j0[i]))
+            truth = oracles.GroundTruth(int(k0[i]), int(j0[i]))
             parts = [wp[i, topo.task_slice(k)] for k in range(topo.n_tasks)]
             p_wp, p_tp = wp[i, flat[i]], tp[i, k0[i]]
             if min(p_wp, p_tp, p_wp * p_tp) >= th.LOG_CLAMP:
-                rep = th.entropy_report(truth, topo, wp=parts, tp=tp[i],
-                                        validate=False)
+                rep = oracles.entropy_report(truth, topo, wp=parts, tp=tp[i],
+                                             validate=False)
                 assert (out.h_wp[i], out.h_tp[i], out.h_cil[i]) \
                     == (rep.h_wp, rep.h_tp, rep.h_cil)
             else:
@@ -425,14 +553,14 @@ class TestDecomposeRows:
                 assert out.h_tp[i] == (-np.log(p_tp) if p_tp > 0 else th.H_MAX)
                 assert out.h_cil[i] == out.h_wp[i] + out.h_tp[i]
             assert out.predictions[i] == np.argmax(
-                th.compose_cil(parts, tp[i], topo, validate=False))
+                oracles.compose_cil(parts, tp[i], topo, validate=False))
 
     @given(decomposition_cases())
     @settings(max_examples=150, deadline=None)
     def test_log_space_rows_keep_the_identity(self, case):
         topo, z, k0, j0, _ = case
         cil = _softmax_rows(z)
-        out = th.decompose_rows(cil, _log_softmax_rows(z), topo, k0, j0)
+        out = th.entropy_report(cil, _log_softmax_rows(z), topo, k0, j0)
         flat = np.asarray(topo.offsets)[k0] + j0
         for i in range(len(k0)):
             if cil[i, flat[i]] < th.LOG_CLAMP:
@@ -448,10 +576,10 @@ class TestDecomposeRows:
         topo = th.TaskTopology((2, 2))
         z = np.array([[0.0, -50.0, 0.0, 0.0]])
         cil = _softmax_rows(z)
-        rep, above = _theorem4_oracle(cil[0], topo, th.GroundTruth(0, 1))
+        rep, above = _theorem4_oracle(cil[0], topo, oracles.GroundTruth(0, 1))
         assert not above
         assert rep.h_cil - rep.h_wp - rep.h_tp == pytest.approx(-np.log(3.0))
-        out = th.decompose_rows(cil, _log_softmax_rows(z), topo, [0], [1])
+        out = th.entropy_report(cil, _log_softmax_rows(z), topo, [0], [1])
         assert out.h_wp[0] == pytest.approx(50.0 + np.log1p(np.exp(-50.0)))
         assert out.h_tp[0] == pytest.approx(np.log(3.0))
         assert out.h_cil[0] == out.h_wp[0] + out.h_tp[0]
@@ -461,7 +589,7 @@ class TestDecomposeRows:
         topo = th.TaskTopology((2, 1))
         wp = np.array([[1e-20, 1.0 - 1e-20, 1.0]])
         tp = np.array([[0.0, 1.0]])
-        out = th.decompose_rows(wp, np.log(wp), topo, [0], [0], tp=tp)
+        out = th.entropy_report(wp, np.log(wp), topo, [0], [0], tp=tp)
         assert out.h_tp[0] == th.H_MAX
         assert out.h_wp[0] == pytest.approx(-np.log(1e-20))
         assert out.h_cil[0] == out.h_wp[0] + th.H_MAX
@@ -473,8 +601,8 @@ class TestDecomposeRows:
         cil = np.array([[0.0, 0.0, 0.5, 0.5]])
         with np.errstate(divide="ignore"):
             logs = np.log(cil)
-        rep, _ = _theorem4_oracle(cil[0], topo, th.GroundTruth(0, 1))
-        out = th.decompose_rows(cil, logs, topo, [0], [1])
+        rep, _ = _theorem4_oracle(cil[0], topo, oracles.GroundTruth(0, 1))
+        out = th.entropy_report(cil, logs, topo, [0], [1])
         assert out.h_wp[0] == rep.h_wp == pytest.approx(np.log(2.0))
         assert out.h_tp[0] == rep.h_tp == th.H_MAX
         assert out.h_cil[0] == out.h_wp[0] + th.H_MAX
@@ -488,7 +616,7 @@ class TestDecomposeRows:
     ])
     def test_input_checks(self, cil, tp, match):
         with pytest.raises(ValueError, match=match):
-            th.decompose_rows(cil, np.zeros((1, 4)), TOPO22, [0], [0], tp=tp)
+            th.entropy_report(cil, np.zeros((1, 4)), TOPO22, [0], [0], tp=tp)
 
     @pytest.mark.parametrize("logs", [
         np.zeros((1, 3)), [[np.nan, 0.0, 0.0, 0.0]], [[np.inf, 0.0, 0.0, 0.0]],
@@ -496,13 +624,13 @@ class TestDecomposeRows:
     ])
     def test_log_probs_checks(self, logs):
         with pytest.raises(ValueError, match="log_probs"):
-            th.decompose_rows([[0.25] * 4], logs, TOPO22, [0], [0])
+            th.entropy_report([[0.25] * 4], logs, TOPO22, [0], [0])
 
     @pytest.mark.parametrize("k0, j0", [([2], [0]), ([0], [2]), ([-1], [0]),
                                         ([0, 1], [0, 0])])
     def test_truth_outside_topology(self, k0, j0):
         with pytest.raises(ValueError):
-            th.decompose_rows([[0.25] * 4], np.log([[0.25] * 4]), TOPO22,
+            th.entropy_report([[0.25] * 4], np.log([[0.25] * 4]), TOPO22,
                               k0, j0)
 
     def test_batched_tp_from_ood_matches_rows(self):
@@ -557,8 +685,7 @@ class TestRowBatches:
                    [th.theorem2_bound(deltas[i], k0[i]) for i in rows])
         profile, bounds = th.theorem5_ood_from_tp(tp, taus, k0)
         for i in rows:
-            p_i, b_i = th.theorem5_ood_from_tp(tp[i], taus[i],
-                                               th.GroundTruth(int(k0[i]), 0))
+            p_i, b_i = th.theorem5_ood_from_tp(tp[i], taus[i], k0[i])
             _same_bits([profile[i], bounds[i]], [p_i, b_i])
         _same_bits(th.theorem5_tp_from_ood(q, taus),
                    [th.theorem5_tp_from_ood(q[i], taus[i]) for i in rows])
@@ -586,3 +713,112 @@ class TestRowBatches:
             th.theorem5_tp_from_ood(np.full((2, 2), 0.5), np.ones(2))
         with pytest.raises(ValueError, match="sums to"):
             th.theorem5_ood_from_tp([[0.5, 0.6]], np.ones((1, 2)), [0])
+
+
+# ---------------------------------------------------------------------------
+# The theorem predicates on row batches against the scalar oracles
+# ---------------------------------------------------------------------------
+
+@st.composite
+def composed_batches(draw):
+    """Random topology, n composed instances (flat WP rows, TP rows, truth)
+    and a per-row budget scale: 1 keeps each hypothesis, 0.5 may break it."""
+    sizes = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=6)))
+    topo = th.TaskTopology(sizes)
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alpha = draw(st.sampled_from([0.2, 1.0, 5.0]))
+    wp = np.array([np.concatenate([rand_distribution(rng, s, alpha)
+                                   for s in sizes]) for _ in range(n)])
+    tp = np.array([rand_distribution(rng, len(sizes), alpha)
+                   for _ in range(n)])
+    k0 = rng.integers(len(sizes), size=n)
+    j0 = np.array([rng.integers(sizes[k]) for k in k0])
+    scale = np.where(rng.uniform(size=n) < draw(st.sampled_from([0.0, 0.2])),
+                     0.5, 1.0)
+    return topo, wp, tp, k0, j0, scale, rng
+
+
+def _oracle_rows(check, n):
+    """Each row's oracle verdict, or None where it raises HypothesisError."""
+    out = []
+    for i in range(n):
+        try:
+            out.append(check(i))
+        except th.HypothesisError:
+            out.append(None)
+    return out
+
+
+def _agrees(verdicts, batch_call):
+    """The batch call gives every oracle verdict, or names the first row
+    whose hypotheses fail."""
+    bad = [i for i, v in enumerate(verdicts) if v is None]
+    if bad:
+        with pytest.raises(th.HypothesisError, match=rf"row {bad[0]}$"):
+            batch_call()
+    else:
+        assert batch_call().tolist() == verdicts
+
+
+class TestPredicatesMatchOracles:
+    @given(composed_batches())
+    @settings(max_examples=150, deadline=None)
+    def test_row_predicates_match_scalar_chain(self, case):
+        topo, wp, tp, k0, j0, scale, rng = case
+        n = len(k0)
+        parts = [[wp[i, topo.task_slice(k)] for k in range(topo.n_tasks)]
+                 for i in range(n)]
+        truth = [oracles.GroundTruth(int(k0[i]), int(j0[i])) for i in range(n)]
+        reps = [oracles.entropy_report(truth[i], topo, wp=parts[i], tp=tp[i])
+                for i in range(n)]
+
+        cil = th.compose_cil(wp, tp, topo)
+        for i in range(n):
+            assert cil[i].tobytes() == oracles.compose_cil(
+                parts[i], tp[i], topo).tobytes()
+        report = th.entropy_report(wp, np.log(wp), topo, k0, j0, tp=tp)
+        for name in ("h_wp", "h_tp", "h_cil"):
+            assert getattr(report, name).tolist() == \
+                [getattr(r, name) for r in reps]
+        profile = th.ood_from_tp(tp)
+        h_ood = th.ood_entropies(profile, k0)
+        for i in range(n):
+            assert profile[i].tobytes() == oracles.ood_from_tp(tp[i]).tobytes()
+            assert h_ood[i].tobytes() == reps[i].h_ood.tobytes()
+
+        eps, delta = report.h_wp * scale, report.h_tp * scale[::-1]
+        _agrees(_oracle_rows(lambda i: bool(oracles.check_theorem1(
+            reps[i], eps[i], delta[i])), n),
+            lambda: th.check_theorem1(report, eps, delta))
+        deltas = h_ood * scale[:, None]
+        _agrees(_oracle_rows(lambda i: bool(oracles.check_theorem3(
+            reps[i], report.h_wp[i], deltas[i], truth[i])), n),
+            lambda: th.check_theorem3(report, h_ood, report.h_wp, deltas, k0))
+
+        # consecutive groups, budgets at (scaled) oracle group means
+        starts = np.flatnonzero(np.r_[True, rng.uniform(size=n - 1) < 0.4])
+        groups = np.split(np.arange(n), starts[1:])
+        means = {f: np.array([np.mean([getattr(reps[i], f) for i in g])
+                              for g in groups]) for f in ("h_wp", "h_tp")}
+        g_scale = scale[:len(groups)]
+        g_eps, g_delta = means["h_wp"] * g_scale, means["h_tp"]
+        _agrees(_oracle_rows(lambda g: bool(oracles.check_corollary1(
+            [reps[i] for i in groups[g]], eps=g_eps[g], delta=g_delta[g])),
+            len(groups)),
+            lambda: th.check_corollary1(report, starts, eps=g_eps,
+                                        delta=g_delta))
+
+    @given(composed_batches())
+    @settings(max_examples=150, deadline=None)
+    def test_theorem4_rows_match_scalar_construction(self, case):
+        topo, wp, tp, k0, j0, _, _ = case
+        cil = th.compose_cil(wp, tp, topo)
+        masses, h_wp, h_tp, h_ood, ok = th.theorem4_construct(cil, topo, k0,
+                                                              j0)
+        for i in range(len(k0)):
+            c = oracles.theorem4_construct(
+                cil[i], topo, oracles.GroundTruth(int(k0[i]), int(j0[i])))
+            assert masses[i].tobytes() == c.tp.tobytes()
+            assert (h_wp[i], h_tp[i], ok[i]) == (c.h_wp, c.h_tp, c.all_ok)
+            assert h_ood[i].tobytes() == c.h_ood.tobytes()
