@@ -7,9 +7,11 @@ ROOT, runs one untraced pass of WORKLOAD with SEED from the fixed directory
 ``/tmp/clwb-digests/<workload>-<seed>`` and prints ``label digest ok`` for
 every op. The configs the workloads write hold their working directory, so
 the digests the benchmark records in ``.perfbench_out`` differ between any
-two runs; from one fixed directory they depend only on the program. To
-check that a change keeps every checkpoint and report byte, diff the output
-for two checkouts:
+two runs; from one fixed directory they depend only on the program. A pass
+holds an exclusive lock on ``/tmp/clwb-digests/.lock``, so concurrent runs
+take turns instead of clearing each other's directory. To check that a
+change keeps every checkpoint and report byte, diff the output for two
+checkouts:
 
     diff <(python3 scripts/op_digests.py ../parent glyph-sup-contrastive 1) \\
          <(python3 scripts/op_digests.py . glyph-sup-contrastive 1)
@@ -17,6 +19,7 @@ for two checkouts:
 Exits 1 when an op fails its output check, 2 on bad arguments.
 """
 
+import fcntl
 import os
 import shutil
 import sys
@@ -41,11 +44,14 @@ def main(argv: list[str]) -> int:
               f"{', '.join(workloads.WORKLOADS)}", file=sys.stderr)
         return 2
     workdir = WORKDIR / f"{name}-{seed}"
-    shutil.rmtree(workdir, ignore_errors=True)
-    workdir.mkdir(parents=True)
-    workload = workloads.WORKLOADS[name](seed, workdir)
-    workload.setup()
-    ops = workload.run_pass()
+    WORKDIR.mkdir(parents=True, exist_ok=True)
+    with open(WORKDIR / ".lock", "w") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        shutil.rmtree(workdir, ignore_errors=True)
+        workdir.mkdir()
+        workload = workloads.WORKLOADS[name](seed, workdir)
+        workload.setup()
+        ops = workload.run_pass()
     for op in ops:
         print(op.label, op.digest, "ok" if op.ok else "FAILED")
         for problem in op.problems:

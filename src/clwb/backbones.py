@@ -480,29 +480,29 @@ def train_task(net: MaskedNet, task: int, data: LabeledImageSet, *,
                           lr=lr, batch_size=batch_size, tau=contrastive_tau,
                           head=head, augment=augment)
     net.isolation.finish_task(net, task)
+    net.finished.append(task)
     if head is None:
         from . import oodlab  # deferred: oodlab imports this module
-        head_losses = oodlab.finetune_rotation_head(
+        trace += oodlab.finetune_rotation_head(
             net, task, data,
             epochs=head_epochs if head_epochs is not None else epochs,
             lr=head_lr if head_lr is not None else lr,
             batch_size=batch_size, rng=rng, **augment)
-        trace += [EpochStats(i, h, ce=h, phase="head")
-                  for i, h in enumerate(head_losses)]
-
-    net.finished.append(task)
     return trace
 
 
 def _train_epochs(net: MaskedNet, task: int, data: LabeledImageSet,
                   rng: np.random.Generator, *, loss: str, epochs: int,
-                  lr: float, batch_size: int, tau: float, head: Head | None,
-                  augment: dict) -> list[EpochStats]:
+                  lr: float, batch_size: int, tau: float | None = None,
+                  head: Head | None, augment: dict) -> list[EpochStats]:
     """Minibatch epochs over the task; head None means the contrastive
-    feature phase."""
+    feature phase. A finished task's trunk is frozen: only its head trains,
+    at full attention scale."""
     from . import oodlab  # deferred: oodlab imports this module
 
     state = net.isolation
+    frozen = task in net.finished
+    phase = "head" if frozen else "contrastive" if head is None else "main"
     n = len(data)
     trace = []
     for epoch in range(epochs):
@@ -510,7 +510,7 @@ def _train_epochs(net: MaskedNet, task: int, data: LabeledImageSet,
         batches = [order[i:i + batch_size] for i in range(0, n, batch_size)]
         sums = {"loss": 0.0, "ce": 0.0, "reg": 0.0}
         for b, idx in enumerate(batches):
-            s = state.scale(b, len(batches))
+            s = None if frozen else state.scale(b, len(batches))
             if loss == "ce":
                 bx, by = data.images[idx], data.labels[idx]
             else:
@@ -524,11 +524,13 @@ def _train_epochs(net: MaskedNet, task: int, data: LabeledImageSet,
                 d_feats = d_feats_fn(dz)
             else:
                 ce_val, d_logits = nk.softmax_ce(_head_logits(head, feats), by)
-                d_feats = d_logits @ head.weight
+                d_feats = None if frozen else d_logits @ head.weight
 
-            tape = nk.GradTape.for_net(run_trunk)
-            nk.backward(run_trunk, tape, cache, d_feats)
-            reg_val = state.after_backward(net, task, tape, cache, s, lr)
+            reg_val = 0.0
+            if not frozen:
+                tape = nk.GradTape.for_net(run_trunk)
+                nk.backward(run_trunk, tape, cache, d_feats)
+                reg_val = state.after_backward(net, task, tape, cache, s, lr)
             if head is not None:
                 _head_step(head, feats, d_logits, lr)
 
@@ -537,9 +539,7 @@ def _train_epochs(net: MaskedNet, task: int, data: LabeledImageSet,
             sums["reg"] += reg_val
         k = len(batches)
         trace.append(EpochStats(epoch, sums["loss"] / k, ce=sums["ce"] / k,
-                                reg=sums["reg"] / k,
-                                phase="contrastive" if head is None
-                                else "main"))
+                                reg=sums["reg"] / k, phase=phase))
     return trace
 
 

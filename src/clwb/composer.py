@@ -59,23 +59,22 @@ class CalibrationParams:
 
 @dataclass
 class MemoryBuffer:
-    """Class-balanced replay samples: (input, global class, task id)."""
+    """Class-balanced replay samples: (input, global class)."""
 
     capacity: int
     inputs: list = field(default_factory=list)
     labels: list[int] = field(default_factory=list)
-    tasks: list[int] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.inputs)
 
     @classmethod
-    def build(cls, capacity: int, per_class_pools: dict[int, tuple],
+    def build(cls, capacity: int, per_class_pools: dict[int, np.ndarray],
               rng: np.random.Generator) -> "MemoryBuffer":
         """Fill to capacity, balanced within one sample per class.
 
-        per_class_pools maps global class -> (inputs array, task id). Low
-        class ids receive the remainder slots.
+        per_class_pools maps global class -> inputs array. Low class ids
+        receive the remainder slots.
         """
         classes = sorted(per_class_pools)
         if not classes:
@@ -83,12 +82,11 @@ class MemoryBuffer:
         base, extra = divmod(capacity, len(classes))
         buf = cls(capacity)
         for rank, c in enumerate(classes):
-            pool, task = per_class_pools[c]
+            pool = per_class_pools[c]
             quota = min(base + (1 if rank < extra else 0), len(pool))
             for i in rng.permutation(len(pool))[:quota]:
                 buf.inputs.append(np.asarray(pool[i], dtype=np.float64))
                 buf.labels.append(int(c))
-                buf.tasks.append(int(task))
         return buf
 
 

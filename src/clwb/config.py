@@ -128,8 +128,10 @@ _ENUMS = {
     ("predict", "tp"): ("sigmoid-maxlogit", "maxsoftmax-temp", "scorer"),
 }
 
-_PARSERS = {int: int, float: float, str: str, bool: _bool,
-             list[int]: _int_list, list[float]: _float_list}
+# keyed by annotation string: every config dataclass is declared under
+# ``from __future__ import annotations``
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _bool,
+            "list[int]": _int_list, "list[float]": _float_list}
 
 _SECTIONS = {
     "data": DataCfg, "tasks": TasksCfg, "backbone": BackboneCfg,
@@ -145,12 +147,8 @@ def _fill(section: str, cfg_obj, parser: configparser.ConfigParser) -> None:
     for key, raw in parser.items(section):
         if key not in known:
             raise ConfigError(f"unknown key {section}.{key}")
-        ftype = known[key]
-        if isinstance(ftype, str):  # dataclass stores annotations as strings
-            ftype = {"int": int, "float": float, "str": str, "bool": bool,
-                     "list[int]": list[int], "list[float]": list[float]}[ftype]
         try:
-            value = _PARSERS[ftype](raw)
+            value = _PARSERS[known[key]](raw)
         except (ValueError, KeyError) as e:
             raise ConfigError(f"bad value for {section}.{key}: {e}") from e
         allowed = _ENUMS.get((section, key))
@@ -189,6 +187,10 @@ def parse_config(text: str) -> ExperimentConfig:
     for name, _cls in _SECTIONS.items():
         _fill(name, getattr(cfg, name), parser)
 
+    if cfg.data.source == "synthetic":
+        for key in ("shuffle_classes", "drop_classes"):
+            if getattr(cfg.tasks, key):
+                raise ConfigError(f"tasks.{key} needs data.source = idx")
     if cfg.data.source == "idx":
         import os
         for key in ("train_images", "train_labels", "test_images",

@@ -406,7 +406,7 @@ def calibrate_run(cfg: ExperimentConfig, checkpoint_path
         train, _ = seq.tasks[k]
         for j in range(train.n_classes):
             g = seq.topology.flat(k, j)
-            pools[g] = (train.images[train.labels == j], k)
+            pools[g] = train.images[train.labels == j]
     buffer = cp.MemoryBuffer.build(cfg.calibrate.buffer, pools, rng)
 
     def logit_fn(x):

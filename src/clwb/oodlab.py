@@ -203,27 +203,17 @@ def finetune_rotation_head(net: bb.MaskedNet, task: int,
                            data: LabeledImageSet, *, epochs: int, lr: float,
                            batch_size: int, rng: np.random.Generator,
                            flip_prob: float = 0.5, noise_sigma: float = 0.05
-                           ) -> list[float]:
-    """Train a fresh linear head over 4|C| rotation classes on frozen
-    features; trunk parameters are never touched. Returns per-epoch losses."""
+                           ) -> list[bb.EpochStats]:
+    """Train a fresh linear head over 4|C| rotation classes on a finished
+    task's frozen trunk; trunk parameters are never touched. Returns the
+    phase's per-epoch stats."""
+    if task not in net.finished:
+        raise nk.StateError(f"task {task} is not finished")
     head = bb._init_head(net, task, 4 * data.n_classes, "rotation", rng)
-    losses = []
-    n = len(data)
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        batches = [order[i:i + batch_size] for i in range(0, n, batch_size)]
-        for idx in batches:
-            imgs, ys = build_rotation_batch(data.images[idx],
-                                            data.labels[idx], rng=rng,
-                                            flip_prob=flip_prob,
-                                            noise_sigma=noise_sigma)
-            feats, _, _ = bb.task_features(net, imgs, task)
-            value, dlogits = nk.softmax_ce(bb._head_logits(head, feats), ys)
-            bb._head_step(head, feats, dlogits, lr)
-            total += value
-        losses.append(total / len(batches))
-    return losses
+    return bb._train_epochs(net, task, data, rng, loss="rotation-ce",
+                            epochs=epochs, lr=lr, batch_size=batch_size,
+                            head=head, augment={"flip_prob": flip_prob,
+                                                "noise_sigma": noise_sigma})
 
 
 def ensemble_logits(net: bb.MaskedNet, x, task: int) -> np.ndarray:

@@ -165,12 +165,6 @@ class TaskTopology:
             raise ValueError(f"(k={k}, j={j}) outside topology {self.sizes}")
         return self.offsets[k] + j
 
-    def split(self, g: int) -> tuple[int, int]:
-        if not 0 <= g < self.n_classes:
-            raise ValueError(f"class {g} outside topology {self.sizes}")
-        k = int(np.searchsorted(np.asarray(self.offsets), g, side="right")) - 1
-        return k, g - self.offsets[k]
-
     def task_slice(self, k: int) -> slice:
         return slice(self.offsets[k], self.offsets[k] + self.sizes[k])
 

@@ -137,6 +137,21 @@ class TestCalibrateCommand:
         assert (out / "report_before_calibration.json").exists()
         assert (out / "report_after_calibration.json").exists()
 
+    def test_calibrated_eval_reproduces_the_calibrate_report(
+            self, synth_config_text, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(synth_config_text())
+        out = tmp_path / "run"
+        run_cli("train", "--config", str(cfg_path))
+        run_cli("calibrate", "--config", str(cfg_path),
+                "--checkpoint", str(out / "final.clwb"))
+        assert run_cli("eval", "--config", str(cfg_path),
+                       "--checkpoint", str(out / "final.clwb"),
+                       "--route", "calibrated",
+                       "--calibration", str(out / "calibration.json")) == 0
+        assert (out / "report_msp_calibrated.json").read_bytes() == \
+            (out / "report_after_calibration.json").read_bytes()
+
 
 class TestReportCommand:
     def test_merge_reports(self, synth_config_text, tmp_path, capsys):

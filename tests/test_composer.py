@@ -154,7 +154,6 @@ def skewed_buffer(scale=10.0, n_per_class=20, seed=5):
         for _ in range(n_per_class):
             buf.inputs.append(rng.normal(size=2) + np.array(mu, dtype=float))
             buf.labels.append(c)
-            buf.tasks.append(c // 2)
 
     mus = np.array(list(centers.values()), dtype=float)
 
@@ -202,7 +201,6 @@ class TestFitCalibration:
         for i in keep:  # the first 20 samples are all class 0
             buf.inputs.append(full.inputs[i])
             buf.labels.append(full.labels[i])
-            buf.tasks.append(full.tasks[i])
         params, history = cp.fit_calibration(logit_fn, buf, seed=0)
         assert np.isfinite(params.alpha).all() and np.isfinite(params.beta).all()
         assert np.isfinite(history).all() and min(history) <= history[0]
@@ -221,7 +219,7 @@ class TestFitCalibration:
 class TestMemoryBuffer:
     def test_class_balance_within_one(self):
         rng = np.random.default_rng(6)
-        pools = {c: (rng.normal(size=(50, 2)), c // 2) for c in range(4)}
+        pools = {c: rng.normal(size=(50, 2)) for c in range(4)}
         buf = cp.MemoryBuffer.build(10, pools, rng)
         counts = [buf.labels.count(c) for c in range(4)]
         assert max(counts) - min(counts) <= 1
@@ -229,7 +227,7 @@ class TestMemoryBuffer:
 
     def test_capacity_respected(self):
         rng = np.random.default_rng(7)
-        pools = {c: (rng.normal(size=(3, 2)), 0) for c in range(2)}
+        pools = {c: rng.normal(size=(3, 2)) for c in range(2)}
         buf = cp.MemoryBuffer.build(200, pools, rng)
         assert len(buf) == 6  # pools exhausted before capacity
 

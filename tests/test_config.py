@@ -79,3 +79,16 @@ test_labels = {tmp_path / 'nope.idx'}
 def test_idx_paths_required():
     with pytest.raises(ConfigError, match="required"):
         parse_config(MINIMAL + "[data]\nsource = idx\n")
+
+
+@pytest.mark.parametrize("line", ["shuffle_classes = true",
+                                  "drop_classes = 0, 3"])
+def test_synthetic_source_rejects_idx_only_task_knobs(line):
+    key = line.split()[0]
+    for data in ("", "[data]\nsource = synthetic\n"):
+        with pytest.raises(ConfigError, match=rf"tasks\.{key}"):
+            parse_config(MINIMAL + data + f"[tasks]\n{line}\n")
+    # the defaults written out change nothing, so they stay accepted
+    cfg = parse_config(MINIMAL + "[tasks]\nshuffle_classes = false\n"
+                       "drop_classes =\n")
+    assert cfg.tasks.shuffle_classes is False and cfg.tasks.drop_classes == []

@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from clwb import backbones as bb
+from clwb import checkpoint as ck
 from clwb import composer as cp
 from clwb import data as dt
 from clwb import experiment as ex
@@ -490,3 +491,73 @@ drop_classes = 1, 4
             assert not np.isin(original, [1, 4]).any()
             np.testing.assert_array_equal(survivors[2 * k + part.labels],
                                           original)
+
+
+def test_shuffle_classes_equals_a_relabelled_unshuffled_run(tmp_path):
+    """Shuffling is a relabelling: class perm[i] of the shuffled run plays
+    class i of an unshuffled run, so both train and score the same tasks."""
+    seed, n_classes = 1, 6
+    perm = np.random.default_rng(seed).permutation(n_classes)
+    assert (perm != np.arange(n_classes)).any()
+    rng = np.random.default_rng(4)
+    labels = np.repeat(np.arange(n_classes), 6)
+    protos = rng.random((n_classes, 4, 4))
+    images = np.clip(protos[labels] + rng.normal(0, 0.1, (labels.size, 4, 4)),
+                     0.0, 1.0)
+    relabel = np.argsort(perm)  # class perm[i] becomes i
+
+    def run(name, shuffle, ys):
+        paths = {}
+        for part, blob in (("images", images), ("labels", ys)):
+            paths[part] = tmp_path / f"{name}-{part}.idx"
+            paths[part].write_bytes(dt.serialize_idx(blob))
+        cfg = parse_config(f"""
+[experiment]
+seed = {seed}
+out = {tmp_path / name}
+
+[data]
+source = idx
+train_images = {paths['images']}
+train_labels = {paths['labels']}
+test_images = {paths['images']}
+test_labels = {paths['labels']}
+
+[tasks]
+count = 3
+classes_per_task = 2
+shuffle_classes = {shuffle}
+
+[backbone]
+hidden = 8
+epochs = 3
+batch = 4
+
+[calibrate]
+buffer = 12
+iters = 8
+batch = 4
+""")
+        final = ex.train_run(cfg, cfg.out)["final"]
+        reports = [ex.eval_run(cfg, final),
+                   ex.eval_run(cfg, final, scorer="odin", route="compose")]
+        params, before, after, history = ex.calibrate_run(cfg, final)
+        reports += [before, after]
+        with open(final, "rb") as f:
+            meta, arrays = ck._unpack(f.read())
+        return (meta, arrays, [dataclasses.asdict(r) for r in reports],
+                (params.alpha, params.beta, history))
+
+    meta, arrays, reports, calib = run("shuffled", "true", labels)
+    want_meta, want_arrays, want_reports, want_calib = run(
+        "relabelled", "false", relabel[labels])
+    assert meta["extra"].pop("config") != want_meta["extra"].pop("config")
+    assert meta == want_meta
+    assert list(arrays) == list(want_arrays)
+    for name, a in arrays.items():
+        np.testing.assert_array_equal(a, want_arrays[name], err_msg=name)
+    for report, want in zip(reports, want_reports):
+        assert report.pop("config_text") != want.pop("config_text")
+        assert report == want
+    for a, b in zip(calib, want_calib):
+        np.testing.assert_array_equal(a, b)

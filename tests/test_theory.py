@@ -49,13 +49,16 @@ def rows(**h):
 class TestTopology:
     def test_flat_and_split_roundtrip(self):
         topo = th.TaskTopology((2, 3, 1))
-        seen = set()
+        assert topo.offsets == (0, 2, 5)
+        seen = []
         for k, size in enumerate(topo.sizes):
-            for j in range(size):
-                g = topo.flat(k, j)
-                assert topo.split(g) == (k, j)
-                seen.add(g)
-        assert seen == set(range(topo.n_classes))
+            ids = range(topo.n_classes)[topo.task_slice(k)]
+            assert [topo.flat(k, j) for j in range(size)] == list(ids)
+            seen += ids
+        assert seen == list(range(topo.n_classes))
+        for k, j in ((3, 0), (1, 3), (-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="outside topology"):
+                topo.flat(k, j)
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
