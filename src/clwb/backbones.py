@@ -366,9 +366,13 @@ def sup_score_update(tape: nk.GradTape, trunk: nk.DenseNet) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def _flatten(x) -> np.ndarray:
-    """Image batches (n, h, w) become rows. Anything else must already be a
-    flat vector or batch: nk.forward rejects a width other than the trunk's."""
+    """(n, d) rows as they are, (n, h, w) image batches as their flat rows;
+    any other shape raises ShapeError. nk.forward rejects a width other than
+    the trunk's."""
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (2, 3):
+        raise nk.ShapeError(f"expected (n, d) rows or (n, h, w) images, got "
+                            f"shape {x.shape}")
     return x.reshape(x.shape[0], -1) if x.ndim == 3 else x
 
 
@@ -427,7 +431,10 @@ def sup_masked_forward(net: MaskedNet, x, task: int) -> np.ndarray:
 
 @dataclass
 class EpochStats:
-    """One epoch of the training trace."""
+    """One epoch of the training trace: batch means of loss = ce + reg,
+    where ce is the phase's data loss (cross-entropy, or the supervised
+    contrastive loss when phase = "contrastive") and reg the isolation
+    regularizer."""
 
     epoch: int
     loss: float

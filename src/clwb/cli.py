@@ -19,7 +19,7 @@ from . import composer as cp
 from . import experiment as ex
 from . import verify
 from .checkpoint import CheckpointError, write_atomic
-from .config import ConfigError, load_config
+from .config import ROUTES, SCORERS, ConfigError, load_config
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -49,8 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eval", help="evaluate a checkpoint")
     e.add_argument("--config", required=True)
     e.add_argument("--checkpoint", required=True)
-    e.add_argument("--scorer", default=None, choices=ex.SCORERS)
-    e.add_argument("--route", default=None, choices=ex.ROUTES)
+    e.add_argument("--scorer", default=None, choices=SCORERS)
+    e.add_argument("--route", default=None, choices=ROUTES)
     e.add_argument("--calibration", default=None,
                    help="calibration params JSON (for --route calibrated)")
     _add_common(e)
@@ -105,10 +105,14 @@ def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
     calibration = None
     if args.calibration:
-        with open(args.calibration) as f:
-            blob = json.load(f)
-        calibration = cp.CalibrationParams(np.asarray(blob["alpha"]),
-                                           np.asarray(blob["beta"]))
+        try:
+            with open(args.calibration) as f:
+                blob = json.load(f)
+            calibration = cp.CalibrationParams(np.asarray(blob["alpha"]),
+                                               np.asarray(blob["beta"]))
+        except (OSError, ValueError, KeyError, TypeError) as e:
+            raise ConfigError(f"calibration file {args.calibration}: "
+                              f"{type(e).__name__}: {e}") from e
     start = time.perf_counter()
     report = ex.eval_run(cfg, args.checkpoint, scorer=args.scorer,
                          route=args.route, calibration=calibration)

@@ -1,6 +1,6 @@
 """Class-incremental prediction from per-task heads.
 
-Routes, all consuming a list of per-task class-logit vectors: plain
+Routes, all consuming a list of per-task (n, c_k) class-logit arrays: plain
 concatenated argmax; the probabilistic composition of per-task softmax (WP)
 with a task distribution derived from task-membership scores (TP); and an
 affine per-task calibration of the logits fitted on a small memory buffer.
@@ -9,7 +9,7 @@ Ties always break toward the lowest index so runs are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,35 +59,35 @@ class CalibrationParams:
 
 @dataclass
 class MemoryBuffer:
-    """Class-balanced replay samples: (input, global class)."""
+    """Class-balanced replay samples: inputs (n, ...) and labels (n,), the
+    samples' global classes."""
 
-    capacity: int
-    inputs: list = field(default_factory=list)
-    labels: list[int] = field(default_factory=list)
+    inputs: np.ndarray
+    labels: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.inputs)
+        return len(self.labels)
 
     @classmethod
     def build(cls, capacity: int, per_class_pools: dict[int, np.ndarray],
               rng: np.random.Generator) -> "MemoryBuffer":
         """Fill to capacity, balanced within one sample per class.
 
-        per_class_pools maps global class -> inputs array. Low class ids
-        receive the remainder slots.
+        per_class_pools maps global class -> inputs array. Classes take
+        their samples in ascending order, each from one permutation of its
+        pool; low class ids receive the remainder slots.
         """
         classes = sorted(per_class_pools)
         if not classes:
             raise ValueError("no classes to buffer")
         base, extra = divmod(capacity, len(classes))
-        buf = cls(capacity)
+        inputs, labels = [], []
         for rank, c in enumerate(classes):
-            pool = per_class_pools[c]
+            pool = np.asarray(per_class_pools[c], dtype=np.float64)
             quota = min(base + (1 if rank < extra else 0), len(pool))
-            for i in rng.permutation(len(pool))[:quota]:
-                buf.inputs.append(np.asarray(pool[i], dtype=np.float64))
-                buf.labels.append(int(c))
-        return buf
+            inputs.append(pool[rng.permutation(len(pool))[:quota]])
+            labels.append(np.full(quota, c, dtype=np.intp))
+        return cls(np.concatenate(inputs), np.concatenate(labels))
 
 
 def predict_concat_argmax(per_task_logits: list) -> int:
@@ -99,11 +99,8 @@ def predict_concat_argmax(per_task_logits: list) -> int:
 
 
 def tp_sigmoid_maxlogit(per_task_logits: list) -> np.ndarray:
-    """Task distribution from detectors sigmoid(max f_k), normalized.
-
-    Vectors give one distribution (K,); (n, c_k) arrays give one per row
-    (n, K), as do the other TP constructions here.
-    """
+    """Task distributions (n, K) from detectors sigmoid(max f_k), normalized
+    per row of the (n, c_k) per-task logits."""
     if not per_task_logits:
         raise ValueError("no task logits")
     top = np.stack([np.max(np.asarray(v, dtype=np.float64), axis=-1)
@@ -121,7 +118,8 @@ def wp_temperature(logits, nu: float = DEFAULT_NU) -> np.ndarray:
 
 def tp_maxsoftmax_temperature(per_task_logits: list,
                               taus=DEFAULT_TAU) -> np.ndarray:
-    """Task distribution from detectors max_j softmax(f_k / tau_k)_j."""
+    """Task distributions (n, K) from detectors max_j softmax(f_k / tau_k)_j
+    of the (n, c_k) per-task logits."""
     if not per_task_logits:
         raise ValueError("no task logits")
     t = np.asarray(taus, dtype=np.float64)
@@ -166,38 +164,35 @@ def calibration_loss(stacked: np.ndarray, labels: np.ndarray,
     task_of_col = np.concatenate([np.full(w, k) for k, w in enumerate(widths)])
     z = stacked * alpha[task_of_col] + beta[task_of_col]
     loss, dz = nk.softmax_ce(z, labels)
-    dz = np.atleast_2d(dz)
-    flat = np.atleast_2d(stacked)
     d_alpha = np.array([(dz[:, offsets[k]:offsets[k + 1]]
-                         * flat[:, offsets[k]:offsets[k + 1]]).sum()
+                         * stacked[:, offsets[k]:offsets[k + 1]]).sum()
                         for k in range(len(widths))])
     d_beta = np.array([dz[:, offsets[k]:offsets[k + 1]].sum()
                        for k in range(len(widths))])
     return loss, d_alpha, d_beta
 
 
-def fit_calibration(logit_fn, buffer: MemoryBuffer, *,
+def fit_calibration(per_task_logits: list, labels, *,
                     iters: int = CALIBRATION_ITERS,
                     lr: float = CALIBRATION_LR,
                     batch_size: int = CALIBRATION_BATCH,
                     seed: int = 0) -> tuple[CalibrationParams, list[float]]:
     """SGD on the buffer cross-entropy of the calibrated concatenation.
 
-    logit_fn(inputs) takes the whole buffer stacked into one ``(n, ...)``
-    array and returns one ``(n, c_k)`` class-logit array per task (whatever
-    the configured prediction path emits). It is called exactly once: head
-    outputs are precomputed and calibration never touches model weights.
-    Returns the best parameters seen by full-buffer loss, so the final loss
-    never exceeds the initial, plus the per-iteration loss history.
+    per_task_logits holds one (n, c_k) class-logit array per task for the n
+    buffer samples (whatever the configured prediction path emits) and
+    labels their (n,) global classes; calibration never touches model
+    weights. Returns the best parameters seen by full-buffer loss, so the
+    final loss never exceeds the initial, plus the per-iteration loss
+    history.
     """
-    if len(buffer) == 0:
+    labels = np.asarray(labels, dtype=np.intp)
+    if labels.size == 0:
         raise ValueError("empty memory buffer")
-    per_task = [np.asarray(v, dtype=np.float64)
-                for v in logit_fn(np.stack(buffer.inputs))]
+    per_task = [np.asarray(v, dtype=np.float64) for v in per_task_logits]
     n_tasks = len(per_task)
     widths = [v.shape[1] for v in per_task]
     stacked = np.concatenate(per_task, axis=1)
-    labels = np.asarray(buffer.labels, dtype=np.intp)
 
     rng = np.random.default_rng(seed)
     alpha = np.ones(n_tasks)
@@ -205,7 +200,7 @@ def fit_calibration(logit_fn, buffer: MemoryBuffer, *,
     initial = calibration_loss(stacked, labels, widths, alpha, beta)[0]
     best = (initial, alpha.copy(), beta.copy())
     history = [initial]
-    n = len(buffer)
+    n = len(labels)
     for _ in range(iters):
         idx = rng.choice(n, size=min(batch_size, n), replace=False)
         _, d_alpha, d_beta = calibration_loss(stacked[idx], labels[idx],

@@ -10,7 +10,12 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field, fields
 
-__all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_config"]
+__all__ = ["ConfigError", "ExperimentConfig", "SCORERS", "ROUTES", "TPS",
+           "parse_config", "load_config"]
+
+SCORERS = ("msp", "maxlogit", "odin", "rotation-ensemble")
+ROUTES = ("concat-argmax", "compose", "calibrated")
+TPS = ("sigmoid-maxlogit", "maxsoftmax-temp", "scorer")
 
 
 class ConfigError(ValueError):
@@ -123,9 +128,9 @@ _ENUMS = {
     ("data", "source"): ("synthetic", "idx"),
     ("backbone", "kind"): ("hat", "sup"),
     ("loss", "kind"): ("ce", "rotation-ce", "contrastive"),
-    ("ood", "scorer"): ("msp", "maxlogit", "odin", "rotation-ensemble"),
-    ("predict", "route"): ("concat-argmax", "compose", "calibrated"),
-    ("predict", "tp"): ("sigmoid-maxlogit", "maxsoftmax-temp", "scorer"),
+    ("ood", "scorer"): SCORERS,
+    ("predict", "route"): ROUTES,
+    ("predict", "tp"): TPS,
 }
 
 # keyed by annotation string: every config dataclass is declared under

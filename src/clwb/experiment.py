@@ -25,7 +25,7 @@ from . import numkit as nk
 from . import oodlab as ol
 from . import theory as th
 from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
-from .config import ConfigError, ExperimentConfig
+from .config import ROUTES, SCORERS, ConfigError, ExperimentConfig
 
 __all__ = [
     "ExperimentReport",
@@ -35,9 +35,6 @@ __all__ = [
     "calibrate_run",
     "write_report",
 ]
-
-SCORERS = ("msp", "maxlogit", "odin", "rotation-ensemble")
-ROUTES = ("concat-argmax", "compose", "calibrated")
 
 
 def _threads() -> int:
@@ -265,8 +262,15 @@ def _eval_loaded(cfg: ExperimentConfig, net: bb.MaskedNet, meta: dict,
         raise ValueError(f"unknown scorer {scorer!r}")
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
-    if route == "calibrated" and calibration is None:
+    if route != "calibrated":
+        if calibration is not None:
+            raise ConfigError(f"calibration parameters apply only to route "
+                              f"'calibrated', not {route!r}")
+    elif calibration is None:
         calibration = cp.CalibrationParams.identity(seq.n_tasks)
+    elif calibration.alpha.size != seq.n_tasks:
+        raise ConfigError(f"calibration has {calibration.alpha.size} task "
+                          f"entries for {seq.n_tasks} tasks")
 
     test_images = np.concatenate([seq.tasks[k][1].images
                                   for k in range(seq.n_tasks)])
@@ -408,12 +412,9 @@ def calibrate_run(cfg: ExperimentConfig, checkpoint_path
             g = seq.topology.flat(k, j)
             pools[g] = train.images[train.labels == j]
     buffer = cp.MemoryBuffer.build(cfg.calibrate.buffer, pools, rng)
-
-    def logit_fn(x):
-        return [ol.class_logits(net, x, k) for k in range(seq.n_tasks)]
-
     params, history = cp.fit_calibration(
-        logit_fn, buffer, iters=cfg.calibrate.iters, lr=cfg.calibrate.lr,
+        [ol.class_logits(net, buffer.inputs, k) for k in range(seq.n_tasks)],
+        buffer.labels, iters=cfg.calibrate.iters, lr=cfg.calibrate.lr,
         batch_size=cfg.calibrate.batch, seed=cfg.seed)
     before = _eval_loaded(cfg, net, meta, seq, n_threads,
                           route="concat-argmax")

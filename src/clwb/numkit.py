@@ -282,15 +282,13 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 def softmax_ce(logits, targets) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over a batch; returns (loss, d loss / d logits).
 
-    logits (n, c) or (c,); targets int array (n,) or scalar.
+    logits (n, c) rows; targets int array (n,).
     """
     z = _as_f64(logits)
-    single = z.ndim == 1
-    if single:
-        z = z[None, :]
-    t = np.atleast_1d(np.asarray(targets, dtype=np.intp))
-    if t.shape[0] != z.shape[0]:
-        raise ShapeError(f"{t.shape[0]} targets for {z.shape[0]} logit rows")
+    t = np.asarray(targets, dtype=np.intp)
+    if z.ndim != 2 or t.shape != z.shape[:1]:
+        raise ShapeError(f"expected (n, c) logits and (n,) targets, got "
+                         f"{z.shape} and {t.shape}")
     if (t < 0).any() or (t >= z.shape[1]).any():
         raise IndexError("target class out of range")
     p = softmax(z)
@@ -299,7 +297,7 @@ def softmax_ce(logits, targets) -> tuple[float, np.ndarray]:
     d = p.copy()
     d[np.arange(n), t] -= 1.0
     d /= n
-    return loss, (d[0] if single else d)
+    return loss, d
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """Task-membership scoring and its training-time machinery.
 
-Scorers map (model, input, task) to a scalar confidence that the input
-belongs to the task: max softmax, ODIN (temperature scaling plus a signed
-input perturbation toward higher confidence, both applied only at test
-time), and a rotation ensemble for heads trained with quarter-turn classes.
+Scorers map (model, input rows, task) to one confidence per row that the
+row belongs to the task: max softmax, ODIN (temperature scaling plus a
+signed input perturbation toward higher confidence, both applied only at
+test time), and a rotation ensemble for heads trained with quarter-turn
+classes.
 The rotation/contrastive builders here feed the backbones' rotation-CE and
 contrastive training modes.
 """
@@ -55,31 +56,26 @@ class OdinParams:
             raise ValueError(f"eps must be nonnegative, got {self.eps}")
 
 
-def msp_score(logits):
-    """Max softmax probability; scalar for a vector, array for a batch."""
+def msp_score(logits) -> np.ndarray:
+    """Max softmax probability of each row of (n, c) logits."""
     z = np.asarray(logits, dtype=np.float64)
-    if z.size == 0:
-        raise ValueError("empty logits")
-    p = nk.softmax(z)
-    m = p.max(axis=-1)
-    return float(m) if z.ndim == 1 else m
+    if z.ndim != 2 or z.size == 0:
+        raise ValueError(f"expected nonempty (n, c) logits, got shape {z.shape}")
+    return nk.softmax(z).max(axis=1)
 
 
 def _log_msp_input_gradient(net: bb.MaskedNet, x: np.ndarray, task: int,
                             tau: float) -> np.ndarray:
-    """d/dx of log softmax(f(x)/tau)[argmax f(x)] through task's path."""
+    """d/dx of log softmax(f(x)/tau)[argmax f(x)] through task's path, one
+    row per input."""
     head = net.heads[task]
     feats, cache, trunk = bb.task_features(net, x, task)
-    logits = bb._head_logits(head, feats)
-    batched = logits.ndim == 2
-    z = logits if batched else logits[None, :]
-    yhat = z.argmax(axis=1)
-    p = nk.softmax(z / tau)
-    dlogits = -p / tau
-    dlogits[np.arange(z.shape[0]), yhat] += 1.0 / tau
+    z = bb._head_logits(head, feats)
+    dlogits = -nk.softmax(z / tau) / tau
+    dlogits[np.arange(z.shape[0]), z.argmax(axis=1)] += 1.0 / tau
     d_feats = dlogits @ head.weight
     tape = nk.GradTape.for_net(trunk)
-    return nk.backward(trunk, tape, cache, d_feats if batched else d_feats[0])
+    return nk.backward(trunk, tape, cache, d_feats)
 
 
 def odin_perturb(net: bb.MaskedNet, x, task: int,
@@ -110,23 +106,14 @@ def odin_score(net: bb.MaskedNet, x, task: int, params: OdinParams):
 # ---------------------------------------------------------------------------
 
 def rotate90(image, quarter_turns: int):
-    """Counterclockwise rotation by 90 degrees * quarter_turns.
-
-    Accepts (h, w) or a batch (n, h, w); the grid must be square so four
-    turns compose to the identity.
-    """
+    """Counterclockwise rotation of each image of an (n, h, h) batch by
+    90 degrees * quarter_turns; the grid must be square so four turns
+    compose to the identity."""
     img = np.asarray(image, dtype=np.float64)
-    if img.ndim == 2:
-        h, w = img.shape
-        axes = (0, 1)
-    elif img.ndim == 3:
-        h, w = img.shape[1:]
-        axes = (1, 2)
-    else:
-        raise ValueError(f"expected 2-D or 3-D image data, got ndim={img.ndim}")
-    if h != w:
-        raise ValueError(f"rotation needs a square grid, got {h}x{w}")
-    return np.rot90(img, k=quarter_turns % 4, axes=axes)
+    if img.ndim != 3 or img.shape[1] != img.shape[2]:
+        raise ValueError(f"rotation needs an (n, h, h) batch of square "
+                         f"images, got shape {img.shape}")
+    return np.rot90(img, k=quarter_turns % 4, axes=(1, 2))
 
 
 def build_rotation_batch(images, labels, *, rng: np.random.Generator,
@@ -217,7 +204,8 @@ def finetune_rotation_head(net: bb.MaskedNet, task: int,
 
 
 def ensemble_logits(net: bb.MaskedNet, x, task: int) -> np.ndarray:
-    """Per-original-class logits averaged over the rotation orbit.
+    """Per-original-class logits of an (n, h, h) image batch, averaged over
+    the rotation orbit.
 
     Class j's value is the mean over deg of slot (j, deg) evaluated on the
     deg-rotated input. Evaluation uses the raw image (no stochastic views).
@@ -227,16 +215,11 @@ def ensemble_logits(net: bb.MaskedNet, x, task: int) -> np.ndarray:
         raise ValueError(f"unknown task {task}")
     if head.kind != "rotation":
         raise ValueError(f"task {task} head has no rotation slots")
-    img = np.asarray(x, dtype=np.float64)
-    single = img.ndim == 2
-    if single:
-        img = img[None]
     per_deg = []
     for deg in range(4):
-        raw = bb.task_raw_logits(net, rotate90(img, deg), task)
+        raw = bb.task_raw_logits(net, rotate90(x, deg), task)
         per_deg.append(raw[:, deg::4])  # slots (0,deg), (1,deg), ...
-    out = np.mean(per_deg, axis=0)
-    return out[0] if single else out
+    return np.mean(per_deg, axis=0)
 
 
 def class_logits(net: bb.MaskedNet, x, task: int) -> np.ndarray:

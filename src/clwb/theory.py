@@ -6,10 +6,12 @@ over tasks); the instance cross-entropies then satisfy the exact identity
 h_cil = h_wp + h_tp, plus a family of two-sided bounds linking the task-id
 entropy to per-task out-of-distribution (OOD) Bernoulli detectors, with and
 without per-task temperatures. Every theorem is one executable predicate
-over a batch of instances, one per row (most also take one instance as a
-1-D input), so eval decomposes with the code in which the randomized suites
-of ``clwb.verify`` hunt for counterexamples. A predicate whose hypotheses
-fail on some row raises ``HypothesisError`` naming the first such row.
+over a batch of instances, one per row ((n, K) profiles, distributions and
+budgets; (n,) truths), so eval decomposes with the code in which the
+randomized suites of ``clwb.verify`` hunt for counterexamples. A 1-D input
+raises a ValueError naming the (n, ...) shape expected, and a predicate
+whose hypotheses fail on some row raises ``HypothesisError`` naming the
+first such row.
 
 All logs are clamped at 1e-12 (max entropy ~27.63); verdicts compare both
 sides in this clamped space so clamping cannot create false passes. A small
@@ -80,12 +82,21 @@ def _require(held, hypothesis: str) -> None:
         raise HypothesisError(f"{hypothesis} fails on row {bad[0]}")
 
 
+def _rows(x, name: str) -> np.ndarray:
+    """x as a nonempty float64 (n, m) row batch."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.size == 0:
+        raise ValueError(f"{name} must be a nonempty (n, m) row batch, got "
+                         f"shape {x.shape}")
+    return x
+
+
 def _task_index(k0, q: np.ndarray, name: str = "k0") -> np.ndarray:
-    """k0 as an integer index array with one entry per row of q (0-d for a
-    1-D q), each inside q's last axis."""
+    """k0 as an (n,) integer index array, one entry per row of the (n, m)
+    batch q, each inside q's last axis."""
     k = np.asarray(k0)
-    if q.ndim == 0 or k.shape != q.shape[:-1] or k.dtype.kind not in "iu":
-        raise ValueError(f"{name} must be an integer of shape {q.shape[:-1]}")
+    if k.shape != q.shape[:1] or k.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be an integer of shape {q.shape[:1]}")
     if ((k < 0) | (k >= q.shape[-1])).any():
         raise ValueError(f"{name}={k0} out of range for {q.shape[-1]} entries")
     return k
@@ -117,10 +128,8 @@ def _distribution_rows(p, name: str, topo: TaskTopology | None = None
 
 
 def _check_profile(profile) -> np.ndarray:
-    """A detector profile, or a batch of them one per row."""
-    q = np.asarray(profile, dtype=np.float64)
-    if q.ndim not in (1, 2) or q.size == 0:
-        raise ValueError("profile must be a nonempty vector or row batch")
+    """(n, K) detector profiles, one per row."""
+    q = _rows(profile, "profile")
     if (q < 0).any() or (q > 1).any() or not np.isfinite(q).all():
         raise ValueError("profile entries must lie in [0, 1]")
     return q
@@ -208,17 +217,12 @@ def _budget(value, shape: tuple[int, ...], name: str) -> np.ndarray:
     return b
 
 
-def cross_entropy(target_index, pred):
-    """-log pred[target_index] with the clamp; the one-hot-target H(p, q).
-
-    A 2-D pred holds one prediction per row and target_index one target per
-    row; each entry of the (n,) result has the bits of the 1-D call, which
-    returns a float.
-    """
-    p = np.asarray(pred, dtype=np.float64)
-    h = -np.log(np.maximum(_at(p, _task_index(target_index, p, "target")),
-                           LOG_CLAMP))
-    return float(h) if p.ndim == 1 else h
+def cross_entropy(target_index, pred) -> np.ndarray:
+    """-log pred[i, target_index[i]] with the clamp per row; the
+    one-hot-target H(p, q) of each (n, C) prediction row."""
+    p = _rows(pred, "pred")
+    return -np.log(np.maximum(_at(p, _task_index(target_index, p, "target")),
+                              LOG_CLAMP))
 
 
 def compose_cil(wp, tp, topo: TaskTopology) -> np.ndarray:
@@ -242,12 +246,12 @@ def ood_entropies(profile, k0) -> np.ndarray:
     """Per-task detector cross-entropies for an instance of task k0.
 
     Task k0's detector is scored on "in" (-log P'_k0); every other detector
-    on "out" (-log(1 - P'_k)). A 2-D profile holds one instance per row and
-    k0 its (n,) true tasks; each row has the bits of the 1-D call.
+    on "out" (-log(1 - P'_k)). profile (n, K) holds one instance per row and
+    k0 its (n,) true tasks.
     """
     q = _check_profile(profile)
     k = _task_index(k0, q)
-    hit = np.arange(q.shape[-1]) == k[..., None]
+    hit = np.arange(q.shape[1]) == k[:, None]
     return -np.log(np.maximum(np.where(hit, q, 1.0 - q), LOG_CLAMP))
 
 
@@ -387,22 +391,16 @@ def ood_from_tp(tp) -> np.ndarray:
 
 
 def tp_from_ood(profile) -> np.ndarray:
-    """Task distribution tp[k] = P'_k / sum_j P'_j.
-
-    A 2-D profile holds one instance per row and gives one distribution per
-    row, each with the bits of the 1-D call on that row.
-    """
+    """Task distributions tp[i, k] = P'_ik / sum_j P'_ij of (n, K) profiles."""
     q = _check_profile(profile)
-    total = q.sum(axis=-1, keepdims=True)
+    total = q.sum(axis=1, keepdims=True)
     if (total <= 0.0).any():
         raise DegenerateInputError("all-zero detector profile")
     return q / total
 
 
 def _check_deltas(deltas) -> np.ndarray:
-    d = np.asarray(deltas, dtype=np.float64)
-    if d.ndim not in (1, 2) or d.size == 0:
-        raise ValueError("deltas must be a nonempty vector or row batch")
+    d = _rows(deltas, "deltas")
     if (d < 0).any():
         raise ValueError("deltas must be nonnegative")
     return d
@@ -412,31 +410,28 @@ def theorem2_bound(deltas, k0):
     """exp(deltas[k0]) * sum_k (1 - exp(-deltas[k])).
 
     Upper bound on h_tp of tp_from_ood for any profile whose per-task OOD
-    entropies are within deltas. 2-D deltas hold one instance per row and
-    k0 its (n,) true tasks; each entry of the (n,) result has the bits of
-    the 1-D call.
+    entropies are within deltas. deltas (n, K) hold one instance per row and
+    k0 its (n,) true tasks; returns one bound per row.
     """
     d = _check_deltas(deltas)
     k = _task_index(k0, d)
-    bound = np.exp(_at(d, k)) * (1.0 - np.exp(-d)).sum(axis=-1)
-    return float(bound) if d.ndim == 1 else bound
+    return np.exp(_at(d, k)) * (1.0 - np.exp(-d)).sum(axis=1)
 
 
 def check_theorem3(report, h_ood, eps, deltas, k0):
     """h_wp <= eps and h_ood <= deltas imply
     h_cil <= eps + theorem2_bound(deltas, k0).
 
-    h_ood (..., K) holds the per-task detector entropies of the report's
-    rows, deltas their budgets of the same shape and k0 the true tasks; eps
-    is one budget for all rows or one per row. Returns the verdicts.
+    h_ood (n, K) holds the per-task detector entropies of the report's n
+    rows, deltas their budgets of the same shape and k0 the (n,) true tasks;
+    eps is one budget for all rows or one per row. Returns the verdicts.
     """
     h_wp, _, h_cil = _report_rows(report)
     h = np.asarray(h_ood, dtype=np.float64)
     d = np.asarray(deltas, dtype=np.float64)
-    if h.shape[:-1] != h_wp.shape or h.ndim != h_wp.ndim + 1 \
-            or d.shape != h.shape:
+    if h.ndim != 2 or h.shape[:1] != h_wp.shape or d.shape != h.shape:
         raise ValueError(f"h_ood shape {h.shape} and deltas shape {d.shape} "
-                         f"for rows of shape {h_wp.shape}")
+                         f"for rows of shape {h_wp.shape}; expected (n, K)")
     eps = _budget(eps, h_wp.shape, "eps")
     _require(_leq(h_wp, eps) & _leq(h, d).all(axis=-1),
              "h_wp <= eps, h_ood <= deltas")
@@ -449,19 +444,19 @@ def theorem4_construct(cil, topo: TaskTopology, k0, j0):
     The WP witness of task k is the row's slice k as it stands (it need not
     sum to 1; that is how the construction is defined), so its entropy
     h_wp is h_cil itself. TP is the slice masses, and the detectors copy TP
-    (capped at 1 against rounding). cil (..., C) holds one distribution per
-    row and k0, j0 the truth of each row. Returns (tp, h_wp, h_tp, h_ood,
-    ok), ok whether h_tp and every h_ood entry are within h_wp.
+    (capped at 1 against rounding). cil (n, C) holds one distribution per
+    row and k0, j0 the (n,) truth of each row. Returns (tp, h_wp, h_tp,
+    h_ood, ok), ok whether h_tp and every h_ood entry are within h_wp.
     """
     c = _distribution_rows(cil, "cil")
-    if c.shape[-1] != topo.n_classes:
-        raise ValueError(f"cil width {c.shape[-1]} != {topo.n_classes} classes")
-    k0, flat = _truth(topo, k0, j0, c.shape[:-1])
+    if c.ndim != 2 or c.shape[1] != topo.n_classes:
+        raise ValueError(f"cil of shape {c.shape} is not (n, {topo.n_classes})")
+    k0, flat = _truth(topo, k0, j0, c.shape[:1])
     eta = cross_entropy(flat, c)
     tp = _slice_masses(c, topo)
     h_tp = cross_entropy(k0, tp)
     h_ood = ood_entropies(np.minimum(tp, 1.0), k0)
-    ok = _leq(h_tp, eta) & _leq(h_ood, np.asarray(eta)[..., None]).all(axis=-1)
+    ok = _leq(h_tp, eta) & _leq(h_ood, eta[:, None]).all(axis=1)
     return tp, eta, h_tp, h_ood, ok
 
 
@@ -487,13 +482,12 @@ def theorem5_ood_from_tp(tp, taus, k0) -> tuple[np.ndarray, np.ndarray]:
     With delta = h_tp, bound_k = max(delta / tau_k,
     -log(1 - (1 - exp(-delta))^(1/tau_k))); each h_ood entry of the returned
     profile is within its bound. All tau = 1 reduces to ood_from_tp with
-    bound delta. A 2-D tp holds one task distribution per row, taus one
-    temperature per entry and k0 the (n,) true tasks; each row has the bits
-    of the 1-D call.
+    bound delta. tp (n, K) holds one task distribution per row, taus one
+    temperature per entry and k0 the (n,) true tasks.
     """
-    tp = _distribution_rows(tp, "tp")
+    tp = _distribution_rows(_rows(tp, "tp"), "tp")
     t = _check_taus(taus, tp.shape)
-    delta = np.asarray(cross_entropy(k0, tp))[..., None]
+    delta = cross_entropy(k0, tp)[:, None]
     profile = tp ** (1.0 / t)
     grow = -np.log(np.maximum(1.0 - (1.0 - np.exp(-delta)) ** (1.0 / t),
                               LOG_CLAMP))
@@ -501,14 +495,11 @@ def theorem5_ood_from_tp(tp, taus, k0) -> tuple[np.ndarray, np.ndarray]:
 
 
 def theorem5_tp_from_ood(profile, taus) -> np.ndarray:
-    """Task distribution tp[k] proportional to P'_k^(1/tau_k).
-
-    A 2-D profile and taus hold one instance per row; each row has the bits
-    of the 1-D call.
-    """
+    """Task distributions tp[i, k] proportional to P'_ik^(1/tau_ik); profile
+    and taus (n, K) hold one instance per row."""
     q = _check_profile(profile)
     powered = q ** (1.0 / _check_taus(taus, q.shape))
-    total = powered.sum(axis=-1, keepdims=True)
+    total = powered.sum(axis=1, keepdims=True)
     if (total <= 0.0).any():
         raise DegenerateInputError("all-zero detector profile")
     return powered / total
@@ -519,10 +510,9 @@ def theorem5_bound(deltas, taus, k0):
 
     delta_k0/tau_k0 + sum_k (1-exp(-delta_k))^(1/tau_k)
                       / (1 - (1-exp(-delta_k0))^(1/tau_k0)).
-    A zero denominator (the k0 term hitting 1) raises DegenerateBoundError.
-    2-D deltas and taus hold one instance per row and k0 its (n,) true
-    tasks; each entry of the (n,) result has the bits of the 1-D call, and
-    one zero denominator raises for the whole batch.
+    deltas and taus (n, K) hold one instance per row and k0 its (n,) true
+    tasks; returns one bound per row. A zero denominator (the k0 term
+    hitting 1) on any row raises DegenerateBoundError for the whole batch.
     """
     d = _check_deltas(deltas)
     t = _check_taus(taus, d.shape)
@@ -531,5 +521,4 @@ def theorem5_bound(deltas, taus, k0):
     denom = 1.0 - _at(terms, k)
     if (denom <= 0.0).any():
         raise DegenerateBoundError("k0 term reaches 1; bound is unbounded here")
-    bound = _at(d, k) / _at(t, k) + terms.sum(axis=-1) / denom
-    return float(bound) if d.ndim == 1 else bound
+    return _at(d, k) / _at(t, k) + terms.sum(axis=1) / denom

@@ -186,9 +186,9 @@ class _Decomposed:
 
     def report(self, i: int) -> dict:
         d = self.d
+        tp = self.tp[i:i + 1, :self.n_tasks[i]]
         return dict(h_wp=d.h_wp[i], h_tp=d.h_tp[i], h_cil=d.h_cil[i],
-                    h_ood=th.ood_entropies(self.tp[i, :self.n_tasks[i]],
-                                           self.k0[i]))
+                    h_ood=th.ood_entropies(tp, self.k0[i:i + 1])[0])
 
 
 # Each suite yields (verdicts (n,), dump) per batch of n consecutive trials;

@@ -3,7 +3,9 @@
 These are the per-instance predicates ``clwb.theory`` once shipped beside
 its row-batch ones. The library now keeps only the row-batch predicates;
 this chain stays here as their independent oracle: the parity tests replay
-single instances through it and require the bits the batch code gives.
+single instances through it and require the bits the batch code gives. It
+calls no function of ``clwb``: its cross-entropies, detector entropies and
+theorem-2 bound are scalar code of its own.
 """
 
 from __future__ import annotations
@@ -13,13 +15,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from clwb.numkit import LOG_CLAMP
-from clwb.theory import (HypothesisError, TaskTopology, VERDICT_SLACK,
-                         cross_entropy, ood_entropies, theorem2_bound)
+from clwb.theory import HypothesisError, TaskTopology, VERDICT_SLACK
 
 
 def neg_log(p: float) -> float:
     """Entropy contribution -log p, clamped at LOG_CLAMP."""
     return -float(np.log(max(float(p), LOG_CLAMP)))
+
+
+def cross_entropy(target_index: int, pred) -> float:
+    """-log pred[target_index] with the clamp, for one prediction vector."""
+    p = np.asarray(pred, dtype=np.float64)
+    if p.ndim != 1 or not 0 <= target_index < p.size:
+        raise ValueError(f"target {target_index} for prediction {p}")
+    return neg_log(p[target_index])
+
+
+def ood_entropies(profile, k0: int) -> np.ndarray:
+    """Per-task detector cross-entropies of one instance of task k0: "in"
+    for detector k0, "out" for every other."""
+    q = np.asarray(profile, dtype=np.float64)
+    return np.array([neg_log(p if k == k0 else 1.0 - p)
+                     for k, p in enumerate(q)])
+
+
+def theorem2_bound(deltas, k0: int) -> float:
+    """exp(deltas[k0]) * sum_k (1 - exp(-deltas[k])) for one instance."""
+    d = np.asarray(deltas, dtype=np.float64)
+    return float(np.exp(d[k0]) * (1.0 - np.exp(-d)).sum())
 
 
 def _leq(a, b):

@@ -76,14 +76,14 @@ def _check_many(make_case, n=100, tol=1e-4):
 
 def test_c03_gradient_checks():
     def softmax_case(rng):
-        target = int(rng.integers(4))
+        target = rng.integers(4, size=1)
 
         def loss(params):
             (z,) = params
             val, dz = nk.softmax_ce(z, target)
             return val, [dz]
 
-        return loss, [rng.normal(size=4)]
+        return loss, [rng.normal(size=(1, 4))]
 
     def hat_case(rng):
         hid, dim = 4, 3
@@ -471,7 +471,7 @@ def test_c11_persistence(tmp_path):
     identical = all(
         np.array_equal(bb.task_raw_logits(net, x, k),
                        bb.task_raw_logits(reload_net, x, k))
-        for x in probes for k in net.finished)
+        for x in probes[:, None] for k in net.finished)
 
     blob = bytearray(Path(art["final"]).read_bytes())
     detected = 0

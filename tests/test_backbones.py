@@ -52,7 +52,7 @@ class TestHatForward:
     def test_saturated_equals_unmasked(self):
         net, rng = self.setup_net()
         net.isolation.embeddings[0] = [np.full(8, 5.0)]  # sigmoid(2000) == 1
-        x = rng.normal(size=4)
+        x = rng.normal(size=(1, 4))
         feats, _ = nk.forward(net.trunk, x)
         expect = feats @ net.heads[0].weight.T + net.heads[0].bias
         np.testing.assert_array_equal(bb.hat_forward(net, x, 0), expect)
@@ -60,9 +60,9 @@ class TestHatForward:
     def test_closed_attention_kills_features(self):
         net, rng = self.setup_net()
         net.isolation.embeddings[0] = [np.full(8, -5.0)]
-        x = rng.normal(size=4)
+        x = rng.normal(size=(1, 4))
         np.testing.assert_allclose(bb.hat_forward(net, x, 0),
-                                   net.heads[0].bias, atol=1e-12)
+                                   [net.heads[0].bias], atol=1e-12)
 
     def test_matches_recomputation(self):
         net, rng = self.setup_net(seed=3)
@@ -71,13 +71,13 @@ class TestHatForward:
                              net.isolation.s_max)
         h = np.maximum(net.trunk.weights[0] @ x + net.trunk.biases[0], 0) * a
         expect = net.heads[0].weight @ h + net.heads[0].bias
-        np.testing.assert_allclose(bb.hat_forward(net, x, 0), expect,
+        np.testing.assert_allclose(bb.hat_forward(net, x[None], 0), [expect],
                                    rtol=1e-12)
 
     def test_unknown_task(self):
         net, _ = self.setup_net()
         with pytest.raises(ValueError):
-            bb.hat_forward(net, np.zeros(4), 7)
+            bb.hat_forward(net, np.zeros((1, 4)), 7)
 
 
 class TestInputShapes:
@@ -102,15 +102,15 @@ class TestInputShapes:
         with pytest.raises(nk.ShapeError):
             bb.task_raw_logits(net, np.zeros((5, 3, 3)), 0)
 
-    def test_vector_gives_one_row(self, net):
+    def test_rows_match_their_one_row_batches(self, net):
         x = np.random.default_rng(2).normal(size=(3, 4))
         rows = bb.task_raw_logits(net, x, 0)
         for i in range(3):
-            np.testing.assert_allclose(bb.task_raw_logits(net, x[i], 0),
-                                       rows[i], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(bb.task_raw_logits(net, x[i:i + 1], 0),
+                                       rows[i:i + 1], rtol=1e-12, atol=1e-12)
 
     def test_kind_forward_rejects_other_kind(self, net):
-        x = np.zeros(4)
+        x = np.zeros((1, 4))
         forwards = {"hat": bb.hat_forward, "sup": bb.sup_masked_forward}
         own = forwards.pop(net.kind)
         (other,) = forwards.values()
@@ -249,7 +249,7 @@ class TestSupermasks:
         net.isolation.masks[0] = bb.mask_from_scores(
             [rng.normal(size=w.shape) for w in net.trunk.weights], 100.0)
         net.heads[0] = bb.Head(rng.normal(size=(2, 8)), np.zeros(2))
-        x = rng.normal(size=4)
+        x = rng.normal(size=(1, 4))
         feats, _ = nk.forward(net.trunk, x)
         expect = feats @ net.heads[0].weight.T
         np.testing.assert_array_equal(bb.sup_masked_forward(net, x, 0), expect)

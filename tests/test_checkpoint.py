@@ -29,7 +29,7 @@ def test_roundtrip_forward_bit_identical(tmp_path, kind):
     assert loaded.finished == net.finished
     rng = np.random.default_rng(1)
     for _ in range(100):
-        x = rng.normal(size=4)
+        x = rng.normal(size=(1, 4))
         for k in net.finished:
             np.testing.assert_array_equal(bb.task_raw_logits(net, x, k),
                                           bb.task_raw_logits(loaded, x, k))

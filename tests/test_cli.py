@@ -152,6 +152,56 @@ class TestCalibrateCommand:
         assert (out / "report_msp_calibrated.json").read_bytes() == \
             (out / "report_after_calibration.json").read_bytes()
 
+    @staticmethod
+    def trained_eval(synth_config_text, tmp_path, blob, *route):
+        """Exit code of a calibrated eval of a fresh 3-task run with the
+        calibration file text ``blob``."""
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(synth_config_text(epochs=2))
+        run_cli("train", "--config", str(cfg_path))
+        calib = tmp_path / "calib.json"
+        if blob is not None:
+            calib.write_text(blob)
+        return run_cli("eval", "--config", str(cfg_path), "--checkpoint",
+                       str(tmp_path / "run" / "final.clwb"), *route,
+                       "--calibration", str(calib))
+
+    @pytest.mark.parametrize("blob", ['{"alpha": [1.0]}', "alpha 1 beta 0",
+                                      '[1, 2]', '{"alpha": [1.0, "x"], '
+                                      '"beta": [0.0, 0.0]}', None])
+    def test_bad_calibration_file_is_usage_error(self, synth_config_text,
+                                                 tmp_path, capsys, blob):
+        assert self.trained_eval(synth_config_text, tmp_path, blob,
+                                 "--route", "calibrated") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: calibration file ")
+        assert str(tmp_path / "calib.json") in err
+
+    def test_calibration_of_another_task_count_is_usage_error(
+            self, synth_config_text, tmp_path, capsys, monkeypatch):
+        scored = []
+        monkeypatch.setattr(ex, "_scorer_params",
+                            lambda *args: scored.append(args))
+        blob = json.dumps({"alpha": [1.0, 1.0], "beta": [0.0, 0.0]})
+        assert self.trained_eval(synth_config_text, tmp_path, blob,
+                                 "--route", "calibrated") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "2 task" in err \
+            and "3 tasks" in err
+        assert scored == []
+        assert not (tmp_path / "run" / "report_msp_calibrated.json").exists()
+
+    @pytest.mark.parametrize("route", [(), ("--route", "compose")],
+                             ids=["config-route", "compose"])
+    def test_calibration_with_another_route_is_usage_error(
+            self, synth_config_text, tmp_path, capsys, route):
+        blob = json.dumps({"alpha": [1.0] * 3, "beta": [0.0] * 3})
+        assert self.trained_eval(synth_config_text, tmp_path, blob,
+                                 *route) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'calibrated'" in err
+        assert not list((tmp_path / "run").glob("report_*.json"))
+
 
 class TestReportCommand:
     def test_merge_reports(self, synth_config_text, tmp_path, capsys):

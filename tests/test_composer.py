@@ -33,19 +33,20 @@ class TestConcatArgmax:
 
 class TestSigmoidMaxLogitTp:
     def test_equal_max_gives_uniform(self):
-        tp = cp.tp_sigmoid_maxlogit([[2.0, 0.0], [1.0, 2.0], [2.0, -5.0]])
-        np.testing.assert_allclose(tp, np.full(3, 1 / 3), rtol=1e-12)
+        tp = cp.tp_sigmoid_maxlogit([[[2.0, 0.0]], [[1.0, 2.0]],
+                                     [[2.0, -5.0]]])
+        np.testing.assert_allclose(tp, np.full((1, 3), 1 / 3), rtol=1e-12)
 
     def test_worked_values(self):
-        tp = cp.tp_sigmoid_maxlogit([[4.0, 0.0], [-4.0, -9.0]])
+        tp = cp.tp_sigmoid_maxlogit([[[4.0, 0.0]], [[-4.0, -9.0]]])
         # sigmoid(4) + sigmoid(-4) = 1, so normalization is the identity
-        np.testing.assert_allclose(tp, [0.9820137900379084,
-                                        0.0179862099620916], rtol=1e-10)
+        np.testing.assert_allclose(tp, [[0.9820137900379084,
+                                         0.0179862099620916]], rtol=1e-10)
 
     def test_shift_changes_values_not_argmax(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            logits = [rng.normal(size=3), rng.normal(size=3)]
+            logits = [rng.normal(size=(1, 3)), rng.normal(size=(1, 3))]
             a = cp.tp_sigmoid_maxlogit(logits)
             b = cp.tp_sigmoid_maxlogit([v + 2.5 for v in logits])
             assert int(a.argmax()) == int(b.argmax())
@@ -72,13 +73,14 @@ class TestWpTemperature:
 
 class TestMaxSoftmaxTp:
     def test_symmetric_uniform(self):
-        z = [1.0, 0.2, -0.7]
+        z = [[1.0, 0.2, -0.7]]
         tp = cp.tp_maxsoftmax_temperature([z, z, z], 5.0)
-        np.testing.assert_allclose(tp, np.full(3, 1 / 3), rtol=1e-12)
+        np.testing.assert_allclose(tp, np.full((1, 3), 1 / 3), rtol=1e-12)
 
     def test_wide_tau_favors_small_tasks(self):
-        tp = cp.tp_maxsoftmax_temperature([np.zeros(2), np.zeros(4)], 1e6)
-        np.testing.assert_allclose(tp, [2 / 3, 1 / 3], rtol=1e-9)
+        tp = cp.tp_maxsoftmax_temperature([np.zeros((1, 2)), np.zeros((1, 4))],
+                                          1e6)
+        np.testing.assert_allclose(tp, [[2 / 3, 1 / 3]], rtol=1e-9)
 
 
 class TestComposeFull:
@@ -146,69 +148,48 @@ class TestCalibratedLogits:
 
 def skewed_buffer(scale=10.0, n_per_class=20, seed=5):
     """Two 2-class tasks with well-separated 2-D inputs; task-2 logits are
-    inflated by `scale`. logit_fn mimics frozen per-task heads."""
+    inflated by `scale`. Returns the buffer's per-task logits, as frozen
+    per-task heads would emit them, and its labels."""
     rng = np.random.default_rng(seed)
-    centers = {0: (0, 0), 1: (12, 0), 2: (0, 12), 3: (12, 12)}
-    buf = cp.MemoryBuffer(capacity=4 * n_per_class)
-    for c, mu in centers.items():
-        for _ in range(n_per_class):
-            buf.inputs.append(rng.normal(size=2) + np.array(mu, dtype=float))
-            buf.labels.append(c)
-
-    mus = np.array(list(centers.values()), dtype=float)
-
-    def logit_fn(x):
-        z = -np.linalg.norm(x[:, None, :] - mus, axis=2)
-        return [z[:, :2], scale * z[:, 2:]]
-
-    return buf, logit_fn
+    centers = np.array([(0, 0), (12, 0), (0, 12), (12, 12)], dtype=float)
+    x = np.concatenate([rng.normal(size=(n_per_class, 2)) + mu
+                        for mu in centers])
+    z = -np.linalg.norm(x[:, None, :] - centers, axis=2)
+    return [z[:, :2], scale * z[:, 2:]], np.repeat(np.arange(4), n_per_class)
 
 
 class TestFitCalibration:
     def test_balanced_buffer_already_near_optimal(self):
-        buf, logit_fn = skewed_buffer(scale=1.0)
-        _, history = cp.fit_calibration(logit_fn, buf, seed=0)
+        logits, labels = skewed_buffer(scale=1.0)
+        _, history = cp.fit_calibration(logits, labels, seed=0)
         # identity loss within 1e-3 of the fitted optimum
         assert history[0] - min(history) <= 1e-3
 
     def test_skew_shrinks_inflated_task(self):
-        buf, logit_fn = skewed_buffer(scale=10.0)
-        params, _ = cp.fit_calibration(logit_fn, buf, seed=0)
+        logits, labels = skewed_buffer(scale=10.0)
+        params, _ = cp.fit_calibration(logits, labels, seed=0)
         assert params.alpha[1] < params.alpha[0]
 
     def test_final_loss_never_exceeds_initial(self):
         for seed in range(5):
-            buf, logit_fn = skewed_buffer(scale=10.0, seed=seed)
-            params, history = cp.fit_calibration(logit_fn, buf, seed=seed)
+            logits, labels = skewed_buffer(scale=10.0, seed=seed)
+            params, history = cp.fit_calibration(logits, labels, seed=seed)
             stacked_loss = min(history)
             assert stacked_loss <= history[0] + 1e-12
-
-    def test_logit_fn_runs_once_on_the_stacked_buffer(self):
-        buf, logit_fn = skewed_buffer()
-        seen = []
-
-        def counted(x):
-            seen.append(x.shape)
-            return logit_fn(x)
-        cp.fit_calibration(counted, buf, seed=0)
-        assert seen == [(len(buf), 2)]
 
     @pytest.mark.parametrize("keep", [[0], list(range(20))],
                              ids=["one-sample", "one-class"])
     def test_degenerate_buffers_give_finite_params(self, keep):
-        full, logit_fn = skewed_buffer(scale=10.0)
-        buf = cp.MemoryBuffer(capacity=len(keep))
-        for i in keep:  # the first 20 samples are all class 0
-            buf.inputs.append(full.inputs[i])
-            buf.labels.append(full.labels[i])
-        params, history = cp.fit_calibration(logit_fn, buf, seed=0)
+        logits, labels = skewed_buffer(scale=10.0)
+        # the first 20 samples are all class 0
+        params, history = cp.fit_calibration([z[keep] for z in logits],
+                                             labels[keep], seed=0)
         assert np.isfinite(params.alpha).all() and np.isfinite(params.beta).all()
         assert np.isfinite(history).all() and min(history) <= history[0]
 
     def test_empty_buffer(self):
         with pytest.raises(ValueError):
-            cp.fit_calibration(lambda x: [np.zeros(2)],
-                               cp.MemoryBuffer(capacity=10))
+            cp.fit_calibration([np.zeros((0, 2))], np.zeros(0, dtype=int))
 
     def test_paper_optimizer_defaults(self):
         assert cp.CALIBRATION_ITERS == 160
@@ -221,9 +202,20 @@ class TestMemoryBuffer:
         rng = np.random.default_rng(6)
         pools = {c: rng.normal(size=(50, 2)) for c in range(4)}
         buf = cp.MemoryBuffer.build(10, pools, rng)
-        counts = [buf.labels.count(c) for c in range(4)]
+        counts = np.bincount(buf.labels, minlength=4)
         assert max(counts) - min(counts) <= 1
-        assert len(buf) == 10
+        assert len(buf) == 10 and buf.inputs.shape == (10, 2)
+
+    def test_one_permutation_per_class_in_class_order(self):
+        pools = {c: np.random.default_rng(c).normal(size=(5 + c, 3))
+                 for c in (2, 0, 1)}
+        buf = cp.MemoryBuffer.build(7, pools, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        # 7 slots over 3 classes: the lowest class takes the remainder
+        want = [(pools[c][i], c) for c, quota in ((0, 3), (1, 2), (2, 2))
+                for i in rng.permutation(len(pools[c]))[:quota]]
+        np.testing.assert_array_equal(buf.inputs, [x for x, _ in want])
+        assert buf.labels.tolist() == [c for _, c in want]
 
     def test_capacity_respected(self):
         rng = np.random.default_rng(7)
@@ -247,7 +239,7 @@ class TestSingleTaskAgreement:
 
 
 class TestRowBatches:
-    """(n, c_k) inputs give, row by row, the bits of the vector call."""
+    """(n, c_k) inputs give, row by row, the bits of their one-row batches."""
 
     @staticmethod
     def per_task(seed=4, n=40, widths=(2, 3, 1)):
@@ -255,7 +247,7 @@ class TestRowBatches:
         return [rng.normal(scale=4.0, size=(n, w)) for w in widths]
 
     def rows(self, logits, i):
-        return [z[i] for z in logits]
+        return [z[i:i + 1] for z in logits]
 
     def test_tp_constructions(self):
         logits = self.per_task()
@@ -264,7 +256,8 @@ class TestRowBatches:
             batched = build(logits)
             assert batched.shape == (40, 3)
             for i in range(40):
-                assert batched[i].tobytes() == build(self.rows(logits, i)).tobytes()
+                assert batched[i:i + 1].tobytes() == \
+                    build(self.rows(logits, i)).tobytes()
 
     def test_wp_temperature_and_calibrated_logits(self):
         logits = self.per_task()
@@ -272,6 +265,7 @@ class TestRowBatches:
         concat = cp.calibrated_logits(logits, params)
         wp = cp.wp_temperature(logits[1], 0.1)
         for i in range(40):
-            assert concat[i].tobytes() == cp.calibrated_logits(
+            assert concat[i:i + 1].tobytes() == cp.calibrated_logits(
                 self.rows(logits, i), params).tobytes()
-            assert wp[i].tobytes() == cp.wp_temperature(logits[1][i], 0.1).tobytes()
+            assert wp[i:i + 1].tobytes() == \
+                cp.wp_temperature(logits[1][i:i + 1], 0.1).tobytes()

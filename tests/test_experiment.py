@@ -17,9 +17,7 @@ from clwb import oodlab as ol
 from clwb import theory as th
 from clwb import verify
 from clwb.checkpoint import load_checkpoint
-from clwb.config import parse_config
-
-TP_KINDS = ("sigmoid-maxlogit", "maxsoftmax-temp", "scorer")
+from clwb.config import TPS, parse_config
 
 
 def _with_predict(text, tp):
@@ -70,14 +68,16 @@ def _spy_predict_all(monkeypatch):
 
 
 # The per-row loop that evaluation ran before the batched decomposition,
-# kept here verbatim as the oracle.
+# kept here as the oracle; the TP constructions, which take row batches
+# only, get each row as a one-row batch.
 def _old_tp_for(cfg, row_logits, row_scores):
     kind = cfg.predict.tp
+    one_row = [v[None] for v in row_logits]
     if kind == "sigmoid-maxlogit":
-        return cp.tp_sigmoid_maxlogit(row_logits)
+        return cp.tp_sigmoid_maxlogit(one_row)[0]
     if kind == "maxsoftmax-temp":
-        return cp.tp_maxsoftmax_temperature(row_logits, cfg.predict.tau)
-    return th.tp_from_ood(np.clip(row_scores, 0.0, 1.0))
+        return cp.tp_maxsoftmax_temperature(one_row, cfg.predict.tau)[0]
+    return th.tp_from_ood(np.clip(row_scores, 0.0, 1.0)[None])[0]
 
 
 def _old_predict_all(cfg, route, per_task_logits, per_task_scores, topo,
@@ -112,7 +112,7 @@ def _old_predict_all(cfg, route, per_task_logits, per_task_scores, topo,
     return predictions, reports
 
 
-@pytest.mark.parametrize("tp", TP_KINDS)
+@pytest.mark.parametrize("tp", TPS)
 @pytest.mark.parametrize("route", ex.ROUTES)
 def test_batched_eval_matches_the_per_row_loop(trained, monkeypatch, route, tp):
     text, final = trained
@@ -430,24 +430,28 @@ def test_single_task_odin_grid_keeps_the_first_candidate_unscored(
 def test_calibration_buffer_logits_match_single_rows(run, request,
                                                      monkeypatch):
     text, final = request.getfixturevalue(run)
-    calls = []
-    real = cp.fit_calibration
+    buffers, calls = [], []
+    build, fit = cp.MemoryBuffer.build, cp.fit_calibration
 
-    def spy(logit_fn, buffer, **kwargs):
-        calls.append((logit_fn, buffer))
-        return real(logit_fn, buffer, **kwargs)
-    monkeypatch.setattr(cp, "fit_calibration", spy)
+    def spy_build(*args):
+        buffers.append(build(*args))
+        return buffers[-1]
+
+    def spy_fit(per_task_logits, labels, **kwargs):
+        calls.append((per_task_logits, labels))
+        return fit(per_task_logits, labels, **kwargs)
+    monkeypatch.setattr(cp.MemoryBuffer, "build", staticmethod(spy_build))
+    monkeypatch.setattr(cp, "fit_calibration", spy_fit)
     ex.calibrate_run(parse_config(text), final)
-    (logit_fn, buffer), = calls
+    (buffer,), ((batched, labels),) = buffers, calls
+    np.testing.assert_array_equal(labels, buffer.labels)
     net, _ = load_checkpoint(final)
-    batched = logit_fn(np.stack(buffer.inputs))
     assert len(batched) == len(net.heads)
     for k, rows in enumerate(batched):
         rotation = net.heads[k].kind == "rotation"
         assert rotation == (run == "rotation_run")
-        single = np.stack([ol.class_logits(net, x if rotation
-                                           else x.reshape(-1), k)
-                           for x in buffer.inputs])
+        single = np.concatenate([ol.class_logits(net, buffer.inputs[i:i + 1], k)
+                                 for i in range(len(buffer))])
         assert rows.shape == single.shape == (len(buffer),
                                               net.heads[k].width
                                               // (4 if rotation else 1))

@@ -159,8 +159,8 @@ def test_grad_check_quadratic_exact():
 def test_grad_check_softmax_ce():
     rng = np.random.default_rng(9)
     for _ in range(5):
-        logits = rng.normal(size=6)
-        target = int(rng.integers(6))
+        logits = rng.normal(size=(1, 6))
+        target = rng.integers(6, size=1)
 
         def loss(params):
             (z,) = params
@@ -173,8 +173,8 @@ def test_grad_check_softmax_ce():
 def test_grad_check_through_full_net():
     rng = np.random.default_rng(10)
     net = small_net(rng, (3, 5, 4))
-    x = rng.normal(size=3)
-    target = 2
+    x = rng.normal(size=(1, 3))
+    target = [2]
     hooks = [rng.uniform(0.2, 0.8, size=5), None]
 
     def loss(params):
@@ -193,7 +193,7 @@ def test_grad_check_through_full_net():
 
 def test_softmax_ce_rejects_bad_target():
     with pytest.raises(IndexError):
-        nk.softmax_ce(np.zeros(3), 3)
+        nk.softmax_ce(np.zeros((1, 3)), [3])
 
 
 def test_logsumexp_rows_and_all_neg_inf_row():

@@ -27,27 +27,28 @@ def linear_hat_net(W, head_scale=400.0):
 
 class TestMsp:
     def test_uniform(self):
-        assert ol.msp_score(np.zeros(4)) == pytest.approx(0.25, abs=1e-15)
+        assert ol.msp_score(np.zeros((1, 4)))[0] == pytest.approx(0.25,
+                                                                  abs=1e-15)
 
     def test_confident(self):
-        assert ol.msp_score(np.array([10.0, 0.0])) == pytest.approx(
+        assert ol.msp_score(np.array([[10.0, 0.0]]))[0] == pytest.approx(
             0.9999546021312976, rel=1e-12)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(0)
-        z = rng.normal(size=6)
-        assert ol.msp_score(z) == pytest.approx(ol.msp_score(z + 13.7),
-                                                abs=1e-12)
+        z = rng.normal(size=(1, 6))
+        assert ol.msp_score(z)[0] == pytest.approx(ol.msp_score(z + 13.7)[0],
+                                                   abs=1e-12)
 
     def test_empty(self):
         with pytest.raises(ValueError):
-            ol.msp_score(np.array([]))
+            ol.msp_score(np.zeros((1, 0)))
 
 
 class TestOdin:
     def test_zero_eps_identity(self):
         net = trained_toy_net()
-        x = np.random.default_rng(1).normal(size=4)
+        x = np.random.default_rng(1).normal(size=(1, 4))
         np.testing.assert_array_equal(
             ol.odin_perturb(net, x, 0, ol.OdinParams(tau=5.0, eps=0.0)), x)
 
@@ -62,8 +63,8 @@ class TestOdin:
         grad = W[yhat] - p @ W  # d log softmax_yhat / dx, tau = 1
         eps = 0.01
         expect = x - eps * np.sign(-grad)
-        got = ol.odin_perturb(net, x, 0, ol.OdinParams(tau=1.0, eps=eps))
-        np.testing.assert_allclose(got, expect, rtol=1e-12)
+        got = ol.odin_perturb(net, x[None], 0, ol.OdinParams(tau=1.0, eps=eps))
+        np.testing.assert_allclose(got, [expect], rtol=1e-12)
 
     def test_perturbation_raises_confidence(self):
         # oracle: the fd directional derivative of log s_yhat along the step
@@ -71,21 +72,21 @@ class TestOdin:
         for seed in range(5):
             net = trained_toy_net(seed=seed)
             rng = np.random.default_rng(100 + seed)
-            x = rng.normal(size=4)
+            x = rng.normal(size=(1, 4))
             g = ol._log_msp_input_gradient(net, x, 0, tau=1.0)
             d = np.sign(g)
             t = 1e-6
 
             def log_msp(v):
-                z = bb.task_raw_logits(net, v, 0)
+                (z,) = bb.task_raw_logits(net, v, 0)
                 return float(nk.log_softmax(z)[int(z.argmax())])
 
             fd = (log_msp(x + t * d) - log_msp(x - t * d)) / (2 * t)
             assert fd == pytest.approx(np.abs(g).sum(), rel=1e-4, abs=1e-8)
             assert fd >= 0.0
             params = ol.OdinParams(tau=1.0, eps=1e-3)
-            before = ol.msp_score(bb.task_raw_logits(net, x, 0))
-            after = ol.odin_score(net, x, 0, params)
+            (before,) = ol.msp_score(bb.task_raw_logits(net, x, 0))
+            (after,) = ol.odin_score(net, x, 0, params)
             assert after >= before - 1e-6
 
     def test_tau_one_eps_zero_equals_msp(self):
@@ -95,9 +96,10 @@ class TestOdin:
             net = bb.build_masked_net(4, [8], isolation="hat", seed=seed)
             net.isolation.embeddings[0] = [rng.normal(size=8)]
             net.heads[0] = bb.Head(rng.normal(size=(3, 8)), rng.normal(size=3))
-            x = rng.normal(size=4)
+            x = rng.normal(size=(1, 4))
             raw = ol.msp_score(bb.task_raw_logits(net, x, 0))
-            assert ol.odin_score(net, x, 0, ol.OdinParams(1.0, 0.0)) == raw
+            assert ol.odin_score(net, x, 0, ol.OdinParams(1.0, 0.0)).tolist() \
+                == raw.tolist()
 
     def test_batch_scoring_matches_per_sample(self):
         net = trained_toy_net(seed=21)
@@ -105,20 +107,21 @@ class TestOdin:
         xs = rng.normal(size=(9, 4))
         params = ol.OdinParams(tau=5.0, eps=0.002)
         batch = ol.odin_score(net, xs, 0, params)
-        singles = [ol.odin_score(net, x, 0, params) for x in xs]
-        # batched matmul may differ from the vector path by an ulp
+        singles = [ol.odin_score(net, xs[i:i + 1], 0, params)[0]
+                   for i in range(len(xs))]
+        # a batched matmul may differ from a one-row batch by an ulp
         np.testing.assert_allclose(batch, singles, rtol=0, atol=1e-12)
 
     def test_large_tau_uniform_limit(self):
         net = trained_toy_net(seed=3)
-        x = np.random.default_rng(4).normal(size=4)
-        score = ol.odin_score(net, x, 0, ol.OdinParams(tau=1e6, eps=0.0))
+        x = np.random.default_rng(4).normal(size=(1, 4))
+        (score,) = ol.odin_score(net, x, 0, ol.OdinParams(tau=1e6, eps=0.0))
         assert score == pytest.approx(0.5, abs=1e-6)
 
     def test_monotone_in_tau(self):
         net = trained_toy_net(seed=5)
-        x = np.random.default_rng(6).normal(size=4)
-        scores = [ol.odin_score(net, x, 0, ol.OdinParams(tau=t, eps=0.0))
+        x = np.random.default_rng(6).normal(size=(1, 4))
+        scores = [ol.odin_score(net, x, 0, ol.OdinParams(tau=t, eps=0.0))[0]
                   for t in (1.0, 2.0, 5.0, 10.0, 100.0, 1000.0)]
         assert all(a >= b - 1e-12 for a, b in zip(scores, scores[1:]))
 
@@ -132,12 +135,12 @@ class TestOdin:
 class TestRotate90:
     def test_quarter_turn_permutation(self):
         np.testing.assert_array_equal(
-            ol.rotate90(np.array([[1.0, 2.0], [3.0, 4.0]]), 1),
-            [[2.0, 4.0], [1.0, 3.0]])
+            ol.rotate90(np.array([[[1.0, 2.0], [3.0, 4.0]]]), 1),
+            [[[2.0, 4.0], [1.0, 3.0]]])
 
     def test_identity_and_order_four(self):
         rng = np.random.default_rng(7)
-        img = rng.uniform(size=(5, 5))
+        img = rng.uniform(size=(3, 5, 5))
         np.testing.assert_array_equal(ol.rotate90(img, 0), img)
         np.testing.assert_array_equal(ol.rotate90(img, 4), img)
         out = img
@@ -146,8 +149,8 @@ class TestRotate90:
         np.testing.assert_array_equal(out, img)
 
     def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            ol.rotate90(np.zeros((2, 3)), 1)
+        with pytest.raises(ValueError, match="square"):
+            ol.rotate90(np.zeros((1, 2, 3)), 1)
 
 
 def _loop_rotation_batch(images, labels, *, rng, flip_prob=0.5,
@@ -162,7 +165,7 @@ def _loop_rotation_batch(images, labels, *, rng, flip_prob=0.5,
                 view = np.clip(view + rng.normal(0.0, noise_sigma, x.shape),
                                0.0, 1.0)
             for r in range(4):
-                out_x.append(ol.rotate90(view, r))
+                out_x.append(np.rot90(view, r))
                 out_y.append(int(y) * 4 + r)
     return np.stack(out_x), np.array(out_y, dtype=np.intp)
 
@@ -331,21 +334,21 @@ class TestEnsemble:
         head = net.heads[0]
         head.weight[...] = 0.0
         head.bias[...] = np.array([3.0, 3.0, 3.0, 3.0, -1.0, -1.0, -1.0, -1.0])
-        out = ol.ensemble_logits(net, np.zeros((4, 4)), 0)
-        np.testing.assert_allclose(out, [3.0, -1.0], atol=1e-12)
+        out = ol.ensemble_logits(net, np.zeros((1, 4, 4)), 0)
+        np.testing.assert_allclose(out, [[3.0, -1.0]], atol=1e-12)
 
     def test_mean_of_slots(self):
         net, _ = self.manual_net()
         head = net.heads[0]
         head.weight[...] = 0.0
         head.bias[...] = np.array([1.0, 2.0, 3.0, 4.0, 0.0, 0.0, 0.0, 0.0])
-        out = ol.ensemble_logits(net, np.zeros((4, 4)), 0)
-        assert out[0] == pytest.approx(2.5, abs=1e-12)
+        out = ol.ensemble_logits(net, np.zeros((1, 4, 4)), 0)
+        assert out[0, 0] == pytest.approx(2.5, abs=1e-12)
 
     def test_width_is_original_class_count(self):
         net, data = self.manual_net()
-        out = ol.ensemble_logits(net, data.images[0], 0)
-        assert out.shape == (2,)
+        out = ol.ensemble_logits(net, data.images[:3], 0)
+        assert out.shape == (3, 2)
 
     def test_orbit_permutation_equivariance(self):
         net, data = self.manual_net()
@@ -354,12 +357,12 @@ class TestEnsemble:
         def orbit(img):
             rows = []
             for deg in range(4):
-                flat = ol.rotate90(img, deg).reshape(1, -1)
+                flat = ol.rotate90(img[None], deg).reshape(1, -1)
                 rows.append(bb.task_raw_logits(net, flat, 0)[0])
             return np.stack(rows)  # (deg, 4C)
 
         o_x = orbit(x)
-        o_rot = orbit(ol.rotate90(x, 1))
+        o_rot = orbit(ol.rotate90(x[None], 1)[0])
         # pre-rotating shifts which orbit row is which, totals unchanged
         np.testing.assert_array_equal(o_rot[:3], o_x[1:])
         np.testing.assert_array_equal(o_rot[3], o_x[0])
@@ -368,15 +371,15 @@ class TestEnsemble:
     def test_plain_head_rejected(self):
         net = trained_toy_net(seed=19)
         with pytest.raises(ValueError):
-            ol.ensemble_logits(net, np.zeros((2, 2)), 0)
+            ol.ensemble_logits(net, np.zeros((1, 2, 2)), 0)
 
     def test_class_logits_dispatch(self):
         net, data = self.manual_net()
-        rot = ol.class_logits(net, data.images[0], 0)
+        rot = ol.class_logits(net, data.images[:3], 0)
         np.testing.assert_array_equal(rot,
-                                      ol.ensemble_logits(net, data.images[0], 0))
+                                      ol.ensemble_logits(net, data.images[:3], 0))
         plain = trained_toy_net(seed=20)
-        x = np.random.default_rng(21).normal(size=4)
+        x = np.random.default_rng(21).normal(size=(3, 4))
         np.testing.assert_array_equal(ol.class_logits(plain, x, 0),
                                       bb.task_raw_logits(plain, x, 0))
 

@@ -69,29 +69,30 @@ class TestTopology:
     def test_truth_validation(self):
         for k0, j0 in ((2, 0), (0, 2), (-1, 0)):
             with pytest.raises(ValueError, match="outside topology"):
-                th.theorem4_construct([0.25] * 4, TOPO22, k0, j0)
+                th.theorem4_construct([[0.25] * 4], TOPO22, [k0], [j0])
             with pytest.raises(ValueError, match="outside topology"):
                 report1(WP, TP, k0=k0, j0=j0)
 
 
 class TestCrossEntropy:
     def test_certain_prediction(self):
-        assert th.cross_entropy(0, [1.0, 0.0]) == 0.0
+        assert th.cross_entropy([0], [[1.0, 0.0]]).tolist() == [0.0]
 
     def test_symmetric(self):
-        assert th.cross_entropy(0, [0.5, 0.5]) == pytest.approx(0.6931472, abs=1e-7)
+        assert th.cross_entropy([0], [[0.5, 0.5]])[0] == pytest.approx(
+            0.6931472, abs=1e-7)
 
     def test_quarter(self):
         # -ln 0.75 by arbitrary-precision evaluation
-        assert th.cross_entropy(1, [0.25, 0.75]) == pytest.approx(
+        assert th.cross_entropy([1], [[0.25, 0.75]])[0] == pytest.approx(
             0.2876820724517809, rel=1e-12)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            th.cross_entropy(2, [0.5, 0.5])
+            th.cross_entropy([2], [[0.5, 0.5]])
 
     def test_clamp(self):
-        assert th.cross_entropy(0, [0.0, 1.0]) == pytest.approx(th.H_MAX)
+        assert th.cross_entropy([0], [[0.0, 1.0]])[0] == pytest.approx(th.H_MAX)
 
 
 class TestComposeCil:
@@ -227,15 +228,15 @@ class TestCorollary1:
 
 class TestTheorem2:
     def test_profile_from_tp_worked_example(self):
-        profile = th.ood_from_tp(TP)
-        h = th.ood_entropies(profile, 0)
+        profile = th.ood_from_tp([TP])
+        h = th.ood_entropies(profile, [0])
         ln07 = -np.log(0.7)
-        np.testing.assert_allclose(h, [ln07, ln07], rtol=1e-12)
+        np.testing.assert_allclose(h, [[ln07, ln07]], rtol=1e-12)
         assert (h <= -np.log(0.7) + 1e-12).all()
 
     def test_one_hot_tp(self):
-        h = th.ood_entropies(th.ood_from_tp([0.0, 1.0]), 1)
-        np.testing.assert_array_equal(h, [0.0, 0.0])
+        h = th.ood_entropies(th.ood_from_tp([[0.0, 1.0]]), [1])
+        np.testing.assert_array_equal(h, [[0.0, 0.0]])
 
     def test_profile_rows_from_tp_rows(self):
         np.testing.assert_array_equal(th.ood_from_tp([TP, [0.0, 1.0]]),
@@ -246,31 +247,32 @@ class TestTheorem2:
             th.ood_from_tp(np.zeros((2, 0)))
 
     def test_tp_from_profile(self):
-        np.testing.assert_allclose(th.tp_from_ood([0.5, 0.5]), [0.5, 0.5])
-        np.testing.assert_allclose(th.tp_from_ood([1.0, 0.0]), [1.0, 0.0])
-        np.testing.assert_allclose(th.tp_from_ood([0.8, 0.2, 0.2]),
-                                   [2 / 3, 1 / 6, 1 / 6], rtol=1e-12)
+        np.testing.assert_allclose(th.tp_from_ood([[0.5, 0.5], [1.0, 0.0]]),
+                                   [[0.5, 0.5], [1.0, 0.0]])
+        np.testing.assert_allclose(th.tp_from_ood([[0.8, 0.2, 0.2]]),
+                                   [[2 / 3, 1 / 6, 1 / 6]], rtol=1e-12)
 
     def test_all_zero_profile(self):
         with pytest.raises(th.DegenerateInputError):
-            th.tp_from_ood([0.0, 0.0])
+            th.tp_from_ood([[0.0, 0.0]])
 
     def test_bound_values(self):
-        assert th.theorem2_bound([0.0, 0.0], 0) == 0.0
         ln2 = float(np.log(2.0))
-        assert th.theorem2_bound([ln2, ln2], 0) == pytest.approx(2.0, rel=1e-12)
+        bound = th.theorem2_bound([[0.0, 0.0], [ln2, ln2]], [0, 0])
+        assert bound[0] == 0.0
+        assert bound[1] == pytest.approx(2.0, rel=1e-12)
         # worst-case profile meeting those budgets
-        tp = th.tp_from_ood([0.5, 0.5])
-        assert th.cross_entropy(0, tp) <= 2.0
+        tp = th.tp_from_ood([[0.5, 0.5]])
+        assert th.cross_entropy([0], tp)[0] <= 2.0
 
     def test_bound_rejects_negative(self):
         with pytest.raises(ValueError):
-            th.theorem2_bound([-0.1], 0)
+            th.theorem2_bound([[-0.1]], [0])
 
     def test_roundtrip_idempotent_on_normalized_profiles(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
-            tp = rand_distribution(rng, int(rng.integers(1, 6)))
+            tp = rand_distribution(rng, int(rng.integers(1, 6)))[None]
             np.testing.assert_allclose(
                 th.tp_from_ood(th.ood_from_tp(tp)), tp, rtol=0, atol=1e-15)
 
@@ -322,18 +324,18 @@ class TestTheorem3:
 class TestTheorem4:
     def test_worked_example(self):
         tp, h_wp, h_tp, h_ood, ok = th.theorem4_construct(
-            [0.42, 0.28, 0.27, 0.03], TOPO22, 0, 0)
-        assert h_wp == pytest.approx(0.8675005677047231, rel=1e-12)
-        assert h_tp == pytest.approx(-np.log(0.7), rel=1e-12)
-        assert h_ood[0] == pytest.approx(-np.log(0.7), rel=1e-12)
-        assert ok
-        np.testing.assert_allclose(tp, [0.7, 0.3], rtol=1e-12)
+            [[0.42, 0.28, 0.27, 0.03]], TOPO22, [0], [0])
+        assert h_wp[0] == pytest.approx(0.8675005677047231, rel=1e-12)
+        assert h_tp[0] == pytest.approx(-np.log(0.7), rel=1e-12)
+        assert h_ood[0, 0] == pytest.approx(-np.log(0.7), rel=1e-12)
+        assert ok.tolist() == [True]
+        np.testing.assert_allclose(tp, [[0.7, 0.3]], rtol=1e-12)
 
     def test_one_hot(self):
-        _, h_wp, h_tp, _, ok = th.theorem4_construct([1.0, 0.0, 0.0, 0.0],
-                                                     TOPO22, 0, 0)
-        assert h_wp == h_tp == 0.0
-        assert ok
+        _, h_wp, h_tp, _, ok = th.theorem4_construct([[1.0, 0.0, 0.0, 0.0]],
+                                                     TOPO22, [0], [0])
+        assert h_wp[0] == h_tp[0] == 0.0
+        assert ok.tolist() == [True]
 
     def test_zero_mass_task_normalizes_uniform(self):
         cil = np.array([[0.6, 0.4, 0.0, 0.0]])
@@ -350,8 +352,8 @@ class TestTheorem4:
         tp, h_wp, _, h_ood, ok = th.theorem4_construct(cil, TOPO22, [0, 1],
                                                        [0, 1])
         assert tp.shape == h_ood.shape == (2, 2) and ok.tolist() == [True] * 2
-        assert h_wp[1] == th.cross_entropy(3, cil[1])
-        with pytest.raises(ValueError, match="cil width"):
+        assert h_wp[1] == th.cross_entropy([3], cil[1:])[0]
+        with pytest.raises(ValueError, match=r"is not \(n, 4\)"):
             th.theorem4_construct(cil[:, :3] / cil[:, :3].sum(axis=1,
                                                             keepdims=True),
                                   TOPO22, [0, 1], [0, 1])
@@ -367,41 +369,42 @@ class TestTheorem5:
         rng = np.random.default_rng(12)
         for _ in range(100):
             n = int(rng.integers(1, 6))
-            tp = rand_distribution(rng, n)
-            profile5, _ = th.theorem5_ood_from_tp(tp, np.ones(n),
-                                                  int(rng.integers(n)))
+            tp = rand_distribution(rng, n)[None]
+            profile5, _ = th.theorem5_ood_from_tp(tp, np.ones((1, n)),
+                                                  rng.integers(n, size=1))
             np.testing.assert_array_equal(profile5, th.ood_from_tp(tp))
-            q = rng.uniform(size=n)
+            q = rng.uniform(size=(1, n))
             np.testing.assert_array_equal(
-                th.theorem5_tp_from_ood(q, np.ones(n)), th.tp_from_ood(q))
+                th.theorem5_tp_from_ood(q, np.ones((1, n))), th.tp_from_ood(q))
 
     def test_worked_example(self):
-        profile, bounds = th.theorem5_ood_from_tp([0.7, 0.3], [2.0, 2.0], 0)
-        assert profile[0] == pytest.approx(0.8366600265340755, rel=1e-12)
-        h0 = th.ood_entropies(profile, 0)[0]
+        profile, bounds = th.theorem5_ood_from_tp([[0.7, 0.3]], [[2.0, 2.0]],
+                                                  [0])
+        assert profile[0, 0] == pytest.approx(0.8366600265340755, rel=1e-12)
+        h0 = th.ood_entropies(profile, [0])[0, 0]
         assert h0 == pytest.approx(0.1783374719693662, rel=1e-12)
         # independent closed-form evaluation: max(delta/2, -ln(1-(1-0.7)^0.5))
-        assert bounds[0] == pytest.approx(0.7934594766254427, rel=1e-12)
-        assert h0 <= bounds[0]
+        assert bounds[0, 0] == pytest.approx(0.7934594766254427, rel=1e-12)
+        assert h0 <= bounds[0, 0]
 
     def test_sharpening_limit_one_hot(self):
-        tp = th.theorem5_tp_from_ood([0.9, 0.4], [1e-3, 1e-3])
+        (tp,) = th.theorem5_tp_from_ood([[0.9, 0.4]], [[1e-3, 1e-3]])
         assert tp[0] > 1 - 1e-6
         assert tp[1] < 1e-6
 
     def test_bound_example(self):
         # tau=1 bound: delta_k0/1 + sum terms / (1 - term_k0)
         ln2 = float(np.log(2.0))
-        b5 = th.theorem5_bound([ln2, ln2], [1.0, 1.0], 0)
+        (b5,) = th.theorem5_bound([[ln2, ln2]], [[1.0, 1.0]], [0])
         assert b5 == pytest.approx(ln2 + 1.0 / 0.5, rel=1e-12)
 
     def test_bad_tau(self):
         with pytest.raises(ValueError):
-            th.theorem5_tp_from_ood([0.5, 0.5], [0.0, 1.0])
+            th.theorem5_tp_from_ood([[0.5, 0.5]], [[0.0, 1.0]])
 
     def test_degenerate_bound_signal(self):
         with pytest.raises(th.DegenerateBoundError):
-            th.theorem5_bound([np.inf, 0.1], [1.0, 1.0], 0)
+            th.theorem5_bound([[np.inf, 0.1]], [[1.0, 1.0]], [0])
 
 
 class TestFuzzedInvariants:
@@ -422,9 +425,9 @@ class TestFuzzedInvariants:
         rng = np.random.default_rng(14)
         for _ in range(500):
             n = int(rng.integers(1, 7))
-            q = rng.uniform(size=n)
-            q[int(rng.integers(n))] = max(q.max(), 1e-3)
-            k0 = int(rng.integers(n))
+            q = rng.uniform(size=(1, n))
+            q[0, int(rng.integers(n))] = max(q.max(), 1e-3)
+            k0 = rng.integers(n, size=1)
             deltas = th.ood_entropies(q, k0)
             h_tp = th.cross_entropy(k0, th.tp_from_ood(q))
             assert h_tp <= th.theorem2_bound(deltas, k0) + 1e-9
@@ -433,21 +436,21 @@ class TestFuzzedInvariants:
         rng = np.random.default_rng(15)
         for _ in range(500):
             topo, _, _, k0, j0 = rand_instance(rng)
-            cil = rand_distribution(rng, topo.n_classes)
-            assert th.theorem4_construct(cil, topo, k0, j0)[-1]
+            cil = rand_distribution(rng, topo.n_classes)[None]
+            assert th.theorem4_construct(cil, topo, [k0], [j0])[-1].all()
 
     def test_theorem5_fuzz(self):
         rng = np.random.default_rng(16)
         for _ in range(500):
             n = int(rng.integers(1, 7))
-            taus = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=n))
-            k0 = int(rng.integers(n))
-            tp = rand_distribution(rng, n)
+            taus = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=(1, n)))
+            k0 = rng.integers(n, size=1)
+            tp = rand_distribution(rng, n)[None]
             profile, bounds = th.theorem5_ood_from_tp(tp, taus, k0)
             h = th.ood_entropies(profile, k0)
             assert (h <= bounds + 1e-9).all()
-            q = rng.uniform(size=n)
-            q[k0] = max(q[k0], 1e-6)
+            q = rng.uniform(size=(1, n))
+            q[0, k0] = np.maximum(q[0, k0], 1e-6)
             deltas = th.ood_entropies(q, k0)
             tp5 = th.theorem5_tp_from_ood(q, taus)
             h_tp = th.cross_entropy(k0, tp5)
@@ -641,7 +644,7 @@ class TestDecomposeRows:
         q = rng.uniform(size=(50, 4))
         batched = th.tp_from_ood(q)
         for i in range(len(q)):
-            assert batched[i].tobytes() == th.tp_from_ood(q[i]).tobytes()
+            assert batched[i].tobytes() == th.tp_from_ood(q[i:i + 1]).tobytes()
         with pytest.raises(th.DegenerateInputError):
             th.tp_from_ood(np.vstack([q, np.zeros(4)]))
         with pytest.raises(ValueError, match="lie in"):
@@ -649,7 +652,7 @@ class TestDecomposeRows:
 
 
 # ---------------------------------------------------------------------------
-# Row batches of the bound predicates against their 1-D calls
+# Row batches of the bound predicates against their one-row batches
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -669,34 +672,36 @@ def row_batches(draw):
     return q, taus, k0, tp
 
 
-def _same_bits(rows, one_d_calls):
-    for i, want in enumerate(one_d_calls):
-        assert np.asarray(rows[i]).tobytes() == np.asarray(want).tobytes()
+def _batch_invariant(fn, *args):
+    """Row i of fn over the whole batch has the bits of fn over the one-row
+    batch of row i; every argument holds one entry or row per instance, and
+    fn returns an array or a tuple of arrays."""
+    def parts(out):
+        return out if isinstance(out, tuple) else (out,)
+
+    whole = parts(fn(*args))
+    for i in range(len(args[0])):
+        one = parts(fn(*(a[i:i + 1] for a in args)))
+        for w, o in zip(whole, one):
+            assert o.shape[0] == 1
+            assert w[i].tobytes() == o[0].tobytes()
 
 
 class TestRowBatches:
     @given(row_batches())
     @settings(max_examples=200, deadline=None)
-    def test_rows_have_the_bits_of_the_1d_call(self, case):
+    def test_rows_have_the_bits_of_their_one_row_batch(self, case):
         q, taus, k0, tp = case
-        rows = range(len(q))
         deltas = th.ood_entropies(q, k0)
-        _same_bits(deltas, [th.ood_entropies(q[i], k0[i]) for i in rows])
-        _same_bits(th.cross_entropy(k0, tp),
-                   [th.cross_entropy(k0[i], tp[i]) for i in rows])
-        _same_bits(th.theorem2_bound(deltas, k0),
-                   [th.theorem2_bound(deltas[i], k0[i]) for i in rows])
-        profile, bounds = th.theorem5_ood_from_tp(tp, taus, k0)
-        for i in rows:
-            p_i, b_i = th.theorem5_ood_from_tp(tp[i], taus[i], k0[i])
-            _same_bits([profile[i], bounds[i]], [p_i, b_i])
-        _same_bits(th.theorem5_tp_from_ood(q, taus),
-                   [th.theorem5_tp_from_ood(q[i], taus[i]) for i in rows])
-        _same_bits(th.theorem5_bound(deltas, taus, k0),
-                   [th.theorem5_bound(deltas[i], taus[i], k0[i]) for i in rows])
-        bound = th.theorem2_bound(deltas, k0)
-        _same_bits(th._leq(deltas[:, 0], bound),
-                   [th._leq(deltas[i, 0], bound[i]) for i in rows])
+        _batch_invariant(th.ood_entropies, q, k0)
+        _batch_invariant(lambda a, b: th.cross_entropy(b, a), tp, k0)
+        _batch_invariant(th.theorem2_bound, deltas, k0)
+        _batch_invariant(th.theorem5_ood_from_tp, tp, taus, k0)
+        _batch_invariant(th.theorem5_tp_from_ood, q, taus)
+        _batch_invariant(th.theorem5_bound, deltas, taus, k0)
+        _batch_invariant(th.tp_from_ood, q)
+        _batch_invariant(lambda d, k: th._leq(d[:, 0], th.theorem2_bound(d, k)),
+                         deltas, k0)
 
     def test_zero_denominator_row_raises(self):
         deltas = np.array([[0.1, 0.2], [np.inf, 0.1]])

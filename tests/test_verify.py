@@ -166,10 +166,10 @@ def _oracle_corollary1(f):
 
 def _oracle_theorem2(f):
     tp, q, k0 = np.array(f["tp"]), np.array(f["profile"]), f["k0"]
-    h_ood = th.ood_entropies(oracles.ood_from_tp(tp), k0)
-    bound = th.theorem2_bound(th.ood_entropies(q, k0), k0)
-    h_tp2 = th.cross_entropy(k0, th.tp_from_ood(q))
-    ok = (h_ood <= th.cross_entropy(k0, tp) + verify.IDENTITY_TOL).all() \
+    h_ood = oracles.ood_entropies(oracles.ood_from_tp(tp), k0)
+    bound = oracles.theorem2_bound(oracles.ood_entropies(q, k0), k0)
+    h_tp2 = oracles.cross_entropy(k0, th.tp_from_ood(q[None])[0])
+    ok = (h_ood <= oracles.cross_entropy(k0, tp) + verify.IDENTITY_TOL).all() \
         and h_tp2 <= bound + verify.IDENTITY_TOL
     return ok, {"h_ood": h_ood.tolist(), "bound": bound, "h_tp2": h_tp2}
 
@@ -190,10 +190,14 @@ def _oracle_theorem4(f):
 def _oracle_theorem5(f):
     tp, taus, q, k0 = (np.array(f["tp"]), np.array(f["taus"]),
                        np.array(f["profile"]), f["k0"])
-    profile, bounds = th.theorem5_ood_from_tp(tp, taus, k0)
-    h_ood = th.ood_entropies(profile, k0)
-    bound = th.theorem5_bound(th.ood_entropies(q, k0), taus, k0)
-    h_tp = th.cross_entropy(k0, th.theorem5_tp_from_ood(q, taus))
+    # the theorem-5 kernels on one-row batches; the entropies by the oracle
+    profile, bounds = (v[0] for v in th.theorem5_ood_from_tp(
+        tp[None], taus[None], [k0]))
+    h_ood = oracles.ood_entropies(profile, k0)
+    bound = th.theorem5_bound(oracles.ood_entropies(q, k0)[None], taus[None],
+                              [k0])[0]
+    h_tp = oracles.cross_entropy(k0, th.theorem5_tp_from_ood(q[None],
+                                                             taus[None])[0])
     ok = (h_ood <= bounds + verify.IDENTITY_TOL).all() \
         and h_tp <= bound + verify.IDENTITY_TOL
     return ok, {"h_ood": h_ood.tolist(), "bounds": bounds.tolist(),
