@@ -149,12 +149,17 @@ def cmd_calibrate(args) -> int:
 
 def cmd_report(args) -> int:
     rows = [",".join(ex.ExperimentReport.CSV_COLUMNS)]
+    fields = ex.ExperimentReport.__dataclass_fields__
     for path in args.reports:
-        with open(path) as f:
-            blob = json.load(f)
-        report = ex.ExperimentReport(**{k: blob[k] for k in blob
-                                        if k in ex.ExperimentReport.__dataclass_fields__})
-        rows.append(",".join(report.csv_row()))
+        try:
+            with open(path) as f:
+                blob = json.load(f)
+            report = ex.ExperimentReport(**{k: blob[k] for k in blob
+                                            if k in fields})
+            rows.append(",".join(report.csv_row()))
+        except (OSError, ValueError, TypeError) as e:
+            raise ConfigError(f"report file {path}: "
+                              f"{type(e).__name__}: {e}") from e
     text = "\n".join(rows) + "\n"
     if args.out:
         write_atomic(Path(args.out), text.encode())

@@ -246,20 +246,18 @@ def eval_run(cfg: ExperimentConfig, checkpoint_path, *, scorer: str | None = Non
     """
     n_threads = _threads()
     net, meta = load_checkpoint(checkpoint_path)
-    return _eval_loaded(cfg, net, meta, build_tasks(cfg), n_threads,
-                        scorer=scorer, route=route, calibration=calibration)
+    seq = build_tasks(cfg)
+    route, calibration = _route_args(cfg, seq, route, calibration)
+    scored = _score_loaded(cfg, net, meta, seq, n_threads, scorer)
+    return _route_report(cfg, scored, route, calibration)
 
 
-def _eval_loaded(cfg: ExperimentConfig, net: bb.MaskedNet, meta: dict,
-                 seq: dt.TaskSequence, n_threads: int, *,
-                 scorer: str | None = None, route: str | None = None,
-                 calibration: cp.CalibrationParams | None = None
-                 ) -> ExperimentReport:
-    """eval_run on a loaded checkpoint and a built task sequence."""
-    scorer = scorer or cfg.ood.scorer
+def _route_args(cfg: ExperimentConfig, seq: dt.TaskSequence,
+                route: str | None, calibration: cp.CalibrationParams | None
+                ) -> tuple[str, cp.CalibrationParams | None]:
+    """The effective route and its calibration, checked before any scoring;
+    route calibrated without parameters gets the identity."""
     route = route or cfg.predict.route
-    if scorer not in SCORERS:
-        raise ValueError(f"unknown scorer {scorer!r}")
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
     if route != "calibrated":
@@ -271,6 +269,36 @@ def _eval_loaded(cfg: ExperimentConfig, net: bb.MaskedNet, meta: dict,
     elif calibration.alpha.size != seq.n_tasks:
         raise ConfigError(f"calibration has {calibration.alpha.size} task "
                           f"entries for {seq.n_tasks} tasks")
+    return route, calibration
+
+
+@dataclass
+class _Scored:
+    """The route-independent part of an evaluation: each task's class logits
+    and scores over the whole test set, and what follows from them alone."""
+
+    backbone: str
+    scorer: str
+    odin: dict[int, ol.OdinParams]
+    topo: th.TaskTopology
+    test_task_of: np.ndarray
+    truth_local: np.ndarray
+    per_task_logits: list[np.ndarray]
+    per_task_scores: list[np.ndarray]
+    auc_per_task: list[float]
+    til_per_task: list[float]
+    til_avg: float
+    forgetting: list[float]
+
+
+def _score_loaded(cfg: ExperimentConfig, net: bb.MaskedNet, meta: dict,
+                  seq: dt.TaskSequence, n_threads: int,
+                  scorer: str | None = None) -> _Scored:
+    """Run every task's head and scorer once over the concatenated test
+    sets of a loaded checkpoint and a built task sequence."""
+    scorer = scorer or cfg.ood.scorer
+    if scorer not in SCORERS:
+        raise ValueError(f"unknown scorer {scorer!r}")
 
     test_images = np.concatenate([seq.tasks[k][1].images
                                   for k in range(seq.n_tasks)])
@@ -278,9 +306,6 @@ def _eval_loaded(cfg: ExperimentConfig, net: bb.MaskedNet, meta: dict,
                                    for k in range(seq.n_tasks)])
     truth_local = np.concatenate([seq.tasks[k][1].labels
                                   for k in range(seq.n_tasks)])
-    topo = seq.topology
-    # flat class ids, the index space of the concatenated head outputs
-    truth_global = np.asarray(topo.offsets)[test_task_of] + truth_local
 
     odin = _scorer_params(cfg, net, seq, scorer)
 
@@ -310,11 +335,6 @@ def _eval_loaded(cfg: ExperimentConfig, net: bb.MaskedNet, meta: dict,
         else:
             auc_per_task.append(mt.auc(mt.ScoredPopulation(ind, ood)))
 
-    rows, tp_fallbacks = _predict_all(
-        cfg, route, per_task_logits, per_task_scores, topo,
-        test_task_of, truth_local, calibration)
-    cil = mt.cil_accuracy(rows.predictions, truth_global)
-
     til_per_task, til_avg = mt.til_accuracy(
         [per_task_logits[k][test_task_of == k].argmax(axis=1) for k in tasks],
         [truth_local[test_task_of == k] for k in tasks])
@@ -326,17 +346,33 @@ def _eval_loaded(cfg: ExperimentConfig, net: bb.MaskedNet, meta: dict,
         forgetting = [mt.forgetting_rate(matrix, t) for t in
                       range(2, t_learned + 1)]
 
+    return _Scored(net.kind, scorer, odin, seq.topology, test_task_of,
+                   truth_local, per_task_logits, per_task_scores,
+                   auc_per_task, til_per_task, til_avg, forgetting)
+
+
+def _route_report(cfg: ExperimentConfig, s: _Scored, route: str,
+                  calibration: cp.CalibrationParams | None
+                  ) -> ExperimentReport:
+    """The report of one route over a scored test set (route and
+    calibration as ``_route_args`` returns them)."""
+    rows, tp_fallbacks = _predict_all(
+        cfg, route, s.per_task_logits, s.per_task_scores, s.topo,
+        s.test_task_of, s.truth_local, calibration)
+    # flat class ids, the index space of the concatenated head outputs
+    truth_global = np.asarray(s.topo.offsets)[s.test_task_of] + s.truth_local
     return ExperimentReport(
-        seed=cfg.seed, backbone=net.kind, loss=cfg.loss.kind, scorer=scorer,
-        route=route, n_test=len(test_images),
-        til_per_task=til_per_task, til_avg=til_avg, cil=cil,
-        auc_per_task=auc_per_task,
-        auc_avg=mt.avg_auc(auc_per_task), forgetting=forgetting,
+        seed=cfg.seed, backbone=s.backbone, loss=cfg.loss.kind,
+        scorer=s.scorer, route=route, n_test=len(s.test_task_of),
+        til_per_task=s.til_per_task, til_avg=s.til_avg,
+        cil=mt.cil_accuracy(rows.predictions, truth_global),
+        auc_per_task=s.auc_per_task,
+        auc_avg=mt.avg_auc(s.auc_per_task), forgetting=s.forgetting,
         h_wp_mean=float(np.mean(rows.h_wp)),
         h_tp_mean=float(np.mean(rows.h_tp)),
         h_cil_mean=float(np.mean(rows.h_cil)),
         odin_params={str(k): {"tau": p.tau, "eps": p.eps}
-                     for k, p in odin.items()},
+                     for k, p in s.odin.items()},
         config_text=cfg.text,
         notes={"tp_uniform_fallbacks": tp_fallbacks} if tp_fallbacks else {},
     )
@@ -400,7 +436,8 @@ def calibrate_run(cfg: ExperimentConfig, checkpoint_path
                   ) -> tuple[cp.CalibrationParams, ExperimentReport,
                              ExperimentReport, list[float]]:
     """Fit per-task (alpha, beta) on a memory buffer and report the CIL
-    before (plain concat) and after (calibrated concat)."""
+    before (plain concat) and after (calibrated concat), both routes over
+    one scoring of the test set."""
     n_threads = _threads()
     net, meta = load_checkpoint(checkpoint_path)
     seq = build_tasks(cfg)
@@ -416,10 +453,9 @@ def calibrate_run(cfg: ExperimentConfig, checkpoint_path
         [ol.class_logits(net, buffer.inputs, k) for k in range(seq.n_tasks)],
         buffer.labels, iters=cfg.calibrate.iters, lr=cfg.calibrate.lr,
         batch_size=cfg.calibrate.batch, seed=cfg.seed)
-    before = _eval_loaded(cfg, net, meta, seq, n_threads,
-                          route="concat-argmax")
-    after = _eval_loaded(cfg, net, meta, seq, n_threads, route="calibrated",
-                         calibration=params)
+    scored = _score_loaded(cfg, net, meta, seq, n_threads)
+    before = _route_report(cfg, scored, "concat-argmax", None)
+    after = _route_report(cfg, scored, "calibrated", params)
     return params, before, after, history
 
 

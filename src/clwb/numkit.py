@@ -27,6 +27,7 @@ __all__ = [
     "glorot_net",
     "forward",
     "backward",
+    "input_gradient",
     "sgd_step",
     "softmax",
     "logsumexp",
@@ -202,20 +203,25 @@ def forward(net: DenseNet, x, hooks=None) -> tuple[np.ndarray, ForwardCache]:
     return h, ForwardCache(x, pre, post_raw, post, hooks, batched)
 
 
+def _upstream(name: str, cache: ForwardCache, upstream) -> np.ndarray:
+    if cache is None or not cache.pre:
+        raise StateError(f"{name} called without a forward cache")
+    g = _as_f64(upstream)
+    expect = cache.post[-1].shape
+    if g.shape != expect:
+        raise ShapeError(f"upstream shape {g.shape} != output shape {expect}")
+    return g
+
+
 def backward(net: DenseNet, tape: GradTape, cache: ForwardCache,
-             upstream) -> np.ndarray:
-    """Fill tape with d(loss)/d(params) and return d(loss)/d(input).
+             upstream) -> None:
+    """Fill tape with d(loss)/d(params); the input gradient is not formed.
 
     upstream is d(loss)/d(output), matching the forward output shape. Batched
     inputs accumulate (sum) over the batch dimension. Hook gradients are
     recorded in tape.d_hooks for layers that had hooks.
     """
-    if cache is None or not cache.pre:
-        raise StateError("backward called without a forward cache")
-    g = _as_f64(upstream)
-    expect = cache.post[-1].shape
-    if g.shape != expect:
-        raise ShapeError(f"upstream shape {g.shape} != output shape {expect}")
+    g = _upstream("backward", cache, upstream)
     if not cache.batched:
         g = g[None, :]
 
@@ -238,8 +244,29 @@ def backward(net: DenseNet, tape: GradTape, cache: ForwardCache,
             below = below[None, :]
         tape.d_weights[l] += g.T @ below
         tape.d_biases[l] += g.sum(axis=0)
+        if l > 0:
+            g = g @ net.weights[l]
+
+
+def input_gradient(net: DenseNet, cache: ForwardCache,
+                   upstream) -> np.ndarray:
+    """d(loss)/d(input) of each row of a batched forward, (n, d).
+
+    upstream is d(loss)/d(output), (n, out). Runs the chain rule of
+    ``backward`` through the hooks and activations only: no tape, and no
+    weight, bias or hook gradient.
+    """
+    g = _upstream("input_gradient", cache, upstream)
+    if not cache.batched:
+        raise ShapeError(f"input gradient needs a row batch (n, "
+                         f"{net.weights[0].shape[1]}), got a vector forward")
+    for l in range(net.n_layers - 1, -1, -1):
+        if cache.hooks[l] is not None:
+            g = g * cache.hooks[l]
+        if net.activations[l] == "relu":
+            g = g * (cache.pre[l] > 0.0)
         g = g @ net.weights[l]
-    return g if cache.batched else g[0]
+    return g
 
 
 def sgd_step(net: DenseNet, tape: GradTape, lr: float) -> None:

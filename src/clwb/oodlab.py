@@ -11,6 +11,7 @@ contrastive training modes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,9 +74,7 @@ def _log_msp_input_gradient(net: bb.MaskedNet, x: np.ndarray, task: int,
     z = bb._head_logits(head, feats)
     dlogits = -nk.softmax(z / tau) / tau
     dlogits[np.arange(z.shape[0]), z.argmax(axis=1)] += 1.0 / tau
-    d_feats = dlogits @ head.weight
-    tape = nk.GradTape.for_net(trunk)
-    return nk.backward(trunk, tape, cache, d_feats)
+    return nk.input_gradient(trunk, cache, dlogits @ head.weight)
 
 
 def odin_perturb(net: bb.MaskedNet, x, task: int,
@@ -116,6 +115,17 @@ def rotate90(image, quarter_turns: int):
     return np.rot90(img, k=quarter_turns % 4, axes=(1, 2))
 
 
+@functools.cache
+def _quarter_turn_index(h: int, w: int) -> np.ndarray:
+    """(4, h*w) flat pixel index: row r gathers rotate90(., r) of a
+    flattened (h, w) image. Raises as rotate90 does for a non-square grid."""
+    grid = np.arange(h * w, dtype=np.float64).reshape(1, h, w)
+    index = np.stack([rotate90(grid, r).ravel()
+                      for r in range(4)]).astype(np.intp)
+    index.setflags(write=False)
+    return index
+
+
 def build_rotation_batch(images, labels, *, rng: np.random.Generator,
                          flip_prob: float = 0.5, noise_sigma: float = 0.05
                          ) -> tuple[np.ndarray, np.ndarray]:
@@ -136,6 +146,7 @@ def build_rotation_batch(images, labels, *, rng: np.random.Generator,
         raise ValueError("empty image batch")
     if ys.shape != (len(imgs),):
         raise ValueError(f"labels of shape {ys.shape} for {len(imgs)} images")
+    turns = _quarter_turn_index(*imgs.shape[1:])
     flipped = imgs[:, :, ::-1]
     views = np.empty((2 * len(imgs),) + imgs.shape[1:])
     for v in range(len(views)):
@@ -144,7 +155,7 @@ def build_rotation_batch(images, labels, *, rng: np.random.Generator,
             views[v] += rng.normal(0.0, noise_sigma, imgs.shape[1:])
     if noise_sigma > 0:
         np.clip(views, 0.0, 1.0, out=views)
-    out = np.stack([rotate90(views, r) for r in range(4)], axis=1)
+    out = views.reshape(len(views), -1)[:, turns]
     out_y = np.repeat(ys * 4, 8) + np.tile(np.arange(4), 2 * len(imgs))
     return out.reshape((-1,) + imgs.shape[1:]), out_y
 

@@ -220,6 +220,20 @@ class TestReportCommand:
         assert len(lines) == 3
 
 
+    @pytest.mark.parametrize("blob", [None, '{"seed": 1', '{"seed": 1}'],
+                             ids=["missing", "bad-json", "missing-fields"])
+    def test_unreadable_report_is_usage_error(self, tmp_path, capsys, blob):
+        path = tmp_path / "report.json"
+        if blob is not None:
+            path.write_text(blob)
+        merged = tmp_path / "merged.csv"
+        assert run_cli("report", str(path), "--out", str(merged)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: report file {path}: ")
+        assert len(err.strip().splitlines()) == 1
+        assert not merged.exists()
+
+
 class TestReportInvariants:
     def test_entropy_identity_in_report(self, synth_config_text, tmp_path):
         cfg = parse_config(synth_config_text())

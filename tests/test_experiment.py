@@ -251,6 +251,31 @@ def test_calibrate_loads_once_and_reports_as_eval_run(trained, monkeypatch):
     assert got_after.to_json() == after.to_json()
 
 
+@pytest.mark.parametrize("scorer", ["msp", "odin"])
+def test_calibrate_scores_the_test_set_once(trained, monkeypatch, scorer):
+    text, final = trained
+    cfg = parse_config(text + f"\n[ood]\nscorer = {scorer}\nodin_grid = true\n")
+    n_tasks = 3
+    calls = {"class_logits": 0, "odin_score": 0}
+    for name in calls:
+        def counted(*args, real=getattr(ol, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(ol, name, counted)
+    params, before, after, _ = ex.calibrate_run(cfg, final)
+    grid = len(ol.ODIN_TAU_GRID) * len(ol.ODIN_EPS_GRID)
+    # one forward per task over the buffer, one per task over the test set
+    assert calls["class_logits"] == n_tasks + n_tasks
+    # odin: the grid once per task, then the chosen candidate once per task
+    assert calls["odin_score"] == (n_tasks * grid + n_tasks
+                                   if scorer == "odin" else 0)
+    monkeypatch.undo()
+    assert before.to_json() == ex.eval_run(cfg, final,
+                                           route="concat-argmax").to_json()
+    assert after.to_json() == ex.eval_run(cfg, final, route="calibrated",
+                                          calibration=params).to_json()
+
+
 @pytest.mark.parametrize("scorer, forwards", [("msp", 3), ("maxlogit", 3)])
 def test_plain_head_scorers_reuse_the_class_logits(trained, monkeypatch,
                                                    scorer, forwards):

@@ -69,24 +69,125 @@ def test_forward_shape_errors():
         nk.forward(net, np.zeros(3), [np.ones(3), None])
 
 
-def test_backward_linear_input_gradient_is_weight_row():
+def test_input_gradient_linear_is_weight_row():
     W = np.array([[1.0, -2.0, 0.5], [3.0, 0.0, 1.0]])
     net = nk.DenseNet([W], [np.zeros(2)], ["linear"])
-    tape = nk.GradTape.for_net(net)
-    _, cache = nk.forward(net, [0.3, -0.1, 2.0])
-    xg = nk.backward(net, tape, cache, [1.0, 0.0])  # loss = f(x)[0]
-    np.testing.assert_array_equal(xg, W[0])
+    _, cache = nk.forward(net, [[0.3, -0.1, 2.0]])
+    xg = nk.input_gradient(net, cache, [[1.0, 0.0]])  # loss = f(x)[0]
+    np.testing.assert_array_equal(xg[0], W[0])
 
 
 def test_backward_zero_upstream_zero_grads():
     rng = np.random.default_rng(4)
     net = small_net(rng)
     tape = nk.GradTape.for_net(net)
-    _, cache = nk.forward(net, rng.normal(size=3))
-    xg = nk.backward(net, tape, cache, np.zeros(2))
+    _, cache = nk.forward(net, rng.normal(size=(1, 3)))
+    assert nk.backward(net, tape, cache, np.zeros((1, 2))) is None
+    xg = nk.input_gradient(net, cache, np.zeros((1, 2)))
     assert not xg.any()
     assert not any(g.any() for g in tape.d_weights)
     assert not any(g.any() for g in tape.d_biases)
+
+
+def _backward_with_input_gradient(net, tape, cache, upstream):
+    """backward as it was before the input gradient became its own function:
+    fills the tape and returns d(loss)/d(input) rows. The oracle of both."""
+    g = np.asarray(upstream, dtype=np.float64)
+    tape.d_hooks = [None] * net.n_layers
+    for l in range(net.n_layers - 1, -1, -1):
+        a = cache.post_raw[l]
+        hook = cache.hooks[l]
+        if hook is not None:
+            tape.d_hooks[l] = (g * a).sum(axis=0)
+            g = g * hook
+        if net.activations[l] == "relu":
+            g = g * (cache.pre[l] > 0.0)
+        below = cache.post[l - 1] if l > 0 else cache.x
+        tape.d_weights[l] += g.T @ below
+        tape.d_biases[l] += g.sum(axis=0)
+        g = g @ net.weights[l]
+    return g
+
+
+def _random_tape(net, rng):
+    return nk.GradTape([rng.normal(size=w.shape) for w in net.weights],
+                       [rng.normal(size=b.shape) for b in net.biases],
+                       [None] * net.n_layers)
+
+
+def _copy_tape(tape):
+    return nk.GradTape([g.copy() for g in tape.d_weights],
+                       [g.copy() for g in tape.d_biases],
+                       list(tape.d_hooks))
+
+
+@pytest.mark.parametrize("hooked", ["none", "hidden", "every"])
+@pytest.mark.parametrize("activation", ["relu-then-linear", "relu"])
+def test_split_gradients_have_the_bits_of_the_old_backward(hooked, activation):
+    rng = np.random.default_rng([11, len(hooked), len(activation)])
+    for trial in range(10):
+        sizes = [int(k) for k in rng.integers(1, 9, size=rng.integers(2, 5))]
+        acts = (["relu"] * (len(sizes) - 1) if activation == "relu" else None)
+        net = nk.glorot_net(sizes, rng, acts)
+        n_layers = net.n_layers
+        # HAT gates: sigmoid outputs in (0, 1), some saturated to 0 or 1
+        gates = [np.clip(rng.uniform(-0.2, 1.2, size=w.shape[0]), 0.0, 1.0)
+                 for w in net.weights]
+        hooks = {"none": None,
+                 "hidden": gates[:-1] + [None],
+                 "every": gates}[hooked]
+        x = rng.normal(size=(int(rng.integers(1, 7)), sizes[0]))
+        x[0] = 0.0  # zero biases: pre-activations exactly 0, a closed relu
+        out, cache = nk.forward(net, x, hooks)
+        upstream = rng.normal(size=out.shape)
+
+        start = _random_tape(net, rng)
+        want_tape = _copy_tape(start)
+        want_x = _backward_with_input_gradient(net, want_tape, cache, upstream)
+        tape = _copy_tape(start)
+        nk.backward(net, tape, cache, upstream)
+        got_x = nk.input_gradient(net, cache, upstream)
+
+        assert got_x.shape == x.shape
+        assert got_x.tobytes() == want_x.tobytes()
+        for l in range(n_layers):
+            assert tape.d_weights[l].tobytes() == want_tape.d_weights[l].tobytes()
+            assert tape.d_biases[l].tobytes() == want_tape.d_biases[l].tobytes()
+            if want_tape.d_hooks[l] is None:
+                assert tape.d_hooks[l] is None
+            else:
+                assert tape.d_hooks[l].tobytes() == \
+                    want_tape.d_hooks[l].tobytes()
+
+
+def test_input_gradient_against_central_differences():
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        net = small_net(rng, (4, 6, 5, 3))
+        hooks = [rng.uniform(0.2, 0.8, size=6), None, rng.uniform(size=3)]
+        upstream = rng.normal(size=(3, 3))
+
+        def loss(params):
+            (x,) = params
+            out, cache = nk.forward(net, x, hooks)
+            return float((upstream * out).sum()), \
+                [nk.input_gradient(net, cache, upstream)]
+
+        report = nk.grad_check(loss, [rng.normal(size=(3, 4))])
+        assert report.ok, str(report)
+
+
+def test_input_gradient_errors():
+    rng = np.random.default_rng(13)
+    net = small_net(rng)
+    with pytest.raises(nk.StateError):
+        nk.input_gradient(net, None, np.zeros((1, 2)))
+    _, cache = nk.forward(net, rng.normal(size=(2, 3)))
+    with pytest.raises(nk.ShapeError):
+        nk.input_gradient(net, cache, np.zeros((2, 3)))
+    _, vector = nk.forward(net, rng.normal(size=3))
+    with pytest.raises(nk.ShapeError, match=r"\(n, 3\)"):
+        nk.input_gradient(net, vector, np.zeros(2))
 
 
 def test_backward_batch_equals_sum_of_singles():

@@ -199,23 +199,39 @@ class TestRotationBatch:
                              [(0.5, 0.05), (0.0, 0.3), (1.0, 0.05),
                               (0.5, 0.0)])
     def test_matches_the_per_view_loop(self, n, flip_prob, noise_sigma):
-        data = np.random.default_rng(n)
-        # pixels outside [0, 1] show whether clipping follows the noise
-        imgs = data.uniform(-0.2, 1.2, size=(n, 5, 5))
-        labels = data.integers(0, 3, size=n)
-        rng, ref = np.random.default_rng(12), np.random.default_rng(12)
-        out, ys = ol.build_rotation_batch(imgs, labels, rng=rng,
-                                          flip_prob=flip_prob,
-                                          noise_sigma=noise_sigma)
-        want, want_ys = _loop_rotation_batch(imgs, labels, rng=ref,
-                                             flip_prob=flip_prob,
-                                             noise_sigma=noise_sigma)
-        assert out.dtype == want.dtype and out.shape == want.shape
-        assert out.tobytes() == want.tobytes()
-        assert ys.dtype == want_ys.dtype
-        np.testing.assert_array_equal(ys, want_ys)
-        assert rng.bit_generator.state == ref.bit_generator.state
-        assert rng.random() == ref.random()
+        # side 16 is the benchmark's glyph size; side 1 has one pixel
+        for side in (1, 5, 16):
+            data = np.random.default_rng(n)
+            # pixels outside [0, 1] show whether clipping follows the noise
+            imgs = data.uniform(-0.2, 1.2, size=(n, side, side))
+            labels = data.integers(0, 3, size=n)
+            rng, ref = np.random.default_rng(12), np.random.default_rng(12)
+            out, ys = ol.build_rotation_batch(imgs, labels, rng=rng,
+                                              flip_prob=flip_prob,
+                                              noise_sigma=noise_sigma)
+            want, want_ys = _loop_rotation_batch(imgs, labels, rng=ref,
+                                                 flip_prob=flip_prob,
+                                                 noise_sigma=noise_sigma)
+            assert out.dtype == want.dtype and out.shape == want.shape
+            assert out.tobytes() == want.tobytes()
+            assert ys.dtype == want_ys.dtype
+            np.testing.assert_array_equal(ys, want_ys)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("side", [1, 2, 3, 16])
+    def test_turn_index_reproduces_rotate90(self, side):
+        views = np.random.default_rng(side).normal(size=(3, side, side))
+        index = ol._quarter_turn_index(side, side)
+        assert index.shape == (4, side * side) and not index.flags.writeable
+        for r in range(4):
+            got = views.reshape(3, -1)[:, index[r]].reshape(views.shape)
+            assert got.tobytes() == ol.rotate90(views, r).tobytes()
+
+    def test_non_square_batch_raises(self):
+        with pytest.raises(ValueError, match="square"):
+            ol.build_rotation_batch(np.zeros((2, 3, 4)), np.zeros(2),
+                                    rng=np.random.default_rng(0))
 
     def test_label_count_must_match(self):
         imgs = np.zeros((3, 4, 4))
