@@ -35,7 +35,7 @@ def main(argv: list[str]) -> int:
     root, name, seed = Path(argv[0]).resolve(), argv[1], int(argv[2])
     # the benchmark's thread settings, pinned before numpy loads
     os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-                       "MKL_NUM_THREADS": "1", "CLWB_THREADS": "1"})
+                       "MKL_NUM_THREADS": "1"})
     sys.path[:0] = [str(root / "perfbench"), str(root / "src")]
     import workloads
 

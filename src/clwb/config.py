@@ -196,6 +196,10 @@ def parse_config(text: str) -> ExperimentConfig:
         for key in ("shuffle_classes", "drop_classes"):
             if getattr(cfg.tasks, key):
                 raise ConfigError(f"tasks.{key} needs data.source = idx")
+        if cfg.loss.kind != "ce":
+            # the rotation losses turn images; synthetic rows are 1 x dim
+            raise ConfigError(f"loss.kind = {cfg.loss.kind} needs "
+                              f"data.source = idx")
     if cfg.data.source == "idx":
         import os
         for key in ("train_images", "train_labels", "test_images",

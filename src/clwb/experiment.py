@@ -9,8 +9,6 @@ printed, never written into the canonical report bytes.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -35,13 +33,6 @@ __all__ = [
     "calibrate_run",
     "write_report",
 ]
-
-
-def _threads() -> int:
-    raw = os.environ.get("CLWB_THREADS", "1")
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ConfigError(f"CLWB_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
 
 
 def build_tasks(cfg: ExperimentConfig) -> dt.TaskSequence:
@@ -178,8 +169,8 @@ def _score_task(net: bb.MaskedNet, images: np.ndarray, task: int, scorer: str,
     scorers reuse it where it is their input, so only a rotation head's
     msp/maxlogit and ODIN run a forward of their own.
     """
-    rotation = net.heads[task].kind == "rotation"
     if scorer in ("msp", "maxlogit"):
+        rotation = net.heads[task].kind == "rotation"
         z = bb.task_raw_logits(net, images, task) if rotation else class_logits
         if scorer == "msp":
             return ol.msp_score(z)
@@ -187,8 +178,6 @@ def _score_task(net: bb.MaskedNet, images: np.ndarray, task: int, scorer: str,
     if scorer == "odin":
         return ol.odin_score(net, images, task, odin[task])
     if scorer == "rotation-ensemble":
-        if not rotation:
-            raise ValueError(f"task {task} head has no rotation slots")
         return ol.msp_score(class_logits)
     raise ValueError(f"unknown scorer {scorer!r}")
 
@@ -244,11 +233,11 @@ def eval_run(cfg: ExperimentConfig, checkpoint_path, *, scorer: str | None = Non
     scorer/route override the config; ODIN is evaluation-time post-processing
     on the stored heads. The checkpoint file is never written.
     """
-    n_threads = _threads()
     net, meta = load_checkpoint(checkpoint_path)
     seq = build_tasks(cfg)
     route, calibration = _route_args(cfg, seq, route, calibration)
-    scored = _score_loaded(cfg, net, meta, seq, n_threads, scorer)
+    scorer = _scorer_arg(cfg, net, scorer)
+    scored = _score_loaded(cfg, net, meta, seq, scorer)
     return _route_report(cfg, scored, route, calibration)
 
 
@@ -272,6 +261,21 @@ def _route_args(cfg: ExperimentConfig, seq: dt.TaskSequence,
     return route, calibration
 
 
+def _scorer_arg(cfg: ExperimentConfig, net: bb.MaskedNet,
+                scorer: str | None) -> str:
+    """The effective scorer, checked against the loaded heads before any
+    scoring: rotation-ensemble needs a rotation head on every task."""
+    scorer = scorer or cfg.ood.scorer
+    if scorer not in SCORERS:
+        raise ValueError(f"unknown scorer {scorer!r}")
+    if scorer == "rotation-ensemble":
+        for k, head in sorted(net.heads.items()):
+            if head.kind != "rotation":
+                raise ConfigError(f"scorer 'rotation-ensemble': task {k} "
+                                  f"head has no rotation slots")
+    return scorer
+
+
 @dataclass
 class _Scored:
     """The route-independent part of an evaluation: each task's class logits
@@ -292,14 +296,10 @@ class _Scored:
 
 
 def _score_loaded(cfg: ExperimentConfig, net: bb.MaskedNet, meta: dict,
-                  seq: dt.TaskSequence, n_threads: int,
-                  scorer: str | None = None) -> _Scored:
+                  seq: dt.TaskSequence, scorer: str) -> _Scored:
     """Run every task's head and scorer once over the concatenated test
-    sets of a loaded checkpoint and a built task sequence."""
-    scorer = scorer or cfg.ood.scorer
-    if scorer not in SCORERS:
-        raise ValueError(f"unknown scorer {scorer!r}")
-
+    sets of a loaded checkpoint and a built task sequence (scorer as
+    ``_scorer_arg`` returns it)."""
     test_images = np.concatenate([seq.tasks[k][1].images
                                   for k in range(seq.n_tasks)])
     test_task_of = np.concatenate([np.full(len(seq.tasks[k][1]), k)
@@ -309,21 +309,10 @@ def _score_loaded(cfg: ExperimentConfig, net: bb.MaskedNet, meta: dict,
 
     odin = _scorer_params(cfg, net, seq, scorer)
 
-    def logits_for(task: int) -> np.ndarray:
-        return ol.class_logits(net, test_images, task)
-
-    def scores_for(task: int) -> np.ndarray:
-        return _score_task(net, test_images, task, scorer, odin,
-                           per_task_logits[task])
-
-    tasks = list(range(seq.n_tasks))
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            per_task_logits = list(pool.map(logits_for, tasks))
-            per_task_scores = list(pool.map(scores_for, tasks))
-    else:
-        per_task_logits = [logits_for(k) for k in tasks]
-        per_task_scores = [scores_for(k) for k in tasks]
+    tasks = range(seq.n_tasks)
+    per_task_logits = [ol.class_logits(net, test_images, k) for k in tasks]
+    per_task_scores = [_score_task(net, test_images, k, scorer, odin,
+                                   per_task_logits[k]) for k in tasks]
 
     # AUC_k: task k's own test data against everyone else's, scored by task k
     auc_per_task = []
@@ -438,8 +427,8 @@ def calibrate_run(cfg: ExperimentConfig, checkpoint_path
     """Fit per-task (alpha, beta) on a memory buffer and report the CIL
     before (plain concat) and after (calibrated concat), both routes over
     one scoring of the test set."""
-    n_threads = _threads()
     net, meta = load_checkpoint(checkpoint_path)
+    scorer = _scorer_arg(cfg, net, None)
     seq = build_tasks(cfg)
     rng = np.random.default_rng([cfg.seed, 99])
     pools = {}
@@ -453,7 +442,7 @@ def calibrate_run(cfg: ExperimentConfig, checkpoint_path
         [ol.class_logits(net, buffer.inputs, k) for k in range(seq.n_tasks)],
         buffer.labels, iters=cfg.calibrate.iters, lr=cfg.calibrate.lr,
         batch_size=cfg.calibrate.batch, seed=cfg.seed)
-    scored = _score_loaded(cfg, net, meta, seq, n_threads)
+    scored = _score_loaded(cfg, net, meta, seq, scorer)
     before = _route_report(cfg, scored, "concat-argmax", None)
     after = _route_report(cfg, scored, "calibrated", params)
     return params, before, after, history

@@ -10,15 +10,10 @@ holds the unpadded instance. Distributions are drawn from mixed Dirichlet
 sharpness with a 1e-5 floor: the additive identity is exact only while no
 probability falls under the log clamp, and the floor keeps the suites inside
 that regime while still spanning five orders of magnitude.
-
-Setting the environment variable CLWB_FAULT_NEGATE to a suite name inverts
-that suite's verdicts; it exists only so the harness can prove it catches
-counterexamples.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -316,12 +311,11 @@ def run_suite(name: str, seed: int, trials: int) -> SuiteResult:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    negate = os.environ.get("CLWB_FAULT_NEGATE") == name
     rng = np.random.default_rng([seed, SUITE_NAMES.index(name)])
     start = time.perf_counter()
     result = SuiteResult(name, trials, seed, 0.0)
     for ok, dump in _SUITES[name](rng, trials):
-        failed = np.flatnonzero(ok if negate else ~ok)
+        failed = np.flatnonzero(~ok)
         result.n_failed += failed.size
         keep = failed[:MAX_FAILURES_KEPT - len(result.failures)]
         result.failures.extend(dump(i) for i in keep)

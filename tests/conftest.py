@@ -4,6 +4,22 @@ import numpy as np
 import pytest
 
 from clwb import data as dt
+from clwb import verify
+
+
+@pytest.fixture
+def negate_suite(monkeypatch):
+    """``negate_suite(name)`` inverts that verify suite's verdicts for the
+    test, so every trial becomes a counterexample the harness must report."""
+    def install(name):
+        suite = verify._SUITES[name]
+
+        def negated(rng, trials):
+            for ok, dump in suite(rng, trials):
+                yield ~ok, dump
+
+        monkeypatch.setitem(verify._SUITES, name, negated)
+    return install
 
 
 @pytest.fixture(scope="session")

@@ -26,9 +26,9 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert out.count("suite ") == 7
 
-    def test_injected_fault_fails_with_replay(self, capsys, monkeypatch):
+    def test_injected_fault_fails_with_replay(self, capsys, negate_suite):
         # harness self-test: a negated verdict must surface as exit 1
-        monkeypatch.setenv("CLWB_FAULT_NEGATE", "theorem1")
+        negate_suite("theorem1")
         assert run_cli("verify", "--suite", "theorem1", "--trials", "20",
                        "--seed", "5") == 1
         out = capsys.readouterr().out
@@ -102,17 +102,17 @@ class TestTrainEvalPipeline:
         assert a["til_per_task"] == b["til_per_task"]
         assert a["scorer"] == "msp" and b["scorer"] == "odin"
 
-    def test_bad_thread_count_is_usage_error(self, synth_config_text,
-                                             tmp_path, capsys, monkeypatch):
+    def test_rotation_ensemble_on_plain_heads_is_usage_error(
+            self, synth_config_text, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(synth_config_text(tasks=2, epochs=2))
         run_cli("train", "--config", str(cfg_path))
-        for cmd in ("eval", "calibrate"):
-            for raw in ("two", "0", "-1"):
-                monkeypatch.setenv("CLWB_THREADS", raw)
-                assert run_cli(cmd, "--config", str(cfg_path), "--checkpoint",
-                               str(tmp_path / "run" / "final.clwb")) == 2
-                assert "CLWB_THREADS" in capsys.readouterr().err
+        assert run_cli("eval", "--config", str(cfg_path), "--checkpoint",
+                       str(tmp_path / "run" / "final.clwb"),
+                       "--scorer", "rotation-ensemble") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no rotation slots" in err
+        assert not list((tmp_path / "run").glob("report_*"))
 
     def test_bad_config_is_usage_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.ini"
@@ -242,15 +242,6 @@ class TestReportInvariants:
             rep = ex.eval_run(cfg, art["final"], route=route)
             assert abs(rep.h_cil_mean -
                        (rep.h_wp_mean + rep.h_tp_mean)) < 1e-6
-
-    def test_threads_do_not_change_results(self, synth_config_text, tmp_path,
-                                           monkeypatch):
-        cfg = parse_config(synth_config_text())
-        art = ex.train_run(cfg, tmp_path / "run")
-        base = ex.eval_run(cfg, art["final"])
-        monkeypatch.setenv("CLWB_THREADS", "4")
-        threaded = ex.eval_run(cfg, art["final"])
-        assert base.to_json() == threaded.to_json()
 
 
 class TestRobustness:

@@ -92,3 +92,12 @@ def test_synthetic_source_rejects_idx_only_task_knobs(line):
     cfg = parse_config(MINIMAL + "[tasks]\nshuffle_classes = false\n"
                        "drop_classes =\n")
     assert cfg.tasks.shuffle_classes is False and cfg.tasks.drop_classes == []
+
+
+@pytest.mark.parametrize("kind", ["rotation-ce", "contrastive"])
+def test_synthetic_source_rejects_rotation_losses(kind):
+    # synthetic rows are 1 x dim, with no image for the losses to rotate
+    for data in ("", "[data]\nsource = synthetic\n"):
+        with pytest.raises(ConfigError, match=rf"loss\.kind = {kind}"):
+            parse_config(MINIMAL + data + f"[loss]\nkind = {kind}\n")
+    assert parse_config(MINIMAL + "[loss]\nkind = ce\n").loss.kind == "ce"

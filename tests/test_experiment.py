@@ -17,7 +17,7 @@ from clwb import oodlab as ol
 from clwb import theory as th
 from clwb import verify
 from clwb.checkpoint import load_checkpoint
-from clwb.config import TPS, parse_config
+from clwb.config import TPS, ConfigError, parse_config
 
 
 def _with_predict(text, tp):
@@ -292,10 +292,18 @@ def test_plain_head_scorers_reuse_the_class_logits(trained, monkeypatch,
     assert count[0] == forwards  # one per task, shared with the scorer
 
 
-def test_rotation_ensemble_needs_rotation_heads(trained):
+def test_rotation_ensemble_needs_rotation_heads(trained, monkeypatch):
+    # a usage error raised when the checkpoint loads, before any forward
     text, final = trained
-    with pytest.raises(ValueError, match="no rotation slots"):
+    forwards = []
+    monkeypatch.setattr(bb, "task_features",
+                        lambda *args, **kwargs: forwards.append(args))
+    with pytest.raises(ConfigError, match="task 0 head has no rotation slots"):
         ex.eval_run(parse_config(text), final, scorer="rotation-ensemble")
+    with pytest.raises(ConfigError, match="task 0 head has no rotation slots"):
+        ex.calibrate_run(parse_config(
+            text + "[ood]\nscorer = rotation-ensemble\n"), final)
+    assert forwards == []
 
 
 @pytest.fixture(scope="module")

@@ -520,14 +520,20 @@ class TestDecomposeRows:
                 assert (out.h_wp[i], out.h_tp[i], out.h_cil[i]) \
                     == (rep.h_wp, rep.h_tp, rep.h_cil)
             else:  # under the clamp: the parts in log space
+                # Log-sum-exps relative to their max. On a pushed-down slice
+                # (|lz| ~ 1e4) own.max() - lz[flat] subtracts floats within a
+                # factor of two of each other, which is exact; the slice's
+                # log-sum-exp minus lz[flat] would first round that sum, off
+                # by up to an ulp of 1e4, 1.8e-12.
                 lz = _log_softmax_rows(z)[i]
-                lse = np.array([np.logaddexp.reduce(lz[topo.task_slice(k)])
-                                for k in range(topo.n_tasks)])
+                own = lz[topo.task_slice(truth.k0)]
                 flat = topo.flat(truth.k0, truth.j0)
+                log_own = np.log(np.exp(own - own.max()).sum())
+                log_all = np.log(np.exp(lz - lz.max()).sum())
                 assert out.h_wp[i] == pytest.approx(
-                    lse[truth.k0] - lz[flat], rel=1e-9, abs=1e-12)
+                    (own.max() - lz[flat]) + log_own, rel=1e-9, abs=1e-12)
                 assert out.h_tp[i] == pytest.approx(
-                    np.logaddexp.reduce(lse) - lse[truth.k0], rel=1e-9,
+                    (lz.max() - own.max()) + log_all - log_own, rel=1e-9,
                     abs=1e-12)
                 assert out.h_cil[i] == out.h_wp[i] + out.h_tp[i]
             assert out.predictions[i] == np.argmax(cil[i])
@@ -555,6 +561,8 @@ class TestDecomposeRows:
                 assert (out.h_wp[i], out.h_tp[i], out.h_cil[i]) \
                     == (rep.h_wp, rep.h_tp, rep.h_cil)
             else:
+                # log_wp is already max-relative per slice, (z - max) -
+                # log(sum(exp(z - max))): the program passes it through
                 assert out.h_wp[i] == -log_wp[i, flat[i]]
                 assert out.h_tp[i] == (-np.log(p_tp) if p_tp > 0 else th.H_MAX)
                 assert out.h_cil[i] == out.h_wp[i] + out.h_tp[i]

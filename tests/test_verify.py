@@ -23,8 +23,8 @@ def test_seed_determinism():
     assert c.ok  # different seed still passes
 
 
-def test_fault_injection_hook(monkeypatch):
-    monkeypatch.setenv("CLWB_FAULT_NEGATE", "theorem2")
+def test_fault_injection_hook(negate_suite):
+    negate_suite("theorem2")
     bad = verify.run_suite("theorem2", seed=1, trials=50)
     assert not bad.ok
     assert bad.n_failed == 50
@@ -34,8 +34,8 @@ def test_fault_injection_hook(monkeypatch):
     assert ok.ok  # other suites unaffected
 
 
-def test_failure_dump_is_replayable(monkeypatch):
-    monkeypatch.setenv("CLWB_FAULT_NEGATE", "identity")
+def test_failure_dump_is_replayable(negate_suite):
+    negate_suite("identity")
     result = verify.run_suite("identity", seed=4, trials=5)
     fields = _fields(result.failures[0])
     assert set(fields) == {"sizes", "wp", "tp", "truth", "gap"}
@@ -120,9 +120,9 @@ def _fields(dump):
 
 
 @pytest.mark.parametrize("name", verify.SUITE_NAMES)
-def test_batches_cover_every_trial(monkeypatch, name):
+def test_batches_cover_every_trial(monkeypatch, negate_suite, name):
     monkeypatch.setattr(verify, "BATCH", 7)
-    monkeypatch.setenv("CLWB_FAULT_NEGATE", name)
+    negate_suite(name)
     result = verify.run_suite(name, seed=3, trials=20)
     assert result.n_failed == 20
     assert len(result.failures) == verify.MAX_FAILURES_KEPT
