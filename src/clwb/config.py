@@ -133,6 +133,42 @@ _ENUMS = {
     ("predict", "tp"): TPS,
 }
 
+_POSITIVE = (lambda v: v > 0, "> 0")
+_NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
+_COUNT = (lambda v: v >= 1, ">= 1")
+
+# allowed values of the numeric keys, (test, description); a list key's test
+# applies to each element
+_RANGES = {
+    ("data", "separation"): _POSITIVE,
+    ("data", "dim"): _COUNT,
+    ("data", "per_class"): _COUNT,
+    ("data", "test_per_class"): _NON_NEGATIVE,
+    ("tasks", "count"): _COUNT,
+    ("tasks", "classes_per_task"): _COUNT,
+    ("backbone", "hidden"): _COUNT,
+    ("backbone", "s_max"): _POSITIVE,
+    ("backbone", "sparsity"): (lambda v: 0 < v <= 100, "in (0, 100]"),
+    ("backbone", "epochs"): _COUNT,
+    ("backbone", "lr"): _POSITIVE,
+    ("backbone", "batch"): _COUNT,
+    ("loss", "contrastive_epochs"): _NON_NEGATIVE,
+    ("loss", "head_epochs"): _NON_NEGATIVE,
+    ("loss", "head_lr"): _NON_NEGATIVE,
+    ("loss", "temperature"): _POSITIVE,
+    ("loss", "flip_prob"): (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    ("loss", "noise_sigma"): _NON_NEGATIVE,
+    ("ood", "odin_tau"): _POSITIVE,
+    ("ood", "odin_eps"): _NON_NEGATIVE,
+    ("ood", "validation_fraction"): (lambda v: 0 < v < 1, "in (0, 1)"),
+    ("predict", "nu"): _POSITIVE,
+    ("predict", "tau"): _POSITIVE,
+    ("calibrate", "buffer"): _COUNT,
+    ("calibrate", "iters"): _NON_NEGATIVE,
+    ("calibrate", "lr"): _POSITIVE,
+    ("calibrate", "batch"): _COUNT,
+}
+
 # keyed by annotation string: every config dataclass is declared under
 # ``from __future__ import annotations``
 _PARSERS = {"int": int, "float": float, "str": str, "bool": _bool,
@@ -160,6 +196,11 @@ def _fill(section: str, cfg_obj, parser: configparser.ConfigParser) -> None:
         if allowed and value not in allowed:
             raise ConfigError(
                 f"{section}.{key} must be one of {allowed}, got {value!r}")
+        if (section, key) in _RANGES:
+            ok, bound = _RANGES[section, key]
+            if not all(map(ok, value if isinstance(value, list) else [value])):
+                raise ConfigError(f"{section}.{key} must be {bound}, "
+                                  f"got {raw!r}")
         setattr(cfg_obj, key, value)
 
 
@@ -200,6 +241,10 @@ def parse_config(text: str) -> ExperimentConfig:
             # the rotation losses turn images; synthetic rows are 1 x dim
             raise ConfigError(f"loss.kind = {cfg.loss.kind} needs "
                               f"data.source = idx")
+        if cfg.ood.scorer == "rotation-ensemble":
+            # only the rotation losses give rotation heads
+            raise ConfigError("ood.scorer = rotation-ensemble needs "
+                              "data.source = idx")
     if cfg.data.source == "idx":
         import os
         for key in ("train_images", "train_labels", "test_images",

@@ -58,10 +58,6 @@ class LabeledImageSet:
     def __len__(self) -> int:
         return self.images.shape[0]
 
-    @property
-    def flat(self) -> np.ndarray:
-        return self.images.reshape(len(self), -1)
-
     def subset(self, index) -> "LabeledImageSet":
         return LabeledImageSet(self.images[index], self.labels[index],
                                self.n_classes)

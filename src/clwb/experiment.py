@@ -127,34 +127,44 @@ def _scorer_params(cfg: ExperimentConfig, net: bb.MaskedNet,
                    seq: dt.TaskSequence, scorer: str) -> dict[int, ol.OdinParams]:
     """Per-task ODIN settings: fixed from config, or grid-searched by
     validation AUC, each candidate scored once over the pooled held-out
-    slices of all tasks' training data (own rows in-distribution, rest OOD)."""
+    slices of all tasks' training data and judged by ``_task_auc``; the
+    first candidate of highest AUC wins."""
     if scorer != "odin":
         return {}
     if not cfg.ood.odin_grid:
         p = ol.OdinParams(cfg.ood.odin_tau, cfg.ood.odin_eps)
         return {k: p for k in range(seq.n_tasks)}
+    cands = [ol.OdinParams(tau, eps)
+             for tau in ol.ODIN_TAU_GRID for eps in ol.ODIN_EPS_GRID]
     if seq.n_tasks == 1:
         # no other task's rows to tell apart: every candidate would score a
         # validation AUC of 0.5, and the first one keeps the tie
-        return {0: ol.OdinParams(ol.ODIN_TAU_GRID[0], ol.ODIN_EPS_GRID[0])}
-    splits = [dt.validation_split(seq.tasks[k][0], cfg.ood.validation_fraction,
-                                  seed=cfg.seed)[1].images
-              for k in range(seq.n_tasks)]
-    pooled = np.concatenate(splits)
-    owner = np.repeat(np.arange(seq.n_tasks), [len(s) for s in splits])
-    params = {}
-    for k in range(seq.n_tasks):
-        ind = owner == k
-        best = None
-        for tau in ol.ODIN_TAU_GRID:
-            for eps in ol.ODIN_EPS_GRID:
-                cand = ol.OdinParams(tau, eps)
-                score = ol.odin_score(net, pooled, k, cand)
-                val_auc = mt.auc(mt.ScoredPopulation(score[ind], score[~ind]))
-                if best is None or val_auc > best[0]:
-                    best = (val_auc, cand)
-        params[k] = best[1]
-    return params
+        return {0: cands[0]}
+    pooled, owner, _ = _pooled(
+        [dt.validation_split(seq.tasks[k][0], cfg.ood.validation_fraction,
+                             seed=cfg.seed)[1] for k in range(seq.n_tasks)])
+    aucs = np.array([[_task_auc(ol.odin_score(net, pooled, k, c), owner, k)
+                      for c in cands] for k in range(seq.n_tasks)])
+    return {k: cands[i] for k, i in enumerate(np.argmax(aucs, axis=1))}
+
+
+def _pooled(sets: list[dt.LabeledImageSet]
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every task's rows stacked in task order, with each row's owning task
+    and its within-task label."""
+    return (np.concatenate([s.images for s in sets]),
+            np.repeat(np.arange(len(sets)), [len(s) for s in sets]),
+            np.concatenate([s.labels for s in sets]))
+
+
+def _task_auc(scores: np.ndarray, owner: np.ndarray, k: int) -> float:
+    """Task k's detector judged on pooled rows: the AUC of task k's own rows
+    against every other task's rows under task k's scores; 0.5 when there
+    are no other rows, as the separation is then undefined."""
+    own = owner == k
+    if own.all():
+        return 0.5
+    return mt.auc(mt.ScoredPopulation(scores[own], scores[~own]))
 
 
 def _score_task(net: bb.MaskedNet, images: np.ndarray, task: int, scorer: str,
@@ -279,20 +289,15 @@ def _scorer_arg(cfg: ExperimentConfig, net: bb.MaskedNet,
 @dataclass
 class _Scored:
     """The route-independent part of an evaluation: each task's class logits
-    and scores over the whole test set, and what follows from them alone."""
+    and scores over the whole test set, and the report fields that follow
+    from them alone."""
 
-    backbone: str
-    scorer: str
-    odin: dict[int, ol.OdinParams]
+    report_fields: dict
     topo: th.TaskTopology
     test_task_of: np.ndarray
     truth_local: np.ndarray
     per_task_logits: list[np.ndarray]
     per_task_scores: list[np.ndarray]
-    auc_per_task: list[float]
-    til_per_task: list[float]
-    til_avg: float
-    forgetting: list[float]
 
 
 def _score_loaded(cfg: ExperimentConfig, net: bb.MaskedNet, meta: dict,
@@ -300,12 +305,8 @@ def _score_loaded(cfg: ExperimentConfig, net: bb.MaskedNet, meta: dict,
     """Run every task's head and scorer once over the concatenated test
     sets of a loaded checkpoint and a built task sequence (scorer as
     ``_scorer_arg`` returns it)."""
-    test_images = np.concatenate([seq.tasks[k][1].images
-                                  for k in range(seq.n_tasks)])
-    test_task_of = np.concatenate([np.full(len(seq.tasks[k][1]), k)
-                                   for k in range(seq.n_tasks)])
-    truth_local = np.concatenate([seq.tasks[k][1].labels
-                                  for k in range(seq.n_tasks)])
+    test_images, test_task_of, truth_local = _pooled(
+        [seq.tasks[k][1] for k in range(seq.n_tasks)])
 
     odin = _scorer_params(cfg, net, seq, scorer)
 
@@ -313,16 +314,8 @@ def _score_loaded(cfg: ExperimentConfig, net: bb.MaskedNet, meta: dict,
     per_task_logits = [ol.class_logits(net, test_images, k) for k in tasks]
     per_task_scores = [_score_task(net, test_images, k, scorer, odin,
                                    per_task_logits[k]) for k in tasks]
-
-    # AUC_k: task k's own test data against everyone else's, scored by task k
-    auc_per_task = []
-    for k in tasks:
-        ind = per_task_scores[k][test_task_of == k]
-        ood = per_task_scores[k][test_task_of != k]
-        if ood.size == 0:
-            auc_per_task.append(0.5)  # single task: separation undefined
-        else:
-            auc_per_task.append(mt.auc(mt.ScoredPopulation(ind, ood)))
+    auc_per_task = [_task_auc(per_task_scores[k], test_task_of, k)
+                    for k in tasks]
 
     til_per_task, til_avg = mt.til_accuracy(
         [per_task_logits[k][test_task_of == k].argmax(axis=1) for k in tasks],
@@ -335,9 +328,16 @@ def _score_loaded(cfg: ExperimentConfig, net: bb.MaskedNet, meta: dict,
         forgetting = [mt.forgetting_rate(matrix, t) for t in
                       range(2, t_learned + 1)]
 
-    return _Scored(net.kind, scorer, odin, seq.topology, test_task_of,
-                   truth_local, per_task_logits, per_task_scores,
-                   auc_per_task, til_per_task, til_avg, forgetting)
+    report_fields = dict(
+        seed=cfg.seed, backbone=net.kind, loss=cfg.loss.kind, scorer=scorer,
+        n_test=len(test_task_of), til_per_task=til_per_task, til_avg=til_avg,
+        auc_per_task=auc_per_task, auc_avg=mt.avg_auc(auc_per_task),
+        forgetting=forgetting,
+        odin_params={str(k): {"tau": p.tau, "eps": p.eps}
+                     for k, p in odin.items()},
+        config_text=cfg.text)
+    return _Scored(report_fields, seq.topology, test_task_of, truth_local,
+                   per_task_logits, per_task_scores)
 
 
 def _route_report(cfg: ExperimentConfig, s: _Scored, route: str,
@@ -351,18 +351,11 @@ def _route_report(cfg: ExperimentConfig, s: _Scored, route: str,
     # flat class ids, the index space of the concatenated head outputs
     truth_global = np.asarray(s.topo.offsets)[s.test_task_of] + s.truth_local
     return ExperimentReport(
-        seed=cfg.seed, backbone=s.backbone, loss=cfg.loss.kind,
-        scorer=s.scorer, route=route, n_test=len(s.test_task_of),
-        til_per_task=s.til_per_task, til_avg=s.til_avg,
+        **s.report_fields, route=route,
         cil=mt.cil_accuracy(rows.predictions, truth_global),
-        auc_per_task=s.auc_per_task,
-        auc_avg=mt.avg_auc(s.auc_per_task), forgetting=s.forgetting,
         h_wp_mean=float(np.mean(rows.h_wp)),
         h_tp_mean=float(np.mean(rows.h_tp)),
         h_cil_mean=float(np.mean(rows.h_cil)),
-        odin_params={str(k): {"tau": p.tau, "eps": p.eps}
-                     for k, p in s.odin.items()},
-        config_text=cfg.text,
         notes={"tp_uniform_fallbacks": tp_fallbacks} if tp_fallbacks else {},
     )
 

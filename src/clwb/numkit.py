@@ -77,10 +77,6 @@ class DenseNet:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    @property
-    def sizes(self) -> list[int]:
-        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
-
     def validate(self) -> None:
         if not (len(self.weights) == len(self.biases) == len(self.activations)):
             raise ShapeError("weights/biases/activations length mismatch")
@@ -110,7 +106,8 @@ class GradTape:
     """Per-parameter gradient accumulators mirroring a DenseNet's shapes.
 
     ``d_hooks[l]`` holds the gradient w.r.t. the layer-l hook vector when one
-    was supplied at forward time (None otherwise). Zeroed between steps.
+    was supplied at forward time (None otherwise). Training takes a fresh tape
+    per step.
     """
 
     d_weights: list[np.ndarray]
@@ -124,13 +121,6 @@ class GradTape:
             [np.zeros_like(b) for b in net.biases],
             [None] * net.n_layers,
         )
-
-    def zero(self) -> None:
-        for g in self.d_weights:
-            g[...] = 0.0
-        for g in self.d_biases:
-            g[...] = 0.0
-        self.d_hooks = [None] * len(self.d_weights)
 
 
 @dataclass

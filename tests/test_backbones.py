@@ -363,7 +363,7 @@ class TestTrainTask:
         train = seq.tasks[0][0]
         net = (make_hat if kind == "hat" else make_sup)(dim=4, hidden=(16,))
         bb.train_task(net, 0, train, epochs=50, lr=0.1, batch_size=8, seed=2)
-        logits = bb.task_raw_logits(net, train.flat, 0)
+        logits = bb.task_raw_logits(net, train.images.reshape(len(train), -1), 0)
         acc = (logits.argmax(axis=1) == train.labels).mean()
         assert acc >= 0.99
 

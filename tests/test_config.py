@@ -101,3 +101,53 @@ def test_synthetic_source_rejects_rotation_losses(kind):
         with pytest.raises(ConfigError, match=rf"loss\.kind = {kind}"):
             parse_config(MINIMAL + data + f"[loss]\nkind = {kind}\n")
     assert parse_config(MINIMAL + "[loss]\nkind = ce\n").loss.kind == "ce"
+
+
+def test_synthetic_source_rejects_the_rotation_ensemble():
+    # only the rotation losses give rotation heads, and they need images
+    for data in ("", "[data]\nsource = synthetic\n"):
+        with pytest.raises(ConfigError, match=r"ood\.scorer"):
+            parse_config(MINIMAL + data + "[ood]\nscorer = rotation-ensemble\n")
+    assert parse_config(MINIMAL + "[ood]\nscorer = odin\n").ood.scorer == "odin"
+
+
+@pytest.mark.parametrize("section, key, bad, boundary", [
+    ("data", "separation", "0", "1e-9"),
+    ("data", "dim", "0", "1"),
+    ("data", "per_class", "0", "1"),
+    ("data", "test_per_class", "-1", "0"),
+    ("tasks", "count", "0", "1"),
+    ("tasks", "classes_per_task", "0", "1"),
+    ("backbone", "hidden", "16, 0", "1, 1"),
+    ("backbone", "s_max", "0", "1e-9"),
+    ("backbone", "sparsity", "0", "100"),
+    ("backbone", "sparsity", "100.5", "1e-9"),
+    ("backbone", "epochs", "0", "1"),
+    ("backbone", "lr", "0", "1e-9"),
+    ("backbone", "batch", "0", "1"),
+    ("loss", "contrastive_epochs", "-1", "0"),
+    ("loss", "head_epochs", "-1", "0"),
+    ("loss", "head_lr", "-1e-9", "0"),
+    ("loss", "temperature", "0", "1e-9"),
+    ("loss", "flip_prob", "-0.1", "0"),
+    ("loss", "flip_prob", "1.1", "1"),
+    ("loss", "noise_sigma", "-1e-9", "0"),
+    ("ood", "odin_tau", "0", "1e-9"),
+    ("ood", "odin_eps", "-1", "0"),
+    ("ood", "validation_fraction", "0", "1e-9"),
+    ("ood", "validation_fraction", "1", "0.999"),
+    ("predict", "nu", "0", "1e-9"),
+    ("predict", "tau", "-1", "1e-9"),
+    ("calibrate", "buffer", "0", "1"),
+    ("calibrate", "iters", "-1", "0"),
+    ("calibrate", "lr", "0", "1e-9"),
+    ("calibrate", "batch", "0", "1"),
+    ("predict", "nu", "nan", "0.1"),
+])
+def test_out_of_range_values_name_the_key(section, key, bad, boundary):
+    with pytest.raises(ConfigError, match=rf"^{section}\.{key} must be "):
+        parse_config(MINIMAL + f"[{section}]\n{key} = {bad}\n")
+    cfg = parse_config(MINIMAL + f"[{section}]\n{key} = {boundary}\n")
+    want = [float(v) for v in boundary.split(",")]
+    got = getattr(getattr(cfg, section), key)
+    assert (got if isinstance(got, list) else [got]) == want

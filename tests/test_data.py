@@ -106,9 +106,10 @@ class TestSynthetic:
     def test_separable_by_nearest_center(self):
         seq = dt.synth_gaussian_tasks(2, 2, 2, 10.0, 200, seed=3)
         train = seq.tasks[0][0]
-        centers = np.stack([train.flat[train.labels == c].mean(axis=0)
+        flat = train.images.reshape(len(train), -1)
+        centers = np.stack([flat[train.labels == c].mean(axis=0)
                             for c in range(2)])
-        d = np.linalg.norm(train.flat[:, None, :] - centers[None], axis=2)
+        d = np.linalg.norm(flat[:, None, :] - centers[None], axis=2)
         acc = (d.argmin(axis=1) == train.labels).mean()
         assert acc >= 0.999
 
@@ -116,9 +117,10 @@ class TestSynthetic:
         seq = dt.synth_gaussian_tasks(1, 2, 2, 0.1, 2000, seed=4)
         train = seq.tasks[0][0]
         # Bayes rate for two unit Gaussians at distance 0.1: Phi(0.05) ~ 0.52
-        centers = np.stack([train.flat[train.labels == c].mean(axis=0)
+        flat = train.images.reshape(len(train), -1)
+        centers = np.stack([flat[train.labels == c].mean(axis=0)
                             for c in range(2)])
-        d = np.linalg.norm(train.flat[:, None, :] - centers[None], axis=2)
+        d = np.linalg.norm(flat[:, None, :] - centers[None], axis=2)
         acc = (d.argmin(axis=1) == train.labels).mean()
         assert acc < 0.60
 

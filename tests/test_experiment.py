@@ -233,6 +233,23 @@ def test_cil_is_scored_in_flat_class_ids(trained, monkeypatch):
     np.testing.assert_array_equal(params.beta, plain_params.beta)
 
 
+def test_task_auc_is_own_test_rows_against_the_other_tasks(trained):
+    # the rule computed independently: task k's msp on its own test rows
+    # against every other task's test rows, by the rank-sum AUC
+    text, final = trained
+    cfg = parse_config(text)
+    report = ex.eval_run(cfg, final, scorer="msp")
+    net, _ = load_checkpoint(final)
+    tests = [test.images for _, test in ex.build_tasks(cfg).tasks]
+    assert len(report.auc_per_task) == len(tests)
+    for k, got in enumerate(report.auc_per_task):
+        own = ol.msp_score(ol.class_logits(net, tests[k], k))
+        rest = np.concatenate([t for j, t in enumerate(tests) if j != k])
+        other = ol.msp_score(ol.class_logits(net, rest, k))
+        want = mt.auc_ranksum(mt.ScoredPopulation(own, other))
+        assert got == pytest.approx(want, abs=1e-12)
+
+
 def test_calibrate_loads_once_and_reports_as_eval_run(trained, monkeypatch):
     text, final = trained
     cfg = parse_config(text)
@@ -300,9 +317,11 @@ def test_rotation_ensemble_needs_rotation_heads(trained, monkeypatch):
                         lambda *args, **kwargs: forwards.append(args))
     with pytest.raises(ConfigError, match="task 0 head has no rotation slots"):
         ex.eval_run(parse_config(text), final, scorer="rotation-ensemble")
+    # parse_config rejects this scorer on synthetic data, so set it after
+    cfg = parse_config(text)
+    cfg.ood.scorer = "rotation-ensemble"
     with pytest.raises(ConfigError, match="task 0 head has no rotation slots"):
-        ex.calibrate_run(parse_config(
-            text + "[ood]\nscorer = rotation-ensemble\n"), final)
+        ex.calibrate_run(cfg, final)
     assert forwards == []
 
 
@@ -457,6 +476,8 @@ def test_single_task_odin_grid_keeps_the_first_candidate_unscored(
     assert scores == []
     report = ex.eval_run(cfg, final, scorer="odin")
     assert report.odin_params == {"0": {"tau": 1.0, "eps": 0.0}}
+    # no other task's rows: the task-AUC rule's undefined separation
+    assert report.auc_per_task == [0.5]
 
 
 @pytest.mark.parametrize("run", ["trained", "rotation_run"])

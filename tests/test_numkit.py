@@ -219,8 +219,7 @@ def test_sgd_step_formula_and_zero_grad():
     tape.d_weights[0][0, 0] = 0.5
     nk.sgd_step(net, tape, 0.1)
     assert net.weights[0][0, 0] == pytest.approx(0.95, abs=0)
-    tape.zero()
-    nk.sgd_step(net, tape, 0.1)
+    nk.sgd_step(net, nk.GradTape.for_net(net), 0.1)
     assert net.weights[0][0, 0] == 0.95
 
 
