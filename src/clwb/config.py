@@ -8,6 +8,7 @@ verbatim for report and checkpoint audit trails. `#` and `;` start comments.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields
 
 __all__ = ["ConfigError", "ExperimentConfig", "SCORERS", "ROUTES", "TPS",
@@ -196,11 +197,16 @@ def _fill(section: str, cfg_obj, parser: configparser.ConfigParser) -> None:
         if allowed and value not in allowed:
             raise ConfigError(
                 f"{section}.{key} must be one of {allowed}, got {value!r}")
+        values = value if isinstance(value, list) else [value]
         if (section, key) in _RANGES:
             ok, bound = _RANGES[section, key]
-            if not all(map(ok, value if isinstance(value, list) else [value])):
+            if not all(map(ok, values)):
                 raise ConfigError(f"{section}.{key} must be {bound}, "
                                   f"got {raw!r}")
+        # after the range check, so a value outside the range reads as such
+        if "float" in known[key] and not all(map(math.isfinite, values)):
+            raise ConfigError(f"bad value for {section}.{key}: not finite: "
+                              f"{raw!r}")
         setattr(cfg_obj, key, value)
 
 

@@ -143,8 +143,12 @@ def _scorer_params(cfg: ExperimentConfig, net: bb.MaskedNet,
     pooled, owner, _ = _pooled(
         [dt.validation_split(seq.tasks[k][0], cfg.ood.validation_fraction,
                              seed=cfg.seed)[1] for k in range(seq.n_tasks)])
-    aucs = np.array([[_task_auc(ol.odin_score(net, pooled, k, c), owner, k)
-                      for c in cands] for k in range(seq.n_tasks)])
+
+    def task_aucs(k):  # frees task k's OdinRows before the next is built
+        rows = ol.OdinRows(net, pooled, k, ol.ODIN_TAU_GRID)
+        return [_task_auc(ol.odin_score(net, rows, k, c), owner, k)
+                for c in cands]
+    aucs = np.array([task_aucs(k) for k in range(seq.n_tasks)])
     return {k: cands[i] for k, i in enumerate(np.argmax(aucs, axis=1))}
 
 

@@ -23,6 +23,7 @@ from .data import LabeledImageSet
 __all__ = [
     "DegenerateBatchError",
     "OdinParams",
+    "OdinRows",
     "msp_score",
     "odin_perturb",
     "odin_score",
@@ -51,10 +52,10 @@ class OdinParams:
     eps: float = 0.0
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.eps < 0:
-            raise ValueError(f"eps must be nonnegative, got {self.eps}")
+        if not 0 < self.tau < np.inf:
+            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
+        if not 0 <= self.eps < np.inf:
+            raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
 
 
 def msp_score(logits) -> np.ndarray:
@@ -65,39 +66,54 @@ def msp_score(logits) -> np.ndarray:
     return nk.softmax(z).max(axis=1)
 
 
-def _log_msp_input_gradient(net: bb.MaskedNet, x: np.ndarray, task: int,
-                            tau: float) -> np.ndarray:
-    """d/dx of log softmax(f(x)/tau)[argmax f(x)] through task's path, one
-    row per input."""
-    head = net.heads[task]
-    feats, cache, trunk = bb.task_features(net, x, task)
-    z = bb._head_logits(head, feats)
-    dlogits = -nk.softmax(z / tau) / tau
-    dlogits[np.arange(z.shape[0]), z.argmax(axis=1)] += 1.0 / tau
-    return nk.input_gradient(trunk, cache, dlogits @ head.weight)
+class OdinRows:
+    """ODIN's eps-free work on a row batch x, shared by a grid's candidates:
+    the logits z at x through task's path and, per tau in taus, the input
+    gradient of log softmax(z/tau)[argmax z]. The forward cache is not kept."""
+
+    def __init__(self, net: bb.MaskedNet, x, task: int, taus):
+        if task not in net.heads:
+            raise ValueError(f"unknown task {task}")
+        self.net, self.task, self.x = net, task, np.asarray(x, dtype=float)
+        feats, cache, trunk = bb.task_features(net, self.x, task)
+        self.z, self.grad = bb._head_logits(net.heads[task], feats), {}
+        for tau in taus:
+            dlogits = -nk.softmax(self.z / tau) / tau
+            dlogits[np.arange(len(self.z)), self.z.argmax(axis=1)] += 1.0 / tau
+            g = nk.input_gradient(trunk, cache,
+                                  dlogits @ net.heads[task].weight)
+            self.grad[tau] = g.reshape(self.x.shape)
+
+
+def _odin_rows(net, x, task: int, params: OdinParams) -> OdinRows:
+    if not isinstance(x, OdinRows):
+        return OdinRows(net, x, task, [params.tau] if params.eps else [])
+    if x.net is not net or x.task != task:
+        raise ValueError(f"OdinRows of another net or task than task {task}")
+    return x
 
 
 def odin_perturb(net: bb.MaskedNet, x, task: int,
                  params: OdinParams) -> np.ndarray:
     """Nudge the input against the sign of -grad log s(x; tau)_yhat.
 
-    A confidence-raising step of size eps per input unit; eps = 0 returns the
-    input unchanged.
+    A confidence-raising step of size eps per input unit; eps = 0 returns a
+    copy of the input. x is a row batch or an OdinRows holding params.tau.
     """
-    x = np.asarray(x, dtype=np.float64)
+    if params.eps == 0.0 and not isinstance(x, OdinRows):
+        return np.array(x, dtype=np.float64)  # no forward
+    rows = _odin_rows(net, x, task, params)
     if params.eps == 0.0:
-        return x.copy()
-    g = _log_msp_input_gradient(net, x, task, params.tau)
-    return x - params.eps * np.sign(-g).reshape(x.shape)
+        return rows.x.copy()
+    return rows.x - params.eps * np.sign(-rows.grad[params.tau])
 
 
 def odin_score(net: bb.MaskedNet, x, task: int, params: OdinParams):
-    """Max temperature-scaled softmax of head k at the perturbed input."""
-    if task not in net.heads:
-        raise ValueError(f"unknown task {task}")
+    """Max temperature-scaled softmax of head k at odin_perturb's output."""
+    if params.eps == 0.0:
+        return msp_score(_odin_rows(net, x, task, params).z / params.tau)
     x_t = odin_perturb(net, x, task, params)
-    logits = bb.task_raw_logits(net, x_t, task)
-    return msp_score(np.asarray(logits) / params.tau)
+    return msp_score(bb.task_raw_logits(net, x_t, task) / params.tau)
 
 
 # ---------------------------------------------------------------------------

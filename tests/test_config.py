@@ -1,5 +1,8 @@
+from dataclasses import fields
+
 import pytest
 
+from clwb import config
 from clwb.config import ConfigError, parse_config
 
 MINIMAL = """
@@ -151,3 +154,33 @@ def test_out_of_range_values_name_the_key(section, key, bad, boundary):
     want = [float(v) for v in boundary.split(",")]
     got = getattr(getattr(cfg, section), key)
     assert (got if isinstance(got, list) else [got]) == want
+
+
+# every float key; a list key's non-finite value follows a finite one
+FLOAT_KEYS = [(section, f.name, "0.5, " if f.type == "list[float]" else "")
+              for section, cls in config._SECTIONS.items()
+              for f in fields(cls) if f.type in ("float", "list[float]")]
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("section, key, prefix", FLOAT_KEYS)
+def test_non_finite_floats_name_the_key(section, key, prefix, value):
+    # a value outside the key's range reads as such; any other non-finite
+    # value is a bad value
+    with pytest.raises(ConfigError, match=rf"^(bad value for {section}\.{key}"
+                                          rf": not finite|{section}\.{key} "
+                                          rf"must be )"):
+        parse_config(MINIMAL + f"[{section}]\n{key} = {prefix}{value}\n")
+
+
+@pytest.mark.parametrize("section, key, raw", [
+    ("ood", "odin_eps", "inf"),
+    ("ood", "odin_tau", "inf"),
+    ("calibrate", "lr", "inf"),
+    ("backbone", "lambdas", "1.0, nan"),
+    ("backbone", "lambdas", "-inf"),
+])
+def test_non_finite_values_in_range_are_bad_values(section, key, raw):
+    with pytest.raises(ConfigError,
+                       match=rf"^bad value for {section}\.{key}: not finite"):
+        parse_config(MINIMAL + f"[{section}]\n{key} = {raw}\n")

@@ -13,6 +13,7 @@ from clwb import composer as cp
 from clwb import data as dt
 from clwb import experiment as ex
 from clwb import metrics as mt
+from clwb import numkit as nk
 from clwb import oodlab as ol
 from clwb import theory as th
 from clwb import verify
@@ -461,6 +462,68 @@ def test_pooled_odin_grid_matches_the_per_split_loop(odin_net, monkeypatch):
     assert len(scores) == seq.n_tasks * n_grid
     assert len(new_aucs) == len(old_aucs) == seq.n_tasks * n_grid
     np.testing.assert_allclose(new_aucs, old_aucs, rtol=0, atol=1e-12)
+
+
+# ODIN scoring as it was before the grid shared its work, kept here as the
+# oracle: each candidate runs its own forward at x and, for eps > 0, its own
+# input gradient of log max-softmax and its forward at the perturbed rows.
+def _old_odin_score(net, x, task, params):
+    x = np.asarray(x, dtype=np.float64)
+    if params.eps > 0.0:
+        head, tau = net.heads[task], params.tau
+        feats, cache, trunk = bb.task_features(net, x, task)
+        z = feats @ head.weight.T + head.bias
+        dlogits = -nk.softmax(z / tau) / tau
+        dlogits[np.arange(z.shape[0]), z.argmax(axis=1)] += 1.0 / tau
+        g = nk.input_gradient(trunk, cache, dlogits @ head.weight)
+        x = x - params.eps * np.sign(-g).reshape(x.shape)
+    logits = bb.task_raw_logits(net, x, task)
+    return ol.msp_score(np.asarray(logits) / params.tau)
+
+
+def _grid_rows(cfg, seq):
+    """The pooled validation rows and their owners, as the grid pools them."""
+    pooled, owner, _ = ex._pooled(
+        [dt.validation_split(seq.tasks[k][0], cfg.ood.validation_fraction,
+                             seed=cfg.seed)[1] for k in range(seq.n_tasks)])
+    return pooled, owner
+
+
+def test_one_odin_rows_scores_every_candidate_as_alone(odin_net):
+    cfg, net, seq = odin_net
+    pooled, _ = _grid_rows(cfg, seq)
+    for k in range(seq.n_tasks):
+        rows = ol.OdinRows(net, pooled, k, ol.ODIN_TAU_GRID)
+        for tau in ol.ODIN_TAU_GRID:
+            for eps in ol.ODIN_EPS_GRID:
+                cand = ol.OdinParams(tau, eps)
+                assert np.array_equal(ol.odin_score(net, rows, k, cand),
+                                      _old_odin_score(net, pooled, k, cand))
+
+
+def test_odin_grid_task_runs_16_forwards_and_5_gradients(odin_net,
+                                                         monkeypatch):
+    # per task: one forward at x plus one per eps > 0 candidate, and one
+    # input gradient per tau; scoring each candidate alone took 35 and 15
+    cfg, net, seq = odin_net
+    n_tau = len(ol.ODIN_TAU_GRID)
+    n_perturbed = n_tau * sum(eps > 0 for eps in ol.ODIN_EPS_GRID)
+    assert (1 + n_perturbed, n_tau) == (16, 5)
+    calls = {"task_features": 0, "input_gradient": 0}
+    for module, name in ((bb, "task_features"), (nk, "input_gradient")):
+        def counted(*args, real=getattr(module, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    ex._scorer_params(cfg, net, seq, "odin")
+    assert calls == {"task_features": seq.n_tasks * 16,
+                     "input_gradient": seq.n_tasks * 5}
+    calls.update(task_features=0, input_gradient=0)
+    pooled, _ = _grid_rows(cfg, seq)
+    for tau in ol.ODIN_TAU_GRID:
+        for eps in ol.ODIN_EPS_GRID:
+            _old_odin_score(net, pooled, 0, ol.OdinParams(tau, eps))
+    assert calls == {"task_features": 35, "input_gradient": 15}
 
 
 def test_single_task_odin_grid_keeps_the_first_candidate_unscored(

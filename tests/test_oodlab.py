@@ -73,7 +73,7 @@ class TestOdin:
             net = trained_toy_net(seed=seed)
             rng = np.random.default_rng(100 + seed)
             x = rng.normal(size=(1, 4))
-            g = ol._log_msp_input_gradient(net, x, 0, tau=1.0)
+            g = ol.OdinRows(net, x, 0, [1.0]).grad[1.0]
             d = np.sign(g)
             t = 1e-6
 
@@ -130,6 +130,77 @@ class TestOdin:
             ol.OdinParams(tau=0.0)
         with pytest.raises(ValueError):
             ol.OdinParams(tau=1.0, eps=-0.1)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["tau", "eps"])
+    def test_non_finite_params_rejected(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            ol.OdinParams(**{name: value})
+
+
+def _counting(monkeypatch, module, name):
+    """Count the calls of module.name for the rest of the test."""
+    count = [0]
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return count
+
+
+class TestOdinRows:
+    def test_holds_the_logits_and_one_gradient_per_tau(self, monkeypatch):
+        net = trained_toy_net(seed=7)
+        x = np.random.default_rng(8).normal(size=(6, 4))
+        forwards = _counting(monkeypatch, bb, "task_features")
+        grads = _counting(monkeypatch, nk, "input_gradient")
+        rows = ol.OdinRows(net, x, 0, ol.ODIN_TAU_GRID)
+        assert (forwards[0], grads[0]) == (1, len(ol.ODIN_TAU_GRID))
+        np.testing.assert_array_equal(rows.z, bb.task_raw_logits(net, x, 0))
+        assert list(rows.grad) == list(ol.ODIN_TAU_GRID)
+        assert all(g.shape == x.shape for g in rows.grad.values())
+
+    def test_scoring_from_rows_runs_only_the_perturbed_forwards(
+            self, monkeypatch):
+        net = trained_toy_net(seed=9)
+        x = np.random.default_rng(10).normal(size=(5, 4))
+        rows = ol.OdinRows(net, x, 0, ol.ODIN_TAU_GRID)
+        forwards = _counting(monkeypatch, bb, "task_features")
+        grads = _counting(monkeypatch, nk, "input_gradient")
+        for tau in ol.ODIN_TAU_GRID:
+            for eps in ol.ODIN_EPS_GRID:
+                ol.odin_score(net, rows, 0, ol.OdinParams(tau, eps))
+        n_perturbed = len(ol.ODIN_TAU_GRID) * sum(
+            eps > 0 for eps in ol.ODIN_EPS_GRID)
+        assert (forwards[0], grads[0]) == (n_perturbed, 0)
+
+    def test_zero_eps_perturbs_without_a_forward(self, monkeypatch):
+        net = trained_toy_net(seed=11)
+        x = np.random.default_rng(12).normal(size=(3, 4))
+        forwards = _counting(monkeypatch, bb, "task_features")
+        params = ol.OdinParams(tau=5.0, eps=0.0)
+        got = ol.odin_perturb(net, x, 0, params)
+        assert forwards[0] == 0
+        np.testing.assert_array_equal(got, x)
+        assert got is not x
+        ol.odin_score(net, x, 0, params)
+        assert forwards[0] == 1
+
+    def test_rows_of_another_task_or_net_rejected(self):
+        net, other = trained_toy_net(seed=13), trained_toy_net(seed=13)
+        net.heads[1] = net.heads[0]
+        x = np.random.default_rng(14).normal(size=(2, 4))
+        rows = ol.OdinRows(net, x, 0, [1.0])
+        params = ol.OdinParams(tau=1.0, eps=0.01)
+        for fn in (ol.odin_score, ol.odin_perturb):
+            for args in ((other, 0), (net, 1)):
+                with pytest.raises(ValueError, match="another net or task"):
+                    fn(args[0], rows, args[1], params)
+        with pytest.raises(ValueError, match="unknown task 2"):
+            ol.OdinRows(net, x, 2, [1.0])
 
 
 class TestRotate90:

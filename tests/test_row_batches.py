@@ -52,8 +52,7 @@ CALLS = {
     "backbones.sup_masked_forward": lambda n: bb.sup_masked_forward(
         n["sup"], VECTOR, 0),
     "oodlab.msp_score": lambda n: ol.msp_score(VECTOR),
-    "oodlab._log_msp_input_gradient": lambda n: ol._log_msp_input_gradient(
-        n["hat"], VECTOR, 0, 1.0),
+    "oodlab.OdinRows": lambda n: ol.OdinRows(n["hat"], VECTOR, 0, [1.0]),
     "oodlab.odin_perturb": lambda n: ol.odin_perturb(n["hat"], VECTOR, 0, ODIN),
     "oodlab.odin_score": lambda n: ol.odin_score(n["sup"], VECTOR, 0, ODIN),
     "oodlab.rotate90": lambda n: ol.rotate90(np.zeros((4, 4)), 1),
