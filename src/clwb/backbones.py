@@ -65,6 +65,22 @@ class HatState:
     lambdas: list[float]
     embeddings: dict[int, list[np.ndarray]] = field(default_factory=dict)
     accumulated: list[np.ndarray] = field(default_factory=list)
+    # (accumulated arrays, their constants) of the last constants() build
+    built: tuple | None = field(default=None, repr=False, compare=False)
+
+    def constants(self) -> tuple[list[np.ndarray], list[np.ndarray], float]:
+        """Per layer 1 - min(acc_out, acc_in) (acc_in = 1 at the input) and
+        the free mass 1 - acc, then the free mass summed. Built once per
+        accumulated state: reused while accumulated holds the same array
+        objects, and hat_accumulate replaces them."""
+        acc, last = list(self.accumulated), self.built
+        if last is None or list(map(id, last[0])) != list(map(id, acc)):
+            free = [1.0 - a for a in acc]
+            factors = [1.0 - np.minimum(o[:, None], i[None, :])
+                       for o, i in zip(acc, [np.ones(1)] + acc[:-1])]
+            last = self.built = (acc, (factors, free,
+                                       float(sum(f.sum() for f in free))))
+        return last[1]
 
     def lambda_for(self, task: int) -> float:
         return self.lambdas[min(task, len(self.lambdas) - 1)]
@@ -267,12 +283,8 @@ def hat_attention(e: np.ndarray, s: float) -> np.ndarray:
     if s <= 0:
         raise ValueError(f"scale s must be positive, got {s}")
     z = s * np.asarray(e, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
 def hat_masked_gradients(tape: nk.GradTape, state: HatState) -> None:
@@ -283,12 +295,10 @@ def hat_masked_gradients(tape: nk.GradTape, state: HatState) -> None:
     Bias gradients scale by 1 - acc_out for the same reason. A contraction:
     |g'| <= |g| elementwise.
     """
-    for l, acc_out in enumerate(state.accumulated):
-        acc_in = state.accumulated[l - 1] if l > 0 else \
-            np.ones(tape.d_weights[l].shape[1])
-        factor = 1.0 - np.minimum(acc_out[:, None], acc_in[None, :])
+    factors, free, _ = state.constants()
+    for l, (factor, f) in enumerate(zip(factors, free)):
         tape.d_weights[l] *= factor
-        tape.d_biases[l] *= 1.0 - acc_out
+        tape.d_biases[l] *= f
 
 
 def hat_regularizer(state: HatState, task: int,
@@ -301,8 +311,7 @@ def hat_regularizer(state: HatState, task: int,
     (denominator 0) reports 0 with the capacity-exhausted flag.
     """
     lam = state.lambda_for(task)
-    free = [1.0 - acc for acc in state.accumulated]
-    denom = float(sum(f.sum() for f in free))
+    _, free, denom = state.constants()
     if denom == 0.0:
         return 0.0, [np.zeros_like(a) for a in attentions], True
     value = lam * float(sum((a * f).sum() for a, f in zip(attentions, free))) / denom

@@ -151,17 +151,24 @@ def calibrated_logits(per_task_logits: list,
                            for k, v in enumerate(per_task_logits)], axis=-1)
 
 
+def _columns(widths: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The task spans' column offsets and each column's task."""
+    return (np.concatenate([[0], np.cumsum(widths)]),
+            np.concatenate([np.full(w, k) for k, w in enumerate(widths)]))
+
+
 def calibration_loss(stacked: np.ndarray, labels: np.ndarray,
-                     widths: list[int], alpha: np.ndarray, beta: np.ndarray
+                     widths: list[int], alpha: np.ndarray, beta: np.ndarray,
+                     columns: tuple | None = None
                      ) -> tuple[float, np.ndarray, np.ndarray]:
     """Cross-entropy of softmax over the calibrated concatenation plus its
     gradients w.r.t. (alpha, beta).
 
     stacked (n, total_width) holds each sample's concatenated per-task
-    logits; widths gives the per-task column spans.
+    logits; widths gives the per-task column spans, and columns their
+    ``_columns(widths)`` when the caller already holds it.
     """
-    offsets = np.concatenate([[0], np.cumsum(widths)])
-    task_of_col = np.concatenate([np.full(w, k) for k, w in enumerate(widths)])
+    offsets, task_of_col = _columns(widths) if columns is None else columns
     z = stacked * alpha[task_of_col] + beta[task_of_col]
     loss, dz = nk.softmax_ce(z, labels)
     d_alpha = np.array([(dz[:, offsets[k]:offsets[k + 1]]
@@ -184,7 +191,7 @@ def fit_calibration(per_task_logits: list, labels, *,
     labels their (n,) global classes; calibration never touches model
     weights. Returns the best parameters seen by full-buffer loss, so the
     final loss never exceeds the initial, plus the per-iteration loss
-    history.
+    history. Each iteration's full-buffer evaluation forms the loss alone.
     """
     labels = np.asarray(labels, dtype=np.intp)
     if labels.size == 0:
@@ -193,21 +200,25 @@ def fit_calibration(per_task_logits: list, labels, *,
     n_tasks = len(per_task)
     widths = [v.shape[1] for v in per_task]
     stacked = np.concatenate(per_task, axis=1)
+    columns = _columns(widths)
+    task_of_col = columns[1]
 
     rng = np.random.default_rng(seed)
     alpha = np.ones(n_tasks)
     beta = np.zeros(n_tasks)
-    initial = calibration_loss(stacked, labels, widths, alpha, beta)[0]
+    initial = calibration_loss(stacked, labels, widths, alpha, beta,
+                               columns)[0]
     best = (initial, alpha.copy(), beta.copy())
     history = [initial]
     n = len(labels)
     for _ in range(iters):
         idx = rng.choice(n, size=min(batch_size, n), replace=False)
         _, d_alpha, d_beta = calibration_loss(stacked[idx], labels[idx],
-                                              widths, alpha, beta)
+                                              widths, alpha, beta, columns)
         alpha -= lr * d_alpha
         beta -= lr * d_beta
-        current = calibration_loss(stacked, labels, widths, alpha, beta)[0]
+        current = nk.mean_nll(nk.softmax(
+            stacked * alpha[task_of_col] + beta[task_of_col]), labels)
         history.append(current)
         if current < best[0]:
             best = (current, alpha.copy(), beta.copy())

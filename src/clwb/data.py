@@ -138,11 +138,12 @@ def load_idx(path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _remap(subset: LabeledImageSet, classes: list[int]) -> LabeledImageSet:
-    lookup = {g: j for j, g in enumerate(classes)}
+    """The rows of the listed classes, class classes[j] relabelled j."""
+    lookup = np.zeros(max(classes, default=-1) + 1, dtype=np.intp)
+    lookup[np.asarray(classes, dtype=np.intp)] = np.arange(len(classes))
     mask = np.isin(subset.labels, classes)
-    images = subset.images[mask]
-    labels = np.array([lookup[int(y)] for y in subset.labels[mask]], dtype=np.intp)
-    return LabeledImageSet(images, labels, len(classes))
+    return LabeledImageSet(subset.images[mask], lookup[subset.labels[mask]],
+                           len(classes))
 
 
 def split_tasks(train: LabeledImageSet, test: LabeledImageSet,

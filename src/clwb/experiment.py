@@ -172,27 +172,28 @@ def _task_auc(scores: np.ndarray, owner: np.ndarray, k: int) -> float:
 
 
 def _score_task(net: bb.MaskedNet, images: np.ndarray, task: int, scorer: str,
-                odin: dict[int, ol.OdinParams],
-                class_logits: np.ndarray) -> np.ndarray:
-    """msp/maxlogit/odin post-process the raw head output (rotation slots
-    included, for rotation heads); rotation-ensemble scores the orbit-averaged
-    class logits.
-
-    class_logits is the task's ``ol.class_logits`` output on images: the raw
-    head output of a plain head, the orbit average of a rotation head. The
-    scorers reuse it where it is their input, so only a rotation head's
-    msp/maxlogit and ODIN run a forward of their own.
-    """
-    if scorer in ("msp", "maxlogit"):
-        rotation = net.heads[task].kind == "rotation"
-        z = bb.task_raw_logits(net, images, task) if rotation else class_logits
-        if scorer == "msp":
-            return ol.msp_score(z)
-        return 1.0 / (1.0 + np.exp(-z.max(axis=1)))
+                odin: dict[int, ol.OdinParams]
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Task's ``ol.class_logits`` and scores over images. One forward at
+    images gives the raw head output that msp/maxlogit/odin post-process:
+    a plain head's class logits, a rotation head's degree-0 ensemble slot.
+    Only the other quarter turns and ODIN's perturbed rows run their own."""
     if scorer == "odin":
-        return ol.odin_score(net, images, task, odin[task])
+        p = odin[task]
+        rows = ol.OdinRows(net, images, task, [p.tau] if p.eps else [])
+        raw = rows.z
+    else:
+        raw = bb.task_raw_logits(net, images, task)
+    logits = ol.ensemble_logits(net, images, task, raw) \
+        if net.heads[task].kind == "rotation" else raw
+    if scorer == "msp":
+        return logits, ol.msp_score(raw)
+    if scorer == "maxlogit":
+        return logits, 1.0 / (1.0 + np.exp(-raw.max(axis=1)))
+    if scorer == "odin":
+        return logits, ol.odin_score(net, rows, task, p)
     if scorer == "rotation-ensemble":
-        return ol.msp_score(class_logits)
+        return logits, ol.msp_score(logits)
     raise ValueError(f"unknown scorer {scorer!r}")
 
 
@@ -315,9 +316,8 @@ def _score_loaded(cfg: ExperimentConfig, net: bb.MaskedNet, meta: dict,
     odin = _scorer_params(cfg, net, seq, scorer)
 
     tasks = range(seq.n_tasks)
-    per_task_logits = [ol.class_logits(net, test_images, k) for k in tasks]
-    per_task_scores = [_score_task(net, test_images, k, scorer, odin,
-                                   per_task_logits[k]) for k in tasks]
+    per_task_logits, per_task_scores = map(list, zip(
+        *(_score_task(net, test_images, k, scorer, odin) for k in tasks)))
     auc_per_task = [_task_auc(per_task_scores[k], test_task_of, k)
                     for k in tasks]
 

@@ -33,6 +33,7 @@ __all__ = [
     "logsumexp",
     "log_softmax",
     "softmax_ce",
+    "mean_nll",
     "grad_check",
     "GradCheckReport",
 ]
@@ -125,11 +126,11 @@ class GradTape:
 
 @dataclass
 class ForwardCache:
-    """Activations recorded by forward, consumed by backward."""
+    """Activations recorded by forward, consumed by backward. A relu
+    layer's gradient mask is post_raw > 0, the same mask as z_l > 0."""
 
     x: np.ndarray
-    pre: list[np.ndarray]        # z_l = W h_{l-1} + b
-    post_raw: list[np.ndarray]   # h_l = act(z_l), before hook
+    post_raw: list[np.ndarray]   # h_l = act(z_l = W h_{l-1} + b), before hook
     post: list[np.ndarray]       # h'_l = hook * h_l (== h_l without hook)
     hooks: list[np.ndarray | None]
     batched: bool
@@ -182,19 +183,20 @@ def forward(net: DenseNet, x, hooks=None) -> tuple[np.ndarray, ForwardCache]:
     hooks = _check_hooks(net, hooks)
 
     h = x
-    pre, post_raw, post = [], [], []
+    post_raw, post = [], []
     for l, (w, b, act) in enumerate(zip(net.weights, net.biases, net.activations)):
-        z = h @ w.T + b
-        a = np.maximum(z, 0.0) if act == "relu" else z
-        pre.append(z)
+        a = h @ w.T
+        a += b
+        if act == "relu":
+            np.maximum(a, 0.0, out=a)
         post_raw.append(a)
         h = a * hooks[l] if hooks[l] is not None else a
         post.append(h)
-    return h, ForwardCache(x, pre, post_raw, post, hooks, batched)
+    return h, ForwardCache(x, post_raw, post, hooks, batched)
 
 
 def _upstream(name: str, cache: ForwardCache, upstream) -> np.ndarray:
-    if cache is None or not cache.pre:
+    if cache is None or not cache.post:
         raise StateError(f"{name} called without a forward cache")
     g = _as_f64(upstream)
     expect = cache.post[-1].shape
@@ -225,10 +227,7 @@ def backward(net: DenseNet, tape: GradTape, cache: ForwardCache,
             tape.d_hooks[l] = (g * a).sum(axis=0)
             g = g * hook
         if net.activations[l] == "relu":
-            z = cache.pre[l]
-            if not cache.batched:
-                z = z[None, :]
-            g = g * (z > 0.0)
+            g = g * (a > 0.0)
         below = cache.post[l - 1] if l > 0 else cache.x
         if not cache.batched:
             below = below[None, :]
@@ -254,7 +253,7 @@ def input_gradient(net: DenseNet, cache: ForwardCache,
         if cache.hooks[l] is not None:
             g = g * cache.hooks[l]
         if net.activations[l] == "relu":
-            g = g * (cache.pre[l] > 0.0)
+            g = g * (cache.post_raw[l] > 0.0)
         g = g @ net.weights[l]
     return g
 
@@ -310,11 +309,17 @@ def softmax_ce(logits, targets) -> tuple[float, np.ndarray]:
         raise IndexError("target class out of range")
     p = softmax(z)
     n = z.shape[0]
-    loss = float(-np.log(np.maximum(p[np.arange(n), t], LOG_CLAMP)).mean())
+    loss = mean_nll(p, t)
     d = p.copy()
     d[np.arange(n), t] -= 1.0
     d /= n
     return loss, d
+
+
+def mean_nll(p: np.ndarray, t: np.ndarray) -> float:
+    """softmax_ce's loss of softmax rows p (n, c): mean -log p[i, t_i]."""
+    n = p.shape[0]
+    return float(-np.log(np.maximum(p[np.arange(n), t], LOG_CLAMP)).mean())
 
 
 @dataclass

@@ -230,12 +230,15 @@ def finetune_rotation_head(net: bb.MaskedNet, task: int,
                                                 "noise_sigma": noise_sigma})
 
 
-def ensemble_logits(net: bb.MaskedNet, x, task: int) -> np.ndarray:
+def ensemble_logits(net: bb.MaskedNet, x, task: int,
+                    raw: np.ndarray | None = None) -> np.ndarray:
     """Per-original-class logits of an (n, h, h) image batch, averaged over
     the rotation orbit.
 
     Class j's value is the mean over deg of slot (j, deg) evaluated on the
     deg-rotated input. Evaluation uses the raw image (no stochastic views).
+    raw is ``task_raw_logits(net, x, task)`` when the caller already ran
+    it: the degree-0 forward, which is then not run again.
     """
     head = net.heads.get(task)
     if head is None:
@@ -244,7 +247,8 @@ def ensemble_logits(net: bb.MaskedNet, x, task: int) -> np.ndarray:
         raise ValueError(f"task {task} head has no rotation slots")
     per_deg = []
     for deg in range(4):
-        raw = bb.task_raw_logits(net, rotate90(x, deg), task)
+        if deg or raw is None:
+            raw = bb.task_raw_logits(net, rotate90(x, deg), task)
         per_deg.append(raw[:, deg::4])  # slots (0,deg), (1,deg), ...
     return np.mean(per_deg, axis=0)
 

@@ -423,6 +423,38 @@ class TestTrainTask:
                                       nets[1].heads[0].weight)
 
 
+class TestExhaustedCapacity:
+    """Every unit already claimed by earlier tasks: the regularizer has no
+    free mass and reports 0, the trunk gets an all-zero gradient, and only
+    the new task's head and gate embeddings train."""
+
+    def test_trunk_keeps_its_bits_and_reg_is_zero(self):
+        seq = gaussian_task(n_tasks=2, n=20, seed=21)
+        net = make_hat(dim=4, hidden=(6, 5), seed=22)
+        bb.train_task(net, 0, seq.tasks[0][0], epochs=3, lr=0.1, seed=23)
+        state = net.isolation
+        state.accumulated = [np.ones(6), np.ones(5)]
+        trunk = [p.tobytes() for p in net.trunk.weights + net.trunk.biases]
+        probe = np.random.default_rng(24).normal(size=(5, 4))
+        task0 = bb.task_raw_logits(net, probe, 0)
+
+        trace = bb.train_task(net, 1, seq.tasks[1][0], epochs=4, lr=0.1,
+                              seed=25)
+        assert [e.reg for e in trace] == [0.0] * 4
+        assert all(e.loss == e.ce for e in trace)
+        assert [p.tobytes() for p in net.trunk.weights + net.trunk.biases] \
+            == trunk
+        assert bb.task_raw_logits(net, probe, 0).tobytes() == task0.tobytes()
+        # the head and the embeddings moved off their initial draws
+        rng = np.random.default_rng([25, 1, 1])
+        start = [rng.normal(size=h) for h in (6, 5)]
+        assert all(not np.array_equal(e, s)
+                   for e, s in zip(state.embeddings[1], start))
+        head0 = rng.uniform(-np.sqrt(6.0 / 7), np.sqrt(6.0 / 7), size=(2, 5))
+        assert not np.array_equal(net.heads[1].weight, head0)
+        assert state.accumulated[0].tobytes() == np.ones(6).tobytes()
+
+
 class TestHatLossGradCheck:
     """Analytic gradient of the full attention loss (CE + sparsity
     regularizer) at small fixed scale, against central differences."""

@@ -96,6 +96,53 @@ class TestSplitTasks:
         assert a.class_map == b.class_map
 
 
+def _loop_remap(subset, classes):
+    """_remap as it was with a per-row dict lookup, the oracle."""
+    lookup = {g: j for j, g in enumerate(classes)}
+    mask = np.isin(subset.labels, classes)
+    labels = np.array([lookup[int(y)] for y in subset.labels[mask]],
+                      dtype=np.intp)
+    return subset.images[mask], labels
+
+
+class TestRemap:
+    def shuffled_set(self, n_classes=8, seed=2):
+        rng = np.random.default_rng(seed)
+        labels = rng.permutation(np.repeat(np.arange(n_classes), 5))
+        return dt.LabeledImageSet(rng.uniform(size=(labels.size, 2, 2)),
+                                  labels, n_classes)
+
+    def assert_as_loop(self, subset, classes):
+        got = dt._remap(subset, classes)
+        images, labels = _loop_remap(subset, classes)
+        assert got.labels.dtype == labels.dtype
+        np.testing.assert_array_equal(got.labels, labels)
+        np.testing.assert_array_equal(got.images, images)
+        assert got.n_classes == len(classes)
+
+    @pytest.mark.parametrize("dropped", [[], [0], [3, 5], [7], [1, 2, 6]])
+    def test_drop_classes_keep_list(self, dropped):
+        # build_tasks' list: every class but the dropped ones, in order
+        subset = self.shuffled_set()
+        self.assert_as_loop(subset, [c for c in range(8) if c not in dropped])
+
+    @pytest.mark.parametrize("shuffle_seed", [None, 0, 5, 11])
+    def test_split_tasks_groups(self, shuffle_seed):
+        train, test = self.shuffled_set(), self.shuffled_set(seed=3)
+        seq = dt.split_tasks(train, test, 2, shuffle_seed=shuffle_seed)
+        for (got_train, got_test), group in zip(seq.tasks, seq.class_map):
+            for got, subset in ((got_train, train), (got_test, test)):
+                images, labels = _loop_remap(subset, group)
+                np.testing.assert_array_equal(got.labels, labels)
+                np.testing.assert_array_equal(got.images, images)
+            self.assert_as_loop(train, group)
+
+    def test_unordered_numpy_class_ids(self):
+        subset = self.shuffled_set()
+        self.assert_as_loop(subset, list(np.array([6, 1, 4])))
+        self.assert_as_loop(subset, [])
+
+
 class TestSynthetic:
     def test_deterministic(self):
         a = dt.synth_gaussian_tasks(3, 2, 4, 10.0, 20, seed=7)

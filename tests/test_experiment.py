@@ -197,9 +197,10 @@ def test_all_zero_detector_rows_fall_back_to_uniform_tp(trained, monkeypatch):
     real = ex._score_task
 
     def zero_first_rows(*args):
-        scores = real(*args).copy()
+        logits, scores = real(*args)
+        scores = scores.copy()
         scores[:4] = 0.0
-        return scores
+        return logits, scores
 
     monkeypatch.setattr(ex, "_score_task", zero_first_rows)
     calls = _spy_predict_all(monkeypatch)
@@ -274,16 +275,21 @@ def test_calibrate_scores_the_test_set_once(trained, monkeypatch, scorer):
     text, final = trained
     cfg = parse_config(text + f"\n[ood]\nscorer = {scorer}\nodin_grid = true\n")
     n_tasks = 3
-    calls = {"class_logits": 0, "odin_score": 0}
-    for name in calls:
-        def counted(*args, real=getattr(ol, name), name=name):
+    calls = {"task_features": 0, "odin_score": 0}
+    for module, name in ((bb, "task_features"), (ol, "odin_score")):
+        def counted(*args, real=getattr(module, name), name=name, **kwargs):
             calls[name] += 1
-            return real(*args)
-        monkeypatch.setattr(ol, name, counted)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
     params, before, after, _ = ex.calibrate_run(cfg, final)
     grid = len(ol.ODIN_TAU_GRID) * len(ol.ODIN_EPS_GRID)
-    # one forward per task over the buffer, one per task over the test set
-    assert calls["class_logits"] == n_tasks + n_tasks
+    # one forward per task over the buffer, one per task over the test set;
+    # odin adds its grid's 16 per task and one at the perturbed test rows
+    # of each task whose chosen eps > 0
+    odin_forwards = (n_tasks * 16 + sum(p["eps"] > 0 for p in
+                                        before.odin_params.values())
+                     if scorer == "odin" else 0)
+    assert calls["task_features"] == n_tasks + n_tasks + odin_forwards
     # odin: the grid once per task, then the chosen candidate once per task
     assert calls["odin_score"] == (n_tasks * grid + n_tasks
                                    if scorer == "odin" else 0)
@@ -294,10 +300,7 @@ def test_calibrate_scores_the_test_set_once(trained, monkeypatch, scorer):
                                           calibration=params).to_json()
 
 
-@pytest.mark.parametrize("scorer, forwards", [("msp", 3), ("maxlogit", 3)])
-def test_plain_head_scorers_reuse_the_class_logits(trained, monkeypatch,
-                                                   scorer, forwards):
-    text, final = trained
+def _counted_forwards(monkeypatch):
     count = [0]
     real = bb.task_features
 
@@ -306,8 +309,73 @@ def test_plain_head_scorers_reuse_the_class_logits(trained, monkeypatch,
         return real(*args, **kwargs)
 
     monkeypatch.setattr(bb, "task_features", counted)
-    ex.eval_run(parse_config(text), final, scorer=scorer)
-    assert count[0] == forwards  # one per task, shared with the scorer
+    return count
+
+
+@pytest.mark.parametrize("scorer, forwards",
+                         [("msp", 3), ("maxlogit", 3), ("odin", 6)])
+def test_plain_head_scorers_reuse_the_class_logits(trained, monkeypatch,
+                                                   scorer, forwards):
+    # one per task, shared with the scorer; ODIN at its default eps > 0
+    # adds one at the perturbed rows
+    text, final = trained
+    cfg = parse_config(text)
+    assert cfg.ood.odin_eps > 0
+    want = ex.eval_run(cfg, final, scorer=scorer).to_json()
+    count = _counted_forwards(monkeypatch)
+    assert ex.eval_run(cfg, final, scorer=scorer).to_json() == want
+    assert count[0] == forwards
+
+
+def _separate_forwards_score_task(net, images, task, scorer, odin):
+    """Task scoring as it was before the scorers shared the class-logit
+    forward, the oracle: class_logits, then each scorer's own forward."""
+    logits = ol.class_logits(net, images, task)
+    if scorer in ("msp", "maxlogit"):
+        z = bb.task_raw_logits(net, images, task) \
+            if net.heads[task].kind == "rotation" else logits
+        scores = ol.msp_score(z) if scorer == "msp" else \
+            1.0 / (1.0 + np.exp(-z.max(axis=1)))
+    elif scorer == "odin":
+        scores = ol.odin_score(net, images, task, odin[task])
+    else:
+        scores = ol.msp_score(logits)
+    return logits, scores
+
+
+@pytest.mark.parametrize("run, scorer", [
+    ("trained", "msp"), ("trained", "maxlogit"), ("trained", "odin"),
+    ("rotation_run", "msp"), ("rotation_run", "maxlogit"),
+    ("rotation_run", "odin"), ("rotation_run", "rotation-ensemble")])
+def test_one_forward_scoring_has_the_separate_forwards_bits(run, scorer,
+                                                            request):
+    text, final = request.getfixturevalue(run)
+    cfg = parse_config(text)
+    net, _ = load_checkpoint(final)
+    seq = ex.build_tasks(cfg)
+    images, _, _ = ex._pooled([test for _, test in seq.tasks])
+    odin = {k: ol.OdinParams(cfg.ood.odin_tau, cfg.ood.odin_eps)
+            for k in range(seq.n_tasks)}
+    for k in range(seq.n_tasks):
+        got = ex._score_task(net, images, k, scorer, odin)
+        want = _separate_forwards_score_task(net, images, k, scorer, odin)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("scorer, forwards",
+                         [("msp", 12), ("maxlogit", 12), ("odin", 15),
+                          ("rotation-ensemble", 12)])
+def test_rotation_head_scorers_reuse_the_degree_0_forward(
+        rotation_run, monkeypatch, scorer, forwards):
+    # per task: the four quarter turns of the ensemble, the scorers reading
+    # the degree-0 one; ODIN at its default eps > 0 adds one at the
+    # perturbed rows
+    text, final = rotation_run
+    cfg = parse_config(text)
+    count = _counted_forwards(monkeypatch)
+    ex.eval_run(cfg, final, scorer=scorer)
+    assert count[0] == forwards
 
 
 def test_rotation_ensemble_needs_rotation_heads(trained, monkeypatch):

@@ -91,7 +91,9 @@ def test_backward_zero_upstream_zero_grads():
 
 def _backward_with_input_gradient(net, tape, cache, upstream):
     """backward as it was before the input gradient became its own function:
-    fills the tape and returns d(loss)/d(input) rows. The oracle of both."""
+    fills the tape and returns d(loss)/d(input) rows. The oracle of both.
+    Its relu mask is z > 0 of the pre-activation z, recomputed from the
+    layer's input, as the forward cache once held it."""
     g = np.asarray(upstream, dtype=np.float64)
     tape.d_hooks = [None] * net.n_layers
     for l in range(net.n_layers - 1, -1, -1):
@@ -100,9 +102,9 @@ def _backward_with_input_gradient(net, tape, cache, upstream):
         if hook is not None:
             tape.d_hooks[l] = (g * a).sum(axis=0)
             g = g * hook
-        if net.activations[l] == "relu":
-            g = g * (cache.pre[l] > 0.0)
         below = cache.post[l - 1] if l > 0 else cache.x
+        if net.activations[l] == "relu":
+            g = g * (below @ net.weights[l].T + net.biases[l] > 0.0)
         tape.d_weights[l] += g.T @ below
         tape.d_biases[l] += g.sum(axis=0)
         g = g @ net.weights[l]
