@@ -374,15 +374,15 @@ def sup_score_update(tape: nk.GradTape, trunk: nk.DenseNet) -> list[np.ndarray]:
 # Shared forward helpers
 # ---------------------------------------------------------------------------
 
-def _flatten(x) -> np.ndarray:
-    """(n, d) rows as they are, (n, h, w) image batches as their flat rows;
-    any other shape raises ShapeError. nk.forward rejects a width other than
-    the trunk's."""
+def _flatten(x, d: int) -> np.ndarray:
+    """(n, d) rows as they are, (n, h, w) image batches with h * w = d as
+    their flat rows; any other shape raises ShapeError."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (2, 3):
-        raise nk.ShapeError(f"expected (n, d) rows or (n, h, w) images, got "
-                            f"shape {x.shape}")
-    return x.reshape(x.shape[0], -1) if x.ndim == 3 else x
+    flat = x.reshape(x.shape[0], -1) if x.ndim == 3 else x
+    if x.ndim not in (2, 3) or flat.shape[1] != d:
+        raise nk.ShapeError(f"expected (n, {d}) rows or (n, h, w) images of "
+                            f"{d} pixels, got shape {x.shape}")
+    return flat
 
 
 def task_features(net: MaskedNet, x, task: int,
@@ -391,7 +391,7 @@ def task_features(net: MaskedNet, x, task: int,
     """Trunk output under task's isolation; returns (features, cache, trunk
     actually run) so callers can backpropagate through the right weights.
     s is the attention scale of a hard-attention net (s_max by default)."""
-    x = _flatten(x)
+    x = _flatten(x, net.trunk.weights[0].shape[1])
     trunk, hooks = net.isolation.trunk_for(net, task, s)
     feats, cache = nk.forward(trunk, x, hooks)
     return feats, cache, trunk

@@ -132,8 +132,12 @@ def save_checkpoint(path, net: bb.MaskedNet, extra: dict | None = None) -> None:
 
 def load_checkpoint(path) -> tuple[bb.MaskedNet, dict]:
     """Rebuild the net bit-identically; returns (net, meta)."""
-    with open(path, "rb") as f:
-        blob = f.read()
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except OSError as e:
+        raise CheckpointError(f"checkpoint file {path}: "
+                              f"{type(e).__name__}: {e}") from e
     meta, arrays = _unpack(blob)
 
     try:

@@ -29,14 +29,6 @@ __all__ = [
     "fit_calibration",
 ]
 
-# defaults for the temperature composition and the calibration optimizer
-DEFAULT_NU = 0.1
-DEFAULT_TAU = 5.0
-CALIBRATION_ITERS = 160
-CALIBRATION_LR = 0.01
-CALIBRATION_BATCH = 15
-
-
 @dataclass
 class CalibrationParams:
     """Per-task affine logit adjustment alpha_k * f_k + beta_k."""
@@ -109,7 +101,7 @@ def tp_sigmoid_maxlogit(per_task_logits: list) -> np.ndarray:
     return th.tp_from_ood(profile)
 
 
-def wp_temperature(logits, nu: float = DEFAULT_NU) -> np.ndarray:
+def wp_temperature(logits, nu: float) -> np.ndarray:
     """softmax(logits / nu); nu -> 0 sharpens toward the argmax."""
     if nu <= 0:
         raise ValueError(f"nu must be positive, got {nu}")
@@ -117,25 +109,23 @@ def wp_temperature(logits, nu: float = DEFAULT_NU) -> np.ndarray:
 
 
 def tp_maxsoftmax_temperature(per_task_logits: list,
-                              taus=DEFAULT_TAU) -> np.ndarray:
-    """Task distributions (n, K) from detectors max_j softmax(f_k / tau_k)_j
+                              tau: float) -> np.ndarray:
+    """Task distributions (n, K) from detectors max_j softmax(f_k / tau)_j
     of the (n, c_k) per-task logits."""
     if not per_task_logits:
         raise ValueError("no task logits")
-    t = np.asarray(taus, dtype=np.float64)
-    if t.ndim == 0:
-        t = np.full(len(per_task_logits), float(t))
-    if (t <= 0).any():
-        raise ValueError("temperatures must be positive")
-    profile = np.stack([nk.softmax(np.asarray(v) / tk).max(axis=-1)
-                        for v, tk in zip(per_task_logits, t)], axis=-1)
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    profile = np.stack([nk.softmax(np.asarray(v) / tau).max(axis=-1)
+                        for v in per_task_logits], axis=-1)
     return th.tp_from_ood(profile)
 
 
 def compose_full(wp: list, tp, topo: th.TaskTopology
                  ) -> tuple[np.ndarray, int]:
     """Composed global distribution wp[k][j] * tp[k] and its argmax class."""
-    cil = th.compose_cil(np.concatenate(wp), tp, topo)
+    cil = th.compose_cil(np.concatenate(wp)[None], np.asarray(tp)[None],
+                         topo)[0]
     return cil, int(np.argmax(cil))
 
 
@@ -158,32 +148,28 @@ def _columns(widths: list[int]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def calibration_loss(stacked: np.ndarray, labels: np.ndarray,
-                     widths: list[int], alpha: np.ndarray, beta: np.ndarray,
-                     columns: tuple | None = None
+                     columns: tuple[np.ndarray, np.ndarray],
+                     alpha: np.ndarray, beta: np.ndarray
                      ) -> tuple[float, np.ndarray, np.ndarray]:
     """Cross-entropy of softmax over the calibrated concatenation plus its
     gradients w.r.t. (alpha, beta).
 
     stacked (n, total_width) holds each sample's concatenated per-task
-    logits; widths gives the per-task column spans, and columns their
-    ``_columns(widths)`` when the caller already holds it.
+    logits, and columns is ``_columns(widths)`` of the per-task column
+    spans.
     """
-    offsets, task_of_col = _columns(widths) if columns is None else columns
+    offsets, task_of_col = columns
     z = stacked * alpha[task_of_col] + beta[task_of_col]
     loss, dz = nk.softmax_ce(z, labels)
-    d_alpha = np.array([(dz[:, offsets[k]:offsets[k + 1]]
-                         * stacked[:, offsets[k]:offsets[k + 1]]).sum()
-                        for k in range(len(widths))])
-    d_beta = np.array([dz[:, offsets[k]:offsets[k + 1]].sum()
-                       for k in range(len(widths))])
+    spans = [slice(offsets[k], offsets[k + 1]) for k in range(alpha.size)]
+    d_alpha = np.array([(dz[:, c] * stacked[:, c]).sum() for c in spans])
+    d_beta = np.array([dz[:, c].sum() for c in spans])
     return loss, d_alpha, d_beta
 
 
-def fit_calibration(per_task_logits: list, labels, *,
-                    iters: int = CALIBRATION_ITERS,
-                    lr: float = CALIBRATION_LR,
-                    batch_size: int = CALIBRATION_BATCH,
-                    seed: int = 0) -> tuple[CalibrationParams, list[float]]:
+def fit_calibration(per_task_logits: list, labels, *, iters: int, lr: float,
+                    batch_size: int, seed: int
+                    ) -> tuple[CalibrationParams, list[float]]:
     """SGD on the buffer cross-entropy of the calibrated concatenation.
 
     per_task_logits holds one (n, c_k) class-logit array per task for the n
@@ -206,15 +192,14 @@ def fit_calibration(per_task_logits: list, labels, *,
     rng = np.random.default_rng(seed)
     alpha = np.ones(n_tasks)
     beta = np.zeros(n_tasks)
-    initial = calibration_loss(stacked, labels, widths, alpha, beta,
-                               columns)[0]
+    initial = calibration_loss(stacked, labels, columns, alpha, beta)[0]
     best = (initial, alpha.copy(), beta.copy())
     history = [initial]
     n = len(labels)
     for _ in range(iters):
         idx = rng.choice(n, size=min(batch_size, n), replace=False)
         _, d_alpha, d_beta = calibration_loss(stacked[idx], labels[idx],
-                                              widths, alpha, beta, columns)
+                                              columns, alpha, beta)
         alpha -= lr * d_alpha
         beta -= lr * d_beta
         current = nk.mean_nll(nk.softmax(

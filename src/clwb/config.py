@@ -264,5 +264,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_config(f.read())
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"config file {path}: {type(e).__name__}: {e}") from e
+    return parse_config(text)

@@ -250,10 +250,25 @@ def eval_run(cfg: ExperimentConfig, checkpoint_path, *, scorer: str | None = Non
     """
     net, meta = load_checkpoint(checkpoint_path)
     seq = build_tasks(cfg)
+    _check_fit(net, seq)
     route, calibration = _route_args(cfg, seq, route, calibration)
     scorer = _scorer_arg(cfg, net, scorer)
     scored = _score_loaded(cfg, net, meta, seq, scorer)
     return _route_report(cfg, scored, route, calibration)
+
+
+def _check_fit(net: bb.MaskedNet, seq: dt.TaskSequence) -> None:
+    """A loaded checkpoint fits the config when its finished tasks are the
+    config's tasks, each head with the task's class count."""
+    if sorted(net.finished) != list(range(seq.n_tasks)):
+        raise ConfigError(f"checkpoint has {len(net.finished)} finished "
+                          f"tasks for {seq.n_tasks} tasks in the config")
+    for k, size in enumerate(seq.topology.sizes):
+        head = net.heads[k]
+        classes = head.width // (4 if head.kind == "rotation" else 1)
+        if classes != size:
+            raise ConfigError(f"checkpoint task {k} head has {classes} "
+                              f"classes for {size} in the config")
 
 
 def _route_args(cfg: ExperimentConfig, seq: dt.TaskSequence,
@@ -348,10 +363,28 @@ def _route_report(cfg: ExperimentConfig, s: _Scored, route: str,
                   calibration: cp.CalibrationParams | None
                   ) -> ExperimentReport:
     """The report of one route over a scored test set (route and
-    calibration as ``_route_args`` returns them)."""
-    rows, tp_fallbacks = _predict_all(
-        cfg, route, s.per_task_logits, s.per_task_scores, s.topo,
-        s.test_task_of, s.truth_local, calibration)
+    calibration as ``_route_args`` returns them).
+
+    One ``th.entropy_report`` pass gives every test row's prediction and
+    the entropies of the route's (implied) WP/TP split. concat-argmax and
+    calibrated split the softmax over the concatenated (calibrated) logits
+    by the theorem-4 construction; compose multiplies the per-task softmax
+    at temperature nu (WP) by the configured TP.
+    """
+    logits, fallbacks = s.per_task_logits, 0
+    if route == "compose":
+        nu = cfg.predict.nu
+        wp = np.concatenate([cp.wp_temperature(z, nu) for z in logits], axis=1)
+        log_wp = np.concatenate([nk.log_softmax(z / nu) for z in logits],
+                                axis=1)
+        tp, fallbacks = _tp_for(cfg, logits, s.per_task_scores)
+        rows = th.entropy_report(wp, log_wp, s.topo, s.test_task_of,
+                                 s.truth_local, tp=tp)
+    else:
+        concat = cp.calibrated_logits(logits, calibration) \
+            if route == "calibrated" else np.concatenate(logits, axis=1)
+        rows = th.entropy_report(nk.softmax(concat), nk.log_softmax(concat),
+                                 s.topo, s.test_task_of, s.truth_local)
     # flat class ids, the index space of the concatenated head outputs
     truth_global = np.asarray(s.topo.offsets)[s.test_task_of] + s.truth_local
     return ExperimentReport(
@@ -360,41 +393,8 @@ def _route_report(cfg: ExperimentConfig, s: _Scored, route: str,
         h_wp_mean=float(np.mean(rows.h_wp)),
         h_tp_mean=float(np.mean(rows.h_tp)),
         h_cil_mean=float(np.mean(rows.h_cil)),
-        notes={"tp_uniform_fallbacks": tp_fallbacks} if tp_fallbacks else {},
+        notes={"tp_uniform_fallbacks": fallbacks} if fallbacks else {},
     )
-
-
-def _predict_all(cfg, route, per_task_logits, per_task_scores, topo,
-                 test_task_of, truth_local, calibration
-                 ) -> tuple[th.EntropyReport, int]:
-    """Class predictions for all test rows plus the per-row entropies of the
-    route's (implied) decomposition, in one batched pass; the additive
-    identity holds for every route.
-
-    concat-argmax and calibrated decompose the softmax over the concatenated
-    (calibrated) logits by the theorem-4 construction; compose multiplies
-    the per-task softmax at temperature nu (WP) by the configured TP.
-    Entropies clamp logs at LOG_CLAMP, except on rows where a truth
-    probability of WP, TP or CIL falls under it: there each part comes from
-    log-probabilities (log-softmax, log-sum-exp slices, log TP) and
-    h_cil = h_wp + h_tp; an exactly-zero probability keeps H_MAX. Also
-    returns how many rows' TP fell back to uniform.
-    """
-    if route == "compose":
-        nu = cfg.predict.nu
-        wp = np.concatenate([cp.wp_temperature(z, nu) for z in per_task_logits],
-                            axis=1)
-        log_wp = np.concatenate([nk.log_softmax(z / nu) for z in per_task_logits],
-                                axis=1)
-        tp, fallbacks = _tp_for(cfg, per_task_logits, per_task_scores)
-        return th.entropy_report(wp, log_wp, topo, test_task_of, truth_local,
-                                 tp=tp), fallbacks
-    if route == "calibrated":
-        concat = cp.calibrated_logits(per_task_logits, calibration)
-    else:
-        concat = np.concatenate(per_task_logits, axis=1)
-    return th.entropy_report(nk.softmax(concat), nk.log_softmax(concat), topo,
-                             test_task_of, truth_local), 0
 
 
 def _tp_for(cfg, per_task_logits, per_task_scores) -> tuple[np.ndarray, int]:
@@ -427,6 +427,7 @@ def calibrate_run(cfg: ExperimentConfig, checkpoint_path
     net, meta = load_checkpoint(checkpoint_path)
     scorer = _scorer_arg(cfg, net, None)
     seq = build_tasks(cfg)
+    _check_fit(net, seq)
     rng = np.random.default_rng([cfg.seed, 99])
     pools = {}
     for k in range(seq.n_tasks):

@@ -45,11 +45,11 @@ class DegenerateBatchError(ValueError):
 
 @dataclass(frozen=True)
 class OdinParams:
-    """Per-task ODIN post-processing knobs (defaults grid-searched on a
-    validation split elsewhere)."""
+    """Per-task ODIN post-processing knobs: the softmax temperature tau and
+    the input step eps."""
 
-    tau: float = 1.0
-    eps: float = 0.0
+    tau: float
+    eps: float
 
     def __post_init__(self):
         if not 0 < self.tau < np.inf:
@@ -85,34 +85,36 @@ class OdinRows:
             self.grad[tau] = g.reshape(self.x.shape)
 
 
-def _odin_rows(net, x, task: int, params: OdinParams) -> OdinRows:
-    if not isinstance(x, OdinRows):
-        return OdinRows(net, x, task, [params.tau] if params.eps else [])
-    if x.net is not net or x.task != task:
+def _check_rows(net, rows, task: int) -> None:
+    if not isinstance(rows, OdinRows):
+        raise TypeError(f"ODIN scores an OdinRows, not a {type(rows).__name__}")
+    if rows.net is not net or rows.task != task:
         raise ValueError(f"OdinRows of another net or task than task {task}")
-    return x
 
 
-def odin_perturb(net: bb.MaskedNet, x, task: int,
+def odin_perturb(net: bb.MaskedNet, rows: OdinRows, task: int,
                  params: OdinParams) -> np.ndarray:
-    """Nudge the input against the sign of -grad log s(x; tau)_yhat.
+    """Nudge the rows' input against the sign of -grad log s(x; tau)_yhat.
 
     A confidence-raising step of size eps per input unit; eps = 0 returns a
-    copy of the input. x is a row batch or an OdinRows holding params.tau.
+    copy of the input. With eps > 0 the rows must hold params.tau.
     """
-    if params.eps == 0.0 and not isinstance(x, OdinRows):
-        return np.array(x, dtype=np.float64)  # no forward
-    rows = _odin_rows(net, x, task, params)
+    _check_rows(net, rows, task)
     if params.eps == 0.0:
         return rows.x.copy()
+    if params.tau not in rows.grad:
+        raise ValueError(f"OdinRows hold no input gradient for tau "
+                         f"{params.tau}")
     return rows.x - params.eps * np.sign(-rows.grad[params.tau])
 
 
-def odin_score(net: bb.MaskedNet, x, task: int, params: OdinParams):
+def odin_score(net: bb.MaskedNet, rows: OdinRows, task: int,
+               params: OdinParams) -> np.ndarray:
     """Max temperature-scaled softmax of head k at odin_perturb's output."""
+    _check_rows(net, rows, task)
     if params.eps == 0.0:
-        return msp_score(_odin_rows(net, x, task, params).z / params.tau)
-    x_t = odin_perturb(net, x, task, params)
+        return msp_score(rows.z / params.tau)
+    x_t = odin_perturb(net, rows, task, params)
     return msp_score(bb.task_raw_logits(net, x_t, task) / params.tau)
 
 
@@ -231,25 +233,24 @@ def finetune_rotation_head(net: bb.MaskedNet, task: int,
 
 
 def ensemble_logits(net: bb.MaskedNet, x, task: int,
-                    raw: np.ndarray | None = None) -> np.ndarray:
+                    raw: np.ndarray) -> np.ndarray:
     """Per-original-class logits of an (n, h, h) image batch, averaged over
     the rotation orbit.
 
     Class j's value is the mean over deg of slot (j, deg) evaluated on the
     deg-rotated input. Evaluation uses the raw image (no stochastic views).
-    raw is ``task_raw_logits(net, x, task)`` when the caller already ran
-    it: the degree-0 forward, which is then not run again.
+    raw is ``task_raw_logits(net, x, task)``, the degree-0 forward, which
+    the caller has run.
     """
     head = net.heads.get(task)
     if head is None:
         raise ValueError(f"unknown task {task}")
     if head.kind != "rotation":
         raise ValueError(f"task {task} head has no rotation slots")
-    per_deg = []
-    for deg in range(4):
-        if deg or raw is None:
-            raw = bb.task_raw_logits(net, rotate90(x, deg), task)
-        per_deg.append(raw[:, deg::4])  # slots (0,deg), (1,deg), ...
+    # slots (0, deg), (1, deg), ... of the deg-rotated input
+    per_deg = [raw[:, 0::4]] + [
+        bb.task_raw_logits(net, rotate90(x, deg), task)[:, deg::4]
+        for deg in (1, 2, 3)]
     return np.mean(per_deg, axis=0)
 
 
@@ -259,9 +260,7 @@ def class_logits(net: bb.MaskedNet, x, task: int) -> np.ndarray:
     Plain heads emit them directly; rotation heads go through the ensemble.
     x is any batch ``task_features`` takes; a rotation head needs images.
     """
-    head = net.heads.get(task)
-    if head is None:
-        raise ValueError(f"unknown task {task}")
-    if head.kind == "rotation":
-        return ensemble_logits(net, x, task)
-    return bb.task_raw_logits(net, x, task)
+    raw = bb.task_raw_logits(net, x, task)
+    if net.heads[task].kind == "rotation":
+        return ensemble_logits(net, x, task, raw)
+    return raw

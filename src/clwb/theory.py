@@ -200,12 +200,14 @@ def _slice_masses(p: np.ndarray, topo: TaskTopology) -> np.ndarray:
 
 
 def _report_rows(report) -> list[np.ndarray]:
-    """h_wp, h_tp and h_cil of a report as float arrays of one shape."""
+    """h_wp, h_tp and h_cil of a report as float arrays of one (n,) shape."""
     h = [np.asarray(getattr(report, f), dtype=np.float64)
          for f in ("h_wp", "h_tp", "h_cil")]
-    if not h[0].shape == h[1].shape == h[2].shape:
+    if h[0].ndim != 1 or h[0].size == 0 \
+            or not h[0].shape == h[1].shape == h[2].shape:
         raise ValueError(f"report h_wp, h_tp, h_cil have shapes "
-                         f"{[x.shape for x in h]}")
+                         f"{[x.shape for x in h]}; expected one value per "
+                         f"row of a nonempty batch (n, ...)")
     return h
 
 
@@ -226,20 +228,21 @@ def cross_entropy(target_index, pred) -> np.ndarray:
 
 
 def compose_cil(wp, tp, topo: TaskTopology) -> np.ndarray:
-    """CIL rows out[..., (k, j)] = wp[..., (k, j)] * tp[..., k].
+    """CIL rows out[i, (k, j)] = wp[i, (k, j)] * tp[i, k].
 
-    Each task slice of a wp row (..., C) is that task's WP distribution and
-    each tp row (..., K) a task distribution, so each output row sums to 1.
+    Each task slice of a wp row (n, C) is that task's WP distribution and
+    each tp row (n, K) a task distribution, so each output row sums to 1.
     """
     w = np.asarray(wp, dtype=np.float64)
     t = np.asarray(tp, dtype=np.float64)
-    if t.ndim == 0 or t.shape[-1] != topo.n_tasks \
-            or w.shape != t.shape[:-1] + (topo.n_classes,):
+    if t.ndim != 2 or t.shape[1] != topo.n_tasks \
+            or w.shape != (t.shape[0], topo.n_classes):
         raise ValueError(f"wp shape {w.shape} and tp shape {t.shape} do not "
-                         f"fit topology {topo.sizes}")
+                         f"fit topology {topo.sizes}: expected "
+                         f"(n, {topo.n_classes}) and (n, {topo.n_tasks})")
     _distribution_rows(t, "tp")
     _distribution_rows(w, "wp", topo)
-    return w * t[..., np.repeat(np.arange(topo.n_tasks), topo.sizes)]
+    return w * t[:, np.repeat(np.arange(topo.n_tasks), topo.sizes)]
 
 
 def ood_entropies(profile, k0) -> np.ndarray:
@@ -341,9 +344,8 @@ def entropy_report(probs, log_probs, topo: TaskTopology, k0, j0, *,
 def check_theorem1(report, eps, delta):
     """h_wp <= eps and h_tp <= delta imply h_cil <= eps + delta.
 
-    report holds h_wp, h_tp and h_cil of one instance or one per row; eps
-    and delta are one budget for all rows or one per row. Returns the
-    verdicts.
+    report holds (n,) rows of h_wp, h_tp and h_cil; eps and delta are one
+    budget for all rows or one per row. Returns the verdicts.
     """
     h_wp, h_tp, h_cil = _report_rows(report)
     eps = _budget(eps, h_wp.shape, "eps")
@@ -364,8 +366,6 @@ def check_corollary1(report, starts=(0,), *, eps=None, delta=None
     """
     h = np.stack(_report_rows(report))
     s = np.asarray(starts, dtype=np.intp)
-    if h.ndim != 2 or h.shape[1] == 0:
-        raise ValueError("report must hold a nonempty batch of rows")
     if s.ndim != 1 or s.size == 0 or s[0] != 0 or (np.diff(s) <= 0).any() \
             or s[-1] >= h.shape[1]:
         raise ValueError(f"starts {s} do not split {h.shape[1]} rows")
@@ -386,8 +386,9 @@ def check_corollary1(report, starts=(0,), *, eps=None, delta=None
 
 
 def ood_from_tp(tp) -> np.ndarray:
-    """Detector profile P'_k := tp[k]; then every h_ood entry <= h_tp."""
-    return _distribution_rows(tp, "tp").copy()
+    """Detector profiles P'_ik := tp[i, k] of (n, K) task distributions;
+    then every h_ood entry <= h_tp."""
+    return _distribution_rows(_rows(tp, "tp"), "tp").copy()
 
 
 def tp_from_ood(profile) -> np.ndarray:

@@ -134,8 +134,8 @@ def test_c03_gradient_checks():
 
         def loss(params):
             alpha, beta = params
-            val, da, db = cp.calibration_loss(stacked, labels, widths,
-                                              alpha, beta)
+            val, da, db = cp.calibration_loss(stacked, labels,
+                                              cp._columns(widths), alpha, beta)
             return val, [da, db]
 
         return loss, [rng.normal(size=2) * 0.5 + 1.0, rng.normal(size=2)]

@@ -120,6 +120,59 @@ class TestTrainEvalPipeline:
         assert run_cli("train", "--config", str(cfg_path)) == 2
         assert "backbone.typo" in capsys.readouterr().err
 
+    @staticmethod
+    def unreadable(path, kind):
+        """path left missing, made a directory, or filled with bytes that
+        are not UTF-8."""
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "binary":
+            path.write_bytes(b"\xff\xfe\x00[experiment]\n")
+        return path
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "binary"])
+    @pytest.mark.parametrize("command", ["train", "eval", "calibrate"])
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys,
+                                              command, kind):
+        path = self.unreadable(tmp_path / "nope.ini", kind)
+        checkpoint = [] if command == "train" else \
+            ["--checkpoint", str(tmp_path / "final.clwb")]
+        assert run_cli(command, "--config", str(path), *checkpoint) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {path}: ")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("command", ["eval", "calibrate"])
+    def test_unreadable_checkpoint_is_usage_error(
+            self, synth_config_text, tmp_path, capsys, command, kind):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(synth_config_text())
+        path = self.unreadable(tmp_path / "nope.clwb", kind)
+        assert run_cli(command, "--config", str(cfg_path),
+                       "--checkpoint", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint file {path}: ")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "calibrate"])
+    def test_per_task_checkpoint_is_usage_error(
+            self, synth_config_text, tmp_path, capsys, command):
+        # train writes one checkpoint per finished task; only final.clwb
+        # holds every task the config names
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(synth_config_text(epochs=2))
+        run_cli("train", "--config", str(cfg_path))
+        capsys.readouterr()
+        assert run_cli(command, "--config", str(cfg_path), "--checkpoint",
+                       str(tmp_path / "run" / "task2.clwb")) == 2
+        assert capsys.readouterr().err == (
+            "error: checkpoint has 2 finished tasks for 3 tasks in the "
+            "config\n")
+        assert not list((tmp_path / "run").glob("report_*"))
+
 
 class TestCalibrateCommand:
     def test_calibrate_emits_params_and_reports(self, synth_config_text,

@@ -3,8 +3,12 @@ import pytest
 
 from clwb import composer as cp
 from clwb import theory as th
+from clwb.config import CalibrateCfg, PredictCfg
 
 TOPO22 = th.TaskTopology((2, 2))
+# the calibration optimizer as the config sets it by default
+FIT = {"iters": CalibrateCfg.iters, "lr": CalibrateCfg.lr,
+       "batch_size": CalibrateCfg.batch}
 
 
 class TestConcatArgmax:
@@ -64,7 +68,7 @@ class TestWpTemperature:
         assert p[0] > 1 - 1e-6
 
     def test_paper_defaults(self):
-        assert cp.DEFAULT_NU == 0.1 and cp.DEFAULT_TAU == 5.0
+        assert PredictCfg().nu == 0.1 and PredictCfg().tau == 5.0
 
     def test_positive_nu(self):
         with pytest.raises(ValueError):
@@ -161,19 +165,19 @@ def skewed_buffer(scale=10.0, n_per_class=20, seed=5):
 class TestFitCalibration:
     def test_balanced_buffer_already_near_optimal(self):
         logits, labels = skewed_buffer(scale=1.0)
-        _, history = cp.fit_calibration(logits, labels, seed=0)
+        _, history = cp.fit_calibration(logits, labels, **FIT, seed=0)
         # identity loss within 1e-3 of the fitted optimum
         assert history[0] - min(history) <= 1e-3
 
     def test_skew_shrinks_inflated_task(self):
         logits, labels = skewed_buffer(scale=10.0)
-        params, _ = cp.fit_calibration(logits, labels, seed=0)
+        params, _ = cp.fit_calibration(logits, labels, **FIT, seed=0)
         assert params.alpha[1] < params.alpha[0]
 
     def test_final_loss_never_exceeds_initial(self):
         for seed in range(5):
             logits, labels = skewed_buffer(scale=10.0, seed=seed)
-            params, history = cp.fit_calibration(logits, labels, seed=seed)
+            params, history = cp.fit_calibration(logits, labels, **FIT, seed=seed)
             stacked_loss = min(history)
             assert stacked_loss <= history[0] + 1e-12
 
@@ -183,18 +187,19 @@ class TestFitCalibration:
         logits, labels = skewed_buffer(scale=10.0)
         # the first 20 samples are all class 0
         params, history = cp.fit_calibration([z[keep] for z in logits],
-                                             labels[keep], seed=0)
+                                             labels[keep], **FIT, seed=0)
         assert np.isfinite(params.alpha).all() and np.isfinite(params.beta).all()
         assert np.isfinite(history).all() and min(history) <= history[0]
 
     def test_empty_buffer(self):
         with pytest.raises(ValueError):
-            cp.fit_calibration([np.zeros((0, 2))], np.zeros(0, dtype=int))
+            cp.fit_calibration([np.zeros((0, 2))], np.zeros(0, dtype=int),
+                               **FIT, seed=0)
 
     def test_paper_optimizer_defaults(self):
-        assert cp.CALIBRATION_ITERS == 160
-        assert cp.CALIBRATION_LR == 0.01
-        assert cp.CALIBRATION_BATCH == 15
+        assert CalibrateCfg().iters == 160
+        assert CalibrateCfg().lr == 0.01
+        assert CalibrateCfg().batch == 15
 
 
 class TestMemoryBuffer:
@@ -252,7 +257,7 @@ class TestRowBatches:
     def test_tp_constructions(self):
         logits = self.per_task()
         for build in (cp.tp_sigmoid_maxlogit,
-                      lambda v: cp.tp_maxsoftmax_temperature(v, [2.0, 5.0, 0.5])):
+                      lambda v: cp.tp_maxsoftmax_temperature(v, 2.0)):
             batched = build(logits)
             assert batched.shape == (40, 3)
             for i in range(40):

@@ -2,6 +2,7 @@
 ``experiment.eval_run``."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,16 +56,27 @@ batch = 8
     return text, art["final"]
 
 
-def _spy_predict_all(monkeypatch):
-    calls = []
-    real = ex._predict_all
+def _spy_route_report(monkeypatch):
+    """Each ``_route_report`` call: its inputs as ``_old_predict_all`` takes
+    them, the per-row entropy report it built, and the report."""
+    calls, built = [], []
+    real_route, real_entropy = ex._route_report, th.entropy_report
 
-    def spy(*args):
-        result = real(*args)
-        calls.append((args, result))
-        return result
+    def entropy_spy(*args, **kwargs):
+        built.append(real_entropy(*args, **kwargs))
+        return built[-1]
 
-    monkeypatch.setattr(ex, "_predict_all", spy)
+    def spy(cfg, s, route, calibration):
+        report = real_route(cfg, s, route, calibration)
+        (rows,) = built
+        built.clear()
+        calls.append(((cfg, route, s.per_task_logits, s.per_task_scores,
+                       s.topo, s.test_task_of, s.truth_local, calibration),
+                      rows, report))
+        return report
+
+    monkeypatch.setattr(th, "entropy_report", entropy_spy)
+    monkeypatch.setattr(ex, "_route_report", spy)
     return calls
 
 
@@ -118,15 +130,16 @@ def _old_predict_all(cfg, route, per_task_logits, per_task_scores, topo,
 def test_batched_eval_matches_the_per_row_loop(trained, monkeypatch, route, tp):
     text, final = trained
     cfg = parse_config(_with_predict(text, tp))
-    calls = _spy_predict_all(monkeypatch)
+    calls = _spy_route_report(monkeypatch)
     calibration = cp.CalibrationParams([1.3, 0.8, 1.1], [0.2, -0.1, 0.0]) \
         if route == "calibrated" else None
     report = ex.eval_run(cfg, final, route=route, calibration=calibration)
-    (args, (rows, fallbacks)), = calls
+    (args, rows, spied), = calls
+    assert spied is report
     old_predictions, old_reports = _old_predict_all(*args)
 
     np.testing.assert_array_equal(rows.predictions, old_predictions)
-    assert fallbacks == 0
+    assert report.notes.get("tp_uniform_fallbacks", 0) == 0
     old = {name: np.array([getattr(r, name) for r in old_reports])
            for name in ("h_wp", "h_tp", "h_cil")}
     # a row whose old h_cil hit the clamp is where the log-space rule applies
@@ -179,14 +192,20 @@ def test_compose_identity_holds_under_the_log_clamp(tmp_path, seed):
     assert rep.h_cil_mean > 0.0
 
 
-def test_concat_identity_holds_under_the_log_clamp(trained):
+def test_concat_identity_holds_under_the_log_clamp(trained, monkeypatch):
     # task 0 logits [0, -50], task 1 logits [0, 0], truth (0, 1): the
     # clamped report missed the identity by log 3
     cfg = parse_config(trained[0])
     topo = th.TaskTopology((2, 2))
-    rows, _ = ex._predict_all(
-        cfg, "concat-argmax", [np.array([[0.0, -50.0]]), np.array([[0.0, 0.0]])],
-        None, topo, np.array([0]), np.array([1]), None)
+    fields = dict(seed=0, backbone="hat", loss="ce", scorer="msp", n_test=1,
+                  til_per_task=[], til_avg=0.0, auc_per_task=[], auc_avg=0.5,
+                  forgetting=[], odin_params={}, config_text="")
+    scored = ex._Scored(fields, topo, np.array([0]), np.array([1]),
+                        [np.array([[0.0, -50.0]]), np.array([[0.0, 0.0]])],
+                        None)
+    calls = _spy_route_report(monkeypatch)
+    ex._route_report(cfg, scored, "concat-argmax", None)
+    (_, rows, _), = calls
     assert rows.h_cil[0] == rows.h_wp[0] + rows.h_tp[0]
     assert rows.h_cil[0] == pytest.approx(50.0 + np.log(3.0))
 
@@ -203,11 +222,11 @@ def test_all_zero_detector_rows_fall_back_to_uniform_tp(trained, monkeypatch):
         return logits, scores
 
     monkeypatch.setattr(ex, "_score_task", zero_first_rows)
-    calls = _spy_predict_all(monkeypatch)
+    calls = _spy_route_report(monkeypatch)
     report = ex.eval_run(cfg, final, route="compose")
     assert report.notes == {"tp_uniform_fallbacks": 4}
     assert '"tp_uniform_fallbacks": 4' in report.to_json()
-    (args, (rows, _)), = calls
+    (args, rows, _), = calls
     np.testing.assert_array_equal(rows.h_tp[:4], np.log(3.0))
     # the theorem-4 routes never read detector scores
     assert ex.eval_run(cfg, final, route="concat-argmax").notes == {}
@@ -337,7 +356,7 @@ def _separate_forwards_score_task(net, images, task, scorer, odin):
         scores = ol.msp_score(z) if scorer == "msp" else \
             1.0 / (1.0 + np.exp(-z.max(axis=1)))
     elif scorer == "odin":
-        scores = ol.odin_score(net, images, task, odin[task])
+        scores = _old_odin_score(net, images, task, odin[task])
     else:
         scores = ol.msp_score(logits)
     return logits, scores
@@ -391,6 +410,27 @@ def test_rotation_ensemble_needs_rotation_heads(trained, monkeypatch):
     cfg.ood.scorer = "rotation-ensemble"
     with pytest.raises(ConfigError, match="task 0 head has no rotation slots"):
         ex.calibrate_run(cfg, final)
+    assert forwards == []
+
+
+@pytest.mark.parametrize("run", ["eval_run", "calibrate_run"])
+@pytest.mark.parametrize("edit, checkpoint, message", [
+    (None, "task1.clwb", "checkpoint has 1 finished tasks for 3 tasks"),
+    (("count = 3", "count = 2"), "final.clwb",
+     "checkpoint has 3 finished tasks for 2 tasks"),
+    (("classes_per_task = 2", "classes_per_task = 3"), "final.clwb",
+     "checkpoint task 0 head has 2 classes for 3"),
+], ids=["per-task-checkpoint", "fewer-tasks", "more-classes"])
+def test_a_checkpoint_that_does_not_fit_the_config_is_refused(
+        trained, monkeypatch, run, edit, checkpoint, message):
+    # a usage error raised when the checkpoint loads, before any forward
+    text, final = trained
+    cfg = parse_config(text.replace(*edit) if edit else text)
+    forwards = []
+    monkeypatch.setattr(bb, "task_features",
+                        lambda *args, **kwargs: forwards.append(args))
+    with pytest.raises(ConfigError, match=f"^{message} in the config$"):
+        getattr(ex, run)(cfg, Path(final).with_name(checkpoint))
     assert forwards == []
 
 
@@ -495,9 +535,9 @@ def _per_split_grid(cfg, net, seq):
         for tau in ol.ODIN_TAU_GRID:
             for eps in ol.ODIN_EPS_GRID:
                 cand = ol.OdinParams(tau, eps)
-                ind = np.atleast_1d(ol.odin_score(net, splits[k].images, k, cand))
+                ind = _old_odin_score(net, splits[k].images, k, cand)
                 ood = np.concatenate(
-                    [np.atleast_1d(ol.odin_score(net, splits[j].images, k, cand))
+                    [_old_odin_score(net, splits[j].images, k, cand)
                      for j in range(seq.n_tasks) if j != k])
                 val_auc = mt.auc(mt.ScoredPopulation(ind, ood))
                 if best is None or val_auc > best[0]:

@@ -25,6 +25,12 @@ def linear_hat_net(W, head_scale=400.0):
     return net
 
 
+def odin_alone(fn, net, x, params):
+    """fn (odin_score or odin_perturb) of one candidate on the OdinRows of
+    the row batch x that hold its tau."""
+    return fn(net, ol.OdinRows(net, x, 0, [params.tau]), 0, params)
+
+
 class TestMsp:
     def test_uniform(self):
         assert ol.msp_score(np.zeros((1, 4)))[0] == pytest.approx(0.25,
@@ -50,7 +56,8 @@ class TestOdin:
         net = trained_toy_net()
         x = np.random.default_rng(1).normal(size=(1, 4))
         np.testing.assert_array_equal(
-            ol.odin_perturb(net, x, 0, ol.OdinParams(tau=5.0, eps=0.0)), x)
+            odin_alone(ol.odin_perturb, net, x,
+                       ol.OdinParams(tau=5.0, eps=0.0)), x)
 
     def test_linear_case_closed_form(self):
         rng = np.random.default_rng(2)
@@ -63,7 +70,8 @@ class TestOdin:
         grad = W[yhat] - p @ W  # d log softmax_yhat / dx, tau = 1
         eps = 0.01
         expect = x - eps * np.sign(-grad)
-        got = ol.odin_perturb(net, x[None], 0, ol.OdinParams(tau=1.0, eps=eps))
+        got = odin_alone(ol.odin_perturb, net, x[None],
+                         ol.OdinParams(tau=1.0, eps=eps))
         np.testing.assert_allclose(got, [expect], rtol=1e-12)
 
     def test_perturbation_raises_confidence(self):
@@ -86,7 +94,7 @@ class TestOdin:
             assert fd >= 0.0
             params = ol.OdinParams(tau=1.0, eps=1e-3)
             (before,) = ol.msp_score(bb.task_raw_logits(net, x, 0))
-            (after,) = ol.odin_score(net, x, 0, params)
+            (after,) = odin_alone(ol.odin_score, net, x, params)
             assert after >= before - 1e-6
 
     def test_tau_one_eps_zero_equals_msp(self):
@@ -98,16 +106,16 @@ class TestOdin:
             net.heads[0] = bb.Head(rng.normal(size=(3, 8)), rng.normal(size=3))
             x = rng.normal(size=(1, 4))
             raw = ol.msp_score(bb.task_raw_logits(net, x, 0))
-            assert ol.odin_score(net, x, 0, ol.OdinParams(1.0, 0.0)).tolist() \
-                == raw.tolist()
+            assert odin_alone(ol.odin_score, net, x,
+                              ol.OdinParams(1.0, 0.0)).tolist() == raw.tolist()
 
     def test_batch_scoring_matches_per_sample(self):
         net = trained_toy_net(seed=21)
         rng = np.random.default_rng(22)
         xs = rng.normal(size=(9, 4))
         params = ol.OdinParams(tau=5.0, eps=0.002)
-        batch = ol.odin_score(net, xs, 0, params)
-        singles = [ol.odin_score(net, xs[i:i + 1], 0, params)[0]
+        batch = odin_alone(ol.odin_score, net, xs, params)
+        singles = [odin_alone(ol.odin_score, net, xs[i:i + 1], params)[0]
                    for i in range(len(xs))]
         # a batched matmul may differ from a one-row batch by an ulp
         np.testing.assert_allclose(batch, singles, rtol=0, atol=1e-12)
@@ -115,19 +123,21 @@ class TestOdin:
     def test_large_tau_uniform_limit(self):
         net = trained_toy_net(seed=3)
         x = np.random.default_rng(4).normal(size=(1, 4))
-        (score,) = ol.odin_score(net, x, 0, ol.OdinParams(tau=1e6, eps=0.0))
+        (score,) = odin_alone(ol.odin_score, net, x,
+                              ol.OdinParams(tau=1e6, eps=0.0))
         assert score == pytest.approx(0.5, abs=1e-6)
 
     def test_monotone_in_tau(self):
         net = trained_toy_net(seed=5)
         x = np.random.default_rng(6).normal(size=(1, 4))
-        scores = [ol.odin_score(net, x, 0, ol.OdinParams(tau=t, eps=0.0))[0]
+        scores = [odin_alone(ol.odin_score, net, x,
+                             ol.OdinParams(tau=t, eps=0.0))[0]
                   for t in (1.0, 2.0, 5.0, 10.0, 100.0, 1000.0)]
         assert all(a >= b - 1e-12 for a, b in zip(scores, scores[1:]))
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            ol.OdinParams(tau=0.0)
+            ol.OdinParams(tau=0.0, eps=0.0)
         with pytest.raises(ValueError):
             ol.OdinParams(tau=1.0, eps=-0.1)
 
@@ -135,7 +145,7 @@ class TestOdin:
     @pytest.mark.parametrize("name", ["tau", "eps"])
     def test_non_finite_params_rejected(self, name, value):
         with pytest.raises(ValueError, match=rf"^{name} must be finite"):
-            ol.OdinParams(**{name: value})
+            ol.OdinParams(**{"tau": 1.0, "eps": 0.0, name: value})
 
 
 def _counting(monkeypatch, module, name):
@@ -178,16 +188,36 @@ class TestOdinRows:
         assert (forwards[0], grads[0]) == (n_perturbed, 0)
 
     def test_zero_eps_perturbs_without_a_forward(self, monkeypatch):
+        # rows without gradients serve every eps = 0 candidate
         net = trained_toy_net(seed=11)
         x = np.random.default_rng(12).normal(size=(3, 4))
         forwards = _counting(monkeypatch, bb, "task_features")
-        params = ol.OdinParams(tau=5.0, eps=0.0)
-        got = ol.odin_perturb(net, x, 0, params)
-        assert forwards[0] == 0
-        np.testing.assert_array_equal(got, x)
-        assert got is not x
-        ol.odin_score(net, x, 0, params)
+        rows = ol.OdinRows(net, x, 0, [])
         assert forwards[0] == 1
+        params = ol.OdinParams(tau=5.0, eps=0.0)
+        got = ol.odin_perturb(net, rows, 0, params)
+        np.testing.assert_array_equal(got, x)
+        assert got is not rows.x
+        ol.odin_score(net, rows, 0, params)
+        assert forwards[0] == 1
+
+    def test_plain_batches_are_refused(self):
+        net = trained_toy_net(seed=11)
+        x = np.random.default_rng(12).normal(size=(3, 4))
+        for eps in (0.0, 0.01):
+            for fn in (ol.odin_score, ol.odin_perturb):
+                with pytest.raises(TypeError, match="OdinRows"):
+                    fn(net, x, 0, ol.OdinParams(tau=1.0, eps=eps))
+
+    def test_a_tau_without_its_gradient_names_it(self):
+        net = trained_toy_net(seed=11)
+        x = np.random.default_rng(12).normal(size=(3, 4))
+        rows = ol.OdinRows(net, x, 0, [1.0, 5.0])
+        for fn in (ol.odin_score, ol.odin_perturb):
+            with pytest.raises(ValueError, match="tau 10.0$"):
+                fn(net, rows, 0, ol.OdinParams(tau=10.0, eps=0.01))
+            # eps = 0 reads no gradient
+            fn(net, rows, 0, ol.OdinParams(tau=10.0, eps=0.0))
 
     def test_rows_of_another_task_or_net_rejected(self):
         net, other = trained_toy_net(seed=13), trained_toy_net(seed=13)
@@ -405,6 +435,11 @@ class TestRotationHead:
         assert (pred == ys).mean() >= 0.99
 
 
+def ensemble(net, x):
+    """Task 0's ensemble_logits of x, given x's degree-0 forward."""
+    return ol.ensemble_logits(net, x, 0, bb.task_raw_logits(net, x, 0))
+
+
 class TestEnsemble:
     def manual_net(self):
         data = corner_marker_set()
@@ -421,7 +456,7 @@ class TestEnsemble:
         head = net.heads[0]
         head.weight[...] = 0.0
         head.bias[...] = np.array([3.0, 3.0, 3.0, 3.0, -1.0, -1.0, -1.0, -1.0])
-        out = ol.ensemble_logits(net, np.zeros((1, 4, 4)), 0)
+        out = ensemble(net, np.zeros((1, 4, 4)))
         np.testing.assert_allclose(out, [[3.0, -1.0]], atol=1e-12)
 
     def test_mean_of_slots(self):
@@ -429,12 +464,12 @@ class TestEnsemble:
         head = net.heads[0]
         head.weight[...] = 0.0
         head.bias[...] = np.array([1.0, 2.0, 3.0, 4.0, 0.0, 0.0, 0.0, 0.0])
-        out = ol.ensemble_logits(net, np.zeros((1, 4, 4)), 0)
+        out = ensemble(net, np.zeros((1, 4, 4)))
         assert out[0, 0] == pytest.approx(2.5, abs=1e-12)
 
     def test_width_is_original_class_count(self):
         net, data = self.manual_net()
-        out = ol.ensemble_logits(net, data.images[:3], 0)
+        out = ensemble(net, data.images[:3])
         assert out.shape == (3, 2)
 
     def test_orbit_permutation_equivariance(self):
@@ -458,13 +493,13 @@ class TestEnsemble:
     def test_plain_head_rejected(self):
         net = trained_toy_net(seed=19)
         with pytest.raises(ValueError):
-            ol.ensemble_logits(net, np.zeros((1, 2, 2)), 0)
+            ensemble(net, np.zeros((1, 2, 2)))
 
     def test_class_logits_dispatch(self):
         net, data = self.manual_net()
         rot = ol.class_logits(net, data.images[:3], 0)
         np.testing.assert_array_equal(rot,
-                                      ol.ensemble_logits(net, data.images[:3], 0))
+                                      ensemble(net, data.images[:3]))
         plain = trained_toy_net(seed=20)
         x = np.random.default_rng(21).normal(size=(3, 4))
         np.testing.assert_array_equal(ol.class_logits(plain, x, 0),

@@ -53,21 +53,28 @@ CALLS = {
         n["sup"], VECTOR, 0),
     "oodlab.msp_score": lambda n: ol.msp_score(VECTOR),
     "oodlab.OdinRows": lambda n: ol.OdinRows(n["hat"], VECTOR, 0, [1.0]),
-    "oodlab.odin_perturb": lambda n: ol.odin_perturb(n["hat"], VECTOR, 0, ODIN),
-    "oodlab.odin_score": lambda n: ol.odin_score(n["sup"], VECTOR, 0, ODIN),
+    # ODIN takes its rows as an OdinRows only
+    "oodlab.odin_perturb": lambda n: ol.odin_perturb(
+        n["hat"], ol.OdinRows(n["hat"], VECTOR, 0, [ODIN.tau]), 0, ODIN),
+    "oodlab.odin_score": lambda n: ol.odin_score(
+        n["sup"], ol.OdinRows(n["sup"], VECTOR, 0, [ODIN.tau]), 0, ODIN),
     "oodlab.rotate90": lambda n: ol.rotate90(np.zeros((4, 4)), 1),
     "oodlab.ensemble_logits": lambda n: ol.ensemble_logits(
-        n["rotation"], np.zeros((4, 4)), 0),
+        n["rotation"], np.zeros((4, 4)), 0, np.zeros((1, 8))),
     "oodlab.class_logits[plain]": lambda n: ol.class_logits(n["hat"],
                                                             VECTOR, 0),
     "oodlab.class_logits[rotation]": lambda n: ol.class_logits(
         n["rotation"], np.zeros((4, 4)), 0),
     "composer.calibration_loss": lambda n: cp.calibration_loss(
-        VECTOR, np.array(0), [2, 2], np.ones(2), np.zeros(2)),
+        VECTOR, np.array(0), cp._columns([2, 2]), np.ones(2), np.zeros(2)),
     "composer.tp_sigmoid_maxlogit": lambda n: cp.tp_sigmoid_maxlogit(
         [VECTOR[:2], VECTOR[2:]]),
     "composer.tp_maxsoftmax_temperature":
-        lambda n: cp.tp_maxsoftmax_temperature([VECTOR[:2], VECTOR[2:]]),
+        lambda n: cp.tp_maxsoftmax_temperature([VECTOR[:2], VECTOR[2:]], 5.0),
+    "theory.compose_cil": lambda n: th.compose_cil(2 * VECTOR, [0.5, 0.5],
+                                                   TOPO22),
+    "theory.check_theorem1": lambda n: th.check_theorem1(ONE, 0.1, 0.1),
+    "theory.ood_from_tp": lambda n: th.ood_from_tp([0.5, 0.5]),
     "theory.cross_entropy": lambda n: th.cross_entropy(0, VECTOR),
     "theory.ood_entropies": lambda n: th.ood_entropies(VECTOR, 0),
     "theory.tp_from_ood": lambda n: th.tp_from_ood(VECTOR),

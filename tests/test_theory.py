@@ -97,23 +97,23 @@ class TestCrossEntropy:
 
 class TestComposeCil:
     def test_worked_example(self):
-        out = th.compose_cil(WP, TP, TOPO22)
-        np.testing.assert_allclose(out, [0.42, 0.28, 0.27, 0.03], rtol=1e-12)
+        out = th.compose_cil([WP], [TP], TOPO22)
+        np.testing.assert_allclose(out, [[0.42, 0.28, 0.27, 0.03]], rtol=1e-12)
         assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_single_task_identity(self):
         topo = th.TaskTopology((3,))
-        wp = np.array([0.2, 0.5, 0.3])
-        np.testing.assert_array_equal(th.compose_cil(wp, [1.0], topo), wp)
+        wp = np.array([[0.2, 0.5, 0.3]])
+        np.testing.assert_array_equal(th.compose_cil(wp, [[1.0]], topo), wp)
 
     def test_one_hot_tp_annihilates_other_tasks(self):
-        out = th.compose_cil(WP, [0.0, 1.0], TOPO22)
+        (out,) = th.compose_cil([WP], [[0.0, 1.0]], TOPO22)
         assert not out[TOPO22.task_slice(0)].any()
         np.testing.assert_array_equal(out[TOPO22.task_slice(1)], WP[2:])
 
     def test_shape_mismatch(self):
-        for wp, tp in ((WP, [1.0]), (WP[:2], TP), ([WP, WP], TP),
-                       (WP, [TP, TP]), (WP, 1.0)):
+        for wp, tp in (([WP], [[1.0]]), ([WP[:2]], [TP]), ([WP, WP], [TP]),
+                       ([WP], [TP, TP]), ([WP], 1.0), (WP, TP)):
             with pytest.raises(ValueError, match="do not fit"):
                 th.compose_cil(wp, tp, TOPO22)
 
@@ -123,7 +123,7 @@ class TestComposeCil:
         with pytest.raises(ValueError, match="wp row 1 sums"):
             th.compose_cil([WP, [0.6, 0.4, 0.9, 0.2]], [TP, TP], TOPO22)
         with pytest.raises(ValueError, match="negative"):
-            th.compose_cil([1.2, -0.2, 0.9, 0.1], TP, TOPO22)
+            th.compose_cil([[1.2, -0.2, 0.9, 0.1]], [TP], TOPO22)
 
 
 class TestEntropyReport:
@@ -165,8 +165,8 @@ class TestTheorem1:
                  h_cil=[0.3, 0.7, 1.1])
         assert th.check_theorem1(r, 0.5, 0.9).tolist() == [True] * 3
         # an unmet verdict is a False row, not an error
-        assert th.check_theorem1(rows(h_wp=0.1, h_tp=0.1, h_cil=0.3),
-                                 0.1, 0.1) == np.False_
+        assert th.check_theorem1(rows(h_wp=[0.1], h_tp=[0.1], h_cil=[0.3]),
+                                 0.1, 0.1).tolist() == [False]
         with pytest.raises(th.HypothesisError, match="row 2"):
             th.check_theorem1(r, 0.5, [0.9, 0.9, 0.5])
 
