@@ -252,17 +252,17 @@ class MaskedNet:
 
 
 def build_masked_net(input_dim: int, hidden: list[int], *, isolation: str,
-                     seed: int, s_max: float = 400.0,
-                     lambdas: list[float] | None = None,
-                     sparsity: float = 50.0) -> MaskedNet:
-    """Create an untrained net. hidden lists the trunk layer widths."""
+                     seed: int, s_max: float, lambdas: list[float],
+                     sparsity: float) -> MaskedNet:
+    """Create an untrained net. hidden lists the trunk layer widths; s_max
+    and lambdas serve hard attention, sparsity supermasks."""
     rng = np.random.default_rng([seed, 0])
     trunk = nk.glorot_net([input_dim] + list(hidden),
                           rng, activations=["relu"] * len(hidden))
     if isolation == "hat":
         state: HatState | SupState = HatState(
             s_max=s_max,
-            lambdas=list(lambdas) if lambdas else [1.0, 0.75],
+            lambdas=list(lambdas),
             accumulated=[np.zeros(h) for h in hidden],
         )
     elif isolation == "sup":
@@ -463,18 +463,17 @@ def _init_head(net: MaskedNet, task: int, width: int, kind: str,
 
 
 def train_task(net: MaskedNet, task: int, data: LabeledImageSet, *,
-               loss: str = "ce", epochs: int = 20, lr: float = 0.1,
-               batch_size: int = 16, seed: int = 0,
-               contrastive_epochs: int | None = None,
-               head_epochs: int | None = None, head_lr: float | None = None,
-               contrastive_tau: float = 0.5, flip_prob: float = 0.5,
-               noise_sigma: float = 0.05) -> list[EpochStats]:
+               loss: str, epochs: int, lr: float, batch_size: int, seed: int,
+               contrastive_epochs: int, head_epochs: int, head_lr: float,
+               contrastive_tau: float, flip_prob: float,
+               noise_sigma: float) -> list[EpochStats]:
     """Train one task and update the isolation state.
 
     loss: "ce" (plain head), "rotation-ce" (head over 4|C| rotation classes),
-    or "contrastive" (contrastive feature phase, then a frozen-trunk rotation
-    head). Finished tasks' behavior is left unchanged; the same task cannot
-    be trained twice.
+    or "contrastive" (contrastive_epochs of the feature phase at temperature
+    contrastive_tau, then head_epochs of a frozen-trunk rotation head at
+    head_lr). Finished tasks' behavior is left unchanged; the same task
+    cannot be trained twice.
     """
     if task in net.finished:
         raise nk.StateError(f"task {task} already finished")
@@ -486,8 +485,7 @@ def train_task(net: MaskedNet, task: int, data: LabeledImageSet, *,
     augment = {"flip_prob": flip_prob, "noise_sigma": noise_sigma}
     if loss == "contrastive":
         head = None
-        main_epochs = contrastive_epochs if contrastive_epochs is not None \
-            else epochs
+        main_epochs = contrastive_epochs
     else:
         head = _init_head(net, task, data.n_classes * (1 if loss == "ce" else 4),
                           "plain" if loss == "ce" else "rotation", rng)
@@ -500,9 +498,7 @@ def train_task(net: MaskedNet, task: int, data: LabeledImageSet, *,
     if head is None:
         from . import oodlab  # deferred: oodlab imports this module
         trace += oodlab.finetune_rotation_head(
-            net, task, data,
-            epochs=head_epochs if head_epochs is not None else epochs,
-            lr=head_lr if head_lr is not None else lr,
+            net, task, data, epochs=head_epochs, lr=head_lr,
             batch_size=batch_size, rng=rng, **augment)
     return trace
 

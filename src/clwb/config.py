@@ -170,6 +170,9 @@ _RANGES = {
     ("calibrate", "batch"): _COUNT,
 }
 
+# list keys that need at least one element: a trunk layer, a task's lambda
+_NONEMPTY = {("backbone", "hidden"), ("backbone", "lambdas")}
+
 # keyed by annotation string: every config dataclass is declared under
 # ``from __future__ import annotations``
 _PARSERS = {"int": int, "float": float, "str": str, "bool": _bool,
@@ -198,6 +201,8 @@ def _fill(section: str, cfg_obj, parser: configparser.ConfigParser) -> None:
             raise ConfigError(
                 f"{section}.{key} must be one of {allowed}, got {value!r}")
         values = value if isinstance(value, list) else [value]
+        if not values and (section, key) in _NONEMPTY:
+            raise ConfigError(f"{section}.{key} must be nonempty, got {raw!r}")
         if (section, key) in _RANGES:
             ok, bound = _RANGES[section, key]
             if not all(map(ok, values)):

@@ -171,8 +171,9 @@ def split_tasks(train: LabeledImageSet, test: LabeledImageSet,
 
 def synth_gaussian_tasks(n_tasks: int, classes_per_task: int, dim: int,
                          separation: float, n_per_class: int, seed: int,
-                         n_test_per_class: int | None = None) -> TaskSequence:
-    """Deterministic Gaussian-blob tasks for fast tests.
+                         n_test_per_class: int) -> TaskSequence:
+    """Deterministic Gaussian-blob tasks for fast tests: n_per_class
+    training and n_test_per_class test samples per class.
 
     Each class is an isotropic unit-variance Gaussian centered on a distinct
     lattice point; adjacent centers sit exactly `separation` apart, so any
@@ -182,8 +183,6 @@ def synth_gaussian_tasks(n_tasks: int, classes_per_task: int, dim: int,
     """
     if separation <= 0:
         raise ValueError("separation must be positive")
-    if n_test_per_class is None:
-        n_test_per_class = max(1, n_per_class // 4)
     rng = np.random.default_rng(seed)
     total = n_tasks * classes_per_task
     side = int(np.ceil(np.sqrt(total)))

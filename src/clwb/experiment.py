@@ -36,18 +36,19 @@ __all__ = [
 
 
 def build_tasks(cfg: ExperimentConfig) -> dt.TaskSequence:
-    """Materialize the task sequence the config describes."""
-    t = cfg.tasks
-    if cfg.data.source == "synthetic":
+    """Materialize the task sequence the config describes; a synthetic
+    test_per_class of 0 means max(1, per_class // 4)."""
+    t, d = cfg.tasks, cfg.data
+    if d.source == "synthetic":
         return dt.synth_gaussian_tasks(
-            t.count, t.classes_per_task, cfg.data.dim, cfg.data.separation,
-            cfg.data.per_class, seed=cfg.seed,
-            n_test_per_class=cfg.data.test_per_class or None)
+            t.count, t.classes_per_task, d.dim, d.separation, d.per_class,
+            seed=cfg.seed,
+            n_test_per_class=d.test_per_class or max(1, d.per_class // 4))
     n_classes = t.count * t.classes_per_task + len(t.drop_classes)
-    train = dt.LabeledImageSet(dt.load_idx(cfg.data.train_images),
-                               dt.load_idx(cfg.data.train_labels), n_classes)
-    test = dt.LabeledImageSet(dt.load_idx(cfg.data.test_images),
-                              dt.load_idx(cfg.data.test_labels), n_classes)
+    train = dt.LabeledImageSet(dt.load_idx(d.train_images),
+                               dt.load_idx(d.train_labels), n_classes)
+    test = dt.LabeledImageSet(dt.load_idx(d.test_images),
+                              dt.load_idx(d.test_labels), n_classes)
     if t.drop_classes:
         keep = [c for c in range(n_classes) if c not in t.drop_classes]
         train, test = (dt._remap(s, keep) for s in (train, test))
@@ -82,18 +83,18 @@ def train_run(cfg: ExperimentConfig, out_dir) -> dict:
 
     matrix = mt.AccuracyMatrix()
     trace: dict = {"tasks": [], "config": cfg.text, "seed": cfg.seed}
-    losscfg = cfg.loss
+    b, lc = cfg.backbone, cfg.loss
+    # a loss phase's epochs or lr of 0 means the backbone's
+    args = dict(loss=lc.kind, epochs=b.epochs, lr=b.lr, batch_size=b.batch,
+                seed=cfg.seed,
+                contrastive_epochs=lc.contrastive_epochs or b.epochs,
+                head_epochs=lc.head_epochs or b.epochs,
+                head_lr=lc.head_lr or b.lr, contrastive_tau=lc.temperature,
+                flip_prob=lc.flip_prob, noise_sigma=lc.noise_sigma)
     paths = []
     for k in range(seq.n_tasks):
         train, _ = seq.tasks[k]
-        stats = bb.train_task(
-            net, k, train, loss=losscfg.kind, epochs=cfg.backbone.epochs,
-            lr=cfg.backbone.lr, batch_size=cfg.backbone.batch, seed=cfg.seed,
-            contrastive_epochs=losscfg.contrastive_epochs or None,
-            head_epochs=losscfg.head_epochs or None,
-            head_lr=losscfg.head_lr or None,
-            contrastive_tau=losscfg.temperature,
-            flip_prob=losscfg.flip_prob, noise_sigma=losscfg.noise_sigma)
+        stats = bb.train_task(net, k, train, **args)
         for j in range(k + 1):
             test_j = seq.tasks[j][1]
             acc = mt.cil_accuracy(_til_predictions(net, test_j, j),
@@ -258,8 +259,14 @@ def eval_run(cfg: ExperimentConfig, checkpoint_path, *, scorer: str | None = Non
 
 
 def _check_fit(net: bb.MaskedNet, seq: dt.TaskSequence) -> None:
-    """A loaded checkpoint fits the config when its finished tasks are the
-    config's tasks, each head with the task's class count."""
+    """A loaded checkpoint fits the config when its trunk takes the config's
+    data width and its finished tasks are the config's tasks, each head with
+    the task's class count."""
+    width = net.trunk.weights[0].shape[1]
+    want = seq.tasks[0][0].images[0].size  # one sample's features or pixels
+    if width != want:
+        raise ConfigError(f"checkpoint trunk has input width {width} for "
+                          f"{want} in the config")
     if sorted(net.finished) != list(range(seq.n_tasks)):
         raise ConfigError(f"checkpoint has {len(net.finished)} finished "
                           f"tasks for {seq.n_tasks} tasks in the config")
@@ -450,7 +457,7 @@ def calibrate_run(cfg: ExperimentConfig, checkpoint_path
 # Report files
 # ---------------------------------------------------------------------------
 
-def write_report(report: ExperimentReport, out_dir, stem: str = "report"
+def write_report(report: ExperimentReport, out_dir, stem: str
                  ) -> tuple[str, str]:
     """Emit canonical JSON and a one-row CSV; returns both paths."""
     out = Path(out_dir)

@@ -34,8 +34,6 @@ __all__ = [
     "log_softmax",
     "softmax_ce",
     "mean_nll",
-    "grad_check",
-    "GradCheckReport",
 ]
 
 
@@ -137,10 +135,8 @@ class ForwardCache:
 
 
 def glorot_net(sizes: list[int], rng: np.random.Generator,
-               activations: list[str] | None = None) -> DenseNet:
-    """Uniform +-sqrt(6/(fan_in+fan_out)) init; hidden layers relu, last linear."""
-    if activations is None:
-        activations = ["relu"] * (len(sizes) - 2) + ["linear"]
+               activations: list[str]) -> DenseNet:
+    """Uniform +-sqrt(6/(fan_in+fan_out)) init, one activation per layer."""
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
@@ -320,55 +316,3 @@ def mean_nll(p: np.ndarray, t: np.ndarray) -> float:
     """softmax_ce's loss of softmax rows p (n, c): mean -log p[i, t_i]."""
     n = p.shape[0]
     return float(-np.log(np.maximum(p[np.arange(n), t], LOG_CLAMP)).mean())
-
-
-@dataclass
-class GradCheckReport:
-    """Per-parameter comparison of analytic vs central-difference gradients."""
-
-    max_rel_err: list[float]
-    tol: float
-
-    @property
-    def worst(self) -> float:
-        return max(self.max_rel_err) if self.max_rel_err else 0.0
-
-    @property
-    def ok(self) -> bool:
-        return self.worst < self.tol
-
-    def __str__(self) -> str:
-        status = "PASS" if self.ok else "FAIL"
-        per = ", ".join(f"p{i}={e:.3e}" for i, e in enumerate(self.max_rel_err))
-        return f"grad_check {status} worst={self.worst:.3e} tol={self.tol:g} [{per}]"
-
-
-def grad_check(lossfn, params: list[np.ndarray], h: float = 1e-6,
-               tol: float = 1e-4) -> GradCheckReport:
-    """Compare lossfn's analytic gradients against central differences.
-
-    lossfn(params) -> (loss, grads) with grads shaped like params. h must lie
-    in [1e-8, 1e-4]: wider steps break the O(h^2) truncation assumption,
-    narrower ones drown in rounding noise.
-    """
-    if not 1e-8 <= h <= 1e-4:
-        raise ValueError(f"h={h} outside [1e-8, 1e-4]")
-    _, analytic = lossfn(params)
-    errs = []
-    for i, p in enumerate(params):
-        a = np.asarray(analytic[i], dtype=np.float64)
-        worst = 0.0
-        flat = p.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + h
-            up, _ = lossfn(params)
-            flat[j] = orig - h
-            dn, _ = lossfn(params)
-            flat[j] = orig
-            num = (up - dn) / (2.0 * h)
-            ana = a.reshape(-1)[j]
-            denom = max(abs(num), abs(ana), 1e-6)
-            worst = max(worst, abs(num - ana) / denom)
-        errs.append(worst)
-    return GradCheckReport(errs, tol)

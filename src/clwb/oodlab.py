@@ -145,7 +145,7 @@ def _quarter_turn_index(h: int, w: int) -> np.ndarray:
 
 
 def build_rotation_batch(images, labels, *, rng: np.random.Generator,
-                         flip_prob: float = 0.5, noise_sigma: float = 0.05
+                         flip_prob: float, noise_sigma: float
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Augment N samples into the 8N rotation-labeled contrastive batch.
 
@@ -178,7 +178,7 @@ def build_rotation_batch(images, labels, *, rng: np.random.Generator,
     return out.reshape((-1,) + imgs.shape[1:]), out_y
 
 
-def sup_con_loss(z: np.ndarray, labels, tau: float = 0.5
+def sup_con_loss(z: np.ndarray, labels, tau: float
                  ) -> tuple[float, np.ndarray]:
     """Supervised contrastive loss over embedding rows and its gradient.
 
@@ -218,7 +218,7 @@ def sup_con_loss(z: np.ndarray, labels, tau: float = 0.5
 def finetune_rotation_head(net: bb.MaskedNet, task: int,
                            data: LabeledImageSet, *, epochs: int, lr: float,
                            batch_size: int, rng: np.random.Generator,
-                           flip_prob: float = 0.5, noise_sigma: float = 0.05
+                           flip_prob: float, noise_sigma: float
                            ) -> list[bb.EpochStats]:
     """Train a fresh linear head over 4|C| rotation classes on a finished
     task's frozen trunk; trunk parameters are never touched. Returns the

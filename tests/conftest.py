@@ -5,6 +5,32 @@ import pytest
 
 from clwb import data as dt
 from clwb import verify
+from clwb.config import BackboneCfg, LossCfg
+
+
+def net_args(**overrides) -> dict:
+    """build_masked_net's isolation values from the default BackboneCfg,
+    each replaceable per test."""
+    b = BackboneCfg()
+    return {"s_max": b.s_max, "lambdas": b.lambdas, "sparsity": b.sparsity,
+            **overrides}
+
+
+def train_args(*, seed: int, **overrides) -> dict:
+    """train_task's keyword arguments from the default BackboneCfg and
+    LossCfg, each replaceable per test. A loss phase's epochs or lr left at
+    0 takes the backbone value, as experiment.train_run resolves it."""
+    b, lc = BackboneCfg(), LossCfg()
+    args = {"loss": lc.kind, "epochs": b.epochs, "lr": b.lr,
+            "batch_size": b.batch, "seed": seed,
+            "contrastive_epochs": lc.contrastive_epochs,
+            "head_epochs": lc.head_epochs, "head_lr": lc.head_lr,
+            "contrastive_tau": lc.temperature, "flip_prob": lc.flip_prob,
+            "noise_sigma": lc.noise_sigma, **overrides}
+    for key, base in (("contrastive_epochs", "epochs"),
+                      ("head_epochs", "epochs"), ("head_lr", "lr")):
+        args[key] = args[key] or args[base]
+    return args
 
 
 @pytest.fixture

@@ -1,11 +1,16 @@
-"""Scalar reference chain of the entropy decomposition, one instance at a time.
+"""Test oracles: the scalar reference chain of the entropy decomposition, one
+instance at a time, and a finite-difference gradient checker.
 
-These are the per-instance predicates ``clwb.theory`` once shipped beside
-its row-batch ones. The library now keeps only the row-batch predicates;
-this chain stays here as their independent oracle: the parity tests replay
-single instances through it and require the bits the batch code gives. It
-calls no function of ``clwb``: its cross-entropies, detector entropies and
-theorem-2 bound are scalar code of its own.
+The chain holds the per-instance predicates ``clwb.theory`` once shipped
+beside its row-batch ones. The library now keeps only the row-batch
+predicates; this chain stays here as their independent oracle: the parity
+tests replay single instances through it and require the bits the batch code
+gives. It calls no function of ``clwb``: its cross-entropies, detector
+entropies and theorem-2 bound are scalar code of its own.
+
+``grad_check`` compares any analytic gradient with central differences; the
+numkit, backbone and contrastive-loss tests check their backward passes
+with it.
 """
 
 from __future__ import annotations
@@ -236,3 +241,59 @@ def theorem4_construct(cil, topo: TaskTopology,
         tp_ok=_leq(h_tp, eta),
         ood_ok=all(_leq(h, eta) for h in h_ood),
     )
+
+
+# ---------------------------------------------------------------------------
+# Finite-difference gradient checker
+# ---------------------------------------------------------------------------
+
+@dataclass
+class GradCheckReport:
+    """Per-parameter comparison of analytic vs central-difference gradients."""
+
+    max_rel_err: list[float]
+    tol: float
+
+    @property
+    def worst(self) -> float:
+        return max(self.max_rel_err) if self.max_rel_err else 0.0
+
+    @property
+    def ok(self) -> bool:
+        return self.worst < self.tol
+
+    def __str__(self) -> str:
+        status = "PASS" if self.ok else "FAIL"
+        per = ", ".join(f"p{i}={e:.3e}" for i, e in enumerate(self.max_rel_err))
+        return f"grad_check {status} worst={self.worst:.3e} tol={self.tol:g} [{per}]"
+
+
+def grad_check(lossfn, params: list[np.ndarray], h: float = 1e-6,
+               tol: float = 1e-4) -> GradCheckReport:
+    """Compare lossfn's analytic gradients against central differences.
+
+    lossfn(params) -> (loss, grads) with grads shaped like params. h must lie
+    in [1e-8, 1e-4]: wider steps break the O(h^2) truncation assumption,
+    narrower ones drown in rounding noise.
+    """
+    if not 1e-8 <= h <= 1e-4:
+        raise ValueError(f"h={h} outside [1e-8, 1e-4]")
+    _, analytic = lossfn(params)
+    errs = []
+    for i, p in enumerate(params):
+        a = np.asarray(analytic[i], dtype=np.float64)
+        worst = 0.0
+        flat = p.reshape(-1)
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + h
+            up, _ = lossfn(params)
+            flat[j] = orig - h
+            dn, _ = lossfn(params)
+            flat[j] = orig
+            num = (up - dn) / (2.0 * h)
+            ana = a.reshape(-1)[j]
+            denom = max(abs(num), abs(ana), 1e-6)
+            worst = max(worst, abs(num - ana) / denom)
+        errs.append(worst)
+    return GradCheckReport(errs, tol)

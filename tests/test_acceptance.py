@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from clwb import backbones as bb
 from clwb import composer as cp
 from clwb import data as dt
@@ -69,7 +70,7 @@ def _check_many(make_case, n=100, tol=1e-4):
     rng = np.random.default_rng(SEED)
     for _ in range(n):
         lossfn, params = make_case(rng)
-        result = nk.grad_check(lossfn, params, h=1e-6, tol=tol)
+        result = oracles.grad_check(lossfn, params, h=1e-6, tol=tol)
         worst = max(worst, result.worst)
     return worst
 

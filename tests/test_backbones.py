@@ -3,23 +3,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from clwb import backbones as bb
 from clwb import data as dt
 from clwb import numkit as nk
+from conftest import net_args, train_args
 
 
 def gaussian_task(n_tasks=1, classes=2, dim=4, n=30, seed=0, sep=10.0):
-    return dt.synth_gaussian_tasks(n_tasks, classes, dim, sep, n, seed=seed)
+    return dt.synth_gaussian_tasks(n_tasks, classes, dim, sep, n, seed=seed,
+                                   n_test_per_class=max(1, n // 4))
 
 
-def make_hat(dim=4, hidden=(8,), seed=0, s_max=400.0):
+def make_hat(dim=4, hidden=(8,), seed=0, **isolation):
     return bb.build_masked_net(dim, list(hidden), isolation="hat", seed=seed,
-                               s_max=s_max)
+                               **net_args(**isolation))
 
 
-def make_sup(dim=4, hidden=(8,), seed=0, p=50.0):
+def make_sup(dim=4, hidden=(8,), seed=0, **isolation):
     return bb.build_masked_net(dim, list(hidden), isolation="sup", seed=seed,
-                               sparsity=p)
+                               **net_args(**isolation))
 
 
 class TestHatAttention:
@@ -85,7 +88,7 @@ class TestInputShapes:
     def net(self, request):
         seq = gaussian_task(n=10)
         net = (make_hat if request.param == "hat" else make_sup)(dim=4)
-        bb.train_task(net, 0, seq.tasks[0][0], epochs=1, seed=0)
+        bb.train_task(net, 0, seq.tasks[0][0], **train_args(epochs=1, seed=0))
         return net
 
     def test_flat_width_mismatch_raises(self, net):
@@ -244,7 +247,7 @@ def _argsort_masks(scores, p):
 
 class TestSupermasks:
     def test_full_density_equals_dense(self):
-        net = make_sup(p=100.0)
+        net = make_sup(sparsity=100.0)
         rng = np.random.default_rng(7)
         net.isolation.masks[0] = bb.mask_from_scores(
             [rng.normal(size=w.shape) for w in net.trunk.weights], 100.0)
@@ -309,8 +312,8 @@ class TestSupermasks:
 
     def test_finished_trunk_is_built_once(self, monkeypatch):
         net = make_sup(dim=4, hidden=(16, 8))
-        bb.train_task(net, 0, gaussian_task(n=20).tasks[0][0], epochs=2,
-                      lr=0.1, seed=4)
+        bb.train_task(net, 0, gaussian_task(n=20).tasks[0][0],
+                      **train_args(epochs=2, lr=0.1, seed=4))
         state = net.isolation
         validated = []
         check = nk.DenseNet.validate
@@ -362,7 +365,8 @@ class TestTrainTask:
         seq = gaussian_task(n=40, seed=1)
         train = seq.tasks[0][0]
         net = (make_hat if kind == "hat" else make_sup)(dim=4, hidden=(16,))
-        bb.train_task(net, 0, train, epochs=50, lr=0.1, batch_size=8, seed=2)
+        bb.train_task(net, 0, train,
+                      **train_args(epochs=50, lr=0.1, batch_size=8, seed=2))
         logits = bb.task_raw_logits(net, train.images.reshape(len(train), -1), 0)
         acc = (logits.argmax(axis=1) == train.labels).mean()
         assert acc >= 0.99
@@ -370,19 +374,22 @@ class TestTrainTask:
     def test_double_training_rejected(self):
         seq = gaussian_task(n=10)
         net = make_sup(dim=4)
-        bb.train_task(net, 0, seq.tasks[0][0], epochs=1, seed=0)
+        bb.train_task(net, 0, seq.tasks[0][0], **train_args(epochs=1, seed=0))
         with pytest.raises(nk.StateError):
-            bb.train_task(net, 0, seq.tasks[0][0], epochs=1, seed=0)
+            bb.train_task(net, 0, seq.tasks[0][0],
+                          **train_args(epochs=1, seed=0))
 
     def test_sup_frozen_mask_and_trunk_immutable(self):
         seq = gaussian_task(n_tasks=2, n=20, seed=3)
         net = make_sup(dim=4, hidden=(16,))
-        bb.train_task(net, 0, seq.tasks[0][0], epochs=10, lr=0.1, seed=4)
+        bb.train_task(net, 0, seq.tasks[0][0],
+                      **train_args(epochs=10, lr=0.1, seed=4))
         probe = np.random.default_rng(5).normal(size=(7, 4))
         before = bb.task_raw_logits(net, probe, 0).copy()
         mask_before = [m.copy() for m in net.isolation.masks[0]]
         trunk_before = [w.copy() for w in net.trunk.weights]
-        bb.train_task(net, 1, seq.tasks[1][0], epochs=10, lr=0.1, seed=6)
+        bb.train_task(net, 1, seq.tasks[1][0],
+                      **train_args(epochs=10, lr=0.1, seed=6))
         after = bb.task_raw_logits(net, probe, 0)
         np.testing.assert_array_equal(before, after)  # bit-identical
         for a, b in zip(net.isolation.masks[0], mask_before):
@@ -393,20 +400,22 @@ class TestTrainTask:
     def test_hat_stability_under_saturated_masks(self):
         seq = gaussian_task(n_tasks=2, n=40, seed=7)
         net = make_hat(dim=4, hidden=(16,))
-        bb.train_task(net, 0, seq.tasks[0][0], epochs=40, lr=0.1, seed=8)
+        bb.train_task(net, 0, seq.tasks[0][0],
+                      **train_args(epochs=40, lr=0.1, seed=8))
         acc = net.isolation.accumulated[0]
         assert set(np.unique(acc)) <= {0.0, 1.0}  # snapped binary
         probe = np.random.default_rng(9).normal(size=(7, 4))
         before = bb.task_raw_logits(net, probe, 0).copy()
-        bb.train_task(net, 1, seq.tasks[1][0], epochs=40, lr=0.1, seed=10)
+        bb.train_task(net, 1, seq.tasks[1][0],
+                      **train_args(epochs=40, lr=0.1, seed=10))
         drift = np.abs(bb.task_raw_logits(net, probe, 0) - before).max()
         assert drift < 1e-6
 
     def test_trace_regularizer_bounded_by_lambda(self):
         seq = gaussian_task(n=20)
         net = make_hat(dim=4, hidden=(8,))
-        trace = bb.train_task(net, 0, seq.tasks[0][0], epochs=5, lr=0.05,
-                              seed=11)
+        trace = bb.train_task(net, 0, seq.tasks[0][0],
+                              **train_args(epochs=5, lr=0.05, seed=11))
         lam = net.isolation.lambda_for(0)
         assert all(0.0 <= e.reg <= lam + 1e-9 for e in trace)
 
@@ -415,7 +424,8 @@ class TestTrainTask:
         nets = []
         for _ in range(2):
             net = make_hat(dim=4, hidden=(8,), seed=12)
-            bb.train_task(net, 0, seq.tasks[0][0], epochs=3, seed=13)
+            bb.train_task(net, 0, seq.tasks[0][0],
+                          **train_args(epochs=3, seed=13))
             nets.append(net)
         for a, b in zip(nets[0].trunk.weights, nets[1].trunk.weights):
             np.testing.assert_array_equal(a, b)
@@ -431,15 +441,16 @@ class TestExhaustedCapacity:
     def test_trunk_keeps_its_bits_and_reg_is_zero(self):
         seq = gaussian_task(n_tasks=2, n=20, seed=21)
         net = make_hat(dim=4, hidden=(6, 5), seed=22)
-        bb.train_task(net, 0, seq.tasks[0][0], epochs=3, lr=0.1, seed=23)
+        bb.train_task(net, 0, seq.tasks[0][0],
+                      **train_args(epochs=3, lr=0.1, seed=23))
         state = net.isolation
         state.accumulated = [np.ones(6), np.ones(5)]
         trunk = [p.tobytes() for p in net.trunk.weights + net.trunk.biases]
         probe = np.random.default_rng(24).normal(size=(5, 4))
         task0 = bb.task_raw_logits(net, probe, 0)
 
-        trace = bb.train_task(net, 1, seq.tasks[1][0], epochs=4, lr=0.1,
-                              seed=25)
+        trace = bb.train_task(net, 1, seq.tasks[1][0],
+                              **train_args(epochs=4, lr=0.1, seed=25))
         assert [e.reg for e in trace] == [0.0] * 4
         assert all(e.loss == e.ce for e in trace)
         assert [p.tobytes() for p in net.trunk.weights + net.trunk.biases] \
@@ -487,6 +498,6 @@ class TestHatLossGradCheck:
 
             params = [net.trunk.weights[0].copy(), net.trunk.biases[0].copy(),
                       rng.normal(size=hid)]
-            report = nk.grad_check(loss, params)
+            report = oracles.grad_check(loss, params)
             failures += 0 if report.ok else 1
         assert failures == 0

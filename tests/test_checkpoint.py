@@ -8,13 +8,16 @@ import pytest
 from clwb import backbones as bb
 from clwb import checkpoint as ck
 from clwb import data as dt
+from conftest import net_args, train_args
 
 
 def trained_net(kind="hat", seed=0, tasks=2):
-    seq = dt.synth_gaussian_tasks(tasks, 2, 4, 10.0, 15, seed=seed)
-    net = bb.build_masked_net(4, [8], isolation=kind, seed=seed)
+    seq = dt.synth_gaussian_tasks(tasks, 2, 4, 10.0, 15, seed=seed,
+                                  n_test_per_class=3)
+    net = bb.build_masked_net(4, [8], isolation=kind, seed=seed, **net_args())
     for k in range(tasks):
-        bb.train_task(net, k, seq.tasks[k][0], epochs=4, lr=0.1, seed=seed + k)
+        bb.train_task(net, k, seq.tasks[k][0],
+                      **train_args(epochs=4, lr=0.1, seed=seed + k))
     return net
 
 

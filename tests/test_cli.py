@@ -120,6 +120,19 @@ class TestTrainEvalPipeline:
         assert run_cli("train", "--config", str(cfg_path)) == 2
         assert "backbone.typo" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, line", [("hidden", "hidden = 16"),
+                                           ("lambdas", "lambdas = 1.0")])
+    def test_empty_list_key_is_usage_error(self, synth_config_text, tmp_path,
+                                           capsys, key, line):
+        # refused when the config is parsed, before training starts
+        cfg_path = tmp_path / "cfg.ini"
+        text = synth_config_text(extra="lambdas = 1.0")
+        cfg_path.write_text(text.replace(line, f"{key} ="))
+        assert run_cli("train", "--config", str(cfg_path)) == 2
+        assert capsys.readouterr().err == (
+            f"error: backbone.{key} must be nonempty, got ''\n")
+        assert not (tmp_path / "run" / "task1.clwb").exists()
+
     @staticmethod
     def unreadable(path, kind):
         """path left missing, made a directory, or filled with bytes that
@@ -171,6 +184,20 @@ class TestTrainEvalPipeline:
         assert capsys.readouterr().err == (
             "error: checkpoint has 2 finished tasks for 3 tasks in the "
             "config\n")
+        assert not list((tmp_path / "run").glob("report_*"))
+
+    @pytest.mark.parametrize("command", ["eval", "calibrate"])
+    def test_checkpoint_of_another_input_width_is_usage_error(
+            self, synth_config_text, tmp_path, capsys, command):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(synth_config_text(dim=4, epochs=2))
+        run_cli("train", "--config", str(cfg_path))
+        capsys.readouterr()
+        cfg_path.write_text(synth_config_text(dim=5, epochs=2))
+        assert run_cli(command, "--config", str(cfg_path), "--checkpoint",
+                       str(tmp_path / "run" / "final.clwb")) == 2
+        assert capsys.readouterr().err == (
+            "error: checkpoint trunk has input width 4 for 5 in the config\n")
         assert not list((tmp_path / "run").glob("report_*"))
 
 

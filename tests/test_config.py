@@ -122,6 +122,8 @@ def test_synthetic_source_rejects_the_rotation_ensemble():
     ("tasks", "count", "0", "1"),
     ("tasks", "classes_per_task", "0", "1"),
     ("backbone", "hidden", "16, 0", "1, 1"),
+    ("backbone", "hidden", "", "1"),
+    ("backbone", "lambdas", "", "1.0"),
     ("backbone", "s_max", "0", "1e-9"),
     ("backbone", "sparsity", "0", "100"),
     ("backbone", "sparsity", "100.5", "1e-9"),
@@ -184,3 +186,16 @@ def test_non_finite_values_in_range_are_bad_values(section, key, raw):
     with pytest.raises(ConfigError,
                        match=rf"^bad value for {section}\.{key}: not finite"):
         parse_config(MINIMAL + f"[{section}]\n{key} = {raw}\n")
+
+
+def test_paper_training_defaults():
+    # the config is the only record of these values: HAT's s_max and
+    # lambda schedule, CSI's contrastive temperature and view augmentation
+    b, loss = config.BackboneCfg(), config.LossCfg()
+    assert (b.s_max, b.lambdas, b.sparsity) == (400.0, [1.0, 0.75], 50.0)
+    assert (b.epochs, b.lr, b.batch) == (20, 0.1, 16)
+    assert (loss.temperature, loss.flip_prob, loss.noise_sigma) == \
+        (0.5, 0.5, 0.05)
+    # 0: the backbone's epochs and lr
+    assert (loss.contrastive_epochs, loss.head_epochs, loss.head_lr) == \
+        (0, 0, 0.0)

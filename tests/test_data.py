@@ -145,13 +145,16 @@ class TestRemap:
 
 class TestSynthetic:
     def test_deterministic(self):
-        a = dt.synth_gaussian_tasks(3, 2, 4, 10.0, 20, seed=7)
-        b = dt.synth_gaussian_tasks(3, 2, 4, 10.0, 20, seed=7)
+        a = dt.synth_gaussian_tasks(3, 2, 4, 10.0, 20, seed=7,
+                                    n_test_per_class=5)
+        b = dt.synth_gaussian_tasks(3, 2, 4, 10.0, 20, seed=7,
+                                    n_test_per_class=5)
         for (ta, _), (tb, _) in zip(a.tasks, b.tasks):
             np.testing.assert_array_equal(ta.images, tb.images)
 
     def test_separable_by_nearest_center(self):
-        seq = dt.synth_gaussian_tasks(2, 2, 2, 10.0, 200, seed=3)
+        seq = dt.synth_gaussian_tasks(2, 2, 2, 10.0, 200, seed=3,
+                                      n_test_per_class=50)
         train = seq.tasks[0][0]
         flat = train.images.reshape(len(train), -1)
         centers = np.stack([flat[train.labels == c].mean(axis=0)
@@ -161,7 +164,8 @@ class TestSynthetic:
         assert acc >= 0.999
 
     def test_low_separation_near_chance(self):
-        seq = dt.synth_gaussian_tasks(1, 2, 2, 0.1, 2000, seed=4)
+        seq = dt.synth_gaussian_tasks(1, 2, 2, 0.1, 2000, seed=4,
+                                      n_test_per_class=500)
         train = seq.tasks[0][0]
         # Bayes rate for two unit Gaussians at distance 0.1: Phi(0.05) ~ 0.52
         flat = train.images.reshape(len(train), -1)
@@ -173,7 +177,8 @@ class TestSynthetic:
 
     def test_rejects_bad_separation(self):
         with pytest.raises(ValueError):
-            dt.synth_gaussian_tasks(1, 2, 2, 0.0, 5, seed=0)
+            dt.synth_gaussian_tasks(1, 2, 2, 0.0, 5, seed=0,
+                                    n_test_per_class=1)
 
 
 class TestValidationSplit:

@@ -420,7 +420,9 @@ def test_rotation_ensemble_needs_rotation_heads(trained, monkeypatch):
      "checkpoint has 3 finished tasks for 2 tasks"),
     (("classes_per_task = 2", "classes_per_task = 3"), "final.clwb",
      "checkpoint task 0 head has 2 classes for 3"),
-], ids=["per-task-checkpoint", "fewer-tasks", "more-classes"])
+    (("dim = 4", "dim = 5"), "final.clwb",
+     "checkpoint trunk has input width 4 for 5"),
+], ids=["per-task-checkpoint", "fewer-tasks", "more-classes", "wider-data"])
 def test_a_checkpoint_that_does_not_fit_the_config_is_refused(
         trained, monkeypatch, run, edit, checkpoint, message):
     # a usage error raised when the checkpoint loads, before any forward
@@ -790,3 +792,48 @@ batch = 4
         assert report == want
     for a, b in zip(calib, want_calib):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("per_class, test_per_class, rows", [
+    (3, 0, 1), (10, 0, 2), (10, 7, 7)])
+def test_synthetic_test_rows_per_class(per_class, test_per_class, rows):
+    # test_per_class = 0 means max(1, per_class // 4)
+    cfg = parse_config(f"""
+[experiment]
+seed = 2
+
+[data]
+per_class = {per_class}
+test_per_class = {test_per_class}
+""")
+    for train, test in ex.build_tasks(cfg).tasks:
+        assert np.bincount(train.labels).tolist() == [per_class] * 2
+        assert np.bincount(test.labels).tolist() == [rows] * 2
+
+
+def test_loss_phase_values_of_0_train_as_the_backbone_values(rotation_run,
+                                                             tmp_path):
+    """contrastive_epochs, head_epochs and head_lr of 0 are the backbone's
+    epochs and lr: written out, they train the same checkpoint bytes, and
+    another head_epochs trains other bytes."""
+    text, final = rotation_run
+    names = ["task1.clwb", "task2.clwb", "task3.clwb", "final.clwb"]
+
+    def unpacked(path):
+        meta, arrays = ck._unpack(Path(path).read_bytes())
+        meta["extra"].pop("config")  # the config text, kept for audit
+        return meta, {k: (a.dtype, a.tobytes()) for k, a in arrays.items()}
+
+    want = [unpacked(Path(final).with_name(name)) for name in names]
+    for head_epochs, same in ((2, True), (1, False)):
+        written = text.replace(
+            "kind = contrastive\n",
+            f"kind = contrastive\ncontrastive_epochs = 2\n"
+            f"head_epochs = {head_epochs}\nhead_lr = 0.1\n")
+        cfg = parse_config(written)
+        assert (cfg.loss.contrastive_epochs, cfg.loss.head_epochs,
+                cfg.loss.head_lr) == (2, head_epochs, 0.1)
+        out = tmp_path / f"head-epochs-{head_epochs}"
+        ex.train_run(cfg, out)
+        got = [unpacked(out / name) for name in names]
+        assert (got == want) == same

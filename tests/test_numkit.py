@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+import oracles
 from clwb import numkit as nk
 
 
 def small_net(rng, sizes=(3, 4, 2)):
-    return nk.glorot_net(list(sizes), rng)
+    """Hidden layers relu, the last linear."""
+    return nk.glorot_net(list(sizes), rng,
+                         ["relu"] * (len(sizes) - 2) + ["linear"])
 
 
 def straight_line_forward(net, x, hooks=None):
@@ -129,7 +132,9 @@ def test_split_gradients_have_the_bits_of_the_old_backward(hooked, activation):
     rng = np.random.default_rng([11, len(hooked), len(activation)])
     for trial in range(10):
         sizes = [int(k) for k in rng.integers(1, 9, size=rng.integers(2, 5))]
-        acts = (["relu"] * (len(sizes) - 1) if activation == "relu" else None)
+        acts = ["relu"] * (len(sizes) - 1)
+        if activation == "relu-then-linear":
+            acts[-1] = "linear"
         net = nk.glorot_net(sizes, rng, acts)
         n_layers = net.n_layers
         # HAT gates: sigmoid outputs in (0, 1), some saturated to 0 or 1
@@ -175,7 +180,7 @@ def test_input_gradient_against_central_differences():
             return float((upstream * out).sum()), \
                 [nk.input_gradient(net, cache, upstream)]
 
-        report = nk.grad_check(loss, [rng.normal(size=(3, 4))])
+        report = oracles.grad_check(loss, [rng.normal(size=(3, 4))])
         assert report.ok, str(report)
 
 
@@ -254,7 +259,7 @@ def test_grad_check_quadratic_exact():
         (p,) = params
         return 0.5 * float(p @ p), [p]
 
-    report = nk.grad_check(loss, [np.array([0.3, -1.2, 4.0])])
+    report = oracles.grad_check(loss, [np.array([0.3, -1.2, 4.0])])
     assert report.ok and report.worst < 1e-9
 
 
@@ -268,7 +273,7 @@ def test_grad_check_softmax_ce():
             (z,) = params
             return nk.softmax_ce(z, target)[0], [nk.softmax_ce(z, target)[1]]
 
-        report = nk.grad_check(loss, [logits.copy()], tol=1e-6)
+        report = oracles.grad_check(loss, [logits.copy()], tol=1e-6)
         assert report.ok, str(report)
 
 
@@ -289,7 +294,7 @@ def test_grad_check_through_full_net():
         return val, tape.d_weights + tape.d_biases
 
     params = [w.copy() for w in net.weights] + [b.copy() for b in net.biases]
-    report = nk.grad_check(loss, params)
+    report = oracles.grad_check(loss, params)
     assert report.ok, str(report)
 
 

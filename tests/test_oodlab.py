@@ -1,16 +1,26 @@
 import numpy as np
 import pytest
 
+import oracles
 from clwb import backbones as bb
 from clwb import data as dt
 from clwb import numkit as nk
 from clwb import oodlab as ol
+from clwb.config import LossCfg
+from conftest import net_args, train_args
+
+# the contrastive views' augmentation of the default LossCfg
+AUGMENT = {"flip_prob": LossCfg().flip_prob,
+           "noise_sigma": LossCfg().noise_sigma}
 
 
 def trained_toy_net(seed=0, kind="hat", dim=4, hidden=(8,), epochs=15):
-    seq = dt.synth_gaussian_tasks(1, 2, dim, 10.0, 20, seed=seed)
-    net = bb.build_masked_net(dim, list(hidden), isolation=kind, seed=seed)
-    bb.train_task(net, 0, seq.tasks[0][0], epochs=epochs, lr=0.1, seed=seed)
+    seq = dt.synth_gaussian_tasks(1, 2, dim, 10.0, 20, seed=seed,
+                                  n_test_per_class=5)
+    net = bb.build_masked_net(dim, list(hidden), isolation=kind, seed=seed,
+                              **net_args())
+    bb.train_task(net, 0, seq.tasks[0][0],
+                  **train_args(epochs=epochs, lr=0.1, seed=seed))
     return net
 
 
@@ -101,7 +111,8 @@ class TestOdin:
         # identity on 100 random (untrained) nets and inputs
         for seed in range(100):
             rng = np.random.default_rng(seed)
-            net = bb.build_masked_net(4, [8], isolation="hat", seed=seed)
+            net = bb.build_masked_net(4, [8], isolation="hat", seed=seed,
+                                      **net_args())
             net.isolation.embeddings[0] = [rng.normal(size=8)]
             net.heads[0] = bb.Head(rng.normal(size=(3, 8)), rng.normal(size=3))
             x = rng.normal(size=(1, 4))
@@ -275,14 +286,16 @@ class TestRotationBatch:
     def test_counts_and_labels(self):
         rng = np.random.default_rng(8)
         imgs = rng.uniform(size=(1, 4, 4))
-        out, labels = ol.build_rotation_batch(imgs, np.array([2]), rng=rng)
+        out, labels = ol.build_rotation_batch(imgs, np.array([2]), rng=rng,
+                                              **AUGMENT)
         assert out.shape == (8, 4, 4)
         assert sorted(labels.tolist()) == [8, 8, 9, 9, 10, 10, 11, 11]
 
     def test_label_bijection(self):
         rng = np.random.default_rng(9)
         imgs = rng.uniform(size=(3, 4, 4))
-        _, labels = ol.build_rotation_batch(imgs, np.arange(3), rng=rng)
+        _, labels = ol.build_rotation_batch(imgs, np.arange(3), rng=rng,
+                                            **AUGMENT)
         assert set(labels.tolist()) == set(range(12))
 
     def test_symmetric_image_distinct_labels(self):
@@ -332,24 +345,26 @@ class TestRotationBatch:
     def test_non_square_batch_raises(self):
         with pytest.raises(ValueError, match="square"):
             ol.build_rotation_batch(np.zeros((2, 3, 4)), np.zeros(2),
-                                    rng=np.random.default_rng(0))
+                                    rng=np.random.default_rng(0), **AUGMENT)
 
     def test_label_count_must_match(self):
         imgs = np.zeros((3, 4, 4))
         for labels in (np.arange(2), np.arange(4)):
             with pytest.raises(ValueError, match="for 3 images"):
                 ol.build_rotation_batch(imgs, labels,
-                                        rng=np.random.default_rng(0))
+                                        rng=np.random.default_rng(0),
+                                        **AUGMENT)
 
     def test_empty_batch_raises(self):
         with pytest.raises(ValueError):
             ol.build_rotation_batch(np.zeros((0, 4, 4)), np.zeros(0),
-                                    rng=np.random.default_rng(0))
+                                    rng=np.random.default_rng(0), **AUGMENT)
 
     def test_batch_divisible_by_eight(self):
         rng = np.random.default_rng(11)
         out, _ = ol.build_rotation_batch(rng.uniform(size=(5, 3, 3)),
-                                         np.zeros(5, dtype=int), rng=rng)
+                                         np.zeros(5, dtype=int), rng=rng,
+                                         **AUGMENT)
         assert out.shape[0] % 8 == 0
 
 
@@ -378,7 +393,7 @@ class TestSupConLoss:
                 val, dv = ol.sup_con_loss(v, y, tau=0.5)
                 return val, [dv]
 
-            report = nk.grad_check(loss, [z.copy()])
+            report = oracles.grad_check(loss, [z.copy()])
             assert report.ok, str(report)
 
     def test_orthogonal_invariance(self):
@@ -412,7 +427,8 @@ def corner_marker_set(n_classes=2, copies=6):
 class TestRotationHead:
     def test_trunk_untouched_and_separable_accuracy(self):
         data = corner_marker_set()
-        net = bb.build_masked_net(16, [32], isolation="hat", seed=14)
+        net = bb.build_masked_net(16, [32], isolation="hat", seed=14,
+                                  **net_args())
         net.isolation.embeddings[0] = [np.full(32, 5.0)]
         bb.hat_accumulate(net, 0)
         net.finished.append(0)
@@ -443,12 +459,14 @@ def ensemble(net, x):
 class TestEnsemble:
     def manual_net(self):
         data = corner_marker_set()
-        net = bb.build_masked_net(16, [32], isolation="hat", seed=17)
+        net = bb.build_masked_net(16, [32], isolation="hat", seed=17,
+                                  **net_args())
         net.isolation.embeddings[0] = [np.full(32, 5.0)]
         bb.hat_accumulate(net, 0)
         net.finished.append(0)
         ol.finetune_rotation_head(net, 0, data, epochs=60, lr=0.5,
-                                  batch_size=6, rng=np.random.default_rng(18))
+                                  batch_size=6, rng=np.random.default_rng(18),
+                                  **AUGMENT)
         return net, data
 
     def test_constant_slots_give_constant(self):
@@ -517,5 +535,5 @@ def test_supcon_four_sample_grad_check():
         val, dv = ol.sup_con_loss(v, y, tau=1.0)
         return val, [dv]
 
-    report = nk.grad_check(loss, [z])
+    report = oracles.grad_check(loss, [z])
     assert report.ok and report.worst < 1e-4, str(report)

@@ -11,18 +11,21 @@ from clwb import data as dt
 from clwb import numkit as nk
 from clwb import oodlab as ol
 from clwb import theory as th
+from conftest import net_args, train_args
 
 
 def _trained(kind):
-    seq = dt.synth_gaussian_tasks(1, 2, 4, 10.0, 10, seed=0)
-    net = bb.build_masked_net(4, [8], isolation=kind, seed=0)
-    bb.train_task(net, 0, seq.tasks[0][0], epochs=1, seed=0)
+    seq = dt.synth_gaussian_tasks(1, 2, 4, 10.0, 10, seed=0,
+                                  n_test_per_class=2)
+    net = bb.build_masked_net(4, [8], isolation=kind, seed=0, **net_args())
+    bb.train_task(net, 0, seq.tasks[0][0], **train_args(epochs=1, seed=0))
     return net
 
 
 @pytest.fixture(scope="module")
 def nets():
-    rotation = bb.build_masked_net(16, [8], isolation="hat", seed=0)
+    rotation = bb.build_masked_net(16, [8], isolation="hat", seed=0,
+                                   **net_args())
     rotation.isolation.embeddings[0] = [np.zeros(8)]
     rotation.heads[0] = bb.Head(np.zeros((8, 8)), np.zeros(8), "rotation")
     return {"hat": _trained("hat"), "sup": _trained("sup"),
@@ -36,7 +39,8 @@ ONE = th.EntropyReport(None, np.float64(0.1), np.float64(0.1),
                        np.float64(0.2))
 
 def _input_gradient_of_a_vector():
-    net = nk.glorot_net([4, 3, 2], np.random.default_rng(0))
+    net = nk.glorot_net([4, 3, 2], np.random.default_rng(0),
+                        ["relu", "linear"])
     _, cache = nk.forward(net, VECTOR)
     return nk.input_gradient(net, cache, np.ones(2))
 

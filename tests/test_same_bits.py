@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from clwb import backbones as bb
 from clwb import composer as cp
 from clwb import numkit as nk
+from conftest import net_args
 
 # -0.0 and NaN inputs reach the relu mask as -0.0 and NaN pre-activations
 SPECIAL = (0.0, -0.0, np.nan, 1e300, -1e300)
@@ -157,8 +158,10 @@ def test_forward_and_gradients_have_the_per_call_bits(seed, batched, hooked,
                                                       all_relu, n_special):
     rng = np.random.default_rng(seed)
     sizes = [int(k) for k in rng.integers(1, 7, size=rng.integers(2, 5))]
-    net = nk.glorot_net(sizes, rng,
-                        ["relu"] * (len(sizes) - 1) if all_relu else None)
+    acts = ["relu"] * (len(sizes) - 1)
+    if not all_relu:
+        acts[-1] = "linear"
+    net = nk.glorot_net(sizes, rng, acts)
     for b in net.biases:  # +0.0 and -0.0 biases make exact-zero z
         b[:] = rng.choice([0.0, -0.0, 0.5, -0.5], size=b.shape)
     gates = [np.clip(rng.uniform(-0.2, 1.2, size=w.shape[0]), 0.0, 1.0)
@@ -249,8 +252,9 @@ def test_hat_constants_follow_every_new_accumulated_state(seed):
     rng = np.random.default_rng(seed)
     dim, hidden = int(rng.integers(1, 6)), [int(h) for h in
                                             rng.integers(1, 7, size=2)]
+    lam = float(rng.uniform(0.1, 2.0))
     net = bb.build_masked_net(dim, hidden, isolation="hat", seed=seed % 97,
-                              lambdas=[float(rng.uniform(0.1, 2.0))])
+                              **net_args(lambdas=[lam]))
     state = net.isolation
     _hat_step_matches(state, rng, dim)  # all free
     # a new list of arrays, with saturated and exactly-claimed units

@@ -13,7 +13,9 @@ from clwb import backbones as bb
 from clwb import checkpoint as ck
 from clwb import numkit as nk
 from clwb import oodlab as ol
+from clwb.config import LossCfg
 from clwb.data import LabeledImageSet
+from conftest import net_args, train_args
 
 
 def oracle_train_task(net, task, data, *, loss="ce", epochs=20, lr=0.1,
@@ -126,12 +128,15 @@ def tiny_tasks(n_tasks=2, n=10, classes=2, seed=3):
 
 
 def run(train, kind, loss, tmp_path, name):
-    net = bb.build_masked_net(16, [12, 8], isolation=kind, seed=5)
+    net = bb.build_masked_net(16, [12, 8], isolation=kind, seed=5,
+                              **net_args())
     trace = []
     for task, data in enumerate(tiny_tasks()):
-        trace += train(net, task, data, loss=loss, epochs=3, lr=0.1,
-                       batch_size=4, seed=7, contrastive_epochs=2,
-                       head_epochs=4, head_lr=0.3, contrastive_tau=0.7)
+        trace += train(net, task, data,
+                       **train_args(loss=loss, epochs=3, lr=0.1, batch_size=4,
+                                    seed=7, contrastive_epochs=2,
+                                    head_epochs=4, head_lr=0.3,
+                                    contrastive_tau=0.7))
     path = tmp_path / name
     ck.save_checkpoint(path, net)
     return trace, ck._unpack(path.read_bytes())
@@ -156,8 +161,10 @@ def test_one_loop_matches_the_two_loop_oracle(kind, loss, tmp_path):
 
 
 def test_rotation_head_needs_a_finished_task():
-    net = bb.build_masked_net(16, [8], isolation="sup", seed=1)
+    net = bb.build_masked_net(16, [8], isolation="sup", seed=1, **net_args())
     net.isolation.start_task(net, 0, np.random.default_rng(2))
     with pytest.raises(nk.StateError):
         ol.finetune_rotation_head(net, 0, tiny_tasks(1)[0], epochs=1, lr=0.1,
-                                  batch_size=4, rng=np.random.default_rng(3))
+                                  batch_size=4, rng=np.random.default_rng(3),
+                                  flip_prob=LossCfg().flip_prob,
+                                  noise_sigma=LossCfg().noise_sigma)
