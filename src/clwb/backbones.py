@@ -232,6 +232,11 @@ class Head:
     def width(self) -> int:
         return self.weight.shape[0]
 
+    @property
+    def classes(self) -> int:
+        """The task's class count: a rotation head has 4 slots per class."""
+        return self.width // (4 if self.kind == "rotation" else 1)
+
 
 @dataclass
 class MaskedNet:

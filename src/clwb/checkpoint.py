@@ -123,7 +123,7 @@ def save_checkpoint(path, net: bb.MaskedNet, extra: dict | None = None) -> None:
     arrays += state_arrays
     meta = dict(state_meta, kind=net.kind, finished=list(net.finished),
                 head_kinds={str(k): h.kind for k, h in sorted(net.heads.items())},
-                topology={str(k): h.width // (4 if h.kind == "rotation" else 1)
+                topology={str(k): h.classes
                           for k, h in sorted(net.heads.items())},
                 trunk_activations=list(net.trunk.activations),
                 extra=extra or {})

@@ -28,6 +28,18 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output directory")
 
 
+def _names(choices):
+    """An argparse type: a comma list of distinct names out of choices."""
+    def parse(text: str) -> list[str]:
+        names = text.split(",")
+        if not set(names) <= set(choices) or len(set(names)) < len(names):
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a list of distinct names out of "
+                f"{', '.join(choices)}")
+        return names
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clwb",
@@ -49,8 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eval", help="evaluate a checkpoint")
     e.add_argument("--config", required=True)
     e.add_argument("--checkpoint", required=True)
-    e.add_argument("--scorer", default=None, choices=SCORERS)
-    e.add_argument("--route", default=None, choices=ROUTES)
+    # a list names a (scorer x route) grid; the default is the config's
+    e.add_argument("--scorer", default=[None], type=_names(SCORERS))
+    e.add_argument("--route", default=[None], type=_names(ROUTES))
     e.add_argument("--calibration", default=None,
                    help="calibration params JSON (for --route calibrated)")
     _add_common(e)
@@ -114,15 +127,16 @@ def cmd_eval(args) -> int:
             raise ConfigError(f"calibration file {args.calibration}: "
                               f"{type(e).__name__}: {e}") from e
     start = time.perf_counter()
-    report = ex.eval_run(cfg, args.checkpoint, scorer=args.scorer,
-                         route=args.route, calibration=calibration)
-    stem = f"report_{report.scorer}_{report.route}"
-    json_path, csv_path = ex.write_report(report, cfg.out, stem)
-    print(f"eval in {time.perf_counter() - start:.1f}s  "
-          f"AUC={report.auc_avg:.4f} CIL={report.cil:.1f} "
-          f"TIL={report.til_avg:.1f}")
-    print(f"report: {json_path}")
-    print(f"csv: {csv_path}")
+    reports = ex.eval_grid(cfg, args.checkpoint, scorers=args.scorer,
+                           routes=args.route, calibration=calibration)
+    for report in reports:  # written only once every cell is scored
+        stem = f"report_{report.scorer}_{report.route}"
+        json_path, csv_path = ex.write_report(report, cfg.out, stem)
+        print(f"eval in {time.perf_counter() - start:.1f}s  "
+              f"AUC={report.auc_avg:.4f} CIL={report.cil:.1f} "
+              f"TIL={report.til_avg:.1f}")
+        print(f"report: {json_path}")
+        print(f"csv: {csv_path}")
     return 0
 
 

@@ -149,6 +149,8 @@ _RANGES = {
     ("tasks", "classes_per_task"): _COUNT,
     ("backbone", "hidden"): _COUNT,
     ("backbone", "s_max"): _POSITIVE,
+    # a negative lambda rewards attention; -inf and nan fail as not finite
+    ("backbone", "lambdas"): (lambda v: not -math.inf < v < 0, ">= 0"),
     ("backbone", "sparsity"): (lambda v: 0 < v <= 100, "in (0, 100]"),
     ("backbone", "epochs"): _COUNT,
     ("backbone", "lr"): _POSITIVE,

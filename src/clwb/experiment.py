@@ -30,6 +30,7 @@ __all__ = [
     "build_tasks",
     "train_run",
     "eval_run",
+    "eval_grid",
     "calibrate_run",
     "write_report",
 ]
@@ -45,10 +46,16 @@ def build_tasks(cfg: ExperimentConfig) -> dt.TaskSequence:
             seed=cfg.seed,
             n_test_per_class=d.test_per_class or max(1, d.per_class // 4))
     n_classes = t.count * t.classes_per_task + len(t.drop_classes)
-    train = dt.LabeledImageSet(dt.load_idx(d.train_images),
-                               dt.load_idx(d.train_labels), n_classes)
-    test = dt.LabeledImageSet(dt.load_idx(d.test_images),
-                              dt.load_idx(d.test_labels), n_classes)
+    idx = {key: dt.load_idx(getattr(d, key)) for key in
+           ("train_images", "train_labels", "test_images", "test_labels")}
+    for a, b, axes in (("train_images", "train_labels", slice(1)),
+                       ("test_images", "test_labels", slice(1)),
+                       ("test_images", "train_images", slice(1, 3))):
+        if idx[a].shape[axes] != idx[b].shape[axes]:
+            raise ConfigError(f"data.{a} of shape {idx[a].shape} does not "
+                              f"pair with data.{b} of shape {idx[b].shape}")
+    train, test = (dt.LabeledImageSet(idx[f"{p}_images"], idx[f"{p}_labels"],
+                                      n_classes) for p in ("train", "test"))
     if t.drop_classes:
         keep = [c for c in range(n_classes) if c not in t.drop_classes]
         train, test = (dt._remap(s, keep) for s in (train, test))
@@ -125,13 +132,11 @@ def _extra(cfg: ExperimentConfig, matrix: mt.AccuracyMatrix) -> dict:
 # ---------------------------------------------------------------------------
 
 def _scorer_params(cfg: ExperimentConfig, net: bb.MaskedNet,
-                   seq: dt.TaskSequence, scorer: str) -> dict[int, ol.OdinParams]:
+                   seq: dt.TaskSequence) -> dict[int, ol.OdinParams]:
     """Per-task ODIN settings: fixed from config, or grid-searched by
     validation AUC, each candidate scored once over the pooled held-out
     slices of all tasks' training data and judged by ``_task_auc``; the
     first candidate of highest AUC wins."""
-    if scorer != "odin":
-        return {}
     if not cfg.ood.odin_grid:
         p = ol.OdinParams(cfg.ood.odin_tau, cfg.ood.odin_eps)
         return {k: p for k in range(seq.n_tasks)}
@@ -170,32 +175,6 @@ def _task_auc(scores: np.ndarray, owner: np.ndarray, k: int) -> float:
     if own.all():
         return 0.5
     return mt.auc(mt.ScoredPopulation(scores[own], scores[~own]))
-
-
-def _score_task(net: bb.MaskedNet, images: np.ndarray, task: int, scorer: str,
-                odin: dict[int, ol.OdinParams]
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Task's ``ol.class_logits`` and scores over images. One forward at
-    images gives the raw head output that msp/maxlogit/odin post-process:
-    a plain head's class logits, a rotation head's degree-0 ensemble slot.
-    Only the other quarter turns and ODIN's perturbed rows run their own."""
-    if scorer == "odin":
-        p = odin[task]
-        rows = ol.OdinRows(net, images, task, [p.tau] if p.eps else [])
-        raw = rows.z
-    else:
-        raw = bb.task_raw_logits(net, images, task)
-    logits = ol.ensemble_logits(net, images, task, raw) \
-        if net.heads[task].kind == "rotation" else raw
-    if scorer == "msp":
-        return logits, ol.msp_score(raw)
-    if scorer == "maxlogit":
-        return logits, 1.0 / (1.0 + np.exp(-raw.max(axis=1)))
-    if scorer == "odin":
-        return logits, ol.odin_score(net, rows, task, p)
-    if scorer == "rotation-ensemble":
-        return logits, ol.msp_score(logits)
-    raise ValueError(f"unknown scorer {scorer!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +223,33 @@ def eval_run(cfg: ExperimentConfig, checkpoint_path, *, scorer: str | None = Non
              route: str | None = None,
              calibration: cp.CalibrationParams | None = None
              ) -> ExperimentReport:
-    """Score a trained checkpoint without retraining.
+    """The one-cell ``eval_grid``."""
+    return eval_grid(cfg, checkpoint_path, scorers=[scorer], routes=[route],
+                     calibration=calibration)[0]
 
-    scorer/route override the config; ODIN is evaluation-time post-processing
-    on the stored heads. The checkpoint file is never written.
-    """
+
+def eval_grid(cfg: ExperimentConfig, checkpoint_path, *,
+              scorers: list[str | None], routes: list[str | None],
+              calibration: cp.CalibrationParams | None = None
+              ) -> list[ExperimentReport]:
+    """Score a trained checkpoint, which is never written: one report per
+    (scorer, route) cell, scorer-major, from one load and one test-set
+    forward per task. None names the config's value, calibration applies to
+    the calibrated cells, and all is checked before any forward."""
+    net, meta, seq = _open(cfg, checkpoint_path)
+    routes, calibration = _route_args(cfg, seq, routes, calibration)
+    scorers = [_scorer_arg(cfg, net, scorer) for scorer in scorers]
+    return [_route_report(cfg, scored, route, calibration)
+            for scored in _score_loaded(cfg, net, meta, seq, scorers)
+            for route in routes]
+
+
+def _open(cfg: ExperimentConfig, checkpoint_path):
+    """A checkpoint's (net, meta) and the config's tasks, checked to fit."""
     net, meta = load_checkpoint(checkpoint_path)
     seq = build_tasks(cfg)
     _check_fit(net, seq)
-    route, calibration = _route_args(cfg, seq, route, calibration)
-    scorer = _scorer_arg(cfg, net, scorer)
-    scored = _score_loaded(cfg, net, meta, seq, scorer)
-    return _route_report(cfg, scored, route, calibration)
+    return net, meta, seq
 
 
 def _check_fit(net: bb.MaskedNet, seq: dt.TaskSequence) -> None:
@@ -271,31 +265,33 @@ def _check_fit(net: bb.MaskedNet, seq: dt.TaskSequence) -> None:
         raise ConfigError(f"checkpoint has {len(net.finished)} finished "
                           f"tasks for {seq.n_tasks} tasks in the config")
     for k, size in enumerate(seq.topology.sizes):
-        head = net.heads[k]
-        classes = head.width // (4 if head.kind == "rotation" else 1)
+        classes = net.heads[k].classes
         if classes != size:
             raise ConfigError(f"checkpoint task {k} head has {classes} "
                               f"classes for {size} in the config")
 
 
 def _route_args(cfg: ExperimentConfig, seq: dt.TaskSequence,
-                route: str | None, calibration: cp.CalibrationParams | None
-                ) -> tuple[str, cp.CalibrationParams | None]:
-    """The effective route and its calibration, checked before any scoring;
-    route calibrated without parameters gets the identity."""
-    route = route or cfg.predict.route
-    if route not in ROUTES:
-        raise ValueError(f"unknown route {route!r}")
-    if route != "calibrated":
+                routes: list[str | None],
+                calibration: cp.CalibrationParams | None
+                ) -> tuple[list[str], cp.CalibrationParams | None]:
+    """The effective routes and the calibration of their calibrated cells,
+    checked before any scoring; route calibrated without parameters gets
+    the identity."""
+    routes = [route or cfg.predict.route for route in routes]
+    if not set(routes) <= set(ROUTES):
+        raise ValueError(f"unknown route in {routes}")
+    if "calibrated" not in routes:
         if calibration is not None:
             raise ConfigError(f"calibration parameters apply only to route "
-                              f"'calibrated', not {route!r}")
+                              f"'calibrated', not "
+                              f"{', '.join(map(repr, routes))}")
     elif calibration is None:
         calibration = cp.CalibrationParams.identity(seq.n_tasks)
     elif calibration.alpha.size != seq.n_tasks:
         raise ConfigError(f"calibration has {calibration.alpha.size} task "
                           f"entries for {seq.n_tasks} tasks")
-    return route, calibration
+    return routes, calibration
 
 
 def _scorer_arg(cfg: ExperimentConfig, net: bb.MaskedNet,
@@ -328,20 +324,30 @@ class _Scored:
 
 
 def _score_loaded(cfg: ExperimentConfig, net: bb.MaskedNet, meta: dict,
-                  seq: dt.TaskSequence, scorer: str) -> _Scored:
-    """Run every task's head and scorer once over the concatenated test
-    sets of a loaded checkpoint and a built task sequence (scorer as
-    ``_scorer_arg`` returns it)."""
-    test_images, test_task_of, truth_local = _pooled(
-        [seq.tasks[k][1] for k in range(seq.n_tasks)])
+                  seq: dt.TaskSequence, scorers: list[str]) -> list[_Scored]:
+    """Each scorer's _Scored over the pooled test sets (scorers as
+    ``_scorer_arg`` returns them). Per task, every scorer post-processes one
+    forward at the test rows (a plain head's class logits, a rotation head's
+    degree-0 slots); only other quarter turns and ODIN's perturbed rows run
+    their own."""
+    images, test_task_of, truth_local = _pooled([t for _, t in seq.tasks])
+    odin = _scorer_params(cfg, net, seq) if "odin" in scorers else {}
 
-    odin = _scorer_params(cfg, net, seq, scorer)
+    def task_scores(k):  # frees task k's forward before the next task's
+        if odin:
+            rows = ol.OdinRows(net, images, k,
+                               [odin[k].tau] if odin[k].eps else [])
+        raw = rows.z if odin else bb.task_raw_logits(net, images, k)
+        logits = ol.ensemble_logits(net, images, k, raw) \
+            if net.heads[k].kind == "rotation" else raw
+        score = {"msp": lambda: ol.msp_score(raw),
+                 "maxlogit": lambda: 1.0 / (1.0 + np.exp(-raw.max(axis=1))),
+                 "odin": lambda: ol.odin_score(net, rows, k, odin[k]),
+                 "rotation-ensemble": lambda: ol.msp_score(logits)}
+        return (logits, *(score[scorer]() for scorer in scorers))
 
     tasks = range(seq.n_tasks)
-    per_task_logits, per_task_scores = map(list, zip(
-        *(_score_task(net, test_images, k, scorer, odin) for k in tasks)))
-    auc_per_task = [_task_auc(per_task_scores[k], test_task_of, k)
-                    for k in tasks]
+    per_task_logits, *per_scorer = map(list, zip(*map(task_scores, tasks)))
 
     til_per_task, til_avg = mt.til_accuracy(
         [per_task_logits[k][test_task_of == k].argmax(axis=1) for k in tasks],
@@ -350,20 +356,23 @@ def _score_loaded(cfg: ExperimentConfig, net: bb.MaskedNet, meta: dict,
     forgetting = []
     if "accuracy_matrix" in meta.get("extra", {}):
         matrix = mt.AccuracyMatrix.from_lists(meta["extra"]["accuracy_matrix"])
-        t_learned = len(meta["finished"])
-        forgetting = [mt.forgetting_rate(matrix, t) for t in
-                      range(2, t_learned + 1)]
+        forgetting = [mt.forgetting_rate(matrix, t)
+                      for t in range(2, len(meta["finished"]) + 1)]
 
-    report_fields = dict(
-        seed=cfg.seed, backbone=net.kind, loss=cfg.loss.kind, scorer=scorer,
-        n_test=len(test_task_of), til_per_task=til_per_task, til_avg=til_avg,
-        auc_per_task=auc_per_task, auc_avg=mt.avg_auc(auc_per_task),
-        forgetting=forgetting,
-        odin_params={str(k): {"tau": p.tau, "eps": p.eps}
-                     for k, p in odin.items()},
-        config_text=cfg.text)
-    return _Scored(report_fields, seq.topology, test_task_of, truth_local,
-                   per_task_logits, per_task_scores)
+    scored = []
+    for scorer, scores in zip(scorers, per_scorer):
+        auc_per_task = [_task_auc(scores[k], test_task_of, k) for k in tasks]
+        report_fields = dict(
+            seed=cfg.seed, backbone=net.kind, loss=cfg.loss.kind,
+            scorer=scorer, n_test=len(test_task_of),
+            til_per_task=til_per_task, til_avg=til_avg,
+            auc_per_task=auc_per_task, auc_avg=mt.avg_auc(auc_per_task),
+            forgetting=forgetting, config_text=cfg.text,
+            odin_params={str(k): {"tau": p.tau, "eps": p.eps}
+                         for k, p in odin.items() if scorer == "odin"})
+        scored.append(_Scored(report_fields, seq.topology, test_task_of,
+                              truth_local, per_task_logits, scores))
+    return scored
 
 
 def _route_report(cfg: ExperimentConfig, s: _Scored, route: str,
@@ -431,23 +440,18 @@ def calibrate_run(cfg: ExperimentConfig, checkpoint_path
     """Fit per-task (alpha, beta) on a memory buffer and report the CIL
     before (plain concat) and after (calibrated concat), both routes over
     one scoring of the test set."""
-    net, meta = load_checkpoint(checkpoint_path)
-    scorer = _scorer_arg(cfg, net, None)
-    seq = build_tasks(cfg)
-    _check_fit(net, seq)
+    net, meta, seq = _open(cfg, checkpoint_path)
+    scorers = [_scorer_arg(cfg, net, None)]
     rng = np.random.default_rng([cfg.seed, 99])
-    pools = {}
-    for k in range(seq.n_tasks):
-        train, _ = seq.tasks[k]
-        for j in range(train.n_classes):
-            g = seq.topology.flat(k, j)
-            pools[g] = train.images[train.labels == j]
+    pools = {seq.topology.flat(k, j): train.images[train.labels == j]
+             for k, (train, _) in enumerate(seq.tasks)
+             for j in range(train.n_classes)}
     buffer = cp.MemoryBuffer.build(cfg.calibrate.buffer, pools, rng)
     params, history = cp.fit_calibration(
         [ol.class_logits(net, buffer.inputs, k) for k in range(seq.n_tasks)],
         buffer.labels, iters=cfg.calibrate.iters, lr=cfg.calibrate.lr,
         batch_size=cfg.calibrate.batch, seed=cfg.seed)
-    scored = _score_loaded(cfg, net, meta, seq, scorer)
+    scored, = _score_loaded(cfg, net, meta, seq, scorers)
     before = _route_report(cfg, scored, "concat-argmax", None)
     after = _route_report(cfg, scored, "calibrated", params)
     return params, before, after, history

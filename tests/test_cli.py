@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from clwb import cli
+from clwb import data as dt
 from clwb import experiment as ex
 from clwb.config import parse_config
 from conftest import digits_config_text
@@ -112,6 +113,117 @@ class TestTrainEvalPipeline:
                        "--scorer", "rotation-ensemble") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "no rotation slots" in err
+        assert not list((tmp_path / "run").glob("report_*"))
+
+    def test_eval_grid_writes_each_cell_as_its_one_cell_eval(
+            self, synth_config_text, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(synth_config_text(epochs=2))
+        run_cli("train", "--config", str(cfg_path))
+        ckpt = str(tmp_path / "run" / "final.clwb")
+        capsys.readouterr()
+        assert run_cli("eval", "--config", str(cfg_path), "--checkpoint", ckpt,
+                       "--scorer", "msp,odin",
+                       "--route", "concat-argmax,compose",
+                       "--out", str(tmp_path / "grid")) == 0
+        cells = ["msp_concat-argmax", "msp_compose", "odin_concat-argmax",
+                 "odin_compose"]
+        printed = [line.split(": ")[1] for line in
+                   capsys.readouterr().out.splitlines()
+                   if line.startswith("report: ")]
+        assert printed == [str(tmp_path / "grid" / f"report_{c}.json")
+                           for c in cells]
+        for cell in cells:
+            scorer, route = cell.split("_")
+            run_cli("eval", "--config", str(cfg_path), "--checkpoint", ckpt,
+                    "--scorer", scorer, "--route", route)
+            for ext in ("json", "csv"):
+                name = f"report_{cell}.{ext}"
+                assert (tmp_path / "grid" / name).read_bytes() == \
+                    (tmp_path / "run" / name).read_bytes()
+        assert len(list((tmp_path / "grid").iterdir())) == 2 * len(cells)
+
+    @pytest.mark.parametrize("flag, names", [
+        ("--scorer", "msp,msp"), ("--scorer", "msp,bogus"), ("--scorer", ""),
+        ("--route", "compose,concat-argmax,compose")])
+    def test_bad_grid_names_are_usage_errors(self, synth_config_text,
+                                             tmp_path, capsys, flag, names):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(synth_config_text())
+        with pytest.raises(SystemExit) as stop:
+            run_cli("eval", "--config", str(cfg_path), "--checkpoint",
+                    str(tmp_path / "final.clwb"), flag, names)
+        assert stop.value.code == 2
+        assert f"error: argument {flag}: {names!r} is not a list of " \
+            "distinct names" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_a_grid_with_a_refused_cell_writes_nothing(
+            self, synth_config_text, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(synth_config_text(tasks=2, epochs=2))
+        run_cli("train", "--config", str(cfg_path))
+        assert run_cli("eval", "--config", str(cfg_path), "--checkpoint",
+                       str(tmp_path / "run" / "final.clwb"),
+                       "--scorer", "msp,rotation-ensemble",
+                       "--route", "concat-argmax,compose") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no rotation slots" in err
+        assert not list((tmp_path / "run").glob("report_*"))
+
+    def test_negative_lambda_is_usage_error(self, synth_config_text, tmp_path,
+                                            capsys):
+        # a negative lambda would turn HAT's sparsity penalty into a reward
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(synth_config_text(extra="lambdas = 1.0, -5.0"))
+        assert run_cli("train", "--config", str(cfg_path)) == 2
+        assert capsys.readouterr().err == (
+            "error: backbone.lambdas must be >= 0, got '1.0, -5.0'\n")
+        assert not (tmp_path / "run" / "task1.clwb").exists()
+        cfg_path.write_text(synth_config_text(epochs=1, extra="lambdas = 0"))
+        assert run_cli("train", "--config", str(cfg_path)) == 0
+        assert (tmp_path / "run" / "final.clwb").exists()
+
+    @staticmethod
+    def idx_config(root, name, train_shape, test_shape, test_labels):
+        """A 2-task IDX config whose training set is train_shape images of 4
+        classes and whose test set is test_shape images with test_labels
+        labels."""
+        rng = np.random.default_rng(0)
+        paths = {}
+        for part, shape, n_labels in (("train", train_shape, train_shape[0]),
+                                      ("test", test_shape, test_labels)):
+            blobs = {"images": rng.uniform(size=shape),
+                     "labels": np.arange(n_labels) % 4}
+            for kind, blob in blobs.items():
+                paths[f"{part}_{kind}"] = root / f"{name}-{part}-{kind}.idx"
+                paths[f"{part}_{kind}"].write_bytes(dt.serialize_idx(blob))
+        cfg_path = root / f"{name}.ini"
+        cfg_path.write_text(digits_config_text(
+            paths, out=root / "run", tasks=2, hidden="8", epochs=1, batch=4))
+        return cfg_path
+
+    @pytest.mark.parametrize("test_shape, test_labels, message", [
+        ((12, 5, 5), 12, "data.test_images of shape (12, 5, 5) does not "
+                         "pair with data.train_images of shape (12, 4, 4)"),
+        ((12, 4, 4), 8, "data.test_images of shape (12, 4, 4) does not "
+                        "pair with data.test_labels of shape (8,)"),
+    ], ids=["image-size", "label-count"])
+    def test_idx_files_that_do_not_pair_are_usage_errors(
+            self, tmp_path, capsys, test_shape, test_labels, message):
+        # refused when the tasks are built, before any training or scoring
+        bad = self.idx_config(tmp_path, "bad", (12, 4, 4), test_shape,
+                              test_labels)
+        assert run_cli("train", "--config", str(bad)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list((tmp_path / "run").glob("*.clwb"))
+        good = self.idx_config(tmp_path, "good", (12, 4, 4), (12, 4, 4), 12)
+        assert run_cli("train", "--config", str(good)) == 0
+        capsys.readouterr()
+        for command in ("eval", "calibrate"):
+            assert run_cli(command, "--config", str(bad), "--checkpoint",
+                           str(tmp_path / "run" / "final.clwb")) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
         assert not list((tmp_path / "run").glob("report_*"))
 
     def test_bad_config_is_usage_error(self, tmp_path, capsys):

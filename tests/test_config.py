@@ -124,6 +124,7 @@ def test_synthetic_source_rejects_the_rotation_ensemble():
     ("backbone", "hidden", "16, 0", "1, 1"),
     ("backbone", "hidden", "", "1"),
     ("backbone", "lambdas", "", "1.0"),
+    ("backbone", "lambdas", "-5.0", "0"),
     ("backbone", "s_max", "0", "1e-9"),
     ("backbone", "sparsity", "0", "100"),
     ("backbone", "sparsity", "100.5", "1e-9"),

@@ -213,15 +213,17 @@ def test_concat_identity_holds_under_the_log_clamp(trained, monkeypatch):
 def test_all_zero_detector_rows_fall_back_to_uniform_tp(trained, monkeypatch):
     text, final = trained
     cfg = parse_config(_with_predict(text, "scorer"))
-    real = ex._score_task
+    real = ex._score_loaded
 
     def zero_first_rows(*args):
-        logits, scores = real(*args)
-        scores = scores.copy()
-        scores[:4] = 0.0
-        return logits, scores
+        scored = real(*args)
+        for s in scored:
+            s.per_task_scores = [scores.copy() for scores in s.per_task_scores]
+            for scores in s.per_task_scores:
+                scores[:4] = 0.0
+        return scored
 
-    monkeypatch.setattr(ex, "_score_task", zero_first_rows)
+    monkeypatch.setattr(ex, "_score_loaded", zero_first_rows)
     calls = _spy_route_report(monkeypatch)
     report = ex.eval_run(cfg, final, route="compose")
     assert report.notes == {"tp_uniform_fallbacks": 4}
@@ -319,6 +321,9 @@ def test_calibrate_scores_the_test_set_once(trained, monkeypatch, scorer):
                                           calibration=params).to_json()
 
 
+PLAIN_SCORERS = [s for s in ex.SCORERS if s != "rotation-ensemble"]
+
+
 def _counted_forwards(monkeypatch):
     count = [0]
     real = bb.task_features
@@ -370,16 +375,22 @@ def test_one_forward_scoring_has_the_separate_forwards_bits(run, scorer,
                                                             request):
     text, final = request.getfixturevalue(run)
     cfg = parse_config(text)
-    net, _ = load_checkpoint(final)
+    net, meta = load_checkpoint(final)
     seq = ex.build_tasks(cfg)
     images, _, _ = ex._pooled([test for _, test in seq.tasks])
     odin = {k: ol.OdinParams(cfg.ood.odin_tau, cfg.ood.odin_eps)
             for k in range(seq.n_tasks)}
-    for k in range(seq.n_tasks):
-        got = ex._score_task(net, images, k, scorer, odin)
-        want = _separate_forwards_score_task(net, images, k, scorer, odin)
-        for g, w in zip(got, want):
-            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    # scored alone, and in the grid of every scorer the heads take
+    grid = list(ex.SCORERS) if run == "rotation_run" else PLAIN_SCORERS
+    in_grid = {s.report_fields["scorer"]: s
+               for s in ex._score_loaded(cfg, net, meta, seq, grid)}
+    (alone,) = ex._score_loaded(cfg, net, meta, seq, [scorer])
+    for scored in (alone, in_grid[scorer]):
+        for k in range(seq.n_tasks):
+            got = scored.per_task_logits[k], scored.per_task_scores[k]
+            want = _separate_forwards_score_task(net, images, k, scorer, odin)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("scorer, forwards",
@@ -433,6 +444,89 @@ def test_a_checkpoint_that_does_not_fit_the_config_is_refused(
                         lambda *args, **kwargs: forwards.append(args))
     with pytest.raises(ConfigError, match=f"^{message} in the config$"):
         getattr(ex, run)(cfg, Path(final).with_name(checkpoint))
+    assert forwards == []
+
+
+@pytest.mark.parametrize("run", ["trained", "hat_odin_run", "rotation_run"])
+def test_every_grid_cell_is_its_one_cell_eval_run(run, request):
+    # hat_odin_run with the ODIN grid on, so ODIN's choice differs per task
+    text, final = request.getfixturevalue(run)
+    grid = "\n[ood]\nodin_grid = true\n" if run == "hat_odin_run" else ""
+    cfg = parse_config(text + grid)
+    scorers = list(ex.SCORERS) if run == "rotation_run" else PLAIN_SCORERS
+    params = ex.calibrate_run(cfg, final)[0]
+    reports = ex.eval_grid(cfg, final, scorers=scorers,
+                           routes=list(ex.ROUTES), calibration=params)
+    cells = [(s, r) for s in scorers for r in ex.ROUTES]
+    assert [(rep.scorer, rep.route) for rep in reports] == cells
+    for rep, (scorer, route) in zip(reports, cells):
+        want = ex.eval_run(cfg, final, scorer=scorer, route=route,
+                           calibration=params if route == "calibrated"
+                           else None)
+        assert rep.to_json() == want.to_json()
+
+
+def test_a_plain_head_grid_runs_one_test_forward_per_task(trained,
+                                                          monkeypatch):
+    # msp, maxlogit and odin read one forward per task at the test rows;
+    # ODIN at its default eps > 0 adds one at the perturbed rows
+    text, final = trained
+    cfg = parse_config(text)
+    assert cfg.ood.odin_eps > 0
+    images, _, _ = ex._pooled([t for _, t in ex.build_tasks(cfg).tasks])
+    rows, real = [], bb.task_features
+
+    def spy(net, x, task, *args):
+        rows.append((task, np.array_equal(x, images)))
+        return real(net, x, task, *args)
+
+    monkeypatch.setattr(bb, "task_features", spy)
+    ex.eval_grid(cfg, final, scorers=PLAIN_SCORERS, routes=list(ex.ROUTES))
+    assert sorted(rows) == [(k, at_test) for k in range(3)
+                            for at_test in (False, True)]
+
+
+def test_one_odin_choice_per_grid(hat_odin_run, monkeypatch):
+    text, final = hat_odin_run
+    cfg = parse_config(text + "\n[ood]\nodin_grid = true\n")
+    calls, real = [], ex._scorer_params
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ex, "_scorer_params", spy)
+    reports = ex.eval_grid(cfg, final, scorers=["odin", "msp"],
+                           routes=list(ex.ROUTES))
+    assert len(calls) == 1
+    odin = reports[0].odin_params
+    assert len({tuple(p.values()) for p in odin.values()}) > 1
+    assert [rep.odin_params for rep in reports] == [odin] * 3 + [{}] * 3
+    ex.eval_grid(cfg, final, scorers=["msp", "maxlogit"],
+                 routes=list(ex.ROUTES))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("scorers, routes, calibration, message", [
+    (["msp", "rotation-ensemble"], ["concat-argmax"], None,
+     "task 0 head has no rotation slots"),
+    (["msp"], ["concat-argmax", "compose"], [1.0] * 3,
+     "apply only to route 'calibrated', not 'concat-argmax', 'compose'$"),
+    (["msp", "odin"], ["compose", "calibrated"], [1.0] * 2,
+     "^calibration has 2 task entries for 3 tasks$"),
+], ids=["rotation-ensemble-on-plain-heads", "no-calibrated-route",
+        "calibration-of-2-tasks"])
+def test_a_bad_grid_is_refused_before_any_forward(
+        trained, monkeypatch, scorers, routes, calibration, message):
+    text, final = trained
+    forwards = []
+    monkeypatch.setattr(bb, "task_features",
+                        lambda *args, **kwargs: forwards.append(args))
+    if calibration is not None:
+        calibration = cp.CalibrationParams(calibration, [0.0] * len(calibration))
+    with pytest.raises(ConfigError, match=message):
+        ex.eval_grid(parse_config(text), final, scorers=scorers,
+                     routes=routes, calibration=calibration)
     assert forwards == []
 
 
@@ -566,7 +660,7 @@ def test_pooled_odin_grid_matches_the_per_split_loop(odin_net, monkeypatch):
     monkeypatch.undo()
     _recording(monkeypatch, mt, "auc", new_aucs)
     _recording(monkeypatch, ol, "odin_score", scores)
-    got = ex._scorer_params(cfg, net, seq, "odin")
+    got = ex._scorer_params(cfg, net, seq)
     assert got == want
     n_grid = len(ol.ODIN_TAU_GRID) * len(ol.ODIN_EPS_GRID)
     assert len(scores) == seq.n_tasks * n_grid
@@ -625,7 +719,7 @@ def test_odin_grid_task_runs_16_forwards_and_5_gradients(odin_net,
             calls[name] += 1
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
-    ex._scorer_params(cfg, net, seq, "odin")
+    ex._scorer_params(cfg, net, seq)
     assert calls == {"task_features": seq.n_tasks * 16,
                      "input_gradient": seq.n_tasks * 5}
     calls.update(task_features=0, input_gradient=0)
@@ -644,7 +738,7 @@ def test_single_task_odin_grid_keeps_the_first_candidate_unscored(
     scores = []
     _recording(monkeypatch, ol, "odin_score", scores)
     net, _ = load_checkpoint(final)
-    assert ex._scorer_params(cfg, net, ex.build_tasks(cfg), "odin") == {
+    assert ex._scorer_params(cfg, net, ex.build_tasks(cfg)) == {
         0: ol.OdinParams(1.0, 0.0)}
     assert scores == []
     report = ex.eval_run(cfg, final, scorer="odin")
