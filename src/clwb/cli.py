@@ -22,8 +22,21 @@ from .checkpoint import CheckpointError, write_atomic
 from .config import ROUTES, SCORERS, ConfigError, load_config
 
 
+def _int_from(low: int):
+    """An argparse type: an int >= low."""
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"must be an int >= {low}, got {text!r}")
+    return parse
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_int_from(0), default=None,
                    help="override the config seed")
     p.add_argument("--out", default=None, help="output directory")
 
@@ -51,8 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run randomized theorem suites")
     v.add_argument("--suite", default="all",
                    choices=("all",) + verify.SUITE_NAMES)
-    v.add_argument("--trials", type=int, default=10_000)
-    v.add_argument("--seed", type=int, default=7)
+    v.add_argument("--trials", type=_int_from(1), default=10_000)
+    v.add_argument("--seed", type=_int_from(0), default=7)
 
     t = sub.add_parser("train", help="train a task sequence")
     t.add_argument("--config", required=True)

@@ -239,6 +239,9 @@ def parse_config(text: str) -> ExperimentConfig:
         seed = parser.getint("experiment", "seed")
     except ValueError as e:
         raise ConfigError(f"bad value for experiment.seed: {e}") from e
+    if seed < 0:  # numpy's generators take no negative seed
+        raise ConfigError(f"experiment.seed must be >= 0, got "
+                          f"{parser.get('experiment', 'seed')!r}")
     cfg = ExperimentConfig(seed=seed, text=text)
     if parser.has_option("experiment", "out"):
         cfg.out = parser.get("experiment", "out")

@@ -54,6 +54,13 @@ def build_tasks(cfg: ExperimentConfig) -> dt.TaskSequence:
         if idx[a].shape[axes] != idx[b].shape[axes]:
             raise ConfigError(f"data.{a} of shape {idx[a].shape} does not "
                               f"pair with data.{b} of shape {idx[b].shape}")
+    for key in ("train_labels", "test_labels"):
+        low, high = idx[key].min(initial=0), idx[key].max(initial=0)
+        if low < 0 or high >= n_classes:
+            raise ConfigError(
+                f"data.{key} has label {low if low < 0 else high} outside "
+                f"the {n_classes} classes of tasks.count x "
+                f"tasks.classes_per_task + len(tasks.drop_classes)")
     train, test = (dt.LabeledImageSet(idx[f"{p}_images"], idx[f"{p}_labels"],
                                       n_classes) for p in ("train", "test"))
     if t.drop_classes:

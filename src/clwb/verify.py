@@ -121,14 +121,32 @@ def _floored_rows(rng: np.random.Generator, valid: np.ndarray) -> np.ndarray:
 
 
 def _normalize_rows(g: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Normalize along the last axis over the ``valid`` entries (uniform for
-    a zero row), floor at FLOOR and renormalize; the others come out zero."""
-    g = np.where(valid, g, 0.0)
-    total = g.sum(axis=-1, keepdims=True)
-    uniform = np.broadcast_to(1.0 / valid.sum(axis=-1, keepdims=True), g.shape)
-    p = np.divide(g, total, out=uniform.copy(), where=total > 0)
-    p = np.where(valid, np.maximum(p, FLOOR), 0.0)
-    return p / p.sum(axis=-1, keepdims=True)
+    """Normalize gamma draws ``g`` along the last axis over the ``valid``
+    entries (uniform for a zero row), floor at FLOOR and renormalize; the
+    others come out zero. Finite p >= 0 masks as p * True == p and
+    p * False == +0.0."""
+    p = g * valid
+    total = _row_sums(p)
+    p /= np.where(total == 0, 1.0, total)
+    zero = total[..., 0] == 0  # every valid entry is 0: the uniform fallback
+    if zero.any():
+        p[zero] = 1.0 / valid[zero].sum(axis=-1, keepdims=True)
+    np.maximum(p, FLOOR, out=p)
+    p *= valid
+    p /= _row_sums(p)
+    return p
+
+
+def _row_sums(p: np.ndarray) -> np.ndarray:
+    """``p.sum(axis=-1, keepdims=True)`` with its bits: numpy adds fewer
+    than 8 entries from left to right, as the column adds here do without
+    the per-row reduction overhead, and 8 or more pairwise."""
+    if p.shape[-1] >= 8:
+        return p.sum(axis=-1, keepdims=True)
+    total = p[..., :1].copy()
+    for j in range(1, p.shape[-1]):
+        total += p[..., j:j + 1]
+    return total
 
 
 def _plain(v):

@@ -7,6 +7,7 @@ import pytest
 from clwb import cli
 from clwb import data as dt
 from clwb import experiment as ex
+from clwb import verify
 from clwb.config import parse_config
 from conftest import digits_config_text
 
@@ -39,6 +40,19 @@ class TestVerifyCommand:
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):
             run_cli("verify", "--suite", "theorem9")
+
+    @pytest.mark.parametrize("flag, value, low", [
+        ("--trials", "0", 1), ("--trials", "-3", 1), ("--seed", "-1", 0)])
+    def test_bad_trials_or_seed_is_usage_error(self, capsys, monkeypatch,
+                                               flag, value, low):
+        # exit 1 means a counterexample, so a bad flag exits 2, runs nothing
+        monkeypatch.setattr(verify, "run_suites", None)
+        with pytest.raises(SystemExit) as e:
+            run_cli("verify", flag, value)
+        assert e.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"clwb verify: error: argument {flag}: must be an int >= {low}, "
+            f"got '{value}'\n")
 
 
 class TestTrainEvalPipeline:
@@ -185,16 +199,18 @@ class TestTrainEvalPipeline:
         assert (tmp_path / "run" / "final.clwb").exists()
 
     @staticmethod
-    def idx_config(root, name, train_shape, test_shape, test_labels):
-        """A 2-task IDX config whose training set is train_shape images of 4
-        classes and whose test set is test_shape images with test_labels
-        labels."""
+    def idx_config(root, name, train_shape, test_shape, test_labels,
+                   classes=(4, 4)):
+        """A 2-task IDX config whose training set is train_shape images of
+        classes[0] classes and whose test set is test_shape images with
+        test_labels labels of classes[1] classes."""
         rng = np.random.default_rng(0)
         paths = {}
-        for part, shape, n_labels in (("train", train_shape, train_shape[0]),
-                                      ("test", test_shape, test_labels)):
+        for part, shape, n_labels, n_classes in (
+                ("train", train_shape, train_shape[0], classes[0]),
+                ("test", test_shape, test_labels, classes[1])):
             blobs = {"images": rng.uniform(size=shape),
-                     "labels": np.arange(n_labels) % 4}
+                     "labels": np.arange(n_labels) % n_classes}
             for kind, blob in blobs.items():
                 paths[f"{part}_{kind}"] = root / f"{name}-{part}-{kind}.idx"
                 paths[f"{part}_{kind}"].write_bytes(dt.serialize_idx(blob))
@@ -225,6 +241,52 @@ class TestTrainEvalPipeline:
                            str(tmp_path / "run" / "final.clwb")) == 2
             assert capsys.readouterr().err == f"error: {message}\n"
         assert not list((tmp_path / "run").glob("report_*"))
+
+    @pytest.mark.parametrize("part", ["train", "test"])
+    def test_idx_label_outside_the_classes_is_usage_error(self, tmp_path,
+                                                          capsys, part):
+        # labels 0-5 under 2 x 2 classes, refused before any training or
+        # scoring; dropping classes 4 and 5 makes room for them
+        classes = (6, 4) if part == "train" else (4, 6)
+        bad = self.idx_config(tmp_path, "bad", (12, 4, 4), (12, 4, 4), 12,
+                              classes)
+        message = (f"error: data.{part}_labels has label 5 outside the 4 "
+                   f"classes of tasks.count x tasks.classes_per_task + "
+                   f"len(tasks.drop_classes)\n")
+        assert run_cli("train", "--config", str(bad)) == 2
+        assert capsys.readouterr().err == message
+        assert not list((tmp_path / "run").glob("*.clwb"))
+        good = tmp_path / "good.ini"
+        good.write_text(bad.read_text().replace(
+            "classes_per_task = 2", "classes_per_task = 2\ndrop_classes = 4, 5"))
+        assert run_cli("train", "--config", str(good)) == 0
+        capsys.readouterr()
+        for command in ("eval", "calibrate"):
+            assert run_cli(command, "--config", str(bad), "--checkpoint",
+                           str(tmp_path / "run" / "final.clwb")) == 2
+            assert capsys.readouterr().err == message
+        assert not list((tmp_path / "run").glob("report_*"))
+
+    @pytest.mark.parametrize("command", ["train", "eval", "calibrate"])
+    def test_negative_seed_is_usage_error(self, synth_config_text, tmp_path,
+                                          capsys, command):
+        # numpy's generators take no negative seed: refused at parse time
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(synth_config_text(seed=-4))
+        checkpoint = [] if command == "train" else \
+            ["--checkpoint", str(tmp_path / "final.clwb")]
+        assert run_cli(command, "--config", str(cfg_path), *checkpoint) == 2
+        assert capsys.readouterr().err == (
+            "error: experiment.seed must be >= 0, got '-4'\n")
+        cfg_path.write_text(synth_config_text())
+        with pytest.raises(SystemExit) as e:
+            run_cli(command, "--config", str(cfg_path), *checkpoint,
+                    "--seed", "-1")
+        assert e.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"clwb {command}: error: argument --seed: must be an int >= 0, "
+            f"got '-1'\n")
+        assert not (tmp_path / "run" / "task1.clwb").exists()
 
     def test_bad_config_is_usage_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.ini"

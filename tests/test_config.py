@@ -28,6 +28,13 @@ def test_seed_mandatory():
         parse_config("[backbone]\nkind = hat\n")
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(ConfigError,
+                       match=r"^experiment\.seed must be >= 0, got '-4'$"):
+        parse_config("[experiment]\nseed = -4\n")
+    assert parse_config("[experiment]\nseed = 0\n").seed == 0
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match=r"backbone\.lerning_rate"):
         parse_config(MINIMAL + "[backbone]\nlerning_rate = 0.1\n")

@@ -4,16 +4,21 @@ Each test keeps a copy of the code as it was when every call recomputed its
 constants: the forward that stored each pre-activation z and masked relu
 gradients by z > 0, HAT's per-batch gradient factors, free mass and
 boolean-mask sigmoid, and the calibration fit that formed both gradients at
-every full-buffer evaluation. The live code must give the same bytes.
+every full-buffer evaluation. The live code must give the same bytes. The
+same holds for verify's instance sampler, against its normalizer as it was
+before it skipped numpy's `where=` divide, `np.where` masks and row
+reductions.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clwb import backbones as bb
 from clwb import composer as cp
 from clwb import numkit as nk
+from clwb import verify
 from conftest import net_args
 
 # -0.0 and NaN inputs reach the relu mask as -0.0 and NaN pre-activations
@@ -140,6 +145,15 @@ def _old_fit_calibration(per_task_logits, labels, *, iters, lr, batch_size,
         if current < best[0]:
             best = (current, alpha.copy(), beta.copy())
     return best[1], best[2], history
+
+
+def _old_normalize_rows(g, valid):
+    g = np.where(valid, g, 0.0)
+    total = g.sum(axis=-1, keepdims=True)
+    uniform = np.broadcast_to(1.0 / valid.sum(axis=-1, keepdims=True), g.shape)
+    p = np.divide(g, total, out=uniform.copy(), where=total > 0)
+    p = np.where(valid, np.maximum(p, verify.FLOOR), 0.0)
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -294,3 +308,56 @@ def test_fit_calibration_has_the_two_gradient_bits(seed, iters, batch, lr):
         seed=seed % 1000)
     assert _same(params.alpha, alpha) and _same(params.beta, beta)
     assert history == want_history
+
+
+# ---------------------------------------------------------------------------
+# verify: the instance sampler's normalizer
+# ---------------------------------------------------------------------------
+
+# gamma draws are finite and >= 0; these reach the sum's rounding, the
+# overflow to an infinite total and the zero-total fallback
+EXTREME = (0.0, 5e-324, 1e-310, 1e300, 1.7e308)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 30),
+       tasks=st.sampled_from([None, 1, 6]), n=st.integers(1, 40),
+       n_zero=st.integers(0, 3), n_extreme=st.integers(0, 6),
+       strided=st.booleans())
+def test_normalize_rows_has_the_where_and_reduction_bits(
+        seed, width, tasks, n, n_zero, n_extreme, strided):
+    """Rows of 1-30 entries, shaped (n, m) or (n, k, m): numpy sums fewer
+    than 8 entries from left to right and 8 or more pairwise."""
+    rng = np.random.default_rng(seed)
+    lead = (n,) if tasks is None else (n, tasks)
+    alpha = rng.choice(verify._ALPHAS, size=lead + (1,))
+    g = rng.standard_gamma(alpha, size=lead + (width + 3 * strided,))
+    rows = g.reshape(-1, g.shape[-1])
+    valid = rng.random(lead + (width,)) < rng.uniform(0.1, 1.0)
+    masks = valid.reshape(-1, width)
+    # the sampler gives every row a valid entry
+    masks[np.arange(len(masks)), rng.integers(width, size=len(masks))] = True
+    zero = rng.integers(len(rows), size=n_zero)
+    rows[zero, :width] *= ~masks[zero]  # valid entries all 0
+    rows[rng.integers(len(rows), size=n_extreme),
+         rng.integers(width, size=n_extreme)] = rng.choice(EXTREME,
+                                                           size=n_extreme)
+    g = g[..., :width]  # a strided slice, like the WP and TP blocks
+    with np.errstate(over="ignore"):
+        want = _old_normalize_rows(g, valid)
+        got = verify._normalize_rows(g, valid)
+    assert _same(got, want)
+
+
+@pytest.mark.parametrize("name", verify.SUITE_NAMES)
+def test_every_suite_draws_and_dumps_the_same_instances(
+        name, monkeypatch, negate_suite):
+    """Every trial made a counterexample and kept: the dumps print each
+    instance and its verdict's inputs at full precision."""
+    negate_suite(name)
+    monkeypatch.setattr(verify, "MAX_FAILURES_KEPT", 3000)
+    got = verify.run_suite(name, 5, 3000)
+    monkeypatch.setattr(verify, "_normalize_rows", _old_normalize_rows)
+    want = verify.run_suite(name, 5, 3000)
+    assert got.n_failed == want.n_failed
+    assert got.failures == want.failures
