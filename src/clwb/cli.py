@@ -103,9 +103,9 @@ def _load_cfg(args):
 
 def cmd_verify(args) -> int:
     names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
-    results = verify.run_suites(names, seed=args.seed, trials=args.trials)
     ok = True
-    for r in results:
+    for name in names:
+        r = verify.run_suite(name, args.seed, args.trials)
         print(r.summary())
         for dump in r.failures:
             print(f"  counterexample: {dump}")

@@ -57,9 +57,6 @@ class MemoryBuffer:
     inputs: np.ndarray
     labels: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
     @classmethod
     def build(cls, capacity: int, per_class_pools: dict[int, np.ndarray],
               rng: np.random.Generator) -> "MemoryBuffer":

@@ -141,6 +141,7 @@ _COUNT = (lambda v: v >= 1, ">= 1")
 # allowed values of the numeric keys, (test, description); a list key's test
 # applies to each element
 _RANGES = {
+    ("experiment", "seed"): _NON_NEGATIVE,  # numpy takes no negative seed
     ("data", "separation"): _POSITIVE,
     ("data", "dim"): _COUNT,
     ("data", "per_class"): _COUNT,
@@ -187,8 +188,11 @@ _SECTIONS = {
 }
 
 
-def _fill(section: str, cfg_obj, parser: configparser.ConfigParser) -> None:
-    known = {f.name: f.type for f in fields(type(cfg_obj))}
+def _fill(section: str, cfg_obj, parser: configparser.ConfigParser,
+          keys=None) -> None:
+    """Set cfg_obj's fields (only keys, if given) from the section, checked."""
+    known = {f.name: f.type for f in fields(type(cfg_obj))
+             if keys is None or f.name in keys}
     if not parser.has_section(section):
         return
     for key, raw in parser.items(section):
@@ -229,24 +233,12 @@ def parse_config(text: str) -> ExperimentConfig:
         if s not in known_sections:
             raise ConfigError(f"unknown section [{s}]")
 
-    if not parser.has_section("experiment") or \
-            not parser.has_option("experiment", "seed"):
+    if not parser.has_option("experiment", "seed"):
         raise ConfigError("experiment.seed is mandatory")
-    for key, _ in parser.items("experiment"):
-        if key not in ("seed", "out"):
-            raise ConfigError(f"unknown key experiment.{key}")
-    try:
-        seed = parser.getint("experiment", "seed")
-    except ValueError as e:
-        raise ConfigError(f"bad value for experiment.seed: {e}") from e
-    if seed < 0:  # numpy's generators take no negative seed
-        raise ConfigError(f"experiment.seed must be >= 0, got "
-                          f"{parser.get('experiment', 'seed')!r}")
-    cfg = ExperimentConfig(seed=seed, text=text)
-    if parser.has_option("experiment", "out"):
-        cfg.out = parser.get("experiment", "out")
-
-    for name, _cls in _SECTIONS.items():
+    cfg = ExperimentConfig(seed=0, text=text)
+    # the other ExperimentConfig fields are the sections and the text
+    _fill("experiment", cfg, parser, keys=("seed", "out"))
+    for name in _SECTIONS:
         _fill(name, getattr(cfg, name), parser)
 
     if cfg.data.source == "synthetic":
@@ -261,6 +253,12 @@ def parse_config(text: str) -> ExperimentConfig:
             # only the rotation losses give rotation heads
             raise ConfigError("ood.scorer = rotation-ensemble needs "
                               "data.source = idx")
+    t = cfg.tasks  # distinct classes in range leave exactly t.count tasks
+    n = t.count * t.classes_per_task + len(t.drop_classes)
+    if len(set(t.drop_classes) & set(range(n))) < len(t.drop_classes):
+        raise ConfigError(f"tasks.drop_classes must be distinct classes in "
+                          f"[0, {n}) of tasks.count x tasks.classes_per_task "
+                          f"+ len(tasks.drop_classes), got {t.drop_classes}")
     if cfg.data.source == "idx":
         import os
         for key in ("train_images", "train_labels", "test_images",

@@ -67,8 +67,9 @@ class LabeledImageSet:
 class TaskSequence:
     """Ordered (train, test) pairs per task plus the class topology.
 
-    Per-task labels are remapped to 0..sizes[k]-1; class_map[k][j] recovers
-    the dataset's class id, so disjointness across tasks is structural.
+    Per-task labels are remapped to 0..sizes[k]-1; class_map[k][j] is the
+    class id before the split (renumbered densely once drop_classes are
+    removed), so disjointness across tasks is structural.
     Predictions index classes by topology.flat(k, j), not by class_map.
     """
 

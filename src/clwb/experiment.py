@@ -66,8 +66,13 @@ def build_tasks(cfg: ExperimentConfig) -> dt.TaskSequence:
     if t.drop_classes:
         keep = [c for c in range(n_classes) if c not in t.drop_classes]
         train, test = (dt._remap(s, keep) for s in (train, test))
-    return dt.split_tasks(train, test, t.classes_per_task,
-                          shuffle_seed=cfg.seed if t.shuffle_classes else None)
+    seq = dt.split_tasks(train, test, t.classes_per_task,
+                         shuffle_seed=cfg.seed if t.shuffle_classes else None)
+    for k, pair in enumerate(seq.tasks):
+        for key, subset in zip(("train_labels", "test_labels"), pair):
+            if not len(subset):
+                raise ConfigError(f"data.{key} has no rows of task {k}")
+    return seq
 
 
 def _build_net(cfg: ExperimentConfig, input_dim: int) -> bb.MaskedNet:
@@ -95,7 +100,7 @@ def train_run(cfg: ExperimentConfig, out_dir) -> dict:
     sample = seq.tasks[0][0].images[0]
     net = _build_net(cfg, sample.size)
 
-    matrix = mt.AccuracyMatrix()
+    til: list[list[float]] = []  # til[a][j]: task j's TIL after task a
     trace: dict = {"tasks": [], "config": cfg.text, "seed": cfg.seed}
     b, lc = cfg.backbone, cfg.loss
     # a loss phase's epochs or lr of 0 means the backbone's
@@ -109,29 +114,29 @@ def train_run(cfg: ExperimentConfig, out_dir) -> dict:
     for k in range(seq.n_tasks):
         train, _ = seq.tasks[k]
         stats = bb.train_task(net, k, train, **args)
-        for j in range(k + 1):
-            test_j = seq.tasks[j][1]
-            acc = mt.cil_accuracy(_til_predictions(net, test_j, j),
-                                  test_j.labels)
-            matrix.record(j, k, acc)
+        til.append([mt.cil_accuracy(_til_predictions(net, test, j),
+                                    test.labels)
+                    for j, (_, test) in enumerate(seq.tasks[:k + 1])])
         trace["tasks"].append({"task": k, "epochs": [asdict(e) for e in stats],
-                               "til_so_far": [matrix.at(j, k)
-                                              for j in range(k + 1)]})
+                               "til_so_far": til[k]})
         path = out / f"task{k + 1}.clwb"
-        save_checkpoint(path, net, extra=_extra(cfg, matrix))
+        save_checkpoint(path, net, extra=_extra(cfg, til))
         paths.append(str(path))
 
     final = out / "final.clwb"
-    save_checkpoint(final, net, extra=_extra(cfg, matrix))
+    save_checkpoint(final, net, extra=_extra(cfg, til))
     write_atomic(out / "trace.json",
                  json.dumps(trace, sort_keys=True, indent=1).encode())
     return {"checkpoints": paths, "final": str(final),
-            "trace": str(out / "trace.json"), "matrix": matrix}
+            "trace": str(out / "trace.json")}
 
 
-def _extra(cfg: ExperimentConfig, matrix: mt.AccuracyMatrix) -> dict:
+def _extra(cfg: ExperimentConfig, til: list[list[float]]) -> dict:
+    """The checkpoint's audit fields; accuracy_matrix[j][a] is task j's TIL
+    after task a, None for a < j."""
     return {"config": cfg.text, "seed": cfg.seed,
-            "accuracy_matrix": matrix.to_lists()}
+            "accuracy_matrix": [[row[j] if j < len(row) else None
+                                 for row in til] for j in range(len(til))]}
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +158,15 @@ def _scorer_params(cfg: ExperimentConfig, net: bb.MaskedNet,
         # no other task's rows to tell apart: every candidate would score a
         # validation AUC of 0.5, and the first one keeps the tie
         return {0: cands[0]}
-    pooled, owner, _ = _pooled(
-        [dt.validation_split(seq.tasks[k][0], cfg.ood.validation_fraction,
-                             seed=cfg.seed)[1] for k in range(seq.n_tasks)])
+    held_out = []
+    for k, (train, _) in enumerate(seq.tasks):
+        try:
+            held_out.append(dt.validation_split(
+                train, cfg.ood.validation_fraction, seed=cfg.seed)[1])
+        except ValueError as e:  # the fraction of a class rounds to no row
+            raise ConfigError(
+                f"ood.validation_fraction: task {k}: {e}") from e
+    pooled, owner, _ = _pooled(held_out)
 
     def task_aucs(k):  # frees task k's OdinRows before the next is built
         rows = ol.OdinRows(net, pooled, k, ol.ODIN_TAU_GRID)
@@ -362,8 +373,7 @@ def _score_loaded(cfg: ExperimentConfig, net: bb.MaskedNet, meta: dict,
 
     forgetting = []
     if "accuracy_matrix" in meta.get("extra", {}):
-        matrix = mt.AccuracyMatrix.from_lists(meta["extra"]["accuracy_matrix"])
-        forgetting = [mt.forgetting_rate(matrix, t)
+        forgetting = [mt.forgetting_rate(meta["extra"]["accuracy_matrix"], t)
                       for t in range(2, len(meta["finished"]) + 1)]
 
     scored = []
@@ -448,7 +458,8 @@ def calibrate_run(cfg: ExperimentConfig, checkpoint_path
     before (plain concat) and after (calibrated concat), both routes over
     one scoring of the test set."""
     net, meta, seq = _open(cfg, checkpoint_path)
-    scorers = [_scorer_arg(cfg, net, None)]
+    # scored first: an ODIN grid's usage error comes before any forward
+    scored, = _score_loaded(cfg, net, meta, seq, [_scorer_arg(cfg, net, None)])
     rng = np.random.default_rng([cfg.seed, 99])
     pools = {seq.topology.flat(k, j): train.images[train.labels == j]
              for k, (train, _) in enumerate(seq.tasks)
@@ -458,7 +469,6 @@ def calibrate_run(cfg: ExperimentConfig, checkpoint_path
         [ol.class_logits(net, buffer.inputs, k) for k in range(seq.n_tasks)],
         buffer.labels, iters=cfg.calibrate.iters, lr=cfg.calibrate.lr,
         batch_size=cfg.calibrate.batch, seed=cfg.seed)
-    scored, = _score_loaded(cfg, net, meta, seq, scorers)
     before = _route_report(cfg, scored, "concat-argmax", None)
     after = _route_report(cfg, scored, "calibrated", params)
     return params, before, after, history

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "ScoredPopulation",
-    "AccuracyMatrix",
     "auc",
     "auc_pairwise",
     "auc_ranksum",
@@ -91,52 +90,16 @@ def til_accuracy(per_task_predictions: list, per_task_labels: list
     return accs, float(np.mean(accs))
 
 
-@dataclass
-class AccuracyMatrix:
-    """A[k][t]: accuracy (percent) of task k's test data after learning task t.
-
-    Entries exist only for t >= k; the diagonal A[k][k] is each task's
-    at-finish accuracy.
-    """
-
-    cells: dict = field(default_factory=dict)
-
-    def record(self, task: int, after: int, accuracy: float) -> None:
-        if after < task:
-            raise ValueError(f"A[{task}][{after}] undefined before task is learned")
-        if not 0.0 <= accuracy <= 100.0:
-            raise ValueError(f"accuracy {accuracy} outside [0, 100]")
-        self.cells[(task, after)] = float(accuracy)
-
-    def at(self, task: int, after: int) -> float:
-        return self.cells[(task, after)]
-
-    def initial(self, task: int) -> float:
-        return self.cells[(task, task)]
-
-    def to_lists(self) -> list[list[float | None]]:
-        t_max = max((a for _, a in self.cells), default=-1)
-        return [[self.cells.get((k, t)) for t in range(t_max + 1)]
-                for k in range(t_max + 1)]
-
-    @classmethod
-    def from_lists(cls, rows) -> "AccuracyMatrix":
-        m = cls()
-        for k, row in enumerate(rows):
-            for t, v in enumerate(row):
-                if v is not None:
-                    m.cells[(k, t)] = float(v)
-        return m
-
-
-def forgetting_rate(matrix: AccuracyMatrix, t: int) -> float:
+def forgetting_rate(matrix: list[list[float | None]], t: int) -> float:
     """Mean drop from at-finish accuracy over tasks learned before task t.
 
-    One-indexed task count as reported (t tasks learned means index t-1 here):
-    callers pass t as the number of tasks seen so far; negative values mean
-    backward transfer.
+    matrix[k][a] is task k's accuracy (percent) after learning task a, None
+    for a < k, so matrix[k][k] is task k's at-finish accuracy. One-indexed
+    task count as reported (t tasks learned means index t-1 here): callers
+    pass t as the number of tasks seen so far; negative values mean backward
+    transfer.
     """
     if t < 2:
         raise ValueError("forgetting needs at least one earlier task (t >= 2)")
-    drops = [matrix.initial(k) - matrix.at(k, t - 1) for k in range(t - 1)]
+    drops = [matrix[k][k] - matrix[k][t - 1] for k in range(t - 1)]
     return float(np.mean(drops))

@@ -92,13 +92,6 @@ class DenseNet:
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise NumericError("non-finite parameter", l)
 
-    def copy(self) -> "DenseNet":
-        return DenseNet(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            list(self.activations),
-        )
-
 
 @dataclass
 class GradTape:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import theory as th
 
-__all__ = ["SuiteResult", "SUITE_NAMES", "run_suite", "run_suites"]
+__all__ = ["SuiteResult", "SUITE_NAMES", "run_suite"]
 
 IDENTITY_TOL = 1e-9
 FLOOR = 1e-5
@@ -339,7 +339,3 @@ def run_suite(name: str, seed: int, trials: int) -> SuiteResult:
         result.failures.extend(dump(i) for i in keep)
     result.elapsed_s = time.perf_counter() - start
     return result
-
-
-def run_suites(names, seed: int, trials: int) -> list[SuiteResult]:
-    return [run_suite(n, seed, trials) for n in names]

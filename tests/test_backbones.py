@@ -332,7 +332,9 @@ class TestSupermasks:
         state.masks[0] = [m.copy() for m in state.masks[0]]
         assert state.trunk_for(net, 0)[0] is not first
         second = state.trunk_for(net, 0)[0]
-        net.trunk = net.trunk.copy()
+        net.trunk = nk.DenseNet([w.copy() for w in net.trunk.weights],
+                                [b.copy() for b in net.trunk.biases],
+                                net.trunk.activations)
         assert state.trunk_for(net, 0)[0] is not second
         # the task in training follows its live scores on every call
         state.start_task(net, 1, np.random.default_rng(0))

@@ -7,6 +7,7 @@ import pytest
 from clwb import cli
 from clwb import data as dt
 from clwb import experiment as ex
+from clwb import numkit as nk
 from clwb import verify
 from clwb.config import parse_config
 from conftest import digits_config_text
@@ -46,7 +47,7 @@ class TestVerifyCommand:
     def test_bad_trials_or_seed_is_usage_error(self, capsys, monkeypatch,
                                                flag, value, low):
         # exit 1 means a counterexample, so a bad flag exits 2, runs nothing
-        monkeypatch.setattr(verify, "run_suites", None)
+        monkeypatch.setattr(verify, "run_suite", None)
         with pytest.raises(SystemExit) as e:
             run_cli("verify", flag, value)
         assert e.value.code == 2
@@ -266,6 +267,83 @@ class TestTrainEvalPipeline:
                            str(tmp_path / "run" / "final.clwb")) == 2
             assert capsys.readouterr().err == message
         assert not list((tmp_path / "run").glob("report_*"))
+
+    @pytest.mark.parametrize("labels, per_task, drop", [
+        (3, 1, "7"), (5, 2, "4, 4"), (5, 2, "-1"), (5, 2, "9")])
+    def test_drop_classes_not_distinct_in_range_is_usage_error(
+            self, tmp_path, capsys, labels, per_task, drop):
+        # refused at parse time: a class outside the labels would leave 3
+        # tasks for 2, and a repeated or negative one a class count the
+        # tasks do not divide; dropping the top class keeps exactly 2 tasks
+        good = self.idx_config(tmp_path, "good", (12, 4, 4), (12, 4, 4), 12,
+                               (labels, labels))
+        good.write_text(good.read_text().replace(
+            "classes_per_task = 2", f"classes_per_task = {per_task}\n"
+                                    f"drop_classes = {labels - 1}"))
+        bad = tmp_path / "bad.ini"
+        bad.write_text(good.read_text().replace(
+            f"drop_classes = {labels - 1}", f"drop_classes = {drop}"))
+        drops = [int(c) for c in drop.split(",")]
+        message = (f"error: tasks.drop_classes must be distinct classes in "
+                   f"[0, {2 * per_task + len(drops)}) of tasks.count x "
+                   f"tasks.classes_per_task + len(tasks.drop_classes), "
+                   f"got {drops}\n")
+        assert run_cli("train", "--config", str(bad)) == 2
+        assert capsys.readouterr().err == message
+        assert not list((tmp_path / "run").glob("*.clwb"))
+        assert run_cli("train", "--config", str(good)) == 0
+        assert "trained 2 tasks" in capsys.readouterr().out
+        for command in ("eval", "calibrate"):
+            assert run_cli(command, "--config", str(bad), "--checkpoint",
+                           str(tmp_path / "run" / "final.clwb")) == 2
+            assert capsys.readouterr().err == message
+        assert not list((tmp_path / "run").glob("report_*"))
+
+    @pytest.mark.parametrize("part", ["train", "test"])
+    def test_idx_task_without_rows_is_usage_error(self, tmp_path, capsys,
+                                                  part):
+        # labels 0-1 in one file of a 2 x 2 config: task 1 has no rows
+        # there, refused before any training or scoring
+        classes = (2, 4) if part == "train" else (4, 2)
+        bad = self.idx_config(tmp_path, "bad", (12, 4, 4), (12, 4, 4), 12,
+                              classes)
+        message = f"error: data.{part}_labels has no rows of task 1\n"
+        assert run_cli("train", "--config", str(bad)) == 2
+        assert capsys.readouterr().err == message
+        assert not list((tmp_path / "run").glob("*.clwb"))
+        good = self.idx_config(tmp_path, "good", (12, 4, 4), (12, 4, 4), 12)
+        assert run_cli("train", "--config", str(good)) == 0
+        capsys.readouterr()
+        for command in ("eval", "calibrate"):
+            assert run_cli(command, "--config", str(bad), "--checkpoint",
+                           str(tmp_path / "run" / "final.clwb")) == 2
+            assert capsys.readouterr().err == message
+        assert not list((tmp_path / "run").glob("report_*"))
+
+    def test_odin_grid_fraction_that_empties_a_class_is_usage_error(
+            self, synth_config_text, tmp_path, capsys, monkeypatch):
+        # 40 rows a class keep no validation row at 0.01: refused before any
+        # forward, and only where the grid runs, so train and msp go ahead
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(synth_config_text(epochs=1, extra=(
+            "[ood]\nscorer = odin\nodin_grid = true\n"
+            "validation_fraction = 0.01\n")))
+        assert run_cli("train", "--config", str(cfg_path)) == 0
+        capsys.readouterr()
+        final = str(tmp_path / "run" / "final.clwb")
+        forwards = []
+        monkeypatch.setattr(nk, "forward", lambda *args: forwards.append(1))
+        for command in ("eval", "calibrate"):
+            assert run_cli(command, "--config", str(cfg_path),
+                           "--checkpoint", final) == 2
+            assert capsys.readouterr().err == (
+                "error: ood.validation_fraction: task 0: fraction 0.01 "
+                "empties class 0 stratum\n")
+        assert forwards == []
+        assert not list((tmp_path / "run").glob("report_*"))
+        monkeypatch.undo()
+        assert run_cli("eval", "--config", str(cfg_path), "--checkpoint",
+                       final, "--scorer", "msp") == 0
 
     @pytest.mark.parametrize("command", ["train", "eval", "calibrate"])
     def test_negative_seed_is_usage_error(self, synth_config_text, tmp_path,

@@ -209,7 +209,7 @@ class TestMemoryBuffer:
         buf = cp.MemoryBuffer.build(10, pools, rng)
         counts = np.bincount(buf.labels, minlength=4)
         assert max(counts) - min(counts) <= 1
-        assert len(buf) == 10 and buf.inputs.shape == (10, 2)
+        assert len(buf.labels) == 10 and buf.inputs.shape == (10, 2)
 
     def test_one_permutation_per_class_in_class_order(self):
         pools = {c: np.random.default_rng(c).normal(size=(5 + c, 3))
@@ -226,7 +226,7 @@ class TestMemoryBuffer:
         rng = np.random.default_rng(7)
         pools = {c: rng.normal(size=(3, 2)) for c in range(2)}
         buf = cp.MemoryBuffer.build(200, pools, rng)
-        assert len(buf) == 6  # pools exhausted before capacity
+        assert len(buf.labels) == 6  # pools exhausted before capacity
 
 
 class TestSingleTaskAgreement:

@@ -2,6 +2,7 @@
 ``experiment.eval_run``."""
 
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
@@ -772,8 +773,8 @@ def test_calibration_buffer_logits_match_single_rows(run, request,
         rotation = net.heads[k].kind == "rotation"
         assert rotation == (run == "rotation_run")
         single = np.concatenate([ol.class_logits(net, buffer.inputs[i:i + 1], k)
-                                 for i in range(len(buffer))])
-        assert rows.shape == single.shape == (len(buffer),
+                                 for i in range(len(buffer.labels))])
+        assert rows.shape == single.shape == (len(buffer.labels),
                                               net.heads[k].width
                                               // (4 if rotation else 1))
         np.testing.assert_allclose(rows, single, rtol=0, atol=1e-12)
@@ -931,3 +932,22 @@ def test_loss_phase_values_of_0_train_as_the_backbone_values(rotation_run,
         ex.train_run(cfg, out)
         got = [unpacked(out / name) for name in names]
         assert (got == want) == same
+
+
+def test_checkpoints_hold_the_trace_accuracy_matrix(trained):
+    # accuracy_matrix[j][a] is task j's TIL after task a, None for a < j:
+    # each checkpoint's is (k + 1) x (k + 1), the transpose of the trace's
+    # til_so_far lists, and the report's forgetting is read from it
+    text, final = trained
+    out = Path(final).parent
+    trace = json.loads((out / "trace.json").read_text())
+    til = [task["til_so_far"] for task in trace["tasks"]]
+    paths = [out / f"task{k + 1}.clwb" for k in range(len(til))]
+    for k, path in [*enumerate(paths), (len(til) - 1, final)]:
+        matrix = load_checkpoint(path)[1]["extra"]["accuracy_matrix"]
+        assert matrix == [[til[a][j] if a >= j else None
+                           for a in range(k + 1)] for j in range(k + 1)]
+    drops = [float(np.mean([matrix[j][j] - matrix[j][t - 1]
+                            for j in range(t - 1)]))
+             for t in range(2, len(til) + 1)]
+    assert ex.eval_run(parse_config(text), final).forgetting == drops

@@ -233,7 +233,8 @@ def test_sgd_step_formula_and_zero_grad():
 def test_sgd_two_steps_equal_summed_delta():
     rng = np.random.default_rng(7)
     net = small_net(rng)
-    twin = net.copy()
+    twin = nk.DenseNet([w.copy() for w in net.weights],
+                       [b.copy() for b in net.biases], net.activations)
     tape = nk.GradTape.for_net(net)
     for g in tape.d_weights:
         g += rng.normal(size=g.shape)
