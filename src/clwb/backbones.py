@@ -145,7 +145,7 @@ class HatState:
 
 def _masked_trunk(net: MaskedNet, masks: list[np.ndarray]) -> nk.DenseNet:
     return nk.DenseNet([w * m for w, m in zip(net.trunk.weights, masks)],
-                       net.trunk.biases, net.trunk.activations)
+                       net.trunk.biases)
 
 
 @dataclass
@@ -240,7 +240,7 @@ class Head:
 
 @dataclass
 class MaskedNet:
-    """Shared all-relu trunk, per-task heads, and one isolation state."""
+    """Shared ReLU trunk, per-task heads, and one isolation state."""
 
     trunk: nk.DenseNet
     heads: dict[int, Head]
@@ -262,8 +262,7 @@ def build_masked_net(input_dim: int, hidden: list[int], *, isolation: str,
     """Create an untrained net. hidden lists the trunk layer widths; s_max
     and lambdas serve hard attention, sparsity supermasks."""
     rng = np.random.default_rng([seed, 0])
-    trunk = nk.glorot_net([input_dim] + list(hidden),
-                          rng, activations=["relu"] * len(hidden))
+    trunk = nk.glorot_net([input_dim] + list(hidden), rng)
     if isolation == "hat":
         state: HatState | SupState = HatState(
             s_max=s_max,

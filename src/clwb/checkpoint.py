@@ -125,7 +125,7 @@ def save_checkpoint(path, net: bb.MaskedNet, extra: dict | None = None) -> None:
                 head_kinds={str(k): h.kind for k, h in sorted(net.heads.items())},
                 topology={str(k): h.classes
                           for k, h in sorted(net.heads.items())},
-                trunk_activations=list(net.trunk.activations),
+                trunk_activations=["relu"] * net.trunk.n_layers,
                 extra=extra or {})
     write_atomic(path, _pack(meta, arrays))
 
@@ -150,7 +150,11 @@ def load_checkpoint(path) -> tuple[bb.MaskedNet, dict]:
             weights.append(arrays[f"trunk_w{l}"].copy())
             biases.append(arrays[f"trunk_b{l}"].copy())
             l += 1
-        trunk = nk.DenseNet(weights, biases, list(meta["trunk_activations"]))
+        if meta["trunk_activations"] != ["relu"] * len(weights):
+            raise CheckpointFormatError(
+                f"trunk_activations {meta['trunk_activations']!r} for "
+                f"{len(weights)} trunk layers: every trunk layer is relu")
+        trunk = nk.DenseNet(weights, biases)
         heads = {}
         for key, kind in meta["head_kinds"].items():
             k = int(key)

@@ -44,10 +44,6 @@ class CalibrationParams:
         if not (np.isfinite(self.alpha).all() and np.isfinite(self.beta).all()):
             raise ValueError("calibration parameters must be finite")
 
-    @classmethod
-    def identity(cls, n_tasks: int) -> "CalibrationParams":
-        return cls(np.ones(n_tasks), np.zeros(n_tasks))
-
 
 @dataclass
 class MemoryBuffer:

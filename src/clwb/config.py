@@ -167,7 +167,6 @@ _RANGES = {
     ("ood", "validation_fraction"): (lambda v: 0 < v < 1, "in (0, 1)"),
     ("predict", "nu"): _POSITIVE,
     ("predict", "tau"): _POSITIVE,
-    ("calibrate", "buffer"): _COUNT,
     ("calibrate", "iters"): _NON_NEGATIVE,
     ("calibrate", "lr"): _POSITIVE,
     ("calibrate", "batch"): _COUNT,
@@ -259,6 +258,13 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"tasks.drop_classes must be distinct classes in "
                           f"[0, {n}) of tasks.count x tasks.classes_per_task "
                           f"+ len(tasks.drop_classes), got {t.drop_classes}")
+    # a smaller buffer leaves whole classes, and possibly tasks, out of the
+    # calibration fit: MemoryBuffer.build fills the low class ids first
+    if cfg.calibrate.buffer < t.count * t.classes_per_task:
+        raise ConfigError(f"calibrate.buffer must be >= tasks.count x "
+                          f"tasks.classes_per_task = "
+                          f"{t.count * t.classes_per_task}, got "
+                          f"{cfg.calibrate.buffer}")
     if cfg.data.source == "idx":
         import os
         for key in ("train_images", "train_labels", "test_images",

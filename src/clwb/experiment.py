@@ -294,8 +294,7 @@ def _route_args(cfg: ExperimentConfig, seq: dt.TaskSequence,
                 calibration: cp.CalibrationParams | None
                 ) -> tuple[list[str], cp.CalibrationParams | None]:
     """The effective routes and the calibration of their calibrated cells,
-    checked before any scoring; route calibrated without parameters gets
-    the identity."""
+    checked before any scoring; route calibrated needs parameters."""
     routes = [route or cfg.predict.route for route in routes]
     if not set(routes) <= set(ROUTES):
         raise ValueError(f"unknown route in {routes}")
@@ -305,7 +304,8 @@ def _route_args(cfg: ExperimentConfig, seq: dt.TaskSequence,
                               f"'calibrated', not "
                               f"{', '.join(map(repr, routes))}")
     elif calibration is None:
-        calibration = cp.CalibrationParams.identity(seq.n_tasks)
+        raise ConfigError("route 'calibrated' needs calibration parameters: "
+                          "pass --calibration")
     elif calibration.alpha.size != seq.n_tasks:
         raise ConfigError(f"calibration has {calibration.alpha.size} task "
                           f"entries for {seq.n_tasks} tasks")

@@ -2,15 +2,15 @@
 
 Float64 everywhere: the entropy bounds downstream are sensitive to log
 underflow, and training cost at desk scale is negligible. Weight matrices are
-row-major ``(fan_out, fan_in)`` arrays; a layer computes
-``act(W @ h + b)`` optionally followed by an element-wise mask ("hook") on the
-post-activation values. Hooks are how task-attention masks plug in; identity
-hooks give a plain MLP.
+row-major ``(fan_out, fan_in)`` arrays; every layer computes
+``relu(W @ h + b)``, and a net run with hooks multiplies each layer's output
+by its element-wise mask ("hook"). Hooks are how task-attention masks plug
+in: a forward takes one per layer or none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,15 +59,13 @@ def _as_f64(x) -> np.ndarray:
 
 @dataclass
 class DenseNet:
-    """A stack of dense layers: weights[l] is (out, in), biases[l] is (out,).
-
-    activations[l] is ``"relu"`` or ``"linear"``. Consecutive layer dimensions
-    must agree; ``validate`` enforces that plus finiteness.
+    """A stack of ReLU dense layers: weights[l] is (out, in), biases[l] is
+    (out,). Consecutive layer dimensions must agree; ``validate`` enforces
+    that plus finiteness.
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    activations: list[str]
 
     def __post_init__(self):
         self.validate()
@@ -77,9 +75,9 @@ class DenseNet:
         return len(self.weights)
 
     def validate(self) -> None:
-        if not (len(self.weights) == len(self.biases) == len(self.activations)):
-            raise ShapeError("weights/biases/activations length mismatch")
-        for l, (w, b, act) in enumerate(zip(self.weights, self.biases, self.activations)):
+        if len(self.weights) != len(self.biases):
+            raise ShapeError("weights/biases length mismatch")
+        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
                 raise ShapeError(f"layer {l}: weight {w.shape} vs bias {b.shape}")
             if l > 0 and w.shape[1] != self.weights[l - 1].shape[0]:
@@ -87,8 +85,6 @@ class DenseNet:
                     f"layer {l}: fan_in {w.shape[1]} != previous fan_out "
                     f"{self.weights[l - 1].shape[0]}"
                 )
-            if act not in ("relu", "linear"):
-                raise ValueError(f"unknown activation {act!r}")
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise NumericError("non-finite parameter", l)
 
@@ -97,57 +93,54 @@ class DenseNet:
 class GradTape:
     """Per-parameter gradient accumulators mirroring a DenseNet's shapes.
 
-    ``d_hooks[l]`` holds the gradient w.r.t. the layer-l hook vector when one
-    was supplied at forward time (None otherwise). Training takes a fresh tape
-    per step.
+    ``d_hooks[l]`` holds the gradient w.r.t. the layer-l hook vector of a
+    forward run with hooks; it is None after a forward without. Training
+    takes a fresh tape per step.
     """
 
     d_weights: list[np.ndarray]
     d_biases: list[np.ndarray]
-    d_hooks: list[np.ndarray | None] = field(default_factory=list)
+    d_hooks: list[np.ndarray] | None = None
 
     @classmethod
     def for_net(cls, net: DenseNet) -> "GradTape":
         return cls(
             [np.zeros_like(w) for w in net.weights],
             [np.zeros_like(b) for b in net.biases],
-            [None] * net.n_layers,
         )
 
 
 @dataclass
 class ForwardCache:
-    """Activations recorded by forward, consumed by backward. A relu
-    layer's gradient mask is post_raw > 0, the same mask as z_l > 0."""
+    """Activations recorded by forward, consumed by backward. A layer's
+    ReLU gradient mask is post_raw > 0, the same mask as z_l > 0."""
 
     x: np.ndarray
-    post_raw: list[np.ndarray]   # h_l = act(z_l = W h_{l-1} + b), before hook
-    post: list[np.ndarray]       # h'_l = hook * h_l (== h_l without hook)
-    hooks: list[np.ndarray | None]
+    post_raw: list[np.ndarray]   # h_l = relu(z_l = W h_{l-1} + b), before hook
+    post: list[np.ndarray]       # h'_l = hook * h_l (== h_l without hooks)
+    hooks: list[np.ndarray] | None
     batched: bool
 
 
-def glorot_net(sizes: list[int], rng: np.random.Generator,
-               activations: list[str]) -> DenseNet:
-    """Uniform +-sqrt(6/(fan_in+fan_out)) init, one activation per layer."""
+def glorot_net(sizes: list[int], rng: np.random.Generator) -> DenseNet:
+    """Uniform +-sqrt(6/(fan_in+fan_out)) init."""
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return DenseNet(weights, biases, activations)
+    return DenseNet(weights, biases)
 
 
-def _check_hooks(net: DenseNet, hooks) -> list[np.ndarray | None]:
+def _check_hooks(net: DenseNet, hooks) -> list[np.ndarray] | None:
+    """None, or one mask per layer of the layer's width; a None in the list
+    reads as a 0-d hook and fails the shape check."""
     if hooks is None:
-        return [None] * net.n_layers
+        return None
     if len(hooks) != net.n_layers:
         raise ShapeError(f"expected {net.n_layers} hooks, got {len(hooks)}")
     out = []
     for l, h in enumerate(hooks):
-        if h is None:
-            out.append(None)
-            continue
         h = _as_f64(h)
         if h.shape != (net.weights[l].shape[0],):
             raise ShapeError(f"hook {l}: shape {h.shape} vs layer width "
@@ -159,8 +152,8 @@ def _check_hooks(net: DenseNet, hooks) -> list[np.ndarray | None]:
 def forward(net: DenseNet, x, hooks=None) -> tuple[np.ndarray, ForwardCache]:
     """Run the network on a vector (d,) or a batch (n, d).
 
-    hooks: optional per-layer mask vectors in [0, 1], multiplied into the
-    post-activation values of their layer. Pure function of (net, x, hooks).
+    hooks: None, or one mask vector in [0, 1] per layer, multiplied into
+    the layer's ReLU output. Pure function of (net, x, hooks).
     """
     x = _as_f64(x)
     batched = x.ndim == 2
@@ -173,13 +166,12 @@ def forward(net: DenseNet, x, hooks=None) -> tuple[np.ndarray, ForwardCache]:
 
     h = x
     post_raw, post = [], []
-    for l, (w, b, act) in enumerate(zip(net.weights, net.biases, net.activations)):
+    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
         a = h @ w.T
         a += b
-        if act == "relu":
-            np.maximum(a, 0.0, out=a)
+        np.maximum(a, 0.0, out=a)
         post_raw.append(a)
-        h = a * hooks[l] if hooks[l] is not None else a
+        h = a if hooks is None else a * hooks[l]
         post.append(h)
     return h, ForwardCache(x, post_raw, post, hooks, batched)
 
@@ -199,24 +191,22 @@ def backward(net: DenseNet, tape: GradTape, cache: ForwardCache,
     """Fill tape with d(loss)/d(params); the input gradient is not formed.
 
     upstream is d(loss)/d(output), matching the forward output shape. Batched
-    inputs accumulate (sum) over the batch dimension. Hook gradients are
-    recorded in tape.d_hooks for layers that had hooks.
+    inputs accumulate (sum) over the batch dimension. A forward run with
+    hooks gets its hook gradients in tape.d_hooks, one per layer.
     """
     g = _upstream("backward", cache, upstream)
     if not cache.batched:
         g = g[None, :]
 
-    tape.d_hooks = [None] * net.n_layers
+    hooks, d_hooks = cache.hooks, []
     for l in range(net.n_layers - 1, -1, -1):
         a = cache.post_raw[l]
         if not cache.batched:
             a = a[None, :]
-        hook = cache.hooks[l]
-        if hook is not None:
-            tape.d_hooks[l] = (g * a).sum(axis=0)
-            g = g * hook
-        if net.activations[l] == "relu":
-            g = g * (a > 0.0)
+        if hooks is not None:
+            d_hooks.append((g * a).sum(axis=0))
+            g = g * hooks[l]
+        g = g * (a > 0.0)
         below = cache.post[l - 1] if l > 0 else cache.x
         if not cache.batched:
             below = below[None, :]
@@ -224,6 +214,7 @@ def backward(net: DenseNet, tape: GradTape, cache: ForwardCache,
         tape.d_biases[l] += g.sum(axis=0)
         if l > 0:
             g = g @ net.weights[l]
+    tape.d_hooks = None if hooks is None else d_hooks[::-1]
 
 
 def input_gradient(net: DenseNet, cache: ForwardCache,
@@ -231,18 +222,17 @@ def input_gradient(net: DenseNet, cache: ForwardCache,
     """d(loss)/d(input) of each row of a batched forward, (n, d).
 
     upstream is d(loss)/d(output), (n, out). Runs the chain rule of
-    ``backward`` through the hooks and activations only: no tape, and no
-    weight, bias or hook gradient.
+    ``backward`` through the hooks and ReLUs only: no tape, and no weight,
+    bias or hook gradient.
     """
     g = _upstream("input_gradient", cache, upstream)
     if not cache.batched:
         raise ShapeError(f"input gradient needs a row batch (n, "
                          f"{net.weights[0].shape[1]}), got a vector forward")
     for l in range(net.n_layers - 1, -1, -1):
-        if cache.hooks[l] is not None:
+        if cache.hooks is not None:
             g = g * cache.hooks[l]
-        if net.activations[l] == "relu":
-            g = g * (cache.post_raw[l] > 0.0)
+        g = g * (cache.post_raw[l] > 0.0)
         g = g @ net.weights[l]
     return g
 

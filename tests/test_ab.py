@@ -1,0 +1,95 @@
+"""The verdicts of scripts/ab.py on synthetic timings."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "ab", Path(__file__).resolve().parents[1] / "scripts" / "ab.py")
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
+
+# ten parent runs of median 1.75 and interquartile range 0.035
+PARENT = [1.70, 1.72, 1.73, 1.74, 1.75, 1.75, 1.76, 1.77, 1.78, 1.80]
+
+
+def scaled(values, factor):
+    return [v * factor for v in values]
+
+
+@pytest.mark.parametrize("change, control, want", [
+    # about -20% in every pair, the size of a real sampler speed-up
+    (scaled(PARENT, 0.8), (), "faster"),
+    # the same gain in 8 of 10 pairs is short of nine tenths
+    (scaled(PARENT[:8], 0.8) + PARENT[8:], (), "no change"),
+    # a median gain inside the parent's interquartile range
+    (scaled(PARENT, 0.99), (), "no change"),
+    # a gain the control's twin runs also show is placement, not code
+    (scaled(PARENT, 0.9), scaled(PARENT[:2], 0.88), "no change"),
+    # worse by more than the 20% bound
+    (scaled(PARENT, 1.25), (), "slower"),
+    # worse, but inside the bound
+    (scaled(PARENT, 1.1), (), "no change"),
+])
+def test_verdict_lower_is_better(change, control, want):
+    assert ab.verdict(PARENT, change, "lower", 0.2, control)["verdict"] == want
+
+
+def test_verdict_counts_wins_and_medians():
+    change = scaled(PARENT, 0.8)
+    change[3] = 2.0  # one pair the parent wins
+    got = ab.verdict(PARENT, change, "lower", 0.2)
+    assert got["wins"] == 9 and got["pairs"] == 10
+    assert got["verdict"] == "faster"
+    assert got["parent"]["median"] == pytest.approx(1.75)
+    assert got["parent"]["q3"] - got["parent"]["q1"] == pytest.approx(0.035)
+    assert got["change_rel"] < 0
+
+
+def test_fewer_than_ten_pairs_never_read_faster():
+    got = ab.verdict(PARENT[:9], scaled(PARENT[:9], 0.5), "lower", 0.2)
+    assert got["verdict"] == "no change"
+
+
+def test_more_failed_ops_never_read_faster():
+    got = ab.verdict(PARENT, scaled(PARENT, 0.8), "lower", 0.2,
+                     more_failures=True)
+    assert got["verdict"] == "no change"
+
+
+def test_spread_wider_than_the_bound_is_unresolved():
+    wide = [1.0, 1.0, 1.0, 1.5, 1.6, 1.7, 2.2, 2.3, 2.4, 2.5]
+    assert ab.verdict(wide, wide[::-1], "lower", 0.2)["verdict"] == \
+        "unresolved"
+    # unless every change run is better than every parent run
+    assert ab.verdict(wide[:5], scaled(wide[:5], 0.5), "lower",
+                      0.2)["verdict"] == "no change"
+
+
+def test_control_gap_wider_than_the_bound_is_unresolved():
+    got = ab.verdict(PARENT, PARENT, "lower", 0.2, scaled(PARENT[:2], 1.3))
+    assert got["control_rel"] > 0.2 and got["verdict"] == "unresolved"
+
+
+def test_higher_is_better_metrics_turn_the_sign():
+    assert ab.verdict(PARENT, scaled(PARENT, 1.25), "higher",
+                      0.2)["verdict"] == "faster"
+    assert ab.verdict(PARENT, scaled(PARENT, 0.75), "higher",
+                      0.2)["verdict"] == "slower"
+
+
+def test_bytes_verdict_names_the_first_differing_op():
+    parent = ["train aa ok", "eval:msp bb ok", "calibrate cc ok"]
+    assert ab.bytes_verdict(parent, list(parent)) == "bytes equal"
+    assert ab.bytes_verdict(parent, ["train aa ok", "eval:msp bd ok",
+                                     "calibrate cd ok"]) == \
+        "first differing op: eval:msp"
+    assert ab.bytes_verdict(parent, parent[:2]) == \
+        "first differing op: calibrate"
+
+
+def test_order_alternates_and_keeps_controls_next_to_the_parent():
+    assert [ab.order(i, 2) for i in range(4)] == [
+        ["parent", "control", "change"], ["change", "control", "parent"],
+        ["parent", "change"], ["change", "parent"]]

@@ -98,7 +98,7 @@ def test_c03_gradient_checks():
 
         def loss(params):
             w, b, e = params
-            trunk = nk.DenseNet([w], [b], ["relu"])
+            trunk = nk.DenseNet([w], [b])
             a = bb.hat_attention(e, s)
             feats, cache = nk.forward(trunk, x, [a])
             ce, dlogits = nk.softmax_ce(feats @ head_w.T, y)

@@ -324,7 +324,7 @@ class TestSupermasks:
         assert len(validated) == 1  # built and validated on first use
         fresh = nk.DenseNet([w * m for w, m in zip(net.trunk.weights,
                                                     state.masks[0])],
-                            net.trunk.biases, net.trunk.activations)
+                            net.trunk.biases)
         for a, b in zip(first.weights + first.biases,
                         fresh.weights + fresh.biases):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -333,8 +333,7 @@ class TestSupermasks:
         assert state.trunk_for(net, 0)[0] is not first
         second = state.trunk_for(net, 0)[0]
         net.trunk = nk.DenseNet([w.copy() for w in net.trunk.weights],
-                                [b.copy() for b in net.trunk.biases],
-                                net.trunk.activations)
+                                [b.copy() for b in net.trunk.biases])
         assert state.trunk_for(net, 0)[0] is not second
         # the task in training follows its live scores on every call
         state.start_task(net, 1, np.random.default_rng(0))
@@ -344,8 +343,8 @@ class TestSupermasks:
         net = make_sup(dim=3, hidden=(2,))
         x = np.array([1.0, -2.0, 0.5])
         upstream = np.array([0.3, -0.7])
-        eff = nk.DenseNet([net.trunk.weights[0].copy()],
-                          [net.trunk.biases[0]], ["linear"])
+        # biases above |W x| keep both units open: the relu passes through
+        eff = nk.DenseNet([net.trunk.weights[0].copy()], [np.full(2, 10.0)])
         tape = nk.GradTape.for_net(eff)
         _, cache = nk.forward(eff, x)
         nk.backward(eff, tape, cache, upstream)
@@ -487,7 +486,7 @@ class TestHatLossGradCheck:
 
             def loss(params):
                 w, b, e = params
-                trunk = nk.DenseNet([w], [b], ["relu"])
+                trunk = nk.DenseNet([w], [b])
                 a = bb.hat_attention(e, s)
                 feats, cache = nk.forward(trunk, x, [a])
                 logits = feats @ head_w.T

@@ -115,8 +115,9 @@ def _with_meta(blob: bytes, mutate) -> bytes:
     lambda m: m.pop("s_max"),
     lambda m: m.update(hat_tasks=[0, 3]),
     lambda m: m["head_kinds"].update({"0": "weird"}),
+    lambda m: m.update(trunk_activations=["linear"]),
 ], ids=["unknown-kind", "wrong-kind", "missing-s_max", "task-without-arrays",
-        "unknown-head-kind"])
+        "unknown-head-kind", "linear-trunk-layer"])
 def test_malformed_meta_is_a_format_error(tmp_path, mutate):
     net = trained_net(kind="hat", tasks=1)
     path = tmp_path / "model.clwb"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from clwb import cli
+from clwb import composer as cp
 from clwb import data as dt
 from clwb import experiment as ex
 from clwb import numkit as nk
@@ -534,6 +535,47 @@ class TestCalibrateCommand:
         assert err.startswith("error: ") and "'calibrated'" in err
         assert not list((tmp_path / "run").glob("report_*.json"))
 
+    def test_buffer_below_the_class_count_stops_train(self, synth_config_text,
+                                                      tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(synth_config_text(extra="[calibrate]\nbuffer = 1\n"))
+        assert run_cli("train", "--config", str(cfg_path)) == 2
+        assert capsys.readouterr().err == (
+            "error: calibrate.buffer must be >= tasks.count x "
+            "tasks.classes_per_task = 6, got 1\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_buffer_below_the_class_count_stops_calibrate(
+            self, synth_config_text, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(synth_config_text(epochs=2))
+        run_cli("train", "--config", str(cfg_path))
+        written = sorted((tmp_path / "run").iterdir())
+        capsys.readouterr()
+        cfg_path.write_text(synth_config_text(
+            epochs=2, extra="[calibrate]\nbuffer = 5\n"))
+        assert run_cli("calibrate", "--config", str(cfg_path), "--checkpoint",
+                       str(tmp_path / "run" / "final.clwb")) == 2
+        assert capsys.readouterr().err == (
+            "error: calibrate.buffer must be >= tasks.count x "
+            "tasks.classes_per_task = 6, got 5\n")
+        assert sorted((tmp_path / "run").iterdir()) == written
+
+    def test_calibrated_route_without_parameters_is_usage_error(
+            self, synth_config_text, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(synth_config_text(epochs=2))
+        run_cli("train", "--config", str(cfg_path))
+        written = sorted((tmp_path / "run").iterdir())
+        capsys.readouterr()
+        assert run_cli("eval", "--config", str(cfg_path), "--checkpoint",
+                       str(tmp_path / "run" / "final.clwb"),
+                       "--route", "calibrated") == 2
+        assert capsys.readouterr().err == (
+            "error: route 'calibrated' needs calibration parameters: "
+            "pass --calibration\n")
+        assert sorted((tmp_path / "run").iterdir()) == written
+
 
 class TestReportCommand:
     def test_merge_reports(self, synth_config_text, tmp_path, capsys):
@@ -570,8 +612,11 @@ class TestReportInvariants:
     def test_entropy_identity_in_report(self, synth_config_text, tmp_path):
         cfg = parse_config(synth_config_text())
         art = ex.train_run(cfg, tmp_path / "run")
+        identity = cp.CalibrationParams(np.ones(3), np.zeros(3))
         for route in ("concat-argmax", "compose", "calibrated"):
-            rep = ex.eval_run(cfg, art["final"], route=route)
+            rep = ex.eval_run(cfg, art["final"], route=route,
+                              calibration=identity
+                              if route == "calibrated" else None)
             assert abs(rep.h_cil_mean -
                        (rep.h_wp_mean + rep.h_tp_mean)) < 1e-6
 
@@ -625,7 +670,8 @@ class TestRouteMatrix:
         cfg = parse_config(synth_config_text(
             extra=f"[predict]\nroute = {route}\ntp = {tp}\n"))
         art = ex.train_run(cfg, tmp_path / "run")
-        rep = ex.eval_run(cfg, art["final"])
+        rep = ex.eval_run(cfg, art["final"], calibration=cp.CalibrationParams(
+            np.ones(3), np.zeros(3)) if route == "calibrated" else None)
         assert rep.route == route
         assert 0.0 <= rep.cil <= 100.0
         assert all(0.0 <= a <= 1.0 for a in rep.auc_per_task)

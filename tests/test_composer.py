@@ -120,9 +120,9 @@ class TestComposeFull:
 class TestCalibratedLogits:
     def test_identity(self):
         logits = [np.array([1.0, 2.0]), np.array([-1.0, 0.5])]
-        np.testing.assert_array_equal(
-            cp.calibrated_logits(logits, cp.CalibrationParams.identity(2)),
-            [1.0, 2.0, -1.0, 0.5])
+        identity = cp.CalibrationParams(np.ones(2), np.zeros(2))
+        np.testing.assert_array_equal(cp.calibrated_logits(logits, identity),
+                                      [1.0, 2.0, -1.0, 0.5])
 
     def test_beta_dominance(self):
         rng = np.random.default_rng(3)
@@ -136,7 +136,8 @@ class TestCalibratedLogits:
         rng = np.random.default_rng(4)
         for _ in range(50):
             logits = [rng.uniform(0.1, 5, size=3) for _ in range(2)]
-            base = cp.calibrated_logits(logits, cp.CalibrationParams.identity(2))
+            base = cp.calibrated_logits(
+                logits, cp.CalibrationParams(np.ones(2), np.zeros(2)))
             doubled = cp.calibrated_logits(
                 logits, cp.CalibrationParams([1.0, 2.0], [0.0, 0.0]))
             # positive logits: doubling alpha_2 strictly raises task 2's max
@@ -147,7 +148,7 @@ class TestCalibratedLogits:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             cp.calibrated_logits([np.zeros(2)],
-                                 cp.CalibrationParams.identity(2))
+                                 cp.CalibrationParams(np.ones(2), np.zeros(2)))
 
 
 def skewed_buffer(scale=10.0, n_per_class=20, seed=5):
@@ -239,7 +240,7 @@ class TestSingleTaskAgreement:
             wp = [cp.wp_temperature(logits[0], 0.1)]
             _, b = cp.compose_full(wp, [1.0], topo)
             c = int(np.argmax(cp.calibrated_logits(
-                logits, cp.CalibrationParams.identity(1))))
+                logits, cp.CalibrationParams(np.ones(1), np.zeros(1)))))
             assert a == b == c
 
 

@@ -151,7 +151,8 @@ def test_synthetic_source_rejects_the_rotation_ensemble():
     ("ood", "validation_fraction", "1", "0.999"),
     ("predict", "nu", "0", "1e-9"),
     ("predict", "tau", "-1", "1e-9"),
-    ("calibrate", "buffer", "0", "1"),
+    # one buffer sample per class: tasks.count x tasks.classes_per_task
+    ("calibrate", "buffer", "3", "4"),
     ("calibrate", "iters", "-1", "0"),
     ("calibrate", "lr", "0", "1e-9"),
     ("calibrate", "batch", "0", "1"),

@@ -467,6 +467,10 @@ def test_every_grid_cell_is_its_one_cell_eval_run(run, request):
         assert rep.to_json() == want.to_json()
 
 
+# calibration parameters that leave every task's logits as they are
+IDENTITY = cp.CalibrationParams(np.ones(3), np.zeros(3))
+
+
 def test_a_plain_head_grid_runs_one_test_forward_per_task(trained,
                                                           monkeypatch):
     # msp, maxlogit and odin read one forward per task at the test rows;
@@ -482,7 +486,8 @@ def test_a_plain_head_grid_runs_one_test_forward_per_task(trained,
         return real(net, x, task, *args)
 
     monkeypatch.setattr(bb, "task_features", spy)
-    ex.eval_grid(cfg, final, scorers=PLAIN_SCORERS, routes=list(ex.ROUTES))
+    ex.eval_grid(cfg, final, scorers=PLAIN_SCORERS, routes=list(ex.ROUTES),
+                 calibration=IDENTITY)
     assert sorted(rows) == [(k, at_test) for k in range(3)
                             for at_test in (False, True)]
 
@@ -498,13 +503,13 @@ def test_one_odin_choice_per_grid(hat_odin_run, monkeypatch):
 
     monkeypatch.setattr(ex, "_scorer_params", spy)
     reports = ex.eval_grid(cfg, final, scorers=["odin", "msp"],
-                           routes=list(ex.ROUTES))
+                           routes=list(ex.ROUTES), calibration=IDENTITY)
     assert len(calls) == 1
     odin = reports[0].odin_params
     assert len({tuple(p.values()) for p in odin.values()}) > 1
     assert [rep.odin_params for rep in reports] == [odin] * 3 + [{}] * 3
     ex.eval_grid(cfg, final, scorers=["msp", "maxlogit"],
-                 routes=list(ex.ROUTES))
+                 routes=list(ex.ROUTES), calibration=IDENTITY)
     assert len(calls) == 1
 
 
@@ -515,8 +520,10 @@ def test_one_odin_choice_per_grid(hat_odin_run, monkeypatch):
      "apply only to route 'calibrated', not 'concat-argmax', 'compose'$"),
     (["msp", "odin"], ["compose", "calibrated"], [1.0] * 2,
      "^calibration has 2 task entries for 3 tasks$"),
+    (["msp"], ["concat-argmax", "calibrated"], None,
+     "^route 'calibrated' needs calibration parameters: pass --calibration$"),
 ], ids=["rotation-ensemble-on-plain-heads", "no-calibrated-route",
-        "calibration-of-2-tasks"])
+        "calibration-of-2-tasks", "calibrated-without-parameters"])
 def test_a_bad_grid_is_refused_before_any_forward(
         trained, monkeypatch, scorers, routes, calibration, message):
     text, final = trained

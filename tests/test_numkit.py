@@ -6,9 +6,7 @@ from clwb import numkit as nk
 
 
 def small_net(rng, sizes=(3, 4, 2)):
-    """Hidden layers relu, the last linear."""
-    return nk.glorot_net(list(sizes), rng,
-                         ["relu"] * (len(sizes) - 2) + ["linear"])
+    return nk.glorot_net(list(sizes), rng)
 
 
 def straight_line_forward(net, x, hooks=None):
@@ -17,14 +15,15 @@ def straight_line_forward(net, x, hooks=None):
     for l in range(net.n_layers):
         z = np.array([float(net.weights[l][i] @ h) + net.biases[l][i]
                       for i in range(net.weights[l].shape[0])])
-        h = np.where(z > 0, z, 0.0) if net.activations[l] == "relu" else z
-        if hooks is not None and hooks[l] is not None:
+        h = np.where(z > 0, z, 0.0)
+        if hooks is not None:
             h = h * hooks[l]
     return h
 
 
 def test_forward_identity_weights():
-    net = nk.DenseNet([np.eye(2)], [np.zeros(2)], ["linear"])
+    # nonnegative inputs: the relu passes them as they are
+    net = nk.DenseNet([np.eye(2)], [np.zeros(2)])
     out, _ = nk.forward(net, [1.0, 2.0])
     np.testing.assert_array_equal(out, [1.0, 2.0])
 
@@ -33,10 +32,10 @@ def test_forward_zero_hook_annihilates_layer():
     rng = np.random.default_rng(0)
     net = small_net(rng, (3, 5, 5, 2))
     x = rng.normal(size=3)
-    hooks = [np.zeros(5), None, None]
+    hooks = [np.zeros(5), np.ones(5), np.ones(2)]
     out, _ = nk.forward(net, x, hooks)
     # zeroing layer 0 equals forwarding a zero hidden state through the rest
-    tail = nk.DenseNet(net.weights[1:], net.biases[1:], net.activations[1:])
+    tail = nk.DenseNet(net.weights[1:], net.biases[1:])
     expect, _ = nk.forward(tail, np.zeros(5))
     np.testing.assert_array_equal(out, expect)
 
@@ -46,7 +45,7 @@ def test_forward_matches_straight_line_recomputation():
     for _ in range(20):
         net = small_net(rng, (4, 6, 3))
         x = rng.normal(size=4)
-        hooks = [rng.uniform(size=6), None]
+        hooks = [rng.uniform(size=6), rng.uniform(size=3)]
         out, _ = nk.forward(net, x, hooks)
         np.testing.assert_allclose(out, straight_line_forward(net, x, hooks),
                                    rtol=1e-12, atol=0)
@@ -57,7 +56,7 @@ def test_forward_pure_and_hook_of_ones_is_identity():
     net = small_net(rng)
     x = rng.normal(size=3)
     a, _ = nk.forward(net, x)
-    b, _ = nk.forward(net, x, [np.ones(4), None])
+    b, _ = nk.forward(net, x, [np.ones(4), np.ones(2)])
     c, _ = nk.forward(net, x)
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(a, c)
@@ -69,12 +68,16 @@ def test_forward_shape_errors():
     with pytest.raises(nk.ShapeError):
         nk.forward(net, np.zeros(5))
     with pytest.raises(nk.ShapeError):
-        nk.forward(net, np.zeros(3), [np.ones(3), None])
+        nk.forward(net, np.zeros(3), [np.ones(3), np.ones(2)])
+    # hooks are one per layer or none: a None in the list names its layer
+    with pytest.raises(nk.ShapeError, match="^hook 1: "):
+        nk.forward(net, np.zeros(3), [np.ones(4), None])
 
 
 def test_input_gradient_linear_is_weight_row():
+    # both pre-activations are positive, so the relu passes the gradient
     W = np.array([[1.0, -2.0, 0.5], [3.0, 0.0, 1.0]])
-    net = nk.DenseNet([W], [np.zeros(2)], ["linear"])
+    net = nk.DenseNet([W], [np.zeros(2)])
     _, cache = nk.forward(net, [[0.3, -0.1, 2.0]])
     xg = nk.input_gradient(net, cache, [[1.0, 0.0]])  # loss = f(x)[0]
     np.testing.assert_array_equal(xg[0], W[0])
@@ -98,16 +101,15 @@ def _backward_with_input_gradient(net, tape, cache, upstream):
     Its relu mask is z > 0 of the pre-activation z, recomputed from the
     layer's input, as the forward cache once held it."""
     g = np.asarray(upstream, dtype=np.float64)
-    tape.d_hooks = [None] * net.n_layers
+    hooks = cache.hooks
+    tape.d_hooks = None if hooks is None else [None] * net.n_layers
     for l in range(net.n_layers - 1, -1, -1):
         a = cache.post_raw[l]
-        hook = cache.hooks[l]
-        if hook is not None:
+        if hooks is not None:
             tape.d_hooks[l] = (g * a).sum(axis=0)
-            g = g * hook
+            g = g * hooks[l]
         below = cache.post[l - 1] if l > 0 else cache.x
-        if net.activations[l] == "relu":
-            g = g * (below @ net.weights[l].T + net.biases[l] > 0.0)
+        g = g * (below @ net.weights[l].T + net.biases[l] > 0.0)
         tape.d_weights[l] += g.T @ below
         tape.d_biases[l] += g.sum(axis=0)
         g = g @ net.weights[l]
@@ -116,33 +118,25 @@ def _backward_with_input_gradient(net, tape, cache, upstream):
 
 def _random_tape(net, rng):
     return nk.GradTape([rng.normal(size=w.shape) for w in net.weights],
-                       [rng.normal(size=b.shape) for b in net.biases],
-                       [None] * net.n_layers)
+                       [rng.normal(size=b.shape) for b in net.biases])
 
 
 def _copy_tape(tape):
     return nk.GradTape([g.copy() for g in tape.d_weights],
-                       [g.copy() for g in tape.d_biases],
-                       list(tape.d_hooks))
+                       [g.copy() for g in tape.d_biases])
 
 
-@pytest.mark.parametrize("hooked", ["none", "hidden", "every"])
-@pytest.mark.parametrize("activation", ["relu-then-linear", "relu"])
-def test_split_gradients_have_the_bits_of_the_old_backward(hooked, activation):
-    rng = np.random.default_rng([11, len(hooked), len(activation)])
+@pytest.mark.parametrize("hooked", ["none", "every"])
+def test_split_gradients_have_the_bits_of_the_old_backward(hooked):
+    rng = np.random.default_rng([11, len(hooked)])
     for trial in range(10):
         sizes = [int(k) for k in rng.integers(1, 9, size=rng.integers(2, 5))]
-        acts = ["relu"] * (len(sizes) - 1)
-        if activation == "relu-then-linear":
-            acts[-1] = "linear"
-        net = nk.glorot_net(sizes, rng, acts)
+        net = nk.glorot_net(sizes, rng)
         n_layers = net.n_layers
         # HAT gates: sigmoid outputs in (0, 1), some saturated to 0 or 1
         gates = [np.clip(rng.uniform(-0.2, 1.2, size=w.shape[0]), 0.0, 1.0)
                  for w in net.weights]
-        hooks = {"none": None,
-                 "hidden": gates[:-1] + [None],
-                 "every": gates}[hooked]
+        hooks = {"none": None, "every": gates}[hooked]
         x = rng.normal(size=(int(rng.integers(1, 7)), sizes[0]))
         x[0] = 0.0  # zero biases: pre-activations exactly 0, a closed relu
         out, cache = nk.forward(net, x, hooks)
@@ -157,12 +151,11 @@ def test_split_gradients_have_the_bits_of_the_old_backward(hooked, activation):
 
         assert got_x.shape == x.shape
         assert got_x.tobytes() == want_x.tobytes()
+        assert (tape.d_hooks is None) == (want_tape.d_hooks is None)
         for l in range(n_layers):
             assert tape.d_weights[l].tobytes() == want_tape.d_weights[l].tobytes()
             assert tape.d_biases[l].tobytes() == want_tape.d_biases[l].tobytes()
-            if want_tape.d_hooks[l] is None:
-                assert tape.d_hooks[l] is None
-            else:
+            if want_tape.d_hooks is not None:
                 assert tape.d_hooks[l].tobytes() == \
                     want_tape.d_hooks[l].tobytes()
 
@@ -171,7 +164,8 @@ def test_input_gradient_against_central_differences():
     rng = np.random.default_rng(12)
     for _ in range(5):
         net = small_net(rng, (4, 6, 5, 3))
-        hooks = [rng.uniform(0.2, 0.8, size=6), None, rng.uniform(size=3)]
+        hooks = [rng.uniform(0.2, 0.8, size=6), rng.uniform(0.2, 0.8, size=5),
+                 rng.uniform(size=3)]
         upstream = rng.normal(size=(3, 3))
 
         def loss(params):
@@ -221,7 +215,7 @@ def test_backward_requires_cache():
 
 
 def test_sgd_step_formula_and_zero_grad():
-    net = nk.DenseNet([np.array([[1.0]])], [np.zeros(1)], ["linear"])
+    net = nk.DenseNet([np.array([[1.0]])], [np.zeros(1)])
     tape = nk.GradTape.for_net(net)
     tape.d_weights[0][0, 0] = 0.5
     nk.sgd_step(net, tape, 0.1)
@@ -234,7 +228,7 @@ def test_sgd_two_steps_equal_summed_delta():
     rng = np.random.default_rng(7)
     net = small_net(rng)
     twin = nk.DenseNet([w.copy() for w in net.weights],
-                       [b.copy() for b in net.biases], net.activations)
+                       [b.copy() for b in net.biases])
     tape = nk.GradTape.for_net(net)
     for g in tape.d_weights:
         g += rng.normal(size=g.shape)
@@ -283,7 +277,7 @@ def test_grad_check_through_full_net():
     net = small_net(rng, (3, 5, 4))
     x = rng.normal(size=(1, 3))
     target = [2]
-    hooks = [rng.uniform(0.2, 0.8, size=5), None]
+    hooks = [rng.uniform(0.2, 0.8, size=5), rng.uniform(0.2, 0.8, size=4)]
 
     def loss(params):
         net.weights = params[:2]

@@ -25,9 +25,10 @@ def trained_toy_net(seed=0, kind="hat", dim=4, hidden=(8,), epochs=15):
 
 
 def linear_hat_net(W, head_scale=400.0):
-    """Identity-ish net: linear trunk, wide-open attention, head weight W."""
+    """Identity-ish net: a ReLU trunk that passes nonnegative inputs as they
+    are, wide-open attention, head weight W."""
     d = W.shape[1]
-    trunk = nk.DenseNet([np.eye(d)], [np.zeros(d)], ["linear"])
+    trunk = nk.DenseNet([np.eye(d)], [np.zeros(d)])
     state = bb.HatState(s_max=head_scale, lambdas=[1.0],
                         accumulated=[np.zeros(d)])
     state.embeddings[0] = [np.full(d, 1.0)]  # sigmoid(400) == 1
@@ -73,7 +74,7 @@ class TestOdin:
         rng = np.random.default_rng(2)
         W = rng.normal(size=(2, 3))
         net = linear_hat_net(W)
-        x = rng.normal(size=3)
+        x = np.abs(rng.normal(size=3))
         logits = W @ x
         yhat = int(logits.argmax())
         p = nk.softmax(logits)

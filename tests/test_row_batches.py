@@ -39,8 +39,7 @@ ONE = th.EntropyReport(None, np.float64(0.1), np.float64(0.1),
                        np.float64(0.2))
 
 def _input_gradient_of_a_vector():
-    net = nk.glorot_net([4, 3, 2], np.random.default_rng(0),
-                        ["relu", "linear"])
+    net = nk.glorot_net([4, 3, 2], np.random.default_rng(0))
     _, cache = nk.forward(net, VECTOR)
     return nk.input_gradient(net, cache, np.ones(2))
 
