@@ -21,10 +21,14 @@ parent run, and the gap between those twins is the noise floor.
 
 Per end-to-end metric the result holds each side's runs, median and
 quartiles, the change's win count and one verdict (``verdict`` below):
-"faster", "slower", "no change" or "unresolved". It goes to standard
-output and to ``.perfbench_out/AB_<workload>-s<seed>-<parent>-<tree>.json``,
-named by the parent's commit and the change's tree. The worktrees are
-removed on exit, also on an error or a SIGTERM.
+"faster", "slower", "no change" or "unresolved". Next to ``pass_ref`` it
+holds, for each side and run, the raw median pass time ``pass_s`` and the
+median reference kernel time ``reference_s`` from that run's BENCH file.
+``pass_ref`` is each pass over the kernel gauged next to it, so these two
+tell whether the pass or the gauge moved. It all goes to standard output
+and to ``.perfbench_out/AB_<workload>-s<seed>-<parent>-<tree>.json``, named
+by the parent's commit and the change's tree. The worktrees are removed on
+exit, also on an error or a SIGTERM.
 
 Exits 0 when every run completes, 1 when a run or a digest pass fails, 2 on
 bad arguments.
@@ -120,6 +124,16 @@ def bytes_verdict(parent_lines: list[str], change_lines: list[str]) -> str:
     return "bytes equal"
 
 
+def raw_medians(checkout: Path, workload: str, seed: int) -> dict:
+    """The median raw pass time and reference kernel time of the last
+    ``--trace 0`` run of workload at seed in checkout, from its BENCH
+    file."""
+    bench = json.loads((checkout / ".perfbench_out" /
+                        f"BENCH_{workload}-s{seed}-t0.json").read_text())
+    return {key: statistics.median(bench[key])
+            for key in ("pass_s", "reference_s")}
+
+
 def order(pair: int, control: int) -> list[str]:
     """Sides in pair order: the first side alternates, and a control run
     sits next to its pair's parent run."""
@@ -208,6 +222,7 @@ def ab(args, base: Path) -> dict:
              for side in ("parent", "change")}
 
     runs = {side: [] for side in SIDES}
+    raw = {side: [] for side in SIDES}
     orders = [order(i, args.control) for i in range(args.pairs)]
     for i, sides in enumerate(orders):
         for side in sides:
@@ -216,8 +231,11 @@ def ab(args, base: Path) -> dict:
                 str(args.seed), "--seconds", str(spec["run_seconds"]),
                 "--trace", "0", cwd=paths[side])[-1])
             runs[side].append(result)
-            values = " ".join(f"{k}={m['value']:.6g}"
-                              for k, m in result["metrics"].items())
+            raw[side].append(raw_medians(paths[side], args.workload,
+                                         args.seed))
+            values = " ".join(
+                [f"{k}={m['value']:.6g}" for k, m in result["metrics"].items()]
+                + [f"{k}={v:.6g}" for k, v in raw[side][-1].items()])
             print(f"pair {i + 1}/{args.pairs} {side}: {values}",
                   file=sys.stderr, flush=True)
 
@@ -240,7 +258,10 @@ def ab(args, base: Path) -> dict:
             "parent": {"rev": args.parent, "commit": parent},
             "change": change, "order": orders,
             "bytes": bytes_verdict(lines["parent"], lines["change"]),
-            "digests": lines, "failed_ops": failed, "metrics": metrics}
+            "digests": lines, "failed_ops": failed, "metrics": metrics,
+            "raw": {side: {key: summary([r[key] for r in rs])
+                           for key in ("pass_s", "reference_s")}
+                    for side, rs in raw.items() if rs}}
 
 
 def report(result: dict) -> str:
@@ -257,6 +278,11 @@ def report(result: dict) -> str:
             f"({m['change_rel']:+.1%}, wins {m['wins']}/{m['pairs']}, "
             f"control gap {m['control_rel']:.1%}, bound {m['bound']:.0%}): "
             f"{m['verdict']}")
+        if name == "pass_ref":
+            rows.append("    median " + "; ".join(
+                f"{side} pass_s {r['pass_s']['median']:.4g} s, reference_s "
+                f"{r['reference_s']['median']:.4g} s"
+                for side, r in result["raw"].items()))
     return "\n".join(rows)
 
 

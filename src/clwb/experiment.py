@@ -68,10 +68,16 @@ def build_tasks(cfg: ExperimentConfig) -> dt.TaskSequence:
         train, test = (dt._remap(s, keep) for s in (train, test))
     seq = dt.split_tasks(train, test, t.classes_per_task,
                          shuffle_seed=cfg.seed if t.shuffle_classes else None)
+    labels = [c for c in range(n_classes) if c not in t.drop_classes]
     for k, pair in enumerate(seq.tasks):
         for key, subset in zip(("train_labels", "test_labels"), pair):
             if not len(subset):
                 raise ConfigError(f"data.{key} has no rows of task {k}")
+        rows = np.bincount(pair[0].labels, minlength=seq.topology.sizes[k])
+        if not rows.all():  # a class no training row teaches
+            c = labels[seq.class_map[k][int(np.argmin(rows))]]
+            raise ConfigError(f"data.train_labels has no rows of class {c} "
+                              f"of task {k}")
     return seq
 
 

@@ -116,14 +116,13 @@ def _distribution_rows(p, name: str, topo: TaskTopology | None = None
         raise ValueError(f"{name} must be a nonempty vector or row batch")
     if (p < 0).any() or not np.isfinite(p).all():
         raise ValueError(f"{name} has negative or non-finite entries")
-    slices = [slice(None)] if topo is None else \
-        [topo.task_slice(k) for k in range(topo.n_tasks)]
-    for s in slices:
-        total = p[..., s].sum(axis=-1)
-        bad = np.flatnonzero(np.abs(total - 1.0) > 1e-9)
-        if bad.size:
-            raise ValueError(f"{name} row {bad[0]} sums to "
-                             f"{total.flat[bad[0]]!r}, not 1")
+    total = _slice_masses(p, topo or TaskTopology((p.shape[-1],)))
+    bad = np.abs(total - 1.0) > 1e-9
+    if bad.any():  # the first bad row of the first slice that has one
+        k = np.flatnonzero(bad.reshape(-1, bad.shape[-1]).any(axis=0))[0]
+        row = np.flatnonzero(bad[..., k])[0]
+        raise ValueError(f"{name} row {row} sums to "
+                         f"{total[..., k].flat[row]!r}, not 1")
     return p
 
 
@@ -194,9 +193,19 @@ def _truth(topo: TaskTopology, k0, j0, shape: tuple[int, ...]):
 
 
 def _slice_masses(p: np.ndarray, topo: TaskTopology) -> np.ndarray:
-    """(..., K) probability mass of each task slice of p's rows."""
-    return np.stack([p[..., topo.task_slice(k)].sum(axis=-1)
-                     for k in range(topo.n_tasks)], axis=-1)
+    """(..., K) probability mass of each task slice of p's rows, with the
+    bits of ``p[..., topo.task_slice(k)].sum(axis=-1)``: numpy adds fewer
+    than 8 entries to +0.0 from left to right, as the column adds over
+    equal slices do without a reduction per slice, and 8 or more pairwise."""
+    width = topo.sizes[0]
+    if width >= 8 or len(set(topo.sizes)) > 1:
+        return np.stack([p[..., topo.task_slice(k)].sum(axis=-1)
+                         for k in range(topo.n_tasks)], axis=-1)
+    q = p.reshape(p.shape[:-1] + (topo.n_tasks, width))
+    total = q[..., 0] + 0.0  # -0.0 becomes +0.0, as in numpy's sum
+    for j in range(1, width):
+        total += q[..., j]
+    return total
 
 
 def _report_rows(report) -> list[np.ndarray]:
@@ -312,8 +321,8 @@ def entropy_report(probs, log_probs, topo: TaskTopology, k0, j0, *,
         p_cil = cil[rows, flat]
         predictions = cil.argmax(axis=1)
     lp = np.asarray(log_probs, dtype=np.float64)
-    if lp.shape != p.shape or not (lp < np.inf).all() \
-            or (lp.max(axis=1) == -np.inf).any():
+    # a row max is finite unless the row holds a NaN or +inf or is all -inf
+    if lp.shape != p.shape or not np.isfinite(lp.max(axis=1)).all():
         raise ValueError("log_probs must match probs, with no NaN, no +inf "
                          "and no all -inf row")
     h_wp, h_tp, h_cil = (-np.log(np.maximum(x, LOG_CLAMP))

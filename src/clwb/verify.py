@@ -66,20 +66,24 @@ def _instance_batch(rng: np.random.Generator, n: int):
 
     Returns (n_tasks (n,), sizes (n, 6), wp (n, 6, 5), tp (n, 6), k0, j0).
     Instance i is topology sizes[i, :n_tasks[i]] with wp[i, k, :sizes[i, k]]
-    and tp[i, :n_tasks[i]]; one gamma row at one sharpness covers all of its
-    distributions (gamma ratios are Dirichlet). The padding holds zero
-    probability: classes past a task's width in wp, tasks past n_tasks in
-    tp. Padded tasks keep a distribution in wp so every row is a valid
-    ``th.entropy_report`` input, and the truth entries, hence every
-    cross-entropy, are the unpadded ones.
+    and tp[i, :n_tasks[i]]; one sharpness covers all of its distributions
+    (gamma ratios are Dirichlet), with a gamma for each of those entries
+    only. The padding holds zero probability: classes past a task's width
+    in wp, tasks past n_tasks in tp. A padded task's WP row is uniform over
+    its sizes[i, k] classes, so every row is a valid ``th.entropy_report``
+    input, and the truth entries, hence every cross-entropy, are the
+    unpadded ones.
     """
     n_tasks, sizes = _topologies(rng, n)
     alpha = np.asarray(_ALPHAS)[rng.integers(3, size=n)]
-    g = rng.standard_gamma(alpha[:, None], size=(n, _TASKS * (_WIDTH + 1)))
-    wp = _normalize_rows(g[:, :_TASKS * _WIDTH].reshape(n, _TASKS, _WIDTH),
-                         np.arange(_WIDTH) < sizes[:, :, None])
-    tp = _normalize_rows(g[:, _TASKS * _WIDTH:],
-                         np.arange(_TASKS) < n_tasks[:, None])
+    classes = np.arange(_WIDTH) < sizes[:, :, None]
+    tasks = np.arange(_TASKS) < n_tasks[:, None]
+    g = _gammas(rng, alpha, np.concatenate(
+        [(classes & tasks[:, :, None]).reshape(n, -1), tasks], axis=1))
+    wp = g[:, :_TASKS * _WIDTH].reshape(n, _TASKS, _WIDTH)
+    wp += classes & ~tasks[:, :, None]  # ones: a padded task is uniform
+    wp = _normalize_rows(wp, classes)
+    tp = _normalize_rows(g[:, _TASKS * _WIDTH:], tasks)
     k0 = rng.integers(n_tasks)
     j0 = rng.integers(sizes[np.arange(n), k0])
     return n_tasks, sizes, wp, tp, k0, j0
@@ -116,8 +120,16 @@ def _floored_rows(rng: np.random.Generator, valid: np.ndarray) -> np.ndarray:
     """One floored Dirichlet draw per row of ``valid`` (n, m) over its valid
     entries, each row at one sharpness from ``_ALPHAS``."""
     alpha = np.asarray(_ALPHAS)[rng.integers(3, size=len(valid))]
-    g = rng.standard_gamma(alpha[:, None], size=valid.shape)
-    return _normalize_rows(g, valid)
+    return _normalize_rows(_gammas(rng, alpha, valid), valid)
+
+
+def _gammas(rng: np.random.Generator, alpha: np.ndarray,
+            used: np.ndarray) -> np.ndarray:
+    """Zeros of ``used``'s (n, m) shape with a gamma draw at each used
+    entry, in row-major order, row i at shape alpha[i]."""
+    g = np.zeros(used.shape)
+    g[used] = rng.standard_gamma(np.repeat(alpha, used.sum(axis=1)))
+    return g
 
 
 def _normalize_rows(g: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -126,27 +138,16 @@ def _normalize_rows(g: np.ndarray, valid: np.ndarray) -> np.ndarray:
     others come out zero. Finite p >= 0 masks as p * True == p and
     p * False == +0.0."""
     p = g * valid
-    total = _row_sums(p)
+    one = th.TaskTopology((p.shape[-1],))  # the whole row is one slice
+    total = th._slice_masses(p, one)
     p /= np.where(total == 0, 1.0, total)
     zero = total[..., 0] == 0  # every valid entry is 0: the uniform fallback
     if zero.any():
         p[zero] = 1.0 / valid[zero].sum(axis=-1, keepdims=True)
     np.maximum(p, FLOOR, out=p)
     p *= valid
-    p /= _row_sums(p)
+    p /= th._slice_masses(p, one)
     return p
-
-
-def _row_sums(p: np.ndarray) -> np.ndarray:
-    """``p.sum(axis=-1, keepdims=True)`` with its bits: numpy adds fewer
-    than 8 entries from left to right, as the column adds here do without
-    the per-row reduction overhead, and 8 or more pairwise."""
-    if p.shape[-1] >= 8:
-        return p.sum(axis=-1, keepdims=True)
-    total = p[..., :1].copy()
-    for j in range(1, p.shape[-1]):
-        total += p[..., j:j + 1]
-    return total
 
 
 def _plain(v):

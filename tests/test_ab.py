@@ -1,6 +1,7 @@
 """The verdicts of scripts/ab.py on synthetic timings."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -93,3 +94,44 @@ def test_order_alternates_and_keeps_controls_next_to_the_parent():
     assert [ab.order(i, 2) for i in range(4)] == [
         ["parent", "control", "change"], ["change", "control", "parent"],
         ["parent", "change"], ["change", "parent"]]
+
+
+def _bench(checkout, pass_s, reference_s, workload="verify-suites", seed=3):
+    out = checkout / ".perfbench_out"
+    out.mkdir(parents=True, exist_ok=True)
+    (out / f"BENCH_{workload}-s{seed}-t0.json").write_text(json.dumps(
+        {"workload": workload, "seed": seed, "trace": 0, "pass_s": pass_s,
+         "reference_s": reference_s, "metrics": {}}))
+
+
+def test_raw_medians_read_the_runs_bench_file(tmp_path):
+    # pass_ref is about the same on both sides; the gauge, not the pass,
+    # is what moved
+    _bench(tmp_path / "p", [0.066, 0.061, 0.069, 0.064], [0.040, 0.038, 0.05])
+    _bench(tmp_path / "c", [0.065, 0.061, 0.068], [0.055, 0.063, 0.058, 0.06])
+    _bench(tmp_path / "c", [1.0], [1.0], seed=4)  # another seed's file
+    assert ab.raw_medians(tmp_path / "p", "verify-suites", 3) == {
+        "pass_s": pytest.approx(0.065), "reference_s": 0.040}
+    assert ab.raw_medians(tmp_path / "c", "verify-suites", 3) == {
+        "pass_s": 0.065, "reference_s": pytest.approx(0.059)}
+
+
+def test_report_prints_each_sides_raw_medians_by_pass_ref():
+    metrics = {name: {"bound": 0.2, **ab.verdict(PARENT, PARENT, "lower",
+                                                 0.2)}
+               for name in ("pass_ref", "setup_s")}
+    raw = {"parent": {"pass_s": ab.summary([0.0645, 0.0611]),
+                      "reference_s": ab.summary([0.044])},
+           "change": {"pass_s": ab.summary([0.0611]),
+                      "reference_s": ab.summary([0.0593])}}
+    result = {"workload": "verify-suites", "seed": 1,
+              "parent": {"commit": "a" * 40},
+              "change": {"rev": "working tree", "commit": "b" * 40},
+              "pairs": 10, "control_pairs": 0, "bytes": "bytes equal",
+              "metrics": metrics, "raw": raw}
+    lines = ab.report(result).splitlines()
+    assert lines[1].startswith("  pass_ref")
+    assert lines[2] == ("    median parent pass_s 0.0628 s, reference_s "
+                        "0.044 s; change pass_s 0.0611 s, reference_s "
+                        "0.0593 s")
+    assert lines[3].startswith("  setup_s")

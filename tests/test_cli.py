@@ -321,6 +321,39 @@ class TestTrainEvalPipeline:
             assert capsys.readouterr().err == message
         assert not list((tmp_path / "run").glob("report_*"))
 
+    def test_idx_class_without_training_rows_is_usage_error(self, tmp_path,
+                                                            capsys):
+        # train labels 0-2 in a 2 x 2 config: task 1 has rows, but none of
+        # class 3, refused before any training or scoring
+        bad = self.idx_config(tmp_path, "bad", (12, 4, 4), (12, 4, 4), 12,
+                              (3, 4))
+        message = "error: data.train_labels has no rows of class 3 of task 1\n"
+        assert run_cli("train", "--config", str(bad)) == 2
+        assert capsys.readouterr().err == message
+        assert not list((tmp_path / "run").glob("*.clwb"))
+        good = self.idx_config(tmp_path, "good", (12, 4, 4), (12, 4, 4), 12)
+        assert run_cli("train", "--config", str(good)) == 0
+        capsys.readouterr()
+        for command in ("eval", "calibrate"):
+            assert run_cli(command, "--config", str(bad), "--checkpoint",
+                           str(tmp_path / "run" / "final.clwb")) == 2
+            assert capsys.readouterr().err == message
+        assert not list((tmp_path / "run").glob("report_*"))
+        assert not (tmp_path / "run" / "calibration.json").exists()
+
+    def test_idx_class_without_training_rows_names_its_label_before_drops(
+            self, tmp_path, capsys):
+        # labels 0-4 with class 2 dropped and class 4 absent from training:
+        # the error names label 4, not its renumbered id 3
+        cfg = self.idx_config(tmp_path, "drop", (12, 4, 4), (12, 4, 4), 12,
+                              (4, 5))
+        cfg.write_text(cfg.read_text().replace(
+            "classes_per_task = 2", "classes_per_task = 2\ndrop_classes = 2"))
+        assert run_cli("train", "--config", str(cfg)) == 2
+        assert capsys.readouterr().err == \
+            "error: data.train_labels has no rows of class 4 of task 1\n"
+        assert not list((tmp_path / "run").glob("*.clwb"))
+
     def test_odin_grid_fraction_that_empties_a_class_is_usage_error(
             self, synth_config_text, tmp_path, capsys, monkeypatch):
         # 40 rows a class keep no validation row at 0.01: refused before any

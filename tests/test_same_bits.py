@@ -7,7 +7,7 @@ boolean-mask sigmoid, and the calibration fit that formed both gradients at
 every full-buffer evaluation. The live code must give the same bytes. The
 same holds for verify's instance sampler, against its normalizer as it was
 before it skipped numpy's `where=` divide, `np.where` masks and row
-reductions.
+reductions, and for theory's task-slice sums, against one `.sum` per slice.
 """
 
 import numpy as np
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from clwb import backbones as bb
 from clwb import composer as cp
 from clwb import numkit as nk
+from clwb import theory as th
 from clwb import verify
 from conftest import net_args
 
@@ -151,6 +152,28 @@ def _old_normalize_rows(g, valid):
     p = np.divide(g, total, out=uniform.copy(), where=total > 0)
     p = np.where(valid, np.maximum(p, verify.FLOOR), 0.0)
     return p / p.sum(axis=-1, keepdims=True)
+
+
+def _old_slice_masses(p, topo):
+    return np.stack([p[..., topo.task_slice(k)].sum(axis=-1)
+                     for k in range(topo.n_tasks)], axis=-1)
+
+
+def _old_distribution_rows(p, name, topo=None):
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim == 0 or p.shape[-1] == 0:
+        raise ValueError(f"{name} must be a nonempty vector or row batch")
+    if (p < 0).any() or not np.isfinite(p).all():
+        raise ValueError(f"{name} has negative or non-finite entries")
+    slices = [slice(None)] if topo is None else \
+        [topo.task_slice(k) for k in range(topo.n_tasks)]
+    for s in slices:
+        total = p[..., s].sum(axis=-1)
+        bad = np.flatnonzero(np.abs(total - 1.0) > 1e-9)
+        if bad.size:
+            raise ValueError(f"{name} row {bad[0]} sums to "
+                             f"{total.flat[bad[0]]!r}, not 1")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -354,3 +377,76 @@ def test_every_suite_draws_and_dumps_the_same_instances(
     want = verify.run_suite(name, 5, 3000)
     assert got.n_failed == want.n_failed
     assert got.failures == want.failures
+
+
+# ---------------------------------------------------------------------------
+# theory: the task-slice sums
+# ---------------------------------------------------------------------------
+
+SLICE_SPECIAL = (0.0, -0.0, np.nan, np.inf, -np.inf, 1e300, -1e300)
+
+
+def _topology(rng, width, tasks, ragged):
+    """tasks slices of width entries, or of 1..width with one of width."""
+    if not ragged:
+        return th.TaskTopology.uniform(tasks, width)
+    sizes = rng.integers(1, width + 1, size=tasks)
+    sizes[rng.integers(tasks)] = width
+    return th.TaskTopology(tuple(int(s) for s in sizes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 12),
+       tasks=st.integers(1, 5), ragged=st.booleans(),
+       lead=st.sampled_from([(), (1,), (9,), (3, 4)]),
+       n_special=st.integers(0, 6), strided=st.booleans())
+def test_slice_masses_have_the_per_slice_sum_bits(
+        seed, width, tasks, ragged, lead, n_special, strided):
+    """Equal slices of 1-7 entries sum by column adds; 8 or more entries,
+    and ragged slices, by one reduction per slice. Where two NaNs meet, the
+    sum's NaN may carry either one's sign and payload, since numpy's loops
+    do not fix which operand comes first; every other bit must match."""
+    rng = np.random.default_rng(seed)
+    topo = _topology(rng, width, tasks, ragged)
+    m = topo.n_classes
+    p = rng.standard_gamma(0.3, size=lead + (m + 3 * strided,)) \
+        * 10.0 ** rng.integers(-30, 30, size=lead + (m + 3 * strided,))
+    flat = p.reshape(-1)
+    flat[rng.integers(flat.size, size=n_special)] = \
+        rng.choice(SLICE_SPECIAL, size=n_special)
+    p = p[..., :m]  # a strided slice, like a row block
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = th._slice_masses(p, topo), _old_slice_masses(p, topo)
+    assert _same(np.isnan(got), np.isnan(want))
+    assert _same(np.where(np.isnan(got), np.nan, got),
+                 np.where(np.isnan(want), np.nan, want))
+
+
+def _outcome(check, p, topo):
+    try:
+        return "ok", check(p, "wp", topo).tobytes()
+    except ValueError as e:
+        return "error", str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 12),
+       tasks=st.integers(1, 4), ragged=st.booleans(),
+       lead=st.sampled_from([(), (1,), (6,)]),
+       n_bad=st.integers(0, 3), whole_rows=st.booleans())
+def test_distribution_rows_refuse_the_same_rows_with_the_same_message(
+        seed, width, tasks, ragged, lead, n_bad, whole_rows):
+    rng = np.random.default_rng(seed)
+    topo = _topology(rng, width, tasks, ragged)
+    slices = [rng.dirichlet(np.ones(s), size=lead) for s in topo.sizes]
+    p = np.concatenate(slices, axis=-1)
+    flat = p.reshape(-1, p.shape[-1])
+    for _ in range(n_bad):
+        row, col = rng.integers(len(flat)), rng.integers(p.shape[-1])
+        flat[row, col] = rng.choice(SLICE_SPECIAL + (-1e-3, 1e-8, 0.5))
+    with np.errstate(all="ignore"):
+        # with topo=None a whole row is one distribution
+        whole = p / p.sum(axis=-1, keepdims=True) if whole_rows else p
+        for rows, t in ((p, topo), (whole, None)):
+            assert _outcome(th._distribution_rows, rows, t) == \
+                _outcome(_old_distribution_rows, rows, t)

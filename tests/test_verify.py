@@ -80,6 +80,9 @@ def test_batched_instances_decompose_as_entropy_report():
         drawn += parts
         assert not tp[i, topo.n_tasks:].any()
         assert not any(wp[i, k, s:].any() for k, s in enumerate(sizes[i]))
+        for k in range(topo.n_tasks, 6):  # a padded task: uniform
+            row = wp[i, k, :sizes[i, k]]
+            assert (row == row[0]).all() and abs(row.sum() - 1.0) < 1e-15
         r = oracles.entropy_report(
             oracles.GroundTruth(int(k0[i]), int(j0[i])), topo, wp=parts[:-1],
             tp=parts[-1])
@@ -237,3 +240,119 @@ def test_corollary1_batches_bound_instances(monkeypatch):
     groups = verify._SUITES["corollary1"](np.random.default_rng(0), 50)
     assert sum(len(ok) for ok, _ in groups) == 50
     assert max(drawn) <= 20 and sum(drawn) > 50
+
+
+# ---------------------------------------------------------------------------
+# The samplers as they drew a gamma for every padded entry too
+# ---------------------------------------------------------------------------
+
+def _old_floored_rows(rng, valid):
+    alpha = np.asarray(verify._ALPHAS)[rng.integers(3, size=len(valid))]
+    g = rng.standard_gamma(alpha[:, None], size=valid.shape)
+    return verify._normalize_rows(g, valid)
+
+
+def _old_instance_batch(rng, n):
+    n_tasks, sizes = verify._topologies(rng, n)
+    alpha = np.asarray(verify._ALPHAS)[rng.integers(3, size=n)]
+    g = rng.standard_gamma(alpha[:, None], size=(n, 36))
+    wp = verify._normalize_rows(g[:, :30].reshape(n, 6, 5),
+                                np.arange(5) < sizes[:, :, None])
+    tp = verify._normalize_rows(g[:, 30:], np.arange(6) < n_tasks[:, None])
+    k0 = rng.integers(n_tasks)
+    j0 = rng.integers(sizes[np.arange(n), k0])
+    return n_tasks, sizes, wp, tp, k0, j0
+
+
+def _old_cil_batch(rng, n):
+    n_tasks, sizes = verify._topologies(rng, n)
+    valid = ((np.arange(5) < sizes[:, :, None])
+             & (np.arange(6)[:, None] < n_tasks[:, None, None]))
+    cil = _old_floored_rows(rng, valid.reshape(n, -1)).reshape(valid.shape)
+    k0 = rng.integers(n_tasks)
+    j0 = rng.integers(sizes[np.arange(n), k0])
+    return n_tasks, sizes, cil, k0, j0
+
+
+def _old_task_batch(rng, n):
+    n_tasks = rng.integers(1, 7, size=n)
+    valid = np.arange(6) < n_tasks[:, None]
+    k0 = rng.integers(n_tasks)
+    tp = _old_floored_rows(rng, valid)
+    q = np.where(valid, rng.uniform(size=valid.shape), 0.0)
+    rows = np.arange(n)
+    q[rows, k0] = np.maximum(q[rows, k0], verify.FLOOR)
+    return n_tasks, k0, tp, q
+
+
+def _instance_stats(batch, n):
+    """Cells (n_tasks, sizes[k0]) and the truth WP entry, h_wp, h_tp and
+    h_cil of n instances of a ``_instance_batch``-like sampler."""
+    n_tasks, sizes, wp, tp, k0, j0 = batch
+    flat = wp.reshape(n, -1)
+    with np.errstate(divide="ignore"):
+        d = th.entropy_report(flat, np.log(flat), verify._PAD, k0, j0, tp=tp)
+    rows = np.arange(n)
+    cells = n_tasks * 10 + sizes[rows, k0]
+    return cells, [wp[rows, k0, j0], d.h_wp, d.h_tp, d.h_cil]
+
+
+def _cil_stats(batch, n):
+    n_tasks, sizes, cil, k0, j0 = batch
+    flat = cil.reshape(n, -1)
+    with np.errstate(divide="ignore"):
+        d = th.entropy_report(flat, np.log(flat), verify._PAD, k0, j0)
+    rows = np.arange(n)
+    cells = n_tasks * 10 + sizes[rows, k0]
+    truth_wp = cil[rows, k0, j0] / cil[rows, k0].sum(axis=1)
+    return cells, [truth_wp, d.h_wp, d.h_tp, d.h_cil]
+
+
+def _task_stats(batch, n):
+    n_tasks, k0, tp, q = batch
+    rows = np.arange(n)
+    return n_tasks, [tp[rows, k0], th.cross_entropy(k0, tp), q[rows, k0]]
+
+
+@pytest.mark.parametrize("old, new, stats", [
+    (_old_instance_batch, "_instance_batch", _instance_stats),
+    (_old_cil_batch, "_cil_batch", _cil_stats),
+    (_old_task_batch, "_task_batch", _task_stats),
+], ids=["instance", "cil", "task"])
+def test_samplers_keep_the_distribution_of_what_a_verdict_reads(old, new,
+                                                                stats):
+    """One gamma per used entry changes which instances a seed gives, not
+    their distribution: per cell, every mean agrees within 5 standard
+    errors of the difference."""
+    n = 24_000
+    cells_a, a = stats(old(np.random.default_rng(101), n), n)
+    cells_b, b = stats(getattr(verify, new)(np.random.default_rng(202), n), n)
+    assert set(cells_a) == set(cells_b)
+    for cell in set(cells_a):
+        in_a, in_b = cells_a == cell, cells_b == cell
+        for x, y in zip(a, b):
+            x, y = x[in_a], y[in_b]
+            se = np.sqrt(x.var(ddof=1) / x.size + y.var(ddof=1) / y.size)
+            assert abs(x.mean() - y.mean()) <= 5 * se, (new, cell)
+
+
+@pytest.mark.parametrize("name", verify.SUITE_NAMES)
+def test_padded_tasks_reach_no_verdict_or_dump(name, monkeypatch,
+                                               negate_suite):
+    """Every trial dumped: a padded task's WP row, uniform as drawn or all
+    mass on its last class, changes no verdict and no dump."""
+    negate_suite(name)
+    monkeypatch.setattr(verify, "MAX_FAILURES_KEPT", 3000)
+    want = verify.run_suite(name, 5, 2000)
+    draw = verify._instance_batch
+
+    def last_class(rng, n):
+        n_tasks, sizes, wp, tp, k0, j0 = draw(rng, n)
+        padded = np.arange(6) >= n_tasks[:, None]
+        wp[padded] = np.eye(5)[sizes[padded] - 1]
+        return n_tasks, sizes, wp, tp, k0, j0
+
+    monkeypatch.setattr(verify, "_instance_batch", last_class)
+    got = verify.run_suite(name, 5, 2000)
+    assert got.n_failed == want.n_failed == 2000
+    assert got.failures == want.failures
