@@ -14,12 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit as nk
+from . import oodlab as ol
 from . import theory as th
 
 __all__ = [
     "CalibrationParams",
     "MemoryBuffer",
     "predict_concat_argmax",
+    "tp_from_profile",
     "tp_sigmoid_maxlogit",
     "wp_temperature",
     "tp_maxsoftmax_temperature",
@@ -83,15 +85,21 @@ def predict_concat_argmax(per_task_logits: list) -> int:
         [np.asarray(v, dtype=np.float64) for v in per_task_logits])))
 
 
-def tp_sigmoid_maxlogit(per_task_logits: list) -> np.ndarray:
-    """Task distributions (n, K) from detectors sigmoid(max f_k), normalized
-    per row of the (n, c_k) per-task logits."""
-    if not per_task_logits:
-        raise ValueError("no task logits")
-    top = np.stack([np.max(np.asarray(v, dtype=np.float64), axis=-1)
-                    for v in per_task_logits], axis=-1)
-    profile = 1.0 / (1.0 + np.exp(-top))
-    return th.tp_from_ood(profile)
+def tp_from_profile(profile) -> tuple[np.ndarray, int]:
+    """The TP rule of every construction: (n, K) task distributions of
+    detector profiles clipped to [0, 1], with a uniform TP for each all-zero
+    row in place of an undefined normalization, and the count of such rows."""
+    q = np.clip(np.asarray(profile, dtype=np.float64), 0.0, 1.0)
+    zero = ~q.any(axis=-1)
+    q[zero] = 1.0
+    return th.tp_from_ood(q), int(zero.sum())
+
+
+def tp_sigmoid_maxlogit(per_task_logits: list) -> tuple[np.ndarray, int]:
+    """``tp_from_profile`` of the detectors sigmoid(max f_k) of the (n, c_k)
+    per-task logits."""
+    return tp_from_profile(np.stack([ol.maxlogit_score(v)
+                                     for v in per_task_logits], axis=1))
 
 
 def wp_temperature(logits, nu: float) -> np.ndarray:
@@ -102,16 +110,14 @@ def wp_temperature(logits, nu: float) -> np.ndarray:
 
 
 def tp_maxsoftmax_temperature(per_task_logits: list,
-                              tau: float) -> np.ndarray:
-    """Task distributions (n, K) from detectors max_j softmax(f_k / tau)_j
-    of the (n, c_k) per-task logits."""
-    if not per_task_logits:
-        raise ValueError("no task logits")
+                              tau: float) -> tuple[np.ndarray, int]:
+    """``tp_from_profile`` of the detectors max_j softmax(f_k / tau)_j of
+    the (n, c_k) per-task logits."""
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    profile = np.stack([nk.softmax(np.asarray(v) / tau).max(axis=-1)
-                        for v in per_task_logits], axis=-1)
-    return th.tp_from_ood(profile)
+    return tp_from_profile(np.stack(
+        [nk.softmax(np.asarray(v) / tau).max(axis=-1)
+         for v in per_task_logits], axis=-1))
 
 
 def compose_full(wp: list, tp, topo: th.TaskTopology

@@ -154,16 +154,13 @@ def _scorer_params(cfg: ExperimentConfig, net: bb.MaskedNet,
     """Per-task ODIN settings: fixed from config, or grid-searched by
     validation AUC, each candidate scored once over the pooled held-out
     slices of all tasks' training data and judged by ``_task_auc``; the
-    first candidate of highest AUC wins."""
+    first candidate of highest AUC wins (on one task, every candidate
+    scores 0.5)."""
     if not cfg.ood.odin_grid:
         p = ol.OdinParams(cfg.ood.odin_tau, cfg.ood.odin_eps)
         return {k: p for k in range(seq.n_tasks)}
     cands = [ol.OdinParams(tau, eps)
              for tau in ol.ODIN_TAU_GRID for eps in ol.ODIN_EPS_GRID]
-    if seq.n_tasks == 1:
-        # no other task's rows to tell apart: every candidate would score a
-        # validation AUC of 0.5, and the first one keeps the tie
-        return {0: cands[0]}
     held_out = []
     for k, (train, _) in enumerate(seq.tasks):
         try:
@@ -365,7 +362,7 @@ def _score_loaded(cfg: ExperimentConfig, net: bb.MaskedNet, meta: dict,
         logits = ol.ensemble_logits(net, images, k, raw) \
             if net.heads[k].kind == "rotation" else raw
         score = {"msp": lambda: ol.msp_score(raw),
-                 "maxlogit": lambda: 1.0 / (1.0 + np.exp(-raw.max(axis=1))),
+                 "maxlogit": lambda: ol.maxlogit_score(raw),
                  "odin": lambda: ol.odin_score(net, rows, k, odin[k]),
                  "rotation-ensemble": lambda: ol.msp_score(logits)}
         return (logits, *(score[scorer]() for scorer in scorers))
@@ -437,19 +434,15 @@ def _route_report(cfg: ExperimentConfig, s: _Scored, route: str,
 
 
 def _tp_for(cfg, per_task_logits, per_task_scores) -> tuple[np.ndarray, int]:
-    """(n, K) task distribution of the configured construction, plus the
-    number of rows whose clipped scores were all zero: those rows get a
-    uniform TP instead of an undefined normalization."""
+    """(n, K) task distribution of the configured construction, plus its
+    count of uniform-TP fallback rows (``cp.tp_from_profile``)."""
     kind = cfg.predict.tp
     if kind == "sigmoid-maxlogit":
-        return cp.tp_sigmoid_maxlogit(per_task_logits), 0
+        return cp.tp_sigmoid_maxlogit(per_task_logits)
     if kind == "maxsoftmax-temp":
-        return cp.tp_maxsoftmax_temperature(per_task_logits, cfg.predict.tau), 0
+        return cp.tp_maxsoftmax_temperature(per_task_logits, cfg.predict.tau)
     if kind == "scorer":
-        profile = np.clip(np.stack(per_task_scores, axis=1), 0.0, 1.0)
-        zero = ~profile.any(axis=1)
-        profile[zero] = 1.0
-        return th.tp_from_ood(profile), int(zero.sum())
+        return cp.tp_from_profile(np.stack(per_task_scores, axis=1))
     raise ValueError(f"unknown tp construction {kind!r}")
 
 

@@ -115,11 +115,13 @@ class ForwardCache:
     """Activations recorded by forward, consumed by backward. A layer's
     ReLU gradient mask is post_raw > 0, the same mask as z_l > 0."""
 
-    x: np.ndarray
+    x: np.ndarray                # (n, d) input rows
     post_raw: list[np.ndarray]   # h_l = relu(z_l = W h_{l-1} + b), before hook
     post: list[np.ndarray]       # h'_l = hook * h_l (== h_l without hooks)
     hooks: list[np.ndarray] | None
-    batched: bool
+    # every forward is a row batch; a constant that perfbench/tracer.py's
+    # _backward_counts reads until ROADMAP item 2a lands
+    batched = True
 
 
 def glorot_net(sizes: list[int], rng: np.random.Generator) -> DenseNet:
@@ -150,18 +152,15 @@ def _check_hooks(net: DenseNet, hooks) -> list[np.ndarray] | None:
 
 
 def forward(net: DenseNet, x, hooks=None) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network on a vector (d,) or a batch (n, d).
+    """Run the network on a row batch (n, d).
 
     hooks: None, or one mask vector in [0, 1] per layer, multiplied into
     the layer's ReLU output. Pure function of (net, x, hooks).
     """
     x = _as_f64(x)
-    batched = x.ndim == 2
-    if not batched and x.ndim != 1:
-        raise ShapeError(f"input must be 1-D or 2-D, got ndim={x.ndim}")
-    if x.shape[-1] != net.weights[0].shape[1]:
-        raise ShapeError(f"input width {x.shape[-1]} != net input "
-                         f"{net.weights[0].shape[1]}")
+    d = net.weights[0].shape[1]
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ShapeError(f"expected (n, {d}) rows, got shape {x.shape}")
     hooks = _check_hooks(net, hooks)
 
     h = x
@@ -173,7 +172,7 @@ def forward(net: DenseNet, x, hooks=None) -> tuple[np.ndarray, ForwardCache]:
         post_raw.append(a)
         h = a if hooks is None else a * hooks[l]
         post.append(h)
-    return h, ForwardCache(x, post_raw, post, hooks, batched)
+    return h, ForwardCache(x, post_raw, post, hooks)
 
 
 def _upstream(name: str, cache: ForwardCache, upstream) -> np.ndarray:
@@ -190,26 +189,19 @@ def backward(net: DenseNet, tape: GradTape, cache: ForwardCache,
              upstream) -> None:
     """Fill tape with d(loss)/d(params); the input gradient is not formed.
 
-    upstream is d(loss)/d(output), matching the forward output shape. Batched
-    inputs accumulate (sum) over the batch dimension. A forward run with
-    hooks gets its hook gradients in tape.d_hooks, one per layer.
+    upstream is d(loss)/d(output), matching the forward output shape. The
+    gradients accumulate (sum) over the rows. A forward run with hooks
+    gets its hook gradients in tape.d_hooks, one per layer.
     """
     g = _upstream("backward", cache, upstream)
-    if not cache.batched:
-        g = g[None, :]
-
     hooks, d_hooks = cache.hooks, []
     for l in range(net.n_layers - 1, -1, -1):
         a = cache.post_raw[l]
-        if not cache.batched:
-            a = a[None, :]
         if hooks is not None:
             d_hooks.append((g * a).sum(axis=0))
             g = g * hooks[l]
         g = g * (a > 0.0)
         below = cache.post[l - 1] if l > 0 else cache.x
-        if not cache.batched:
-            below = below[None, :]
         tape.d_weights[l] += g.T @ below
         tape.d_biases[l] += g.sum(axis=0)
         if l > 0:
@@ -219,16 +211,13 @@ def backward(net: DenseNet, tape: GradTape, cache: ForwardCache,
 
 def input_gradient(net: DenseNet, cache: ForwardCache,
                    upstream) -> np.ndarray:
-    """d(loss)/d(input) of each row of a batched forward, (n, d).
+    """d(loss)/d(input) of each row of the forward, (n, d).
 
     upstream is d(loss)/d(output), (n, out). Runs the chain rule of
     ``backward`` through the hooks and ReLUs only: no tape, and no weight,
     bias or hook gradient.
     """
     g = _upstream("input_gradient", cache, upstream)
-    if not cache.batched:
-        raise ShapeError(f"input gradient needs a row batch (n, "
-                         f"{net.weights[0].shape[1]}), got a vector forward")
     for l in range(net.n_layers - 1, -1, -1):
         if cache.hooks is not None:
             g = g * cache.hooks[l]

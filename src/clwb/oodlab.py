@@ -58,12 +58,23 @@ class OdinParams:
             raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
 
 
-def msp_score(logits) -> np.ndarray:
-    """Max softmax probability of each row of (n, c) logits."""
+def _logit_rows(logits) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 2 or z.size == 0:
         raise ValueError(f"expected nonempty (n, c) logits, got shape {z.shape}")
-    return nk.softmax(z).max(axis=1)
+    return z
+
+
+def msp_score(logits) -> np.ndarray:
+    """Max softmax probability of each row of (n, c) logits."""
+    return nk.softmax(_logit_rows(logits)).max(axis=1)
+
+
+def maxlogit_score(logits) -> np.ndarray:
+    """sigmoid(max logit) of each row of (n, c) logits; a max logit below
+    about -709 reads 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-_logit_rows(logits).max(axis=1)))
 
 
 class OdinRows:

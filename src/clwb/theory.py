@@ -476,11 +476,9 @@ def theorem4_construct(cil, topo: TaskTopology, k0, j0):
 
 def _check_taus(taus, shape: tuple[int, ...]) -> np.ndarray:
     t = np.asarray(taus, dtype=np.float64)
-    if t.ndim == 0:
-        t = np.full(shape, float(t))
     if t.shape != shape:
-        raise ValueError(f"temperatures of shape {t.shape} for tasks of "
-                         f"shape {shape}")
+        raise ValueError(f"temperatures must be (n, K) = {shape} rows, one "
+                         f"per entry, got shape {t.shape}")
     if (t <= 0).any() or not np.isfinite(t).all():
         raise ValueError("temperatures must be positive and finite")
     return t

@@ -346,8 +346,8 @@ class TestSupermasks:
         # biases above |W x| keep both units open: the relu passes through
         eff = nk.DenseNet([net.trunk.weights[0].copy()], [np.full(2, 10.0)])
         tape = nk.GradTape.for_net(eff)
-        _, cache = nk.forward(eff, x)
-        nk.backward(eff, tape, cache, upstream)
+        _, cache = nk.forward(eff, x[None])
+        nk.backward(eff, tape, cache, upstream[None])
         grads = bb.sup_score_update(tape, net.trunk)
         np.testing.assert_allclose(grads[0],
                                    net.trunk.weights[0] * np.outer(upstream, x),

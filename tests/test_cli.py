@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from clwb import data as dt
 from clwb import experiment as ex
 from clwb import numkit as nk
 from clwb import verify
+from clwb.checkpoint import load_checkpoint, save_checkpoint
 from clwb.config import parse_config
 from conftest import digits_config_text
 
@@ -710,6 +712,35 @@ class TestRouteMatrix:
         assert all(0.0 <= a <= 1.0 for a in rep.auc_per_task)
         assert rep.h_wp_mean >= 0 and rep.h_tp_mean >= 0
         assert abs(rep.h_cil_mean - (rep.h_wp_mean + rep.h_tp_mean)) < 1e-6
+
+
+class TestAllZeroDetectorProfile:
+    # every head bias lowered by 1e4: each max logit is below -709, so
+    # every sigmoid(max logit) detector reads 0 on every test row
+    @pytest.mark.parametrize("tp,scorer", [("sigmoid-maxlogit", "msp"),
+                                           ("scorer", "maxlogit")])
+    def test_every_tp_construction_falls_back_to_uniform(
+            self, synth_config_text, tmp_path, capsys, tp, scorer):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(synth_config_text(
+            extra=f"[ood]\nscorer = {scorer}\n[predict]\ntp = {tp}\n"))
+        assert run_cli("train", "--config", str(cfg_path)) == 0
+        net, meta = load_checkpoint(tmp_path / "run" / "final.clwb")
+        for head in net.heads.values():
+            head.bias -= 1e4
+        save_checkpoint(tmp_path / "neg.clwb", net, meta["extra"])
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            status = run_cli("eval", "--config", str(cfg_path), "--checkpoint",
+                             str(tmp_path / "neg.clwb"), "--route", "compose",
+                             "--out", str(tmp_path / "neg"))
+        assert status == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "neg" / f"report_{scorer}_compose.json"
+                             ).read_text())
+        assert report["notes"] == {"tp_uniform_fallbacks": report["n_test"]}
 
 
 class TestOdinGrid:

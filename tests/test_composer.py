@@ -37,12 +37,13 @@ class TestConcatArgmax:
 
 class TestSigmoidMaxLogitTp:
     def test_equal_max_gives_uniform(self):
-        tp = cp.tp_sigmoid_maxlogit([[[2.0, 0.0]], [[1.0, 2.0]],
-                                     [[2.0, -5.0]]])
+        tp, fallbacks = cp.tp_sigmoid_maxlogit([[[2.0, 0.0]], [[1.0, 2.0]],
+                                                [[2.0, -5.0]]])
+        assert fallbacks == 0
         np.testing.assert_allclose(tp, np.full((1, 3), 1 / 3), rtol=1e-12)
 
     def test_worked_values(self):
-        tp = cp.tp_sigmoid_maxlogit([[[4.0, 0.0]], [[-4.0, -9.0]]])
+        tp, _ = cp.tp_sigmoid_maxlogit([[[4.0, 0.0]], [[-4.0, -9.0]]])
         # sigmoid(4) + sigmoid(-4) = 1, so normalization is the identity
         np.testing.assert_allclose(tp, [[0.9820137900379084,
                                          0.0179862099620916]], rtol=1e-10)
@@ -51,8 +52,8 @@ class TestSigmoidMaxLogitTp:
         rng = np.random.default_rng(1)
         for _ in range(50):
             logits = [rng.normal(size=(1, 3)), rng.normal(size=(1, 3))]
-            a = cp.tp_sigmoid_maxlogit(logits)
-            b = cp.tp_sigmoid_maxlogit([v + 2.5 for v in logits])
+            a, _ = cp.tp_sigmoid_maxlogit(logits)
+            b, _ = cp.tp_sigmoid_maxlogit([v + 2.5 for v in logits])
             assert int(a.argmax()) == int(b.argmax())
 
 
@@ -78,13 +79,41 @@ class TestWpTemperature:
 class TestMaxSoftmaxTp:
     def test_symmetric_uniform(self):
         z = [[1.0, 0.2, -0.7]]
-        tp = cp.tp_maxsoftmax_temperature([z, z, z], 5.0)
+        tp, fallbacks = cp.tp_maxsoftmax_temperature([z, z, z], 5.0)
+        assert fallbacks == 0
         np.testing.assert_allclose(tp, np.full((1, 3), 1 / 3), rtol=1e-12)
 
     def test_wide_tau_favors_small_tasks(self):
-        tp = cp.tp_maxsoftmax_temperature([np.zeros((1, 2)), np.zeros((1, 4))],
-                                          1e6)
+        tp, _ = cp.tp_maxsoftmax_temperature(
+            [np.zeros((1, 2)), np.zeros((1, 4))], 1e6)
         np.testing.assert_allclose(tp, [[2 / 3, 1 / 3]], rtol=1e-9)
+
+
+class TestTpFromProfile:
+    def test_clipped_rows_normalize(self):
+        tp, fallbacks = cp.tp_from_profile([[0.2, 0.6], [1.5, -0.5]])
+        np.testing.assert_allclose(tp, [[0.25, 0.75], [1.0, 0.0]], rtol=1e-15)
+        assert fallbacks == 0
+
+    def test_all_zero_rows_get_a_uniform_tp_and_are_counted(self):
+        profile = np.array([[0.0, 0.0, 0.0], [0.3, 0.1, 0.6], [-1.0, 0.0, 0.0]])
+        tp, fallbacks = cp.tp_from_profile(profile)
+        assert fallbacks == 2
+        np.testing.assert_array_equal(tp[[0, 2]], np.full((2, 3), 1 / 3))
+        # a row that does not fall back keeps the bits of tp_from_ood
+        assert tp[1].tobytes() == th.tp_from_ood(profile[1:2])[0].tobytes()
+
+    @pytest.mark.parametrize("build", [
+        cp.tp_sigmoid_maxlogit,
+        lambda v: cp.tp_maxsoftmax_temperature(v, 5.0)])
+    def test_every_construction_takes_the_rule(self, build):
+        # max logits near -1e4 underflow every sigmoid detector to 0
+        logits = [np.array([[-1e4, -2e4], [3.0, 1.0]]),
+                  np.array([[-3e4, -1e4], [-2.0, 0.5]])]
+        tp, fallbacks = build(logits)
+        assert np.isfinite(tp).all()
+        np.testing.assert_allclose(tp.sum(axis=1), 1.0, rtol=1e-15)
+        assert fallbacks == (build is cp.tp_sigmoid_maxlogit)
 
 
 class TestComposeFull:
@@ -259,11 +288,11 @@ class TestRowBatches:
         logits = self.per_task()
         for build in (cp.tp_sigmoid_maxlogit,
                       lambda v: cp.tp_maxsoftmax_temperature(v, 2.0)):
-            batched = build(logits)
-            assert batched.shape == (40, 3)
+            batched, fallbacks = build(logits)
+            assert batched.shape == (40, 3) and fallbacks == 0
             for i in range(40):
                 assert batched[i:i + 1].tobytes() == \
-                    build(self.rows(logits, i)).tobytes()
+                    build(self.rows(logits, i))[0].tobytes()
 
     def test_wp_temperature_and_calibrated_logits(self):
         logits = self.per_task()

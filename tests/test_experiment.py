@@ -88,9 +88,9 @@ def _old_tp_for(cfg, row_logits, row_scores):
     kind = cfg.predict.tp
     one_row = [v[None] for v in row_logits]
     if kind == "sigmoid-maxlogit":
-        return cp.tp_sigmoid_maxlogit(one_row)[0]
+        return cp.tp_sigmoid_maxlogit(one_row)[0][0]
     if kind == "maxsoftmax-temp":
-        return cp.tp_maxsoftmax_temperature(one_row, cfg.predict.tau)[0]
+        return cp.tp_maxsoftmax_temperature(one_row, cfg.predict.tau)[0][0]
     return th.tp_from_ood(np.clip(row_scores, 0.0, 1.0)[None])[0]
 
 
@@ -738,17 +738,18 @@ def test_odin_grid_task_runs_16_forwards_and_5_gradients(odin_net,
     assert calls == {"task_features": 35, "input_gradient": 15}
 
 
-def test_single_task_odin_grid_keeps_the_first_candidate_unscored(
+def test_single_task_odin_grid_keeps_the_first_candidate(
         synth_config_text, tmp_path, monkeypatch):
     text = synth_config_text(tasks=1, extra="[ood]\nodin_grid = true\n")
     cfg = parse_config(text)
     final = ex.train_run(cfg, tmp_path / "run")["final"]
-    scores = []
-    _recording(monkeypatch, ol, "odin_score", scores)
+    aucs = []
+    _recording(monkeypatch, ex, "_task_auc", aucs)
     net, _ = load_checkpoint(final)
+    # the grid's one path: every candidate ties at 0.5, the first wins
     assert ex._scorer_params(cfg, net, ex.build_tasks(cfg)) == {
         0: ol.OdinParams(1.0, 0.0)}
-    assert scores == []
+    assert aucs == [0.5] * len(ol.ODIN_TAU_GRID) * len(ol.ODIN_EPS_GRID)
     report = ex.eval_run(cfg, final, scorer="odin")
     assert report.odin_params == {"0": {"tau": 1.0, "eps": 0.0}}
     # no other task's rows: the task-AUC rule's undefined separation

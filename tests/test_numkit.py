@@ -24,19 +24,19 @@ def straight_line_forward(net, x, hooks=None):
 def test_forward_identity_weights():
     # nonnegative inputs: the relu passes them as they are
     net = nk.DenseNet([np.eye(2)], [np.zeros(2)])
-    out, _ = nk.forward(net, [1.0, 2.0])
-    np.testing.assert_array_equal(out, [1.0, 2.0])
+    out, _ = nk.forward(net, [[1.0, 2.0]])
+    np.testing.assert_array_equal(out, [[1.0, 2.0]])
 
 
 def test_forward_zero_hook_annihilates_layer():
     rng = np.random.default_rng(0)
     net = small_net(rng, (3, 5, 5, 2))
-    x = rng.normal(size=3)
+    x = rng.normal(size=(1, 3))
     hooks = [np.zeros(5), np.ones(5), np.ones(2)]
     out, _ = nk.forward(net, x, hooks)
     # zeroing layer 0 equals forwarding a zero hidden state through the rest
     tail = nk.DenseNet(net.weights[1:], net.biases[1:])
-    expect, _ = nk.forward(tail, np.zeros(5))
+    expect, _ = nk.forward(tail, np.zeros((1, 5)))
     np.testing.assert_array_equal(out, expect)
 
 
@@ -46,7 +46,7 @@ def test_forward_matches_straight_line_recomputation():
         net = small_net(rng, (4, 6, 3))
         x = rng.normal(size=4)
         hooks = [rng.uniform(size=6), rng.uniform(size=3)]
-        out, _ = nk.forward(net, x, hooks)
+        (out,), _ = nk.forward(net, x[None], hooks)
         np.testing.assert_allclose(out, straight_line_forward(net, x, hooks),
                                    rtol=1e-12, atol=0)
 
@@ -54,7 +54,7 @@ def test_forward_matches_straight_line_recomputation():
 def test_forward_pure_and_hook_of_ones_is_identity():
     rng = np.random.default_rng(2)
     net = small_net(rng)
-    x = rng.normal(size=3)
+    x = rng.normal(size=(1, 3))
     a, _ = nk.forward(net, x)
     b, _ = nk.forward(net, x, [np.ones(4), np.ones(2)])
     c, _ = nk.forward(net, x)
@@ -65,13 +65,16 @@ def test_forward_pure_and_hook_of_ones_is_identity():
 def test_forward_shape_errors():
     rng = np.random.default_rng(3)
     net = small_net(rng)
+    with pytest.raises(nk.ShapeError, match=r"expected \(n, 3\) rows"):
+        nk.forward(net, np.zeros((1, 5)))
+    # one instance is a one-row batch: a (d,) vector is refused
+    with pytest.raises(nk.ShapeError, match=r"expected \(n, 3\) rows"):
+        nk.forward(net, np.zeros(3))
     with pytest.raises(nk.ShapeError):
-        nk.forward(net, np.zeros(5))
-    with pytest.raises(nk.ShapeError):
-        nk.forward(net, np.zeros(3), [np.ones(3), np.ones(2)])
+        nk.forward(net, np.zeros((1, 3)), [np.ones(3), np.ones(2)])
     # hooks are one per layer or none: a None in the list names its layer
     with pytest.raises(nk.ShapeError, match="^hook 1: "):
-        nk.forward(net, np.zeros(3), [np.ones(4), None])
+        nk.forward(net, np.zeros((1, 3)), [np.ones(4), None])
 
 
 def test_input_gradient_linear_is_weight_row():
@@ -186,9 +189,6 @@ def test_input_gradient_errors():
     _, cache = nk.forward(net, rng.normal(size=(2, 3)))
     with pytest.raises(nk.ShapeError):
         nk.input_gradient(net, cache, np.zeros((2, 3)))
-    _, vector = nk.forward(net, rng.normal(size=3))
-    with pytest.raises(nk.ShapeError, match=r"\(n, 3\)"):
-        nk.input_gradient(net, vector, np.zeros(2))
 
 
 def test_backward_batch_equals_sum_of_singles():
@@ -201,8 +201,8 @@ def test_backward_batch_equals_sum_of_singles():
     nk.backward(net, tape_b, cache, ups)
     tape_s = nk.GradTape.for_net(net)
     for x, u in zip(xs, ups):
-        _, c = nk.forward(net, x)
-        nk.backward(net, tape_s, c, u)
+        _, c = nk.forward(net, x[None])
+        nk.backward(net, tape_s, c, u[None])
     for gb, gs in zip(tape_b.d_weights, tape_s.d_weights):
         np.testing.assert_allclose(gb, gs, rtol=1e-12)
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,28 @@ class TestMsp:
     def test_empty(self):
         with pytest.raises(ValueError):
             ol.msp_score(np.zeros((1, 0)))
+
+
+class TestMaxLogit:
+    def test_worked_values(self):
+        np.testing.assert_allclose(
+            ol.maxlogit_score([[4.0, 0.0], [-9.0, -4.0], [0.0, 0.0]]),
+            [0.9820137900379084, 0.0179862099620916, 0.5], rtol=1e-12)
+
+    def test_has_the_bits_of_the_sigmoid_of_the_row_max(self):
+        z = np.random.default_rng(0).normal(scale=30.0, size=(50, 3))
+        assert ol.maxlogit_score(z).tobytes() == \
+            (1.0 / (1.0 + np.exp(-z.max(axis=1)))).tobytes()
+
+    def test_far_negative_max_reads_zero_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ol.maxlogit_score([[-1e4, -2e4], [-800.0, -900.0]])
+        assert got.tolist() == [0.0, 0.0]
+
+    def test_one_instance_is_a_one_row_batch(self):
+        with pytest.raises(ValueError, match=r"\(n, c\)"):
+            ol.maxlogit_score([1.0, 2.0])
 
 
 class TestOdin:

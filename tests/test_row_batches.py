@@ -38,16 +38,12 @@ TOPO22 = th.TaskTopology((2, 2))
 ONE = th.EntropyReport(None, np.float64(0.1), np.float64(0.1),
                        np.float64(0.2))
 
-def _input_gradient_of_a_vector():
-    net = nk.glorot_net([4, 3, 2], np.random.default_rng(0))
-    _, cache = nk.forward(net, VECTOR)
-    return nk.input_gradient(net, cache, np.ones(2))
-
 
 # (function, call on one instance given as a 1-D input or a single image)
 CALLS = {
+    "numkit.forward": lambda n: nk.forward(
+        nk.glorot_net([4, 3, 2], np.random.default_rng(0)), VECTOR),
     "numkit.softmax_ce": lambda n: nk.softmax_ce(VECTOR, 0),
-    "numkit.input_gradient": lambda n: _input_gradient_of_a_vector(),
     "backbones.task_features": lambda n: bb.task_features(n["hat"], VECTOR, 0),
     "backbones.task_raw_logits": lambda n: bb.task_raw_logits(n["sup"],
                                                               VECTOR, 0),
@@ -92,6 +88,13 @@ CALLS = {
         VECTOR, np.ones(4)),
     "theory.theorem5_bound": lambda n: th.theorem5_bound(VECTOR, np.ones(4),
                                                          0),
+    # temperatures are (n, K) rows, one per entry, like the batch they go with
+    "theory.theorem5_ood_from_tp[scalar tau]": lambda n:
+        th.theorem5_ood_from_tp(VECTOR[None], 2.0, [0]),
+    "theory.theorem5_tp_from_ood[scalar tau]": lambda n:
+        th.theorem5_tp_from_ood(VECTOR[None], 2.0),
+    "theory.theorem5_bound[scalar tau]": lambda n: th.theorem5_bound(
+        VECTOR[None], 2.0, [0]),
 }
 
 

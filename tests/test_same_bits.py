@@ -40,25 +40,20 @@ def _old_forward(net, x, hooks):
         post_raw.append(a)
         h = a * hooks[l] if hooks is not None else a
         post.append(h)
-    return h, (x, pre, post_raw, post, hooks, x.ndim == 2)
+    return h, (x, pre, post_raw, post, hooks)
 
 
 def _old_backward(net, tape, cache, upstream):
-    x, pre, post_raw, post, hooks, batched = cache
+    x, pre, post_raw, post, hooks = cache
     g = np.asarray(upstream, dtype=np.float64)
-    if not batched:
-        g = g[None, :]
     tape.d_hooks = None if hooks is None else [None] * net.n_layers
     for l in range(net.n_layers - 1, -1, -1):
-        a = post_raw[l] if batched else post_raw[l][None, :]
+        a = post_raw[l]
         if hooks is not None:
             tape.d_hooks[l] = (g * a).sum(axis=0)
             g = g * hooks[l]
-        z = pre[l] if batched else pre[l][None, :]
-        g = g * (z > 0.0)
+        g = g * (pre[l] > 0.0)
         below = post[l - 1] if l > 0 else x
-        if not batched:
-            below = below[None, :]
         tape.d_weights[l] += g.T @ below
         tape.d_biases[l] += g.sum(axis=0)
         if l > 0:
@@ -66,7 +61,7 @@ def _old_backward(net, tape, cache, upstream):
 
 
 def _old_input_gradient(net, cache, upstream):
-    x, pre, post_raw, post, hooks, batched = cache
+    x, pre, post_raw, post, hooks = cache
     g = np.asarray(upstream, dtype=np.float64)
     for l in range(net.n_layers - 1, -1, -1):
         if hooks is not None:
@@ -185,11 +180,10 @@ def _same(a, b):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), batched=st.booleans(),
+@given(seed=st.integers(0, 2**32 - 1),
        hooked=st.sampled_from(["none", "every"]),
        n_special=st.integers(0, 4))
-def test_forward_and_gradients_have_the_per_call_bits(seed, batched, hooked,
-                                                      n_special):
+def test_forward_and_gradients_have_the_per_call_bits(seed, hooked, n_special):
     rng = np.random.default_rng(seed)
     sizes = [int(k) for k in rng.integers(1, 7, size=rng.integers(2, 5))]
     net = nk.glorot_net(sizes, rng)
@@ -203,8 +197,6 @@ def test_forward_and_gradients_have_the_per_call_bits(seed, batched, hooked,
     flat = x.reshape(-1)
     flat[rng.integers(flat.size, size=n_special)] = \
         rng.choice(SPECIAL, size=n_special)
-    if not batched:
-        x = x[0]
 
     with np.errstate(all="ignore"):
         want_out, old = _old_forward(net, x, hooks)
@@ -213,7 +205,7 @@ def test_forward_and_gradients_have_the_per_call_bits(seed, batched, hooked,
         for l in range(net.n_layers):
             assert _same(cache.post_raw[l], old[2][l])
             assert _same(cache.post[l], old[3][l])
-        assert _same(cache.x, old[0]) and cache.batched == batched
+        assert _same(cache.x, old[0])
 
         upstream = rng.normal(size=got_out.shape)
         want_tape = nk.GradTape.for_net(net)
@@ -226,9 +218,8 @@ def test_forward_and_gradients_have_the_per_call_bits(seed, batched, hooked,
             assert _same(tape.d_biases[l], want_tape.d_biases[l])
             if tape.d_hooks is not None:
                 assert _same(tape.d_hooks[l], want_tape.d_hooks[l])
-        if batched:
-            assert _same(nk.input_gradient(net, cache, upstream),
-                         _old_input_gradient(net, old, upstream))
+        assert _same(nk.input_gradient(net, cache, upstream),
+                     _old_input_gradient(net, old, upstream))
 
 
 # ---------------------------------------------------------------------------
