@@ -12,6 +12,8 @@ Two isolation mechanisms produce per-task heads on a shared trunk:
 Both states answer the same calls (start_task, trunk_for, scale,
 after_backward, finish_task, checkpoint_arrays, from_checkpoint), so no
 caller branches on the kind; task_features is the one trunk forward.
+``independent_tasks`` says whether a task's training reads what another
+task trains: false for hard attention, true for supermasks.
 
 Training a task is single-threaded and deterministic given the seed.
 Evaluation of a finished net is read-only.
@@ -60,6 +62,8 @@ class HatState:
     """
 
     kind = "hat"
+    # each task's gates claim units that every later task's training reads
+    independent_tasks = False
 
     s_max: float
     lambdas: list[float]
@@ -154,6 +158,9 @@ class SupState:
     frozen per-task masks (0/1 arrays mirroring trunk weight shapes)."""
 
     kind = "sup"
+    # a task reads only its own scores and the frozen trunk, so tasks may
+    # train in separate processes; a finished task is masks[task] and its head
+    independent_tasks = True
 
     p: float
     masks: dict[int, list[np.ndarray]] = field(default_factory=dict)

@@ -1,4 +1,4 @@
-"""Experiment orchestration: sequential training, evaluation, calibration.
+"""Experiment orchestration: training in task order, evaluation, calibration.
 
 A run is fully determined by (config, seed): data construction, training,
 scoring, and report serialization all flow from seeded generators, so two
@@ -9,6 +9,8 @@ printed, never written into the canonical report bytes.
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -98,8 +100,11 @@ def _til_predictions(net: bb.MaskedNet, test: dt.LabeledImageSet,
 # ---------------------------------------------------------------------------
 
 def train_run(cfg: ExperimentConfig, out_dir) -> dict:
-    """Train all tasks sequentially; one checkpoint per finished task plus a
-    final checkpoint carrying the accuracy history. Returns artifact paths."""
+    """Train all tasks in task order; one checkpoint per finished task plus a
+    final checkpoint carrying the accuracy history. Returns artifact paths.
+
+    Tasks of a state with independent tasks train side by side
+    (``_task_blocks``); every file holds the bytes of a one-process run."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seq = build_tasks(cfg)
@@ -117,17 +122,18 @@ def train_run(cfg: ExperimentConfig, out_dir) -> dict:
                 head_lr=lc.head_lr or b.lr, contrastive_tau=lc.temperature,
                 flip_prob=lc.flip_prob, noise_sigma=lc.noise_sigma)
     paths = []
-    for k in range(seq.n_tasks):
-        train, _ = seq.tasks[k]
-        stats = bb.train_task(net, k, train, **args)
-        til.append([mt.cil_accuracy(_til_predictions(net, test, j),
-                                    test.labels)
-                    for j, (_, test) in enumerate(seq.tasks[:k + 1])])
-        trace["tasks"].append({"task": k, "epochs": [asdict(e) for e in stats],
-                               "til_so_far": til[k]})
-        path = out / f"task{k + 1}.clwb"
-        save_checkpoint(path, net, extra=_extra(cfg, til))
-        paths.append(str(path))
+    with _task_blocks(net, seq, args) as trained:
+        for k in range(seq.n_tasks):
+            stats = trained(k)
+            til.append([mt.cil_accuracy(_til_predictions(net, test, j),
+                                        test.labels)
+                        for j, (_, test) in enumerate(seq.tasks[:k + 1])])
+            trace["tasks"].append({"task": k,
+                                   "epochs": [asdict(e) for e in stats],
+                                   "til_so_far": til[k]})
+            path = out / f"task{k + 1}.clwb"
+            save_checkpoint(path, net, extra=_extra(cfg, til))
+            paths.append(str(path))
 
     final = out / "final.clwb"
     save_checkpoint(final, net, extra=_extra(cfg, til))
@@ -135,6 +141,85 @@ def train_run(cfg: ExperimentConfig, out_dir) -> dict:
                  json.dumps(trace, sort_keys=True, indent=1).encode())
     return {"checkpoints": paths, "final": str(final),
             "trace": str(out / "trace.json")}
+
+
+@contextmanager
+def _task_blocks(net: bb.MaskedNet, seq: dt.TaskSequence, args: dict):
+    """Yield ``trained(k)``, which gives task k's EpochStats once net holds
+    tasks 0..k; called for k = 0, 1, ... in order.
+
+    The tasks split into contiguous blocks, one per usable core when the
+    isolation state's tasks are independent and ``fork`` exists, else one.
+    A forked child trains each block after the first on its copy of the
+    untrained net, so nothing is pickled into it, while this process trains
+    the first block into net; a child's task is then installed into net in
+    task order. A task that raises, here or in a child, raises here with
+    its type and message. Every child is terminated and joined on the way
+    out, whether the run returns or raises.
+    """
+    n = seq.n_tasks
+    usable = getattr(os, "sched_getaffinity", None)
+    split = net.isolation.independent_tasks and usable and hasattr(os, "fork")
+    count = min(n, len(usable(0))) if split else 1
+    blocks = [range(n * i // count, n * (i + 1) // count)
+              for i in range(count)]
+    children = []  # (block, process, receiving end)
+    try:
+        if count > 1:
+            import multiprocessing  # a one-block run never loads it
+            ctx = multiprocessing.get_context("fork")
+            for block in blocks[1:]:
+                recv, send = ctx.Pipe(duplex=False)
+                proc = ctx.Process(target=_train_block,
+                                   args=(send, net, seq, block, args))
+                try:
+                    proc.start()
+                    children.append((block, proc, recv))
+                finally:
+                    send.close()  # so a child's exit reads as EOF here
+
+        def trained(k: int) -> list[bb.EpochStats]:
+            if k in blocks[0]:
+                return bb.train_task(net, k, seq.tasks[k][0], **args)
+            block, proc, recv = next(c for c in children if k in c[0])
+            try:
+                item = recv.recv()
+            except EOFError:
+                proc.join()
+                raise ChildProcessError(
+                    f"the process training tasks {list(block)} exited with "
+                    f"code {proc.exitcode} before it sent task {k}") from None
+            if isinstance(item, BaseException):
+                raise item
+            net.isolation.masks[k], net.heads[k], stats = item
+            net.finished.append(k)
+            return stats
+
+        yield trained
+    finally:
+        for _, proc, recv in children:
+            proc.terminate()
+            proc.join()
+            proc.close()
+            recv.close()
+
+
+def _train_block(send, net: bb.MaskedNet, seq: dt.TaskSequence,
+                 block: range, args: dict) -> None:
+    """A child's work: train block's tasks into its copy of net, then send
+    each task's ``(masks, head, EpochStats list)`` in task order, with the
+    exception of the first task that raises in that task's place. Sending
+    after the whole block keeps a send that fills the pipe from holding
+    back the block's next task."""
+    items = []
+    try:
+        for k in block:
+            stats = bb.train_task(net, k, seq.tasks[k][0], **args)
+            items.append((net.isolation.masks[k], net.heads[k], stats))
+    except Exception as e:
+        items.append(e)
+    for item in items:
+        send.send(item)
 
 
 def _extra(cfg: ExperimentConfig, til: list[list[float]]) -> dict:

@@ -46,11 +46,15 @@ class StateError(RuntimeError):
 
 
 class NumericError(FloatingPointError):
-    """Non-finite value encountered; carries the offending layer index."""
+    """Non-finite value encountered; carries the offending layer index.
+    Its args are (msg, layer), so it pickles like any exception."""
 
     def __init__(self, msg: str, layer: int):
-        super().__init__(f"{msg} (layer {layer})")
+        super().__init__(msg, layer)
         self.layer = layer
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (layer {self.layer})"
 
 
 def _as_f64(x) -> np.ndarray:

@@ -109,20 +109,21 @@ def _at(x: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 def _distribution_rows(p, name: str, topo: TaskTopology | None = None
                        ) -> np.ndarray:
-    """p as float64 rows along its last axis, each a distribution (with
-    topo, each task slice of a row); errors name the first bad row."""
+    """p, an (n, m) row batch, as float64 rows that are each a distribution
+    (with topo, each task slice of a row); errors name the first bad row."""
     p = np.asarray(p, dtype=np.float64)
-    if p.ndim == 0 or p.shape[-1] == 0:
-        raise ValueError(f"{name} must be a nonempty vector or row batch")
+    if p.ndim != 2 or p.shape[1] == 0:
+        raise ValueError(f"{name} must be an (n, m) row batch with m >= 1, "
+                         f"got shape {p.shape}")
     if (p < 0).any() or not np.isfinite(p).all():
         raise ValueError(f"{name} has negative or non-finite entries")
-    total = _slice_masses(p, topo or TaskTopology((p.shape[-1],)))
+    total = _slice_masses(p, topo or TaskTopology((p.shape[1],)))
     bad = np.abs(total - 1.0) > 1e-9
     if bad.any():  # the first bad row of the first slice that has one
-        k = np.flatnonzero(bad.reshape(-1, bad.shape[-1]).any(axis=0))[0]
-        row = np.flatnonzero(bad[..., k])[0]
+        k = np.flatnonzero(bad.any(axis=0))[0]
+        row = np.flatnonzero(bad[:, k])[0]
         raise ValueError(f"{name} row {row} sums to "
-                         f"{total[..., k].flat[row]!r}, not 1")
+                         f"{float(total[row, k])!r}, not 1")
     return p
 
 
@@ -458,9 +459,10 @@ def theorem4_construct(cil, topo: TaskTopology, k0, j0):
     row and k0, j0 the (n,) truth of each row. Returns (tp, h_wp, h_tp,
     h_ood, ok), ok whether h_tp and every h_ood entry are within h_wp.
     """
-    c = _distribution_rows(cil, "cil")
+    c = np.asarray(cil, dtype=np.float64)
     if c.ndim != 2 or c.shape[1] != topo.n_classes:
         raise ValueError(f"cil of shape {c.shape} is not (n, {topo.n_classes})")
+    _distribution_rows(c, "cil")
     k0, flat = _truth(topo, k0, j0, c.shape[:1])
     eta = cross_entropy(flat, c)
     tp = _slice_masses(c, topo)

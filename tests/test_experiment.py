@@ -2,12 +2,17 @@
 ``experiment.eval_run``."""
 
 import dataclasses
+import importlib
 import json
+import os
+import pickle
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import clwb
 import oracles
 from clwb import backbones as bb
 from clwb import checkpoint as ck
@@ -959,3 +964,136 @@ def test_checkpoints_hold_the_trace_accuracy_matrix(trained):
                             for j in range(t - 1)]))
              for t in range(2, len(til) + 1)]
     assert ex.eval_run(parse_config(text), final).forgetting == drops
+
+
+# ---------------------------------------------------------------------------
+# Supermask tasks train side by side, one forked process per usable core
+# ---------------------------------------------------------------------------
+
+def _usable_cores(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _counted_forks(monkeypatch):
+    forks = []
+    real = os.fork
+
+    def fork():
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _run_files(out):
+    return {p.name: p.read_bytes() for p in sorted(Path(out).iterdir())}
+
+
+@pytest.fixture
+def sup_ce_text(synth_config_text):
+    return synth_config_text(tasks=4, epochs=5, backbone="sup")
+
+
+@pytest.mark.parametrize("run", ["rotation_run", "sup_ce_text"])
+def test_a_supermask_run_has_the_same_bytes_on_any_core_count(
+        run, request, monkeypatch, tmp_path):
+    text = request.getfixturevalue(run)
+    text = text[0] if isinstance(text, tuple) else text
+    cfg = parse_config(text)
+    forks = _counted_forks(monkeypatch)
+    files, reports = [], []
+    for cores in (1, 4):
+        _usable_cores(monkeypatch, cores)
+        out = tmp_path / f"cores{cores}"
+        art = ex.train_run(cfg, out)
+        files.append(_run_files(out))
+        reports.append(ex.eval_run(cfg, art["final"]).to_json())
+        if cores == 1:
+            assert forks == []
+    # 3 or 4 tasks on 4 cores: one block per task, all but the first forked
+    assert len(forks) == cfg.tasks.count - 1
+    names = [f"task{k + 1}.clwb" for k in range(cfg.tasks.count)]
+    assert sorted(files[0]) == sorted(names + ["final.clwb", "trace.json"])
+    assert files[0] == files[1]
+    assert reports[0] == reports[1]
+
+
+def _fail_on(monkeypatch, task, failure):
+    original = bb.train_task
+
+    def train_task(net, k, data, **kw):
+        if k == task:
+            failure()
+        return original(net, k, data, **kw)
+
+    monkeypatch.setattr("clwb.experiment.bb.train_task", train_task)
+
+
+def _blow_up():
+    raise nk.NumericError("injected blow-up", 1)
+
+
+# on 2 cores the 4 tasks split into blocks [0, 1] (here) and [2, 3] (a child)
+@pytest.mark.parametrize("task", [1, 2, 3])
+def test_the_first_failing_task_keeps_the_earlier_checkpoints(
+        task, sup_ce_text, monkeypatch, tmp_path):
+    import multiprocessing
+    _usable_cores(monkeypatch, 2)
+    forks = _counted_forks(monkeypatch)
+    _fail_on(monkeypatch, task, _blow_up)
+    out = tmp_path / "partial"
+    with pytest.raises(nk.NumericError) as caught:
+        ex.train_run(parse_config(sup_ce_text), out)
+    assert type(caught.value) is nk.NumericError
+    assert str(caught.value) == "injected blow-up (layer 1)"
+    assert caught.value.layer == 1
+    assert len(forks) == 1
+    assert sorted(p.name for p in out.iterdir()) == \
+        [f"task{k + 1}.clwb" for k in range(task)]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_child_that_dies_without_sending_is_named_by_its_tasks(
+        sup_ce_text, monkeypatch, tmp_path):
+    import multiprocessing
+    _usable_cores(monkeypatch, 2)
+    _fail_on(monkeypatch, 3, lambda: os._exit(3))
+    out = tmp_path / "partial"
+    with pytest.raises(ChildProcessError,
+                       match=r"^the process training tasks \[2, 3\] exited "
+                             r"with code 3 before it sent task 2$"):
+        ex.train_run(parse_config(sup_ce_text), out)
+    # the child sends after its whole block, so task 2 is lost with it
+    assert sorted(p.name for p in out.iterdir()) == ["task1.clwb",
+                                                     "task2.clwb"]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_hat_run_forks_nothing(synth_config_text, monkeypatch, tmp_path):
+    _usable_cores(monkeypatch, 4)
+    forks = _counted_forks(monkeypatch)
+    ex.train_run(parse_config(synth_config_text(tasks=3, epochs=2)),
+                 tmp_path / "hat")
+    assert forks == []
+
+
+def _clwb_exception_classes():
+    modules = [importlib.import_module(f"clwb.{m.name}")
+               for m in pkgutil.iter_modules(clwb.__path__)]
+    return sorted({obj for mod in modules for obj in vars(mod).values()
+                   if isinstance(obj, type) and issubclass(obj, BaseException)
+                   and obj.__module__.startswith("clwb.")},
+                  key=lambda c: f"{c.__module__}.{c.__qualname__}")
+
+
+@pytest.mark.parametrize("cls", _clwb_exception_classes(),
+                         ids=lambda c: c.__name__)
+def test_every_clwb_exception_survives_pickling(cls):
+    # a child's failure reaches the parent pickled
+    e = cls(*{nk.NumericError: ("non-finite supermask score", 0)}.get(
+        cls, ("a message",)))
+    back = pickle.loads(pickle.dumps(e))
+    assert type(back) is cls
+    assert str(back) == str(e)
+    assert vars(back) == vars(e)

@@ -125,6 +125,19 @@ class TestComposeCil:
         with pytest.raises(ValueError, match="negative"):
             th.compose_cil([[1.2, -0.2, 0.9, 0.1]], [TP], TOPO22)
 
+    def test_a_bad_sum_prints_as_a_plain_float(self):
+        with pytest.raises(ValueError, match=r"^wp row 0 sums to 1\.1, not 1$"):
+            th.compose_cil([[0.5, 0.6, 0.5, 0.5]], [[0.5, 0.5]], TOPO22)
+
+    @pytest.mark.parametrize("p, shape", [([0.5, 0.5], r"\(2,\)"),
+                                          (np.ones((2, 0)), r"\(2, 0\)"),
+                                          (0.5, r"\(\)")])
+    def test_distributions_come_as_row_batches(self, p, shape):
+        with pytest.raises(ValueError, match=rf"^tp must be an \(n, m\) row "
+                                             rf"batch with m >= 1, got shape "
+                                             rf"{shape}$"):
+            th._distribution_rows(p, "tp")
+
 
 class TestEntropyReport:
     def test_worked_example_and_identity(self):
@@ -362,6 +375,13 @@ class TestTheorem4:
         with pytest.raises(ValueError, match="cil row 1 sums"):
             th.theorem4_construct([cil[0], cil[1] * 2], TOPO22, [0, 1],
                                   [0, 1])
+
+    @pytest.mark.parametrize("cil", [[0.42, 0.28, 0.27, 0.03],
+                                     [0.42, 0.28, 0.57, 0.03]])
+    def test_a_vector_is_refused_by_its_shape_whatever_it_sums_to(self, cil):
+        with pytest.raises(ValueError,
+                           match=r"^cil of shape \(4,\) is not \(n, 4\)$"):
+            th.theorem4_construct(cil, TOPO22, [0], [0])
 
 
 class TestTheorem5:
