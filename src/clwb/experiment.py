@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import zlib
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -48,7 +49,7 @@ def build_tasks(cfg: ExperimentConfig) -> dt.TaskSequence:
             seed=cfg.seed,
             n_test_per_class=d.test_per_class or max(1, d.per_class // 4))
     n_classes = t.count * t.classes_per_task + len(t.drop_classes)
-    idx = {key: dt.load_idx(getattr(d, key)) for key in
+    idx = {key: _read_idx(key, getattr(d, key)) for key in
            ("train_images", "train_labels", "test_images", "test_labels")}
     for a, b, axes in (("train_images", "train_labels", slice(1)),
                        ("test_images", "test_labels", slice(1)),
@@ -65,12 +66,11 @@ def build_tasks(cfg: ExperimentConfig) -> dt.TaskSequence:
                 f"tasks.classes_per_task + len(tasks.drop_classes)")
     train, test = (dt.LabeledImageSet(idx[f"{p}_images"], idx[f"{p}_labels"],
                                       n_classes) for p in ("train", "test"))
+    labels = [c for c in range(n_classes) if c not in t.drop_classes]
     if t.drop_classes:
-        keep = [c for c in range(n_classes) if c not in t.drop_classes]
-        train, test = (dt._remap(s, keep) for s in (train, test))
+        train, test = (dt._remap(s, labels) for s in (train, test))
     seq = dt.split_tasks(train, test, t.classes_per_task,
                          shuffle_seed=cfg.seed if t.shuffle_classes else None)
-    labels = [c for c in range(n_classes) if c not in t.drop_classes]
     for k, pair in enumerate(seq.tasks):
         for key, subset in zip(("train_labels", "test_labels"), pair):
             if not len(subset):
@@ -81,6 +81,22 @@ def build_tasks(cfg: ExperimentConfig) -> dt.TaskSequence:
             raise ConfigError(f"data.train_labels has no rows of class {c} "
                               f"of task {k}")
     return seq
+
+
+def _read_idx(key: str, path: str) -> np.ndarray:
+    """data.key's IDX array: images (n, h, w) or labels (n,) as key names;
+    a file that cannot be read, decoded or is of the other rank is a
+    ConfigError naming the key and the path."""
+    try:
+        array = dt.load_idx(path)
+    except (OSError, EOFError, ValueError, zlib.error) as e:
+        raise ConfigError(f"data.{key} file {path}: "
+                          f"{type(e).__name__}: {e}") from e
+    rank, want = (3, "(n, h, w)") if key.endswith("images") else (1, "(n,)")
+    if array.ndim != rank:
+        raise ConfigError(f"data.{key} file {path} holds an array of shape "
+                          f"{array.shape}, not {want}")
+    return array
 
 
 def _build_net(cfg: ExperimentConfig, input_dim: int) -> bb.MaskedNet:
@@ -104,12 +120,11 @@ def train_run(cfg: ExperimentConfig, out_dir) -> dict:
     final checkpoint carrying the accuracy history. Returns artifact paths.
 
     Tasks of a state with independent tasks train side by side
-    (``_task_blocks``); every file holds the bytes of a one-process run."""
+    (``_trained_tasks``); every file holds the bytes of a one-process run."""
+    seq = build_tasks(cfg)  # first: a refused config leaves no out_dir
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    seq = build_tasks(cfg)
-    sample = seq.tasks[0][0].images[0]
-    net = _build_net(cfg, sample.size)
+    net = _build_net(cfg, seq.tasks[0][0].images[0].size)
 
     til: list[list[float]] = []  # til[a][j]: task j's TIL after task a
     trace: dict = {"tasks": [], "config": cfg.text, "seed": cfg.seed}
@@ -122,9 +137,8 @@ def train_run(cfg: ExperimentConfig, out_dir) -> dict:
                 head_lr=lc.head_lr or b.lr, contrastive_tau=lc.temperature,
                 flip_prob=lc.flip_prob, noise_sigma=lc.noise_sigma)
     paths = []
-    with _task_blocks(net, seq, args) as trained:
-        for k in range(seq.n_tasks):
-            stats = trained(k)
+    with _trained_tasks(net, seq, args) as trained:
+        for k, stats in trained:
             til.append([mt.cil_accuracy(_til_predictions(net, test, j),
                                         test.labels)
                         for j, (_, test) in enumerate(seq.tasks[:k + 1])])
@@ -144,19 +158,17 @@ def train_run(cfg: ExperimentConfig, out_dir) -> dict:
 
 
 @contextmanager
-def _task_blocks(net: bb.MaskedNet, seq: dt.TaskSequence, args: dict):
-    """Yield ``trained(k)``, which gives task k's EpochStats once net holds
-    tasks 0..k; called for k = 0, 1, ... in order.
+def _trained_tasks(net: bb.MaskedNet, seq: dt.TaskSequence, args: dict):
+    """Yield an iterator of each task's ``(k, EpochStats list)`` in task
+    order, each once net holds tasks 0..k.
 
     The tasks split into contiguous blocks, one per usable core when the
     isolation state's tasks are independent and ``fork`` exists, else one.
-    A forked child trains each block after the first on its copy of the
-    untrained net, so nothing is pickled into it, while this process trains
-    the first block into net; a child's task is then installed into net in
-    task order. A task that raises, here or in a child, raises here with
-    its type and message. Every child is terminated and joined on the way
-    out, whether the run returns or raises.
-    """
+    This process trains the first block into net. A forked child trains
+    each later block on its copy of the untrained net, so nothing is
+    pickled into it, and its one message is installed into net in task
+    order. A task that raises, here or in a child, raises here with its
+    type and message. Every child is terminated and joined on any exit."""
     n = seq.n_tasks
     usable = getattr(os, "sched_getaffinity", None)
     split = net.isolation.independent_tasks and usable and hasattr(os, "fork")
@@ -164,38 +176,39 @@ def _task_blocks(net: bb.MaskedNet, seq: dt.TaskSequence, args: dict):
     blocks = [range(n * i // count, n * (i + 1) // count)
               for i in range(count)]
     children = []  # (block, process, receiving end)
+
+    def stream():
+        yield from _train_tasks(net, seq, blocks[0], args)
+        for block, proc, recv in children:
+            try:
+                records, error = recv.recv()
+            except EOFError:
+                proc.join()
+                raise ChildProcessError(
+                    f"the process training tasks {list(block)} exited with "
+                    f"code {proc.exitcode} before it sent task "
+                    f"{block[0]}") from None
+            for k, (masks, head, stats) in zip(block, records):
+                net.isolation.masks[k], net.heads[k] = masks, head
+                net.finished.append(k)
+                yield k, stats
+            if error is not None:
+                raise error
+
     try:
         if count > 1:
             import multiprocessing  # a one-block run never loads it
             ctx = multiprocessing.get_context("fork")
             for block in blocks[1:]:
                 recv, send = ctx.Pipe(duplex=False)
-                proc = ctx.Process(target=_train_block,
+                proc = ctx.Process(target=_train_child,
                                    args=(send, net, seq, block, args))
                 try:
                     proc.start()
                     children.append((block, proc, recv))
                 finally:
                     send.close()  # so a child's exit reads as EOF here
-
-        def trained(k: int) -> list[bb.EpochStats]:
-            if k in blocks[0]:
-                return bb.train_task(net, k, seq.tasks[k][0], **args)
-            block, proc, recv = next(c for c in children if k in c[0])
-            try:
-                item = recv.recv()
-            except EOFError:
-                proc.join()
-                raise ChildProcessError(
-                    f"the process training tasks {list(block)} exited with "
-                    f"code {proc.exitcode} before it sent task {k}") from None
-            if isinstance(item, BaseException):
-                raise item
-            net.isolation.masks[k], net.heads[k], stats = item
-            net.finished.append(k)
-            return stats
-
-        yield trained
+        yield stream()
     finally:
         for _, proc, recv in children:
             proc.terminate()
@@ -204,22 +217,24 @@ def _task_blocks(net: bb.MaskedNet, seq: dt.TaskSequence, args: dict):
             recv.close()
 
 
-def _train_block(send, net: bb.MaskedNet, seq: dt.TaskSequence,
+def _train_tasks(net: bb.MaskedNet, seq: dt.TaskSequence, tasks: range,
+                 args: dict):
+    """``(k, EpochStats list)`` of each of tasks, trained into net in order."""
+    return ((k, bb.train_task(net, k, seq.tasks[k][0], **args)) for k in tasks)
+
+
+def _train_child(send, net: bb.MaskedNet, seq: dt.TaskSequence,
                  block: range, args: dict) -> None:
     """A child's work: train block's tasks into its copy of net, then send
-    each task's ``(masks, head, EpochStats list)`` in task order, with the
-    exception of the first task that raises in that task's place. Sending
-    after the whole block keeps a send that fills the pipe from holding
-    back the block's next task."""
-    items = []
+    one ``(records, error)``: a ``(masks, head, EpochStats list)`` per task
+    trained, and the exception that stopped the block or None."""
+    records, error = [], None
     try:
-        for k in block:
-            stats = bb.train_task(net, k, seq.tasks[k][0], **args)
-            items.append((net.isolation.masks[k], net.heads[k], stats))
+        for k, stats in _train_tasks(net, seq, block, args):
+            records.append((net.isolation.masks[k], net.heads[k], stats))
     except Exception as e:
-        items.append(e)
-    for item in items:
-        send.send(item)
+        error = e
+    send.send((records, error))
 
 
 def _extra(cfg: ExperimentConfig, til: list[list[float]]) -> dict:

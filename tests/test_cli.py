@@ -1,3 +1,4 @@
+import gzip
 import json
 import warnings
 from pathlib import Path
@@ -355,6 +356,69 @@ class TestTrainEvalPipeline:
         assert capsys.readouterr().err == \
             "error: data.train_labels has no rows of class 4 of task 1\n"
         assert not list((tmp_path / "run").glob("*.clwb"))
+
+    @staticmethod
+    def malformed(path, kind, other):
+        """path, a good IDX file, made the kind of file clwb cannot read as
+        its key's array; other holds good bytes of the other rank."""
+        blob = path.read_bytes()
+        path.unlink()
+        if kind == "truncated":
+            path.write_bytes(blob[:-3])
+        elif kind == "bad-magic":
+            path.write_bytes(b"\x00\x00\x08\x02" + blob[4:])
+        elif kind == "empty":
+            path.write_bytes(b"")
+        elif kind == "corrupt-gzip":
+            path.write_bytes(gzip.compress(blob)[:-9])
+        elif kind == "directory":
+            path.mkdir()
+        elif kind == "other-rank":
+            path.write_bytes(other)
+
+    @pytest.mark.parametrize("key, kind, message", [
+        ("train_labels", "missing", ": FileNotFoundError: [Errno 2] No such "
+                                    "file or directory: '{path}'"),
+        ("train_labels", "truncated", ": FormatError: expected 12 data "
+                                      "bytes, found 9"),
+        ("train_labels", "bad-magic", ": FormatError: bad magic 0x00000802"),
+        ("train_labels", "empty", ": FormatError: stream shorter than the "
+                                  "magic word"),
+        ("test_labels", "corrupt-gzip", ": EOFError: Compressed file ended "
+                                        "before the end-of-stream marker was "
+                                        "reached"),
+        ("train_labels", "directory", ": IsADirectoryError: [Errno 21] Is a "
+                                      "directory: '{path}'"),
+        ("train_labels", "other-rank", " holds an array of shape (12, 4, 4), "
+                                       "not (n,)"),
+        ("train_images", "other-rank", " holds an array of shape (12,), not "
+                                       "(n, h, w)"),
+    ], ids=["missing", "truncated", "bad-magic", "empty", "corrupt-gzip",
+            "directory", "images-as-labels", "labels-as-images"])
+    def test_malformed_idx_file_is_usage_error_that_writes_nothing(
+            self, tmp_path, capsys, key, kind, message):
+        # refused when the tasks are built: no traceback, and train makes
+        # no output directory
+        good = self.idx_config(tmp_path, "good", (12, 4, 4), (12, 4, 4), 12)
+        assert run_cli("train", "--config", str(good), "--out",
+                       str(tmp_path / "good_run")) == 0
+        capsys.readouterr()
+        bad = self.idx_config(tmp_path, "bad", (12, 4, 4), (12, 4, 4), 12)
+        part, rank = key.split("_")
+        path = tmp_path / f"bad-{part}-{rank}.idx"
+        other = {"images": "labels", "labels": "images"}[rank]
+        self.malformed(path, kind,
+                       (tmp_path / f"bad-{part}-{other}.idx").read_bytes())
+        message = f"error: data.{key} file {path}" \
+            f"{message.format(path=path)}\n"
+        before = sorted(tmp_path.rglob("*"))
+        checkpoint = ["--checkpoint", str(tmp_path / "good_run/final.clwb")]
+        for args in (["train"], ["eval", *checkpoint],
+                     ["calibrate", *checkpoint]):
+            assert run_cli(*args, "--config", str(bad)) == 2
+            assert capsys.readouterr().err == message
+            assert sorted(tmp_path.rglob("*")) == before
+        assert not (tmp_path / "run").exists()
 
     def test_odin_grid_fraction_that_empties_a_class_is_usage_error(
             self, synth_config_text, tmp_path, capsys, monkeypatch):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clwb import composer as cp
 from clwb import theory as th
@@ -257,6 +259,24 @@ class TestMemoryBuffer:
         pools = {c: rng.normal(size=(3, 2)) for c in range(2)}
         buf = cp.MemoryBuffer.build(200, pools, rng)
         assert len(buf.labels) == 6  # pools exhausted before capacity
+
+    @settings(max_examples=60, deadline=None)
+    @given(tasks=st.integers(1, 6), width=st.integers(1, 5),
+           spare=st.integers(0, 40), data=st.data())
+    def test_a_buffer_of_at_least_the_classes_samples_every_task(
+            self, tasks, width, spare, data):
+        # parse_config refuses a buffer below the class count and
+        # build_tasks a class with no training row, so calibrate_run's pools
+        # are these: its fit sees every class, hence every task
+        topo, n = th.TaskTopology.uniform(tasks, width), tasks * width
+        sizes = data.draw(st.lists(st.integers(1, 8), min_size=n, max_size=n))
+        # each row holds its task's id
+        pools = {topo.flat(k, j): np.full((sizes[topo.flat(k, j)], 2), k)
+                 for k in range(tasks) for j in range(width)}
+        buf = cp.MemoryBuffer.build(n + spare, pools,
+                                    np.random.default_rng(spare))
+        assert np.bincount(buf.labels, minlength=n).all()
+        assert set(buf.inputs[:, 0]) == set(range(tasks))
 
 
 class TestSingleTaskAgreement:

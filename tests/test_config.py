@@ -73,19 +73,6 @@ lambdas = 1.0, 0.5, 0.25
     assert cfg.backbone.lambdas == [1.0, 0.5, 0.25]
 
 
-def test_idx_paths_must_exist(tmp_path):
-    text = MINIMAL + f"""
-[data]
-source = idx
-train_images = {tmp_path / 'nope.idx'}
-train_labels = {tmp_path / 'nope.idx'}
-test_images = {tmp_path / 'nope.idx'}
-test_labels = {tmp_path / 'nope.idx'}
-"""
-    with pytest.raises(ConfigError, match="no such file"):
-        parse_config(text)
-
-
 def test_idx_paths_required():
     with pytest.raises(ConfigError, match="required"):
         parse_config(MINIMAL + "[data]\nsource = idx\n")

@@ -7,6 +7,8 @@ import json
 import os
 import pickle
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -1076,6 +1078,40 @@ def test_a_hat_run_forks_nothing(synth_config_text, monkeypatch, tmp_path):
     ex.train_run(parse_config(synth_config_text(tasks=3, epochs=2)),
                  tmp_path / "hat")
     assert forks == []
+
+
+# what a fresh interpreter runs, one step a line, before it prints whether
+# multiprocessing is loaded; {hat} and {sup} are config texts
+_IMPORT_STEPS = {
+    "hat": "ex.train_run(parse_config({hat!r}), {out!r} + '/hat')",
+    "sup": "ex.train_run(parse_config({sup!r}), {out!r} + '/sup')",
+    "verify": "[verify.run_suite(s, 7, 20) for s in verify.SUITE_NAMES]",
+}
+
+
+@pytest.mark.parametrize("steps, cores, loaded", [
+    (["hat", "sup", "verify"], 1, [False, False, False]),
+    (["hat"], 4, [False]),
+    (["sup"], 2, [True]),
+], ids=["one-core", "hat-on-four-cores", "sup-on-two-cores"])
+def test_multiprocessing_is_loaded_only_by_a_split_run(
+        synth_config_text, tmp_path, steps, cores, loaded):
+    # its import adds to peak RSS, which a one-block run should not pay
+    texts = {"hat": synth_config_text(tasks=2, epochs=1),
+             "sup": synth_config_text(tasks=2, epochs=1, backbone="sup"),
+             "out": str(tmp_path)}
+    script = "\n".join([
+        "import os, sys",
+        "from clwb import experiment as ex, verify",
+        "from clwb.config import parse_config",
+        f"os.sched_getaffinity = lambda pid: set(range({cores}))",
+        *(f"{_IMPORT_STEPS[step].format(**texts)}\n"
+          f"print('multiprocessing' in sys.modules)" for step in steps)])
+    src = str(Path(clwb.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", script], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.split() == [str(v) for v in loaded]
 
 
 def _clwb_exception_classes():
