@@ -57,7 +57,7 @@ def write_atomic(path, blob: bytes) -> None:
     os.replace(tmp, path)
 
 
-def _pack(meta: dict, arrays: list[tuple[str, np.ndarray]]) -> bytes:
+def _pack(meta: dict, arrays: list[tuple[str, np.ndarray]]) -> bytearray:
     manifest = [{"name": n, "shape": list(a.shape)} for n, a in arrays]
     meta = dict(meta, arrays=manifest, format_version=CHECKPOINT_FORMAT_VERSION,
                 clwb_version=__version__)
@@ -69,8 +69,8 @@ def _pack(meta: dict, arrays: list[tuple[str, np.ndarray]]) -> bytes:
     out += meta_blob
     for _, a in arrays:
         out += np.ascontiguousarray(a, dtype="<f8").tobytes()
-    out += struct.pack("<I", zlib.crc32(bytes(out)))
-    return bytes(out)
+    out += struct.pack("<I", zlib.crc32(out))
+    return out
 
 
 def _unpack(blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
@@ -84,7 +84,7 @@ def _unpack(blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
             f"format version {version} unsupported "
             f"(loader handles {CHECKPOINT_FORMAT_VERSION})")
     (stored_crc,) = struct.unpack("<I", blob[-4:])
-    if zlib.crc32(blob[:-4]) != stored_crc:
+    if zlib.crc32(memoryview(blob)[:-4]) != stored_crc:
         raise CheckpointCorruptionError("checksum mismatch")
     (meta_len,) = struct.unpack("<I", blob[6:10])
     meta_end = 10 + meta_len

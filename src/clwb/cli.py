@@ -160,7 +160,8 @@ def cmd_calibrate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     blob = {"alpha": params.alpha.tolist(), "beta": params.beta.tolist(),
             "initial_loss": history[0], "final_loss": min(history),
-            "init": {"alpha": 1.0, "beta": 0.0}}
+            "init": {"alpha": 1.0, "beta": 0.0},
+            "buffer_class_counts": params.buffer_class_counts}
     write_atomic(out / "calibration.json",
                  json.dumps(blob, sort_keys=True, indent=1).encode())
     ex.write_report(before, out, "report_before_calibration")

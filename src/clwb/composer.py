@@ -33,10 +33,13 @@ __all__ = [
 
 @dataclass
 class CalibrationParams:
-    """Per-task affine logit adjustment alpha_k * f_k + beta_k."""
+    """Per-task affine logit adjustment alpha_k * f_k + beta_k, and the
+    samples of each global class in the buffer it was fit on (None for
+    parameters read from a file)."""
 
     alpha: np.ndarray
     beta: np.ndarray
+    buffer_class_counts: list[int] | None = None
 
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=np.float64)
@@ -175,8 +178,9 @@ def fit_calibration(per_task_logits: list, labels, *, iters: int, lr: float,
     buffer samples (whatever the configured prediction path emits) and
     labels their (n,) global classes; calibration never touches model
     weights. Returns the best parameters seen by full-buffer loss, so the
-    final loss never exceeds the initial, plus the per-iteration loss
-    history. Each iteration's full-buffer evaluation forms the loss alone.
+    final loss never exceeds the initial, with the buffer's per-class
+    sample counts, plus the per-iteration loss history. Each iteration's
+    full-buffer evaluation forms the loss alone.
     """
     labels = np.asarray(labels, dtype=np.intp)
     if labels.size == 0:
@@ -206,4 +210,5 @@ def fit_calibration(per_task_logits: list, labels, *, iters: int, lr: float,
         history.append(current)
         if current < best[0]:
             best = (current, alpha.copy(), beta.copy())
-    return CalibrationParams(best[1], best[2]), history
+    counts = np.bincount(labels, minlength=sum(widths)).tolist()
+    return CalibrationParams(best[1], best[2], counts), history

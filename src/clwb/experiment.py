@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import zlib
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -106,9 +107,11 @@ def _build_net(cfg: ExperimentConfig, input_dim: int) -> bb.MaskedNet:
                                lambdas=b.lambdas, sparsity=b.sparsity)
 
 
-def _til_predictions(net: bb.MaskedNet, test: dt.LabeledImageSet,
-                     task: int) -> np.ndarray:
-    return np.argmax(ol.class_logits(net, test.images, task), axis=1)
+def _til(net: bb.MaskedNet, seq: dt.TaskSequence, k: int) -> float:
+    """Task k's TIL accuracy (percent) on its test set."""
+    test = seq.tasks[k][1]
+    return mt.cil_accuracy(
+        np.argmax(ol.class_logits(net, test.images, k), axis=1), test.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +123,12 @@ def train_run(cfg: ExperimentConfig, out_dir) -> dict:
     final checkpoint carrying the accuracy history. Returns artifact paths.
 
     Tasks of a state with independent tasks train side by side
-    (``_trained_tasks``); every file holds the bytes of a one-process run."""
+    (``_forked_tasks``); every file holds the bytes of a one-process run."""
     seq = build_tasks(cfg)  # first: a refused config leaves no out_dir
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     net = _build_net(cfg, seq.tasks[0][0].images[0].size)
+    independent = net.isolation.independent_tasks
 
     til: list[list[float]] = []  # til[a][j]: task j's TIL after task a
     trace: dict = {"tasks": [], "config": cfg.text, "seed": cfg.seed}
@@ -136,12 +140,23 @@ def train_run(cfg: ExperimentConfig, out_dir) -> dict:
                 head_epochs=lc.head_epochs or b.epochs,
                 head_lr=lc.head_lr or b.lr, contrastive_tau=lc.temperature,
                 flip_prob=lc.flip_prob, noise_sigma=lc.noise_sigma)
+
+    def train(k):  # in the process that trains task k: its record
+        stats = bb.train_task(net, k, seq.tasks[k][0], **args)
+        masks = net.isolation.masks[k] if independent else None
+        return masks, net.heads[k], stats, _til(net, seq, k)
+
     paths = []
-    with _trained_tasks(net, seq, args) as trained:
-        for k, stats in trained:
-            til.append([mt.cil_accuracy(_til_predictions(net, test, j),
-                                        test.labels)
-                        for j, (_, test) in enumerate(seq.tasks[:k + 1])])
+    with _forked_tasks(seq.n_tasks, independent, train,
+                       "training") as trained:
+        for k, (masks, head, stats, own) in trained:
+            if k not in net.finished:  # trained in a forked child
+                net.isolation.masks[k], net.heads[k] = masks, head
+                net.finished.append(k)
+            # an independent task's TIL reads only what its training left,
+            # so it is read once; HAT's later tasks move earlier tasks' units
+            til.append([til[j][j] if independent else _til(net, seq, j)
+                        for j in range(k)] + [own])
             trace["tasks"].append({"task": k,
                                    "epochs": [asdict(e) for e in stats],
                                    "til_so_far": til[k]})
@@ -158,40 +173,39 @@ def train_run(cfg: ExperimentConfig, out_dir) -> dict:
 
 
 @contextmanager
-def _trained_tasks(net: bb.MaskedNet, seq: dt.TaskSequence, args: dict):
-    """Yield an iterator of each task's ``(k, EpochStats list)`` in task
-    order, each once net holds tasks 0..k.
+def _forked_tasks(n: int, split: bool, work: Callable, doing: str):
+    """Yield an iterator of ``(k, work(k))`` over tasks 0..n-1 in task order.
 
-    The tasks split into contiguous blocks, one per usable core when the
-    isolation state's tasks are independent and ``fork`` exists, else one.
-    This process trains the first block into net. A forked child trains
-    each later block on its copy of the untrained net, so nothing is
-    pickled into it, and its one message is installed into net in task
-    order. A task that raises, here or in a child, raises here with its
-    type and message. Every child is terminated and joined on any exit."""
-    n = seq.n_tasks
+    With split, where ``fork`` exists, the tasks split into contiguous
+    blocks, one per usable core, else into one. This process runs the first
+    block as the iterator reaches it. A forked child runs each later block
+    on its copy of this process, so nothing is pickled into it, and sends
+    one ``(results, error)`` message: work's result per task it ran, and
+    the exception that stopped the block or None. A task that raises, here
+    or in a child, raises here with its type and message once the results
+    before it are yielded; a child that dies without sending raises
+    ``ChildProcessError`` naming what it was doing. Every child is
+    terminated and joined on any exit."""
     usable = getattr(os, "sched_getaffinity", None)
-    split = net.isolation.independent_tasks and usable and hasattr(os, "fork")
+    split = split and usable and hasattr(os, "fork")
     count = min(n, len(usable(0))) if split else 1
     blocks = [range(n * i // count, n * (i + 1) // count)
               for i in range(count)]
     children = []  # (block, process, receiving end)
 
     def stream():
-        yield from _train_tasks(net, seq, blocks[0], args)
+        for k in blocks[0]:
+            yield k, work(k)
         for block, proc, recv in children:
             try:
-                records, error = recv.recv()
+                results, error = recv.recv()
             except EOFError:
                 proc.join()
                 raise ChildProcessError(
-                    f"the process training tasks {list(block)} exited with "
+                    f"the process {doing} tasks {list(block)} exited with "
                     f"code {proc.exitcode} before it sent task "
                     f"{block[0]}") from None
-            for k, (masks, head, stats) in zip(block, records):
-                net.isolation.masks[k], net.heads[k] = masks, head
-                net.finished.append(k)
-                yield k, stats
+            yield from zip(block, results)
             if error is not None:
                 raise error
 
@@ -201,8 +215,8 @@ def _trained_tasks(net: bb.MaskedNet, seq: dt.TaskSequence, args: dict):
             ctx = multiprocessing.get_context("fork")
             for block in blocks[1:]:
                 recv, send = ctx.Pipe(duplex=False)
-                proc = ctx.Process(target=_train_child,
-                                   args=(send, net, seq, block, args))
+                proc = ctx.Process(target=_run_block,
+                                   args=(send, work, block))
                 try:
                     proc.start()
                     children.append((block, proc, recv))
@@ -217,24 +231,19 @@ def _trained_tasks(net: bb.MaskedNet, seq: dt.TaskSequence, args: dict):
             recv.close()
 
 
-def _train_tasks(net: bb.MaskedNet, seq: dt.TaskSequence, tasks: range,
-                 args: dict):
-    """``(k, EpochStats list)`` of each of tasks, trained into net in order."""
-    return ((k, bb.train_task(net, k, seq.tasks[k][0], **args)) for k in tasks)
-
-
-def _train_child(send, net: bb.MaskedNet, seq: dt.TaskSequence,
-                 block: range, args: dict) -> None:
-    """A child's work: train block's tasks into its copy of net, then send
-    one ``(records, error)``: a ``(masks, head, EpochStats list)`` per task
-    trained, and the exception that stopped the block or None."""
-    records, error = [], None
+def _run_block(send, work: Callable, block: range) -> None:
+    """A forked child's work: work(k) for each of block's tasks in order,
+    then one ``(results, error)`` message, the error being the exception
+    that stopped the block or None. It sends only once the block is done:
+    a large result overfills the pipe, and a blocking send would hold back
+    the next task."""
+    results, error = [], None
     try:
-        for k, stats in _train_tasks(net, seq, block, args):
-            records.append((net.isolation.masks[k], net.heads[k], stats))
+        for k in block:
+            results.append(work(k))
     except Exception as e:
         error = e
-    send.send((records, error))
+    send.send((results, error))
 
 
 def _extra(cfg: ExperimentConfig, til: list[list[float]]) -> dict:
@@ -250,15 +259,16 @@ def _extra(cfg: ExperimentConfig, til: list[list[float]]) -> dict:
 # ---------------------------------------------------------------------------
 
 def _scorer_params(cfg: ExperimentConfig, net: bb.MaskedNet,
-                   seq: dt.TaskSequence) -> dict[int, ol.OdinParams]:
-    """Per-task ODIN settings: fixed from config, or grid-searched by
+                   seq: dt.TaskSequence) -> Callable[[int], ol.OdinParams]:
+    """Task k -> its ODIN settings: fixed from config, or grid-searched by
     validation AUC, each candidate scored once over the pooled held-out
     slices of all tasks' training data and judged by ``_task_auc``; the
     first candidate of highest AUC wins (on one task, every candidate
-    scores 0.5)."""
+    scores 0.5). The slices are checked, and a fraction that empties a
+    class refused, before the first task's grid row runs."""
     if not cfg.ood.odin_grid:
         p = ol.OdinParams(cfg.ood.odin_tau, cfg.ood.odin_eps)
-        return {k: p for k in range(seq.n_tasks)}
+        return lambda k: p
     cands = [ol.OdinParams(tau, eps)
              for tau in ol.ODIN_TAU_GRID for eps in ol.ODIN_EPS_GRID]
     held_out = []
@@ -271,12 +281,12 @@ def _scorer_params(cfg: ExperimentConfig, net: bb.MaskedNet,
                 f"ood.validation_fraction: task {k}: {e}") from e
     pooled, owner, _ = _pooled(held_out)
 
-    def task_aucs(k):  # frees task k's OdinRows before the next is built
+    def grid_row(k):  # frees task k's OdinRows before the next is built
         rows = ol.OdinRows(net, pooled, k, ol.ODIN_TAU_GRID)
-        return [_task_auc(ol.odin_score(net, rows, k, c), owner, k)
+        aucs = [_task_auc(ol.odin_score(net, rows, k, c), owner, k)
                 for c in cands]
-    aucs = np.array([task_aucs(k) for k in range(seq.n_tasks)])
-    return {k: cands[i] for k, i in enumerate(np.argmax(aucs, axis=1))}
+        return cands[int(np.argmax(aucs))]
+    return grid_row
 
 
 def _pooled(sets: list[dt.LabeledImageSet]
@@ -450,25 +460,31 @@ def _score_loaded(cfg: ExperimentConfig, net: bb.MaskedNet, meta: dict,
     ``_scorer_arg`` returns them). Per task, every scorer post-processes one
     forward at the test rows (a plain head's class logits, a rotation head's
     degree-0 slots); only other quarter turns and ODIN's perturbed rows run
-    their own."""
+    their own. When the ODIN grid runs, each task's grid row and scoring
+    run side by side with other tasks' (``_forked_tasks``)."""
     images, test_task_of, truth_local = _pooled([t for _, t in seq.tasks])
-    odin = _scorer_params(cfg, net, seq) if "odin" in scorers else {}
+    odin = _scorer_params(cfg, net, seq) if "odin" in scorers else None
 
     def task_scores(k):  # frees task k's forward before the next task's
         if odin:
-            rows = ol.OdinRows(net, images, k,
-                               [odin[k].tau] if odin[k].eps else [])
+            p = odin(k)
+            rows = ol.OdinRows(net, images, k, [p.tau] if p.eps else [])
         raw = rows.z if odin else bb.task_raw_logits(net, images, k)
         logits = ol.ensemble_logits(net, images, k, raw) \
             if net.heads[k].kind == "rotation" else raw
         score = {"msp": lambda: ol.msp_score(raw),
                  "maxlogit": lambda: ol.maxlogit_score(raw),
-                 "odin": lambda: ol.odin_score(net, rows, k, odin[k]),
+                 "odin": lambda: ol.odin_score(net, rows, k, p),
                  "rotation-ensemble": lambda: ol.msp_score(logits)}
-        return (logits, *(score[scorer]() for scorer in scorers))
+        return (p if odin else None, logits,
+                *(score[scorer]() for scorer in scorers))
 
     tasks = range(seq.n_tasks)
-    per_task_logits, *per_scorer = map(list, zip(*map(task_scores, tasks)))
+    # a fork costs more than a task's scoring saves unless the grid runs
+    with _forked_tasks(seq.n_tasks, "odin" in scorers and cfg.ood.odin_grid,
+                       task_scores, "scoring") as scored_tasks:
+        per_task = [result for _, result in scored_tasks]
+    params, per_task_logits, *per_scorer = map(list, zip(*per_task))
 
     til_per_task, til_avg = mt.til_accuracy(
         [per_task_logits[k][test_task_of == k].argmax(axis=1) for k in tasks],
@@ -489,7 +505,7 @@ def _score_loaded(cfg: ExperimentConfig, net: bb.MaskedNet, meta: dict,
             auc_per_task=auc_per_task, auc_avg=mt.avg_auc(auc_per_task),
             forgetting=forgetting, config_text=cfg.text,
             odin_params={str(k): {"tau": p.tau, "eps": p.eps}
-                         for k, p in odin.items() if scorer == "odin"})
+                         for k, p in enumerate(params) if scorer == "odin"})
         scored.append(_Scored(report_fields, seq.topology, test_task_of,
                               truth_local, per_task_logits, scores))
     return scored

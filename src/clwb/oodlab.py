@@ -79,21 +79,22 @@ def maxlogit_score(logits) -> np.ndarray:
 
 class OdinRows:
     """ODIN's eps-free work on a row batch x, shared by a grid's candidates:
-    the logits z at x through task's path and, per tau in taus, the input
-    gradient of log softmax(z/tau)[argmax z]. The forward cache is not kept."""
+    the logits z at x through task's path and, per tau in taus, the
+    perturbation direction sign(-g) of the input gradient g of
+    log softmax(z/tau)[argmax z]. Neither the forward cache nor g is kept."""
 
     def __init__(self, net: bb.MaskedNet, x, task: int, taus):
         if task not in net.heads:
             raise ValueError(f"unknown task {task}")
         self.net, self.task, self.x = net, task, np.asarray(x, dtype=float)
         feats, cache, trunk = bb.task_features(net, self.x, task)
-        self.z, self.grad = bb._head_logits(net.heads[task], feats), {}
+        self.z, self.direction = bb._head_logits(net.heads[task], feats), {}
         for tau in taus:
             dlogits = -nk.softmax(self.z / tau) / tau
             dlogits[np.arange(len(self.z)), self.z.argmax(axis=1)] += 1.0 / tau
             g = nk.input_gradient(trunk, cache,
                                   dlogits @ net.heads[task].weight)
-            self.grad[tau] = g.reshape(self.x.shape)
+            self.direction[tau] = np.sign(-g).reshape(self.x.shape)
 
 
 def _check_rows(net, rows, task: int) -> None:
@@ -113,10 +114,10 @@ def odin_perturb(net: bb.MaskedNet, rows: OdinRows, task: int,
     _check_rows(net, rows, task)
     if params.eps == 0.0:
         return rows.x.copy()
-    if params.tau not in rows.grad:
+    if params.tau not in rows.direction:
         raise ValueError(f"OdinRows hold no input gradient for tau "
                          f"{params.tau}")
-    return rows.x - params.eps * np.sign(-rows.grad[params.tau])
+    return rows.x - params.eps * rows.direction[params.tau]
 
 
 def odin_score(net: bb.MaskedNet, rows: OdinRows, task: int,

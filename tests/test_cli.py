@@ -569,6 +569,23 @@ class TestCalibrateCommand:
         assert (out / "report_before_calibration.json").exists()
         assert (out / "report_after_calibration.json").exists()
 
+    @pytest.mark.parametrize("buffer, counts", [
+        (200, [34, 34, 33, 33, 33, 33]),
+        (300, [40] * 6),
+    ], ids=["remainder-to-low-classes", "short-pools"])
+    def test_calibration_file_records_the_buffer_class_counts(
+            self, synth_config_text, tmp_path, capsys, buffer, counts):
+        # 40 training rows per class: a quota of 50 takes a class's 40
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(synth_config_text(
+            epochs=2, extra=f"[calibrate]\nbuffer = {buffer}\n"))
+        out = tmp_path / "run"
+        run_cli("train", "--config", str(cfg_path))
+        assert run_cli("calibrate", "--config", str(cfg_path),
+                       "--checkpoint", str(out / "final.clwb")) == 0
+        blob = json.loads((out / "calibration.json").read_text())
+        assert blob["buffer_class_counts"] == counts
+
     def test_calibrated_eval_reproduces_the_calibrate_report(
             self, synth_config_text, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.ini"

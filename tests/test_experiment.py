@@ -302,6 +302,7 @@ def test_calibrate_loads_once_and_reports_as_eval_run(trained, monkeypatch):
 @pytest.mark.parametrize("scorer", ["msp", "odin"])
 def test_calibrate_scores_the_test_set_once(trained, monkeypatch, scorer):
     text, final = trained
+    _usable_cores(monkeypatch, 1)  # the spies count this process's calls
     cfg = parse_config(text + f"\n[ood]\nscorer = {scorer}\nodin_grid = true\n")
     n_tasks = 3
     calls = {"task_features": 0, "odin_score": 0}
@@ -667,15 +668,22 @@ def _recording(monkeypatch, module, name, log):
     monkeypatch.setattr(module, name, spy)
 
 
+def _grid_choice(cfg, net, seq):
+    """Every task's ODIN choice, each grid row run in this process."""
+    choice = ex._scorer_params(cfg, net, seq)
+    return {k: choice(k) for k in range(seq.n_tasks)}
+
+
 def test_pooled_odin_grid_matches_the_per_split_loop(odin_net, monkeypatch):
     cfg, net, seq = odin_net
+    _usable_cores(monkeypatch, 1)
     old_aucs, new_aucs, scores = [], [], []
     _recording(monkeypatch, mt, "auc", old_aucs)
     want = _per_split_grid(cfg, net, seq)
     monkeypatch.undo()
     _recording(monkeypatch, mt, "auc", new_aucs)
     _recording(monkeypatch, ol, "odin_score", scores)
-    got = ex._scorer_params(cfg, net, seq)
+    got = _grid_choice(cfg, net, seq)
     assert got == want
     n_grid = len(ol.ODIN_TAU_GRID) * len(ol.ODIN_EPS_GRID)
     assert len(scores) == seq.n_tasks * n_grid
@@ -725,6 +733,7 @@ def test_odin_grid_task_runs_16_forwards_and_5_gradients(odin_net,
     # per task: one forward at x plus one per eps > 0 candidate, and one
     # input gradient per tau; scoring each candidate alone took 35 and 15
     cfg, net, seq = odin_net
+    _usable_cores(monkeypatch, 1)
     n_tau = len(ol.ODIN_TAU_GRID)
     n_perturbed = n_tau * sum(eps > 0 for eps in ol.ODIN_EPS_GRID)
     assert (1 + n_perturbed, n_tau) == (16, 5)
@@ -734,7 +743,7 @@ def test_odin_grid_task_runs_16_forwards_and_5_gradients(odin_net,
             calls[name] += 1
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
-    ex._scorer_params(cfg, net, seq)
+    _grid_choice(cfg, net, seq)
     assert calls == {"task_features": seq.n_tasks * 16,
                      "input_gradient": seq.n_tasks * 5}
     calls.update(task_features=0, input_gradient=0)
@@ -747,6 +756,7 @@ def test_odin_grid_task_runs_16_forwards_and_5_gradients(odin_net,
 
 def test_single_task_odin_grid_keeps_the_first_candidate(
         synth_config_text, tmp_path, monkeypatch):
+    _usable_cores(monkeypatch, 1)
     text = synth_config_text(tasks=1, extra="[ood]\nodin_grid = true\n")
     cfg = parse_config(text)
     final = ex.train_run(cfg, tmp_path / "run")["final"]
@@ -754,7 +764,7 @@ def test_single_task_odin_grid_keeps_the_first_candidate(
     _recording(monkeypatch, ex, "_task_auc", aucs)
     net, _ = load_checkpoint(final)
     # the grid's one path: every candidate ties at 0.5, the first wins
-    assert ex._scorer_params(cfg, net, ex.build_tasks(cfg)) == {
+    assert _grid_choice(cfg, net, ex.build_tasks(cfg)) == {
         0: ol.OdinParams(1.0, 0.0)}
     assert aucs == [0.5] * len(ol.ODIN_TAU_GRID) * len(ol.ODIN_EPS_GRID)
     report = ex.eval_run(cfg, final, scorer="odin")
@@ -1078,6 +1088,116 @@ def test_a_hat_run_forks_nothing(synth_config_text, monkeypatch, tmp_path):
     ex.train_run(parse_config(synth_config_text(tasks=3, epochs=2)),
                  tmp_path / "hat")
     assert forks == []
+
+
+def _counted_til_reads(monkeypatch):
+    """(tasks finished, task read) of each TIL read in this process."""
+    reads, real = [], ex._til
+
+    def spy(net, seq, k):
+        reads.append((len(net.finished), k))
+        return real(net, seq, k)
+
+    monkeypatch.setattr(ex, "_til", spy)
+    return reads
+
+
+def test_a_supermask_task_s_til_is_read_once_where_it_trained(
+        sup_ce_text, monkeypatch, tmp_path):
+    cfg = parse_config(sup_ce_text)
+    _usable_cores(monkeypatch, 1)
+    reads = _counted_til_reads(monkeypatch)
+    ex.train_run(cfg, tmp_path / "one")
+    assert reads == [(k + 1, k) for k in range(cfg.tasks.count)]
+    monkeypatch.undo()
+    _usable_cores(monkeypatch, 4)
+    final = ex.train_run(cfg, tmp_path / "four")["final"]
+    net, meta = load_checkpoint(final)
+    seq = ex.build_tasks(cfg)
+    fresh = [ex._til(net, seq, j) for j in range(seq.n_tasks)]
+    assert meta["extra"]["accuracy_matrix"] == [
+        [fresh[j] if a >= j else None for a in range(seq.n_tasks)]
+        for j in range(seq.n_tasks)]
+
+
+def test_a_hat_run_reads_every_finished_task_s_til_after_each_task(
+        synth_config_text, monkeypatch, tmp_path):
+    # training a HAT task moves units that earlier tasks read
+    reads = _counted_til_reads(monkeypatch)
+    ex.train_run(parse_config(synth_config_text(tasks=3, epochs=2)),
+                 tmp_path / "hat")
+    assert sorted(reads) == [(k + 1, j) for k in range(3)
+                             for j in range(k + 1)]
+
+
+# ---------------------------------------------------------------------------
+# The ODIN grid runs per task on forked workers
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("run", ["hat_odin_run", "rotation_run"])
+def test_an_odin_grid_eval_has_the_same_bytes_on_any_core_count(
+        run, request, monkeypatch):
+    text, final = request.getfixturevalue(run)
+    cfg = parse_config(text + "\n[ood]\nodin_grid = true\n"
+                       "validation_fraction = 0.2\n")
+    scorers = ["odin", "msp"] + (["rotation-ensemble"]
+                                 if run == "rotation_run" else [])
+    forks = _counted_forks(monkeypatch)
+    reports = []
+    for cores in (1, 4):
+        _usable_cores(monkeypatch, cores)
+        reports.append([r.to_json() for r in ex.eval_grid(
+            cfg, final, scorers=scorers, routes=["concat-argmax", "compose"])])
+        if cores == 1:
+            assert forks == []
+    # 3 tasks on 4 cores: one block per task, all but the first forked
+    assert len(forks) == cfg.tasks.count - 1
+    assert reports[0] == reports[1]
+    # a cell without the grid forks nothing
+    ex.eval_grid(cfg, final, scorers=scorers[1:], routes=["compose"])
+    assert len(forks) == cfg.tasks.count - 1
+
+
+# on 2 cores the 3 tasks split into blocks [0] (here) and [1, 2] (a child)
+def _fail_in_grid_row(monkeypatch, task, failure):
+    real = ol.odin_score
+
+    def odin_score(net, rows, k, params):
+        if k == task:
+            failure()
+        return real(net, rows, k, params)
+
+    monkeypatch.setattr(ol, "odin_score", odin_score)
+
+
+def test_an_error_in_a_grid_child_raises_its_type_and_message(
+        hat_odin_run, monkeypatch):
+    import multiprocessing
+    text, final = hat_odin_run
+    _usable_cores(monkeypatch, 2)
+    forks = _counted_forks(monkeypatch)
+    _fail_in_grid_row(monkeypatch, 2, _blow_up)
+    with pytest.raises(nk.NumericError) as caught:
+        ex.eval_run(parse_config(text + "\n[ood]\nodin_grid = true\n"), final,
+                    scorer="odin")
+    assert type(caught.value) is nk.NumericError
+    assert str(caught.value) == "injected blow-up (layer 1)"
+    assert len(forks) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_a_grid_child_that_dies_without_sending_is_named_by_its_tasks(
+        hat_odin_run, monkeypatch):
+    import multiprocessing
+    text, final = hat_odin_run
+    _usable_cores(monkeypatch, 2)
+    _fail_in_grid_row(monkeypatch, 2, lambda: os._exit(3))
+    with pytest.raises(ChildProcessError,
+                       match=r"^the process scoring tasks \[1, 2\] exited "
+                             r"with code 3 before it sent task 1$"):
+        ex.eval_run(parse_config(text + "\n[ood]\nodin_grid = true\n"), final,
+                    scorer="odin")
+    assert multiprocessing.active_children() == []
 
 
 # what a fresh interpreter runs, one step a line, before it prints whether

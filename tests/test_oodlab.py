@@ -116,8 +116,15 @@ class TestOdin:
             net = trained_toy_net(seed=seed)
             rng = np.random.default_rng(100 + seed)
             x = rng.normal(size=(1, 4))
-            g = ol.OdinRows(net, x, 0, [1.0]).grad[1.0]
+            feats, cache, trunk = bb.task_features(net, x, 0)
+            head = net.heads[0]
+            z = feats @ head.weight.T + head.bias
+            dlogits = -nk.softmax(z)
+            dlogits[0, z.argmax()] += 1.0
+            g = nk.input_gradient(trunk, cache, dlogits @ head.weight)
             d = np.sign(g)
+            np.testing.assert_array_equal(
+                ol.OdinRows(net, x, 0, [1.0]).direction[1.0], -d)
             t = 1e-6
 
             def log_msp(v):
@@ -206,8 +213,9 @@ class TestOdinRows:
         rows = ol.OdinRows(net, x, 0, ol.ODIN_TAU_GRID)
         assert (forwards[0], grads[0]) == (1, len(ol.ODIN_TAU_GRID))
         np.testing.assert_array_equal(rows.z, bb.task_raw_logits(net, x, 0))
-        assert list(rows.grad) == list(ol.ODIN_TAU_GRID)
-        assert all(g.shape == x.shape for g in rows.grad.values())
+        assert list(rows.direction) == list(ol.ODIN_TAU_GRID)
+        assert all(d.shape == x.shape and np.isin(d, (-1.0, 0.0, 1.0)).all()
+                   for d in rows.direction.values())
 
     def test_scoring_from_rows_runs_only_the_perturbed_forwards(
             self, monkeypatch):
