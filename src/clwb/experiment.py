@@ -8,6 +8,7 @@ printed, never written into the canonical report bytes.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 import zlib
@@ -122,8 +123,10 @@ def train_run(cfg: ExperimentConfig, out_dir) -> dict:
     """Train all tasks in task order; one checkpoint per finished task plus a
     final checkpoint carrying the accuracy history. Returns artifact paths.
 
-    Tasks of a state with independent tasks train side by side
-    (``_forked_tasks``); every file holds the bytes of a one-process run."""
+    Tasks of a state with independent tasks train side by side, one
+    process per task while they are at most ``_PROCESSES_PER_CORE`` per
+    usable core, else one block of tasks per core (``_forked_tasks``);
+    every file holds the bytes of a one-process run."""
     seq = build_tasks(cfg)  # first: a refused config leaves no out_dir
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -147,8 +150,8 @@ def train_run(cfg: ExperimentConfig, out_dir) -> dict:
         return masks, net.heads[k], stats, _til(net, seq, k)
 
     paths = []
-    with _forked_tasks(seq.n_tasks, independent, train,
-                       "training") as trained:
+    with _forked_tasks(seq.n_tasks, _PROCESSES_PER_CORE if independent else 0,
+                       train, "training") as trained:
         for k, (masks, head, stats, own) in trained:
             if k not in net.finished:  # trained in a forked child
                 net.isolation.masks[k], net.heads[k] = masks, head
@@ -172,23 +175,43 @@ def train_run(cfg: ExperimentConfig, out_dir) -> dict:
             "trace": str(out / "trace.json")}
 
 
+# Independent tasks train one per process while they number at most this
+# many per usable core, else in one block per core. A process per task saves
+# under one task's time against one block per core (the block that carries
+# a remainder task), so past a few tasks per core it is lost in run-to-run
+# spread while every process holds its own pages: 17 supermask tasks on 2
+# vCPUs trained in 1.05 s as 2 blocks, 1.03 s as 8 and 1.08 s as 17.
+_PROCESSES_PER_CORE = 4
+
+
 @contextmanager
-def _forked_tasks(n: int, split: bool, work: Callable, doing: str):
+def _forked_tasks(n: int, per_core: int, work: Callable, doing: str):
     """Yield an iterator of ``(k, work(k))`` over tasks 0..n-1 in task order.
 
-    With split, where ``fork`` exists, the tasks split into contiguous
-    blocks, one per usable core, else into one. This process runs the first
-    block as the iterator reaches it. A forked child runs each later block
-    on its copy of this process, so nothing is pickled into it, and sends
-    one ``(results, error)`` message: work's result per task it ran, and
-    the exception that stopped the block or None. A task that raises, here
-    or in a child, raises here with its type and message once the results
-    before it are yielded; a child that dies without sending raises
+    Where ``fork`` exists and more than one core is usable, each task runs
+    in its own block when n is at most per_core x usable cores, else the
+    tasks split into one contiguous block per usable core; per_core 0 asks
+    for one block. This process runs the first block as the iterator
+    reaches it. A forked child runs each later block on its copy of this
+    process, so nothing is pickled into it, and sends one ``(results,
+    error)`` message: work's result per task it ran, and the exception that
+    stopped the block or None. A task that raises, here or in a child,
+    raises here with its type and message once the results before it are
+    yielded; a child that dies without sending raises
     ``ChildProcessError`` naming what it was doing. Every child is
-    terminated and joined on any exit."""
+    terminated and joined on any exit.
+
+    A split needs numpy's OpenBLAS, whose threads it holds to one per
+    process until it exits; with another BLAS the tasks run in one block."""
     usable = getattr(os, "sched_getaffinity", None)
-    split = split and usable and hasattr(os, "fork")
-    count = min(n, len(usable(0))) if split else 1
+    cores = len(usable(0)) if usable and hasattr(os, "fork") else 1
+    count = 1 if cores < 2 or not per_core else \
+        n if n <= per_core * cores else cores
+    # every process would start a BLAS thread per core, so a split runs only
+    # where it can hold each of them to one
+    blas = _blas_threads() if count > 1 else None
+    if blas is None:
+        count = 1
     blocks = [range(n * i // count, n * (i + 1) // count)
               for i in range(count)]
     children = []  # (block, process, receiving end)
@@ -209,6 +232,9 @@ def _forked_tasks(n: int, split: bool, work: Callable, doing: str):
             if error is not None:
                 raise error
 
+    if count > 1:
+        threads = blas[0]()
+        blas[1](1)  # here and, inherited, in every child
     try:
         if count > 1:
             import multiprocessing  # a one-block run never loads it
@@ -229,6 +255,29 @@ def _forked_tasks(n: int, split: bool, work: Callable, doing: str):
             proc.join()
             proc.close()
             recv.close()
+        if count > 1:
+            blas[1](threads)
+
+
+def _blas_threads():
+    """The thread-count getter and setter of the OpenBLAS this process
+    loaded (numpy's), or None when it loaded none that has them."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps
+                            if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)  # the loaded copy, not a second one
+        for name in ("scipy_openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            get, put = (getattr(lib, name.format(op), None)
+                        for op in ("get", "set"))
+            if get and put:
+                return get, put
+    return None
 
 
 def _run_block(send, work: Callable, block: range) -> None:
@@ -454,14 +503,25 @@ class _Scored:
     per_task_scores: list[np.ndarray]
 
 
+# A fixed-eps ODIN cell scores its tasks side by side only when one trunk
+# forward of its pooled test rows takes at least this many multiply-adds.
+# On 2 vCPUs, a HAT cell with an 8-64-64 trunk read 18.9 ms in one process
+# and 18.2 ms split at 1,000 rows (4.6M), 36.5 and 28.5 ms at 2,000 (9.2M);
+# example.ini's (128 weights) lost at every size up to 1,200 rows, as a
+# fork and join costs about 4 ms.
+_FORK_MACS = 5_000_000
+
+
 def _score_loaded(cfg: ExperimentConfig, net: bb.MaskedNet, meta: dict,
                   seq: dt.TaskSequence, scorers: list[str]) -> list[_Scored]:
     """Each scorer's _Scored over the pooled test sets (scorers as
     ``_scorer_arg`` returns them). Per task, every scorer post-processes one
     forward at the test rows (a plain head's class logits, a rotation head's
     degree-0 slots); only other quarter turns and ODIN's perturbed rows run
-    their own. When the ODIN grid runs, each task's grid row and scoring
-    run side by side with other tasks' (``_forked_tasks``)."""
+    their own. When ODIN takes an input gradient (the grid, or eps > 0
+    over at least ``_FORK_MACS`` per forward), each task's scoring, grid
+    row first, runs side by side with other tasks', one block per usable
+    core (``_forked_tasks``)."""
     images, test_task_of, truth_local = _pooled([t for _, t in seq.tasks])
     odin = _scorer_params(cfg, net, seq) if "odin" in scorers else None
 
@@ -480,9 +540,13 @@ def _score_loaded(cfg: ExperimentConfig, net: bb.MaskedNet, meta: dict,
                 *(score[scorer]() for scorer in scorers))
 
     tasks = range(seq.n_tasks)
-    # a fork costs more than a task's scoring saves unless the grid runs
-    with _forked_tasks(seq.n_tasks, "odin" in scorers and cfg.ood.odin_grid,
-                       task_scores, "scoring") as scored_tasks:
+    # a fork costs more than a task's scoring saves unless that takes an
+    # input gradient: the grid's, or a fixed ODIN eps > 0 over enough rows
+    macs = len(images) * sum(w.size for w in net.trunk.weights)
+    gradient = "odin" in scorers and (
+        cfg.ood.odin_grid or (cfg.ood.odin_eps > 0 and macs >= _FORK_MACS))
+    with _forked_tasks(seq.n_tasks, 1 if gradient else 0, task_scores,
+                       "scoring") as scored_tasks:
         per_task = [result for _, result in scored_tasks]
     params, per_task_logits, *per_scorer = map(list, zip(*per_task))
 

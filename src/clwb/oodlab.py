@@ -165,8 +165,9 @@ def build_rotation_batch(images, labels, *, rng: np.random.Generator,
     pixel noise), each view all four quarter-turns; rotation r of class y is
     labeled y*4 + r, a bijection onto 0..4C-1 when all classes appear. Output
     order: sample-major, then view, then rotation. Per sample and view, rng
-    draws the flip (rng.random()) and then the noise (rng.normal, only when
-    noise_sigma > 0), so a seed fixes the batch.
+    draws the flip (rng.random()) and then the noise (rng.standard_normal
+    times noise_sigma, only when noise_sigma > 0), so a seed fixes the
+    batch.
     """
     imgs = np.asarray(images, dtype=np.float64)
     ys = np.asarray(labels).astype(np.intp)
@@ -177,13 +178,18 @@ def build_rotation_batch(images, labels, *, rng: np.random.Generator,
     if ys.shape != (len(imgs),):
         raise ValueError(f"labels of shape {ys.shape} for {len(imgs)} images")
     turns = _quarter_turn_index(*imgs.shape[1:])
-    flipped = imgs[:, :, ::-1]
-    views = np.empty((2 * len(imgs),) + imgs.shape[1:])
-    for v in range(len(views)):
-        views[v] = flipped[v // 2] if rng.random() < flip_prob else imgs[v // 2]
-        if noise_sigma > 0:
-            views[v] += rng.normal(0.0, noise_sigma, imgs.shape[1:])
-    if noise_sigma > 0:
+    flips = np.empty(2 * len(imgs), dtype=bool)
+    noise = np.empty(flips.shape + imgs.shape[1:]) if noise_sigma > 0 else None
+    for v in range(len(flips)):
+        flips[v] = rng.random() < flip_prob
+        if noise is not None:  # the draws of rng.normal(0, sigma, ...)
+            rng.standard_normal(out=noise[v])
+    # view v shows image v // 2, flipped when its draw says so
+    views = np.where(flips.reshape(-1, 2, 1, 1), imgs[:, None, :, ::-1],
+                     imgs[:, None]).reshape(flips.shape + imgs.shape[1:])
+    if noise is not None:
+        noise *= noise_sigma
+        views += noise
         np.clip(views, 0.0, 1.0, out=views)
     out = views.reshape(len(views), -1)[:, turns]
     out_y = np.repeat(ys * 4, 8) + np.tile(np.arange(4), 2 * len(imgs))

@@ -979,7 +979,7 @@ def test_checkpoints_hold_the_trace_accuracy_matrix(trained):
 
 
 # ---------------------------------------------------------------------------
-# Supermask tasks train side by side, one forked process per usable core
+# Supermask tasks train side by side, one forked process per task
 # ---------------------------------------------------------------------------
 
 def _usable_cores(monkeypatch, n):
@@ -1031,6 +1031,71 @@ def test_a_supermask_run_has_the_same_bytes_on_any_core_count(
     assert reports[0] == reports[1]
 
 
+def _files_on_cores(monkeypatch, cfg, out, core_counts):
+    """Each core count's run files and fork count."""
+    forks, runs = _counted_forks(monkeypatch), []
+    for cores in core_counts:
+        _usable_cores(monkeypatch, cores)
+        before = len(forks)
+        ex.train_run(cfg, out / f"cores{cores}")
+        runs.append((_run_files(out / f"cores{cores}"), len(forks) - before))
+    return runs
+
+
+def test_every_supermask_task_trains_in_its_own_process(
+        synth_config_text, monkeypatch, tmp_path):
+    # 5 tasks: 2 and 3 usable cores do not divide them, 4 has one spare
+    cfg = parse_config(synth_config_text(tasks=5, epochs=2, backbone="sup"))
+    runs = _files_on_cores(monkeypatch, cfg, tmp_path, (1, 2, 3, 4))
+    assert [forks for _, forks in runs] == [0, 4, 4, 4]
+    assert len(runs[0][0]) == 5 + 2
+    assert all(files == runs[0][0] for files, _ in runs)
+
+
+def test_tasks_past_the_per_core_cap_train_in_blocks(
+        synth_config_text, monkeypatch, tmp_path):
+    # 9 tasks on 2 cores: one block per core, tasks 0-3 here, 4-8 forked
+    cfg = parse_config(synth_config_text(tasks=9, epochs=1, backbone="sup"))
+    assert 9 > ex._PROCESSES_PER_CORE * 2
+    runs = _files_on_cores(monkeypatch, cfg, tmp_path, (1, 2))
+    assert [forks for _, forks in runs] == [0, 1]
+    assert len(runs[0][0]) == 9 + 2
+    assert runs[0][0] == runs[1][0]
+
+
+def _blas_threads_by_task(monkeypatch, cores, per_core):
+    """Each task's BLAS thread count under _forked_tasks on cores usable
+    cores, and this process's count after it."""
+    _usable_cores(monkeypatch, cores)
+    get = ex._blas_threads()[0]
+    with ex._forked_tasks(3, per_core, lambda k: get(), "probing") as done:
+        threads = [t for _, t in done]
+    return threads, get()
+
+
+def test_a_split_holds_every_process_to_one_blas_thread(monkeypatch):
+    if ex._blas_threads() is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS this can hold")
+    get, put = ex._blas_threads()
+    before = get()
+    put(2)
+    try:
+        assert _blas_threads_by_task(monkeypatch, 1, 1) == ([2, 2, 2], 2)
+        assert _blas_threads_by_task(monkeypatch, 4, 0) == ([2, 2, 2], 2)
+        assert _blas_threads_by_task(monkeypatch, 4, 1) == ([1, 1, 1], 2)
+    finally:
+        put(before)
+
+
+def test_without_a_blas_it_can_hold_a_run_forks_nothing(
+        sup_ce_text, monkeypatch, tmp_path):
+    forks = _counted_forks(monkeypatch)
+    monkeypatch.setattr(ex, "_blas_threads", lambda: None)
+    runs = _files_on_cores(monkeypatch, parse_config(sup_ce_text), tmp_path,
+                           (1, 4))
+    assert forks == [] and runs[0] == runs[1]
+
+
 def _fail_on(monkeypatch, task, failure):
     original = bb.train_task
 
@@ -1046,7 +1111,8 @@ def _blow_up():
     raise nk.NumericError("injected blow-up", 1)
 
 
-# on 2 cores the 4 tasks split into blocks [0, 1] (here) and [2, 3] (a child)
+# on 2 cores each of the 4 tasks trains in its own process: task 0 here,
+# tasks 1, 2 and 3 in one child each
 @pytest.mark.parametrize("task", [1, 2, 3])
 def test_the_first_failing_task_keeps_the_earlier_checkpoints(
         task, sup_ce_text, monkeypatch, tmp_path):
@@ -1060,7 +1126,7 @@ def test_the_first_failing_task_keeps_the_earlier_checkpoints(
     assert type(caught.value) is nk.NumericError
     assert str(caught.value) == "injected blow-up (layer 1)"
     assert caught.value.layer == 1
-    assert len(forks) == 1
+    assert len(forks) == 3
     assert sorted(p.name for p in out.iterdir()) == \
         [f"task{k + 1}.clwb" for k in range(task)]
     assert multiprocessing.active_children() == []
@@ -1073,12 +1139,13 @@ def test_a_child_that_dies_without_sending_is_named_by_its_tasks(
     _fail_on(monkeypatch, 3, lambda: os._exit(3))
     out = tmp_path / "partial"
     with pytest.raises(ChildProcessError,
-                       match=r"^the process training tasks \[2, 3\] exited "
-                             r"with code 3 before it sent task 2$"):
+                       match=r"^the process training tasks \[3\] exited "
+                             r"with code 3 before it sent task 3$"):
         ex.train_run(parse_config(sup_ce_text), out)
-    # the child sends after its whole block, so task 2 is lost with it
+    # task 3 trains alone in its child, so only task 3 is lost with it
     assert sorted(p.name for p in out.iterdir()) == ["task1.clwb",
-                                                     "task2.clwb"]
+                                                     "task2.clwb",
+                                                     "task3.clwb"]
     assert multiprocessing.active_children() == []
 
 
@@ -1155,6 +1222,27 @@ def test_an_odin_grid_eval_has_the_same_bytes_on_any_core_count(
     assert reports[0] == reports[1]
     # a cell without the grid forks nothing
     ex.eval_grid(cfg, final, scorers=scorers[1:], routes=["compose"])
+    assert len(forks) == cfg.tasks.count - 1
+
+
+def test_a_fixed_eps_odin_eval_forks_and_has_the_same_bytes(trained,
+                                                            monkeypatch):
+    # its input gradient per task is worth a fork over enough multiply-adds;
+    # without one, or over fewer, it is not
+    text, final = trained
+    cfg = parse_config(text)
+    assert cfg.ood.odin_eps > 0 and not cfg.ood.odin_grid
+    forks = _counted_forks(monkeypatch)
+    _usable_cores(monkeypatch, 4)
+    want = ex.eval_run(cfg, final, scorer="odin").to_json()
+    assert forks == []  # a few rows through a 4-16 trunk
+    monkeypatch.setattr(ex, "_FORK_MACS", 1)
+    # 3 tasks on 4 cores: one block per task, all but the first forked
+    assert ex.eval_run(cfg, final, scorer="odin").to_json() == want
+    assert len(forks) == cfg.tasks.count - 1
+    ex.eval_run(cfg, final, scorer="msp")
+    ex.eval_run(parse_config(text + "\n[ood]\nodin_eps = 0\n"), final,
+                scorer="odin")
     assert len(forks) == cfg.tasks.count - 1
 
 
