@@ -52,13 +52,24 @@ __all__ = [
 ]
 
 
+def _split(flat: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
+    """Consecutive views of a flat vector, one per size."""
+    views, at = [], 0
+    for n in sizes:
+        views.append(flat[at:at + n])
+        at += n
+    return views
+
+
 @dataclass
 class HatState:
     """Hard-attention bookkeeping across tasks.
 
     accumulated[l] is the elementwise max of all finished tasks' attentions
     at full scale (a^{<k}); it only grows. lambdas[k] weights the sparsity
-    regularizer of task k.
+    regularizer of task k. embeddings[k][l] are views of one flat vector per
+    task, its layer-l slice (the embeddings' layout): an attention, its
+    regularizer and the embedding step run over that vector at once.
     """
 
     kind = "hat"
@@ -69,36 +80,86 @@ class HatState:
     lambdas: list[float]
     embeddings: dict[int, list[np.ndarray]] = field(default_factory=dict)
     accumulated: list[np.ndarray] = field(default_factory=list)
-    # (accumulated arrays, their constants) of the last constants() build
+    # (ids of the accumulated arrays, the arrays, {key: constant})
     built: tuple | None = field(default=None, repr=False, compare=False)
+    # task -> (its embeddings list, the flat vector the list's arrays view,
+    # their sizes)
+    packed: dict[int, tuple] = field(default_factory=dict, repr=False,
+                                     compare=False)
 
-    def constants(self) -> tuple[list[np.ndarray], list[np.ndarray], float]:
-        """Per layer 1 - min(acc_out, acc_in) (acc_in = 1 at the input) and
-        the free mass 1 - acc, then the free mass summed. Built once per
-        accumulated state: reused while accumulated holds the same array
-        objects, and hat_accumulate replaces them."""
-        acc, last = list(self.accumulated), self.built
-        if last is None or list(map(id, last[0])) != list(map(id, acc)):
+    def _once(self, key, make):
+        """make(accumulated), built once per accumulated state and key:
+        reused while accumulated holds the same array objects, and
+        hat_accumulate replaces them."""
+        acc, last = self.accumulated, self.built
+        ids = tuple(map(id, acc))
+        if last is None or last[0] != ids:
+            last = self.built = (ids, list(acc), {})
+        if key not in last[2]:
+            last[2][key] = make(last[1])
+        return last[2][key]
+
+    def free_mass(self) -> tuple[np.ndarray, float, list[slice]]:
+        """1 - acc in the embeddings' layout, its sum (summed per layer
+        first) and each layer's slice of that layout."""
+        def make(acc):
             free = [1.0 - a for a in acc]
-            factors = [1.0 - np.minimum(o[:, None], i[None, :])
-                       for o, i in zip(acc, [np.ones(1)] + acc[:-1])]
-            last = self.built = (acc, (factors, free,
-                                       float(sum(f.sum() for f in free))))
-        return last[1]
+            ends = np.cumsum([a.size for a in acc]).tolist()
+            return (np.concatenate(free), float(sum(f.sum() for f in free)),
+                    [slice(i, j) for i, j in zip([0] + ends, ends)])
+        return self._once("free", make)
+
+    def reg_coefficient(self, lam: float) -> np.ndarray:
+        """lam * (1 - acc) / (its sum) in the embeddings' layout; the
+        regularizer's gradient is this times a * (1 - a) * s."""
+        def make(acc):
+            free, denom, _ = self.free_mass()
+            return lam * free / denom
+        return self._once(("coef", lam), make)
+
+    def gradient_mask(self, layout: tuple) -> np.ndarray:
+        """hat_masked_gradients' factors in the tape layout ``layout``: per
+        layer 1 - min(acc_out, acc_in) (acc_in = 1 at the input) on the
+        weights, then 1 - acc_out on each layer's biases."""
+        def make(acc):
+            ins = [np.ones(layout[0][1])] + acc[:-1]
+            return nk.flat_like_params(
+                [1.0 - np.minimum(o[:, None], i[None, :])
+                 for o, i in zip(acc, ins)], [1.0 - a for a in acc])
+        return self._once(("mask", layout), make)
 
     def lambda_for(self, task: int) -> float:
         return self.lambdas[min(task, len(self.lambdas) - 1)]
 
-    def attentions(self, task: int, s: float | None = None) -> list[np.ndarray]:
-        if task not in self.embeddings:
+    def flat_embedding(self, task: int) -> np.ndarray:
+        """Task's embeddings as one flat vector, which embeddings[task]'s
+        arrays view. A list put in embeddings by hand is copied into a new
+        vector on first use, and its views take its place."""
+        es = self.embeddings.get(task)
+        if es is None:
             raise ValueError(f"task {task} has no attention embeddings")
+        last = self.packed.get(task)
+        if last is None or last[0] is not es:
+            last = self._pack(task, np.concatenate(es), [e.size for e in es])
+        return last[1]
+
+    def _pack(self, task: int, flat: np.ndarray, sizes: list[int]) -> tuple:
+        views = self.embeddings[task] = _split(flat, sizes)
+        last = self.packed[task] = (views, flat, sizes)
+        return last
+
+    def attentions(self, task: int, s: float | None = None) -> list[np.ndarray]:
+        """Task's gates per layer: views of one hat_attention over the
+        task's flat embeddings."""
+        flat = self.flat_embedding(task)
         scale = self.s_max if s is None else s
-        return [hat_attention(e, scale) for e in self.embeddings[task]]
+        return _split(hat_attention(flat, scale), self.packed[task][2])
 
     def start_task(self, net: MaskedNet, task: int,
                    rng: np.random.Generator) -> None:
-        self.embeddings[task] = [rng.normal(size=acc.shape)
-                                 for acc in self.accumulated]
+        # one draw of every layer's embeddings, in layer order
+        sizes = [acc.size for acc in self.accumulated]
+        self._pack(task, rng.normal(size=sum(sizes)), sizes)
 
     def trunk_for(self, net: MaskedNet, task: int, s: float | None = None
                   ) -> tuple[nk.DenseNet, list[np.ndarray]]:
@@ -114,14 +175,15 @@ class HatState:
     def after_backward(self, net: MaskedNet, task: int, tape: nk.GradTape,
                        cache: nk.ForwardCache, s: float, lr: float) -> float:
         """Regularize, mask and apply the trunk step, then move the task's
-        embeddings; returns the regularizer value."""
-        attn = cache.hooks
-        reg_val, e_grads, _ = hat_regularizer(self, task, attn, s)
+        embeddings; returns the regularizer value. Each runs once over the
+        flat buffers."""
+        attn = np.concatenate(cache.hooks)
+        reg_val, e_grad, _ = hat_regularizer(self, task, attn, s)
         hat_masked_gradients(tape, self)
         nk.sgd_step(net.trunk, tape, lr)
-        for l, eg in enumerate(e_grads):
-            total = eg + tape.d_hooks[l] * attn[l] * (1.0 - attn[l]) * s
-            self.embeddings[task][l] -= lr * total
+        e_grad += np.concatenate(tape.d_hooks) * attn * (1.0 - attn) * s
+        flat = self.flat_embedding(task)
+        flat -= lr * e_grad
         return reg_val
 
     def finish_task(self, net: MaskedNet, task: int) -> None:
@@ -142,14 +204,10 @@ class HatState:
                     accumulated=[arrays[f"hat_acc{l}"].copy()
                                  for l in range(n_layers)])
         for k in meta["hat_tasks"]:
-            state.embeddings[k] = [arrays[f"hat_emb{k}_{l}"].copy()
+            state.embeddings[k] = [arrays[f"hat_emb{k}_{l}"]
                                    for l in range(n_layers)]
+            state.flat_embedding(k)  # copied out of the checkpoint's buffer
         return state
-
-
-def _masked_trunk(net: MaskedNet, masks: list[np.ndarray]) -> nk.DenseNet:
-    return nk.DenseNet([w * m for w, m in zip(net.trunk.weights, masks)],
-                       net.trunk.biases)
 
 
 @dataclass
@@ -168,11 +226,16 @@ class SupState:
     # task -> (trunk, masks, masked trunk) of a finished task's last build
     built: dict[int, tuple] = field(default_factory=dict, repr=False,
                                     compare=False)
+    # the task in training's flat mask in the trunk's layout, ones at the
+    # bias slots, and its weight views, which each step's mask rewrites
+    live: tuple | None = field(default=None, repr=False, compare=False)
 
     def start_task(self, net: MaskedNet, task: int,
                    rng: np.random.Generator) -> None:
         self.scores = [rng.normal(scale=0.1, size=w.shape)
                        for w in net.trunk.weights]
+        flat = np.ones_like(net.trunk.params)
+        self.live = (flat, net.trunk.views(flat)[0])
 
     def trunk_for(self, net: MaskedNet, task: int, s: float | None = None
                   ) -> tuple[nk.DenseNet, None]:
@@ -180,17 +243,21 @@ class SupState:
         task, or the live scores' mask for the task in training. Supermask
         training never changes W, so a finished task's trunk is built once
         and reused while net.trunk and its masks are the same objects; the
-        task in training gets a new one per call."""
+        task in training gets a new one per call, its mask written into
+        the live flat mask."""
         if task not in self.masks:
             if self.scores is None:
                 raise ValueError(f"unknown task {task}")
-            masks = mask_from_scores(self.scores, self.p)
-            return _masked_trunk(net, masks), None
+            flat, views = self.live
+            mask_from_scores(self.scores, self.p, out=views)
+            return net.trunk.masked(flat), None
         masks = self.masks[task]
         last = self.built.get(task)
         if last is None or last[0] is not net.trunk or last[1] is not masks:
+            flat = nk.flat_like_params(masks, [np.ones_like(b)
+                                               for b in net.trunk.biases])
             last = self.built[task] = (net.trunk, masks,
-                                       _masked_trunk(net, masks))
+                                       net.trunk.masked(flat))
         return last[2], None
 
     def scale(self, batch: int, n_batches: int) -> None:
@@ -205,7 +272,7 @@ class SupState:
 
     def finish_task(self, net: MaskedNet, task: int) -> None:
         self.masks[task] = mask_from_scores(self.scores, self.p)
-        self.scores = None
+        self.scores = self.live = None
 
     def checkpoint_arrays(self) -> tuple[list[tuple[str, np.ndarray]], dict]:
         arrays = [(f"sup_mask{k}_{l}", m) for k in sorted(self.masks)
@@ -295,40 +362,45 @@ def hat_attention(e: np.ndarray, s: float) -> np.ndarray:
         raise ValueError(f"scale s must be positive, got {s}")
     z = s * np.asarray(e, dtype=np.float64)
     ez = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    d = 1.0 + ez
+    return np.where(z >= 0, 1.0 / d, ez / d)
 
 
 def hat_masked_gradients(tape: nk.GradTape, state: HatState) -> None:
-    """Scale trunk gradients by 1 - min(acc_out, acc_in) in place.
+    """Scale trunk gradients by 1 - min(acc_out, acc_in) in place, as one
+    multiply of the tape's flat buffer.
 
     The input layer counts as fully claimed (acc = 1): weights into a
     protected unit must freeze regardless of which input pixel they read.
     Bias gradients scale by 1 - acc_out for the same reason. A contraction:
     |g'| <= |g| elementwise.
     """
-    factors, free, _ = state.constants()
-    for l, (factor, f) in enumerate(zip(factors, free)):
-        tape.d_weights[l] *= factor
-        tape.d_biases[l] *= f
+    tape.grads *= state.gradient_mask(tape.layout)
 
 
-def hat_regularizer(state: HatState, task: int,
-                    attentions: list[np.ndarray], s: float
-                    ) -> tuple[float, list[np.ndarray], bool]:
+def hat_regularizer(state: HatState, task: int, attentions: np.ndarray,
+                    s: float) -> tuple[float, np.ndarray, bool]:
     """Sparsity penalty on attention mass over still-free units.
 
+    attentions is every layer's gates as one flat vector in the
+    embeddings' layout (the per-layer arrays concatenated), and the
+    gradient comes back in the same layout.
     L_r = lambda_k * sum a * (1 - acc) / sum (1 - acc), with gradients chained
     back to the embeddings through the sigmoid. All units already claimed
     (denominator 0) reports 0 with the capacity-exhausted flag.
     """
-    lam = state.lambda_for(task)
-    _, free, denom = state.constants()
+    a = np.asarray(attentions, dtype=np.float64)
+    free, denom, layers = state.free_mass()
+    if a.shape != free.shape:
+        raise nk.ShapeError(f"attentions of shape {a.shape} for "
+                            f"{free.size} units")
     if denom == 0.0:
-        return 0.0, [np.zeros_like(a) for a in attentions], True
-    value = lam * float(sum((a * f).sum() for a, f in zip(attentions, free))) / denom
-    grads = [lam * f / denom * a * (1.0 - a) * s
-             for a, f in zip(attentions, free)]
-    return value, grads, False
+        return 0.0, np.zeros_like(a), True
+    lam = state.lambda_for(task)
+    claimed = a * free  # summed per layer, then across layers
+    value = lam * float(sum(claimed[l].sum() for l in layers)) / denom
+    grad = state.reg_coefficient(lam) * a * (1.0 - a) * s
+    return value, grad, False
 
 
 def hat_accumulate(net: MaskedNet, task: int) -> None:
@@ -349,9 +421,13 @@ def hat_accumulate(net: MaskedNet, task: int) -> None:
 # Supermasks
 # ---------------------------------------------------------------------------
 
-def mask_from_scores(scores: list[np.ndarray], p: float) -> list[np.ndarray]:
+def mask_from_scores(scores: list[np.ndarray], p: float,
+                     out: list[np.ndarray] | None = None) -> list[np.ndarray]:
     """Per layer, 1.0 on the ceil(p% * size) largest scores, ties to the
-    lowest flat index; a deterministic function of (scores, p).
+    lowest flat index; a deterministic function of (scores, p). out, if
+    given, holds one float64 array per layer shaped like its scores (the
+    weight views of a flat mask), which the masks are written into and
+    returned as; else each mask is a new array.
 
     A NaN or infinite score raises NumericError naming its layer: a
     diverged score vector has no meaningful top-k.
@@ -366,9 +442,14 @@ def mask_from_scores(scores: list[np.ndarray], p: float) -> list[np.ndarray]:
         # the lowest flat indices among those equal to it
         t = np.partition(flat, flat.size - keep)[flat.size - keep]
         above = flat > t
-        m = above.astype(np.float64)
-        m[np.flatnonzero(flat == t)[:keep - np.count_nonzero(above)]] = 1.0
-        masks.append(m.reshape(v.shape))
+        if out is None:
+            m = above.astype(np.float64).reshape(v.shape)
+        else:
+            m = out[l]
+            np.copyto(m, above.reshape(v.shape))
+        ties = np.flatnonzero(flat == t)[:keep - np.count_nonzero(above)]
+        m.flat[ties] = 1.0
+        masks.append(m)
     return masks
 
 
@@ -527,6 +608,8 @@ def _train_epochs(net: MaskedNet, task: int, data: LabeledImageSet,
     frozen = task in net.finished
     phase = "head" if frozen else "contrastive" if head is None else "main"
     n = len(data)
+    # one tape for every step; a supermask step's trunk has net.trunk's layout
+    tape = None if frozen else nk.GradTape.for_net(net.trunk)
     trace = []
     for epoch in range(epochs):
         order = rng.permutation(n)
@@ -551,7 +634,7 @@ def _train_epochs(net: MaskedNet, task: int, data: LabeledImageSet,
 
             reg_val = 0.0
             if not frozen:
-                tape = nk.GradTape.for_net(run_trunk)
+                tape.zero()
                 nk.backward(run_trunk, tape, cache, d_feats)
                 reg_val = state.after_backward(net, task, tape, cache, s, lr)
             if head is not None:

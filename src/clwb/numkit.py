@@ -6,10 +6,18 @@ row-major ``(fan_out, fan_in)`` arrays; every layer computes
 ``relu(W @ h + b)``, and a net run with hooks multiplies each layer's output
 by its element-wise mask ("hook"). Hooks are how task-attention masks plug
 in: a forward takes one per layer or none.
+
+A net's parameters, and a GradTape's gradients, live in one flat float64
+buffer each: every weight matrix row-major, then every bias, in layer
+order. The per-layer arrays are views into it, so forward and backward work
+layer by layer while ``sgd_step`` checks and updates all parameters with
+one call each, and a caller can scale every gradient with one multiply by
+a factor of the same layout.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +32,7 @@ __all__ = [
     "DenseNet",
     "GradTape",
     "ForwardCache",
+    "flat_like_params",
     "glorot_net",
     "forward",
     "backward",
@@ -61,57 +70,147 @@ def _as_f64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-@dataclass
+def _pack(weights, biases) -> tuple[np.ndarray, tuple]:
+    """One new float64 buffer holding every weight matrix (row-major), then
+    every bias vector, in layer order; returns it and the layout, the
+    shape of each part in that order."""
+    parts = [_as_f64(p) for p in (*weights, *biases)]
+    return (np.concatenate([p.reshape(-1) for p in parts]),
+            tuple(p.shape for p in parts))
+
+
+def flat_like_params(weights, biases) -> np.ndarray:
+    """A new flat buffer in the layout of a DenseNet's params from per-layer
+    arrays shaped like its weights and biases, such as a factor for every
+    gradient of a tape."""
+    return _pack(weights, biases)[0]
+
+
+def _views(flat: np.ndarray, layout: tuple, n_layers: int
+           ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The per-layer weight and bias views of a buffer of layout."""
+    parts, at = [], 0
+    for shape in layout:
+        size = math.prod(shape)
+        parts.append(flat[at:at + size].reshape(shape))
+        at += size
+    return parts[:n_layers], parts[n_layers:]
+
+
 class DenseNet:
     """A stack of ReLU dense layers: weights[l] is (out, in), biases[l] is
     (out,). Consecutive layer dimensions must agree; ``validate`` enforces
     that plus finiteness.
+
+    Every parameter lives in one flat float64 buffer, ``params``: all the
+    weight matrices, row-major, then all the biases, in layer order (the
+    ``layout``). weights[l] and biases[l] are views into it, so an in-place
+    edit of either is an edit of params; assigning new lists copies them in.
     """
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    def __post_init__(self):
+    def __init__(self, weights, biases):
+        self._set(*_pack(weights, biases), len(weights))
         self.validate()
+
+    def _set(self, params: np.ndarray, layout: tuple, n_layers: int) -> None:
+        self.params, self.layout = params, layout
+        self._weights, self._biases = _views(params, layout, n_layers)
+
+    @property
+    def weights(self) -> list[np.ndarray]:
+        return self._weights
+
+    @weights.setter
+    def weights(self, weights) -> None:
+        self._set(*_pack(weights, self._biases), len(weights))
+
+    @property
+    def biases(self) -> list[np.ndarray]:
+        return self._biases
+
+    @biases.setter
+    def biases(self, biases) -> None:
+        self._set(*_pack(self._weights, biases), self.n_layers)
 
     @property
     def n_layers(self) -> int:
-        return len(self.weights)
+        return len(self._weights)
+
+    def views(self, flat: np.ndarray
+              ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer views of flat, a buffer in the layout of params: one
+        shaped like each weight matrix, then one like each bias."""
+        if flat.shape != self.params.shape:
+            raise ShapeError(f"buffer of shape {flat.shape} for params of "
+                             f"{self.params.shape}")
+        return _views(flat, self.layout, self.n_layers)
+
+    def masked(self, mask: np.ndarray) -> "DenseNet":
+        """A validated net whose params are params * mask: one multiply by
+        a flat mask in the layout of params (ones at the bias slots keep
+        the biases)."""
+        if mask.shape != self.params.shape:
+            raise ShapeError(f"mask of shape {mask.shape} for params of "
+                             f"{self.params.shape}")
+        net = DenseNet.__new__(DenseNet)
+        net._set(self.params * mask, self.layout, self.n_layers)
+        net.validate()
+        return net
 
     def validate(self) -> None:
-        if len(self.weights) != len(self.biases):
+        if len(self._weights) != len(self._biases):
             raise ShapeError("weights/biases length mismatch")
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for l, (w, b) in enumerate(zip(self._weights, self._biases)):
             if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
                 raise ShapeError(f"layer {l}: weight {w.shape} vs bias {b.shape}")
-            if l > 0 and w.shape[1] != self.weights[l - 1].shape[0]:
+            if l > 0 and w.shape[1] != self._weights[l - 1].shape[0]:
                 raise ShapeError(
                     f"layer {l}: fan_in {w.shape[1]} != previous fan_out "
-                    f"{self.weights[l - 1].shape[0]}"
+                    f"{self._weights[l - 1].shape[0]}"
                 )
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise NumericError("non-finite parameter", l)
+        if not np.isfinite(self.params).all():
+            raise NumericError("non-finite parameter",
+                               _first_nonfinite(self._weights, self._biases))
 
 
-@dataclass
+def _first_nonfinite(weights, biases) -> int:
+    """The first layer whose weights or bias hold a NaN or infinity; called
+    once a whole-buffer check has failed."""
+    return next(l for l, (w, b) in enumerate(zip(weights, biases))
+                if not (np.isfinite(w).all() and np.isfinite(b).all()))
+
+
 class GradTape:
     """Per-parameter gradient accumulators mirroring a DenseNet's shapes.
 
+    Like the net's parameters, the gradients live in one flat buffer,
+    ``grads``, of the net's layout; d_weights[l] and d_biases[l] are views
+    into it. A tape built from per-layer lists copies them in.
     ``d_hooks[l]`` holds the gradient w.r.t. the layer-l hook vector of a
     forward run with hooks; it is None after a forward without. Training
-    takes a fresh tape per step.
+    takes one tape per task and zeroes it before each step.
     """
 
-    d_weights: list[np.ndarray]
-    d_biases: list[np.ndarray]
-    d_hooks: list[np.ndarray] | None = None
+    def __init__(self, d_weights, d_biases, d_hooks=None):
+        self._set(*_pack(d_weights, d_biases), len(d_weights))
+        self.d_hooks = d_hooks
+
+    def _set(self, grads: np.ndarray, layout: tuple, n_layers: int) -> None:
+        self.grads, self.layout = grads, layout
+        self.d_weights, self.d_biases = _views(grads, layout, n_layers)
 
     @classmethod
     def for_net(cls, net: DenseNet) -> "GradTape":
-        return cls(
-            [np.zeros_like(w) for w in net.weights],
-            [np.zeros_like(b) for b in net.biases],
-        )
+        tape = cls.__new__(cls)
+        tape._set(np.zeros_like(net.params), net.layout, net.n_layers)
+        tape.d_hooks = None
+        return tape
+
+    def zero(self) -> None:
+        """Every gradient back to +0.0 and no hook gradients, as for_net
+        leaves a new tape."""
+        self.grads.fill(0.0)
+        self.d_hooks = None
 
 
 @dataclass
@@ -231,14 +330,18 @@ def input_gradient(net: DenseNet, cache: ForwardCache,
 
 
 def sgd_step(net: DenseNet, tape: GradTape, lr: float) -> None:
-    """In-place p <- p - lr * g over all parameters."""
+    """In-place p <- p - lr * g over all parameters, as one update of the
+    flat buffer. A non-finite gradient raises NumericError naming its first
+    layer before any parameter moves."""
     if lr <= 0:
         raise ValueError(f"lr must be positive, got {lr}")
-    for l, (gw, gb) in enumerate(zip(tape.d_weights, tape.d_biases)):
-        if not (np.isfinite(gw).all() and np.isfinite(gb).all()):
-            raise NumericError("non-finite gradient", l)
-        net.weights[l] -= lr * gw
-        net.biases[l] -= lr * gb
+    if tape.layout != net.layout:
+        raise ShapeError(f"tape layout {tape.layout} != net layout "
+                         f"{net.layout}")
+    if not np.isfinite(tape.grads).all():
+        raise NumericError("non-finite gradient",
+                           _first_nonfinite(tape.d_weights, tape.d_biases))
+    net.params -= lr * tape.grads
 
 
 # ---------------------------------------------------------------------------

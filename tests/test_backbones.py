@@ -164,25 +164,25 @@ class TestHatRegularizer:
     def test_uniform_attention_value(self):
         state = bb.HatState(400.0, [0.8], accumulated=[np.zeros(5)])
         value, grads, exhausted = bb.hat_regularizer(
-            state, 0, [np.full(5, 0.3)], s=2.0)
+            state, 0, np.full(5, 0.3), s=2.0)
         assert value == pytest.approx(0.8 * 0.3, rel=1e-12)
         assert not exhausted
-        assert grads[0].shape == (5,)
+        assert grads.shape == (5,)
 
     def test_zero_lambda_and_zero_attention(self):
         state = bb.HatState(400.0, [0.0], accumulated=[np.zeros(5)])
-        value, _, _ = bb.hat_regularizer(state, 0, [np.full(5, 0.3)], s=2.0)
+        value, _, _ = bb.hat_regularizer(state, 0, np.full(5, 0.3), s=2.0)
         assert value == 0.0
         state = bb.HatState(400.0, [1.0], accumulated=[np.zeros(5)])
-        value, _, _ = bb.hat_regularizer(state, 0, [np.zeros(5)], s=2.0)
+        value, _, _ = bb.hat_regularizer(state, 0, np.zeros(5), s=2.0)
         assert value == 0.0
 
     def test_capacity_exhausted(self):
         state = bb.HatState(400.0, [1.0], accumulated=[np.ones(5)])
         value, grads, exhausted = bb.hat_regularizer(
-            state, 0, [np.full(5, 0.9)], s=2.0)
+            state, 0, np.full(5, 0.9), s=2.0)
         assert value == 0.0 and exhausted
-        assert not grads[0].any()
+        assert not grads.any()
 
     def test_range(self):
         rng = np.random.default_rng(6)
@@ -191,7 +191,7 @@ class TestHatRegularizer:
             state = bb.HatState(400.0, [lam],
                                 accumulated=[rng.uniform(size=6)])
             value, _, _ = bb.hat_regularizer(
-                state, 0, [rng.uniform(size=6)], s=2.0)
+                state, 0, rng.uniform(size=6), s=2.0)
             assert 0.0 <= value <= lam + 1e-12
 
 
@@ -289,10 +289,20 @@ class TestSupermasks:
         else:  # few distinct values: heavy ties, -0.0 next to 0.0
             v = rng.choice(np.array(palette), size=(rows, cols))
         scores = [v, rng.normal(size=(cols, rows))]
-        for got, want in zip(bb.mask_from_scores(scores, p),
-                             _argsort_masks(scores, p)):
+        wants = _argsort_masks(scores, p)
+        for got, want in zip(bb.mask_from_scores(scores, p), wants):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+        # written into the views of a flat buffer of stale values, past
+        # which two slots stay as they were
+        flat = rng.uniform(size=2 * v.size + 2)
+        out = [flat[:v.size].reshape(v.shape),
+               flat[v.size:-2].reshape(cols, rows)]
+        tail = flat[-2:].tobytes()
+        got = bb.mask_from_scores(scores, p, out=out)
+        assert all(g is o for g, o in zip(got, out))
+        assert [o.tobytes() for o in out] == [w.tobytes() for w in wants]
+        assert flat[-2:].tobytes() == tail
 
     def test_single_keep_takes_the_first_maximum(self):
         v = np.array([[0.0, 3.0, -0.0], [3.0, 1.0, 3.0]])
@@ -491,10 +501,10 @@ class TestHatLossGradCheck:
                 feats, cache = nk.forward(trunk, x, [a])
                 logits = feats @ head_w.T
                 ce, dlogits = nk.softmax_ce(logits, y)
-                reg, e_reg, _ = bb.hat_regularizer(state, 0, [a], s)
+                reg, e_reg, _ = bb.hat_regularizer(state, 0, a, s)
                 tape = nk.GradTape.for_net(trunk)
                 nk.backward(trunk, tape, cache, dlogits @ head_w)
-                de = e_reg[0] + tape.d_hooks[0] * a * (1 - a) * s
+                de = e_reg + tape.d_hooks[0] * a * (1 - a) * s
                 return ce + reg, [tape.d_weights[0], tape.d_biases[0], de]
 
             params = [net.trunk.weights[0].copy(), net.trunk.biases[0].copy(),

@@ -249,6 +249,97 @@ def test_sgd_nonfinite_gradient_reports_layer():
     assert e.value.layer == 1
 
 
+def test_sgd_nonfinite_gradient_moves_no_parameter():
+    # a NaN in layer 1's gradient: layer 0 must not step before the raise
+    rng = np.random.default_rng(8)
+    for bad in ("d_weights", "d_biases"):
+        net = small_net(rng)
+        before = [p.copy() for p in net.weights + net.biases]
+        tape = _random_tape(net, rng)
+        getattr(tape, bad)[1][0] = np.nan
+        with pytest.raises(nk.NumericError) as e:
+            nk.sgd_step(net, tape, 0.1)
+        assert e.value.layer == 1
+        assert [p.tobytes() for p in net.weights + net.biases] == \
+            [p.tobytes() for p in before]
+
+
+def test_sgd_nonfinite_gradient_names_the_first_bad_layer():
+    rng = np.random.default_rng(14)
+    net = small_net(rng, (3, 5, 4, 2))
+    tape = _random_tape(net, rng)
+    tape.d_biases[2][0] = -np.inf
+    tape.d_weights[1][0, 0] = np.nan
+    with pytest.raises(nk.NumericError) as e:
+        nk.sgd_step(net, tape, 0.1)
+    assert e.value.layer == 1
+    net.weights[2][0, 0] = np.inf
+    with pytest.raises(nk.NumericError) as e:
+        net.validate()
+    assert e.value.layer == 2
+
+
+def test_parameters_and_gradients_are_views_of_one_buffer():
+    rng = np.random.default_rng(15)
+    net = small_net(rng, (3, 5, 4, 2))
+    assert net.params.size == sum(p.size for p in net.weights + net.biases)
+    assert all(np.shares_memory(p, net.params)
+               for p in net.weights + net.biases)
+    # all weights row-major, then all biases, in layer order
+    assert net.params.tobytes() == b"".join(
+        p.tobytes() for p in net.weights + net.biases)
+    net.weights[1][2, 3] = 7.5
+    assert 7.5 in net.params
+    tape = nk.GradTape.for_net(net)
+    assert tape.layout == net.layout
+    assert all(np.shares_memory(g, tape.grads)
+               for g in tape.d_weights + tape.d_biases)
+    tape.grads[:] = 1.0
+    tape.d_hooks = [np.ones(2)]
+    tape.zero()
+    assert tape.d_hooks is None
+    assert tape.grads.tobytes() == np.zeros(tape.grads.size).tobytes()
+    # new lists are copied into a new buffer of the same layout
+    net.weights = [w + 1.0 for w in net.weights]
+    assert all(np.shares_memory(w, net.params) for w in net.weights)
+    assert all(np.shares_memory(b, net.params) for b in net.biases)
+    assert net.layout == tape.layout
+
+
+def test_masked_multiplies_the_weights_and_keeps_the_biases():
+    rng = np.random.default_rng(16)
+    net = small_net(rng)
+    net.biases[1][:] = [0.5, -0.0]
+    flat = np.ones_like(net.params)
+    masks, ones = net.views(flat)
+    assert all(np.shares_memory(v, flat) for v in masks + ones)
+    for m in masks:
+        m[...] = rng.choice([0.0, 1.0], size=m.shape)
+    masked = net.masked(flat)
+    assert masked.layout == net.layout
+    assert not np.shares_memory(masked.params, net.params)
+    for a, b in zip(masked.weights + masked.biases,
+                    [w * m for w, m in zip(net.weights, masks)] + net.biases):
+        assert a.tobytes() == b.tobytes()
+    masks[1][0, 0] = np.nan
+    with pytest.raises(nk.NumericError) as e:
+        net.masked(flat)
+    assert e.value.layer == 1
+    with pytest.raises(nk.ShapeError):
+        net.masked(flat[1:])
+    with pytest.raises(nk.ShapeError):
+        net.views(flat[1:])
+
+
+def test_sgd_step_refuses_a_tape_of_another_layout():
+    rng = np.random.default_rng(17)
+    net = small_net(rng, (3, 4, 2))
+    tape = nk.GradTape.for_net(small_net(rng, (5, 3, 2)))  # same size
+    assert tape.grads.size == net.params.size
+    with pytest.raises(nk.ShapeError):
+        nk.sgd_step(net, tape, 0.1)
+
+
 def test_grad_check_quadratic_exact():
     def loss(params):
         (p,) = params

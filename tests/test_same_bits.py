@@ -260,11 +260,12 @@ def _hat_step_matches(state, rng, fan_in):
                                             tape.d_biases, want.d_biases):
         assert _same(got_w, want_w) and _same(got_b, want_b)
     attn = [rng.uniform(size=w) for w in widths]
-    value, grads, exhausted = bb.hat_regularizer(state, 0, attn, 3.0)
+    value, grads, exhausted = bb.hat_regularizer(state, 0,
+                                                 np.concatenate(attn), 3.0)
     want_value, want_grads, want_exhausted = _old_hat_regularizer(
         state.lambda_for(0), state.accumulated, attn, 3.0)
     assert value == want_value and exhausted == want_exhausted
-    assert all(_same(g, w) for g, w in zip(grads, want_grads))
+    assert _same(grads, np.concatenate(want_grads))
 
 
 @settings(max_examples=30, deadline=None)
@@ -292,6 +293,65 @@ def test_hat_constants_follow_every_new_accumulated_state(seed):
     # every unit claimed: the exhausted branch
     state.accumulated = [np.ones(h) for h in hidden]
     _hat_step_matches(state, rng, dim)
+
+
+def _per_layer_sgd(net, tape, lr):
+    for w, b, gw, gb in zip(net.weights, net.biases, tape.d_weights,
+                            tape.d_biases):
+        w -= lr * gw
+        b -= lr * gb
+
+
+def _signed(rng, n):
+    """n gradient values, about half of them +0.0 or -0.0."""
+    g = rng.normal(size=n)
+    zero = rng.random(n) < 0.5
+    g[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       sizes=st.lists(st.integers(1, 9), min_size=2, max_size=4),
+       lam=st.sampled_from([0.0, 0.75, 50.0]),
+       claimed=st.sampled_from(["none", "some", "every"]),
+       s=st.sampled_from([1.0 / 400.0, 1.0, 400.0]))
+def test_one_hat_update_has_the_per_layer_bits(seed, sizes, lam, claimed, s):
+    """The flat HAT step (gradient mask, regularizer, SGD, embedding step)
+    against the per-layer oracles, over trunks of 1-3 layers of 1-9 units
+    and gradients with signed zeros."""
+    rng = np.random.default_rng(seed)
+    widths, lr = sizes[1:], 0.05
+    net = nk.glorot_net(sizes, rng)
+    twin = nk.DenseNet([w.copy() for w in net.weights],
+                       [b.copy() for b in net.biases])
+    state = bb.HatState(400.0, [lam], accumulated=[
+        {"none": np.zeros(w), "some": rng.choice([0.0, 0.3, 1.0], size=w),
+         "every": np.ones(w)}[claimed] for w in widths])
+    state.start_task(None, 0, rng)
+    embeddings = [e.copy() for e in state.embeddings[0]]
+    _, cache = nk.forward(net, rng.normal(size=(3, sizes[0])),
+                          state.attentions(0, s))
+    tape = nk.GradTape.for_net(net)
+    tape.grads[:] = _signed(rng, tape.grads.size)
+    tape.d_hooks = [_signed(rng, w) for w in widths]
+
+    old = nk.GradTape([g.copy() for g in tape.d_weights],
+                      [g.copy() for g in tape.d_biases])
+    attn = [_old_hat_attention(e, s) for e in embeddings]
+    want_value, e_grads, _ = _old_hat_regularizer(lam, state.accumulated,
+                                                  attn, s)
+    _old_hat_masked_gradients(old, state.accumulated)
+    _per_layer_sgd(twin, old, lr)
+    want_embeddings = [e - lr * (g + dh * a * (1.0 - a) * s) for e, g, dh, a
+                       in zip(embeddings, e_grads, tape.d_hooks, attn)]
+
+    value = state.after_backward(bb.MaskedNet(net, {}, state), 0, tape, cache,
+                                 s, lr)
+    assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+    for got, want in zip(net.weights + net.biases + state.embeddings[0],
+                         twin.weights + twin.biases + want_embeddings):
+        assert _same(got, want)
 
 
 # ---------------------------------------------------------------------------
