@@ -10,8 +10,11 @@ Two isolation mechanisms produce per-task heads on a shared trunk:
   (straight-through gradients); the winning mask is frozen at task end.
 
 Both states answer the same calls (start_task, trunk_for, scale,
-after_backward, finish_task, checkpoint_arrays, from_checkpoint), so no
-caller branches on the kind; task_features is the one trunk forward.
+after_backward, steps, finish_task, checkpoint_arrays, from_checkpoint), so
+no caller branches on the kind; task_features is the one trunk forward.
+``trunk_for`` and ``after_backward`` are checked public entries. ``steps``
+checks once what a task's training steps trust, fetches once what they
+read, and returns their kernels, which run the unchecked bodies.
 ``independent_tasks`` says whether a task's training reads what another
 task trains: false for hard attention, true for supermasks.
 
@@ -50,15 +53,6 @@ __all__ = [
     "train_task",
     "EpochStats",
 ]
-
-
-def _split(flat: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
-    """Consecutive views of a flat vector, one per size."""
-    views, at = [], 0
-    for n in sizes:
-        views.append(flat[at:at + n])
-        at += n
-    return views
 
 
 @dataclass
@@ -144,7 +138,7 @@ class HatState:
         return last[1]
 
     def _pack(self, task: int, flat: np.ndarray, sizes: list[int]) -> tuple:
-        views = self.embeddings[task] = _split(flat, sizes)
+        views = self.embeddings[task] = nk._split(flat, sizes)
         last = self.packed[task] = (views, flat, sizes)
         return last
 
@@ -153,7 +147,7 @@ class HatState:
         task's flat embeddings."""
         flat = self.flat_embedding(task)
         scale = self.s_max if s is None else s
-        return _split(hat_attention(flat, scale), self.packed[task][2])
+        return nk._split(hat_attention(flat, scale), self.packed[task][2])
 
     def start_task(self, net: MaskedNet, task: int,
                    rng: np.random.Generator) -> None:
@@ -176,15 +170,17 @@ class HatState:
                        cache: nk.ForwardCache, s: float, lr: float) -> float:
         """Regularize, mask and apply the trunk step, then move the task's
         embeddings; returns the regularizer value. Each runs once over the
-        flat buffers."""
+        flat buffers. The gates' layout, lr and the tape's layout are
+        checked before anything moves."""
         attn = np.concatenate(cache.hooks)
-        reg_val, e_grad, _ = hat_regularizer(self, task, attn, s)
-        hat_masked_gradients(tape, self)
-        nk.sgd_step(net.trunk, tape, lr)
-        e_grad += np.concatenate(tape.d_hooks) * attn * (1.0 - attn) * s
-        flat = self.flat_embedding(task)
-        flat -= lr * e_grad
-        return reg_val
+        terms = _reg_terms(self, task, attn.shape)
+        nk._check_step(net.trunk, tape, lr)
+        return _hat_update(net.trunk, tape, self.flat_embedding(task), attn,
+                           np.concatenate(tape.d_hooks), terms,
+                           self.gradient_mask(tape.layout), s, lr)
+
+    def steps(self, net: MaskedNet, task: int, lr: float) -> "_HatSteps":
+        return _HatSteps(self, net, task, lr)
 
     def finish_task(self, net: MaskedNet, task: int) -> None:
         hat_accumulate(net, task)
@@ -248,9 +244,7 @@ class SupState:
         if task not in self.masks:
             if self.scores is None:
                 raise ValueError(f"unknown task {task}")
-            flat, views = self.live
-            mask_from_scores(self.scores, self.p, out=views)
-            return net.trunk.masked(flat), None
+            return net.trunk.masked(self._live_mask()), None
         masks = self.masks[task]
         last = self.built.get(task)
         if last is None or last[0] is not net.trunk or last[1] is not masks:
@@ -259,6 +253,13 @@ class SupState:
             last = self.built[task] = (net.trunk, masks,
                                        net.trunk.masked(flat))
         return last[2], None
+
+    def _live_mask(self) -> np.ndarray:
+        """The task in training's flat mask, the live scores' mask written
+        into its weight views."""
+        flat, views = self.live
+        mask_from_scores(self.scores, self.p, out=views)
+        return flat
 
     def scale(self, batch: int, n_batches: int) -> None:
         return None
@@ -269,6 +270,9 @@ class SupState:
         for v, g in zip(self.scores, sup_score_update(tape, net.trunk)):
             v -= lr * g
         return 0.0
+
+    def steps(self, net: MaskedNet, task: int, lr: float) -> "_SupSteps":
+        return _SupSteps(self, net, task, lr)
 
     def finish_task(self, net: MaskedNet, task: int) -> None:
         self.masks[task] = mask_from_scores(self.scores, self.p)
@@ -361,9 +365,13 @@ def hat_attention(e: np.ndarray, s: float) -> np.ndarray:
     if s <= 0:
         raise ValueError(f"scale s must be positive, got {s}")
     z = s * np.asarray(e, dtype=np.float64)
-    ez = np.exp(-np.abs(z))
+    a = np.abs(z)
+    np.negative(a, out=a)
+    ez = np.exp(a, out=a)
     d = 1.0 + ez
-    return np.where(z >= 0, 1.0 / d, ez / d)
+    np.copyto(ez, 1.0, where=z >= 0)  # the numerator: 1 or e^-|z|
+    ez /= d
+    return ez
 
 
 def hat_masked_gradients(tape: nk.GradTape, state: HatState) -> None:
@@ -390,17 +398,54 @@ def hat_regularizer(state: HatState, task: int, attentions: np.ndarray,
     (denominator 0) reports 0 with the capacity-exhausted flag.
     """
     a = np.asarray(attentions, dtype=np.float64)
+    terms = _reg_terms(state, task, a.shape)
+    value, grad = _regularizer(a, s, *terms)
+    return value, grad, terms[1] == 0.0
+
+
+def _reg_terms(state: HatState, task: int, shape: tuple) -> tuple:
+    """What hat_regularizer reads of the accumulated state, for attentions
+    of shape: (1 - acc, its sum, the layers' slices, lambda_k, the
+    coefficient; the last two None when every unit is claimed). Raises
+    ShapeError when shape is not the embeddings' layout."""
     free, denom, layers = state.free_mass()
-    if a.shape != free.shape:
-        raise nk.ShapeError(f"attentions of shape {a.shape} for "
+    if shape != free.shape:
+        raise nk.ShapeError(f"attentions of shape {shape} for "
                             f"{free.size} units")
     if denom == 0.0:
-        return 0.0, np.zeros_like(a), True
+        return free, denom, layers, None, None
     lam = state.lambda_for(task)
+    return free, denom, layers, lam, state.reg_coefficient(lam)
+
+
+def _regularizer(a: np.ndarray, s: float, free: np.ndarray, denom: float,
+                 layers: list[slice], lam: float, coef: np.ndarray | None
+                 ) -> tuple[float, np.ndarray]:
+    """hat_regularizer's body over _reg_terms: the value and gradient."""
+    if denom == 0.0:
+        return 0.0, np.zeros_like(a)
     claimed = a * free  # summed per layer, then across layers
-    value = lam * float(sum(claimed[l].sum() for l in layers)) / denom
-    grad = state.reg_coefficient(lam) * a * (1.0 - a) * s
-    return value, grad, False
+    value = lam * float(sum(np.add.reduce(claimed[l])
+                            for l in layers)) / denom
+    return value, coef * a * (1.0 - a) * s
+
+
+def _hat_update(trunk: nk.DenseNet, tape: nk.GradTape, flat: np.ndarray,
+                attn: np.ndarray, d_hooks: np.ndarray, terms: tuple,
+                mask: np.ndarray, s: float, lr: float) -> float:
+    """HatState.after_backward's body over checked operands: the gates attn
+    and the hook gradients d_hooks flat in the layout of the task's flat
+    embeddings flat, terms from _reg_terms, mask the gradient mask in the
+    tape's layout. Regularize, mask and apply the trunk step (SGD's
+    finiteness check runs here), then move the embeddings by the
+    regularizer's gradient plus the data loss's, chained through the
+    gates; returns the regularizer value."""
+    reg_val, e_grad = _regularizer(attn, s, *terms)
+    tape.grads *= mask
+    nk._sgd_step(trunk, tape, lr)
+    e_grad += d_hooks * attn * (1.0 - attn) * s
+    flat -= lr * e_grad
+    return reg_val
 
 
 def hat_accumulate(net: MaskedNet, task: int) -> None:
@@ -595,21 +640,135 @@ def train_task(net: MaskedNet, task: int, data: LabeledImageSet, *,
     return trace
 
 
+class _Steps:
+    """A training phase's step kernels: the unchecked bodies of
+    task_features, softmax_ce, backward and the state's after_backward.
+    _train_epochs builds them at the phase's first step, after it checks
+    the rows' width; a subclass checks the gates' layout (and lr, where its
+    update runs SGD) when it is built, and fetches once what every step
+    reads. ce takes one np.arange per batch length; update backpropagates
+    into the phase's one tape, writing the hook gradients into d_hooks
+    (None for a trunk without gates), and applies the state's update."""
+
+    d_hooks = None
+
+    def __init__(self, trunk: nk.DenseNet, tape: nk.GradTape | None):
+        self.trunk, self.tape, self.aranges = trunk, tape, {}
+
+    def ce(self, z: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
+        rows = self.aranges.get(len(t))
+        if rows is None:
+            rows = self.aranges[len(t)] = np.arange(len(t))
+        return nk._softmax_ce(z, t, rows)
+
+    def update(self, cache: nk.ForwardCache, g: np.ndarray,
+               s: float | None) -> float:
+        """Backward from the trunk output's gradient g, then the state's
+        update; returns the regularizer value."""
+        self.tape.zero()
+        nk._backward(self.trunk, self.tape, cache, g, self.d_hooks)
+        return self.after_backward(cache, s)
+
+
+def _rows(x: np.ndarray) -> np.ndarray:
+    """A batch of checked width as (n, d) rows."""
+    return x.reshape(len(x), -1)
+
+
+class _FrozenSteps(_Steps):
+    """A finished task's head phase: one trunk and its gates serve every
+    step, since no step moves them."""
+
+    def __init__(self, net: MaskedNet, task: int):
+        trunk, hooks = net.isolation.trunk_for(net, task)
+        super().__init__(trunk, None)
+        self.hooks = nk._check_hooks(trunk, hooks)
+
+    def features(self, x: np.ndarray, s: None
+                 ) -> tuple[np.ndarray, nk.ForwardCache]:
+        return nk._forward(self.trunk, _rows(x), self.hooks)
+
+
+class _HatSteps(_Steps):
+    """A HAT task's steps. The task's flat embeddings and what
+    ``accumulated`` fixes for the task (the free mass, the regularizer
+    coefficient and the gradient mask) are fetched once. Each step forms
+    one hat_attention, whose flat output the update reads as it is, and
+    backward writes the hook gradients into one flat vector of the
+    embeddings' layout."""
+
+    def __init__(self, state: HatState, net: MaskedNet, task: int,
+                 lr: float):
+        super().__init__(net.trunk, nk.GradTape.for_net(net.trunk))
+        self.lr = lr
+        self.flat = state.flat_embedding(task)
+        self.sizes = state.packed[task][2]
+        nk._check_hooks(self.trunk, nk._split(self.flat, self.sizes))
+        self.terms = _reg_terms(state, task, self.flat.shape)
+        nk._check_step(self.trunk, self.tape, lr)
+        self.mask = state.gradient_mask(self.tape.layout)
+        self.flat_d_hooks = np.empty_like(self.flat)
+        self.d_hooks = nk._split(self.flat_d_hooks, self.sizes)
+
+    def features(self, x: np.ndarray, s: float
+                 ) -> tuple[np.ndarray, nk.ForwardCache]:
+        self.attn = hat_attention(self.flat, s)
+        return nk._forward(self.trunk, _rows(x),
+                           nk._split(self.attn, self.sizes))
+
+    def after_backward(self, cache: nk.ForwardCache, s: float) -> float:
+        return _hat_update(self.trunk, self.tape, self.flat, self.attn,
+                           self.flat_d_hooks, self.terms, self.mask, s,
+                           self.lr)
+
+
+class _SupSteps(_Steps):
+    """A supermask task's steps. One masked trunk, built and validated by
+    trunk_for, serves them all: each step writes the live scores' mask
+    into the task's flat mask and rewrites the masked trunk's params as
+    the trunk's params times it. The mask holds only 0s and 1s, so the
+    product stays finite."""
+
+    def __init__(self, state: SupState, net: MaskedNet, task: int,
+                 lr: float):
+        super().__init__(state.trunk_for(net, task)[0],
+                         nk.GradTape.for_net(net.trunk))
+        self.state, self.net, self.task, self.lr = state, net, task, lr
+
+    def features(self, x: np.ndarray, s: None
+                 ) -> tuple[np.ndarray, nk.ForwardCache]:
+        np.multiply(self.net.trunk.params, self.state._live_mask(),
+                    out=self.trunk.params)
+        return nk._forward(self.trunk, _rows(x), None)
+
+    def after_backward(self, cache: nk.ForwardCache, s: None) -> float:
+        return self.state.after_backward(self.net, self.task, self.tape,
+                                         cache, s, self.lr)
+
+
 def _train_epochs(net: MaskedNet, task: int, data: LabeledImageSet,
                   rng: np.random.Generator, *, loss: str, epochs: int,
                   lr: float, batch_size: int, tau: float | None = None,
                   head: Head | None, augment: dict) -> list[EpochStats]:
     """Minibatch epochs over the task; head None means the contrastive
     feature phase. A finished task's trunk is frozen: only its head trains,
-    at full attention scale."""
+    at full attention scale.
+
+    Checks run once per phase, not once per step, and every step runs the
+    kernels' unchecked bodies. Every label is checked against the head's
+    classes before the first step, with softmax_ce's IndexError. The first
+    step checks the rows' width, then builds the phase's kernels, which
+    check the gates' layout and lr (task_features', backward's and
+    sgd_step's errors); nothing has moved when one of them fails."""
     from . import oodlab  # deferred: oodlab imports this module
 
     state = net.isolation
     frozen = task in net.finished
     phase = "head" if frozen else "contrastive" if head is None else "main"
     n = len(data)
-    # one tape for every step; a supermask step's trunk has net.trunk's layout
-    tape = None if frozen else nk.GradTape.for_net(net.trunk)
+    if head is not None and epochs:
+        nk._check_targets(data.labels, head.classes)
+    steps = None  # built at the first step
     trace = []
     for epoch in range(epochs):
         order = rng.permutation(n)
@@ -622,21 +781,21 @@ def _train_epochs(net: MaskedNet, task: int, data: LabeledImageSet,
             else:
                 bx, by = oodlab.build_rotation_batch(
                     data.images[idx], data.labels[idx], rng=rng, **augment)
+            if steps is None:
+                _flatten(bx, net.trunk.weights[0].shape[1])
+                steps = _FrozenSteps(net, task) if frozen else \
+                    state.steps(net, task, lr)
 
-            feats, cache, run_trunk = task_features(net, bx, task, s=s)
+            feats, cache = steps.features(bx, s)
             if head is None:
                 z, d_feats_fn = _normalize_rows(feats)
                 ce_val, dz = oodlab.sup_con_loss(z, by, tau=tau)
                 d_feats = d_feats_fn(dz)
             else:
-                ce_val, d_logits = nk.softmax_ce(_head_logits(head, feats), by)
+                ce_val, d_logits = steps.ce(_head_logits(head, feats), by)
                 d_feats = None if frozen else d_logits @ head.weight
 
-            reg_val = 0.0
-            if not frozen:
-                tape.zero()
-                nk.backward(run_trunk, tape, cache, d_feats)
-                reg_val = state.after_backward(net, task, tape, cache, s, lr)
+            reg_val = 0.0 if frozen else steps.update(cache, d_feats, s)
             if head is not None:
                 _head_step(head, feats, d_logits, lr)
 

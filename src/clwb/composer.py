@@ -143,14 +143,15 @@ def calibrated_logits(per_task_logits: list,
                            for k, v in enumerate(per_task_logits)], axis=-1)
 
 
-def _columns(widths: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The task spans' column offsets and each column's task."""
-    return (np.concatenate([[0], np.cumsum(widths)]),
-            np.concatenate([np.full(w, k) for k, w in enumerate(widths)]))
+def _columns(widths: list[int]) -> tuple[np.ndarray, list[slice]]:
+    """Each column's task and each task's span of columns."""
+    ends = np.cumsum(widths).tolist()
+    return (np.concatenate([np.full(w, k) for k, w in enumerate(widths)]),
+            [slice(i, j) for i, j in zip([0] + ends, ends)])
 
 
 def calibration_loss(stacked: np.ndarray, labels: np.ndarray,
-                     columns: tuple[np.ndarray, np.ndarray],
+                     columns: tuple[np.ndarray, list[slice]],
                      alpha: np.ndarray, beta: np.ndarray
                      ) -> tuple[float, np.ndarray, np.ndarray]:
     """Cross-entropy of softmax over the calibrated concatenation plus its
@@ -160,10 +161,14 @@ def calibration_loss(stacked: np.ndarray, labels: np.ndarray,
     logits, and columns is ``_columns(widths)`` of the per-task column
     spans.
     """
-    offsets, task_of_col = columns
+    task_of_col, spans = columns
     z = stacked * alpha[task_of_col] + beta[task_of_col]
-    loss, dz = nk.softmax_ce(z, labels)
-    spans = [slice(offsets[k], offsets[k + 1]) for k in range(alpha.size)]
+    return _loss_gradients(stacked, spans, *nk.softmax_ce(z, labels))
+
+
+def _loss_gradients(stacked: np.ndarray, spans: list[slice], loss: float,
+                    dz: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """calibration_loss's result from the softmax-CE of its logits."""
     d_alpha = np.array([(dz[:, c] * stacked[:, c]).sum() for c in spans])
     d_beta = np.array([dz[:, c].sum() for c in spans])
     return loss, d_alpha, d_beta
@@ -189,24 +194,28 @@ def fit_calibration(per_task_logits: list, labels, *, iters: int, lr: float,
     n_tasks = len(per_task)
     widths = [v.shape[1] for v in per_task]
     stacked = np.concatenate(per_task, axis=1)
-    columns = _columns(widths)
-    task_of_col = columns[1]
+    task_of_col, spans = columns = _columns(widths)
 
     rng = np.random.default_rng(seed)
     alpha = np.ones(n_tasks)
     beta = np.zeros(n_tasks)
+    # the one checked call: every later batch is rows of these labels
     initial = calibration_loss(stacked, labels, columns, alpha, beta)[0]
     best = (initial, alpha.copy(), beta.copy())
     history = [initial]
     n = len(labels)
+    size = min(batch_size, n)
+    batch_rows, all_rows = np.arange(size), np.arange(n)
     for _ in range(iters):
-        idx = rng.choice(n, size=min(batch_size, n), replace=False)
-        _, d_alpha, d_beta = calibration_loss(stacked[idx], labels[idx],
-                                              columns, alpha, beta)
+        idx = rng.choice(n, size=size, replace=False)
+        batch = stacked[idx]
+        z = batch * alpha[task_of_col] + beta[task_of_col]
+        _, d_alpha, d_beta = _loss_gradients(
+            batch, spans, *nk._softmax_ce(z, labels[idx], batch_rows))
         alpha -= lr * d_alpha
         beta -= lr * d_beta
-        current = nk.mean_nll(nk.softmax(
-            stacked * alpha[task_of_col] + beta[task_of_col]), labels)
+        p = nk.softmax(stacked * alpha[task_of_col] + beta[task_of_col])
+        current = nk._nll(p[all_rows, labels])
         history.append(current)
         if current < best[0]:
             best = (current, alpha.copy(), beta.copy())

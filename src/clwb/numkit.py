@@ -13,6 +13,15 @@ order. The per-layer arrays are views into it, so forward and backward work
 layer by layer while ``sgd_step`` checks and updates all parameters with
 one call each, and a caller can scale every gradient with one multiply by
 a factor of the same layout.
+
+Each kernel a training step calls (``forward``, ``backward``,
+``softmax_ce``, ``sgd_step``) is a checked public entry around an
+unchecked body (``_forward``, ``_backward``, ``_softmax_ce``,
+``_sgd_step``). The entry checks its operands' shapes, layouts and ranges,
+then runs the body; the bodies trust their operands. A training loop that
+has checked what cannot change within a task calls the bodies. Checks
+whose outcome can change at any step stay in the bodies: ``_sgd_step``
+refuses a non-finite gradient.
 """
 
 from __future__ import annotations
@@ -42,7 +51,6 @@ __all__ = [
     "logsumexp",
     "log_softmax",
     "softmax_ce",
-    "mean_nll",
 ]
 
 
@@ -264,8 +272,13 @@ def forward(net: DenseNet, x, hooks=None) -> tuple[np.ndarray, ForwardCache]:
     d = net.weights[0].shape[1]
     if x.ndim != 2 or x.shape[1] != d:
         raise ShapeError(f"expected (n, {d}) rows, got shape {x.shape}")
-    hooks = _check_hooks(net, hooks)
+    return _forward(net, x, _check_hooks(net, hooks))
 
+
+def _forward(net: DenseNet, x: np.ndarray, hooks
+             ) -> tuple[np.ndarray, ForwardCache]:
+    """forward's body: x float64 (n, d) rows of the net's input width and
+    hooks None or one float64 mask per layer of its width."""
     h = x
     post_raw, post = [], []
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
@@ -294,22 +307,45 @@ def backward(net: DenseNet, tape: GradTape, cache: ForwardCache,
 
     upstream is d(loss)/d(output), matching the forward output shape. The
     gradients accumulate (sum) over the rows. A forward run with hooks
-    gets its hook gradients in tape.d_hooks, one per layer.
+    gets its hook gradients in tape.d_hooks, one per layer: views of one
+    flat vector, every layer's in layer order.
     """
     g = _upstream("backward", cache, upstream)
-    hooks, d_hooks = cache.hooks, []
+    d_hooks = None
+    if cache.hooks is not None:
+        d_hooks = _split(np.empty(sum(w.shape[0] for w in net.weights)),
+                         [w.shape[0] for w in net.weights])
+    _backward(net, tape, cache, g, d_hooks)
+    tape.d_hooks = d_hooks
+
+
+def _split(flat: np.ndarray, sizes) -> list[np.ndarray]:
+    """Consecutive views of a flat vector, one per size."""
+    views, at = [], 0
+    for n in sizes:
+        views.append(flat[at:at + n])
+        at += n
+    return views
+
+
+def _backward(net: DenseNet, tape: GradTape, cache: ForwardCache,
+              g: np.ndarray, d_hooks: list[np.ndarray] | None) -> None:
+    """backward's body: g float64 of the output's shape, tape of the net's
+    layout. A forward run with hooks writes each layer's hook gradient into
+    d_hooks[l], one array per layer of its width; tape.d_hooks is left as
+    it is."""
+    hooks, own = cache.hooks, None  # g is the caller's until a product
     for l in range(net.n_layers - 1, -1, -1):
         a = cache.post_raw[l]
         if hooks is not None:
-            d_hooks.append((g * a).sum(axis=0))
-            g = g * hooks[l]
-        g = g * (a > 0.0)
+            np.add.reduce(g * a, axis=0, out=d_hooks[l])
+            g = own = np.multiply(g, hooks[l], out=own)
+        g = own = np.multiply(g, a > 0.0, out=own)
         below = cache.post[l - 1] if l > 0 else cache.x
         tape.d_weights[l] += g.T @ below
-        tape.d_biases[l] += g.sum(axis=0)
+        tape.d_biases[l] += np.add.reduce(g, axis=0)
         if l > 0:
-            g = g @ net.weights[l]
-    tape.d_hooks = None if hooks is None else d_hooks[::-1]
+            g = own = g @ net.weights[l]
 
 
 def input_gradient(net: DenseNet, cache: ForwardCache,
@@ -321,11 +357,12 @@ def input_gradient(net: DenseNet, cache: ForwardCache,
     bias or hook gradient.
     """
     g = _upstream("input_gradient", cache, upstream)
+    own = None  # g is the caller's until the first product is formed
     for l in range(net.n_layers - 1, -1, -1):
         if cache.hooks is not None:
-            g = g * cache.hooks[l]
-        g = g * (cache.post_raw[l] > 0.0)
-        g = g @ net.weights[l]
+            g = own = np.multiply(g, cache.hooks[l], out=own)
+        g = np.multiply(g, cache.post_raw[l] > 0.0, out=own)
+        g = own = g @ net.weights[l]
     return g
 
 
@@ -333,11 +370,22 @@ def sgd_step(net: DenseNet, tape: GradTape, lr: float) -> None:
     """In-place p <- p - lr * g over all parameters, as one update of the
     flat buffer. A non-finite gradient raises NumericError naming its first
     layer before any parameter moves."""
+    _check_step(net, tape, lr)
+    _sgd_step(net, tape, lr)
+
+
+def _check_step(net: DenseNet, tape: GradTape, lr: float) -> None:
+    """sgd_step's checks: lr > 0 and a tape of the net's layout."""
     if lr <= 0:
         raise ValueError(f"lr must be positive, got {lr}")
     if tape.layout != net.layout:
         raise ShapeError(f"tape layout {tape.layout} != net layout "
                          f"{net.layout}")
+
+
+def _sgd_step(net: DenseNet, tape: GradTape, lr: float) -> None:
+    """sgd_step's body: lr > 0 and a tape of the net's layout. The
+    finiteness check stays here, since any step's gradient can fail it."""
     if not np.isfinite(tape.grads).all():
         raise NumericError("non-finite gradient",
                            _first_nonfinite(tape.d_weights, tape.d_biases))
@@ -350,9 +398,11 @@ def sgd_step(net: DenseNet, tape: GradTape, lr: float) -> None:
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     z = _as_f64(logits)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    # .max and .sum as their ufunc reductions, without the Python wrappers
+    e = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def logsumexp(a: np.ndarray) -> np.ndarray:
@@ -380,18 +430,30 @@ def softmax_ce(logits, targets) -> tuple[float, np.ndarray]:
     if z.ndim != 2 or t.shape != z.shape[:1]:
         raise ShapeError(f"expected (n, c) logits and (n,) targets, got "
                          f"{z.shape} and {t.shape}")
-    if (t < 0).any() or (t >= z.shape[1]).any():
+    _check_targets(t, z.shape[1])
+    return _softmax_ce(z, t, np.arange(z.shape[0]))
+
+
+def _check_targets(t: np.ndarray, c: int) -> None:
+    """softmax_ce's range check of int targets against c classes."""
+    if (t < 0).any() or (t >= c).any():
         raise IndexError("target class out of range")
+
+
+def _softmax_ce(z: np.ndarray, t: np.ndarray, rows: np.ndarray
+                ) -> tuple[float, np.ndarray]:
+    """softmax_ce's body: z float64 (n, c) logits, t intp (n,) targets in
+    [0, c), rows np.arange(n)."""
     p = softmax(z)
-    n = z.shape[0]
-    loss = mean_nll(p, t)
-    d = p.copy()
-    d[np.arange(n), t] -= 1.0
-    d /= n
-    return loss, d
+    picked = p[rows, t]
+    loss = _nll(picked)
+    picked -= 1.0
+    p[rows, t] = picked  # p is now n times the gradient
+    p /= z.shape[0]
+    return loss, p
 
 
-def mean_nll(p: np.ndarray, t: np.ndarray) -> float:
-    """softmax_ce's loss of softmax rows p (n, c): mean -log p[i, t_i]."""
-    n = p.shape[0]
-    return float(-np.log(np.maximum(p[np.arange(n), t], LOG_CLAMP)).mean())
+def _nll(picked: np.ndarray) -> float:
+    """Mean -log of the target probabilities picked; .mean() keeps the
+    -0.0 of a batch whose every row is certain."""
+    return float(-np.log(np.maximum(picked, LOG_CLAMP)).mean())

@@ -94,7 +94,8 @@ class OdinRows:
             dlogits[np.arange(len(self.z)), self.z.argmax(axis=1)] += 1.0 / tau
             g = nk.input_gradient(trunk, cache,
                                   dlogits @ net.heads[task].weight)
-            self.direction[tau] = np.sign(-g).reshape(self.x.shape)
+            np.negative(g, out=g)  # g is input_gradient's own array
+            self.direction[tau] = np.sign(g, out=g).reshape(self.x.shape)
 
 
 def _check_rows(net, rows, task: int) -> None:

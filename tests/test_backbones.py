@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -442,6 +444,79 @@ class TestTrainTask:
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(nets[0].heads[0].weight,
                                       nets[1].heads[0].weight)
+
+
+def _assert_only_drawn(net, kind: str, loss: str, seed: int) -> None:
+    """net holds what train_task(net, 0, ..., seed=seed) draws before its
+    first step, and nothing more: no step has moved anything."""
+    make = make_hat if kind == "hat" else make_sup
+    twin = make(dim=16, seed=32)
+    draw = np.random.default_rng([seed, 0, 1])
+    twin.isolation.start_task(twin, 0, draw)
+    head = bb._init_head(twin, 0, 2 * (1 if loss == "ce" else 4),
+                         "plain" if loss == "ce" else "rotation", draw)
+    assert net.trunk.params.tobytes() == twin.trunk.params.tobytes()
+    live = (lambda n: n.isolation.embeddings[0]) if kind == "hat" else \
+        (lambda n: n.isolation.scores)
+    assert [a.tobytes() for a in live(net)] == \
+        [a.tobytes() for a in live(twin)]
+    assert net.heads[0].weight.tobytes() == head.weight.tobytes()
+    assert net.heads[0].bias.tobytes() == head.bias.tobytes()
+    assert net.finished == []
+
+
+class TestLabelsCheckedOnce:
+    """A training label outside the head's classes raises softmax_ce's
+    IndexError before the first step: no step moves the trunk, the new
+    task's embeddings or scores, or the head."""
+
+    @pytest.mark.parametrize("kind", ["hat", "sup"])
+    @pytest.mark.parametrize("loss", ["ce", "rotation-ce"])
+    def test_a_label_past_the_head_stops_training_before_a_step(
+            self, kind, loss):
+        rng = np.random.default_rng(31)
+        data = dt.LabeledImageSet(rng.random((20, 4, 4)), np.arange(20) % 2,
+                                  2)
+        data.labels[-1] = 2  # one row, in whichever batch it falls
+        net = (make_hat if kind == "hat" else make_sup)(dim=16, seed=32)
+        args = train_args(loss=loss, epochs=3, batch_size=4, seed=33)
+        with pytest.raises(IndexError, match="^target class out of range$"):
+            bb.train_task(net, 0, data, **args)
+        _assert_only_drawn(net, kind, loss, 33)
+
+
+class TestFirstStepChecks:
+    """The first step's checks raise the public entries' errors, with their
+    messages, before anything moves: the rows' width (task_features) and,
+    where the update runs SGD, lr (sgd_step)."""
+
+    @pytest.mark.parametrize("kind", ["hat", "sup"])
+    @pytest.mark.parametrize("loss", ["ce", "rotation-ce"])
+    def test_rows_of_another_width(self, kind, loss):
+        rng = np.random.default_rng(34)
+        data = dt.LabeledImageSet(rng.random((20, 5, 5)), np.arange(20) % 2,
+                                  2)
+        net = (make_hat if kind == "hat" else make_sup)(dim=16, seed=32)
+        rows = 4 if loss == "ce" else 32  # a rotation batch is 8 per row
+        with pytest.raises(nk.ShapeError, match=re.escape(
+                f"expected (n, 16) rows or (n, h, w) images of 16 pixels, "
+                f"got shape ({rows}, 5, 5)")):
+            bb.train_task(net, 0, data, **train_args(
+                loss=loss, epochs=2, batch_size=4, seed=35))
+        _assert_only_drawn(net, kind, loss, 35)
+
+    @pytest.mark.parametrize("loss", ["ce", "rotation-ce"])
+    @pytest.mark.parametrize("lr", [0.0, -0.5])
+    def test_a_hat_lr_that_is_not_positive(self, loss, lr):
+        rng = np.random.default_rng(36)
+        data = dt.LabeledImageSet(rng.random((20, 4, 4)), np.arange(20) % 2,
+                                  2)
+        net = make_hat(dim=16, seed=32)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"lr must be positive, got {lr}")):
+            bb.train_task(net, 0, data, **train_args(
+                loss=loss, epochs=2, lr=lr, batch_size=4, seed=37))
+        _assert_only_drawn(net, "hat", loss, 37)
 
 
 class TestExhaustedCapacity:

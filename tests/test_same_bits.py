@@ -2,9 +2,10 @@
 
 Each test keeps a copy of the code as it was when every call recomputed its
 constants: the forward that stored each pre-activation z and masked relu
-gradients by z > 0, HAT's per-batch gradient factors, free mass and
-boolean-mask sigmoid, and the calibration fit that formed both gradients at
-every full-buffer evaluation. The live code must give the same bytes. The
+gradients by z > 0, the softmax cross-entropy before its checks and body
+split, HAT's per-batch gradient factors, free mass and boolean-mask
+sigmoid, and the calibration fit that formed both gradients at every
+full-buffer evaluation. The live code must give the same bytes. The
 same holds for verify's instance sampler, against its normalizer as it was
 before it skipped numpy's `where=` divide, `np.where` masks and row
 reductions, and for theory's task-slice sums, against one `.sum` per slice.
@@ -100,6 +101,20 @@ def _old_hat_regularizer(lam, accumulated, attentions, s):
     grads = [lam * f / denom * a * (1.0 - a) * s
              for a, f in zip(attentions, free)]
     return value, grads, False
+
+
+def _old_softmax_ce(logits, targets):
+    z = np.asarray(logits, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.intp)
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=-1, keepdims=True)
+    n = p.shape[0]
+    loss = float(-np.log(np.maximum(p[np.arange(n), t], nk.LOG_CLAMP)).mean())
+    d = p.copy()
+    d[np.arange(n), t] -= 1.0
+    d /= n
+    return loss, d
 
 
 def _old_calibration_loss(stacked, labels, widths, alpha, beta):
@@ -220,6 +235,28 @@ def test_forward_and_gradients_have_the_per_call_bits(seed, hooked, n_special):
                 assert _same(tape.d_hooks[l], want_tape.d_hooks[l])
         assert _same(nk.input_gradient(net, cache, upstream),
                      _old_input_gradient(net, old, upstream))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 20),
+       c=st.integers(1, 9), certain=st.booleans())
+def test_softmax_ce_body_has_the_public_bits(seed, n, c, certain):
+    """The unchecked body that training steps call, the checked public
+    softmax_ce and the per-call oracle give the same loss and gradient
+    bytes, the -0.0 loss of an all-certain batch included."""
+    rng = np.random.default_rng(seed)
+    t = rng.integers(c, size=n)
+    if certain:  # every target probability rounds to 1.0
+        z = np.full((n, c), -800.0)
+        z[np.arange(n), t] = 800.0
+    else:
+        z = rng.normal(size=(n, c)) * rng.uniform(0.1, 30.0)
+    loss, d = nk._softmax_ce(z, t.astype(np.intp), np.arange(n))
+    for want_loss, want_d in (nk.softmax_ce(z, t), _old_softmax_ce(z, t)):
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert _same(d, want_d)
+    if certain:
+        assert np.float64(loss).tobytes() == np.float64(-0.0).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -210,7 +210,7 @@ def tiny_tasks(n_tasks=2, n=10, classes=2, seed=3):
 
 
 def run(train, kind, loss, tmp_path, name, hidden=(12, 8), before=None,
-        **isolation):
+        batch_size=4, **isolation):
     """Train tiny_tasks() on a fresh net; before(net, task), if given, runs
     before each task. Returns the trace and the checkpoint's contents."""
     net = bb.build_masked_net(16, list(hidden), isolation=kind, seed=5,
@@ -220,7 +220,8 @@ def run(train, kind, loss, tmp_path, name, hidden=(12, 8), before=None,
         if before is not None:
             before(net, task)
         trace += train(net, task, data,
-                       **train_args(loss=loss, epochs=3, lr=0.1, batch_size=4,
+                       **train_args(loss=loss, epochs=3, lr=0.1,
+                                    batch_size=batch_size,
                                     seed=7, contrastive_epochs=2,
                                     head_epochs=4, head_lr=0.3,
                                     contrastive_tau=0.7))
@@ -256,6 +257,16 @@ def test_one_loop_matches_the_two_loop_oracle(kind, loss, tmp_path):
         assert phases == (["contrastive"] * 2 + ["head"] * 4) * 2
     else:
         assert phases == ["main"] * 6
+
+
+@pytest.mark.parametrize("kind", ["hat", "sup"])
+@pytest.mark.parametrize("loss", ["ce", "contrastive"])
+def test_a_one_row_last_batch_matches_the_oracle(kind, loss, tmp_path):
+    # 10 rows in batches of 3: each epoch ends on a 1-row batch, with its
+    # own softmax_ce row index (an 8-row rotation batch for contrastive)
+    got = run(bb.train_task, kind, loss, tmp_path, "new", batch_size=3)
+    assert_same_run(got, run(oracle_train_task, kind, loss, tmp_path,
+                             "oracle", batch_size=3))
 
 
 @pytest.mark.parametrize("lambdas", [[0.0], [1.0, 0.75], [50.0]])
