@@ -15,9 +15,11 @@ checkout; the verdict on bytes is "bytes equal" or the first op whose
 digest differs. Then N pairs of fresh ``perfbench/run.py --trace 0``
 processes run at ``BENCHMARK.json``'s ``run_seconds``, the side that goes
 first alternating from pair to pair.
-``--control K`` adds K parent-vs-parent pairs: the first K pairs also run the
-parent's commit from a third path of the same length, next to that pair's
-parent run, and the gap between those twins is the noise floor.
+``--control K`` (default 3, at most N) adds K parent-vs-parent pairs: the
+first K pairs also run the parent's commit from a third path of the same
+length, next to that pair's parent run. The median over those pairs of the
+gap between the twins is the noise floor, so one pair run while the machine
+was busy does not decide it.
 
 Per end-to-end metric the result holds each side's runs, median and
 quartiles, the change's win count and one verdict (``verdict`` below):
@@ -73,6 +75,8 @@ def verdict(parent: list[float], change: list[float], better: str,
             more_failures: bool = False) -> dict:
     """Judge one metric over paired runs; parent[i] and change[i] are pair
     i, and control[j] is the parent's code from a third path in pair j.
+    The control's gap is the median over pairs j of |control[j] -
+    parent[j]|.
 
     * "faster": at least MIN_PAIRS pairs, the change better in at least
       WIN_SHARE of them (ties count for neither), its median better by
@@ -93,8 +97,8 @@ def verdict(parent: list[float], change: list[float], better: str,
     wins = sum(sign * (a - b) > 0 for a, b in zip(parent, change))
     noise = 0.0
     if control:
-        paired = statistics.median(parent[:len(control)])
-        noise = abs(statistics.median(control) - paired) / scale
+        noise = statistics.median(
+            abs(k - p) for k, p in zip(control, parent)) / scale
     if (len(change) >= MIN_PAIRS and wins >= WIN_SHARE * len(change)
             and gain > iqr and gain / scale > noise and not more_failures):
         word = "faster"
@@ -151,7 +155,9 @@ def parse_args(argv):
                    help="the change's git revision (default: the working "
                         "tree's files)")
     p.add_argument("--pairs", type=int, required=True)
-    p.add_argument("--control", type=int, default=0)
+    p.add_argument("--control", type=int, default=None,
+                   help="parent-vs-parent pairs (default: 3, at most "
+                        "--pairs)")
     p.add_argument("--seed", type=int, default=1, help="workload seed")
     p.add_argument("--workdir", default=None,
                    help="where the worktrees go (default: the system temp "
@@ -159,6 +165,8 @@ def parse_args(argv):
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be at least 2")
+    if args.control is None:
+        args.control = min(3, args.pairs)
     if not 0 <= args.control <= args.pairs:
         p.error("--control must be in [0, --pairs]")
     if args.seed < 0:

@@ -9,12 +9,12 @@ Two isolation mechanisms produce per-task heads on a shared trunk:
   task selects the top p% of weights per layer by trainable scores
   (straight-through gradients); the winning mask is frozen at task end.
 
-Both states answer the same calls (start_task, trunk_for, scale,
-after_backward, steps, finish_task, checkpoint_arrays, from_checkpoint), so
-no caller branches on the kind; task_features is the one trunk forward.
-``trunk_for`` and ``after_backward`` are checked public entries. ``steps``
-checks once what a task's training steps trust, fetches once what they
-read, and returns their kernels, which run the unchecked bodies.
+Both states answer the same calls (start_task, trunk_for, steps,
+finish_task, checkpoint_arrays, from_checkpoint), so no caller branches on
+the kind; task_features is the one trunk forward. ``steps`` checks once
+what a task's training steps trust, fetches once what they read, and
+returns their kernels: the gate scale, the forward and the update, which
+run the unchecked bodies. ``kind`` names the mechanism, and
 ``independent_tasks`` says whether a task's training reads what another
 task trains: false for hard attention, true for supermasks.
 
@@ -74,53 +74,28 @@ class HatState:
     lambdas: list[float]
     embeddings: dict[int, list[np.ndarray]] = field(default_factory=dict)
     accumulated: list[np.ndarray] = field(default_factory=list)
-    # (ids of the accumulated arrays, the arrays, {key: constant})
-    built: tuple | None = field(default=None, repr=False, compare=False)
     # task -> (its embeddings list, the flat vector the list's arrays view,
     # their sizes)
     packed: dict[int, tuple] = field(default_factory=dict, repr=False,
                                      compare=False)
 
-    def _once(self, key, make):
-        """make(accumulated), built once per accumulated state and key:
-        reused while accumulated holds the same array objects, and
-        hat_accumulate replaces them."""
-        acc, last = self.accumulated, self.built
-        ids = tuple(map(id, acc))
-        if last is None or last[0] != ids:
-            last = self.built = (ids, list(acc), {})
-        if key not in last[2]:
-            last[2][key] = make(last[1])
-        return last[2][key]
-
     def free_mass(self) -> tuple[np.ndarray, float, list[slice]]:
         """1 - acc in the embeddings' layout, its sum (summed per layer
         first) and each layer's slice of that layout."""
-        def make(acc):
-            free = [1.0 - a for a in acc]
-            ends = np.cumsum([a.size for a in acc]).tolist()
-            return (np.concatenate(free), float(sum(f.sum() for f in free)),
-                    [slice(i, j) for i, j in zip([0] + ends, ends)])
-        return self._once("free", make)
-
-    def reg_coefficient(self, lam: float) -> np.ndarray:
-        """lam * (1 - acc) / (its sum) in the embeddings' layout; the
-        regularizer's gradient is this times a * (1 - a) * s."""
-        def make(acc):
-            free, denom, _ = self.free_mass()
-            return lam * free / denom
-        return self._once(("coef", lam), make)
+        free = [1.0 - a for a in self.accumulated]
+        ends = np.cumsum([f.size for f in free]).tolist()
+        return (np.concatenate(free), float(sum(f.sum() for f in free)),
+                [slice(i, j) for i, j in zip([0] + ends, ends)])
 
     def gradient_mask(self, layout: tuple) -> np.ndarray:
         """hat_masked_gradients' factors in the tape layout ``layout``: per
         layer 1 - min(acc_out, acc_in) (acc_in = 1 at the input) on the
         weights, then 1 - acc_out on each layer's biases."""
-        def make(acc):
-            ins = [np.ones(layout[0][1])] + acc[:-1]
-            return nk.flat_like_params(
-                [1.0 - np.minimum(o[:, None], i[None, :])
-                 for o, i in zip(acc, ins)], [1.0 - a for a in acc])
-        return self._once(("mask", layout), make)
+        acc = self.accumulated
+        ins = [np.ones(layout[0][1])] + acc[:-1]
+        return nk.flat_like_params(
+            [1.0 - np.minimum(o[:, None], i[None, :])
+             for o, i in zip(acc, ins)], [1.0 - a for a in acc])
 
     def lambda_for(self, task: int) -> float:
         return self.lambdas[min(task, len(self.lambdas) - 1)]
@@ -158,26 +133,6 @@ class HatState:
     def trunk_for(self, net: MaskedNet, task: int, s: float | None = None
                   ) -> tuple[nk.DenseNet, list[np.ndarray]]:
         return net.trunk, self.attentions(task, s)
-
-    def scale(self, batch: int, n_batches: int) -> float:
-        """Gate scale annealed from 1/s_max to s_max across an epoch."""
-        if n_batches <= 1:
-            return self.s_max
-        lo = 1.0 / self.s_max
-        return lo + (self.s_max - lo) * batch / (n_batches - 1)
-
-    def after_backward(self, net: MaskedNet, task: int, tape: nk.GradTape,
-                       cache: nk.ForwardCache, s: float, lr: float) -> float:
-        """Regularize, mask and apply the trunk step, then move the task's
-        embeddings; returns the regularizer value. Each runs once over the
-        flat buffers. The gates' layout, lr and the tape's layout are
-        checked before anything moves."""
-        attn = np.concatenate(cache.hooks)
-        terms = _reg_terms(self, task, attn.shape)
-        nk._check_step(net.trunk, tape, lr)
-        return _hat_update(net.trunk, tape, self.flat_embedding(task), attn,
-                           np.concatenate(tape.d_hooks), terms,
-                           self.gradient_mask(tape.layout), s, lr)
 
     def steps(self, net: MaskedNet, task: int, lr: float) -> "_HatSteps":
         return _HatSteps(self, net, task, lr)
@@ -260,16 +215,6 @@ class SupState:
         flat, views = self.live
         mask_from_scores(self.scores, self.p, out=views)
         return flat
-
-    def scale(self, batch: int, n_batches: int) -> None:
-        return None
-
-    def after_backward(self, net: MaskedNet, task: int, tape: nk.GradTape,
-                       cache: nk.ForwardCache, s: None, lr: float) -> float:
-        """Score step only; the trunk stays at its initialization."""
-        for v, g in zip(self.scores, sup_score_update(tape, net.trunk)):
-            v -= lr * g
-        return 0.0
 
     def steps(self, net: MaskedNet, task: int, lr: float) -> "_SupSteps":
         return _SupSteps(self, net, task, lr)
@@ -406,8 +351,9 @@ def hat_regularizer(state: HatState, task: int, attentions: np.ndarray,
 def _reg_terms(state: HatState, task: int, shape: tuple) -> tuple:
     """What hat_regularizer reads of the accumulated state, for attentions
     of shape: (1 - acc, its sum, the layers' slices, lambda_k, the
-    coefficient; the last two None when every unit is claimed). Raises
-    ShapeError when shape is not the embeddings' layout."""
+    gradient's coefficient lambda_k * (1 - acc) / (its sum); the last two
+    None when every unit is claimed). Raises ShapeError when shape is not
+    the embeddings' layout."""
     free, denom, layers = state.free_mass()
     if shape != free.shape:
         raise nk.ShapeError(f"attentions of shape {shape} for "
@@ -415,7 +361,7 @@ def _reg_terms(state: HatState, task: int, shape: tuple) -> tuple:
     if denom == 0.0:
         return free, denom, layers, None, None
     lam = state.lambda_for(task)
-    return free, denom, layers, lam, state.reg_coefficient(lam)
+    return free, denom, layers, lam, lam * free / denom
 
 
 def _regularizer(a: np.ndarray, s: float, free: np.ndarray, denom: float,
@@ -433,7 +379,7 @@ def _regularizer(a: np.ndarray, s: float, free: np.ndarray, denom: float,
 def _hat_update(trunk: nk.DenseNet, tape: nk.GradTape, flat: np.ndarray,
                 attn: np.ndarray, d_hooks: np.ndarray, terms: tuple,
                 mask: np.ndarray, s: float, lr: float) -> float:
-    """HatState.after_backward's body over checked operands: the gates attn
+    """A HAT step's update over checked operands: the gates attn
     and the hook gradients d_hooks flat in the layout of the task's flat
     embeddings flat, terms from _reg_terms, mask the gradient mask in the
     tape's layout. Regularize, mask and apply the trunk step (SGD's
@@ -641,19 +587,23 @@ def train_task(net: MaskedNet, task: int, data: LabeledImageSet, *,
 
 
 class _Steps:
-    """A training phase's step kernels: the unchecked bodies of
-    task_features, softmax_ce, backward and the state's after_backward.
+    """A training phase's step kernels: the gate scale and the unchecked
+    bodies of task_features, softmax_ce, backward and the isolation update.
     _train_epochs builds them at the phase's first step, after it checks
     the rows' width; a subclass checks the gates' layout (and lr, where its
     update runs SGD) when it is built, and fetches once what every step
     reads. ce takes one np.arange per batch length; update backpropagates
     into the phase's one tape, writing the hook gradients into d_hooks
-    (None for a trunk without gates), and applies the state's update."""
+    (None for a trunk without gates), then runs after_backward."""
 
     d_hooks = None
 
     def __init__(self, trunk: nk.DenseNet, tape: nk.GradTape | None):
         self.trunk, self.tape, self.aranges = trunk, tape, {}
+
+    def scale(self, batch: int, n_batches: int) -> float | None:
+        """The step's gate scale: None where no gates train."""
+        return None
 
     def ce(self, z: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
         rows = self.aranges.get(len(t))
@@ -663,8 +613,8 @@ class _Steps:
 
     def update(self, cache: nk.ForwardCache, g: np.ndarray,
                s: float | None) -> float:
-        """Backward from the trunk output's gradient g, then the state's
-        update; returns the regularizer value."""
+        """Backward from the trunk output's gradient g, then
+        after_backward; returns the regularizer value."""
         self.tape.zero()
         nk._backward(self.trunk, self.tape, cache, g, self.d_hooks)
         return self.after_backward(cache, s)
@@ -692,15 +642,15 @@ class _FrozenSteps(_Steps):
 class _HatSteps(_Steps):
     """A HAT task's steps. The task's flat embeddings and what
     ``accumulated`` fixes for the task (the free mass, the regularizer
-    coefficient and the gradient mask) are fetched once. Each step forms
-    one hat_attention, whose flat output the update reads as it is, and
-    backward writes the hook gradients into one flat vector of the
-    embeddings' layout."""
+    coefficient and the gradient mask) are formed once, at the build.
+    Each step forms one hat_attention, whose flat output the update reads
+    as it is, and backward writes the hook gradients into one flat vector
+    of the embeddings' layout."""
 
     def __init__(self, state: HatState, net: MaskedNet, task: int,
                  lr: float):
         super().__init__(net.trunk, nk.GradTape.for_net(net.trunk))
-        self.lr = lr
+        self.lr, self.s_max = lr, state.s_max
         self.flat = state.flat_embedding(task)
         self.sizes = state.packed[task][2]
         nk._check_hooks(self.trunk, nk._split(self.flat, self.sizes))
@@ -710,6 +660,13 @@ class _HatSteps(_Steps):
         self.flat_d_hooks = np.empty_like(self.flat)
         self.d_hooks = nk._split(self.flat_d_hooks, self.sizes)
 
+    def scale(self, batch: int, n_batches: int) -> float:
+        """Gate scale annealed from 1/s_max to s_max across an epoch."""
+        if n_batches <= 1:
+            return self.s_max
+        lo = 1.0 / self.s_max
+        return lo + (self.s_max - lo) * batch / (n_batches - 1)
+
     def features(self, x: np.ndarray, s: float
                  ) -> tuple[np.ndarray, nk.ForwardCache]:
         self.attn = hat_attention(self.flat, s)
@@ -717,6 +674,8 @@ class _HatSteps(_Steps):
                            nk._split(self.attn, self.sizes))
 
     def after_backward(self, cache: nk.ForwardCache, s: float) -> float:
+        """Regularize, mask and apply the trunk step, then move the task's
+        embeddings; returns the regularizer value."""
         return _hat_update(self.trunk, self.tape, self.flat, self.attn,
                            self.flat_d_hooks, self.terms, self.mask, s,
                            self.lr)
@@ -733,7 +692,7 @@ class _SupSteps(_Steps):
                  lr: float):
         super().__init__(state.trunk_for(net, task)[0],
                          nk.GradTape.for_net(net.trunk))
-        self.state, self.net, self.task, self.lr = state, net, task, lr
+        self.state, self.net, self.lr = state, net, lr
 
     def features(self, x: np.ndarray, s: None
                  ) -> tuple[np.ndarray, nk.ForwardCache]:
@@ -742,8 +701,11 @@ class _SupSteps(_Steps):
         return nk._forward(self.trunk, _rows(x), None)
 
     def after_backward(self, cache: nk.ForwardCache, s: None) -> float:
-        return self.state.after_backward(self.net, self.task, self.tape,
-                                         cache, s, self.lr)
+        """The straight-through score step; the trunk stays as it is."""
+        for v, g in zip(self.state.scores,
+                        sup_score_update(self.tape, self.net.trunk)):
+            v -= self.lr * g
+        return 0.0
 
 
 def _train_epochs(net: MaskedNet, task: int, data: LabeledImageSet,
@@ -762,7 +724,6 @@ def _train_epochs(net: MaskedNet, task: int, data: LabeledImageSet,
     sgd_step's errors); nothing has moved when one of them fails."""
     from . import oodlab  # deferred: oodlab imports this module
 
-    state = net.isolation
     frozen = task in net.finished
     phase = "head" if frozen else "contrastive" if head is None else "main"
     n = len(data)
@@ -775,7 +736,6 @@ def _train_epochs(net: MaskedNet, task: int, data: LabeledImageSet,
         batches = [order[i:i + batch_size] for i in range(0, n, batch_size)]
         sums = {"loss": 0.0, "ce": 0.0, "reg": 0.0}
         for b, idx in enumerate(batches):
-            s = None if frozen else state.scale(b, len(batches))
             if loss == "ce":
                 bx, by = data.images[idx], data.labels[idx]
             else:
@@ -784,8 +744,9 @@ def _train_epochs(net: MaskedNet, task: int, data: LabeledImageSet,
             if steps is None:
                 _flatten(bx, net.trunk.weights[0].shape[1])
                 steps = _FrozenSteps(net, task) if frozen else \
-                    state.steps(net, task, lr)
+                    net.isolation.steps(net, task, lr)
 
+            s = steps.scale(b, len(batches))
             feats, cache = steps.features(bx, s)
             if head is None:
                 z, d_feats_fn = _normalize_rows(feats)

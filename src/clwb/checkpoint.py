@@ -94,9 +94,16 @@ def _unpack(blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
         meta = json.loads(blob[10:meta_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointFormatError(f"meta JSON unreadable: {e}") from e
+    if not isinstance(meta, dict):
+        raise CheckpointFormatError("meta JSON is not an object")
+    manifest = meta.get("arrays", [])
     arrays = {}
     at = meta_end
-    for entry in meta.get("arrays", []):
+    for entry in manifest if isinstance(manifest, list) else [manifest]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(type(d) is int and d >= 0 for d in entry["shape"])):
+            raise CheckpointFormatError(f"malformed array entry {entry!r}")
         count = int(np.prod(entry["shape"])) if entry["shape"] else 1
         nbytes = 8 * count
         if at + nbytes > len(blob) - 4:
@@ -163,6 +170,6 @@ def load_checkpoint(path) -> tuple[bb.MaskedNet, dict]:
         state = state_cls.from_checkpoint(meta, arrays, len(weights))
         net = bb.MaskedNet(trunk, heads, state,
                            [int(k) for k in meta["finished"]])
-    except (KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise CheckpointFormatError(f"malformed checkpoint: {e!r}") from e
     return net, meta

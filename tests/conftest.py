@@ -1,4 +1,7 @@
 import gzip
+import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -31,6 +34,18 @@ def train_args(*, seed: int, **overrides) -> dict:
                       ("head_epochs", "epochs"), ("head_lr", "lr")):
         args[key] = args[key] or args[base]
     return args
+
+
+def with_meta(blob: bytes, make) -> bytes:
+    """The checkpoint blob with its meta JSON replaced by make(meta),
+    whatever JSON value that is, and the CRC re-signed, so the meta checks
+    are what fires."""
+    (meta_len,) = struct.unpack("<I", blob[6:10])
+    meta_blob = json.dumps(make(json.loads(blob[10:10 + meta_len])),
+                           sort_keys=True).encode()
+    body = (blob[:6] + struct.pack("<I", len(meta_blob)) + meta_blob
+            + blob[10 + meta_len:-4])
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 @pytest.fixture

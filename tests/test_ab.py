@@ -135,3 +135,24 @@ def test_report_prints_each_sides_raw_medians_by_pass_ref():
                         "0.044 s; change pass_s 0.0611 s, reference_s "
                         "0.0593 s")
     assert lines[3].startswith("  setup_s")
+
+
+def test_one_contended_control_pair_does_not_set_the_noise_floor():
+    # Pairs 2 and 3 ran while the machine was busy: pair 2's parent run is
+    # 12.4% off its control twin, and pair 3's twins are both slow. The
+    # change is 9.5% better in every pair. The gap of the three controls'
+    # median to the parent's is 14%; the median twin gap is 1.2%.
+    parent = [1.70, 1.99, 2.20, 1.74, 1.75, 1.75, 1.76, 1.77, 1.78, 1.80]
+    control = [1.70 * 1.01, 1.99 * 0.876, 2.20 * 0.99]
+    got = ab.verdict(parent, scaled(parent, 0.905), "lower", 0.2, control)
+    assert got["control_rel"] == pytest.approx(0.022 / 1.765)
+    assert got["wins"] == 10 and got["verdict"] == "faster"
+
+
+def test_control_defaults_to_three_pairs_at_most_all_pairs():
+    def control(*argv):
+        return ab.parse_args(["--workload", "verify-suites", "--parent",
+                              "HEAD", *argv]).control
+    assert control("--pairs", "10") == 3
+    assert control("--pairs", "2") == 2
+    assert control("--pairs", "10", "--control", "0") == 0

@@ -1,4 +1,3 @@
-import json
 import struct
 import zlib
 
@@ -8,7 +7,7 @@ import pytest
 from clwb import backbones as bb
 from clwb import checkpoint as ck
 from clwb import data as dt
-from conftest import net_args, train_args
+from conftest import net_args, train_args, with_meta
 
 
 def trained_net(kind="hat", seed=0, tasks=2):
@@ -98,15 +97,11 @@ def test_truncated_file(tmp_path):
 
 
 def _with_meta(blob: bytes, mutate) -> bytes:
-    """The checkpoint with its meta JSON edited and the CRC re-signed, so
-    the meta checks are what fires."""
-    (meta_len,) = struct.unpack("<I", blob[6:10])
-    meta = json.loads(blob[10:10 + meta_len])
-    mutate(meta)
-    meta_blob = json.dumps(meta, sort_keys=True).encode()
-    body = (blob[:6] + struct.pack("<I", len(meta_blob)) + meta_blob
-            + blob[10 + meta_len:-4])
-    return body + struct.pack("<I", zlib.crc32(body))
+    """The checkpoint with its meta JSON edited in place by mutate."""
+    def make(meta):
+        mutate(meta)
+        return meta
+    return with_meta(blob, make)
 
 
 @pytest.mark.parametrize("mutate", [
@@ -126,5 +121,31 @@ def test_malformed_meta_is_a_format_error(tmp_path, mutate):
     assert _with_meta(blob, lambda m: None) == blob
     bad = tmp_path / "bad.clwb"
     bad.write_bytes(_with_meta(blob, mutate))
+    with pytest.raises(ck.CheckpointFormatError):
+        ck.load_checkpoint(bad)
+
+
+def _first_entry(entry: dict):
+    """make(meta): meta with its first array entry replaced by entry."""
+    return lambda m: {**m, "arrays": [entry] + m["arrays"][1:]}
+
+
+@pytest.mark.parametrize("make", [
+    lambda m: [m],
+    _first_entry({"name": "trunk_w0"}),
+    _first_entry({"name": "trunk_w0", "shape": [-1]}),
+    _first_entry({"name": "trunk_w0", "shape": "ab"}),
+    lambda m: {**m, "head_kinds": list(m["head_kinds"].values())},
+], ids=["meta-list", "entry-without-shape", "negative-shape", "string-shape",
+        "head-kinds-list"])
+def test_malformed_manifest_with_a_valid_crc_is_a_format_error(tmp_path,
+                                                               make):
+    net = trained_net(kind="hat", tasks=1)
+    path = tmp_path / "model.clwb"
+    ck.save_checkpoint(path, net)
+    blob = path.read_bytes()
+    assert with_meta(blob, lambda m: m) == blob
+    bad = tmp_path / "bad.clwb"
+    bad.write_bytes(with_meta(blob, make))
     with pytest.raises(ck.CheckpointFormatError):
         ck.load_checkpoint(bad)

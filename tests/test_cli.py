@@ -14,7 +14,7 @@ from clwb import numkit as nk
 from clwb import verify
 from clwb.checkpoint import load_checkpoint, save_checkpoint
 from clwb.config import parse_config
-from conftest import digits_config_text
+from conftest import digits_config_text, with_meta
 
 
 def run_cli(*argv):
@@ -521,6 +521,24 @@ class TestTrainEvalPipeline:
         assert err.startswith(f"error: checkpoint file {path}: ")
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "run").exists()
+
+    def test_malformed_checkpoint_manifest_is_usage_error(
+            self, synth_config_text, tmp_path, capsys):
+        # the CRC holds, so only the manifest's checks can refuse it
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(synth_config_text(epochs=2))
+        run_cli("train", "--config", str(cfg_path))
+        capsys.readouterr()
+        bad = tmp_path / "bad.clwb"
+        bad.write_bytes(with_meta(
+            (tmp_path / "run" / "final.clwb").read_bytes(),
+            lambda m: {**m, "head_kinds": list(m["head_kinds"].values())}))
+        assert run_cli("eval", "--config", str(cfg_path), "--checkpoint",
+                       str(bad)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed checkpoint")
+        assert len(err.strip().splitlines()) == 1
+        assert not list((tmp_path / "run").glob("report_*"))
 
     @pytest.mark.parametrize("command", ["eval", "calibrate"])
     def test_per_task_checkpoint_is_usage_error(

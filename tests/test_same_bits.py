@@ -354,9 +354,9 @@ def _signed(rng, n):
        claimed=st.sampled_from(["none", "some", "every"]),
        s=st.sampled_from([1.0 / 400.0, 1.0, 400.0]))
 def test_one_hat_update_has_the_per_layer_bits(seed, sizes, lam, claimed, s):
-    """The flat HAT step (gradient mask, regularizer, SGD, embedding step)
-    against the per-layer oracles, over trunks of 1-3 layers of 1-9 units
-    and gradients with signed zeros."""
+    """The flat HAT step of a task's training kernels (gradient mask,
+    regularizer, SGD, embedding step) against the per-layer oracles, over
+    trunks of 1-3 layers of 1-9 units and gradients with signed zeros."""
     rng = np.random.default_rng(seed)
     widths, lr = sizes[1:], 0.05
     net = nk.glorot_net(sizes, rng)
@@ -367,11 +367,12 @@ def test_one_hat_update_has_the_per_layer_bits(seed, sizes, lam, claimed, s):
          "every": np.ones(w)}[claimed] for w in widths])
     state.start_task(None, 0, rng)
     embeddings = [e.copy() for e in state.embeddings[0]]
-    _, cache = nk.forward(net, rng.normal(size=(3, sizes[0])),
-                          state.attentions(0, s))
-    tape = nk.GradTape.for_net(net)
+    steps = state.steps(bb.MaskedNet(net, {}, state), 0, lr)
+    _, cache = steps.features(rng.normal(size=(3, sizes[0])), s)
+    tape = steps.tape
     tape.grads[:] = _signed(rng, tape.grads.size)
-    tape.d_hooks = [_signed(rng, w) for w in widths]
+    d_hooks = [_signed(rng, w) for w in widths]
+    steps.flat_d_hooks[:] = np.concatenate(d_hooks)
 
     old = nk.GradTape([g.copy() for g in tape.d_weights],
                       [g.copy() for g in tape.d_biases])
@@ -381,10 +382,9 @@ def test_one_hat_update_has_the_per_layer_bits(seed, sizes, lam, claimed, s):
     _old_hat_masked_gradients(old, state.accumulated)
     _per_layer_sgd(twin, old, lr)
     want_embeddings = [e - lr * (g + dh * a * (1.0 - a) * s) for e, g, dh, a
-                       in zip(embeddings, e_grads, tape.d_hooks, attn)]
+                       in zip(embeddings, e_grads, d_hooks, attn)]
 
-    value = state.after_backward(bb.MaskedNet(net, {}, state), 0, tape, cache,
-                                 s, lr)
+    value = steps.after_backward(cache, s)
     assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
     for got, want in zip(net.weights + net.biases + state.embeddings[0],
                          twin.weights + twin.biases + want_embeddings):

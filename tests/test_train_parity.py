@@ -73,6 +73,17 @@ def old_sgd_step(net, tape, lr):
         net.biases[l] -= lr * gb
 
 
+def old_scale(state, b, n_batches):
+    """The gate scale annealed from 1/s_max to s_max across an epoch; none
+    for supermasks."""
+    if state.kind == "sup":
+        return None
+    if n_batches <= 1:
+        return state.s_max
+    lo = 1.0 / state.s_max
+    return lo + (state.s_max - lo) * b / (n_batches - 1)
+
+
 def old_after_backward(net, task, tape, cache, s, lr):
     state = net.isolation
     if state.kind == "sup":
@@ -147,7 +158,7 @@ def oracle_train_epochs(net, task, data, rng, *, loss, epochs, lr,
         batches = [order[i:i + batch_size] for i in range(0, n, batch_size)]
         sums = {"loss": 0.0, "ce": 0.0, "reg": 0.0}
         for b, idx in enumerate(batches):
-            s = state.scale(b, len(batches))
+            s = old_scale(state, b, len(batches))
             if loss == "ce":
                 bx, by = data.images[idx], data.labels[idx]
             else:
