@@ -61,9 +61,10 @@ class HatState:
 
     accumulated[l] is the elementwise max of all finished tasks' attentions
     at full scale (a^{<k}); it only grows. lambdas[k] weights the sparsity
-    regularizer of task k. embeddings[k][l] are views of one flat vector per
-    task, its layer-l slice (the embeddings' layout): an attention, its
-    regularizer and the embedding step run over that vector at once.
+    regularizer of task k. embeddings[k] is task k's one flat vector of
+    every layer's embeddings in layer order (the embeddings' layout, layer
+    widths ``sizes``): an attention, its regularizer and the embedding step
+    run over that vector at once, and per-layer arrays are views of it.
     """
 
     kind = "hat"
@@ -72,12 +73,13 @@ class HatState:
 
     s_max: float
     lambdas: list[float]
-    embeddings: dict[int, list[np.ndarray]] = field(default_factory=dict)
+    embeddings: dict[int, np.ndarray] = field(default_factory=dict)
     accumulated: list[np.ndarray] = field(default_factory=list)
-    # task -> (its embeddings list, the flat vector the list's arrays view,
-    # their sizes)
-    packed: dict[int, tuple] = field(default_factory=dict, repr=False,
-                                     compare=False)
+
+    @property
+    def sizes(self) -> list[int]:
+        """The layer widths of the embeddings' layout."""
+        return [a.size for a in self.accumulated]
 
     def free_mass(self) -> tuple[np.ndarray, float, list[slice]]:
         """1 - acc in the embeddings' layout, its sum (summed per layer
@@ -101,34 +103,29 @@ class HatState:
         return self.lambdas[min(task, len(self.lambdas) - 1)]
 
     def flat_embedding(self, task: int) -> np.ndarray:
-        """Task's embeddings as one flat vector, which embeddings[task]'s
-        arrays view. A list put in embeddings by hand is copied into a new
-        vector on first use, and its views take its place."""
-        es = self.embeddings.get(task)
-        if es is None:
+        """Task's flat embeddings, checked: an unknown task raises
+        ValueError, a vector of another shape than (sum(sizes),)
+        ShapeError."""
+        e = self.embeddings.get(task)
+        if e is None:
             raise ValueError(f"task {task} has no attention embeddings")
-        last = self.packed.get(task)
-        if last is None or last[0] is not es:
-            last = self._pack(task, np.concatenate(es), [e.size for e in es])
-        return last[1]
-
-    def _pack(self, task: int, flat: np.ndarray, sizes: list[int]) -> tuple:
-        views = self.embeddings[task] = nk._split(flat, sizes)
-        last = self.packed[task] = (views, flat, sizes)
-        return last
+        n = sum(self.sizes)
+        if np.shape(e) != (n,):
+            raise nk.ShapeError(f"task {task} embeddings of shape "
+                                f"{np.shape(e)} for {n} units")
+        return e
 
     def attentions(self, task: int, s: float | None = None) -> list[np.ndarray]:
         """Task's gates per layer: views of one hat_attention over the
         task's flat embeddings."""
         flat = self.flat_embedding(task)
         scale = self.s_max if s is None else s
-        return nk._split(hat_attention(flat, scale), self.packed[task][2])
+        return nk._split(hat_attention(flat, scale), self.sizes)
 
     def start_task(self, net: MaskedNet, task: int,
                    rng: np.random.Generator) -> None:
         # one draw of every layer's embeddings, in layer order
-        sizes = [acc.size for acc in self.accumulated]
-        self._pack(task, rng.normal(size=sum(sizes)), sizes)
+        self.embeddings[task] = rng.normal(size=sum(self.sizes))
 
     def trunk_for(self, net: MaskedNet, task: int, s: float | None = None
                   ) -> tuple[nk.DenseNet, list[np.ndarray]]:
@@ -140,31 +137,46 @@ class HatState:
     def finish_task(self, net: MaskedNet, task: int) -> None:
         hat_accumulate(net, task)
 
-    def checkpoint_arrays(self) -> tuple[list[tuple[str, np.ndarray]], dict]:
+    def checkpoint_arrays(self, trunk: nk.DenseNet
+                          ) -> tuple[list[tuple[str, np.ndarray]], dict]:
         arrays = [("lambdas", np.asarray(self.lambdas, dtype=np.float64))]
         arrays += [(f"hat_acc{l}", acc) for l, acc in enumerate(self.accumulated)]
         arrays += [(f"hat_emb{k}_{l}", e) for k in sorted(self.embeddings)
-                   for l, e in enumerate(self.embeddings[k])]
+                   for l, e in enumerate(nk._split(self.embeddings[k],
+                                                   self.sizes))]
         return arrays, {"s_max": self.s_max, "hat_tasks": sorted(self.embeddings)}
 
     @classmethod
     def from_checkpoint(cls, meta: dict, arrays: dict[str, np.ndarray],
-                        n_layers: int) -> HatState:
+                        trunk: nk.DenseNet) -> HatState:
+        shapes = [(w.shape[0],) for w in trunk.weights]
         state = cls(s_max=float(meta["s_max"]),
                     lambdas=[float(v) for v in arrays["lambdas"]],
-                    accumulated=[arrays[f"hat_acc{l}"].copy()
-                                 for l in range(n_layers)])
+                    accumulated=[a.copy() for a in
+                                 _layers(arrays, "hat_acc", shapes)])
         for k in meta["hat_tasks"]:
-            state.embeddings[k] = [arrays[f"hat_emb{k}_{l}"]
-                                   for l in range(n_layers)]
-            state.flat_embedding(k)  # copied out of the checkpoint's buffer
+            state.embeddings[k] = np.concatenate(
+                _layers(arrays, f"hat_emb{k}_", shapes))
         return state
+
+
+def _layers(arrays: dict[str, np.ndarray], name: str,
+            shapes: list[tuple]) -> list[np.ndarray]:
+    """The checkpoint arrays name0, name1, ..., one per trunk layer; one of
+    another shape than its layer's raises ValueError."""
+    out = [arrays[f"{name}{l}"] for l in range(len(shapes))]
+    for l, (a, shape) in enumerate(zip(out, shapes)):
+        if a.shape != shape:
+            raise ValueError(f"{name}{l} has shape {a.shape}, not trunk layer "
+                             f"{l}'s {shape}")
+    return out
 
 
 @dataclass
 class SupState:
-    """Supermask bookkeeping: live scores for the task in training plus the
-    frozen per-task masks (0/1 arrays mirroring trunk weight shapes)."""
+    """Supermask bookkeeping: live scores for the task in training plus
+    each finished task's frozen mask, masks[k]: one 0/1 vector in the
+    layout of the trunk's params, ones at the bias slots."""
 
     kind = "sup"
     # a task reads only its own scores and the frozen trunk, so tasks may
@@ -172,9 +184,9 @@ class SupState:
     independent_tasks = True
 
     p: float
-    masks: dict[int, list[np.ndarray]] = field(default_factory=dict)
+    masks: dict[int, np.ndarray] = field(default_factory=dict)
     scores: list[np.ndarray] | None = None
-    # task -> (trunk, masks, masked trunk) of a finished task's last build
+    # task -> (trunk, mask, masked trunk) of a finished task's last build
     built: dict[int, tuple] = field(default_factory=dict, repr=False,
                                     compare=False)
     # the task in training's flat mask in the trunk's layout, ones at the
@@ -193,20 +205,17 @@ class SupState:
         """The trunk with weights W * M_k: the frozen mask of a finished
         task, or the live scores' mask for the task in training. Supermask
         training never changes W, so a finished task's trunk is built once
-        and reused while net.trunk and its masks are the same objects; the
+        and reused while net.trunk and its mask are the same objects; the
         task in training gets a new one per call, its mask written into
         the live flat mask."""
         if task not in self.masks:
             if self.scores is None:
                 raise ValueError(f"unknown task {task}")
             return net.trunk.masked(self._live_mask()), None
-        masks = self.masks[task]
+        mask = self.masks[task]
         last = self.built.get(task)
-        if last is None or last[0] is not net.trunk or last[1] is not masks:
-            flat = nk.flat_like_params(masks, [np.ones_like(b)
-                                               for b in net.trunk.biases])
-            last = self.built[task] = (net.trunk, masks,
-                                       net.trunk.masked(flat))
+        if last is None or last[0] is not net.trunk or last[1] is not mask:
+            last = self.built[task] = (net.trunk, mask, net.trunk.masked(mask))
         return last[2], None
 
     def _live_mask(self) -> np.ndarray:
@@ -220,21 +229,24 @@ class SupState:
         return _SupSteps(self, net, task, lr)
 
     def finish_task(self, net: MaskedNet, task: int) -> None:
-        self.masks[task] = mask_from_scores(self.scores, self.p)
+        self.masks[task] = self._live_mask()
         self.scores = self.live = None
 
-    def checkpoint_arrays(self) -> tuple[list[tuple[str, np.ndarray]], dict]:
+    def checkpoint_arrays(self, trunk: nk.DenseNet
+                          ) -> tuple[list[tuple[str, np.ndarray]], dict]:
         arrays = [(f"sup_mask{k}_{l}", m) for k in sorted(self.masks)
-                  for l, m in enumerate(self.masks[k])]
+                  for l, m in enumerate(trunk.views(self.masks[k])[0])]
         return arrays, {"sparsity": self.p, "sup_tasks": sorted(self.masks)}
 
     @classmethod
     def from_checkpoint(cls, meta: dict, arrays: dict[str, np.ndarray],
-                        n_layers: int) -> SupState:
+                        trunk: nk.DenseNet) -> SupState:
         state = cls(p=float(meta["sparsity"]))
+        shapes = [w.shape for w in trunk.weights]
+        ones = [np.ones_like(b) for b in trunk.biases]
         for k in meta["sup_tasks"]:
-            state.masks[k] = [arrays[f"sup_mask{k}_{l}"].copy()
-                              for l in range(n_layers)]
+            state.masks[k] = nk.flat_like_params(
+                _layers(arrays, f"sup_mask{k}_", shapes), ones)
         return state
 
 
@@ -652,7 +664,7 @@ class _HatSteps(_Steps):
         super().__init__(net.trunk, nk.GradTape.for_net(net.trunk))
         self.lr, self.s_max = lr, state.s_max
         self.flat = state.flat_embedding(task)
-        self.sizes = state.packed[task][2]
+        self.sizes = state.sizes
         nk._check_hooks(self.trunk, nk._split(self.flat, self.sizes))
         self.terms = _reg_terms(state, task, self.flat.shape)
         nk._check_step(self.trunk, self.tape, lr)

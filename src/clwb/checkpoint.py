@@ -14,6 +14,7 @@ a corruption error instead of a silently different model.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import zlib
@@ -104,7 +105,7 @@ def _unpack(blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
                 and isinstance(entry.get("shape"), list)
                 and all(type(d) is int and d >= 0 for d in entry["shape"])):
             raise CheckpointFormatError(f"malformed array entry {entry!r}")
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
+        count = math.prod(entry["shape"])  # exact: no int64 wraparound
         nbytes = 8 * count
         if at + nbytes > len(blob) - 4:
             raise CheckpointFormatError(f"array {entry['name']} truncated")
@@ -126,7 +127,7 @@ def save_checkpoint(path, net: bb.MaskedNet, extra: dict | None = None) -> None:
     for k in sorted(net.heads):
         arrays.append((f"head_w{k}", net.heads[k].weight))
         arrays.append((f"head_b{k}", net.heads[k].bias))
-    state_arrays, state_meta = net.isolation.checkpoint_arrays()
+    state_arrays, state_meta = net.isolation.checkpoint_arrays(net.trunk)
     arrays += state_arrays
     meta = dict(state_meta, kind=net.kind, finished=list(net.finished),
                 head_kinds={str(k): h.kind for k, h in sorted(net.heads.items())},
@@ -167,9 +168,17 @@ def load_checkpoint(path) -> tuple[bb.MaskedNet, dict]:
             k = int(key)
             heads[k] = bb.Head(arrays[f"head_w{k}"].copy(),
                                arrays[f"head_b{k}"].copy(), kind)
-        state = state_cls.from_checkpoint(meta, arrays, len(weights))
-        net = bb.MaskedNet(trunk, heads, state,
-                           [int(k) for k in meta["finished"]])
+        state = state_cls.from_checkpoint(meta, arrays, trunk)
+        finished = [int(k) for k in meta["finished"]]
+        recorded = meta[f"{state.kind}_tasks"]  # hat_tasks or sup_tasks
+        for i, k in enumerate(finished):
+            if k in finished[:i]:
+                raise ValueError(f"finished lists task {k} twice")
+            if k not in heads:
+                raise ValueError(f"finished task {k} has no head")
+            if k not in recorded:
+                raise ValueError(f"finished task {k} has no isolation arrays")
+        net = bb.MaskedNet(trunk, heads, state, finished)
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise CheckpointFormatError(f"malformed checkpoint: {e!r}") from e
     return net, meta

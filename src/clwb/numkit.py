@@ -113,7 +113,7 @@ class DenseNet:
     Every parameter lives in one flat float64 buffer, ``params``: all the
     weight matrices, row-major, then all the biases, in layer order (the
     ``layout``). weights[l] and biases[l] are views into it, so an in-place
-    edit of either is an edit of params; assigning new lists copies them in.
+    edit of either is an edit of params; both lists are read-only.
     """
 
     def __init__(self, weights, biases):
@@ -128,17 +128,9 @@ class DenseNet:
     def weights(self) -> list[np.ndarray]:
         return self._weights
 
-    @weights.setter
-    def weights(self, weights) -> None:
-        self._set(*_pack(weights, self._biases), len(weights))
-
     @property
     def biases(self) -> list[np.ndarray]:
         return self._biases
-
-    @biases.setter
-    def biases(self, biases) -> None:
-        self._set(*_pack(self._weights, biases), self.n_layers)
 
     @property
     def n_layers(self) -> int:

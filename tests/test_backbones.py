@@ -50,13 +50,13 @@ class TestHatForward:
     def setup_net(self, seed=0):
         net = make_hat(seed=seed)
         rng = np.random.default_rng(seed + 100)
-        net.isolation.embeddings[0] = [rng.normal(size=8)]
+        net.isolation.embeddings[0] = rng.normal(size=8)
         net.heads[0] = bb.Head(rng.normal(size=(2, 8)), np.zeros(2))
         return net, rng
 
     def test_saturated_equals_unmasked(self):
         net, rng = self.setup_net()
-        net.isolation.embeddings[0] = [np.full(8, 5.0)]  # sigmoid(2000) == 1
+        net.isolation.embeddings[0] = np.full(8, 5.0)  # sigmoid(2000) == 1
         x = rng.normal(size=(1, 4))
         feats, _ = nk.forward(net.trunk, x)
         expect = feats @ net.heads[0].weight.T + net.heads[0].bias
@@ -64,7 +64,7 @@ class TestHatForward:
 
     def test_closed_attention_kills_features(self):
         net, rng = self.setup_net()
-        net.isolation.embeddings[0] = [np.full(8, -5.0)]
+        net.isolation.embeddings[0] = np.full(8, -5.0)
         x = rng.normal(size=(1, 4))
         np.testing.assert_allclose(bb.hat_forward(net, x, 0),
                                    [net.heads[0].bias], atol=1e-12)
@@ -72,7 +72,7 @@ class TestHatForward:
     def test_matches_recomputation(self):
         net, rng = self.setup_net(seed=3)
         x = rng.normal(size=4)
-        a = bb.hat_attention(net.isolation.embeddings[0][0],
+        a = bb.hat_attention(net.isolation.embeddings[0],
                              net.isolation.s_max)
         h = np.maximum(net.trunk.weights[0] @ x + net.trunk.biases[0], 0) * a
         expect = net.heads[0].weight @ h + net.heads[0].bias
@@ -206,7 +206,7 @@ class TestHatAccumulate:
     def test_first_task_base_case(self):
         net = make_hat(hidden=(4,))
         target = [0.2, 0.7, 0.4, 0.9]
-        net.isolation.embeddings[0] = [self.embed_for(target)]
+        net.isolation.embeddings[0] = self.embed_for(target)
         bb.hat_accumulate(net, 0)
         np.testing.assert_allclose(net.isolation.accumulated[0], target,
                                    rtol=1e-9)
@@ -214,7 +214,7 @@ class TestHatAccumulate:
     def test_all_zero_attention_no_change(self):
         net = make_hat(hidden=(4,))
         net.isolation.accumulated = [np.array([0.3, 0.6, 0.0, 1.0])]
-        net.isolation.embeddings[0] = [np.full(4, -1.0)]  # a ~ 0
+        net.isolation.embeddings[0] = np.full(4, -1.0)  # a ~ 0
         bb.hat_accumulate(net, 0)
         np.testing.assert_array_equal(net.isolation.accumulated[0],
                                       [0.3, 0.6, 0.0, 1.0])
@@ -222,14 +222,14 @@ class TestHatAccumulate:
     def test_elementwise_max(self):
         net = make_hat(hidden=(2,))
         net.isolation.accumulated = [np.array([0.2, 0.9])]
-        net.isolation.embeddings[0] = [self.embed_for([0.5, 0.1])]
+        net.isolation.embeddings[0] = self.embed_for([0.5, 0.1])
         bb.hat_accumulate(net, 0)
         np.testing.assert_allclose(net.isolation.accumulated[0], [0.5, 0.9],
                                    rtol=1e-9)
 
     def test_snap_to_binary(self):
         net = make_hat(hidden=(2,))
-        net.isolation.embeddings[0] = [np.array([1.0, -1.0])]  # sat at s=400
+        net.isolation.embeddings[0] = np.array([1.0, -1.0])  # sat at s=400
         bb.hat_accumulate(net, 0)
         np.testing.assert_array_equal(net.isolation.accumulated[0], [1.0, 0.0])
 
@@ -251,8 +251,9 @@ class TestSupermasks:
     def test_full_density_equals_dense(self):
         net = make_sup(sparsity=100.0)
         rng = np.random.default_rng(7)
-        net.isolation.masks[0] = bb.mask_from_scores(
-            [rng.normal(size=w.shape) for w in net.trunk.weights], 100.0)
+        net.isolation.masks[0] = nk.flat_like_params(bb.mask_from_scores(
+            [rng.normal(size=w.shape) for w in net.trunk.weights], 100.0),
+            [np.ones_like(b) for b in net.trunk.biases])
         net.heads[0] = bb.Head(rng.normal(size=(2, 8)), np.zeros(2))
         x = rng.normal(size=(1, 4))
         feats, _ = nk.forward(net.trunk, x)
@@ -334,14 +335,14 @@ class TestSupermasks:
         first, _ = state.trunk_for(net, 0)
         assert all(state.trunk_for(net, 0)[0] is first for _ in range(3))
         assert len(validated) == 1  # built and validated on first use
-        fresh = nk.DenseNet([w * m for w, m in zip(net.trunk.weights,
-                                                    state.masks[0])],
-                            net.trunk.biases)
+        fresh = nk.DenseNet([w * m for w, m in zip(
+            net.trunk.weights, net.trunk.views(state.masks[0])[0])],
+            net.trunk.biases)
         for a, b in zip(first.weights + first.biases,
                         fresh.weights + fresh.biases):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        # new masks or a new trunk object are not served the old build
-        state.masks[0] = [m.copy() for m in state.masks[0]]
+        # a new mask or a new trunk object is not served the old build
+        state.masks[0] = state.masks[0].copy()
         assert state.trunk_for(net, 0)[0] is not first
         second = state.trunk_for(net, 0)[0]
         net.trunk = nk.DenseNet([w.copy() for w in net.trunk.weights],
@@ -372,6 +373,30 @@ class TestSupermasks:
         assert not any(g.any() for g in grads)
 
 
+@pytest.mark.parametrize("kind", ["hat", "sup"])
+def test_isolation_records_are_flat_in_the_trunk_layout(kind):
+    seq = gaussian_task(n_tasks=2, n=20, seed=41)
+    net = (make_hat if kind == "hat" else make_sup)(dim=4, hidden=(6, 5))
+    for k in range(2):
+        bb.train_task(net, k, seq.tasks[k][0],
+                      **train_args(epochs=2, lr=0.1, seed=42))
+    state = net.isolation
+    for k in net.finished:
+        if kind == "hat":
+            assert state.sizes == [6, 5]
+            assert state.embeddings[k].shape == (11,)
+        else:
+            assert state.masks[k].shape == net.trunk.params.shape
+            masks, ones = net.trunk.views(state.masks[k])
+            assert all(b.tobytes() == np.ones(b.size).tobytes() for b in ones)
+            assert all(set(np.unique(m)) <= {0.0, 1.0} for m in masks)
+    # a record of another length raises at the first forward
+    records = state.embeddings if kind == "hat" else state.masks
+    records[1] = records[1][:-1]
+    with pytest.raises(nk.ShapeError):
+        bb.task_raw_logits(net, np.zeros((1, 4)), 1)
+
+
 class TestTrainTask:
     @pytest.mark.parametrize("kind", ["hat", "sup"])
     def test_separable_task_reaches_high_accuracy(self, kind):
@@ -399,14 +424,13 @@ class TestTrainTask:
                       **train_args(epochs=10, lr=0.1, seed=4))
         probe = np.random.default_rng(5).normal(size=(7, 4))
         before = bb.task_raw_logits(net, probe, 0).copy()
-        mask_before = [m.copy() for m in net.isolation.masks[0]]
+        mask_before = net.isolation.masks[0].copy()
         trunk_before = [w.copy() for w in net.trunk.weights]
         bb.train_task(net, 1, seq.tasks[1][0],
                       **train_args(epochs=10, lr=0.1, seed=6))
         after = bb.task_raw_logits(net, probe, 0)
         np.testing.assert_array_equal(before, after)  # bit-identical
-        for a, b in zip(net.isolation.masks[0], mask_before):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(net.isolation.masks[0], mask_before)
         for a, b in zip(net.trunk.weights, trunk_before):
             np.testing.assert_array_equal(a, b)
 
@@ -456,7 +480,7 @@ def _assert_only_drawn(net, kind: str, loss: str, seed: int) -> None:
     head = bb._init_head(twin, 0, 2 * (1 if loss == "ce" else 4),
                          "plain" if loss == "ce" else "rotation", draw)
     assert net.trunk.params.tobytes() == twin.trunk.params.tobytes()
-    live = (lambda n: n.isolation.embeddings[0]) if kind == "hat" else \
+    live = (lambda n: [n.isolation.embeddings[0]]) if kind == "hat" else \
         (lambda n: n.isolation.scores)
     assert [a.tobytes() for a in live(net)] == \
         [a.tobytes() for a in live(twin)]
@@ -546,7 +570,8 @@ class TestExhaustedCapacity:
         rng = np.random.default_rng([25, 1, 1])
         start = [rng.normal(size=h) for h in (6, 5)]
         assert all(not np.array_equal(e, s)
-                   for e, s in zip(state.embeddings[1], start))
+                   for e, s in zip(nk._split(state.embeddings[1],
+                                             state.sizes), start))
         head0 = rng.uniform(-np.sqrt(6.0 / 7), np.sqrt(6.0 / 7), size=(2, 5))
         assert not np.array_equal(net.heads[1].weight, head0)
         assert state.accumulated[0].tobytes() == np.ones(6).tobytes()

@@ -149,3 +149,59 @@ def test_malformed_manifest_with_a_valid_crc_is_a_format_error(tmp_path,
     bad.write_bytes(with_meta(blob, make))
     with pytest.raises(ck.CheckpointFormatError):
         ck.load_checkpoint(bad)
+
+
+def _repacked(edit):
+    """blob -> the checkpoint with its meta and arrays edited in place by
+    edit(meta, arrays), packed again with a manifest of the edited arrays
+    and an honest CRC."""
+    def make(blob):
+        meta, arrays = ck._unpack(blob)
+        for key in ("arrays", "format_version", "clwb_version"):
+            del meta[key]
+        arrays = dict(arrays)
+        edit(meta, arrays)
+        return bytes(ck._pack(meta, list(arrays.items())))
+    return make
+
+
+def _short(name):
+    return _repacked(lambda m, a: a.update({name: a[name][:-1]}))
+
+
+def _without_head(meta, arrays):
+    del meta["head_kinds"]["2"], arrays["head_w2"], arrays["head_b2"]
+
+
+@pytest.mark.parametrize("kind, make, message", [
+    ("hat", _short("hat_emb1_0"), r"hat_emb1_0 has shape \(7,\)"),
+    ("hat", _short("hat_acc0"), r"hat_acc0 has shape \(7,\)"),
+    ("sup", _short("sup_mask1_0"), r"sup_mask1_0 has shape \(7, 4\)"),
+    ("sup", _repacked(lambda m, a: a.update(sup_mask1_0=a["sup_mask1_0"].T)),
+     r"sup_mask1_0 has shape \(4, 8\)"),
+    ("hat", _repacked(lambda m, a: m.update(hat_tasks=[0, 1])),
+     "finished task 2 has no isolation arrays"),
+    ("hat", _repacked(_without_head), "finished task 2 has no head"),
+    ("hat", _repacked(lambda m, a: m.update(finished=[0, 0, 1])),
+     "finished lists task 0 twice"),
+    ("hat", lambda blob: with_meta(blob, _first_entry(
+        {"name": "trunk_w0", "shape": [2**32, 2**32]})),
+     "array trunk_w0 truncated"),
+], ids=["short-hat-emb", "short-hat-acc", "short-sup-mask",
+        "transposed-sup-mask", "finished-task-without-isolation-arrays",
+        "finished-task-without-a-head", "repeated-finished-task",
+        "shape-past-int64"])
+def test_fields_that_disagree_are_a_format_error(tmp_path, kind, make,
+                                                 message):
+    # each file's CRC holds and each array is whole, so only the checks
+    # of every field against the others can refuse it
+    net = trained_net(kind=kind, tasks=3)
+    path = tmp_path / "model.clwb"
+    ck.save_checkpoint(path, net)
+    blob = path.read_bytes()
+    assert _repacked(lambda m, a: None)(blob) == blob
+    bad = tmp_path / "bad.clwb"
+    bad.write_bytes(make(blob))
+    with pytest.raises(ck.CheckpointFormatError, match=message):
+        ck.load_checkpoint(bad)
+

@@ -540,6 +540,25 @@ class TestTrainEvalPipeline:
         assert len(err.strip().splitlines()) == 1
         assert not list((tmp_path / "run").glob("report_*"))
 
+    def test_finished_task_without_isolation_arrays_is_usage_error(
+            self, synth_config_text, tmp_path, capsys):
+        # the CRC holds and task 2's head is there, but hat_tasks lacks it
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(synth_config_text(epochs=2))
+        run_cli("train", "--config", str(cfg_path))
+        capsys.readouterr()
+        bad = tmp_path / "bad.clwb"
+        bad.write_bytes(with_meta(
+            (tmp_path / "run" / "final.clwb").read_bytes(),
+            lambda m: {**m, "hat_tasks": [0, 1]}))
+        assert run_cli("eval", "--config", str(cfg_path), "--checkpoint",
+                       str(bad)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed checkpoint")
+        assert "finished task 2 has no isolation arrays" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not list((tmp_path / "run").glob("report_*"))
+
     @pytest.mark.parametrize("command", ["eval", "calibrate"])
     def test_per_task_checkpoint_is_usage_error(
             self, synth_config_text, tmp_path, capsys, command):

@@ -33,7 +33,7 @@ def linear_hat_net(W, head_scale=400.0):
     trunk = nk.DenseNet([np.eye(d)], [np.zeros(d)])
     state = bb.HatState(s_max=head_scale, lambdas=[1.0],
                         accumulated=[np.zeros(d)])
-    state.embeddings[0] = [np.full(d, 1.0)]  # sigmoid(400) == 1
+    state.embeddings[0] = np.full(d, 1.0)  # sigmoid(400) == 1
     net = bb.MaskedNet(trunk, {0: bb.Head(W, np.zeros(W.shape[0]))}, state, [0])
     return net
 
@@ -145,7 +145,7 @@ class TestOdin:
             rng = np.random.default_rng(seed)
             net = bb.build_masked_net(4, [8], isolation="hat", seed=seed,
                                       **net_args())
-            net.isolation.embeddings[0] = [rng.normal(size=8)]
+            net.isolation.embeddings[0] = rng.normal(size=8)
             net.heads[0] = bb.Head(rng.normal(size=(3, 8)), rng.normal(size=3))
             x = rng.normal(size=(1, 4))
             raw = ol.msp_score(bb.task_raw_logits(net, x, 0))
@@ -462,7 +462,7 @@ class TestRotationHead:
         data = corner_marker_set()
         net = bb.build_masked_net(16, [32], isolation="hat", seed=14,
                                   **net_args())
-        net.isolation.embeddings[0] = [np.full(32, 5.0)]
+        net.isolation.embeddings[0] = np.full(32, 5.0)
         bb.hat_accumulate(net, 0)
         net.finished.append(0)
         before = [w.copy() for w in net.trunk.weights]
@@ -494,7 +494,7 @@ class TestEnsemble:
         data = corner_marker_set()
         net = bb.build_masked_net(16, [32], isolation="hat", seed=17,
                                   **net_args())
-        net.isolation.embeddings[0] = [np.full(32, 5.0)]
+        net.isolation.embeddings[0] = np.full(32, 5.0)
         bb.hat_accumulate(net, 0)
         net.finished.append(0)
         ol.finetune_rotation_head(net, 0, data, epochs=60, lr=0.5,

@@ -26,7 +26,7 @@ def _trained(kind):
 def nets():
     rotation = bb.build_masked_net(16, [8], isolation="hat", seed=0,
                                    **net_args())
-    rotation.isolation.embeddings[0] = [np.zeros(8)]
+    rotation.isolation.embeddings[0] = np.zeros(8)
     rotation.heads[0] = bb.Head(np.zeros((8, 8)), np.zeros(8), "rotation")
     return {"hat": _trained("hat"), "sup": _trained("sup"),
             "rotation": rotation}

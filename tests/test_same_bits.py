@@ -324,7 +324,8 @@ def test_hat_constants_follow_every_new_accumulated_state(seed):
     state.accumulated[1] = np.ones(hidden[1])
     _hat_step_matches(state, rng, dim)
     # hat_accumulate replaces every layer's array
-    state.embeddings[0] = [rng.normal(size=h) * 0.01 for h in hidden]
+    state.embeddings[0] = np.concatenate([rng.normal(size=h) * 0.01
+                                          for h in hidden])
     bb.hat_accumulate(net, 0)
     _hat_step_matches(state, rng, dim)
     # every unit claimed: the exhausted branch
@@ -366,7 +367,7 @@ def test_one_hat_update_has_the_per_layer_bits(seed, sizes, lam, claimed, s):
         {"none": np.zeros(w), "some": rng.choice([0.0, 0.3, 1.0], size=w),
          "every": np.ones(w)}[claimed] for w in widths])
     state.start_task(None, 0, rng)
-    embeddings = [e.copy() for e in state.embeddings[0]]
+    embeddings = [e.copy() for e in nk._split(state.embeddings[0], widths)]
     steps = state.steps(bb.MaskedNet(net, {}, state), 0, lr)
     _, cache = steps.features(rng.normal(size=(3, sizes[0])), s)
     tape = steps.tape
@@ -386,7 +387,8 @@ def test_one_hat_update_has_the_per_layer_bits(seed, sizes, lam, claimed, s):
 
     value = steps.after_backward(cache, s)
     assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
-    for got, want in zip(net.weights + net.biases + state.embeddings[0],
+    for got, want in zip(net.weights + net.biases
+                         + nk._split(state.embeddings[0], widths),
                          twin.weights + twin.biases + want_embeddings):
         assert _same(got, want)
 

@@ -34,8 +34,8 @@ class OldTape:
 def old_start_task(net, task, rng):
     state = net.isolation
     if state.kind == "hat":  # one draw per layer
-        state.embeddings[task] = [rng.normal(size=acc.shape)
-                                  for acc in state.accumulated]
+        state.embeddings[task] = np.concatenate(
+            [rng.normal(size=acc.shape) for acc in state.accumulated])
     else:
         state.start_task(net, task, rng)
 
@@ -54,9 +54,11 @@ def old_task_features(net, x, task, s=None):
     if state.kind == "hat":
         scale = state.s_max if s is None else s
         trunk = net.trunk
-        hooks = [old_hat_attention(e, scale) for e in state.embeddings[task]]
+        hooks = [old_hat_attention(e, scale)
+                 for e in nk._split(state.embeddings[task], state.sizes)]
     else:
-        masks = state.masks[task] if task in state.masks else \
+        masks = net.trunk.views(state.masks[task])[0] \
+            if task in state.masks else \
             bb.mask_from_scores(state.scores, state.p)
         trunk = nk.DenseNet([w * m for w, m in zip(net.trunk.weights, masks)],
                             net.trunk.biases)
@@ -105,9 +107,10 @@ def old_after_backward(net, task, tape, cache, s, lr):
         tape.d_weights[l] *= 1.0 - np.minimum(o[:, None], i[None, :])
         tape.d_biases[l] *= free[l]
     old_sgd_step(net.trunk, tape, lr)
+    embeddings = nk._split(state.embeddings[task], state.sizes)
     for l, eg in enumerate(e_grads):
         total = eg + tape.d_hooks[l] * attn[l] * (1.0 - attn[l]) * s
-        state.embeddings[task][l] -= lr * total
+        embeddings[l] -= lr * total
     return reg_val
 
 
