@@ -11,10 +11,14 @@ Two isolation mechanisms produce per-task heads on a shared trunk:
 
 Both states answer the same calls (start_task, trunk_for, steps,
 finish_task, checkpoint_arrays, from_checkpoint), so no caller branches on
-the kind; task_features is the one trunk forward. ``steps`` checks once
-what a task's training steps trust, fetches once what they read, and
-returns their kernels: the gate scale, the forward and the update, which
-run the unchecked bodies. ``kind`` names the mechanism, and
+the kind; task_features is the one trunk forward, at full gate scale.
+Every isolation record is one flat vector: HAT's per-task embeddings and
+its accumulated gates in the embeddings' layout (the trunk's units in
+layer order), a finished supermask task's mask in the layout of the
+trunk's params. ``steps`` checks once what a task's training steps trust,
+fetches once what they read, and returns their kernels: the gate scale,
+the forward and the update, which run the unchecked bodies and own what
+only training reads. ``kind`` names the mechanism, and
 ``independent_tasks`` says whether a task's training reads what another
 task trains: false for hard attention, true for supermasks.
 
@@ -57,14 +61,13 @@ __all__ = [
 
 @dataclass
 class HatState:
-    """Hard-attention bookkeeping across tasks.
-
-    accumulated[l] is the elementwise max of all finished tasks' attentions
-    at full scale (a^{<k}); it only grows. lambdas[k] weights the sparsity
-    regularizer of task k. embeddings[k] is task k's one flat vector of
-    every layer's embeddings in layer order (the embeddings' layout, layer
-    widths ``sizes``): an attention, its regularizer and the embedding step
-    run over that vector at once, and per-layer arrays are views of it.
+    """Hard-attention bookkeeping across tasks, every record one flat vector
+    in the embeddings' layout: the trunk's units in layer order, layer
+    widths ``sizes``. embeddings[k] is task k's embeddings; accumulated is
+    the elementwise max of all finished tasks' attentions at full scale
+    (a^{<k}), which only grows. lambdas[k] weights the sparsity regularizer
+    of task k. An attention, its regularizer and the embedding step run over
+    a whole vector at once, and per-layer arrays are views of it.
     """
 
     kind = "hat"
@@ -73,27 +76,20 @@ class HatState:
 
     s_max: float
     lambdas: list[float]
+    sizes: list[int]
+    accumulated: np.ndarray
     embeddings: dict[int, np.ndarray] = field(default_factory=dict)
-    accumulated: list[np.ndarray] = field(default_factory=list)
 
-    @property
-    def sizes(self) -> list[int]:
-        """The layer widths of the embeddings' layout."""
-        return [a.size for a in self.accumulated]
-
-    def free_mass(self) -> tuple[np.ndarray, float, list[slice]]:
-        """1 - acc in the embeddings' layout, its sum (summed per layer
-        first) and each layer's slice of that layout."""
-        free = [1.0 - a for a in self.accumulated]
-        ends = np.cumsum([f.size for f in free]).tolist()
-        return (np.concatenate(free), float(sum(f.sum() for f in free)),
-                [slice(i, j) for i, j in zip([0] + ends, ends)])
+    def free_mass(self) -> tuple[np.ndarray, float]:
+        """1 - acc and its sum, summed per layer first."""
+        free = 1.0 - self.accumulated
+        return free, float(sum(f.sum() for f in nk._split(free, self.sizes)))
 
     def gradient_mask(self, layout: tuple) -> np.ndarray:
         """hat_masked_gradients' factors in the tape layout ``layout``: per
         layer 1 - min(acc_out, acc_in) (acc_in = 1 at the input) on the
         weights, then 1 - acc_out on each layer's biases."""
-        acc = self.accumulated
+        acc = nk._split(self.accumulated, self.sizes)
         ins = [np.ones(layout[0][1])] + acc[:-1]
         return nk.flat_like_params(
             [1.0 - np.minimum(o[:, None], i[None, :])
@@ -115,21 +111,17 @@ class HatState:
                                 f"{np.shape(e)} for {n} units")
         return e
 
-    def attentions(self, task: int, s: float | None = None) -> list[np.ndarray]:
-        """Task's gates per layer: views of one hat_attention over the
-        task's flat embeddings."""
-        flat = self.flat_embedding(task)
-        scale = self.s_max if s is None else s
-        return nk._split(hat_attention(flat, scale), self.sizes)
-
     def start_task(self, net: MaskedNet, task: int,
                    rng: np.random.Generator) -> None:
         # one draw of every layer's embeddings, in layer order
         self.embeddings[task] = rng.normal(size=sum(self.sizes))
 
-    def trunk_for(self, net: MaskedNet, task: int, s: float | None = None
+    def trunk_for(self, net: MaskedNet, task: int
                   ) -> tuple[nk.DenseNet, list[np.ndarray]]:
-        return net.trunk, self.attentions(task, s)
+        """The trunk and task's gates at full scale: views of one
+        hat_attention over the task's flat embeddings."""
+        gates = hat_attention(self.flat_embedding(task), self.s_max)
+        return net.trunk, nk._split(gates, self.sizes)
 
     def steps(self, net: MaskedNet, task: int, lr: float) -> "_HatSteps":
         return _HatSteps(self, net, task, lr)
@@ -139,21 +131,23 @@ class HatState:
 
     def checkpoint_arrays(self, trunk: nk.DenseNet
                           ) -> tuple[list[tuple[str, np.ndarray]], dict]:
+        tasks = sorted(self.embeddings)
+        records = [("hat_acc", self.accumulated)] + [
+            (f"hat_emb{k}_", self.embeddings[k]) for k in tasks]
         arrays = [("lambdas", np.asarray(self.lambdas, dtype=np.float64))]
-        arrays += [(f"hat_acc{l}", acc) for l, acc in enumerate(self.accumulated)]
-        arrays += [(f"hat_emb{k}_{l}", e) for k in sorted(self.embeddings)
-                   for l, e in enumerate(nk._split(self.embeddings[k],
-                                                   self.sizes))]
-        return arrays, {"s_max": self.s_max, "hat_tasks": sorted(self.embeddings)}
+        arrays += [(f"{name}{l}", v) for name, flat in records
+                   for l, v in enumerate(nk._split(flat, self.sizes))]
+        return arrays, {"s_max": self.s_max, "hat_tasks": tasks}
 
     @classmethod
     def from_checkpoint(cls, meta: dict, arrays: dict[str, np.ndarray],
                         trunk: nk.DenseNet) -> HatState:
-        shapes = [(w.shape[0],) for w in trunk.weights]
+        sizes = [w.shape[0] for w in trunk.weights]
+        shapes = [(n,) for n in sizes]
         state = cls(s_max=float(meta["s_max"]),
-                    lambdas=[float(v) for v in arrays["lambdas"]],
-                    accumulated=[a.copy() for a in
-                                 _layers(arrays, "hat_acc", shapes)])
+                    lambdas=[float(v) for v in arrays["lambdas"]], sizes=sizes,
+                    accumulated=np.concatenate(_layers(arrays, "hat_acc",
+                                                       shapes)))
         for k in meta["hat_tasks"]:
             state.embeddings[k] = np.concatenate(
                 _layers(arrays, f"hat_emb{k}_", shapes))
@@ -174,9 +168,9 @@ def _layers(arrays: dict[str, np.ndarray], name: str,
 
 @dataclass
 class SupState:
-    """Supermask bookkeeping: live scores for the task in training plus
-    each finished task's frozen mask, masks[k]: one 0/1 vector in the
-    layout of the trunk's params, ones at the bias slots."""
+    """Supermask bookkeeping: the task in training's scores, one array per
+    trunk layer, and each finished task's frozen mask, masks[k]: one 0/1
+    vector in the layout of the trunk's params, ones at the bias slots."""
 
     kind = "sup"
     # a task reads only its own scores and the frozen trunk, so tasks may
@@ -189,48 +183,34 @@ class SupState:
     # task -> (trunk, mask, masked trunk) of a finished task's last build
     built: dict[int, tuple] = field(default_factory=dict, repr=False,
                                     compare=False)
-    # the task in training's flat mask in the trunk's layout, ones at the
-    # bias slots, and its weight views, which each step's mask rewrites
-    live: tuple | None = field(default=None, repr=False, compare=False)
 
     def start_task(self, net: MaskedNet, task: int,
                    rng: np.random.Generator) -> None:
         self.scores = [rng.normal(scale=0.1, size=w.shape)
                        for w in net.trunk.weights]
-        flat = np.ones_like(net.trunk.params)
-        self.live = (flat, net.trunk.views(flat)[0])
 
-    def trunk_for(self, net: MaskedNet, task: int, s: float | None = None
+    def trunk_for(self, net: MaskedNet, task: int
                   ) -> tuple[nk.DenseNet, None]:
-        """The trunk with weights W * M_k: the frozen mask of a finished
-        task, or the live scores' mask for the task in training. Supermask
-        training never changes W, so a finished task's trunk is built once
-        and reused while net.trunk and its mask are the same objects; the
-        task in training gets a new one per call, its mask written into
-        the live flat mask."""
-        if task not in self.masks:
-            if self.scores is None:
-                raise ValueError(f"unknown task {task}")
-            return net.trunk.masked(self._live_mask()), None
-        mask = self.masks[task]
+        """The trunk with weights W * M_k of a finished task; any other task
+        raises ValueError. Supermask training never changes W, so the trunk
+        is built once and reused while net.trunk and its mask are the same
+        objects."""
+        mask = self.masks.get(task)
+        if mask is None:
+            raise ValueError(f"unknown task {task}")
         last = self.built.get(task)
         if last is None or last[0] is not net.trunk or last[1] is not mask:
             last = self.built[task] = (net.trunk, mask, net.trunk.masked(mask))
         return last[2], None
 
-    def _live_mask(self) -> np.ndarray:
-        """The task in training's flat mask, the live scores' mask written
-        into its weight views."""
-        flat, views = self.live
-        mask_from_scores(self.scores, self.p, out=views)
-        return flat
-
     def steps(self, net: MaskedNet, task: int, lr: float) -> "_SupSteps":
         return _SupSteps(self, net, task, lr)
 
     def finish_task(self, net: MaskedNet, task: int) -> None:
-        self.masks[task] = self._live_mask()
-        self.scores = self.live = None
+        mask = np.ones_like(net.trunk.params)
+        mask_from_scores(self.scores, self.p, net.trunk.views(mask)[0])
+        self.masks[task] = mask
+        self.scores = None
 
     def checkpoint_arrays(self, trunk: nk.DenseNet
                           ) -> tuple[list[tuple[str, np.ndarray]], dict]:
@@ -300,10 +280,8 @@ def build_masked_net(input_dim: int, hidden: list[int], *, isolation: str,
     trunk = nk.glorot_net([input_dim] + list(hidden), rng)
     if isolation == "hat":
         state: HatState | SupState = HatState(
-            s_max=s_max,
-            lambdas=list(lambdas),
-            accumulated=[np.zeros(h) for h in hidden],
-        )
+            s_max=s_max, lambdas=list(lambdas), sizes=list(hidden),
+            accumulated=np.zeros(sum(hidden)))
     elif isolation == "sup":
         if not 0.0 < sparsity <= 100.0:
             raise ValueError(f"sparsity {sparsity} outside (0, 100]")
@@ -362,29 +340,29 @@ def hat_regularizer(state: HatState, task: int, attentions: np.ndarray,
 
 def _reg_terms(state: HatState, task: int, shape: tuple) -> tuple:
     """What hat_regularizer reads of the accumulated state, for attentions
-    of shape: (1 - acc, its sum, the layers' slices, lambda_k, the
-    gradient's coefficient lambda_k * (1 - acc) / (its sum); the last two
-    None when every unit is claimed). Raises ShapeError when shape is not
-    the embeddings' layout."""
-    free, denom, layers = state.free_mass()
+    of shape: (1 - acc, its sum, the layer widths, lambda_k, the gradient's
+    coefficient lambda_k * (1 - acc) / (its sum); the last two None when
+    every unit is claimed). Raises ShapeError when shape is not the
+    embeddings' layout."""
+    free, denom = state.free_mass()
     if shape != free.shape:
         raise nk.ShapeError(f"attentions of shape {shape} for "
                             f"{free.size} units")
     if denom == 0.0:
-        return free, denom, layers, None, None
+        return free, denom, state.sizes, None, None
     lam = state.lambda_for(task)
-    return free, denom, layers, lam, lam * free / denom
+    return free, denom, state.sizes, lam, lam * free / denom
 
 
 def _regularizer(a: np.ndarray, s: float, free: np.ndarray, denom: float,
-                 layers: list[slice], lam: float, coef: np.ndarray | None
+                 sizes: list[int], lam: float, coef: np.ndarray | None
                  ) -> tuple[float, np.ndarray]:
     """hat_regularizer's body over _reg_terms: the value and gradient."""
     if denom == 0.0:
         return 0.0, np.zeros_like(a)
     claimed = a * free  # summed per layer, then across layers
-    value = lam * float(sum(np.add.reduce(claimed[l])
-                            for l in layers)) / denom
+    value = lam * float(sum(np.add.reduce(c)
+                            for c in nk._split(claimed, sizes))) / denom
     return value, coef * a * (1.0 - a) * s
 
 
@@ -413,11 +391,11 @@ def hat_accumulate(net: MaskedNet, task: int) -> None:
     units block gradients exactly, not merely to ~1e-9.
     """
     state = net.isolation
-    for l, a in enumerate(state.attentions(task)):
-        acc = np.maximum(state.accumulated[l], a)
-        acc[acc < SATURATION_EPS] = 0.0
-        acc[acc > 1.0 - SATURATION_EPS] = 1.0
-        state.accumulated[l] = acc
+    acc = np.maximum(state.accumulated,
+                     hat_attention(state.flat_embedding(task), state.s_max))
+    acc[acc < SATURATION_EPS] = 0.0
+    acc[acc > 1.0 - SATURATION_EPS] = 1.0
+    state.accumulated = acc
 
 
 # ---------------------------------------------------------------------------
@@ -425,18 +403,16 @@ def hat_accumulate(net: MaskedNet, task: int) -> None:
 # ---------------------------------------------------------------------------
 
 def mask_from_scores(scores: list[np.ndarray], p: float,
-                     out: list[np.ndarray] | None = None) -> list[np.ndarray]:
+                     out: list[np.ndarray]) -> list[np.ndarray]:
     """Per layer, 1.0 on the ceil(p% * size) largest scores, ties to the
-    lowest flat index; a deterministic function of (scores, p). out, if
-    given, holds one float64 array per layer shaped like its scores (the
-    weight views of a flat mask), which the masks are written into and
-    returned as; else each mask is a new array.
+    lowest flat index; a deterministic function of (scores, p). The masks
+    are written into out, one float64 array per layer shaped like its
+    scores (the weight views of a flat mask), and out is returned.
 
     A NaN or infinite score raises NumericError naming its layer: a
     diverged score vector has no meaningful top-k.
     """
-    masks = []
-    for l, v in enumerate(scores):
+    for l, (v, m) in enumerate(zip(scores, out)):
         flat = v.reshape(-1)
         if not np.isfinite(flat).all():
             raise nk.NumericError("non-finite supermask score", l)
@@ -445,15 +421,10 @@ def mask_from_scores(scores: list[np.ndarray], p: float,
         # the lowest flat indices among those equal to it
         t = np.partition(flat, flat.size - keep)[flat.size - keep]
         above = flat > t
-        if out is None:
-            m = above.astype(np.float64).reshape(v.shape)
-        else:
-            m = out[l]
-            np.copyto(m, above.reshape(v.shape))
+        np.copyto(m, above.reshape(v.shape))
         ties = np.flatnonzero(flat == t)[:keep - np.count_nonzero(above)]
         m.flat[ties] = 1.0
-        masks.append(m)
-    return masks
+    return out
 
 
 def sup_score_update(tape: nk.GradTape, trunk: nk.DenseNet) -> list[np.ndarray]:
@@ -480,14 +451,13 @@ def _flatten(x, d: int) -> np.ndarray:
     return flat
 
 
-def task_features(net: MaskedNet, x, task: int,
-                  s: float | None = None) -> tuple[np.ndarray, nk.ForwardCache,
-                                                   nk.DenseNet]:
-    """Trunk output under task's isolation; returns (features, cache, trunk
-    actually run) so callers can backpropagate through the right weights.
-    s is the attention scale of a hard-attention net (s_max by default)."""
+def task_features(net: MaskedNet, x, task: int
+                  ) -> tuple[np.ndarray, nk.ForwardCache, nk.DenseNet]:
+    """Trunk output under task's isolation (a hard-attention net's gates at
+    full scale); returns (features, cache, trunk actually run) so callers
+    can backpropagate through the right weights."""
     x = _flatten(x, net.trunk.weights[0].shape[1])
-    trunk, hooks = net.isolation.trunk_for(net, task, s)
+    trunk, hooks = net.isolation.trunk_for(net, task)
     feats, cache = nk.forward(trunk, x, hooks)
     return feats, cache, trunk
 
@@ -694,22 +664,25 @@ class _HatSteps(_Steps):
 
 
 class _SupSteps(_Steps):
-    """A supermask task's steps. One masked trunk, built and validated by
-    trunk_for, serves them all: each step writes the live scores' mask
-    into the task's flat mask and rewrites the masked trunk's params as
-    the trunk's params times it. The mask holds only 0s and 1s, so the
-    product stays finite."""
+    """A supermask task's steps. They own the task's flat mask in the
+    trunk's layout, ones at the bias slots, and one masked trunk, validated
+    at the build: each step writes the live scores' mask into the flat
+    mask's weight views and rewrites the masked trunk's params as the
+    trunk's params times it. The mask holds only 0s and 1s, so the product
+    stays finite."""
 
     def __init__(self, state: SupState, net: MaskedNet, task: int,
                  lr: float):
-        super().__init__(state.trunk_for(net, task)[0],
+        self.mask = np.ones_like(net.trunk.params)
+        self.views = net.trunk.views(self.mask)[0]
+        super().__init__(net.trunk.masked(self.mask),
                          nk.GradTape.for_net(net.trunk))
         self.state, self.net, self.lr = state, net, lr
 
     def features(self, x: np.ndarray, s: None
                  ) -> tuple[np.ndarray, nk.ForwardCache]:
-        np.multiply(self.net.trunk.params, self.state._live_mask(),
-                    out=self.trunk.params)
+        mask_from_scores(self.state.scores, self.state.p, self.views)
+        np.multiply(self.net.trunk.params, self.mask, out=self.trunk.params)
         return nk._forward(self.trunk, _rows(x), None)
 
     def after_backward(self, cache: nk.ForwardCache, s: None) -> float:

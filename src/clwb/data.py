@@ -10,6 +10,7 @@ per-task labels remapped to 0..m-1.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 
@@ -101,7 +102,7 @@ def parse_idx(stream: bytes) -> np.ndarray:
     if len(stream) < header:
         raise FormatError("truncated dimension header")
     dims = struct.unpack(f">{ndim}I", stream[4:header])
-    count = int(np.prod(dims))
+    count = math.prod(dims)  # exact: no int64 wraparound
     if len(stream) != header + count:
         raise FormatError(f"expected {count} data bytes, found "
                           f"{len(stream) - header}")

@@ -441,9 +441,13 @@ def _check_fit(net: bb.MaskedNet, seq: dt.TaskSequence) -> None:
     if width != want:
         raise ConfigError(f"checkpoint trunk has input width {width} for "
                           f"{want} in the config")
-    if sorted(net.finished) != list(range(seq.n_tasks)):
+    if len(net.finished) != seq.n_tasks:
         raise ConfigError(f"checkpoint has {len(net.finished)} finished "
                           f"tasks for {seq.n_tasks} tasks in the config")
+    for k in sorted(net.finished):  # the loader refuses a repeated task
+        if not 0 <= k < seq.n_tasks:
+            raise ConfigError(f"checkpoint finished task {k} is not one of "
+                              f"the config's tasks 0-{seq.n_tasks - 1}")
     for k, size in enumerate(seq.topology.sizes):
         classes = net.heads[k].classes
         if classes != size:

@@ -90,8 +90,8 @@ def test_c03_gradient_checks():
     def hat_case(rng):
         hid, dim = 4, 3
         acc = rng.uniform(size=hid)
-        state = bb.HatState(400.0, [float(rng.uniform(0.1, 1.5))],
-                            accumulated=[acc])
+        state = bb.HatState(400.0, [float(rng.uniform(0.1, 1.5))], [hid],
+                            acc)
         head_w = rng.normal(size=(2, hid))
         y = rng.integers(2, size=4)
         s = 2.0
@@ -196,8 +196,7 @@ def test_c04_no_forgetting(tmp_path):
     cfg = parse_config(SYNTH5.format(seed=3, kind="hat"))
     art = ex.train_run(cfg, tmp_path / "hat")
     net, _ = load_checkpoint(art["final"])
-    saturated = all(set(np.unique(a)) <= {0.0, 1.0}
-                    for a in net.isolation.accumulated)
+    saturated = set(np.unique(net.isolation.accumulated)) <= {0.0, 1.0}
     drift = max(float(np.abs(np.subtract(*_probe_logits(art, k, probe))).max())
                 for k in range(5))
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from clwb import backbones as bb
+from clwb import checkpoint as ck
 from clwb import data as dt
 from clwb import numkit as nk
 from conftest import net_args, train_args
@@ -128,7 +129,8 @@ class TestInputShapes:
 class TestHatMaskedGradients:
     def run_case(self, acc_out, acc_in, g):
         state = bb.HatState(s_max=400.0, lambdas=[1.0],
-                            accumulated=[np.array(acc_in), np.array(acc_out)])
+                            sizes=[len(acc_in), len(acc_out)],
+                            accumulated=np.array(acc_in + acc_out))
         tape = nk.GradTape(
             [np.full((len(acc_in), 3), g), np.full((len(acc_out), len(acc_in)), g)],
             [np.full(len(acc_in), g), np.full(len(acc_out), g)])
@@ -152,8 +154,8 @@ class TestHatMaskedGradients:
 
     def test_contraction(self):
         rng = np.random.default_rng(5)
-        state = bb.HatState(400.0, [1.0],
-                            accumulated=[rng.uniform(size=4), rng.uniform(size=3)])
+        state = bb.HatState(400.0, [1.0], [4, 3], np.concatenate(
+            [rng.uniform(size=4), rng.uniform(size=3)]))
         tape = nk.GradTape([rng.normal(size=(4, 6)), rng.normal(size=(3, 4))],
                            [rng.normal(size=4), rng.normal(size=3)])
         before = [g.copy() for g in tape.d_weights]
@@ -164,7 +166,7 @@ class TestHatMaskedGradients:
 
 class TestHatRegularizer:
     def test_uniform_attention_value(self):
-        state = bb.HatState(400.0, [0.8], accumulated=[np.zeros(5)])
+        state = bb.HatState(400.0, [0.8], [5], np.zeros(5))
         value, grads, exhausted = bb.hat_regularizer(
             state, 0, np.full(5, 0.3), s=2.0)
         assert value == pytest.approx(0.8 * 0.3, rel=1e-12)
@@ -172,15 +174,15 @@ class TestHatRegularizer:
         assert grads.shape == (5,)
 
     def test_zero_lambda_and_zero_attention(self):
-        state = bb.HatState(400.0, [0.0], accumulated=[np.zeros(5)])
+        state = bb.HatState(400.0, [0.0], [5], np.zeros(5))
         value, _, _ = bb.hat_regularizer(state, 0, np.full(5, 0.3), s=2.0)
         assert value == 0.0
-        state = bb.HatState(400.0, [1.0], accumulated=[np.zeros(5)])
+        state = bb.HatState(400.0, [1.0], [5], np.zeros(5))
         value, _, _ = bb.hat_regularizer(state, 0, np.zeros(5), s=2.0)
         assert value == 0.0
 
     def test_capacity_exhausted(self):
-        state = bb.HatState(400.0, [1.0], accumulated=[np.ones(5)])
+        state = bb.HatState(400.0, [1.0], [5], np.ones(5))
         value, grads, exhausted = bb.hat_regularizer(
             state, 0, np.full(5, 0.9), s=2.0)
         assert value == 0.0 and exhausted
@@ -190,8 +192,7 @@ class TestHatRegularizer:
         rng = np.random.default_rng(6)
         for _ in range(50):
             lam = float(rng.uniform(0, 2))
-            state = bb.HatState(400.0, [lam],
-                                accumulated=[rng.uniform(size=6)])
+            state = bb.HatState(400.0, [lam], [6], rng.uniform(size=6))
             value, _, _ = bb.hat_regularizer(
                 state, 0, rng.uniform(size=6), s=2.0)
             assert 0.0 <= value <= lam + 1e-12
@@ -208,30 +209,30 @@ class TestHatAccumulate:
         target = [0.2, 0.7, 0.4, 0.9]
         net.isolation.embeddings[0] = self.embed_for(target)
         bb.hat_accumulate(net, 0)
-        np.testing.assert_allclose(net.isolation.accumulated[0], target,
+        np.testing.assert_allclose(net.isolation.accumulated, target,
                                    rtol=1e-9)
 
     def test_all_zero_attention_no_change(self):
         net = make_hat(hidden=(4,))
-        net.isolation.accumulated = [np.array([0.3, 0.6, 0.0, 1.0])]
+        net.isolation.accumulated = np.array([0.3, 0.6, 0.0, 1.0])
         net.isolation.embeddings[0] = np.full(4, -1.0)  # a ~ 0
         bb.hat_accumulate(net, 0)
-        np.testing.assert_array_equal(net.isolation.accumulated[0],
+        np.testing.assert_array_equal(net.isolation.accumulated,
                                       [0.3, 0.6, 0.0, 1.0])
 
     def test_elementwise_max(self):
         net = make_hat(hidden=(2,))
-        net.isolation.accumulated = [np.array([0.2, 0.9])]
+        net.isolation.accumulated = np.array([0.2, 0.9])
         net.isolation.embeddings[0] = self.embed_for([0.5, 0.1])
         bb.hat_accumulate(net, 0)
-        np.testing.assert_allclose(net.isolation.accumulated[0], [0.5, 0.9],
+        np.testing.assert_allclose(net.isolation.accumulated, [0.5, 0.9],
                                    rtol=1e-9)
 
     def test_snap_to_binary(self):
         net = make_hat(hidden=(2,))
         net.isolation.embeddings[0] = np.array([1.0, -1.0])  # sat at s=400
         bb.hat_accumulate(net, 0)
-        np.testing.assert_array_equal(net.isolation.accumulated[0], [1.0, 0.0])
+        np.testing.assert_array_equal(net.isolation.accumulated, [1.0, 0.0])
 
 
 def _argsort_masks(scores, p):
@@ -247,13 +248,21 @@ def _argsort_masks(scores, p):
     return masks
 
 
+def _masks(scores, p):
+    """mask_from_scores written into new buffers of stale values."""
+    return bb.mask_from_scores(scores, p,
+                               [np.full(np.shape(v), 0.5) for v in scores])
+
+
 class TestSupermasks:
     def test_full_density_equals_dense(self):
         net = make_sup(sparsity=100.0)
         rng = np.random.default_rng(7)
-        net.isolation.masks[0] = nk.flat_like_params(bb.mask_from_scores(
-            [rng.normal(size=w.shape) for w in net.trunk.weights], 100.0),
-            [np.ones_like(b) for b in net.trunk.biases])
+        mask = np.ones_like(net.trunk.params)
+        bb.mask_from_scores(
+            [rng.normal(size=w.shape) for w in net.trunk.weights], 100.0,
+            net.trunk.views(mask)[0])
+        net.isolation.masks[0] = mask
         net.heads[0] = bb.Head(rng.normal(size=(2, 8)), np.zeros(2))
         x = rng.normal(size=(1, 4))
         feats, _ = nk.forward(net.trunk, x)
@@ -264,16 +273,16 @@ class TestSupermasks:
         rng = np.random.default_rng(8)
         scores = [rng.normal(size=(5, 7)), rng.normal(size=(3, 5))]
         for p in (10.0, 33.0, 50.0, 99.0):
-            for m, v in zip(bb.mask_from_scores(scores, p), scores):
+            for m, v in zip(_masks(scores, p), scores):
                 assert m.sum() == int(np.ceil(p / 100.0 * v.size))
 
     def test_keeps_largest_scores(self):
         w = np.array([[0.1, -3.0], [2.0, 0.5]])
-        (mask,) = bb.mask_from_scores([np.abs(w)], 50.0)
+        (mask,) = _masks([np.abs(w)], 50.0)
         np.testing.assert_array_equal(mask, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_tie_break_lowest_flat_index(self):
-        (mask,) = bb.mask_from_scores([np.array([[1.0, 1.0], [1.0, 1.0]])], 50.0)
+        (mask,) = _masks([np.array([[1.0, 1.0], [1.0, 1.0]])], 50.0)
         np.testing.assert_array_equal(mask, [[1.0, 1.0], [0.0, 0.0]])
 
     @settings(max_examples=300, deadline=None)
@@ -293,7 +302,7 @@ class TestSupermasks:
             v = rng.choice(np.array(palette), size=(rows, cols))
         scores = [v, rng.normal(size=(cols, rows))]
         wants = _argsort_masks(scores, p)
-        for got, want in zip(bb.mask_from_scores(scores, p), wants):
+        for got, want in zip(_masks(scores, p), wants):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
         # written into the views of a flat buffer of stale values, past
@@ -309,10 +318,10 @@ class TestSupermasks:
 
     def test_single_keep_takes_the_first_maximum(self):
         v = np.array([[0.0, 3.0, -0.0], [3.0, 1.0, 3.0]])
-        (mask,) = bb.mask_from_scores([v], 1e-9)
+        (mask,) = _masks([v], 1e-9)
         np.testing.assert_array_equal(mask, [[0, 1, 0], [0, 0, 0]])
         # -0.0 == 0.0, so signed zeros tie and the lowest index wins
-        (mask,) = bb.mask_from_scores([np.array([-0.0, 0.0, -0.0, 0.0])], 50.0)
+        (mask,) = _masks([np.array([-0.0, 0.0, -0.0, 0.0])], 50.0)
         np.testing.assert_array_equal(mask, [1, 1, 0, 0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -320,7 +329,7 @@ class TestSupermasks:
         scores = [np.ones((2, 3)), np.ones((3, 2))]
         scores[1][2, 0] = bad
         with pytest.raises(nk.NumericError, match="layer 1") as err:
-            bb.mask_from_scores(scores, 50.0)
+            _masks(scores, 50.0)
         assert err.value.layer == 1
 
     def test_finished_trunk_is_built_once(self, monkeypatch):
@@ -348,9 +357,11 @@ class TestSupermasks:
         net.trunk = nk.DenseNet([w.copy() for w in net.trunk.weights],
                                 [b.copy() for b in net.trunk.biases])
         assert state.trunk_for(net, 0)[0] is not second
-        # the task in training follows its live scores on every call
+        # the task in training has no record to serve: its steps own the
+        # live mask
         state.start_task(net, 1, np.random.default_rng(0))
-        assert state.trunk_for(net, 1)[0] is not state.trunk_for(net, 1)[0]
+        with pytest.raises(ValueError, match="unknown task 1"):
+            state.trunk_for(net, 1)
 
     def test_score_update_linear_case(self):
         net = make_sup(dim=3, hidden=(2,))
@@ -373,10 +384,19 @@ class TestSupermasks:
         assert not any(g.any() for g in grads)
 
 
+def _assert_hat_layout(net):
+    """HAT's records of net: the trunk's widths and flat accumulated gates."""
+    state = net.isolation
+    assert state.sizes == [w.shape[0] for w in net.trunk.weights]
+    assert state.accumulated.shape == (sum(state.sizes),)
+
+
 @pytest.mark.parametrize("kind", ["hat", "sup"])
-def test_isolation_records_are_flat_in_the_trunk_layout(kind):
-    seq = gaussian_task(n_tasks=2, n=20, seed=41)
+def test_isolation_records_are_flat_in_the_trunk_layout(kind, tmp_path):
+    seq = gaussian_task(n_tasks=3, n=20, seed=41)
     net = (make_hat if kind == "hat" else make_sup)(dim=4, hidden=(6, 5))
+    if kind == "hat":
+        _assert_hat_layout(net)
     for k in range(2):
         bb.train_task(net, k, seq.tasks[k][0],
                       **train_args(epochs=2, lr=0.1, seed=42))
@@ -390,6 +410,18 @@ def test_isolation_records_are_flat_in_the_trunk_layout(kind):
             masks, ones = net.trunk.views(state.masks[k])
             assert all(b.tobytes() == np.ones(b.size).tobytes() for b in ones)
             assert all(set(np.unique(m)) <= {0.0, 1.0} for m in masks)
+    if kind == "hat":
+        _assert_hat_layout(net)
+        ck.save_checkpoint(tmp_path / "net.clwb", net)
+        loaded, _ = ck.load_checkpoint(tmp_path / "net.clwb")
+        _assert_hat_layout(loaded)
+        assert loaded.isolation.accumulated.tobytes() == \
+            state.accumulated.tobytes()
+    else:
+        # a started task has no frozen mask for trunk_for to serve
+        state.start_task(net, 2, np.random.default_rng(43))
+        with pytest.raises(ValueError, match="unknown task 2"):
+            state.trunk_for(net, 2)
     # a record of another length raises at the first forward
     records = state.embeddings if kind == "hat" else state.masks
     records[1] = records[1][:-1]
@@ -439,7 +471,7 @@ class TestTrainTask:
         net = make_hat(dim=4, hidden=(16,))
         bb.train_task(net, 0, seq.tasks[0][0],
                       **train_args(epochs=40, lr=0.1, seed=8))
-        acc = net.isolation.accumulated[0]
+        acc = net.isolation.accumulated
         assert set(np.unique(acc)) <= {0.0, 1.0}  # snapped binary
         probe = np.random.default_rng(9).normal(size=(7, 4))
         before = bb.task_raw_logits(net, probe, 0).copy()
@@ -554,7 +586,7 @@ class TestExhaustedCapacity:
         bb.train_task(net, 0, seq.tasks[0][0],
                       **train_args(epochs=3, lr=0.1, seed=23))
         state = net.isolation
-        state.accumulated = [np.ones(6), np.ones(5)]
+        state.accumulated = np.ones(11)
         trunk = [p.tobytes() for p in net.trunk.weights + net.trunk.biases]
         probe = np.random.default_rng(24).normal(size=(5, 4))
         task0 = bb.task_raw_logits(net, probe, 0)
@@ -574,7 +606,7 @@ class TestExhaustedCapacity:
                                              state.sizes), start))
         head0 = rng.uniform(-np.sqrt(6.0 / 7), np.sqrt(6.0 / 7), size=(2, 5))
         assert not np.array_equal(net.heads[1].weight, head0)
-        assert state.accumulated[0].tobytes() == np.ones(6).tobytes()
+        assert state.accumulated.tobytes() == np.ones(11).tobytes()
 
 
 class TestHatLossGradCheck:
@@ -588,7 +620,7 @@ class TestHatLossGradCheck:
             dim, hid, classes = 3, 4, 2
             net = make_hat(dim=dim, hidden=(hid,), seed=trial)
             state = net.isolation
-            state.accumulated = [rng.uniform(size=hid)]
+            state.accumulated = rng.uniform(size=hid)
             head_w = rng.normal(size=(classes, hid))
             x = rng.normal(size=(5, dim))
             y = rng.integers(classes, size=5)

@@ -576,6 +576,41 @@ class TestTrainEvalPipeline:
         assert not list((tmp_path / "run").glob("report_*"))
 
     @pytest.mark.parametrize("command", ["eval", "calibrate"])
+    def test_checkpoint_of_other_task_ids_is_usage_error(
+            self, synth_config_text, tmp_path, capsys, command):
+        # three finished tasks for the config's three, but task 2 renamed
+        # to task 5 in every meta field and array name, the CRC re-signed
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(synth_config_text(epochs=2))
+        run_cli("train", "--config", str(cfg_path))
+        capsys.readouterr()
+
+        def rename(meta):
+            text = json.dumps(meta)
+            for old, new in (('"2"', '"5"'), ("head_w2", "head_w5"),
+                             ("head_b2", "head_b5"),
+                             ("hat_emb2_", "hat_emb5_")):
+                text = text.replace(old, new)
+            meta = json.loads(text)
+            meta["finished"] = [5 if k == 2 else k for k in meta["finished"]]
+            meta["hat_tasks"] = [5 if k == 2 else k
+                                 for k in meta["hat_tasks"]]
+            return meta
+
+        bad = tmp_path / "renamed.clwb"
+        bad.write_bytes(with_meta(
+            (tmp_path / "run" / "final.clwb").read_bytes(), rename))
+        net, _ = load_checkpoint(bad)
+        assert sorted(net.finished) == [0, 1, 5] and sorted(net.heads) == \
+            [0, 1, 5] and sorted(net.isolation.embeddings) == [0, 1, 5]
+        assert run_cli(command, "--config", str(cfg_path), "--checkpoint",
+                       str(bad)) == 2
+        assert capsys.readouterr().err == (
+            "error: checkpoint finished task 5 is not one of the config's "
+            "tasks 0-2\n")
+        assert not list((tmp_path / "run").glob("report_*"))
+
+    @pytest.mark.parametrize("command", ["eval", "calibrate"])
     def test_checkpoint_of_another_input_width_is_usage_error(
             self, synth_config_text, tmp_path, capsys, command):
         cfg_path = tmp_path / "cfg.ini"

@@ -39,6 +39,13 @@ class TestIdx:
         with pytest.raises(dt.FormatError):
             dt.parse_idx(label_stream([1, 2, 3]) + b"\x00")
 
+    def test_a_byte_count_past_int64_is_a_format_error(self):
+        # 2^21 * 2^21 * 2^22 = 2^64 bytes, which an int64 product wraps to 0
+        stream = struct.pack(">I3I", dt.IMAGE_MAGIC, 2**21, 2**21, 2**22)
+        with pytest.raises(dt.FormatError, match="^expected "
+                           "18446744073709551616 data bytes, found 0$"):
+            dt.parse_idx(stream)
+
     def test_roundtrip_byte_identical(self):
         rng = np.random.default_rng(0)
         raw = rng.integers(0, 256, size=(5, 4, 4), dtype=np.uint8)

@@ -31,8 +31,8 @@ def linear_hat_net(W, head_scale=400.0):
     are, wide-open attention, head weight W."""
     d = W.shape[1]
     trunk = nk.DenseNet([np.eye(d)], [np.zeros(d)])
-    state = bb.HatState(s_max=head_scale, lambdas=[1.0],
-                        accumulated=[np.zeros(d)])
+    state = bb.HatState(s_max=head_scale, lambdas=[1.0], sizes=[d],
+                        accumulated=np.zeros(d))
     state.embeddings[0] = np.full(d, 1.0)  # sigmoid(400) == 1
     net = bb.MaskedNet(trunk, {0: bb.Head(W, np.zeros(W.shape[0]))}, state, [0])
     return net

@@ -285,14 +285,15 @@ def test_hat_attention_at_signed_zero_and_large_embeddings():
 def _hat_step_matches(state, rng, fan_in):
     """hat_masked_gradients and hat_regularizer on state against the
     per-call oracle over state.accumulated as it is now."""
-    widths = [a.size for a in state.accumulated]
+    widths = state.sizes
+    acc = nk._split(state.accumulated, widths)
     ins = [fan_in] + widths[:-1]
     weights = [rng.normal(size=(o, i)) for o, i in zip(widths, ins)]
     biases = [rng.normal(size=o) for o in widths]
     tape = nk.GradTape([w.copy() for w in weights], [b.copy() for b in biases])
     want = nk.GradTape([w.copy() for w in weights], [b.copy() for b in biases])
     bb.hat_masked_gradients(tape, state)
-    _old_hat_masked_gradients(want, state.accumulated)
+    _old_hat_masked_gradients(want, acc)
     for got_w, want_w, got_b, want_b in zip(tape.d_weights, want.d_weights,
                                             tape.d_biases, want.d_biases):
         assert _same(got_w, want_w) and _same(got_b, want_b)
@@ -300,7 +301,7 @@ def _hat_step_matches(state, rng, fan_in):
     value, grads, exhausted = bb.hat_regularizer(state, 0,
                                                  np.concatenate(attn), 3.0)
     want_value, want_grads, want_exhausted = _old_hat_regularizer(
-        state.lambda_for(0), state.accumulated, attn, 3.0)
+        state.lambda_for(0), acc, attn, 3.0)
     assert value == want_value and exhausted == want_exhausted
     assert _same(grads, np.concatenate(want_grads))
 
@@ -316,20 +317,21 @@ def test_hat_constants_follow_every_new_accumulated_state(seed):
                               **net_args(lambdas=[lam]))
     state = net.isolation
     _hat_step_matches(state, rng, dim)  # all free
-    # a new list of arrays, with saturated and exactly-claimed units
-    state.accumulated = [rng.choice([0.0, 0.3, 1.0], size=h) for h in hidden]
+    # a new vector, with saturated and exactly-claimed units
+    state.accumulated = np.concatenate(
+        [rng.choice([0.0, 0.3, 1.0], size=h) for h in hidden])
     _hat_step_matches(state, rng, dim)
-    _hat_step_matches(state, rng, dim)  # reused: still the same arrays
-    # one layer's array replaced in the same list
-    state.accumulated[1] = np.ones(hidden[1])
+    _hat_step_matches(state, rng, dim)  # reused: still the same vector
+    # one layer's units claimed in place, in the same vector
+    state.accumulated[hidden[0]:] = 1.0
     _hat_step_matches(state, rng, dim)
-    # hat_accumulate replaces every layer's array
+    # hat_accumulate replaces the vector
     state.embeddings[0] = np.concatenate([rng.normal(size=h) * 0.01
                                           for h in hidden])
     bb.hat_accumulate(net, 0)
     _hat_step_matches(state, rng, dim)
     # every unit claimed: the exhausted branch
-    state.accumulated = [np.ones(h) for h in hidden]
+    state.accumulated = np.ones(sum(hidden))
     _hat_step_matches(state, rng, dim)
 
 
@@ -363,9 +365,10 @@ def test_one_hat_update_has_the_per_layer_bits(seed, sizes, lam, claimed, s):
     net = nk.glorot_net(sizes, rng)
     twin = nk.DenseNet([w.copy() for w in net.weights],
                        [b.copy() for b in net.biases])
-    state = bb.HatState(400.0, [lam], accumulated=[
+    state = bb.HatState(400.0, [lam], widths, np.concatenate([
         {"none": np.zeros(w), "some": rng.choice([0.0, 0.3, 1.0], size=w),
-         "every": np.ones(w)}[claimed] for w in widths])
+         "every": np.ones(w)}[claimed] for w in widths]))
+    acc = nk._split(state.accumulated, widths)
     state.start_task(None, 0, rng)
     embeddings = [e.copy() for e in nk._split(state.embeddings[0], widths)]
     steps = state.steps(bb.MaskedNet(net, {}, state), 0, lr)
@@ -378,9 +381,8 @@ def test_one_hat_update_has_the_per_layer_bits(seed, sizes, lam, claimed, s):
     old = nk.GradTape([g.copy() for g in tape.d_weights],
                       [g.copy() for g in tape.d_biases])
     attn = [_old_hat_attention(e, s) for e in embeddings]
-    want_value, e_grads, _ = _old_hat_regularizer(lam, state.accumulated,
-                                                  attn, s)
-    _old_hat_masked_gradients(old, state.accumulated)
+    want_value, e_grads, _ = _old_hat_regularizer(lam, acc, attn, s)
+    _old_hat_masked_gradients(old, acc)
     _per_layer_sgd(twin, old, lr)
     want_embeddings = [e - lr * (g + dh * a * (1.0 - a) * s) for e, g, dh, a
                        in zip(embeddings, e_grads, d_hooks, attn)]

@@ -35,7 +35,7 @@ def old_start_task(net, task, rng):
     state = net.isolation
     if state.kind == "hat":  # one draw per layer
         state.embeddings[task] = np.concatenate(
-            [rng.normal(size=acc.shape) for acc in state.accumulated])
+            [rng.normal(size=n) for n in state.sizes])
     else:
         state.start_task(net, task, rng)
 
@@ -59,7 +59,8 @@ def old_task_features(net, x, task, s=None):
     else:
         masks = net.trunk.views(state.masks[task])[0] \
             if task in state.masks else \
-            bb.mask_from_scores(state.scores, state.p)
+            bb.mask_from_scores(state.scores, state.p,
+                                [np.empty_like(v) for v in state.scores])
         trunk = nk.DenseNet([w * m for w, m in zip(net.trunk.weights, masks)],
                             net.trunk.biases)
         hooks = None
@@ -92,7 +93,7 @@ def old_after_backward(net, task, tape, cache, s, lr):
         for v, g, w in zip(state.scores, tape.d_weights, net.trunk.weights):
             v -= lr * (g * w)
         return 0.0
-    attn, acc = cache.hooks, state.accumulated
+    attn, acc = cache.hooks, nk._split(state.accumulated, state.sizes)
     lam = state.lambda_for(task)
     free = [1.0 - a for a in acc]
     denom = float(sum(f.sum() for f in free))
@@ -304,7 +305,7 @@ def test_exhausted_capacity_leaves_the_trunk_byte_equal(tmp_path):
         # before task 1, every unit counts as claimed by an earlier task
         if task == 1:
             state = net.isolation
-            state.accumulated = [np.ones_like(a) for a in state.accumulated]
+            state.accumulated = np.ones_like(state.accumulated)
             trunks.append([p.copy() for p in net.trunk.weights +
                            net.trunk.biases])
 
