@@ -9,4 +9,4 @@ scoring), ``composer`` (class-incremental prediction routes), and the
 """
 
 __version__ = "0.1.0"
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2

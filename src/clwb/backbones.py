@@ -15,12 +15,13 @@ the kind; task_features is the one trunk forward, at full gate scale.
 Every isolation record is one flat vector: HAT's per-task embeddings and
 its accumulated gates in the embeddings' layout (the trunk's units in
 layer order), a finished supermask task's mask in the layout of the
-trunk's params. ``steps`` checks once what a task's training steps trust,
-fetches once what they read, and returns their kernels: the gate scale,
-the forward and the update, which run the unchecked bodies and own what
-only training reads. ``kind`` names the mechanism, and
-``independent_tasks`` says whether a task's training reads what another
-task trains: false for hard attention, true for supermasks.
+trunk's params, and a checkpoint stores each as that one array
+(``checkpoint_arrays``, ``from_checkpoint``). ``steps`` checks once what a
+task's training steps trust, fetches once what they read, and returns
+their kernels: the gate scale, the forward and the update, which run the
+unchecked bodies and own what only training reads. ``kind`` names the
+mechanism, and ``independent_tasks`` says whether a task's training reads
+what another task trains: false for hard attention, true for supermasks.
 
 Training a task is single-threaded and deterministic given the seed.
 Evaluation of a finished net is read-only.
@@ -129,41 +130,35 @@ class HatState:
     def finish_task(self, net: MaskedNet, task: int) -> None:
         hat_accumulate(net, task)
 
-    def checkpoint_arrays(self, trunk: nk.DenseNet
+    def checkpoint_arrays(self, tasks: list[int]
                           ) -> tuple[list[tuple[str, np.ndarray]], dict]:
-        tasks = sorted(self.embeddings)
-        records = [("hat_acc", self.accumulated)] + [
-            (f"hat_emb{k}_", self.embeddings[k]) for k in tasks]
-        arrays = [("lambdas", np.asarray(self.lambdas, dtype=np.float64))]
-        arrays += [(f"{name}{l}", v) for name, flat in records
-                   for l, v in enumerate(nk._split(flat, self.sizes))]
-        return arrays, {"s_max": self.s_max, "hat_tasks": tasks}
+        return [("lambdas", np.asarray(self.lambdas, dtype=np.float64)),
+                ("hat_acc", self.accumulated)] + [
+            (f"hat_emb{k}", self.embeddings[k]) for k in tasks
+        ], {"s_max": self.s_max}
 
     @classmethod
     def from_checkpoint(cls, meta: dict, arrays: dict[str, np.ndarray],
-                        trunk: nk.DenseNet) -> HatState:
+                        trunk: nk.DenseNet, tasks: list[int]) -> HatState:
         sizes = [w.shape[0] for w in trunk.weights]
-        shapes = [(n,) for n in sizes]
-        state = cls(s_max=float(meta["s_max"]),
-                    lambdas=[float(v) for v in arrays["lambdas"]], sizes=sizes,
-                    accumulated=np.concatenate(_layers(arrays, "hat_acc",
-                                                       shapes)))
-        for k in meta["hat_tasks"]:
-            state.embeddings[k] = np.concatenate(
-                _layers(arrays, f"hat_emb{k}_", shapes))
-        return state
+        shape = (sum(sizes),)
+        return cls(s_max=float(meta["s_max"]),
+                   lambdas=[float(v) for v in _take(arrays, "lambdas")],
+                   sizes=sizes, accumulated=_take(arrays, "hat_acc", shape),
+                   embeddings={k: _take(arrays, f"hat_emb{k}", shape)
+                               for k in tasks})
 
 
-def _layers(arrays: dict[str, np.ndarray], name: str,
-            shapes: list[tuple]) -> list[np.ndarray]:
-    """The checkpoint arrays name0, name1, ..., one per trunk layer; one of
-    another shape than its layer's raises ValueError."""
-    out = [arrays[f"{name}{l}"] for l in range(len(shapes))]
-    for l, (a, shape) in enumerate(zip(out, shapes)):
-        if a.shape != shape:
-            raise ValueError(f"{name}{l} has shape {a.shape}, not trunk layer "
-                             f"{l}'s {shape}")
-    return out
+def _take(arrays: dict[str, np.ndarray], name: str,
+          shape: tuple | None = None) -> np.ndarray:
+    """Checkpoint array name, popped from arrays so each is read once; a
+    missing one, or one not of shape (when given), raises ValueError."""
+    a = arrays.pop(name, None)
+    if a is None:
+        raise ValueError(f"missing array {name}")
+    if shape is not None and a.shape != shape:
+        raise ValueError(f"{name} has shape {a.shape}, not {shape}")
+    return a.copy()
 
 
 @dataclass
@@ -212,22 +207,17 @@ class SupState:
         self.masks[task] = mask
         self.scores = None
 
-    def checkpoint_arrays(self, trunk: nk.DenseNet
+    def checkpoint_arrays(self, tasks: list[int]
                           ) -> tuple[list[tuple[str, np.ndarray]], dict]:
-        arrays = [(f"sup_mask{k}_{l}", m) for k in sorted(self.masks)
-                  for l, m in enumerate(trunk.views(self.masks[k])[0])]
-        return arrays, {"sparsity": self.p, "sup_tasks": sorted(self.masks)}
+        return [(f"sup_mask{k}", self.masks[k]) for k in tasks], \
+            {"sparsity": self.p}
 
     @classmethod
     def from_checkpoint(cls, meta: dict, arrays: dict[str, np.ndarray],
-                        trunk: nk.DenseNet) -> SupState:
-        state = cls(p=float(meta["sparsity"]))
-        shapes = [w.shape for w in trunk.weights]
-        ones = [np.ones_like(b) for b in trunk.biases]
-        for k in meta["sup_tasks"]:
-            state.masks[k] = nk.flat_like_params(
-                _layers(arrays, f"sup_mask{k}_", shapes), ones)
-        return state
+                        trunk: nk.DenseNet, tasks: list[int]) -> SupState:
+        return cls(p=float(meta["sparsity"]), masks={
+            k: _take(arrays, f"sup_mask{k}", trunk.params.shape)
+            for k in tasks})
 
 
 @dataclass
@@ -631,7 +621,7 @@ class _HatSteps(_Steps):
 
     def __init__(self, state: HatState, net: MaskedNet, task: int,
                  lr: float):
-        super().__init__(net.trunk, nk.GradTape.for_net(net.trunk))
+        super().__init__(net.trunk, nk.GradTape(net.trunk))
         self.lr, self.s_max = lr, state.s_max
         self.flat = state.flat_embedding(task)
         self.sizes = state.sizes
@@ -676,7 +666,7 @@ class _SupSteps(_Steps):
         self.mask = np.ones_like(net.trunk.params)
         self.views = net.trunk.views(self.mask)[0]
         super().__init__(net.trunk.masked(self.mask),
-                         nk.GradTape.for_net(net.trunk))
+                         nk.GradTape(net.trunk))
         self.state, self.net, self.lr = state, net, lr
 
     def features(self, x: np.ndarray, s: None

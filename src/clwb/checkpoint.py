@@ -9,6 +9,13 @@ The meta manifest lists each array's name and shape in payload order; values
 are raw float64, full precision, so reloaded nets reproduce forward outputs
 bit for bit. The trailing CRC-32 turns any single flipped payload byte into
 a corruption error instead of a silently different model.
+
+Format 2 stores each fact once: the trunk's ``trunk_w{l}``/``trunk_b{l}``,
+each finished task's ``head_w{k}``/``head_b{k}``, and each isolation record
+as its one flat vector (``lambdas``, ``hat_acc`` and ``hat_emb{k}``, or
+``sup_mask{k}``); the meta adds ``kind``, ``finished``, ``head_kinds``,
+``s_max`` or ``sparsity``, and ``extra``. The loader reads the trunk, then
+each finished task's head and record, and uses every array exactly once.
 """
 
 from __future__ import annotations
@@ -124,16 +131,13 @@ def save_checkpoint(path, net: bb.MaskedNet, extra: dict | None = None) -> None:
     for l, (w, b) in enumerate(zip(net.trunk.weights, net.trunk.biases)):
         arrays.append((f"trunk_w{l}", w))
         arrays.append((f"trunk_b{l}", b))
-    for k in sorted(net.heads):
+    for k in net.finished:
         arrays.append((f"head_w{k}", net.heads[k].weight))
         arrays.append((f"head_b{k}", net.heads[k].bias))
-    state_arrays, state_meta = net.isolation.checkpoint_arrays(net.trunk)
+    state_arrays, state_meta = net.isolation.checkpoint_arrays(net.finished)
     arrays += state_arrays
     meta = dict(state_meta, kind=net.kind, finished=list(net.finished),
-                head_kinds={str(k): h.kind for k, h in sorted(net.heads.items())},
-                topology={str(k): h.classes
-                          for k, h in sorted(net.heads.items())},
-                trunk_activations=["relu"] * net.trunk.n_layers,
+                head_kinds={str(k): net.heads[k].kind for k in net.finished},
                 extra=extra or {})
     write_atomic(path, _pack(meta, arrays))
 
@@ -155,29 +159,21 @@ def load_checkpoint(path) -> tuple[bb.MaskedNet, dict]:
                 f"unknown isolation kind {meta['kind']!r}")
         weights, biases, l = [], [], 0
         while f"trunk_w{l}" in arrays:
-            weights.append(arrays[f"trunk_w{l}"].copy())
-            biases.append(arrays[f"trunk_b{l}"].copy())
+            weights.append(bb._take(arrays, f"trunk_w{l}"))
+            biases.append(bb._take(arrays, f"trunk_b{l}"))
             l += 1
-        if meta["trunk_activations"] != ["relu"] * len(weights):
-            raise CheckpointFormatError(
-                f"trunk_activations {meta['trunk_activations']!r} for "
-                f"{len(weights)} trunk layers: every trunk layer is relu")
         trunk = nk.DenseNet(weights, biases)
-        heads = {}
-        for key, kind in meta["head_kinds"].items():
-            k = int(key)
-            heads[k] = bb.Head(arrays[f"head_w{k}"].copy(),
-                               arrays[f"head_b{k}"].copy(), kind)
-        state = state_cls.from_checkpoint(meta, arrays, trunk)
         finished = [int(k) for k in meta["finished"]]
-        recorded = meta[f"{state.kind}_tasks"]  # hat_tasks or sup_tasks
-        for i, k in enumerate(finished):
-            if k in finished[:i]:
+        heads = {}
+        for k in finished:
+            if k in heads:
                 raise ValueError(f"finished lists task {k} twice")
-            if k not in heads:
-                raise ValueError(f"finished task {k} has no head")
-            if k not in recorded:
-                raise ValueError(f"finished task {k} has no isolation arrays")
+            heads[k] = bb.Head(bb._take(arrays, f"head_w{k}"),
+                               bb._take(arrays, f"head_b{k}"),
+                               meta["head_kinds"][str(k)])
+        state = state_cls.from_checkpoint(meta, arrays, trunk, finished)
+        if arrays:
+            raise ValueError(f"no finished task owns {', '.join(arrays)}")
         net = bb.MaskedNet(trunk, heads, state, finished)
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise CheckpointFormatError(f"malformed checkpoint: {e!r}") from e

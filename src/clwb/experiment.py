@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import CHECKPOINT_FORMAT_VERSION, __version__
+from . import __version__
 from . import backbones as bb
 from . import composer as cp
 from . import data as dt
@@ -59,6 +59,10 @@ def build_tasks(cfg: ExperimentConfig) -> dt.TaskSequence:
         if idx[a].shape[axes] != idx[b].shape[axes]:
             raise ConfigError(f"data.{a} of shape {idx[a].shape} does not "
                               f"pair with data.{b} of shape {idx[b].shape}")
+    h, w = idx["train_images"].shape[1:]
+    if h != w and cfg.loss.kind != "ce":  # the rotation losses turn images
+        raise ConfigError(f"data.train_images holds {(h, w)} images: "
+                          f"loss.kind = {cfg.loss.kind} needs square images")
     for key in ("train_labels", "test_labels"):
         low, high = idx[key].min(initial=0), idx[key].max(initial=0)
         if low < 0 or high >= n_classes:
@@ -383,7 +387,7 @@ class ExperimentReport:
     odin_params: dict
     config_text: str
     clwb_version: str = __version__
-    format_version: int = CHECKPOINT_FORMAT_VERSION
+    format_version: int = 1  # the report schema's, not the checkpoint's
     notes: dict = field(default_factory=dict)
 
     def to_json(self) -> str:

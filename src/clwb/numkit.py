@@ -181,34 +181,24 @@ def _first_nonfinite(weights, biases) -> int:
 
 
 class GradTape:
-    """Per-parameter gradient accumulators mirroring a DenseNet's shapes.
+    """Per-parameter gradient accumulators in a DenseNet's layout.
 
     Like the net's parameters, the gradients live in one flat buffer,
     ``grads``, of the net's layout; d_weights[l] and d_biases[l] are views
-    into it. A tape built from per-layer lists copies them in.
-    ``d_hooks[l]`` holds the gradient w.r.t. the layer-l hook vector of a
-    forward run with hooks; it is None after a forward without. Training
-    takes one tape per task and zeroes it before each step.
+    into it. ``d_hooks[l]`` holds the gradient w.r.t. the layer-l hook
+    vector of a forward run with hooks; it is None after a forward without.
+    A new tape holds +0.0 everywhere and no hook gradients. Training takes
+    one tape per task and zeroes it before each step.
     """
 
-    def __init__(self, d_weights, d_biases, d_hooks=None):
-        self._set(*_pack(d_weights, d_biases), len(d_weights))
-        self.d_hooks = d_hooks
-
-    def _set(self, grads: np.ndarray, layout: tuple, n_layers: int) -> None:
-        self.grads, self.layout = grads, layout
-        self.d_weights, self.d_biases = _views(grads, layout, n_layers)
-
-    @classmethod
-    def for_net(cls, net: DenseNet) -> "GradTape":
-        tape = cls.__new__(cls)
-        tape._set(np.zeros_like(net.params), net.layout, net.n_layers)
-        tape.d_hooks = None
-        return tape
+    def __init__(self, net: DenseNet):
+        self.grads, self.layout = np.zeros_like(net.params), net.layout
+        self.d_weights, self.d_biases = _views(self.grads, self.layout,
+                                               net.n_layers)
+        self.d_hooks = None
 
     def zero(self) -> None:
-        """Every gradient back to +0.0 and no hook gradients, as for_net
-        leaves a new tape."""
+        """Every gradient back to +0.0 and no hook gradients, as when new."""
         self.grads.fill(0.0)
         self.d_hooks = None
 

@@ -103,7 +103,7 @@ def test_c03_gradient_checks():
             feats, cache = nk.forward(trunk, x, [a])
             ce, dlogits = nk.softmax_ce(feats @ head_w.T, y)
             reg, e_reg, _ = bb.hat_regularizer(state, 0, a, s)
-            tape = nk.GradTape.for_net(trunk)
+            tape = nk.GradTape(trunk)
             nk.backward(trunk, tape, cache, dlogits @ head_w)
             de = e_reg + tape.d_hooks[0] * a * (1 - a) * s
             return ce + reg, [tape.d_weights[0], tape.d_biases[0], de]

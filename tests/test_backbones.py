@@ -131,9 +131,10 @@ class TestHatMaskedGradients:
         state = bb.HatState(s_max=400.0, lambdas=[1.0],
                             sizes=[len(acc_in), len(acc_out)],
                             accumulated=np.array(acc_in + acc_out))
-        tape = nk.GradTape(
-            [np.full((len(acc_in), 3), g), np.full((len(acc_out), len(acc_in)), g)],
-            [np.full(len(acc_in), g), np.full(len(acc_out), g)])
+        tape = nk.GradTape(nk.glorot_net([3, len(acc_in), len(acc_out)],
+                                          np.random.default_rng(0)))
+        for view in tape.d_weights + tape.d_biases:
+            view[...] = g
         bb.hat_masked_gradients(tape, state)
         return tape
 
@@ -156,8 +157,9 @@ class TestHatMaskedGradients:
         rng = np.random.default_rng(5)
         state = bb.HatState(400.0, [1.0], [4, 3], np.concatenate(
             [rng.uniform(size=4), rng.uniform(size=3)]))
-        tape = nk.GradTape([rng.normal(size=(4, 6)), rng.normal(size=(3, 4))],
-                           [rng.normal(size=4), rng.normal(size=3)])
+        tape = nk.GradTape(nk.glorot_net([6, 4, 3], np.random.default_rng(0)))
+        for view in tape.d_weights + tape.d_biases:
+            view[...] = rng.normal(size=view.shape)
         before = [g.copy() for g in tape.d_weights]
         bb.hat_masked_gradients(tape, state)
         for a, b in zip(tape.d_weights, before):
@@ -369,7 +371,7 @@ class TestSupermasks:
         upstream = np.array([0.3, -0.7])
         # biases above |W x| keep both units open: the relu passes through
         eff = nk.DenseNet([net.trunk.weights[0].copy()], [np.full(2, 10.0)])
-        tape = nk.GradTape.for_net(eff)
+        tape = nk.GradTape(eff)
         _, cache = nk.forward(eff, x[None])
         nk.backward(eff, tape, cache, upstream[None])
         grads = bb.sup_score_update(tape, net.trunk)
@@ -379,7 +381,7 @@ class TestSupermasks:
 
     def test_zero_upstream_zero_score_grad(self):
         net = make_sup()
-        tape = nk.GradTape.for_net(net.trunk)
+        tape = nk.GradTape(net.trunk)
         grads = bb.sup_score_update(tape, net.trunk)
         assert not any(g.any() for g in grads)
 
@@ -634,7 +636,7 @@ class TestHatLossGradCheck:
                 logits = feats @ head_w.T
                 ce, dlogits = nk.softmax_ce(logits, y)
                 reg, e_reg, _ = bb.hat_regularizer(state, 0, a, s)
-                tape = nk.GradTape.for_net(trunk)
+                tape = nk.GradTape(trunk)
                 nk.backward(trunk, tape, cache, dlogits @ head_w)
                 de = e_reg + tape.d_hooks[0] * a * (1 - a) * s
                 return ce + reg, [tape.d_weights[0], tape.d_biases[0], de]

@@ -27,8 +27,8 @@ def test_roundtrip_forward_bit_identical(tmp_path, kind):
     ck.save_checkpoint(path, net, extra={"note": "test"})
     loaded, meta = ck.load_checkpoint(path)
     assert meta["extra"]["note"] == "test"
-    assert meta["topology"] == {"0": 2, "1": 2}
     assert loaded.finished == net.finished
+    assert {k: h.classes for k, h in loaded.heads.items()} == {0: 2, 1: 2}
     rng = np.random.default_rng(1)
     for _ in range(100):
         x = rng.normal(size=(1, 4))
@@ -108,11 +108,10 @@ def _with_meta(blob: bytes, mutate) -> bytes:
     lambda m: m.update(kind="xyz"),
     lambda m: m.update(kind="sup"),
     lambda m: m.pop("s_max"),
-    lambda m: m.update(hat_tasks=[0, 3]),
+    lambda m: m.update(finished=[0, 3]),
     lambda m: m["head_kinds"].update({"0": "weird"}),
-    lambda m: m.update(trunk_activations=["linear"]),
 ], ids=["unknown-kind", "wrong-kind", "missing-s_max", "task-without-arrays",
-        "unknown-head-kind", "linear-trunk-layer"])
+        "unknown-head-kind"])
 def test_malformed_meta_is_a_format_error(tmp_path, mutate):
     net = trained_net(kind="hat", tasks=1)
     path = tmp_path / "model.clwb"
@@ -169,32 +168,37 @@ def _short(name):
     return _repacked(lambda m, a: a.update({name: a[name][:-1]}))
 
 
-def _without_head(meta, arrays):
-    del meta["head_kinds"]["2"], arrays["head_w2"], arrays["head_b2"]
+def _without(*names):
+    return _repacked(lambda m, a: [a.pop(n) for n in names])
 
 
 @pytest.mark.parametrize("kind, make, message", [
-    ("hat", _short("hat_emb1_0"), r"hat_emb1_0 has shape \(7,\)"),
-    ("hat", _short("hat_acc0"), r"hat_acc0 has shape \(7,\)"),
-    ("sup", _short("sup_mask1_0"), r"sup_mask1_0 has shape \(7, 4\)"),
-    ("sup", _repacked(lambda m, a: a.update(sup_mask1_0=a["sup_mask1_0"].T)),
-     r"sup_mask1_0 has shape \(4, 8\)"),
-    ("hat", _repacked(lambda m, a: m.update(hat_tasks=[0, 1])),
-     "finished task 2 has no isolation arrays"),
-    ("hat", _repacked(_without_head), "finished task 2 has no head"),
+    ("hat", _short("hat_emb1"), r"hat_emb1 has shape \(7,\), not \(8,\)"),
+    ("hat", _short("hat_acc"), r"hat_acc has shape \(7,\), not \(8,\)"),
+    ("sup", _short("sup_mask1"),
+     r"sup_mask1 has shape \(39,\), not \(40,\)"),
+    ("sup", _repacked(lambda m, a: a.update(
+        sup_mask1=a["sup_mask1"].reshape(5, 8))),
+     r"sup_mask1 has shape \(5, 8\), not \(40,\)"),
+    ("hat", _without("hat_emb2"), "missing array hat_emb2"),
+    ("hat", _without("head_w2", "head_b2"), "missing array head_w2"),
     ("hat", _repacked(lambda m, a: m.update(finished=[0, 0, 1])),
      "finished lists task 0 twice"),
     ("hat", lambda blob: with_meta(blob, _first_entry(
         {"name": "trunk_w0", "shape": [2**32, 2**32]})),
      "array trunk_w0 truncated"),
+    ("sup", _repacked(lambda m, a: m.update(finished=[0, 1])),
+     "no finished task owns head_w2, head_b2, sup_mask2"),
+    ("hat", _repacked(lambda m, a: a.update(head_w5=a["head_w0"])),
+     "no finished task owns head_w5"),
 ], ids=["short-hat-emb", "short-hat-acc", "short-sup-mask",
         "transposed-sup-mask", "finished-task-without-isolation-arrays",
         "finished-task-without-a-head", "repeated-finished-task",
-        "shape-past-int64"])
+        "shape-past-int64", "unfinished-task-arrays", "left-over-array"])
 def test_fields_that_disagree_are_a_format_error(tmp_path, kind, make,
                                                  message):
-    # each file's CRC holds and each array is whole, so only the checks
-    # of every field against the others can refuse it
+    # each file's CRC holds and each array is whole, so only the loader's
+    # reading of every finished task's arrays, each once, can refuse it
     net = trained_net(kind=kind, tasks=3)
     path = tmp_path / "model.clwb"
     ck.save_checkpoint(path, net)
@@ -205,3 +209,53 @@ def test_fields_that_disagree_are_a_format_error(tmp_path, kind, make,
     with pytest.raises(ck.CheckpointFormatError, match=message):
         ck.load_checkpoint(bad)
 
+
+@pytest.mark.parametrize("kind", ["hat", "sup"])
+def test_roundtrip_stores_each_record_as_one_array(tmp_path, kind):
+    net = trained_net(kind=kind, tasks=3)
+    path = tmp_path / "model.clwb"
+    ck.save_checkpoint(path, net)
+    meta, arrays = ck._unpack(path.read_bytes())
+    records = ["lambdas", "hat_acc", "hat_emb0", "hat_emb1", "hat_emb2"] \
+        if kind == "hat" else ["sup_mask0", "sup_mask1", "sup_mask2"]
+    assert list(arrays) == ["trunk_w0", "trunk_b0"] + [
+        f"head_{p}{k}" for k in range(3) for p in "wb"] + records
+    assert sorted(meta) == sorted([
+        "arrays", "clwb_version", "extra", "finished", "format_version",
+        "head_kinds", "kind", "s_max" if kind == "hat" else "sparsity"])
+
+    loaded, _ = ck.load_checkpoint(path)
+    assert loaded.trunk.params.tobytes() == net.trunk.params.tobytes()
+    assert sorted(loaded.heads) == sorted(net.heads)
+    for k, head in net.heads.items():
+        got = loaded.heads[k]
+        assert got.kind == head.kind
+        assert got.weight.tobytes() == head.weight.tobytes()
+        assert got.bias.tobytes() == head.bias.tobytes()
+    if kind == "hat":
+        got, want = loaded.isolation, net.isolation
+        assert (got.s_max, got.lambdas, got.sizes) == \
+            (want.s_max, want.lambdas, want.sizes)
+        assert got.accumulated.tobytes() == want.accumulated.tobytes()
+        records = got.embeddings, want.embeddings
+    else:
+        assert loaded.isolation.p == net.isolation.p
+        records = loaded.isolation.masks, net.isolation.masks
+    assert sorted(records[0]) == sorted(records[1]) == [0, 1, 2]
+    for k, a in records[1].items():
+        assert records[0][k].shape == a.shape
+        assert records[0][k].tobytes() == a.tobytes()
+
+
+def test_format_1_file_is_refused(tmp_path):
+    net = trained_net(kind="hat", tasks=1)
+    path = tmp_path / "model.clwb"
+    ck.save_checkpoint(path, net)
+    old = bytearray(path.read_bytes())
+    old[4:6] = struct.pack("<H", 1)
+    old[-4:] = struct.pack("<I", zlib.crc32(bytes(old[:-4])))
+    path.write_bytes(bytes(old))
+    with pytest.raises(ck.CheckpointFormatError,
+                       match=r"^format version 1 unsupported "
+                             r"\(loader handles 2\)$"):
+        ck.load_checkpoint(path)

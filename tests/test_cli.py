@@ -1,6 +1,8 @@
 import gzip
 import json
+import struct
 import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -246,6 +248,23 @@ class TestTrainEvalPipeline:
                            str(tmp_path / "run" / "final.clwb")) == 2
             assert capsys.readouterr().err == f"error: {message}\n"
         assert not list((tmp_path / "run").glob("report_*"))
+
+    @pytest.mark.parametrize("loss", ["rotation-ce", "contrastive"])
+    def test_non_square_images_under_a_rotation_loss_are_usage_error(
+            self, tmp_path, capsys, loss):
+        # the rotation losses turn each image by quarter turns: refused when
+        # the tasks are built, before train makes its output directory
+        cfg_path = self.idx_config(tmp_path, "wide", (12, 4, 6), (12, 4, 6),
+                                   12)
+        text = cfg_path.read_text()
+        cfg_path.write_text(f"{text}\n[loss]\nkind = {loss}\n")
+        assert run_cli("train", "--config", str(cfg_path)) == 2
+        assert capsys.readouterr().err == (
+            f"error: data.train_images holds (4, 6) images: loss.kind = "
+            f"{loss} needs square images\n")
+        assert not (tmp_path / "run").exists()
+        cfg_path.write_text(text)  # the plain loss never turns an image
+        assert run_cli("train", "--config", str(cfg_path)) == 0
 
     @pytest.mark.parametrize("part", ["train", "test"])
     def test_idx_label_outside_the_classes_is_usage_error(self, tmp_path,
@@ -540,22 +559,48 @@ class TestTrainEvalPipeline:
         assert len(err.strip().splitlines()) == 1
         assert not list((tmp_path / "run").glob("report_*"))
 
-    def test_finished_task_without_isolation_arrays_is_usage_error(
-            self, synth_config_text, tmp_path, capsys):
-        # the CRC holds and task 2's head is there, but hat_tasks lacks it
+    def test_format_1_checkpoint_is_usage_error(self, synth_config_text,
+                                                tmp_path, capsys):
+        # a format-1 header with an honest CRC: refused by its version,
+        # before any array is read
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(synth_config_text(epochs=2))
         run_cli("train", "--config", str(cfg_path))
         capsys.readouterr()
+        old = bytearray((tmp_path / "run" / "final.clwb").read_bytes())
+        old[4:6] = struct.pack("<H", 1)
+        old[-4:] = struct.pack("<I", zlib.crc32(bytes(old[:-4])))
+        bad = tmp_path / "format1.clwb"
+        bad.write_bytes(bytes(old))
+        assert run_cli("eval", "--config", str(cfg_path), "--checkpoint",
+                       str(bad)) == 2
+        assert capsys.readouterr().err == (
+            "error: format version 1 unsupported (loader handles 2)\n")
+        assert not list((tmp_path / "run").glob("report_*"))
+
+    def test_finished_task_without_isolation_arrays_is_usage_error(
+            self, synth_config_text, tmp_path, capsys):
+        # the CRC holds and task 2's head is there, but its embeddings'
+        # array is renamed in the manifest
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(synth_config_text(epochs=2))
+        run_cli("train", "--config", str(cfg_path))
+        capsys.readouterr()
+
+        def rename(meta):
+            for entry in meta["arrays"]:
+                if entry["name"] == "hat_emb2":
+                    entry["name"] = "hat_emb9"
+            return meta
+
         bad = tmp_path / "bad.clwb"
         bad.write_bytes(with_meta(
-            (tmp_path / "run" / "final.clwb").read_bytes(),
-            lambda m: {**m, "hat_tasks": [0, 1]}))
+            (tmp_path / "run" / "final.clwb").read_bytes(), rename))
         assert run_cli("eval", "--config", str(cfg_path), "--checkpoint",
                        str(bad)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: malformed checkpoint")
-        assert "finished task 2 has no isolation arrays" in err
+        assert "missing array hat_emb2" in err
         assert len(err.strip().splitlines()) == 1
         assert not list((tmp_path / "run").glob("report_*"))
 
@@ -589,12 +634,10 @@ class TestTrainEvalPipeline:
             text = json.dumps(meta)
             for old, new in (('"2"', '"5"'), ("head_w2", "head_w5"),
                              ("head_b2", "head_b5"),
-                             ("hat_emb2_", "hat_emb5_")):
+                             ("hat_emb2", "hat_emb5")):
                 text = text.replace(old, new)
             meta = json.loads(text)
             meta["finished"] = [5 if k == 2 else k for k in meta["finished"]]
-            meta["hat_tasks"] = [5 if k == 2 else k
-                                 for k in meta["hat_tasks"]]
             return meta
 
         bad = tmp_path / "renamed.clwb"

@@ -223,9 +223,9 @@ def test_forward_and_gradients_have_the_per_call_bits(seed, hooked, n_special):
         assert _same(cache.x, old[0])
 
         upstream = rng.normal(size=got_out.shape)
-        want_tape = nk.GradTape.for_net(net)
+        want_tape = nk.GradTape(net)
         _old_backward(net, want_tape, old, upstream)
-        tape = nk.GradTape.for_net(net)
+        tape = nk.GradTape(net)
         nk.backward(net, tape, cache, upstream)
         assert (tape.d_hooks is None) == (want_tape.d_hooks is None)
         for l in range(net.n_layers):
@@ -290,8 +290,11 @@ def _hat_step_matches(state, rng, fan_in):
     ins = [fan_in] + widths[:-1]
     weights = [rng.normal(size=(o, i)) for o, i in zip(widths, ins)]
     biases = [rng.normal(size=o) for o in widths]
-    tape = nk.GradTape([w.copy() for w in weights], [b.copy() for b in biases])
-    want = nk.GradTape([w.copy() for w in weights], [b.copy() for b in biases])
+    layout = nk.DenseNet(weights, biases)
+    tape, want = nk.GradTape(layout), nk.GradTape(layout)
+    for g in (tape, want):
+        for view, w in zip(g.d_weights + g.d_biases, weights + biases):
+            view[...] = w
     bb.hat_masked_gradients(tape, state)
     _old_hat_masked_gradients(want, acc)
     for got_w, want_w, got_b, want_b in zip(tape.d_weights, want.d_weights,
@@ -378,8 +381,8 @@ def test_one_hat_update_has_the_per_layer_bits(seed, sizes, lam, claimed, s):
     d_hooks = [_signed(rng, w) for w in widths]
     steps.flat_d_hooks[:] = np.concatenate(d_hooks)
 
-    old = nk.GradTape([g.copy() for g in tape.d_weights],
-                      [g.copy() for g in tape.d_biases])
+    old = nk.GradTape(net)
+    old.grads[:] = tape.grads
     attn = [_old_hat_attention(e, s) for e in embeddings]
     want_value, e_grads, _ = _old_hat_regularizer(lam, acc, attn, s)
     _old_hat_masked_gradients(old, acc)
